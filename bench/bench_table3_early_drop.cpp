@@ -44,9 +44,11 @@ void run() {
           {"speedybox", speedy}}) {
       telemetry::Json row = config_row(
           std::string(platform_name(platform)) + "/" + mode, result);
-      if (!result.stats.per_nf_mean_cycles.empty()) {
+      const std::vector<double> per_nf_means =
+          result.stats.per_nf_mean_cycles();
+      if (!per_nf_means.empty()) {
         telemetry::Json per_nf = telemetry::Json::array();
-        for (const double cycles : result.stats.per_nf_mean_cycles) {
+        for (const double cycles : per_nf_means) {
           per_nf.push(telemetry::Json::number(cycles));
         }
         row.set("per_nf_mean_cycles", std::move(per_nf));
@@ -54,10 +56,10 @@ void run() {
       json.add(std::move(row));
     }
 
+    const std::vector<double> original_means =
+        original.stats.per_nf_mean_cycles();
     std::printf("%-14s %8.0f %9.0f %9.0f %11.0f\n", platform_name(platform),
-                original.stats.per_nf_mean_cycles[0],
-                original.stats.per_nf_mean_cycles[1],
-                original.stats.per_nf_mean_cycles[2],
+                original_means[0], original_means[1], original_means[2],
                 original.sub_cycles);
     std::printf("%-6s w/ SBox %8s %9s %9s %11.0f (-%.1f%%)\n",
                 platform_name(platform), "--", "--", "--",

@@ -171,8 +171,6 @@ GlobalMat::FastPathResult GlobalMat::process(
             static_cast<double>(result.sf_total_cycles) *
             rule.critical_fraction);
       }
-    } else if (executor_ != nullptr) {
-      executor_->execute(rule.schedule, rule.batches, packet, parsed);
     } else {
       for (const auto& batch : rule.batches) {
         batch.execute(packet, parsed);

@@ -25,18 +25,6 @@
 
 namespace speedybox::core {
 
-/// Strategy for executing a rule's state-function batches. The default is
-/// sequential (chain order); runtime::ParallelExecutor implements real
-/// threaded execution of the Table-I parallel groups.
-class BatchExecutor {
- public:
-  virtual ~BatchExecutor() = default;
-  virtual void execute(const ParallelSchedule& schedule,
-                       const std::vector<StateFunctionBatch>& batches,
-                       net::Packet& packet,
-                       const net::ParsedPacket& parsed) = 0;
-};
-
 /// A flow's consolidated rule.
 struct ConsolidatedRule {
   ConsolidatedAction action;
@@ -187,13 +175,6 @@ class GlobalMat {
   FlowTableStats rule_table_stats() const { return rules_.stats(); }
   void clear();
 
-  /// Install a threaded batch executor (borrowed). Used by the unmeasured
-  /// fast path only; measured runs always execute sequentially so cycle
-  /// attribution stays exact.
-  void set_batch_executor(BatchExecutor* executor) noexcept {
-    executor_ = executor;
-  }
-
  private:
   /// Shared front half of the fast path: rule lookup, event check (with
   /// re-fetch after a trigger), consolidated header action. Returns a
@@ -204,7 +185,6 @@ class GlobalMat {
                                        std::size_t* events_triggered);
 
   std::vector<LocalMat*> chain_;
-  BatchExecutor* executor_ = nullptr;
   EventTable events_;
   /// FID-keyed consolidated-rule table. The shared_ptr cells live in slab
   /// records; each consolidation swaps the pointer in place, so in-flight

@@ -1,5 +1,7 @@
 #include "runtime/onvm_executor.hpp"
 
+#include <utility>
+
 #include "net/packet.hpp"
 #include "trace/workload.hpp"
 
@@ -17,52 +19,18 @@ OnvmExecutor::OnvmExecutor(ServiceChain& chain, std::size_t ring_capacity,
       std::move(stages), ring_capacity, batch_size);
 }
 
-bool OnvmExecutor::ingress_admit(const net::Packet& packet) {
-  if (controller_ == nullptr) return true;
-  ++stats_.overload.offered;
-
-  std::uint64_t flow_hash = 0;
-  if (const auto parsed = net::parse_packet(packet)) {
-    flow_hash = net::extract_five_tuple(packet, *parsed).hash();
+void OnvmExecutor::offer(net::Packet packet) {
+  // No Global MAT on the platform path (see header): nothing names doomed
+  // flows, so slo-early-drop degenerates to tail-drop.
+  if (controller_ != nullptr &&
+      !admit_arrival(*controller_, packet,
+                     {nullptr, pipeline_->ingress_pressured(),
+                      pipeline_->ingress_depth()},
+                     stats_.overload, metrics_)) {
+    return;
   }
-  // doomed is always false here: no Global MAT on the platform path (see
-  // header), so slo-early-drop degenerates to tail-drop.
-  const auto decision =
-      controller_->offer(flow_hash, /*doomed=*/false,
-                         pipeline_->ingress_pressured());
-  // Mirror the controller's authoritative episode counts (assignment, not
-  // increment — always current).
-  stats_.overload.degraded_episodes = controller_->degraded_episodes();
-  stats_.overload.degraded_episode_packets =
-      controller_->degraded_episode_packets();
-  if (metrics_ != nullptr) {
-    metrics_->queue_depth.set(pipeline_->ingress_depth());
-    if (const auto episode = controller_->take_finished_episode()) {
-      metrics_->degraded_episode_packets.record(*episode);
-    }
-  } else {
-    controller_->take_finished_episode();  // keep the latch drained
-  }
-
-  switch (decision) {
-    case OverloadController::Decision::kAdmit:
-      ++stats_.overload.admitted;
-      if (metrics_ != nullptr) metrics_->admitted.add(1);
-      return true;
-    case OverloadController::Decision::kShedAdmission:
-      ++stats_.overload.shed_admission;
-      if (metrics_ != nullptr) metrics_->shed_admission.add(1);
-      break;
-    case OverloadController::Decision::kShedWatermark:
-      ++stats_.overload.shed_watermark;
-      if (metrics_ != nullptr) metrics_->shed_watermark.add(1);
-      break;
-    case OverloadController::Decision::kShedEarlyDrop:
-      ++stats_.overload.shed_early_drop;
-      if (metrics_ != nullptr) metrics_->shed_early_drop.add(1);
-      break;
-  }
-  return false;
+  ++packets_;
+  pipeline_->push(std::move(packet));
 }
 
 std::vector<net::Packet> OnvmExecutor::finish() {
@@ -81,10 +49,7 @@ std::vector<net::Packet> OnvmExecutor::finish() {
 
 const RunStats& OnvmExecutor::run(const trace::Workload& workload) {
   for (std::size_t i = 0; i < workload.packet_count(); ++i) {
-    net::Packet packet = workload.materialize(i);
-    if (!ingress_admit(packet)) continue;
-    ++packets_;
-    pipeline_->push(std::move(packet));
+    offer(workload.materialize(i));
   }
   finish();
   return stats_;
@@ -95,9 +60,7 @@ const RunStats& OnvmExecutor::run(const std::vector<net::Packet>& packets,
   for (const net::Packet& original : packets) {
     net::Packet packet = original;
     packet.reset_metadata();
-    if (!ingress_admit(packet)) continue;
-    ++packets_;
-    pipeline_->push(std::move(packet));
+    offer(std::move(packet));
   }
   auto collected = finish();
   if (outputs != nullptr) *outputs = std::move(collected);

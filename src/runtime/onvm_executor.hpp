@@ -51,7 +51,8 @@ class OnvmExecutor final : public Executor {
   platform::OnvmPipeline& pipeline() noexcept { return *pipeline_; }
 
  private:
-  bool ingress_admit(const net::Packet& packet);
+  /// Ingress gate, then push into the pipeline if admitted.
+  void offer(net::Packet packet);
   /// Join the workers and settle the counters (drops/faulted come from the
   /// pipeline's relaxed cells, exact after the join).
   std::vector<net::Packet> finish();

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "net/packet.hpp"
+#include "runtime/chain.hpp"
+#include "telemetry/metrics.hpp"
+
 namespace speedybox::runtime {
 
 std::string_view drop_policy_name(DropPolicy policy) noexcept {
@@ -142,6 +146,58 @@ void OverloadController::update_degrade(bool pressured) noexcept {
       finished_episode_ = episode_packets_;
     }
   }
+}
+
+bool admit_arrival(OverloadController& controller, const net::Packet& packet,
+                   const IngressSource& source, OverloadStats& stats,
+                   telemetry::ShardMetrics* metrics) {
+  ++stats.offered;
+  // Flow hash for the per-flow-fair band and, under slo-early-drop, the
+  // doomed-flow lookup. All unmeasured: shedding here is the near-zero-cycle
+  // path.
+  std::uint64_t flow_hash = 0;
+  bool doomed = false;
+  if (const auto parsed = net::parse_packet(packet)) {
+    const net::FiveTuple tuple = net::extract_five_tuple(packet, *parsed);
+    flow_hash = tuple.hash();
+    if (source.chain != nullptr &&
+        controller.config().policy == DropPolicy::kSloEarlyDrop) {
+      if (const auto fid = source.chain->classifier().peek(tuple)) {
+        doomed = source.chain->global_mat().rule_marked_drop(*fid);
+      }
+    }
+  }
+
+  const auto decision =
+      controller.offer(flow_hash, doomed, source.ring_pressure);
+  stats.degraded_episodes = controller.degraded_episodes();
+  stats.degraded_episode_packets = controller.degraded_episode_packets();
+  const auto episode = controller.take_finished_episode();
+  if (metrics != nullptr) {
+    metrics->queue_depth.set(source.ring_depth.value_or(
+        static_cast<std::size_t>(controller.queue_depth())));
+    if (episode) metrics->degraded_episode_packets.record(*episode);
+  }
+
+  switch (decision) {
+    case OverloadController::Decision::kAdmit:
+      ++stats.admitted;
+      if (metrics != nullptr) metrics->admitted.add(1);
+      return true;
+    case OverloadController::Decision::kShedAdmission:
+      ++stats.shed_admission;
+      if (metrics != nullptr) metrics->shed_admission.add(1);
+      break;
+    case OverloadController::Decision::kShedWatermark:
+      ++stats.shed_watermark;
+      if (metrics != nullptr) metrics->shed_watermark.add(1);
+      break;
+    case OverloadController::Decision::kShedEarlyDrop:
+      ++stats.shed_early_drop;
+      if (metrics != nullptr) metrics->shed_early_drop.add(1);
+      break;
+  }
+  return false;
 }
 
 }  // namespace speedybox::runtime

@@ -26,11 +26,13 @@
 //      latency; recording resumes when the queue drains to the low
 //      watermark.
 //
-// The threaded executors (SpeedyBoxPipeline, ShardedRuntime's dispatcher,
-// OnvmPipeline) do not need the virtual queue — their SPSC rings ARE the
-// queue — so they feed real ring occupancy through the same watermark
-// hysteresis (SpscRing::over_watermark / WatermarkGate) and reuse the
-// policy decision logic via OverloadController::shed_verdict.
+// The threaded executors have real SPSC rings in front of their workers.
+// SpeedyBoxPipeline and the OnvmExecutor adapter pass ring occupancy
+// (SpscRing::over_watermark) to OverloadController::offer as external
+// pressure, OR'd into the virtual gate's verdict; ShardedRuntime's
+// dispatcher sheds a burst outright at a pressured ring, and each shard's
+// runner runs its own virtual gate. ChainRunner, SpeedyBoxPipeline and
+// OnvmExecutor share one ingress routine, admit_arrival().
 #pragma once
 
 #include <cstddef>
@@ -41,7 +43,16 @@
 
 #include "util/field_count.hpp"
 
+namespace speedybox::net {
+class Packet;
+}
+namespace speedybox::telemetry {
+struct ShardMetrics;
+}
+
 namespace speedybox::runtime {
+
+class ServiceChain;
 
 enum class DropPolicy : std::uint8_t {
   kTailDrop,
@@ -121,9 +132,8 @@ static_assert(util::field_count<OverloadStats>() == 10,
               "OverloadStats changed: update merge_from (overload.cpp) and "
               "this count");
 
-/// Hysteresis over an externally observed queue depth — the watermark
-/// state machine factored out so executors with real rings (ONVM adapter)
-/// can run the same semantics as the virtual queue.
+/// Hysteresis over an observed queue depth — the virtual queue's watermark
+/// state machine; SpscRing::over_watermark mirrors it for real rings.
 class WatermarkGate {
  public:
   WatermarkGate(std::size_t high, std::size_t low) noexcept
@@ -143,8 +153,8 @@ class WatermarkGate {
 };
 
 /// Deterministic per-executor overload controller. Single-threaded: each
-/// ChainRunner (and each shard's runner) owns one; the threaded executors
-/// drive only the policy verdict with their real ring depths.
+/// ChainRunner (and each shard's runner), the pipeline manager and the
+/// ONVM adapter own one; the last two OR their real ring pressure in.
 class OverloadController {
  public:
   enum class Decision : std::uint8_t {
@@ -165,21 +175,12 @@ class OverloadController {
   Decision offer(std::uint64_t flow_hash, bool doomed,
                  bool external_pressure = false) noexcept;
 
-  /// Pure policy verdict for executors that track queue depth themselves
-  /// (real SPSC rings): given "the queue is pressured", should this
-  /// arrival shed? Does not touch the virtual queue.
-  Decision shed_verdict(bool pressured, std::uint64_t flow_hash,
-                        bool doomed) noexcept;
-
   bool degraded() const noexcept { return degraded_; }
+  /// Virtual queue occupancy, in packets — also the expected queueing
+  /// delay in units of one packet's service time.
   double queue_depth() const noexcept { return depth_; }
   bool pressured() const noexcept { return gate_.pressured(); }
   const OverloadConfig& config() const noexcept { return config_; }
-
-  /// Expected per-packet queueing delay at the current depth, in units of
-  /// one packet's service time (the caller multiplies by its measured
-  /// service latency EMA).
-  double queue_wait_packets() const noexcept { return depth_; }
 
   std::uint64_t degraded_episodes() const noexcept { return episodes_; }
   std::uint64_t degraded_episode_packets() const noexcept {
@@ -194,6 +195,9 @@ class OverloadController {
   }
 
  private:
+  /// Policy verdict for a pressured (or doomed) arrival: who sheds.
+  Decision shed_verdict(bool pressured, std::uint64_t flow_hash,
+                        bool doomed) noexcept;
   void update_degrade(bool pressured) noexcept;
 
   OverloadConfig config_;
@@ -213,5 +217,29 @@ class OverloadController {
   std::uint64_t episode_packets_total_ = 0;  // all episodes
   std::optional<std::uint64_t> finished_episode_;
 };
+
+/// What an executor's ingress gate knows beyond the packet itself.
+struct IngressSource {
+  /// Chain whose classifier (a side-effect-free peek) and Global MAT say
+  /// whether a flow is doomed — its consolidated rule a settled drop — for
+  /// slo-early-drop. Null where there is no Global MAT (original mode, the
+  /// ONVM platform path): that policy then degenerates to tail-drop.
+  ServiceChain* chain = nullptr;
+  /// The executor's real ingress ring is over its watermark.
+  bool ring_pressure = false;
+  /// Depth reported to the queue_depth gauge; nullopt reports the
+  /// controller's virtual queue.
+  std::optional<std::size_t> ring_depth;
+};
+
+/// The ingress gate of every executor (DESIGN.md §9), run before any chain
+/// work: offers `packet` to `controller`, mirrors the controller's episode
+/// counts into `stats` (assignment — always current), counts the verdict
+/// in `stats` and, when attached, `metrics`, sets the queue-depth gauge and
+/// drains the finished-episode latch. Returns true to admit; the caller
+/// discards a shed packet.
+bool admit_arrival(OverloadController& controller, const net::Packet& packet,
+                   const IngressSource& source, OverloadStats& stats,
+                   telemetry::ShardMetrics* metrics);
 
 }  // namespace speedybox::runtime

@@ -15,7 +15,7 @@ namespace speedybox::runtime {
 /// sharded result. If this assert fires, extend merge_from (and, for a
 /// counter that telemetry mirrors, telemetry/metrics.cpp's snapshot name
 /// lists) and then bump the count.
-static_assert(util::field_count<RunStats>() == 17,
+static_assert(util::field_count<RunStats>() == 16,
               "RunStats changed: update RunStats::merge_from and this count");
 
 double RunStats::rate_mpps(platform::PlatformKind) const {
@@ -28,6 +28,17 @@ double RunStats::rate_mpps(platform::PlatformKind) const {
   }
   if (bottleneck <= 0.0) return 0.0;
   return util::CycleClock::frequency_hz() / bottleneck / 1e6;
+}
+
+std::vector<double> RunStats::per_nf_mean_cycles() const {
+  std::vector<double> means(per_nf_cycle_sum.size(), 0.0);
+  for (std::size_t i = 0; i < means.size(); ++i) {
+    if (i < per_nf_cycle_count.size() && per_nf_cycle_count[i] > 0) {
+      means[i] = static_cast<double>(per_nf_cycle_sum[i]) /
+                 static_cast<double>(per_nf_cycle_count[i]);
+    }
+  }
+  return means;
 }
 
 void RunStats::merge_from(const RunStats& other) {
@@ -56,13 +67,6 @@ void RunStats::merge_from(const RunStats& other) {
   for (std::size_t i = 0; i < other.per_nf_cycle_count.size(); ++i) {
     per_nf_cycle_count[i] += other.per_nf_cycle_count[i];
   }
-  per_nf_mean_cycles.assign(per_nf_cycle_sum.size(), 0.0);
-  for (std::size_t i = 0; i < per_nf_cycle_sum.size(); ++i) {
-    if (i < per_nf_cycle_count.size() && per_nf_cycle_count[i] > 0) {
-      per_nf_mean_cycles[i] = static_cast<double>(per_nf_cycle_sum[i]) /
-                              static_cast<double>(per_nf_cycle_count[i]);
-    }
-  }
 
   grow(stage_cycle_sum, other.stage_cycle_sum.size());
   grow(stage_cycle_count, other.stage_cycle_count.size());
@@ -79,8 +83,10 @@ void RunStats::merge_from(const RunStats& other) {
 ChainRunner::ChainRunner(ServiceChain& chain, RunConfig config,
                          const platform::PlatformCosts& costs)
     : chain_(chain), config_(config), costs_(costs) {
-  per_nf_cycle_sum_.assign(chain.size(), 0);
-  per_nf_cycle_count_.assign(chain.size(), 0);
+  if (config_.measure_per_nf) {
+    stats_.per_nf_cycle_sum.assign(chain.size(), 0);
+    stats_.per_nf_cycle_count.assign(chain.size(), 0);
+  }
   if (config_.overload.enabled) {
     controller_ = std::make_unique<OverloadController>(config_.overload);
   }
@@ -102,68 +108,6 @@ void ChainRunner::set_overload_policy(const OverloadConfig& config) {
                     : nullptr;
 }
 
-bool ChainRunner::ingress_admit(net::Packet& packet,
-                                PacketOutcome& outcome) {
-  if (controller_ == nullptr) return true;
-  ++stats_.overload.offered;
-
-  // Flow hash for the per-flow-fair band; under slo-early-drop, ask the
-  // classifier (side-effect-free peek) and the Global MAT whether this
-  // flow's consolidated rule is already a settled drop. All unmeasured:
-  // shedding here is the near-zero-cycle path.
-  std::uint64_t flow_hash = 0;
-  bool doomed = false;
-  if (const auto parsed = net::parse_packet(packet)) {
-    const net::FiveTuple tuple = net::extract_five_tuple(packet, *parsed);
-    flow_hash = tuple.hash();
-    if (config_.speedybox &&
-        config_.overload.policy == DropPolicy::kSloEarlyDrop) {
-      if (const auto fid = chain_.classifier().peek(tuple)) {
-        doomed = chain_.global_mat().rule_marked_drop(*fid);
-      }
-    }
-  }
-
-  const auto decision = controller_->offer(flow_hash, doomed);
-  // The controller owns the authoritative episode counts; mirror them into
-  // the mergeable stats (assignment, not increment — always current).
-  stats_.overload.degraded_episodes = controller_->degraded_episodes();
-  stats_.overload.degraded_episode_packets =
-      controller_->degraded_episode_packets();
-  if (metrics_ != nullptr) {
-    metrics_->queue_depth.set(
-        static_cast<std::uint64_t>(controller_->queue_depth()));
-    if (const auto episode = controller_->take_finished_episode()) {
-      metrics_->degraded_episode_packets.record(*episode);
-    }
-  } else {
-    controller_->take_finished_episode();  // keep the latch drained
-  }
-
-  switch (decision) {
-    case OverloadController::Decision::kAdmit:
-      ++stats_.overload.admitted;
-      if (metrics_ != nullptr) metrics_->admitted.add(1);
-      return true;
-    case OverloadController::Decision::kShedAdmission:
-      ++stats_.overload.shed_admission;
-      if (metrics_ != nullptr) metrics_->shed_admission.add(1);
-      break;
-    case OverloadController::Decision::kShedWatermark:
-      ++stats_.overload.shed_watermark;
-      if (metrics_ != nullptr) metrics_->shed_watermark.add(1);
-      break;
-    case OverloadController::Decision::kShedEarlyDrop:
-      ++stats_.overload.shed_early_drop;
-      if (metrics_ != nullptr) metrics_->shed_early_drop.add(1);
-      break;
-  }
-  packet.mark_dropped();
-  outcome.dropped = true;
-  outcome.shed = true;
-  return false;
-}
-
 void ChainRunner::add_stage_sample(std::size_t stage, std::uint64_t cycles) {
   if (stats_.stage_cycle_sum.size() <= stage) {
     stats_.stage_cycle_sum.resize(stage + 1, 0.0);
@@ -171,75 +115,6 @@ void ChainRunner::add_stage_sample(std::size_t stage, std::uint64_t cycles) {
   }
   stats_.stage_cycle_sum[stage] += static_cast<double>(cycles);
   ++stats_.stage_cycle_count[stage];
-}
-
-PacketOutcome ChainRunner::process_original(net::Packet& packet) {
-  PacketOutcome outcome;
-  // Telemetry (incl. span sampling decisions) stays outside the measured
-  // segments: each NF is timed with its own timer pair, so everything the
-  // hooks do between segments never shows up in the reported cycles.
-  telemetry::SpanRecorder* spans =
-      metrics_ != nullptr && metrics_->spans.enabled() ? &metrics_->spans
-                                                       : nullptr;
-  bool trace = false;
-  // Stats-only init/sub tagging, outside the measured region.
-  if (const auto parsed = net::parse_packet(packet)) {
-    const net::FiveTuple tuple = net::extract_five_tuple(packet, *parsed);
-    outcome.initial = seen_tuples_.insert(tuple).second;
-    if (parsed->has_fin_or_rst()) seen_tuples_.erase(tuple);
-    if (spans != nullptr && spans->should_sample(tuple.hash())) {
-      trace = true;
-      spans->begin(tuple.hash(), net::kInvalidFid, util::CycleClock::now());
-    }
-  }
-
-  const bool onvm = config_.platform == platform::PlatformKind::kOnvm;
-  const std::uint64_t hop =
-      onvm ? costs_.onvm_ring_hop_cycles : costs_.bess_hop_cycles;
-  // Scalar = a burst of one: the packet carries the whole rx fixed cost.
-  const std::uint64_t ingress = costs_.rx_burst_fixed_cycles;
-
-  for (std::size_t i = 0; i < chain_.size(); ++i) {
-    const std::uint64_t t0 = util::CycleClock::now();
-    chain_.nf(i).process(packet, nullptr);
-    const std::uint64_t cycles =
-        util::CycleClock::segment(t0, util::CycleClock::now());
-
-    outcome.work_cycles += cycles;
-    outcome.latency_cycles += cycles + hop;
-    if (config_.measure_per_nf) {
-      per_nf_cycle_sum_[i] += cycles + hop;
-      ++per_nf_cycle_count_[i];
-    }
-    if (metrics_ != nullptr && i < metrics_->per_nf.size()) {
-      metrics_->per_nf[i].packets.add(1);
-      metrics_->per_nf[i].cycles.record(cycles);
-    }
-    if (trace) {
-      spans->event(telemetry::SpanStage::kNf, outcome.work_cycles,
-                   static_cast<int>(i));
-    }
-    // ONVM pipeline: each NF core is a stage (steady state only); the
-    // first stage fronts the rx burst.
-    if (onvm && !outcome.initial) {
-      add_stage_sample(i, cycles + hop + (i == 0 ? ingress : 0));
-    }
-
-    if (packet.dropped()) {
-      outcome.dropped = true;
-      outcome.faulted = packet.faulted();
-      break;
-    }
-  }
-  outcome.latency_cycles += ingress;
-  outcome.platform_cycles = outcome.latency_cycles;
-  // BESS run-to-completion: one logical stage.
-  if (!onvm && !outcome.initial) add_stage_sample(0, outcome.latency_cycles);
-  if (trace) {
-    spans->finish(/*fast_path=*/false, outcome.dropped,
-                  outcome.work_cycles);
-  }
-  return outcome;
 }
 
 void ChainRunner::run_recording_path(
@@ -317,25 +192,24 @@ void ChainRunner::run_recording_path(
 void ChainRunner::run_fast_path(
     net::Packet& packet,
     const core::PacketClassifier::Classification& classification,
-    std::uint64_t t_start, std::uint64_t classify_cycles_ahead,
-    std::uint64_t ingress_cycles, PacketOutcome& outcome) {
+    std::uint64_t classify_cycles, std::uint64_t ingress_cycles,
+    PacketOutcome& outcome) {
   const bool onvm = config_.platform == platform::PlatformKind::kOnvm;
   const std::uint64_t hop =
       onvm ? costs_.onvm_ring_hop_cycles : costs_.bess_hop_cycles;
 
   // Fast path: Global MAT (event check + consolidated HA + SF batches).
+  const std::uint64_t t_start = util::CycleClock::now();
   const auto result = chain_.global_mat().process(
       packet, /*measure_batches=*/true, &classification.parsed);
   // Remove this measurement's own overhead plus that of the timer pairs
-  // GlobalMat used internally for batch attribution, then add back the
-  // classifier cycles measured outside this region (the batched pass times
-  // classification once per burst; scalar callers pass 0 and start the
-  // region before classify).
+  // GlobalMat used internally for batch attribution, then add the packet's
+  // share of the batched classifier pass.
   const std::uint64_t raw = util::CycleClock::now() - t_start;
   const std::uint64_t timer_cost =
       util::CycleClock::timer_overhead() * (1 + result.timer_pairs);
   const std::uint64_t total =
-      classify_cycles_ahead + (raw > timer_cost ? raw - timer_cost : 0);
+      classify_cycles + (raw > timer_cost ? raw - timer_cost : 0);
 
   outcome.dropped = result.dropped;
   outcome.degraded = result.degraded_rule;
@@ -407,58 +281,14 @@ void ChainRunner::apply_teardown(
   }
 }
 
-PacketOutcome ChainRunner::process_speedybox(net::Packet& packet) {
-  PacketOutcome outcome;
-  // One timer pair covers classification AND the fast path, so per-packet
-  // measurement overhead matches the original path's per-NF timers.
-  // Scalar = a burst of one: the packet carries the whole rx fixed cost.
-  const std::uint64_t ingress = costs_.rx_burst_fixed_cycles;
-  const std::uint64_t t_start = util::CycleClock::now();
-  const auto classification = chain_.classifier().classify(packet);
-  if (!classification) {
-    packet.mark_dropped();
-    outcome.dropped = true;
-    outcome.work_cycles = util::CycleClock::now() - t_start;
-    outcome.platform_cycles = outcome.latency_cycles =
-        outcome.work_cycles + ingress;
-    return outcome;
-  }
-
-  outcome.initial =
-      classification->path == core::PacketClassifier::Path::kInitial;
-  if (outcome.initial && recording_suspended()) {
-    // Graceful degradation (DESIGN.md §9): no recording traversal — the
-    // flow gets a pre-consolidated pure-forward default rule and this
-    // packet executes it on the fast path. The install cost lands inside
-    // the measured region, which is honest: degraded initials pay it.
-    chain_.global_mat().install_default_rule(classification->fid);
-    ++stats_.overload.degraded_flows;
-    if (metrics_ != nullptr) metrics_->degraded_flows.add(1);
-    run_fast_path(packet, *classification, t_start,
-                  /*classify_cycles_ahead=*/0, ingress, outcome);
-  } else if (outcome.initial) {
-    const std::uint64_t classify_cycles =
-        util::CycleClock::segment(t_start, util::CycleClock::now());
-    run_recording_path(packet, *classification, classify_cycles, t_start,
-                       ingress, outcome);
-  } else {
-    run_fast_path(packet, *classification, t_start,
-                  /*classify_cycles_ahead=*/0, ingress, outcome);
-  }
-  apply_teardown(*classification);
-  return outcome;
-}
-
 PacketOutcome ChainRunner::process_packet(net::Packet& packet) {
-  if (controller_ != nullptr) {
-    PacketOutcome shed_outcome;
-    if (!ingress_admit(packet, shed_outcome)) return shed_outcome;
-  }
-  const PacketOutcome outcome = config_.speedybox
-                                    ? process_speedybox(packet)
-                                    : process_original(packet);
-  account(outcome);
-  return outcome;
+  // A packet is a burst of one (DESIGN.md §8): the batched path is the only
+  // packet path, and a one-slot batch has no in-batch ordering hazard.
+  net::PacketBatch batch{1};
+  batch.push(&packet);
+  std::vector<PacketOutcome> outcomes;
+  process_batch(batch, outcomes);
+  return outcomes.front();
 }
 
 void ChainRunner::process_batch(net::PacketBatch& batch,
@@ -468,10 +298,21 @@ void ChainRunner::process_batch(net::PacketBatch& batch,
   if (controller_ != nullptr) {
     // Ingress gate, in slot order, before any chain work: shed slots are
     // masked out of the traversal (they never entered the data path and
-    // are not counted in RunStats.packets).
+    // are not counted in RunStats.packets). Only the SpeedyBox path has a
+    // Global MAT to name doomed flows.
+    IngressSource source;
+    if (config_.speedybox) source.chain = &chain_;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (!batch.valid(i)) continue;
-      if (!ingress_admit(batch.packet(i), outcomes[i])) batch.mask(i);
+      net::Packet& packet = batch.packet(i);
+      if (admit_arrival(*controller_, packet, source, stats_.overload,
+                        metrics_)) {
+        continue;
+      }
+      packet.mark_dropped();
+      outcomes[i].dropped = true;
+      outcomes[i].shed = true;
+      batch.mask(i);
     }
   }
   if (metrics_ != nullptr) metrics_->batch_occupancy.record(batch.size());
@@ -490,8 +331,7 @@ void ChainRunner::process_original_batch(
   const std::size_t n = batch.size();
 
   // Pre-pass in slot order, outside the measured regions: stats-side
-  // init/sub tagging and span sampling, exactly the per-packet bookkeeping
-  // the scalar path does before its NF loop. The insert/erase sequence on
+  // init/sub tagging and span sampling. The insert/erase sequence on
   // seen_tuples_ only depends on the tuple order, which slots preserve.
   telemetry::SpanRecorder* spans =
       metrics_ != nullptr && metrics_->spans.enabled() ? &metrics_->spans
@@ -528,7 +368,7 @@ void ChainRunner::process_original_batch(
   // Per-flow packet order within each NF is slot order, and no state is
   // shared across NFs on the original path, so every NF sees exactly the
   // state and bytes it would packet-at-a-time. A slot masked by NF k
-  // (dropped) skips NFs k+1.. — the scalar early exit.
+  // (dropped) skips NFs k+1.., as a packet-at-a-time chain exits early.
   std::vector<std::uint8_t> entered(n);
   for (std::size_t i = 0; i < chain_.size(); ++i) {
     std::size_t live = 0;
@@ -543,7 +383,7 @@ void ChainRunner::process_original_batch(
     const std::uint64_t cycles =
         util::CycleClock::segment(t0, util::CycleClock::now());
     // Per-packet attribution: equal share of the batch segment (the batch
-    // amortizes the timer pair; at batch size 1 this is the scalar number).
+    // amortizes the timer pair; a batch of one gets the whole segment).
     const std::uint64_t share = cycles / live;
 
     for (std::size_t s = 0; s < n; ++s) {
@@ -551,8 +391,8 @@ void ChainRunner::process_original_batch(
       outcomes[s].work_cycles += share;
       outcomes[s].latency_cycles += share + hop;
       if (config_.measure_per_nf) {
-        per_nf_cycle_sum_[i] += share + hop;
-        ++per_nf_cycle_count_[i];
+        stats_.per_nf_cycle_sum[i] += share + hop;
+        ++stats_.per_nf_cycle_count[i];
       }
       if (metrics_ != nullptr && i < metrics_->per_nf.size()) {
         metrics_->per_nf[i].packets.add(1);
@@ -592,7 +432,7 @@ void ChainRunner::process_speedybox_batch(
   const std::size_t n = batch.size();
 
   // Stateless pre-pass: parse + checksum-validate every live packet once
-  // for the whole traversal (what the scalar classifier does per packet).
+  // for the whole traversal, so the classifier does not parse again.
   std::vector<std::optional<net::ParsedPacket>> parsed(n);
   std::vector<net::FiveTuple> tuples(n);
   std::size_t live_entry = 0;
@@ -615,7 +455,7 @@ void ChainRunner::process_speedybox_batch(
   // releases), so the burst is classified front-to-back and cut at the one
   // ordering hazard: a packet whose 5-tuple was torn down (FIN/RST) by an
   // EARLIER slot of the same segment must not be classified until that
-  // teardown has executed — scalar would see it as a fresh flow. Everything
+  // teardown has executed — in arrival order it is a fresh flow. Everything
   // else (initial-then-subsequent of one flow, cross-flow interleavings)
   // classifies identically up front because execution never touches the
   // classifier outside apply_teardown.
@@ -658,11 +498,11 @@ void ChainRunner::process_speedybox_batch(
       }
     }
 
-    // Pass 3: execute in slot order — recording packets take the scalar
-    // recording pass (DESIGN.md §8: once per flow, and its Local MAT
-    // writes must interleave exactly as scalar), fast-path packets run the
-    // consolidated rule, teardowns release their flow, all exactly where
-    // the scalar loop would.
+    // Pass 3: execute in slot order — recording packets take the
+    // per-packet recording pass (DESIGN.md §8: once per flow, and its Local
+    // MAT writes must interleave in arrival order), fast-path packets run
+    // the consolidated rule, teardowns release their flow, each at its
+    // slot.
     for (std::size_t i = begin; i < end; ++i) {
       if (!batch.valid(i)) continue;
       PacketOutcome& outcome = outcomes[i];
@@ -680,19 +520,20 @@ void ChainRunner::process_speedybox_batch(
       outcome.initial =
           classification.path == core::PacketClassifier::Path::kInitial;
       if (outcome.initial && recording_suspended()) {
+        // Graceful degradation (DESIGN.md §9): no recording traversal — the
+        // flow gets a pre-consolidated pure-forward default rule and this
+        // packet executes it on the fast path.
         chain_.global_mat().install_default_rule(classification.fid);
         ++stats_.overload.degraded_flows;
         if (metrics_ != nullptr) metrics_->degraded_flows.add(1);
-        const std::uint64_t t_fast = util::CycleClock::now();
-        run_fast_path(batch.packet(i), classification, t_fast,
-                      classify_share, ingress, outcome);
+        run_fast_path(batch.packet(i), classification, classify_share,
+                      ingress, outcome);
       } else if (outcome.initial) {
         run_recording_path(batch.packet(i), classification, classify_share,
                            t0, ingress, outcome);
       } else {
-        const std::uint64_t t_fast = util::CycleClock::now();
-        run_fast_path(batch.packet(i), classification, t_fast,
-                      classify_share, ingress, outcome);
+        run_fast_path(batch.packet(i), classification, classify_share,
+                      ingress, outcome);
       }
       apply_teardown(classification);
       if (outcome.dropped) batch.mask(i);
@@ -768,19 +609,6 @@ void ChainRunner::account(const PacketOutcome& outcome) {
     if (outcome.fast_path) {
       stats_.latency_us_subsequent_sequential.add(
           util::CycleClock::to_us(outcome.latency_cycles_sequential));
-    }
-  }
-
-  if (config_.measure_per_nf) {
-    stats_.per_nf_cycle_sum = per_nf_cycle_sum_;
-    stats_.per_nf_cycle_count = per_nf_cycle_count_;
-    stats_.per_nf_mean_cycles.assign(per_nf_cycle_sum_.size(), 0.0);
-    for (std::size_t i = 0; i < per_nf_cycle_sum_.size(); ++i) {
-      if (per_nf_cycle_count_[i] > 0) {
-        stats_.per_nf_mean_cycles[i] =
-            static_cast<double>(per_nf_cycle_sum_[i]) /
-            static_cast<double>(per_nf_cycle_count_[i]);
-      }
     }
   }
 }

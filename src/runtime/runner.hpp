@@ -100,10 +100,9 @@ struct RunStats {
   std::uint64_t drops = 0;
   std::uint64_t events_triggered = 0;
 
-  /// Per-NF mean work cycles on the original path (measure_per_nf).
-  std::vector<double> per_nf_mean_cycles;
-  /// Raw per-NF sums/counts behind the means — kept so per-shard stats can
-  /// be merged exactly instead of averaging averages.
+  /// Per-NF cycle sums/counts on the original path (measure_per_nf):
+  /// work cycles plus the platform hop, per packet an NF saw. Sums rather
+  /// than means, so per-shard stats merge exactly.
   std::vector<std::uint64_t> per_nf_cycle_sum;
   std::vector<std::uint64_t> per_nf_cycle_count;
 
@@ -121,9 +120,12 @@ struct RunStats {
   /// Steady-state processing rate in Mpps under the platform model.
   double rate_mpps(platform::PlatformKind platform) const;
 
+  /// Per-NF mean cycles (Table III), derived from the sums above; 0 for an
+  /// NF no packet reached.
+  std::vector<double> per_nf_mean_cycles() const;
+
   /// Absorb another run's statistics (sharded runtime result merging):
-  /// sample recorders append, counters and per-NF/stage sums add, means are
-  /// recomputed from the merged sums.
+  /// sample recorders append, counters and per-NF/stage sums add.
   void merge_from(const RunStats& other);
 
   double mean_work_cycles_subsequent() const {
@@ -137,16 +139,20 @@ class ChainRunner : public Executor {
               const platform::PlatformCosts& costs =
                   platform::PlatformCosts::calibrated());
 
-  /// Process one packet through the configured data path.
+  /// Process one packet: process_batch() on a one-slot batch, which pays
+  /// the whole per-burst rx cost. A packet already marked dropped enters
+  /// masked and is neither processed nor accounted.
   PacketOutcome process_packet(net::Packet& packet);
 
-  /// Process a whole burst through the configured data path (DESIGN.md §8).
-  /// `outcomes` is resized to batch.size() and slot-aligned with the batch.
-  /// Semantics are bit-identical to calling process_packet() per slot in
-  /// order: drops mask their slot (never compact), and on the SpeedyBox
-  /// path the batched classifier pass flushes at a teardown → same-tuple
-  /// reuse boundary so a flow torn down mid-batch re-records exactly as it
-  /// would packet-at-a-time.
+  /// Process a whole burst through the configured data path (DESIGN.md §8)
+  /// — the runner's only packet path. `outcomes` is resized to
+  /// batch.size() and slot-aligned with the batch. Semantics are
+  /// bit-identical to calling process_packet() (a batch of one) per slot in
+  /// order: drops mask their slot (never compact); the original path runs
+  /// one NF-major loop over the burst; on the SpeedyBox path the batched
+  /// classifier pass flushes at a teardown → same-tuple reuse boundary so a
+  /// flow torn down mid-batch re-records exactly as it would
+  /// packet-at-a-time.
   void process_batch(net::PacketBatch& batch,
                      std::vector<PacketOutcome>& outcomes);
 
@@ -219,14 +225,6 @@ class ChainRunner : public Executor {
   }
 
  private:
-  /// Overload ingress gate (DESIGN.md §9): offers the packet to the
-  /// controller before any chain work. Returns true to admit; on shed the
-  /// packet is marked dropped, `outcome` records the shed class, and the
-  /// shed counters (not RunStats.packets) account it. No-op without a
-  /// controller.
-  bool ingress_admit(net::Packet& packet, PacketOutcome& outcome);
-  PacketOutcome process_original(net::Packet& packet);
-  PacketOutcome process_speedybox(net::Packet& packet);
   void process_original_batch(net::PacketBatch& batch,
                               std::vector<PacketOutcome>& outcomes);
   void process_speedybox_batch(net::PacketBatch& batch,
@@ -241,16 +239,16 @@ class ChainRunner : public Executor {
       const core::PacketClassifier::Classification& classification,
       std::uint64_t classify_cycles, std::uint64_t t_start,
       std::uint64_t ingress_cycles, PacketOutcome& outcome);
-  /// Global-MAT fast path for an already-classified subsequent packet. The
-  /// measured region starts at `t_start`; `classify_cycles_ahead` is
-  /// classifier cost measured elsewhere (batched pass) to add on top —
-  /// scalar callers put classification inside the region and pass 0.
-  /// `ingress_cycles` as in run_recording_path.
+  /// Global-MAT fast path for an already-classified subsequent packet (or
+  /// a degraded initial one), under one timer pair of its own.
+  /// `classify_cycles` is the packet's share of the batched classifier
+  /// pass, added to the measured region; `ingress_cycles` as in
+  /// run_recording_path.
   void run_fast_path(
       net::Packet& packet,
       const core::PacketClassifier::Classification& classification,
-      std::uint64_t t_start, std::uint64_t classify_cycles_ahead,
-      std::uint64_t ingress_cycles, PacketOutcome& outcome);
+      std::uint64_t classify_cycles, std::uint64_t ingress_cycles,
+      PacketOutcome& outcome);
   void apply_teardown(
       const core::PacketClassifier::Classification& classification);
   void account(const PacketOutcome& outcome);
@@ -267,8 +265,6 @@ class ChainRunner : public Executor {
   double service_ema_us_ = 0.0;
   RunStats stats_;
   util::SampleRecorder flow_time_us_;
-  std::vector<std::uint64_t> per_nf_cycle_sum_;
-  std::vector<std::uint64_t> per_nf_cycle_count_;
   /// Original mode only: stats-side init/sub tagging (there is no
   /// classifier on the original path). Maintained outside measured regions.
   std::unordered_set<net::FiveTuple, net::FiveTupleHash> seen_tuples_;

@@ -241,68 +241,20 @@ void SpeedyBoxPipeline::fast_path(net::Packet* packet, std::uint32_t fid,
   dispatch(std::move(descriptor));
 }
 
-bool SpeedyBoxPipeline::ingress_admit(const net::Packet& packet) {
-  if (controller_ == nullptr) return true;
-  ++stats_.overload.offered;
-
-  // Manager-thread twin of ChainRunner::ingress_admit — same flow hash,
-  // same doomed-flow peek (the manager owns classifier and Global MAT) —
-  // with the real first ring's occupancy OR'd in as external pressure.
-  std::uint64_t flow_hash = 0;
-  bool doomed = false;
-  if (const auto parsed = net::parse_packet(packet)) {
-    const net::FiveTuple tuple = net::extract_five_tuple(packet, *parsed);
-    flow_hash = tuple.hash();
-    if (controller_->config().policy == DropPolicy::kSloEarlyDrop) {
-      if (const auto fid = chain_.classifier().peek(tuple)) {
-        doomed = chain_.global_mat().rule_marked_drop(*fid);
-      }
-    }
-  }
-
-  const bool ring_pressure = rings_.front()->over_watermark();
-  const auto decision = controller_->offer(flow_hash, doomed, ring_pressure);
-  // Mirror the controller's authoritative episode counts (assignment, not
-  // increment — always current).
-  stats_.overload.degraded_episodes = controller_->degraded_episodes();
-  stats_.overload.degraded_episode_packets =
-      controller_->degraded_episode_packets();
-  if (metrics_ != nullptr) {
-    metrics_->queue_depth.set(rings_.front()->size());
-    if (const auto episode = controller_->take_finished_episode()) {
-      metrics_->degraded_episode_packets.record(*episode);
-    }
-  } else {
-    controller_->take_finished_episode();  // keep the latch drained
-  }
-
-  switch (decision) {
-    case OverloadController::Decision::kAdmit:
-      ++stats_.overload.admitted;
-      if (metrics_ != nullptr) metrics_->admitted.add(1);
-      return true;
-    case OverloadController::Decision::kShedAdmission:
-      ++stats_.overload.shed_admission;
-      if (metrics_ != nullptr) metrics_->shed_admission.add(1);
-      break;
-    case OverloadController::Decision::kShedWatermark:
-      ++stats_.overload.shed_watermark;
-      if (metrics_ != nullptr) metrics_->shed_watermark.add(1);
-      break;
-    case OverloadController::Decision::kShedEarlyDrop:
-      ++stats_.overload.shed_early_drop;
-      if (metrics_ != nullptr) metrics_->shed_early_drop.add(1);
-      break;
-  }
-  return false;
-}
-
 void SpeedyBoxPipeline::push(net::Packet packet) {
   drain_completions(false);
 
   // Shed packets never allocate a descriptor, never classify, never touch
-  // a ring: the near-zero-cycle ingress path.
-  if (!ingress_admit(packet)) return;
+  // a ring: the near-zero-cycle ingress path. The manager owns classifier
+  // and Global MAT, and produces into the first ring, whose real pressure
+  // joins the controller's virtual gate.
+  if (controller_ != nullptr &&
+      !admit_arrival(*controller_, packet,
+                     {&chain_, rings_.front()->over_watermark(),
+                      rings_.front()->size()},
+                     stats_.overload, metrics_)) {
+    return;
+  }
   ++packets_;
 
   auto* descriptor_packet = new net::Packet(std::move(packet));

@@ -129,11 +129,6 @@ class SpeedyBoxPipeline : public Executor {
   };
 
   void worker(std::size_t stage);
-  /// Overload ingress gate: manager-thread twin of
-  /// ChainRunner::ingress_admit, with real first-ring pressure OR'd into
-  /// the controller's virtual gate. Returns true to admit. No-op without
-  /// a controller.
-  bool ingress_admit(const net::Packet& packet);
   void dispatch(Descriptor descriptor);
   void drain_completions(bool block_until_idle);
   void handle_completion(Descriptor& descriptor);

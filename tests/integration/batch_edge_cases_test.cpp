@@ -8,11 +8,12 @@
 //   * a batch where every packet drops — all slots masked, nothing
 //     forwarded, per-slot outcomes still filled;
 //   * a recording-pass (initial) packet sharing a batch with fast-path
-//     packets — recording stays scalar in-batch while its neighbors take
-//     the Global-MAT path.
+//     packets — recording stays per-packet in-batch while its neighbors
+//     take the Global-MAT path.
 //
 // Each case is checked both directly (expected flags) and differentially
-// (byte-identical to a scalar run of the same packets on a fresh chain).
+// (byte-identical to a packet-at-a-time run — process_packet, a batch of
+// one — of the same packets on a fresh chain).
 #include <memory>
 #include <vector>
 
@@ -48,8 +49,8 @@ net::Packet flow_packet(std::uint32_t flow, std::string_view payload,
   return net::make_tcp_packet(tuple_n(flow), payload, flags);
 }
 
-/// Scalar reference of `packets` on a fresh chain from `factory`.
-std::vector<net::Packet> scalar_reference(
+/// Packet-at-a-time reference of `packets` on a fresh chain.
+std::vector<net::Packet> per_packet_reference(
     const std::vector<net::Packet>& packets,
     std::unique_ptr<ServiceChain> chain,
     std::vector<PacketOutcome>* outcomes = nullptr) {
@@ -101,7 +102,7 @@ TEST(BatchEdgeCases, TeardownThenSameTupleReuseInOneBatch) {
 
   std::vector<PacketOutcome> ref_outcomes;
   const std::vector<net::Packet> reference =
-      scalar_reference(packets, monitor_filter_chain(), &ref_outcomes);
+      per_packet_reference(packets, monitor_filter_chain(), &ref_outcomes);
   for (std::size_t i = 0; i < packets.size(); ++i) {
     EXPECT_EQ(outcomes[i].initial, ref_outcomes[i].initial) << i;
     EXPECT_EQ(outcomes[i].fast_path, ref_outcomes[i].fast_path) << i;
@@ -140,7 +141,7 @@ TEST(BatchEdgeCases, RstTeardownReuseInOneBatch) {
 
   std::vector<PacketOutcome> ref_outcomes;
   const std::vector<net::Packet> reference =
-      scalar_reference(packets, monitor_filter_chain(), &ref_outcomes);
+      per_packet_reference(packets, monitor_filter_chain(), &ref_outcomes);
   for (std::size_t i = 0; i < packets.size(); ++i) {
     EXPECT_EQ(outcomes[i].initial, ref_outcomes[i].initial) << i;
     EXPECT_EQ(outcomes[i].fast_path, ref_outcomes[i].fast_path) << i;
@@ -182,7 +183,7 @@ TEST(BatchEdgeCases, BatchWhereEveryPacketDrops) {
   EXPECT_EQ(runner.stats().packets, 6u);
 
   std::vector<PacketOutcome> ref_outcomes;
-  scalar_reference(packets, make_chain(), &ref_outcomes);
+  per_packet_reference(packets, make_chain(), &ref_outcomes);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     EXPECT_EQ(outcomes[i].dropped, ref_outcomes[i].dropped) << i;
   }
@@ -223,12 +224,12 @@ TEST(BatchEdgeCases, RecordingPacketSharesBatchWithFastPathPackets) {
   EXPECT_TRUE(outcomes[3].fast_path)
       << "flow B's second packet rides the just-consolidated rule";
 
-  // Differential leg: the same five packets scalar, fresh chain.
+  // Differential leg: the same five packets one at a time, fresh chain.
   std::vector<net::Packet> all_packets;
   all_packets.push_back(flow_packet(21, "warm"));
   all_packets.insert(all_packets.end(), packets.begin(), packets.end());
   const std::vector<net::Packet> reference =
-      scalar_reference(all_packets, monitor_filter_chain());
+      per_packet_reference(all_packets, monitor_filter_chain());
   EXPECT_TRUE(same_bytes(warm, reference[0]));
   for (std::size_t i = 0; i < batched.size(); ++i) {
     EXPECT_TRUE(same_bytes(batched[i], reference[i + 1]))

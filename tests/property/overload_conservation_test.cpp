@@ -1,7 +1,7 @@
 // Conservation property of the overload-control data path (DESIGN.md §9):
 // for every drop policy, on both §VII-C real-world chains, at 1 and 4
-// shards as well as the single-threaded runner, the counters balance
-// EXACTLY —
+// shards as well as the single-threaded runner, the SpeedyBox pipeline and
+// the ONVM adapter, the counters balance EXACTLY —
 //
 //   offered  == admitted + shed_admission + shed_watermark + shed_early_drop
 //   admitted == delivered + drops + faulted
@@ -19,8 +19,10 @@
 
 #include "chain_fixtures.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/onvm_executor.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/sharded_runtime.hpp"
+#include "runtime/speedybox_pipeline.hpp"
 #include "test_helpers.hpp"
 #include "trace/payload_synth.hpp"
 #include "trace/workload.hpp"
@@ -106,28 +108,62 @@ constexpr DropPolicy kPolicies[] = {
     DropPolicy::kSloEarlyDrop,
 };
 
-TEST(OverloadConservation, RunnerAllPoliciesBothChains) {
+/// The executor shapes that share one ingress gate (admit_arrival): the
+/// runner, the SpeedyBox pipeline (manager-side gate, real first-ring
+/// pressure OR'd in) and the ONVM adapter (no Global MAT, so slo-early-drop
+/// degenerates to tail-drop). Either way the outputs not marked dropped
+/// are the delivered packets.
+struct GateShape {
+  const char* name;
+  std::unique_ptr<Executor> (*make)(ServiceChain& chain);
+  /// The runner's outputs keep dropped and shed packets in input order;
+  /// the threaded shapes omit them.
+  bool outputs_keep_dropped;
+};
+
+const GateShape kGateShapes[] = {
+    {"runner",
+     [](ServiceChain& chain) -> std::unique_ptr<Executor> {
+       return std::make_unique<ChainRunner>(
+           chain, RunConfig{platform::PlatformKind::kBess, true, false});
+     },
+     true},
+    {"pipeline",
+     [](ServiceChain& chain) -> std::unique_ptr<Executor> {
+       return std::make_unique<SpeedyBoxPipeline>(chain);
+     },
+     false},
+    {"onvm",
+     [](ServiceChain& chain) -> std::unique_ptr<Executor> {
+       return std::make_unique<OnvmExecutor>(chain);
+     },
+     false},
+};
+
+TEST(OverloadConservation, GateShapesAllPoliciesBothChains) {
   for (const Scenario& scenario : kScenarios) {
     const std::vector<net::Packet> packets = scenario.packets();
-    for (const DropPolicy policy : kPolicies) {
-      SCOPED_TRACE(std::string(scenario.chain_name) + "/" +
-                   std::string(drop_policy_name(policy)));
-      auto chain = scenario.factory();
-      ChainRunner runner{*chain,
-                         {platform::PlatformKind::kBess, true, false}};
-      Executor& executor = runner;
-      executor.set_overload_policy(overload_at_2x(policy));
-      std::vector<net::Packet> outputs;
-      const RunStats& stats = executor.run(packets, &outputs);
-      ASSERT_EQ(outputs.size(), packets.size())
-          << "runner outputs keep input order, dropped/shed included";
-      std::uint64_t delivered = 0;
-      for (const net::Packet& packet : outputs) {
-        if (!packet.dropped()) ++delivered;
+    for (const GateShape& shape : kGateShapes) {
+      for (const DropPolicy policy : kPolicies) {
+        SCOPED_TRACE(std::string(scenario.chain_name) + "/" + shape.name +
+                     "/" + std::string(drop_policy_name(policy)));
+        auto chain = scenario.factory();
+        const std::unique_ptr<Executor> executor = shape.make(*chain);
+        executor->set_overload_policy(overload_at_2x(policy));
+        std::vector<net::Packet> outputs;
+        const RunStats& stats = executor->run(packets, &outputs);
+        if (shape.outputs_keep_dropped) {
+          ASSERT_EQ(outputs.size(), packets.size())
+              << "runner outputs keep input order, dropped/shed included";
+        }
+        std::uint64_t delivered = 0;
+        for (const net::Packet& packet : outputs) {
+          if (!packet.dropped()) ++delivered;
+        }
+        expect_conserved(stats, packets.size(), delivered);
+        EXPECT_GT(stats.overload.shed_total(), 0u)
+            << "a 2x offered load must actually shed on these workloads";
       }
-      expect_conserved(stats, packets.size(), delivered);
-      EXPECT_GT(stats.overload.shed_total(), 0u)
-          << "a 2x offered load must actually shed on these workloads";
     }
   }
 }

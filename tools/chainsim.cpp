@@ -21,12 +21,14 @@
 // constructs the executor — chainsim itself only owns the workload, the
 // reporting and the live front-end.
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "control/controller.hpp"
@@ -50,7 +52,7 @@ using tools::SimConfig;
 namespace {
 
 /// First Maglev in the chain, for --fail-backend-at (nullptr when the
-/// chain has none — then the flag is a no-op, as before the plan layer).
+/// chain has none — then the flag is a no-op).
 nf::MaglevLb* find_maglev(runtime::ServiceChain& chain) {
   for (std::size_t i = 0; i < chain.size(); ++i) {
     if (auto* maglev = dynamic_cast<nf::MaglevLb*>(&chain.nf(i))) {
@@ -160,30 +162,31 @@ void report(const SimConfig& config, const char* mode,
   }
 }
 
+/// The trace as run_mode drives it, one run per segment. --fail-backend-at
+/// K cuts it at packet K into two segments (moved, not copied), and Maglev's
+/// backend 0 fails between their runs — a mid-run control-plane action.
+/// validate()/resolve_plan() admit the flag only on the single-threaded
+/// runner, whose run() may be called again and whose stats accumulate.
+using Segments = std::vector<std::vector<net::Packet>>;
+
+Segments split_at_failure(const SimConfig& config,
+                          std::vector<net::Packet> packets) {
+  Segments segments;
+  const auto k = static_cast<std::size_t>(config.fail_backend_at);
+  if (config.fail_backend_at >= 0 && k < packets.size()) {
+    const auto cut = packets.begin() + static_cast<std::ptrdiff_t>(k);
+    segments.emplace_back(std::make_move_iterator(packets.begin()),
+                          std::make_move_iterator(cut));
+    packets.erase(packets.begin(), cut);
+  }
+  segments.push_back(std::move(packets));
+  return segments;
+}
+
 void run_mode(const SimConfig& config, bool speedybox,
-              const std::vector<net::Packet>& packets,
-              telemetry::Registry* registry) {
+              const Segments& segments, telemetry::Registry* registry) {
   plan::BuiltDeployment built = build_deployment(config, speedybox);
   const std::string mode = speedybox ? "speedybox" : "original";
-
-  if (config.fail_backend_at >= 0) {
-    // Mid-run control-plane action: per-packet loop on the single-threaded
-    // runner (validate()/resolve_plan() reject every other executor shape).
-    auto& runner = static_cast<runtime::ChainRunner&>(*built.executor);
-    runner.attach_telemetry(registry, mode + "/main");
-    nf::MaglevLb* maglev = find_maglev(*built.chain);
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      if (static_cast<long>(i) == config.fail_backend_at &&
-          maglev != nullptr) {
-        maglev->fail_backend(0);
-      }
-      net::Packet packet = packets[i];
-      packet.reset_metadata();
-      runner.process_packet(packet);
-    }
-    report(config, mode.c_str(), runner.stats());
-    return;
-  }
 
   // plan::build() already chose the executor shape and applied the
   // overload policy; everything below is shape-agnostic.
@@ -212,7 +215,13 @@ void run_mode(const SimConfig& config, bool speedybox,
         auto_config, *effective_registry, label + "/controller");
     controller->attach(static_cast<runtime::ShardedRuntime&>(executor));
   }
-  const runtime::RunStats& stats = executor.run_raw(packets);
+  nf::MaglevLb* maglev = find_maglev(*built.chain);
+  const runtime::RunStats* last = nullptr;
+  for (const std::vector<net::Packet>& segment : segments) {
+    if (last != nullptr && maglev != nullptr) maglev->fail_backend(0);
+    last = &executor.run_raw(segment);
+  }
+  const runtime::RunStats& stats = *last;
 
   std::string report_label = mode;
   if (config.executor != plan::ExecutorKind::kRunner) {
@@ -556,7 +565,7 @@ int main(int argc, char** argv) {
     if (!write_metrics(config, registry.get(), snapshotter)) return 1;
     return exit_code;
   }
-  const std::vector<net::Packet> packets = build_packets(config);
+  const Segments segments = split_at_failure(config, build_packets(config));
 
   if (config.csv) {
     std::printf(
@@ -564,10 +573,10 @@ int main(int argc, char** argv) {
         "lat_p99_us,rate_mpps,offered,shed,faulted\n");
   }
   if (config.run_original) {
-    run_mode(config, false, packets, registry.get());
+    run_mode(config, false, segments, registry.get());
   }
   if (config.run_speedybox) {
-    run_mode(config, true, packets, registry.get());
+    run_mode(config, true, segments, registry.get());
   }
 
   if (!write_metrics(config, registry.get(), snapshotter)) return 1;

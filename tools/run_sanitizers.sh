@@ -2,7 +2,7 @@
 # Build and run the concurrency-sensitive test suites under ThreadSanitizer
 # and AddressSanitizer. TSan is the gate for the sharded runtime's
 # single-writer-per-flow contract (DESIGN.md "Sharded runtime"), the SPSC
-# ring burst hand-off, and the scalar-vs-batched differential harness
+# ring burst hand-off, and the batch-of-one vs burst differential harness
 # (test_equivalence, DESIGN.md §8); ASan backs it up on the packet-buffer
 # side.
 #
