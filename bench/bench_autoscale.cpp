@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "control/controller.hpp"
@@ -92,10 +93,7 @@ std::vector<net::Packet> make_step_trace(std::size_t batches,
 class WindowProbe {
  public:
   explicit WindowProbe(telemetry::Registry& registry)
-      : registry_(&registry),
-        prev_(static_cast<std::size_t>(
-                  util::LogHistogram::raw_bucket_count()),
-              0) {}
+      : registry_(&registry) {}
 
   struct Window {
     std::uint64_t packets = 0;
@@ -105,40 +103,26 @@ class WindowProbe {
   Window sample() {
     const telemetry::ShardSnapshot total =
         registry_->snapshot().aggregate();
-    std::vector<std::uint64_t> buckets(prev_.size(), 0);
-    double sum = 0.0;
+    util::LogHistogram latency;
     for (const auto& [name, hist] : total.histograms) {
-      if (name != "fastpath_cycles" && name != "slowpath_cycles") continue;
-      const auto& counts = hist.raw_bucket_counts();
-      for (std::size_t i = 0; i < counts.size() && i < buckets.size();
-           ++i) {
-        buckets[i] += counts[i];
+      if (name == "fastpath_cycles" || name == "slowpath_cycles") {
+        latency.merge(hist);
       }
-      sum += hist.sum();
     }
+    const util::LogHistogram delta = latency.since(prev_);
+    prev_ = std::move(latency);
     Window window;
-    std::vector<std::uint64_t> delta = buckets;
-    double delta_sum = sum;
-    for (std::size_t i = 0; i < delta.size(); ++i) {
-      delta[i] -= prev_[i];
-      window.packets += delta[i];
-    }
-    delta_sum -= prev_sum_;
+    window.packets = delta.count();
     if (window.packets > 0) {
-      const util::LogHistogram hist = util::LogHistogram::from_raw(
-          delta.data(), static_cast<int>(delta.size()), delta_sum);
       window.p99_us = util::CycleClock::to_us(
-          static_cast<std::uint64_t>(hist.percentile(99.0)));
+          static_cast<std::uint64_t>(delta.percentile(99.0)));
     }
-    prev_ = std::move(buckets);
-    prev_sum_ = sum;
     return window;
   }
 
  private:
   telemetry::Registry* registry_;
-  std::vector<std::uint64_t> prev_;
-  double prev_sum_ = 0.0;
+  util::LogHistogram prev_;
 };
 
 /// SLO calibration: a static single-shard run over the step trace. The
@@ -155,7 +139,7 @@ Calibration calibrate_once(const std::vector<net::Packet>& packets) {
   telemetry::Registry registry;
   auto prototype = make_chain();
   runtime::ShardedRuntime runtime{
-      *prototype, 1, {platform::PlatformKind::kBess, true, false},
+      *prototype, 1, {platform::PlatformKind::kBess, true},
       kRingCapacity, &registry, "calib/"};
   runtime.run_packets(packets);
   const telemetry::ShardSnapshot total = registry.snapshot().aggregate();
@@ -248,7 +232,7 @@ ScenarioResult run_scenario(const std::vector<net::Packet>& packets,
   auto prototype = make_chain();
   runtime::ShardedRuntime runtime{
       *prototype, start_shards,
-      {platform::PlatformKind::kBess, true, false}, kRingCapacity,
+      {platform::PlatformKind::kBess, true}, kRingCapacity,
       &registry, "rt/"};
   if (overload_on) {
     // Overload machinery armed but balanced (arrivals at exactly the

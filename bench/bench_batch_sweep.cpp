@@ -44,7 +44,7 @@ void run() {
   const TrialPolicy policy{/*warmup=*/1, /*trials=*/3};
   const auto best = [&](bool speedybox, std::size_t batch) {
     return run_config_best(policy, factory, platform::PlatformKind::kBess,
-                           speedybox, workload, false, batch);
+                           speedybox, workload, batch);
   };
 
   std::printf("%8s | %16s %12s | %16s %12s\n", "batch", "Orig cyc/pkt",

@@ -44,7 +44,7 @@ void run_for_payload(BenchJson& json, std::size_t payload_size) {
     const double orig = original.sub_latency_us;
     const double both = speedy.sub_latency_us;
     const double ha_only =
-        speedy.stats.latency_us_subsequent_sequential.percentile(50);
+        percentile_us(speedy.stats.latency_cycles_subsequent_sequential, 50);
     const double total_saving = orig - both;
     const double ha_saving = orig - ha_only;
     const double sf_saving = ha_only - both;

@@ -48,7 +48,7 @@ std::unique_ptr<runtime::ServiceChain> chain1_gateway() {
 }
 
 runtime::RunConfig speedybox_run_config() {
-  runtime::RunConfig config{platform::PlatformKind::kBess, true, false};
+  runtime::RunConfig config{platform::PlatformKind::kBess, true};
   config.batch_size = 32;
   return config;
 }

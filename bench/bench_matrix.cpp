@@ -142,10 +142,10 @@ GatedMeasurement measure_best(const TrialPolicy& policy,
       policy,
       [&] {
         ConfigResult result = probe();
-        const util::SampleRecorder& cycles =
+        const util::LogHistogram& cycles =
             result.stats.platform_cycles_subsequent;
-        p50s.push_back(cycles.count() > 0 ? cycles.percentile(50) : 0.0);
-        p99s.push_back(cycles.count() > 0 ? cycles.percentile(99) : 0.0);
+        p50s.push_back(cycles.percentile(50));
+        p99s.push_back(cycles.percentile(99));
         return result;
       },
       [](const ConfigResult& result) { return result.rate_mpps; }, &rates);
@@ -191,7 +191,7 @@ telemetry::Json base_row(const RowContext& ctx, const std::string& platform,
   row.set("workload", telemetry::Json::string(ctx.workload));
   row.set("platform", telemetry::Json::string(platform));
   const LatencySummary latency =
-      summarize(result.stats.latency_us_subsequent);
+      summarize(result.stats.latency_cycles_subsequent);
   if (latency.count > 0) {
     row.set("latency_us_p999", telemetry::Json::number(latency.p999));
   }
@@ -312,8 +312,7 @@ void run_cell_group(const RowContext& ctx, const ChainFactory& factory,
                             runtime::ShardedRuntime sharded{
                                 *prototype,
                                 kShards,
-                                {platform::PlatformKind::kBess, true,
-                                 false}};
+                                {platform::PlatformKind::kBess, true}};
                             sharded.run(packets, nullptr);
                             ConfigResult result = collect_result(
                                 sharded, platform::PlatformKind::kBess);
@@ -350,7 +349,7 @@ void run_cell_group(const RowContext& ctx, const ChainFactory& factory,
     telemetry::Registry registry;
     auto prototype = factory();
     runtime::ShardedRuntime sharded{
-        *prototype, 1, {platform::PlatformKind::kBess, true, false},
+        *prototype, 1, {platform::PlatformKind::kBess, true},
         16384, &registry, "matrix/"};
     control::AutoscaleConfig config;
     config.slo_us = 1.0;  // aggressive: any recording storm breaches
@@ -395,7 +394,7 @@ void run_method_demos(const RowContext& ctx, const ChainFactory& factory,
     overload.offered_load = multiplier;
     overload.queue_capacity = 512;
     return run_config(factory, platform::PlatformKind::kBess, true,
-                      workload, false, net::kDefaultBatchSize, overload);
+                      workload, net::kDefaultBatchSize, overload);
   };
 
   RateSearchConfig search;
@@ -448,8 +447,8 @@ void run_method_demos(const RowContext& ctx, const ChainFactory& factory,
                       ? static_cast<double>(delivered) /
                             static_cast<double>(overload.offered)
                       : 0.0));
-    point.set("latency", latency_json(
-                             summarize(result.stats.latency_us_subsequent)));
+    point.set("latency",
+              latency_json(summarize(result.stats.latency_cycles_subsequent)));
     ctx.json->add(std::move(point));
   }
 }

@@ -100,14 +100,20 @@ std::vector<double> curve_points(double lo, double hi, int points,
   return result;
 }
 
-LatencySummary summarize(const util::SampleRecorder& samples) {
+double percentile_us(const util::LogHistogram& cycles, double p) {
+  return util::CycleClock::to_us(
+      static_cast<std::uint64_t>(cycles.percentile(p)));
+}
+
+LatencySummary summarize(const util::LogHistogram& cycles) {
   LatencySummary summary;
-  summary.count = samples.count();
+  summary.count = cycles.count();
   if (summary.count == 0) return summary;
-  summary.p50 = samples.percentile(50);
-  summary.p99 = samples.percentile(99);
-  summary.p999 = samples.percentile(99.9);
-  summary.mean = samples.mean();
+  summary.p50 = percentile_us(cycles, 50);
+  summary.p99 = percentile_us(cycles, 99);
+  summary.p999 = percentile_us(cycles, 99.9);
+  summary.mean =
+      util::CycleClock::to_us(static_cast<std::uint64_t>(cycles.mean()));
   return summary;
 }
 

@@ -18,7 +18,7 @@
 #include "telemetry/json.hpp"
 
 namespace speedybox::util {
-class SampleRecorder;
+class LogHistogram;
 }
 
 namespace speedybox::bench {
@@ -129,9 +129,12 @@ struct LatencySummary {
   std::uint64_t count = 0;
 };
 
-/// Exact-percentile summary of a sample recorder (empty recorder → all
-/// zeros, count 0).
-LatencySummary summarize(const util::SampleRecorder& samples);
+/// Percentile `p` of a per-packet cycle histogram, in µs (0 when empty).
+double percentile_us(const util::LogHistogram& cycles, double p);
+
+/// Percentiles and mean of a per-packet cycle histogram, in µs (empty
+/// histogram → all zeros, count 0).
+LatencySummary summarize(const util::LogHistogram& cycles);
 
 /// {"p50": .., "p99": .., "p999": .., "mean": .., "count": ..}
 telemetry::Json latency_json(const LatencySummary& summary);

@@ -115,8 +115,8 @@ int run() {
   std::printf("baseline (overload off): packets=%llu lat p50/p99 = "
               "%.3f/%.3f us\n\n",
               static_cast<unsigned long long>(baseline.stats.packets),
-              baseline.stats.latency_us_subsequent.percentile(50),
-              baseline.stats.latency_us_subsequent.percentile(99));
+              percentile_us(baseline.stats.latency_cycles_subsequent, 50),
+              percentile_us(baseline.stats.latency_cycles_subsequent, 99));
   json.config("baseline/off", baseline);
 
   std::printf("%-5s %-15s %10s %10s %12s %12s %9s  %s\n", "load", "policy",
@@ -134,7 +134,7 @@ int run() {
       Cell cell{multiplier, policy,
                 run_config_best(policy_trials, chain,
                                 platform::PlatformKind::kBess, true,
-                                workload, false, net::kDefaultBatchSize,
+                                workload, net::kDefaultBatchSize,
                                 overload)};
       const runtime::RunStats& stats = cell.result.stats;
       const runtime::OverloadStats& counters = stats.overload;
@@ -146,12 +146,8 @@ int run() {
                          : 0.0;
       conserved = check_conservation(cell) && conserved;
 
-      const double p50 = stats.latency_us_subsequent.count() > 0
-                             ? stats.latency_us_subsequent.percentile(50)
-                             : 0.0;
-      const double p99 = stats.latency_us_subsequent.count() > 0
-                             ? stats.latency_us_subsequent.percentile(99)
-                             : 0.0;
+      const double p50 = percentile_us(stats.latency_cycles_subsequent, 50);
+      const double p99 = percentile_us(stats.latency_cycles_subsequent, 99);
       const std::string policy_name{drop_policy_name(policy)};
       std::printf("%-5.1f %-15s %10llu %10llu %12.3f %12.3f %8.1f%%  "
                   "(%llu/%llu/%llu)\n",

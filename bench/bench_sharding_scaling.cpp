@@ -52,7 +52,7 @@ void run() {
   double base_rate = 0.0;
   for (std::size_t shards : {1u, 2u, 4u, 8u}) {
     runtime::ShardedRuntime runtime{
-        prototype, shards, {platform::PlatformKind::kOnvm, true, false}};
+        prototype, shards, {platform::PlatformKind::kOnvm, true}};
     const runtime::ShardedRunResult result = runtime.run_workload(workload);
     if (shards == 1) base_rate = result.aggregate_rate_mpps;
 

@@ -34,9 +34,8 @@ void run() {
               "NF3", "Aggregate");
   for (const auto platform :
        {platform::PlatformKind::kBess, platform::PlatformKind::kOnvm}) {
-    const ConfigResult original = run_config(factory, platform, false,
-                                             workload,
-                                             /*measure_per_nf=*/true);
+    const ConfigResult original =
+        run_config(factory, platform, false, workload);
     const ConfigResult speedy = run_config(factory, platform, true, workload);
 
     for (const auto& [mode, result] :

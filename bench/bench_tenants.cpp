@@ -87,9 +87,7 @@ SoloResult measure_solo(const tenancy::TenantSpec& spec) {
                                 stats.overload.faulted) /
                 static_cast<double>(stats.packets)
           : 0.0;
-  if (stats.latency_us_all.count() > 0) {
-    solo.p99_us = stats.latency_us_all.percentile(99);
-  }
+  solo.p99_us = percentile_us(stats.latency_cycles_all(), 99);
   return solo;
 }
 
@@ -112,9 +110,7 @@ HostedResult measure_adversarial(const tenancy::HostSpec& host_spec) {
           ? static_cast<double>(victim.delivered()) /
                 static_cast<double>(victim.offered)
           : 0.0;
-  if (victim.stats.latency_us_all.count() > 0) {
-    hosted.victim_p99_us = victim.stats.latency_us_all.percentile(99);
-  }
+  hosted.victim_p99_us = percentile_us(victim.stats.latency_cycles_all(), 99);
   return hosted;
 }
 

@@ -29,7 +29,7 @@ struct ConfigResult {
   /// overhead) — what the paper's platform-level cycle counts report.
   double init_cycles = 0;  // initial packets
   double sub_cycles = 0;   // subsequent packets
-  double sub_latency_us = 0;     // modeled latency (mean), subsequent
+  double sub_latency_us = 0;     // modeled latency (median), subsequent
   double p50_flow_time_us = 0;   // per-flow processing time median
   double rate_mpps = 0;
   runtime::RunStats stats;
@@ -46,14 +46,10 @@ inline ConfigResult collect_result(const runtime::Executor& executor,
   const auto& stats = result.stats;
   // Medians, not means: runs share a noisy core with the host, and a
   // single interrupt inside one packet's measurement shifts a mean far
-  // more than it shifts the p50.
-  if (stats.platform_cycles_initial.count() > 0) {
-    result.init_cycles = stats.platform_cycles_initial.percentile(50);
-  }
-  if (stats.platform_cycles_subsequent.count() > 0) {
-    result.sub_cycles = stats.platform_cycles_subsequent.percentile(50);
-    result.sub_latency_us = stats.latency_us_subsequent.percentile(50);
-  }
+  // more than it shifts the p50. Empty histograms report 0.
+  result.init_cycles = stats.platform_cycles_initial.percentile(50);
+  result.sub_cycles = stats.platform_cycles_subsequent.percentile(50);
+  result.sub_latency_us = percentile_us(stats.latency_cycles_subsequent, 50);
   result.rate_mpps = stats.rate_mpps(platform);
   return result;
 }
@@ -62,12 +58,11 @@ inline ConfigResult run_config(const ChainFactory& factory,
                                platform::PlatformKind platform,
                                bool speedybox,
                                const trace::Workload& workload,
-                               bool measure_per_nf = false,
                                std::size_t batch_size =
                                    net::kDefaultBatchSize,
                                const runtime::OverloadConfig& overload = {}) {
   auto chain = factory();
-  runtime::RunConfig config{platform, speedybox, measure_per_nf};
+  runtime::RunConfig config{platform, speedybox};
   config.batch_size = batch_size;
   runtime::ChainRunner runner{*chain, config};
   // Drive through the Executor interface — same entry points chainsim and
@@ -91,15 +86,15 @@ inline ConfigResult run_config(const ChainFactory& factory,
 inline ConfigResult run_config_best(
     const TrialPolicy& policy, const ChainFactory& factory,
     platform::PlatformKind platform, bool speedybox,
-    const trace::Workload& workload, bool measure_per_nf = false,
+    const trace::Workload& workload,
     std::size_t batch_size = net::kDefaultBatchSize,
     const runtime::OverloadConfig& overload = {},
     std::vector<double>* scores_out = nullptr) {
   return best_of<ConfigResult>(
       policy,
       [&] {
-        return run_config(factory, platform, speedybox, workload,
-                          measure_per_nf, batch_size, overload);
+        return run_config(factory, platform, speedybox, workload, batch_size,
+                          overload);
       },
       [](const ConfigResult& result) { return result.rate_mpps; },
       scores_out);
@@ -139,16 +134,22 @@ inline telemetry::Json config_row(const std::string& label,
   using telemetry::Json;
   Json row = Json::object();
   row.set("config", Json::string(label));
-  const auto percentiles = [&row](const std::string& prefix,
-                                  const util::SampleRecorder& samples) {
-    if (samples.count() == 0) return;
-    row.set(prefix + "_p50", Json::number(samples.percentile(50)));
-    row.set(prefix + "_p95", Json::number(samples.percentile(95)));
-    row.set(prefix + "_p99", Json::number(samples.percentile(99)));
+  const runtime::RunStats& stats = result.stats;
+  const auto percentiles = [&row](const std::string& prefix, auto value) {
+    for (const int p : {50, 95, 99}) {
+      row.set(prefix + "_p" + std::to_string(p), Json::number(value(p)));
+    }
   };
   row.set("init_cycles_p50", Json::number(result.init_cycles));
-  percentiles("cycles_per_packet", result.stats.platform_cycles_subsequent);
-  percentiles("latency_us", result.stats.latency_us_subsequent);
+  // One subsequent packet = one sample in each of the two histograms.
+  if (stats.platform_cycles_subsequent.count() > 0) {
+    percentiles("cycles_per_packet", [&stats](int p) {
+      return stats.platform_cycles_subsequent.percentile(p);
+    });
+    percentiles("latency_us", [&stats](int p) {
+      return percentile_us(stats.latency_cycles_subsequent, p);
+    });
+  }
   row.set("rate_mpps", Json::number(result.rate_mpps));
   row.set("packets", Json::integer(result.stats.packets));
   row.set("drops", Json::integer(result.stats.drops));

@@ -17,6 +17,7 @@
 #include "nf/monitor.hpp"
 #include "runtime/runner.hpp"
 #include "trace/workload.hpp"
+#include "util/cycle_clock.hpp"
 
 using namespace speedybox;
 
@@ -69,9 +70,15 @@ void run_mode(const char* label, bool speedybox,
               static_cast<unsigned long long>(stats.drops),
               static_cast<unsigned long long>(stats.events_triggered),
               static_cast<unsigned long long>(c.lb->reroutes()));
-  std::printf("  [%s] subsequent-packet latency: %s\n", label,
-              util::summarize_percentiles(stats.latency_us_subsequent)
-                  .c_str());
+  const util::LogHistogram& latency = stats.latency_cycles_subsequent;
+  const auto us = [&latency](double p) {
+    return util::CycleClock::to_us(
+        static_cast<std::uint64_t>(latency.percentile(p)));
+  };
+  std::printf("  [%s] subsequent-packet latency: n=%llu p50=%.3f p90=%.3f "
+              "p99=%.3f us\n",
+              label, static_cast<unsigned long long>(latency.count()),
+              us(50), us(90), us(99));
   std::printf("  [%s] monitor totals: %llu packets / %llu bytes\n", label,
               static_cast<unsigned long long>(c.monitor->total_packets()),
               static_cast<unsigned long long>(c.monitor->total_bytes()));

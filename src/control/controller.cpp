@@ -86,29 +86,15 @@ ControlSignals Controller::compute_signals(
   }
 
   // Per-packet latency = fast-path and slow-path cycle histograms merged;
-  // the window's distribution is the bucket-wise delta of the cumulative
-  // snapshot against the previous tick's.
-  std::vector<std::uint64_t> buckets(
-      static_cast<std::size_t>(util::LogHistogram::raw_bucket_count()), 0);
-  double sum = 0.0;
+  // the window's distribution is the cumulative histogram since the
+  // previous tick's.
+  util::LogHistogram latency;
   for (const auto& [name, hist] : total.histograms) {
-    if (name != "fastpath_cycles" && name != "slowpath_cycles") continue;
-    const auto& counts = hist.raw_bucket_counts();
-    for (std::size_t i = 0; i < counts.size() && i < buckets.size(); ++i) {
-      buckets[i] += counts[i];
+    if (name == "fastpath_cycles" || name == "slowpath_cycles") {
+      latency.merge(hist);
     }
-    sum += hist.sum();
   }
-  std::vector<std::uint64_t> window = buckets;
-  double window_sum = sum;
-  if (!prev_latency_buckets_.empty()) {
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      window[i] -= prev_latency_buckets_[i];
-    }
-    window_sum -= prev_latency_sum_;
-  }
-  const util::LogHistogram window_hist = util::LogHistogram::from_raw(
-      window.data(), static_cast<int>(window.size()), window_sum);
+  const util::LogHistogram window_hist = latency.since(prev_latency_);
 
   ControlSignals signals;
   signals.window_packets = packets - prev_packets_;
@@ -126,8 +112,7 @@ ControlSignals Controller::compute_signals(
   prev_packets_ = packets;
   prev_admitted_ = admitted;
   prev_shed_ = shed;
-  prev_latency_buckets_ = std::move(buckets);
-  prev_latency_sum_ = sum;
+  prev_latency_ = std::move(latency);
   return signals;
 }
 

@@ -24,6 +24,7 @@
 #include "control/flow_migration.hpp"
 #include "runtime/sharded_runtime.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/histogram.hpp"
 
 namespace speedybox::control {
 
@@ -118,8 +119,7 @@ class Controller {
   std::uint64_t prev_packets_ = 0;
   std::uint64_t prev_admitted_ = 0;
   std::uint64_t prev_shed_ = 0;
-  std::vector<std::uint64_t> prev_latency_buckets_;
-  double prev_latency_sum_ = 0.0;
+  util::LogHistogram prev_latency_;
 };
 
 }  // namespace speedybox::control

@@ -48,8 +48,6 @@ class OnvmExecutor final : public Executor {
                         const std::string& label) override;
   void set_overload_policy(const OverloadConfig& config) override;
 
-  platform::OnvmPipeline& pipeline() noexcept { return *pipeline_; }
-
  private:
   /// Ingress gate, then push into the pipeline if admitted.
   void offer(net::Packet packet);

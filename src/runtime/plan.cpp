@@ -400,7 +400,7 @@ std::unique_ptr<runtime::ServiceChain> build_chain(
 }
 
 runtime::RunConfig run_config(const DeploymentPlan& plan) {
-  runtime::RunConfig config{plan.platform, plan.speedybox, false};
+  runtime::RunConfig config{plan.platform, plan.speedybox};
   config.batch_size = plan.batch_size;
   config.overload = plan.overload;
   return config;

@@ -15,7 +15,7 @@ namespace speedybox::runtime {
 /// sharded result. If this assert fires, extend merge_from (and, for a
 /// counter that telemetry mirrors, telemetry/metrics.cpp's snapshot name
 /// lists) and then bump the count.
-static_assert(util::field_count<RunStats>() == 16,
+static_assert(util::field_count<RunStats>() == 13,
               "RunStats changed: update RunStats::merge_from and this count");
 
 double RunStats::rate_mpps(platform::PlatformKind) const {
@@ -41,14 +41,17 @@ std::vector<double> RunStats::per_nf_mean_cycles() const {
   return means;
 }
 
+util::LogHistogram RunStats::latency_cycles_all() const {
+  util::LogHistogram all = latency_cycles_initial;
+  all.merge(latency_cycles_subsequent);
+  return all;
+}
+
 void RunStats::merge_from(const RunStats& other) {
-  latency_us_all.merge(other.latency_us_all);
-  latency_us_initial.merge(other.latency_us_initial);
-  latency_us_subsequent.merge(other.latency_us_subsequent);
-  latency_us_subsequent_sequential.merge(
-      other.latency_us_subsequent_sequential);
-  work_cycles_initial.merge(other.work_cycles_initial);
-  work_cycles_subsequent.merge(other.work_cycles_subsequent);
+  latency_cycles_initial.merge(other.latency_cycles_initial);
+  latency_cycles_subsequent.merge(other.latency_cycles_subsequent);
+  latency_cycles_subsequent_sequential.merge(
+      other.latency_cycles_subsequent_sequential);
   platform_cycles_initial.merge(other.platform_cycles_initial);
   platform_cycles_subsequent.merge(other.platform_cycles_subsequent);
 
@@ -83,7 +86,7 @@ void RunStats::merge_from(const RunStats& other) {
 ChainRunner::ChainRunner(ServiceChain& chain, RunConfig config,
                          const platform::PlatformCosts& costs)
     : chain_(chain), config_(config), costs_(costs) {
-  if (config_.measure_per_nf) {
+  if (!config_.speedybox) {
     stats_.per_nf_cycle_sum.assign(chain.size(), 0);
     stats_.per_nf_cycle_count.assign(chain.size(), 0);
   }
@@ -390,10 +393,8 @@ void ChainRunner::process_original_batch(
       if (entered[s] == 0) continue;
       outcomes[s].work_cycles += share;
       outcomes[s].latency_cycles += share + hop;
-      if (config_.measure_per_nf) {
-        stats_.per_nf_cycle_sum[i] += share + hop;
-        ++stats_.per_nf_cycle_count[i];
-      }
+      stats_.per_nf_cycle_sum[i] += share + hop;
+      ++stats_.per_nf_cycle_count[i];
       if (metrics_ != nullptr && i < metrics_->per_nf.size()) {
         metrics_->per_nf[i].packets.add(1);
         metrics_->per_nf[i].cycles.record(share);
@@ -582,33 +583,28 @@ void ChainRunner::account(const PacketOutcome& outcome) {
     }
   }
 
-  double latency_us = util::CycleClock::to_us(outcome.latency_cycles);
+  double latency = static_cast<double>(outcome.latency_cycles);
   if (controller_ != nullptr) {
     // Queueing delay model (stats-only, DESIGN.md §9): a packet admitted
     // behind a virtual queue of depth d waits ~d service times. The EMA is
     // fed the pure service latency before the wait is added, so the model
     // never compounds itself. Bounded queue => bounded reported tail.
-    service_ema_us_ = service_ema_us_ <= 0.0
-                          ? latency_us
-                          : 0.99 * service_ema_us_ + 0.01 * latency_us;
-    latency_us += controller_->queue_depth() * service_ema_us_;
+    service_ema_cycles_ = service_ema_cycles_ <= 0.0
+                              ? latency
+                              : 0.99 * service_ema_cycles_ + 0.01 * latency;
+    latency += controller_->queue_depth() * service_ema_cycles_;
   }
-  stats_.latency_us_all.add(latency_us);
   if (outcome.initial) {
-    stats_.latency_us_initial.add(latency_us);
-    stats_.work_cycles_initial.add(
-        static_cast<double>(outcome.work_cycles));
+    stats_.latency_cycles_initial.add(latency);
     stats_.platform_cycles_initial.add(
         static_cast<double>(outcome.platform_cycles));
   } else {
-    stats_.latency_us_subsequent.add(latency_us);
-    stats_.work_cycles_subsequent.add(
-        static_cast<double>(outcome.work_cycles));
+    stats_.latency_cycles_subsequent.add(latency);
     stats_.platform_cycles_subsequent.add(
         static_cast<double>(outcome.platform_cycles));
     if (outcome.fast_path) {
-      stats_.latency_us_subsequent_sequential.add(
-          util::CycleClock::to_us(outcome.latency_cycles_sequential));
+      stats_.latency_cycles_subsequent_sequential.add(
+          static_cast<double>(outcome.latency_cycles_sequential));
     }
   }
 }

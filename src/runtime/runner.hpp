@@ -44,8 +44,6 @@ namespace speedybox::runtime {
 struct RunConfig {
   platform::PlatformKind platform = platform::PlatformKind::kBess;
   bool speedybox = true;
-  /// Record per-NF cycle attribution (Table III).
-  bool measure_per_nf = false;
   /// Account state-function execution as the Table-I critical path (the
   /// §V-C2 optimization). Disabled, state functions count sequentially —
   /// the ablation Fig. 7 uses to split the HA vs SF contributions.
@@ -82,27 +80,31 @@ struct PacketOutcome {
   bool degraded = false;
 };
 
-/// Aggregated statistics of a run.
+/// Aggregated statistics of a run. No member grows with packet count: the
+/// per-packet distributions are fixed-size LogHistograms of cycles (readers
+/// convert with CycleClock::to_us), merged across shards by adding buckets.
+/// The work-cycle distributions live in telemetry (fastpath_cycles /
+/// slowpath_cycles), not here.
 struct RunStats {
-  util::SampleRecorder latency_us_all;
-  util::SampleRecorder latency_us_initial;
-  util::SampleRecorder latency_us_subsequent;
-  /// Same packets, with state functions accounted sequentially (parallelism
-  /// off) — lets the Fig. 7 ablation split HA vs SF contributions from one
-  /// run, free of cross-run noise. Only filled on the SpeedyBox fast path.
-  util::SampleRecorder latency_us_subsequent_sequential;
-  util::SampleRecorder work_cycles_initial;
-  util::SampleRecorder work_cycles_subsequent;
-  util::SampleRecorder platform_cycles_initial;
-  util::SampleRecorder platform_cycles_subsequent;
+  /// Modeled per-packet latency in cycles, recorded once per packet by
+  /// class; under the overload gate it includes the modeled queueing delay.
+  util::LogHistogram latency_cycles_initial;
+  util::LogHistogram latency_cycles_subsequent;
+  /// Same fast-path packets, with state functions accounted sequentially
+  /// (parallelism off) — lets the Fig. 7 ablation split HA vs SF
+  /// contributions from one run, free of cross-run noise.
+  util::LogHistogram latency_cycles_subsequent_sequential;
+  /// Platform CPU cycles per packet (Fig. 4/6, Table III).
+  util::LogHistogram platform_cycles_initial;
+  util::LogHistogram platform_cycles_subsequent;
 
   std::uint64_t packets = 0;
   std::uint64_t drops = 0;
   std::uint64_t events_triggered = 0;
 
-  /// Per-NF cycle sums/counts on the original path (measure_per_nf):
-  /// work cycles plus the platform hop, per packet an NF saw. Sums rather
-  /// than means, so per-shard stats merge exactly.
+  /// Per-NF cycle sums/counts, original path only (empty on the SpeedyBox
+  /// path): work cycles plus the platform hop, per packet an NF saw. Sums
+  /// rather than means, so per-shard stats merge exactly.
   std::vector<std::uint64_t> per_nf_cycle_sum;
   std::vector<std::uint64_t> per_nf_cycle_count;
 
@@ -124,13 +126,13 @@ struct RunStats {
   /// NF no packet reached.
   std::vector<double> per_nf_mean_cycles() const;
 
-  /// Absorb another run's statistics (sharded runtime result merging):
-  /// sample recorders append, counters and per-NF/stage sums add.
-  void merge_from(const RunStats& other);
+  /// Latency of every packet: the exact merge of the initial and
+  /// subsequent distributions.
+  util::LogHistogram latency_cycles_all() const;
 
-  double mean_work_cycles_subsequent() const {
-    return work_cycles_subsequent.mean();
-  }
+  /// Absorb another run's statistics (sharded runtime result merging):
+  /// histogram buckets, counters and per-NF/stage sums add.
+  void merge_from(const RunStats& other);
 };
 
 class ChainRunner : public Executor {
@@ -197,17 +199,12 @@ class ChainRunner : public Executor {
   bool recording_suspended() const noexcept {
     return controller_ != nullptr && controller_->degraded();
   }
-  const OverloadController* overload_controller() const noexcept {
-    return controller_.get();
-  }
 
   /// Aggregated per-flow processing time in µs (one sample per flow of the
   /// last run_workload call).
   const util::SampleRecorder& flow_time_us() const noexcept {
     return flow_time_us_;
   }
-
-  const RunConfig& config() const noexcept { return config_; }
 
   /// Attach live telemetry (null detaches — the default). The runner's
   /// thread is the single writer for every cell except the dispatcher-owned
@@ -219,9 +216,6 @@ class ChainRunner : public Executor {
   /// null-pointer test.
   void set_telemetry(telemetry::ShardMetrics* metrics) noexcept {
     metrics_ = metrics;
-  }
-  telemetry::ShardMetrics* telemetry_sink() const noexcept {
-    return metrics_;
   }
 
  private:
@@ -259,10 +253,10 @@ class ChainRunner : public Executor {
   platform::PlatformCosts costs_;
   telemetry::ShardMetrics* metrics_ = nullptr;
   std::unique_ptr<OverloadController> controller_;
-  /// EMA of per-packet service latency (µs) — scales the virtual queue
+  /// EMA of per-packet service latency (cycles) — scales the virtual queue
   /// depth into the modeled queueing delay added to latency samples while
   /// the gate is active. Stats-only: never touches packet bytes.
-  double service_ema_us_ = 0.0;
+  double service_ema_cycles_ = 0.0;
   RunStats stats_;
   util::SampleRecorder flow_time_us_;
   /// Original mode only: stats-side init/sub tagging (there is no

@@ -311,7 +311,6 @@ ShardedRunResult ShardedRuntime::finish() {
       static_cast<double>(steady_ns() - start_ns_) / 1e9;
   result.outcomes.resize(next_index_);
   result.packets.resize(next_index_);
-  result.shard_stats.reserve(shards_.size());
   result.shard_packets.reserve(shards_.size());
   // After live resharding a flow's packets may have been processed by more
   // than one shard, so per-flow times accumulate across shards by tuple
@@ -320,7 +319,6 @@ ShardedRunResult ShardedRuntime::finish() {
   std::unordered_map<net::FiveTuple, double, net::FiveTupleHash> flow_time;
   for (auto& shard : shards_) {
     const RunStats& stats = shard->runner->stats();
-    result.shard_stats.push_back(stats);
     result.shard_packets.push_back(stats.packets);
     result.stats.merge_from(stats);
     result.aggregate_rate_mpps += stats.rate_mpps(config_.platform);

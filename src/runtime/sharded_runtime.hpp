@@ -66,9 +66,8 @@ namespace speedybox::runtime {
 /// (RunStats + per-flow times + per-packet outcomes), so figure benches and
 /// chainsim report sharded runs through their existing paths.
 struct ShardedRunResult {
-  /// Exact merge of the per-shard stats (samples appended, sums added).
+  /// Exact merge of the per-shard stats (histogram buckets and sums added).
   RunStats stats;
-  std::vector<RunStats> shard_stats;
   /// Packets dispatched to each shard.
   std::vector<std::uint64_t> shard_packets;
   /// Per input packet, in input order.

@@ -88,8 +88,7 @@ struct TenantHost::Tenant {
   TenantGate gate;
 
   // Windowed-signal baselines (cumulative counters/buckets at last tick).
-  std::vector<std::uint64_t> prev_latency_buckets;
-  double prev_latency_sum = 0.0;
+  util::LogHistogram prev_latency;
   std::uint64_t offered_base = 0;
   std::uint64_t forwarded_base = 0;
 
@@ -151,35 +150,20 @@ TenantHost::~TenantHost() = default;
 double TenantHost::window_p99_us(
     Tenant& tenant, const telemetry::MetricsSnapshot& snapshot) {
   // Per-packet latency = fast-path and slow-path cycle histograms of the
-  // tenant's shards, merged; the window's distribution is the bucket-wise
-  // delta against the previous tick (control::Controller::compute_signals,
-  // restricted to one tenant label).
-  std::vector<std::uint64_t> buckets(
-      static_cast<std::size_t>(util::LogHistogram::raw_bucket_count()), 0);
-  double sum = 0.0;
+  // tenant's shards, merged; the window's distribution is the cumulative
+  // histogram since the previous tick's (control::Controller::
+  // compute_signals, restricted to one tenant label).
+  util::LogHistogram latency;
   for (const telemetry::ShardSnapshot& shard : snapshot.shards) {
     if (shard.tenant != tenant.spec->id) continue;
     for (const auto& [name, hist] : shard.histograms) {
-      if (name != "fastpath_cycles" && name != "slowpath_cycles") continue;
-      const auto& counts = hist.raw_bucket_counts();
-      for (std::size_t i = 0; i < counts.size() && i < buckets.size(); ++i) {
-        buckets[i] += counts[i];
+      if (name == "fastpath_cycles" || name == "slowpath_cycles") {
+        latency.merge(hist);
       }
-      sum += hist.sum();
     }
   }
-  std::vector<std::uint64_t> window = buckets;
-  double window_sum = sum;
-  if (!tenant.prev_latency_buckets.empty()) {
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      window[i] -= tenant.prev_latency_buckets[i];
-    }
-    window_sum -= tenant.prev_latency_sum;
-  }
-  tenant.prev_latency_buckets = std::move(buckets);
-  tenant.prev_latency_sum = sum;
-  const util::LogHistogram window_hist = util::LogHistogram::from_raw(
-      window.data(), static_cast<int>(window.size()), window_sum);
+  const util::LogHistogram window_hist = latency.since(tenant.prev_latency);
+  tenant.prev_latency = std::move(latency);
   if (window_hist.count() == 0) return 0.0;
   return util::CycleClock::to_us(
       static_cast<std::uint64_t>(window_hist.percentile(99.0)));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <numeric>
 #include <stdexcept>
 
@@ -13,29 +12,12 @@ void SampleRecorder::add(double value) {
   sorted_ = false;
 }
 
-void SampleRecorder::merge(const SampleRecorder& other) {
-  if (other.samples_.empty()) return;
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-  sorted_ = false;
-}
-
 double SampleRecorder::sum() const noexcept {
   return std::accumulate(samples_.begin(), samples_.end(), 0.0);
 }
 
 double SampleRecorder::mean() const noexcept {
   return samples_.empty() ? 0.0 : sum() / static_cast<double>(samples_.size());
-}
-
-double SampleRecorder::min() const {
-  if (samples_.empty()) throw std::out_of_range("SampleRecorder::min: empty");
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double SampleRecorder::max() const {
-  if (samples_.empty()) throw std::out_of_range("SampleRecorder::max: empty");
-  return *std::max_element(samples_.begin(), samples_.end());
 }
 
 void SampleRecorder::sort_if_needed() const {
@@ -54,16 +36,6 @@ double SampleRecorder::percentile(double p) const {
   const std::size_t rank = static_cast<std::size_t>(
       std::ceil(clamped / 100.0 * static_cast<double>(samples_.size())));
   return samples_[rank == 0 ? 0 : rank - 1];
-}
-
-std::vector<std::pair<double, double>> SampleRecorder::cdf(
-    const std::vector<double>& percentiles) const {
-  std::vector<std::pair<double, double>> points;
-  points.reserve(percentiles.size());
-  for (const double p : percentiles) {
-    points.emplace_back(p, percentile(p));
-  }
-  return points;
 }
 
 LogHistogram::LogHistogram() : buckets_(kBuckets, 0) {}
@@ -105,10 +77,22 @@ void LogHistogram::merge(const LogHistogram& other) noexcept {
   sum_ += other.sum_;
 }
 
+LogHistogram LogHistogram::since(const LogHistogram& earlier) const {
+  LogHistogram window = *this;
+  for (int i = 0; i < kBuckets; ++i) {
+    window.buckets_[static_cast<std::size_t>(i)] -=
+        earlier.buckets_[static_cast<std::size_t>(i)];
+  }
+  window.count_ -= earlier.count_;
+  window.sum_ -= earlier.sum_;
+  return window;
+}
+
 double LogHistogram::percentile(double p) const noexcept {
   if (count_ == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(
-      std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(count_));
+  const auto rank = static_cast<std::uint64_t>(std::ceil(
+      std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(count_)));
+  const std::uint64_t target = std::max<std::uint64_t>(rank, 1);
   std::uint64_t seen = 0;
   for (int i = 0; i < kBuckets; ++i) {
     seen += buckets_[static_cast<std::size_t>(i)];
@@ -118,17 +102,6 @@ double LogHistogram::percentile(double p) const noexcept {
     }
   }
   return bucket_low(kBuckets);
-}
-
-std::string summarize_percentiles(const SampleRecorder& recorder) {
-  if (recorder.empty()) return "(no samples)";
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%zu mean=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f",
-                recorder.count(), recorder.mean(), recorder.percentile(50),
-                recorder.percentile(90), recorder.percentile(99),
-                recorder.max());
-  return buf;
 }
 
 }  // namespace speedybox::util

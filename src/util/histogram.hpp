@@ -1,9 +1,10 @@
-// Latency statistics: an exact-percentile recorder (stores samples) and a
-// log-bucketed streaming histogram for high-volume runs.
+// Latency statistics. SampleRecorder stores every sample for exact
+// percentiles: per-flow times, bounded by flow count. LogHistogram is
+// fixed-size, for per-packet distributions: shards merge by adding buckets,
+// and the window of a cumulative histogram is since() the last snapshot.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace speedybox::util {
@@ -13,31 +14,18 @@ namespace speedybox::util {
 class SampleRecorder {
  public:
   void add(double value);
-  /// Absorb another recorder's samples (per-shard result merging).
-  void merge(const SampleRecorder& other);
   void clear() noexcept { samples_.clear(); sorted_ = true; }
 
   std::size_t count() const noexcept { return samples_.size(); }
   bool empty() const noexcept { return samples_.empty(); }
   double sum() const noexcept;
   double mean() const noexcept;
-  double min() const;
-  double max() const;
 
   /// Exact percentile by rank (nearest-rank method), p clamped to
   /// [0, 100]: p=0 returns the minimum sample, p=100 the maximum.
-  /// Throws std::out_of_range when empty (as do min()/max()): an empty
-  /// distribution has no percentiles, and silently returning 0 would
-  /// corrupt merged results. LogHistogram, by contrast, is a streaming
-  /// approximation and reports 0 when empty.
+  /// Throws std::out_of_range when empty: an empty distribution has no
+  /// percentiles. LogHistogram, by contrast, reports 0 when empty.
   double percentile(double p) const;
-
-  /// CDF points (value at each of the given percentiles) — the series the
-  /// Fig. 9 benches print.
-  std::vector<std::pair<double, double>> cdf(
-      const std::vector<double>& percentiles) const;
-
-  const std::vector<double>& samples() const noexcept { return samples_; }
 
  private:
   void sort_if_needed() const;
@@ -46,17 +34,26 @@ class SampleRecorder {
   mutable bool sorted_ = true;
 };
 
-/// Log2-bucketed histogram: O(1) insert, approximate percentiles.
-/// Bucket i covers [2^(i/8), 2^((i+1)/8)) — eighth-octave resolution,
-/// ≤ ~9% relative error on percentile queries.
+/// Log2-bucketed histogram: O(1) insert, fixed size, approximate
+/// percentiles. Bucket i covers [2^(i/8), 2^((i+1)/8)) — eighth-octave
+/// resolution; every value below 1.0 lands in bucket 0, so record integer
+/// cycles rather than fractional microseconds.
 class LogHistogram {
  public:
   LogHistogram();
 
   void add(double value) noexcept;
-  /// Absorb another histogram's buckets (per-shard result merging).
+  /// Absorb another histogram's buckets (per-shard result merging). Exact:
+  /// merged percentiles equal those of one histogram fed every value.
   void merge(const LogHistogram& other) noexcept;
+  /// The values added after `earlier`, a prefix snapshot of this cumulative
+  /// histogram (an empty `earlier` returns a copy): buckets, count and sum
+  /// subtracted. Window readers keep the last tick's histogram as `earlier`.
+  LogHistogram since(const LogHistogram& earlier) const;
   std::uint64_t count() const noexcept { return count_; }
+  /// Nearest-rank percentile (SampleRecorder's rank), p clamped to [0, 100]:
+  /// the midpoint of the bucket holding that sample — for values ≥ 1 within
+  /// ~4.5% of it (≤ 9% is the documented bound). 0 when empty.
   double percentile(double p) const noexcept;
   double mean() const noexcept {
     return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
@@ -66,12 +63,7 @@ class LogHistogram {
   /// telemetry subsystem's atomic per-shard histograms) can accumulate into
   /// the same buckets and materialize a LogHistogram on snapshot.
   static constexpr int raw_bucket_count() noexcept { return kBuckets; }
-  /// Raw bucket counts and exact value sum — what window-delta consumers
-  /// (the autoscaling controller) subtract between successive cumulative
-  /// snapshots before rebuilding the interval histogram via from_raw().
-  const std::vector<std::uint64_t>& raw_bucket_counts() const noexcept {
-    return buckets_;
-  }
+  /// Exact sum of the recorded values.
   double sum() const noexcept { return sum_; }
   static int raw_bucket_index(double value) noexcept;
   /// Rebuild from externally accumulated raw buckets. `bucket_counts` holds
@@ -90,8 +82,5 @@ class LogHistogram {
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
 };
-
-/// Renders "p50=… p90=… p99=…" for log lines and bench output.
-std::string summarize_percentiles(const SampleRecorder& recorder);
 
 }  // namespace speedybox::util

@@ -55,7 +55,7 @@ struct Reference {
 
 Reference run_reference(const std::vector<net::Packet>& packets,
                         std::unique_ptr<ServiceChain> chain) {
-  ChainRunner runner{*chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{*chain, {platform::PlatformKind::kBess, true}};
   Reference ref;
   ref.outcomes.reserve(packets.size());
   ref.packets.reserve(packets.size());
@@ -108,7 +108,7 @@ ElasticRun run_elastic(const std::vector<net::Packet>& packets,
                        std::size_t start_shards, const Schedule& schedule,
                        std::size_t batch_size) {
   auto prototype = factory();
-  RunConfig config{platform::PlatformKind::kBess, true, false};
+  RunConfig config{platform::PlatformKind::kBess, true};
   config.batch_size = batch_size;
   ShardedRuntime runtime{*prototype, start_shards, config};
   ElasticRun elastic;
@@ -200,7 +200,7 @@ TEST(AutoscaleEquivalence, MonitorStateStaysAPartitionAcrossReshards) {
   auto* global_monitor = dynamic_cast<nf::Monitor*>(&global_chain->nf(2));
   ASSERT_NE(global_monitor, nullptr);
   ChainRunner runner{*global_chain,
-                     {platform::PlatformKind::kBess, true, false}};
+                     {platform::PlatformKind::kBess, true}};
   for (const net::Packet& original : packets) {
     net::Packet packet = original;
     packet.reset_metadata();
@@ -209,7 +209,7 @@ TEST(AutoscaleEquivalence, MonitorStateStaysAPartitionAcrossReshards) {
 
   auto prototype = make_chain1();
   ShardedRuntime runtime{*prototype, 1,
-                         {platform::PlatformKind::kBess, true, false}};
+                         {platform::PlatformKind::kBess, true}};
   const Schedule schedule{{128, 3}, {320, 1}, {512, 4}};
   runtime.set_scale_hook(
       [&schedule](ShardedRuntime& rt) {

@@ -60,7 +60,7 @@ struct RunResult {
 };
 
 RunConfig make_config(bool speedybox, std::size_t batch_size) {
-  RunConfig config{platform::PlatformKind::kBess, speedybox, false};
+  RunConfig config{platform::PlatformKind::kBess, speedybox};
   config.batch_size = batch_size;
   return config;
 }
@@ -136,16 +136,14 @@ void expect_identical(const RunResult& ref, const RunResult& batched) {
   EXPECT_EQ(batched.stats.packets, ref.stats.packets);
   EXPECT_EQ(batched.stats.drops, ref.stats.drops);
   EXPECT_EQ(batched.stats.events_triggered, ref.stats.events_triggered);
-  EXPECT_EQ(batched.stats.latency_us_all.count(),
-            ref.stats.latency_us_all.count());
-  EXPECT_EQ(batched.stats.latency_us_initial.count(),
-            ref.stats.latency_us_initial.count());
-  EXPECT_EQ(batched.stats.latency_us_subsequent.count(),
-            ref.stats.latency_us_subsequent.count());
-  EXPECT_EQ(batched.stats.work_cycles_initial.count(),
-            ref.stats.work_cycles_initial.count());
-  EXPECT_EQ(batched.stats.work_cycles_subsequent.count(),
-            ref.stats.work_cycles_subsequent.count());
+  EXPECT_EQ(batched.stats.latency_cycles_all().count(),
+            ref.stats.latency_cycles_all().count());
+  EXPECT_EQ(batched.stats.latency_cycles_initial.count(),
+            ref.stats.latency_cycles_initial.count());
+  EXPECT_EQ(batched.stats.latency_cycles_subsequent.count(),
+            ref.stats.latency_cycles_subsequent.count());
+  EXPECT_EQ(batched.stats.latency_cycles_subsequent_sequential.count(),
+            ref.stats.latency_cycles_subsequent_sequential.count());
   EXPECT_EQ(batched.stats.platform_cycles_initial.count(),
             ref.stats.platform_cycles_initial.count());
   EXPECT_EQ(batched.stats.platform_cycles_subsequent.count(),

@@ -30,7 +30,7 @@ inline EquivalenceRun run_chain(
     const std::function<void(runtime::ServiceChain&, std::size_t)>&
         mid_run_action = {}) {
   runtime::ChainRunner runner{
-      chain, {platform::PlatformKind::kBess, speedybox, false}};
+      chain, {platform::PlatformKind::kBess, speedybox}};
   EquivalenceRun run;
   for (std::size_t i = 0; i < workload.order.size(); ++i) {
     if (mid_run_action) mid_run_action(chain, i);

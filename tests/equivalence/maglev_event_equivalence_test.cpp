@@ -110,7 +110,7 @@ TEST(MaglevEventEquivalence, NoFailureNoEvent) {
   const trace::Workload workload = ten_packet_flow();
   auto chain = std::make_unique<ServiceChain>();
   chain->emplace_nf<nf::MaglevLb>(two_backends(), std::size_t{251});
-  ChainRunner runner{*chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{*chain, {platform::PlatformKind::kBess, true}};
   for (std::size_t i = 0; i < workload.order.size(); ++i) {
     net::Packet packet = workload.materialize(i);
     runner.process_packet(packet);

@@ -137,7 +137,7 @@ TEST(PlanEquivalence, RunnerMatchesHandBuiltOnBothChains) {
 
       const auto hand = test_case.hand();
       ChainRunner hand_runner{
-          *hand, {platform::PlatformKind::kBess, speedybox, false}};
+          *hand, {platform::PlatformKind::kBess, speedybox}};
       const IndexedRun hand_run = drive_runner(hand_runner, packets);
 
       DeploymentPlan deployment = runner_plan(test_case.spec());
@@ -162,7 +162,7 @@ TEST(PlanEquivalence, ShardedMatchesHandBuiltOnBothChains) {
 
       auto hand_proto = test_case.hand();
       ShardedRuntime hand_runtime{
-          *hand_proto, shards, {platform::PlatformKind::kBess, true, false}};
+          *hand_proto, shards, {platform::PlatformKind::kBess, true}};
       const ShardedRunResult hand_result = hand_runtime.run_packets(packets);
 
       DeploymentPlan deployment = runner_plan(test_case.spec());
@@ -234,7 +234,7 @@ TEST(PlanEquivalence, PipelineAndFusedSegmentsMatchTheReference) {
 
     auto hand = test_case.hand();
     ChainRunner reference{*hand,
-                          {platform::PlatformKind::kBess, true, false}};
+                          {platform::PlatformKind::kBess, true}};
     std::uint64_t reference_drops = 0;
     std::vector<net::Packet> reference_out;
     for (const net::Packet& original : packets) {

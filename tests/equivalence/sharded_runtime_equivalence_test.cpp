@@ -58,7 +58,7 @@ struct Reference {
 
 Reference run_reference(const std::vector<net::Packet>& packets,
                         std::unique_ptr<ServiceChain> chain) {
-  ChainRunner runner{*chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{*chain, {platform::PlatformKind::kBess, true}};
   Reference ref;
   ref.outcomes.reserve(packets.size());
   ref.packets.reserve(packets.size());
@@ -157,7 +157,7 @@ void run_differential(const trace::Workload& workload,
     SCOPED_TRACE("shards=" + std::to_string(shards));
     auto prototype = factory();
     ShardedRuntime runtime{*prototype, shards,
-                           {platform::PlatformKind::kBess, true, false}};
+                           {platform::PlatformKind::kBess, true}};
     Executor& executor = runtime;
     EXPECT_EQ(executor.kind(), "sharded");
     executor.run(packets, nullptr);
@@ -204,7 +204,7 @@ TEST(ShardedRuntimeEquivalence, ShardedStateMatchesGlobalState) {
   auto chain = make_chain1();
   auto* monitor = dynamic_cast<nf::Monitor*>(&chain->nf(2));
   ASSERT_NE(monitor, nullptr);
-  ChainRunner runner{*chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{*chain, {platform::PlatformKind::kBess, true}};
   for (const net::Packet& original : packets) {
     net::Packet packet = original;
     packet.reset_metadata();
@@ -213,7 +213,7 @@ TEST(ShardedRuntimeEquivalence, ShardedStateMatchesGlobalState) {
 
   auto prototype = make_chain1();
   ShardedRuntime runtime{*prototype, 4,
-                         {platform::PlatformKind::kBess, true, false}};
+                         {platform::PlatformKind::kBess, true}};
   runtime.run_packets(packets);
 
   std::size_t sharded_flow_count = 0;

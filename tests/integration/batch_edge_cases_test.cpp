@@ -39,7 +39,7 @@ std::unique_ptr<ServiceChain> monitor_filter_chain() {
 }
 
 RunConfig speedybox_config(std::size_t batch_size) {
-  RunConfig config{platform::PlatformKind::kBess, true, false};
+  RunConfig config{platform::PlatformKind::kBess, true};
   config.batch_size = batch_size;
   return config;
 }

@@ -22,7 +22,7 @@ TEST(EarlyDrop, OriginalChainPaysAllThreeNfs) {
   auto& f1 = chain.emplace_nf<nf::IpFilter>(pass_acl(), "f1");
   auto& f2 = chain.emplace_nf<nf::IpFilter>(pass_acl(), "f2");
   auto& f3 = chain.emplace_nf<nf::IpFilter>(drop80_acl(), "f3");
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, false, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, false}};
 
   for (int i = 0; i < 10; ++i) {
     net::Packet packet = net::make_tcp_packet(tuple_n(1, 80), "x");
@@ -39,7 +39,7 @@ TEST(EarlyDrop, SpeedyBoxDropsSubsequentAtChainHead) {
   auto& f1 = chain.emplace_nf<nf::IpFilter>(pass_acl(), "f1");
   auto& f2 = chain.emplace_nf<nf::IpFilter>(pass_acl(), "f2");
   auto& f3 = chain.emplace_nf<nf::IpFilter>(drop80_acl(), "f3");
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   for (int i = 0; i < 10; ++i) {
     net::Packet packet = net::make_tcp_packet(tuple_n(2, 80), "x");
@@ -73,13 +73,13 @@ TEST(EarlyDrop, SubsequentWorkFarBelowOriginal) {
   // Platform cycles (work + per-NF overhead) — the Table-III metric.
   auto original_chain = build();
   ChainRunner original{*original_chain,
-                       {platform::PlatformKind::kBess, false, false}};
+                       {platform::PlatformKind::kBess, false}};
   const double original_work = original.run_workload(workload)
                                    .platform_cycles_subsequent.percentile(50);
 
   auto speedy_chain = build();
   ChainRunner speedy{*speedy_chain,
-                     {platform::PlatformKind::kBess, true, false}};
+                     {platform::PlatformKind::kBess, true}};
   const double speedy_work =
       speedy.run_workload(workload).platform_cycles_subsequent.percentile(50);
 
@@ -92,7 +92,7 @@ TEST(EarlyDrop, MixedFlowsOnlyBlacklistedDropped) {
   ServiceChain chain;
   chain.emplace_nf<nf::IpFilter>(pass_acl(), "f1");
   chain.emplace_nf<nf::IpFilter>(drop80_acl(), "f2");
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   for (int i = 0; i < 5; ++i) {
     net::Packet blocked = net::make_tcp_packet(tuple_n(3, 80), "x");

@@ -19,7 +19,7 @@ TEST(EventIntegration, DosBlacklistFlipsFastPathToDrop) {
   constexpr std::uint64_t kThreshold = 3;
   ServiceChain chain;
   chain.emplace_nf<nf::DosPrevention>(kThreshold);
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   // SYN flood from one flow. Arrival-state semantics: the drop starts once
   // the counter observed at arrival exceeds the threshold.
@@ -43,7 +43,7 @@ TEST(EventIntegration, DosBlacklistFlipsFastPathToDrop) {
 TEST(EventIntegration, DosEventCountedOnce) {
   ServiceChain chain;
   chain.emplace_nf<nf::DosPrevention>(1);
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
   for (int i = 0; i < 6; ++i) {
     net::Packet packet =
         net::make_tcp_packet(tuple_n(2), "", net::kTcpFlagSyn);
@@ -60,7 +60,7 @@ TEST(EventIntegration, MaglevFailoverReroutesMidStream) {
   };
   ServiceChain chain;
   auto& lb = chain.emplace_nf<nf::MaglevLb>(backends, std::size_t{251});
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   // 5 packets to the original backend.
   std::uint32_t ip_before = 0;
@@ -96,7 +96,7 @@ TEST(EventIntegration, FailoverEventOnlyAffectsPinnedFlows) {
   };
   ServiceChain chain;
   auto& lb = chain.emplace_nf<nf::MaglevLb>(backends, std::size_t{251});
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   // Establish many flows; find one pinned to backend 0 and one not.
   std::vector<std::size_t> flow_backend(40);
@@ -134,7 +134,7 @@ TEST(EventIntegration, EventsSurviveAcrossManyPackets) {
   ServiceChain chain;
   chain.emplace_nf<nf::MaglevLb>(backends, std::size_t{251});
   chain.emplace_nf<nf::Monitor>();
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   for (int i = 0; i < 200; ++i) {
     net::Packet packet = net::make_tcp_packet(tuple_n(5), "x");

@@ -19,7 +19,7 @@ TEST(FastPath, ConsolidatedRuleContainsNatModifiesAndMonitorBatch) {
   ServiceChain chain;
   chain.emplace_nf<nf::MazuNat>();
   chain.emplace_nf<nf::Monitor>();
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   net::Packet first = net::make_tcp_packet(tuple_n(1), "x");
   runner.process_packet(first);
@@ -39,7 +39,7 @@ TEST(FastPath, SubsequentOutputMatchesRecordingOutput) {
   ServiceChain chain;
   chain.emplace_nf<nf::MazuNat>();
   chain.emplace_nf<nf::Monitor>();
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   net::Packet first = net::make_tcp_packet(tuple_n(2), "same payload");
   runner.process_packet(first);
@@ -53,7 +53,7 @@ TEST(FastPath, SubsequentOutputMatchesRecordingOutput) {
 TEST(FastPath, ManyFlowsIndependentRules) {
   ServiceChain chain;
   chain.emplace_nf<nf::MazuNat>();
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   constexpr std::uint32_t kFlows = 50;
   std::vector<std::uint16_t> ports(kFlows);
@@ -78,7 +78,7 @@ TEST(FastPath, ManyFlowsIndependentRules) {
 TEST(FastPath, ForwardOnlyChainRuleIsPureForward) {
   ServiceChain chain;
   chain.emplace_nf<nf::IpFilter>(std::vector<nf::AclRule>{});
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
   net::Packet first = net::make_tcp_packet(tuple_n(60), "x");
   runner.process_packet(first);
   const core::ConsolidatedRule* rule = chain.global_mat().find(first.fid());
@@ -102,13 +102,13 @@ TEST(FastPath, WorkCyclesShrinkVersusOriginalOnLongChain) {
 
   auto original_chain = build();
   ChainRunner original{*original_chain,
-                       {platform::PlatformKind::kBess, false, false}};
+                       {platform::PlatformKind::kBess, false}};
   const double original_work =
       original.run_workload(workload).platform_cycles_subsequent.percentile(50);
 
   auto speedy_chain = build();
   ChainRunner speedy{*speedy_chain,
-                     {platform::PlatformKind::kBess, true, false}};
+                     {platform::PlatformKind::kBess, true}};
   const double speedy_work =
       speedy.run_workload(workload).platform_cycles_subsequent.percentile(50);
 

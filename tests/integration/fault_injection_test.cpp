@@ -70,8 +70,7 @@ TEST(FaultInjection, ScalarOriginalPathExactScheduleAndConservation) {
   // Original path: every packet traverses the NFs, so the schedule is
   // exact: floor(1000 / 7) failures.
   ChainRunner runner{*chain,
-                     {platform::PlatformKind::kBess, /*speedybox=*/false,
-                      false}};
+                     {platform::PlatformKind::kBess, /*speedybox=*/false}};
   Executor& executor = runner;
   const std::vector<net::Packet> packets = workload_packets();
   std::vector<net::Packet> outputs;
@@ -94,8 +93,7 @@ TEST(FaultInjection, ScalarSpeedyBoxPathStillConserves) {
   spec.fail_every = 5;
   auto chain = make_faulty_chain(spec);
   ChainRunner runner{*chain,
-                     {platform::PlatformKind::kBess, /*speedybox=*/true,
-                      false}};
+                     {platform::PlatformKind::kBess, /*speedybox=*/true}};
   Executor& executor = runner;
   const std::vector<net::Packet> packets = workload_packets();
   std::vector<net::Packet> outputs;
@@ -113,8 +111,7 @@ TEST(FaultInjection, ShardedFourWayIndependentSchedulesAndConservation) {
   spec.fail_every = 7;
   auto prototype = make_faulty_chain(spec);
   ShardedRuntime runtime{*prototype, 4,
-                         {platform::PlatformKind::kBess, /*speedybox=*/false,
-                          false}};
+                         {platform::PlatformKind::kBess, /*speedybox=*/false}};
   Executor& executor = runtime;
   const std::vector<net::Packet> packets = workload_packets();
   executor.run(packets, nullptr);
@@ -153,8 +150,7 @@ TEST(FaultInjection, CrashAndRestoreMidRunKeepsProcessing) {
   // running its recorded state functions from the graveyard; flows that
   // record after the crash hit the fresh instance.
   ChainRunner runner{*chain,
-                     {platform::PlatformKind::kBess, /*speedybox=*/true,
-                      false}};
+                     {platform::PlatformKind::kBess, /*speedybox=*/true}};
   Executor& executor = runner;
   const std::vector<net::Packet> packets = workload_packets();
   std::vector<net::Packet> outputs;
@@ -182,8 +178,7 @@ TEST(FaultInjection, ShardedCrashAndRestoreUnderThreads) {
   spec.crash_at = 5;
   auto prototype = make_faulty_chain(spec);
   ShardedRuntime runtime{*prototype, 4,
-                         {platform::PlatformKind::kBess, /*speedybox=*/true,
-                          false}};
+                         {platform::PlatformKind::kBess, /*speedybox=*/true}};
   Executor& executor = runtime;
   const std::vector<net::Packet> packets = workload_packets();
   executor.run(packets, nullptr);

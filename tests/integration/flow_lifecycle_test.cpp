@@ -20,7 +20,7 @@ TEST(FlowLifecycle, FinFreesAllTables) {
   auto& nat = chain.emplace_nf<nf::MazuNat>();
   auto& snort = chain.emplace_nf<nf::SnortIds>(
       trace::default_snort_rules());
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   net::Packet open = net::make_tcp_packet(tuple_n(1), "hello");
   runner.process_packet(open);
@@ -44,7 +44,7 @@ TEST(FlowLifecycle, FinFreesAllTables) {
 TEST(FlowLifecycle, RstAlsoTearsDown) {
   ServiceChain chain;
   chain.emplace_nf<nf::Monitor>();
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
   net::Packet open = net::make_tcp_packet(tuple_n(2), "x");
   runner.process_packet(open);
   net::Packet rst = net::make_tcp_packet(tuple_n(2), "", net::kTcpFlagRst);
@@ -59,7 +59,7 @@ TEST(FlowLifecycle, NatPortsRecycledAcrossSequentialFlows) {
   config.port_hi = 20004;  // 5 ports only
   ServiceChain chain;
   auto& nat = chain.emplace_nf<nf::MazuNat>(config);
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   // 50 sequential flows with a 5-port pool: teardown must recycle ports.
   for (std::uint32_t f = 0; f < 50; ++f) {
@@ -77,7 +77,7 @@ TEST(FlowLifecycle, NatPortsRecycledAcrossSequentialFlows) {
 TEST(FlowLifecycle, ReopenedFlowIsInitialAgain) {
   ServiceChain chain;
   auto& monitor = chain.emplace_nf<nf::Monitor>();
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   net::Packet open = net::make_tcp_packet(tuple_n(3), "x");
   EXPECT_TRUE(runner.process_packet(open).initial);
@@ -100,7 +100,7 @@ TEST(FlowLifecycle, SingletonFinFlowHandled) {
   // then immediately torn down without leaks.
   ServiceChain chain;
   chain.emplace_nf<nf::Monitor>();
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
   net::Packet fin = net::make_tcp_packet(
       tuple_n(4), "one-shot", net::kTcpFlagFin | net::kTcpFlagAck);
   const PacketOutcome outcome = runner.process_packet(fin);
@@ -113,7 +113,7 @@ TEST(FlowLifecycle, WorkloadRunLeavesNoResidue) {
   ServiceChain chain;
   chain.emplace_nf<nf::MazuNat>();
   chain.emplace_nf<nf::Monitor>();
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   // Uniform workload closes every flow with FIN.
   const trace::Workload workload = trace::make_uniform_workload(20, 10, 64);

@@ -55,7 +55,7 @@ TEST(IdleExpiry, RunnerExpiryFreesEverything) {
   ServiceChain chain;
   auto& nat = chain.emplace_nf<nf::MazuNat>();
   chain.emplace_nf<nf::Monitor>();
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   for (std::uint32_t flow = 0; flow < 5; ++flow) {
     net::Packet a = udp_packet(10 + flow);
@@ -81,7 +81,7 @@ TEST(IdleExpiry, RunnerExpiryFreesEverything) {
 TEST(IdleExpiry, ActiveFlowsSurviveExpiry) {
   ServiceChain chain;
   chain.emplace_nf<nf::Monitor>();
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
   net::Packet packet = udp_packet(30);
   runner.process_packet(packet);
   // Generous timeout: nothing is idle yet.
@@ -92,7 +92,7 @@ TEST(IdleExpiry, ActiveFlowsSurviveExpiry) {
 TEST(IdleExpiry, OriginalModeIsNoOp) {
   ServiceChain chain;
   chain.emplace_nf<nf::Monitor>();
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, false, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, false}};
   net::Packet packet = udp_packet(31);
   runner.process_packet(packet);
   EXPECT_EQ(runner.expire_idle_flows(0.0), 0u);

@@ -53,7 +53,7 @@ trace::Workload small_datacenter_workload(std::uint64_t seed,
 }
 
 runtime::RunConfig speedybox_run_config() {
-  runtime::RunConfig config{platform::PlatformKind::kBess, true, false};
+  runtime::RunConfig config{platform::PlatformKind::kBess, true};
   config.batch_size = 32;
   return config;
 }

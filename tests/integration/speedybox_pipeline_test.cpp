@@ -44,7 +44,7 @@ TEST(SpeedyBoxPipeline, OutputsMatchSingleThreadedSpeedyBox) {
     ServiceChain chain;
     chain.emplace_nf<nf::MazuNat>();
     chain.emplace_nf<nf::Monitor>();
-    ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+    ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
     for (std::size_t i = 0; i < workload.packet_count(); ++i) {
       net::Packet packet = workload.materialize(i);
       if (!runner.process_packet(packet).dropped) {

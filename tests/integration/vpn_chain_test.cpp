@@ -22,7 +22,7 @@ TEST(VpnChain, EncapDecapCancelOnFastPath) {
   chain.emplace_nf<nf::VpnGateway>(nf::VpnMode::kEgress, 0x2000u, "vpn-out");
   chain.emplace_nf<nf::Monitor>(nf::MonitorConfig{}, "wan-monitor");
   chain.emplace_nf<nf::VpnGateway>(nf::VpnMode::kIngress, 0x2000u, "vpn-in");
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   net::Packet first = net::make_tcp_packet(tuple_n(1), "through the tunnel");
   runner.process_packet(first);
@@ -46,7 +46,7 @@ TEST(VpnChain, ResidualEncapSurvivesConsolidation) {
   chain.emplace_nf<nf::Gateway>(std::vector<nf::TrafficClass>{},
                                 "gateway");
   chain.emplace_nf<nf::VpnGateway>(nf::VpnMode::kEgress, 0x3000u, "vpn-out");
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
 
   net::Packet first = net::make_tcp_packet(tuple_n(2), "egress only");
   runner.process_packet(first);

@@ -84,7 +84,7 @@ TEST(BenchSchemaProperty, OverloadRowsConserveAcrossPolicies) {
     overload.policy = policy;
     const ConfigResult result =
         run_config(small_chain(), platform::PlatformKind::kBess, true,
-                   workload, false, net::kDefaultBatchSize, overload);
+                   workload, net::kDefaultBatchSize, overload);
     // The emitter must have included the overload split for this row, or
     // the conservation property is vacuous.
     ASSERT_GT(result.stats.overload.offered, 0u);
@@ -103,7 +103,7 @@ TEST(BenchSchemaProperty, EveryExecutorShapeEmitsValidRows) {
   {
     auto chain = small_chain()();
     runtime::ShardedRuntime sharded{
-        *chain, 2, {platform::PlatformKind::kBess, true, false}};
+        *chain, 2, {platform::PlatformKind::kBess, true}};
     sharded.run(packets, nullptr);
     rows.push_back(config_row(
         "sharded", collect_result(sharded, platform::PlatformKind::kBess)));

@@ -125,7 +125,7 @@ const GateShape kGateShapes[] = {
     {"runner",
      [](ServiceChain& chain) -> std::unique_ptr<Executor> {
        return std::make_unique<ChainRunner>(
-           chain, RunConfig{platform::PlatformKind::kBess, true, false});
+           chain, RunConfig{platform::PlatformKind::kBess, true});
      },
      true},
     {"pipeline",
@@ -178,8 +178,7 @@ TEST(OverloadConservation, ShardedAllPoliciesBothChains) {
                      std::to_string(shards));
         auto prototype = scenario.factory();
         ShardedRuntime runtime{*prototype, shards,
-                               {platform::PlatformKind::kBess, true,
-                                false}};
+                               {platform::PlatformKind::kBess, true}};
         Executor& executor = runtime;
         executor.set_overload_policy(overload_at_2x(policy));
         executor.run(packets, nullptr);
@@ -227,8 +226,7 @@ TEST(OverloadConservation, ScenarioGeneratorsConserveOnBothChains) {
                      "/shards=" + std::to_string(shards));
         auto prototype = scenario.factory();
         ShardedRuntime runtime{*prototype, shards,
-                               {platform::PlatformKind::kBess, true,
-                                false}};
+                               {platform::PlatformKind::kBess, true}};
         Executor& executor = runtime;
         executor.set_overload_policy(overload_at_2x(policy));
         executor.run(packets, nullptr);
@@ -249,7 +247,7 @@ TEST(OverloadConservation, SloEarlyDropActuallyShedsDoomedFlows) {
   // slo-early-drop their subsequent packets must shed at ingress.
   const std::vector<net::Packet> packets = chain2_packets();
   auto chain = make_chain2();
-  ChainRunner runner{*chain, {platform::PlatformKind::kBess, true, false}};
+  ChainRunner runner{*chain, {platform::PlatformKind::kBess, true}};
   Executor& executor = runner;
   executor.set_overload_policy(
       overload_at_2x(DropPolicy::kSloEarlyDrop));
@@ -267,13 +265,13 @@ TEST(OverloadConservation, DisabledOverloadIsByteIdentical) {
 
     auto baseline_chain = scenario.factory();
     ChainRunner baseline{*baseline_chain,
-                         {platform::PlatformKind::kBess, true, false}};
+                         {platform::PlatformKind::kBess, true}};
     std::vector<net::Packet> baseline_out;
     baseline.run(packets, &baseline_out);
 
     auto chain = scenario.factory();
     ChainRunner runner{*chain,
-                       {platform::PlatformKind::kBess, true, false}};
+                       {platform::PlatformKind::kBess, true}};
     Executor& executor = runner;
     OverloadConfig disabled;
     disabled.enabled = false;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/cycle_clock.hpp"
 #include "util/histogram.hpp"
 
 namespace speedybox::bench {
@@ -229,23 +230,27 @@ TEST(CurvePoints, EqualEndpointsCollapseToOnePoint) {
 
 // -- summarize / latency_json ------------------------------------------------
 
-TEST(Summarize, EmptyRecorderIsAllZeros) {
-  util::SampleRecorder samples;
-  const LatencySummary summary = summarize(samples);
+TEST(Summarize, EmptyHistogramIsAllZeros) {
+  const util::LogHistogram cycles;
+  const LatencySummary summary = summarize(cycles);
   EXPECT_EQ(summary.count, 0u);
   EXPECT_EQ(summary.p50, 0.0);
   EXPECT_EQ(summary.p999, 0.0);
 }
 
-TEST(Summarize, PercentilesComeFromTheRecorder) {
-  util::SampleRecorder samples;
-  for (int i = 1; i <= 1000; ++i) samples.add(static_cast<double>(i));
-  const LatencySummary summary = summarize(samples);
+TEST(Summarize, PercentilesComeFromTheHistogramInMicroseconds) {
+  // 1..1000 µs in cycles: percentiles within the histogram's half-bucket
+  // error, the mean exact up to cycle rounding.
+  util::LogHistogram cycles;
+  for (int i = 1; i <= 1000; ++i) {
+    cycles.add(static_cast<double>(util::CycleClock::from_ns(i * 1000.0)));
+  }
+  const LatencySummary summary = summarize(cycles);
   EXPECT_EQ(summary.count, 1000u);
-  EXPECT_NEAR(summary.p50, 500.0, 1.0);
-  EXPECT_NEAR(summary.p99, 990.0, 1.0);
-  EXPECT_NEAR(summary.p999, 999.0, 1.0);
-  EXPECT_NEAR(summary.mean, 500.5, 1e-9);
+  EXPECT_NEAR(summary.p50, 500.0, 500.0 * 0.05);
+  EXPECT_NEAR(summary.p99, 990.0, 990.0 * 0.05);
+  EXPECT_NEAR(summary.p999, 999.0, 999.0 * 0.05);
+  EXPECT_NEAR(summary.mean, 500.5, 0.01);
 }
 
 TEST(LatencyJson, CarriesAllFields) {

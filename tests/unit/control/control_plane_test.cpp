@@ -174,8 +174,7 @@ TEST(FlowMigration, RequireMigratableNamesTheOffendingNf) {
 }
 
 TEST(FlowMigration, MigratedFlowsTakeTheFastPathOnTheDestination) {
-  const runtime::RunConfig run_config{platform::PlatformKind::kBess, true,
-                                      false};
+  const runtime::RunConfig run_config{platform::PlatformKind::kBess, true};
   auto source_chain = monitor_filter_chain();
   auto control_chain = monitor_filter_chain();  // never-migrated baseline
   runtime::ChainRunner source_runner{*source_chain, run_config};
@@ -242,7 +241,7 @@ TEST(Controller, ScalesUpUnderAnUnmeetableSloAndLosesNothing) {
   telemetry::Registry registry;
   auto prototype = monitor_filter_chain();
   runtime::ShardedRuntime runtime{
-      *prototype, 1, {platform::PlatformKind::kBess, true, false}, 1024,
+      *prototype, 1, {platform::PlatformKind::kBess, true}, 1024,
       &registry, "rt/"};
 
   AutoscaleConfig config;
@@ -282,7 +281,7 @@ TEST(Controller, ScalesDownWhenCalmAndRetiredShardsHoldNoFlows) {
   telemetry::Registry registry;
   auto prototype = monitor_filter_chain();
   runtime::ShardedRuntime runtime{
-      *prototype, 2, {platform::PlatformKind::kBess, true, false}, 1024,
+      *prototype, 2, {platform::PlatformKind::kBess, true}, 1024,
       &registry, "rt/"};
 
   AutoscaleConfig config;

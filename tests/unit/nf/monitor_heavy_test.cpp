@@ -75,7 +75,7 @@ TEST(MonitorHeavy, FastPathStatsEqualBaselineStats) {
     runtime::ServiceChain chain;
     chain.add_nf(&monitor);
     runtime::ChainRunner runner{
-        chain, {platform::PlatformKind::kBess, speedybox, false}};
+        chain, {platform::PlatformKind::kBess, speedybox}};
     for (std::uint32_t flow = 0; flow < 6; ++flow) {
       for (int pkt = 0; pkt < 9; ++pkt) {
         net::Packet packet = net::make_tcp_packet(

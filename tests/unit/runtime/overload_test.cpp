@@ -257,8 +257,7 @@ TEST(ChainRunnerDegradation, NewFlowsGetDefaultRulesUnderPressure) {
   // while degraded and must take the pre-consolidated default rule.
   ServiceChain chain;
   chain.emplace_nf<nf::Monitor>();
-  RunConfig run_config{platform::PlatformKind::kBess, /*speedybox=*/true,
-                       false};
+  RunConfig run_config{platform::PlatformKind::kBess, /*speedybox=*/true};
   ChainRunner runner{chain, run_config};
   OverloadConfig overload = base_config(DropPolicy::kPerFlowFair, 2.0, 16);
   overload.degrade_after = 4;

@@ -13,6 +13,7 @@
 #include "test_helpers.hpp"
 #include "trace/workload.hpp"
 #include "util/hash.hpp"
+#include "util/histogram.hpp"
 
 namespace speedybox::runtime {
 namespace {
@@ -103,7 +104,7 @@ TEST(ShardedRuntime, DestructorDrainsInFlightPackets) {
     // Original mode: every packet reaches the NF, so the counter is an
     // exact packet count.
     ShardedRuntime runtime{
-        chain, 4, {platform::PlatformKind::kBess, false, false}};
+        chain, 4, {platform::PlatformKind::kBess, false}};
     for (std::uint32_t i = 0; i < 300; ++i) {
       runtime.push(net::make_tcp_packet(tuple_n(i % 24), "inflight"));
     }
@@ -116,7 +117,7 @@ TEST(ShardedRuntime, FullRingExertsBackpressureWithoutLoss) {
   auto chain = monitor_chain();
   // Ring of 2 slots: the dispatcher outruns the workers immediately.
   ShardedRuntime runtime{*chain, 2,
-                         {platform::PlatformKind::kBess, true, false},
+                         {platform::PlatformKind::kBess, true},
                          /*ring_capacity=*/2};
   const trace::Workload workload = trace::make_uniform_workload(16, 25, 32);
   const ShardedRunResult result = runtime.run_workload(workload);
@@ -134,7 +135,7 @@ TEST(ShardedRuntime, RingSmallerThanBurstStillDeliversEverything) {
   // push, so the dispatcher's retry loop and the worker's partial pops are
   // both on the hot path. Nothing may be lost or reordered per flow.
   auto chain = monitor_chain();
-  runtime::RunConfig config{platform::PlatformKind::kBess, true, false};
+  runtime::RunConfig config{platform::PlatformKind::kBess, true};
   config.batch_size = 8;
   ShardedRuntime runtime{*chain, 2, config, /*ring_capacity=*/4};
   const trace::Workload workload = trace::make_uniform_workload(12, 30, 24);
@@ -152,7 +153,7 @@ TEST(ShardedRuntime, PartialStagingBuffersFlushOnFinish) {
   // 5 packets of one flow with batch_size 8: the staging buffer never
   // fills, so only the finish()-time flush delivers them.
   auto chain = monitor_chain();
-  runtime::RunConfig config{platform::PlatformKind::kBess, true, false};
+  runtime::RunConfig config{platform::PlatformKind::kBess, true};
   config.batch_size = 8;
   ShardedRuntime runtime{*chain, 2, config};
   for (int i = 0; i < 5; ++i) {
@@ -170,7 +171,7 @@ TEST(ShardedRuntime, SingleShardMatchesChainRunnerExactly) {
   reference_chain->emplace_nf<nf::MazuNat>();
   reference_chain->emplace_nf<nf::Monitor>();
   ChainRunner runner{*reference_chain,
-                     {platform::PlatformKind::kBess, true, false}};
+                     {platform::PlatformKind::kBess, true}};
   std::vector<net::Packet> reference_out;
   for (std::size_t i = 0; i < workload.packet_count(); ++i) {
     net::Packet packet = workload.materialize(i);
@@ -182,7 +183,7 @@ TEST(ShardedRuntime, SingleShardMatchesChainRunnerExactly) {
   prototype->emplace_nf<nf::MazuNat>();
   prototype->emplace_nf<nf::Monitor>();
   ShardedRuntime runtime{*prototype, 1,
-                         {platform::PlatformKind::kBess, true, false}};
+                         {platform::PlatformKind::kBess, true}};
   const ShardedRunResult result = runtime.run_workload(workload);
 
   ASSERT_EQ(result.packets.size(), reference_out.size());
@@ -219,21 +220,41 @@ TEST(ShardedRuntime, MergedStatsAreExactSumsOfShardStats) {
   chain->emplace_nf<nf::IpFilter>(std::vector<nf::AclRule>{
       nf::AclRule::drop_dst_port(81)});
   ShardedRuntime runtime{*chain, 3,
-                         {platform::PlatformKind::kBess, true, false}};
+                         {platform::PlatformKind::kBess, true}};
   const ShardedRunResult result = runtime.run_workload(workload);
 
   std::uint64_t packets = 0;
+  for (const std::uint64_t shard_packets : result.shard_packets) {
+    packets += shard_packets;
+  }
+  // Rebuild every merged histogram from the per-packet outcomes: bucket
+  // merging is exact, so percentiles and sums must match bit for bit.
   std::uint64_t drops = 0;
-  std::size_t latency_samples = 0;
-  for (const RunStats& stats : result.shard_stats) {
-    packets += stats.packets;
-    drops += stats.drops;
-    latency_samples += stats.latency_us_all.count();
+  util::LogHistogram latency[2];   // [initial, subsequent]
+  util::LogHistogram platform[2];
+  for (const PacketOutcome& outcome : result.outcomes) {
+    if (outcome.dropped && !outcome.faulted) ++drops;
+    const int cls = outcome.initial ? 0 : 1;
+    latency[cls].add(static_cast<double>(outcome.latency_cycles));
+    platform[cls].add(static_cast<double>(outcome.platform_cycles));
   }
   EXPECT_EQ(result.stats.packets, packets);
   EXPECT_EQ(result.stats.packets, workload.packet_count());
   EXPECT_EQ(result.stats.drops, drops);
-  EXPECT_EQ(result.stats.latency_us_all.count(), latency_samples);
+  EXPECT_EQ(result.stats.latency_cycles_all().count(), packets);
+  const auto expect_same = [](const util::LogHistogram& merged,
+                              const util::LogHistogram& rebuilt) {
+    EXPECT_EQ(merged.count(), rebuilt.count());
+    EXPECT_DOUBLE_EQ(merged.sum(), rebuilt.sum());
+    for (const double p : {0.0, 50.0, 90.0, 99.0, 100.0}) {
+      EXPECT_DOUBLE_EQ(merged.percentile(p), rebuilt.percentile(p))
+          << "p=" << p;
+    }
+  };
+  expect_same(result.stats.latency_cycles_initial, latency[0]);
+  expect_same(result.stats.latency_cycles_subsequent, latency[1]);
+  expect_same(result.stats.platform_cycles_initial, platform[0]);
+  expect_same(result.stats.platform_cycles_subsequent, platform[1]);
   // One per-flow time sample per flow, across all shards.
   EXPECT_EQ(result.flow_time_us.count(), workload.flows.size());
 }

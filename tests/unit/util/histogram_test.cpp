@@ -13,8 +13,6 @@ TEST(SampleRecorder, BasicStats) {
   EXPECT_EQ(rec.count(), 4u);
   EXPECT_DOUBLE_EQ(rec.sum(), 10.0);
   EXPECT_DOUBLE_EQ(rec.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(rec.min(), 1.0);
-  EXPECT_DOUBLE_EQ(rec.max(), 4.0);
 }
 
 TEST(SampleRecorder, PercentileNearestRank) {
@@ -44,46 +42,6 @@ TEST(SampleRecorder, AddAfterPercentileStillCorrect) {
 TEST(SampleRecorder, EmptyThrows) {
   const SampleRecorder rec;
   EXPECT_THROW(rec.percentile(50), std::out_of_range);
-  EXPECT_THROW(rec.min(), std::out_of_range);
-  EXPECT_THROW(rec.max(), std::out_of_range);
-}
-
-TEST(SampleRecorder, CdfPoints) {
-  SampleRecorder rec;
-  for (int i = 1; i <= 10; ++i) rec.add(i);
-  const auto points = rec.cdf({10, 50, 90});
-  ASSERT_EQ(points.size(), 3u);
-  EXPECT_DOUBLE_EQ(points[0].second, 1.0);
-  EXPECT_DOUBLE_EQ(points[1].second, 5.0);
-  EXPECT_DOUBLE_EQ(points[2].second, 9.0);
-}
-
-TEST(SampleRecorder, MergeDisjointRangesEqualsSingleRecorder) {
-  SampleRecorder low, high, all;
-  for (int i = 1; i <= 50; ++i) {
-    low.add(i);
-    all.add(i);
-  }
-  for (int i = 51; i <= 100; ++i) {
-    high.add(i);
-    all.add(i);
-  }
-  low.merge(high);
-  EXPECT_EQ(low.count(), all.count());
-  for (const double p : {0.0, 25.0, 50.0, 75.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(low.percentile(p), all.percentile(p)) << "p=" << p;
-  }
-  EXPECT_DOUBLE_EQ(low.min(), 1.0);
-  EXPECT_DOUBLE_EQ(low.max(), 100.0);
-}
-
-TEST(SampleRecorder, MergeEmptySides) {
-  SampleRecorder rec, empty;
-  rec.add(7.0);
-  rec.merge(empty);  // no-op
-  EXPECT_EQ(rec.count(), 1u);
-  empty.merge(rec);  // into-empty works
-  EXPECT_DOUBLE_EQ(empty.percentile(50), 7.0);
 }
 
 TEST(SampleRecorder, PercentileClampsOutOfRangeP) {
@@ -185,17 +143,52 @@ TEST(LogHistogram, FromRawShortPrefixTreatsTailAsZero) {
   EXPECT_LT(hist.percentile(100), 2.0);
 }
 
-TEST(SummarizePercentiles, FormatsKeyFields) {
-  SampleRecorder rec;
-  for (int i = 1; i <= 100; ++i) rec.add(i);
-  const std::string summary = summarize_percentiles(rec);
-  EXPECT_NE(summary.find("n=100"), std::string::npos);
-  EXPECT_NE(summary.find("p50=50"), std::string::npos);
+TEST(LogHistogram, PercentileIsNearestRank) {
+  // Rank max(1, ceil(p/100 * n)), as SampleRecorder: a lone sample is every
+  // percentile, and p50 of {1, 1000} is the lower sample.
+  LogHistogram one;
+  one.add(1000.0);
+  for (const double p : {0.0, 50.0, 99.0, 100.0}) {
+    EXPECT_NEAR(one.percentile(p), 1000.0, 1000.0 * 0.05) << "p=" << p;
+  }
+  LogHistogram two;
+  two.add(1.0);
+  two.add(1000.0);
+  EXPECT_LT(two.percentile(50), 2.0);
+  EXPECT_NEAR(two.percentile(51), 1000.0, 1000.0 * 0.05);
 }
 
-TEST(SummarizePercentiles, EmptySafe) {
-  const SampleRecorder rec;
-  EXPECT_EQ(summarize_percentiles(rec), "(no samples)");
+TEST(LogHistogram, SinceIsTheHistogramOfLaterValues) {
+  LogHistogram cumulative;
+  for (int i = 1; i <= 700; ++i) cumulative.add(i * 3.0);
+  const LogHistogram snapshot = cumulative;
+  LogHistogram later;
+  for (int i = 1; i <= 300; ++i) {
+    cumulative.add(i * 50.0);
+    later.add(i * 50.0);
+  }
+  const LogHistogram window = cumulative.since(snapshot);
+  EXPECT_EQ(window.count(), later.count());
+  EXPECT_DOUBLE_EQ(window.sum(), later.sum());
+  // The value at every rank agrees, so every bucket does.
+  for (std::uint64_t rank = 1; rank <= later.count(); ++rank) {
+    const double p = 100.0 * static_cast<double>(rank) /
+                     static_cast<double>(later.count());
+    ASSERT_DOUBLE_EQ(window.percentile(p), later.percentile(p))
+        << "rank " << rank;
+  }
+}
+
+TEST(LogHistogram, SinceEmptyIsIdentity) {
+  LogHistogram hist;
+  for (const double v : {0.5, 3.0, 17.0, 900.0, 1e6}) hist.add(v);
+  const LogHistogram same = hist.since(LogHistogram{});
+  EXPECT_EQ(same.count(), hist.count());
+  EXPECT_DOUBLE_EQ(same.sum(), hist.sum());
+  for (const double p : {0.0, 25.0, 50.0, 75.0, 100.0}) {
+    EXPECT_DOUBLE_EQ(same.percentile(p), hist.percentile(p)) << "p=" << p;
+  }
+  EXPECT_EQ(hist.since(hist).count(), 0u);
 }
 
 }  // namespace

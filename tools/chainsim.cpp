@@ -20,6 +20,8 @@
 // --plan paths resolve to the same plan::DeploymentPlan, and plan::build()
 // constructs the executor — chainsim itself only owns the workload, the
 // reporting and the live front-end.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
@@ -44,6 +46,7 @@
 #include "tenancy/tenant_host.hpp"
 #include "trace/payload_synth.hpp"
 #include "trace/pcap.hpp"
+#include "util/cycle_clock.hpp"
 #include "util/logging.hpp"
 
 using namespace speedybox;
@@ -115,15 +118,13 @@ std::vector<net::Packet> build_packets(const SimConfig& config) {
 
 void report(const SimConfig& config, const char* mode,
             const runtime::RunStats& stats) {
-  const double p50_lat = stats.latency_us_subsequent.count() > 0
-                             ? stats.latency_us_subsequent.percentile(50)
-                             : 0.0;
-  const double p99_lat = stats.latency_us_subsequent.count() > 0
-                             ? stats.latency_us_subsequent.percentile(99)
-                             : 0.0;
-  const double cycles = stats.platform_cycles_subsequent.count() > 0
-                            ? stats.platform_cycles_subsequent.percentile(50)
-                            : 0.0;
+  const auto latency_us = [&stats](double p) {
+    return util::CycleClock::to_us(static_cast<std::uint64_t>(
+        stats.latency_cycles_subsequent.percentile(p)));
+  };
+  const double p50_lat = latency_us(50);
+  const double p99_lat = latency_us(99);
+  const double cycles = stats.platform_cycles_subsequent.percentile(50);
   const double rate = stats.rate_mpps(config.platform);
   const runtime::OverloadStats& overload = stats.overload;
   if (config.csv) {
@@ -326,13 +327,18 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
       config.overload.enabled ? overload.shed_total() : 0;
   const bool conserved = sink.submitted() == admitted + shed &&
                          sink.submitted() == ingest.rx_frames;
+  // Peak resident set of the whole run: live mode must stay bounded however
+  // many packets it serves (tools/live_smoke.sh compares two run lengths).
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
   std::printf(
       "{\"live\":{\"proto\":\"%s\",\"executor\":\"%s\",\"mode\":\"%s\","
       "\"feed\":\"%s\",\"rx_bytes\":%llu,\"rx_frames\":%llu,"
       "\"rx_batches\":%llu,\"parse_errors\":%llu,\"socket_drops\":%llu,"
       "\"tcp_connections\":%llu,\"poisoned_streams\":%llu,"
       "\"submitted\":%llu,\"admitted\":%llu,\"shed\":%llu,"
-      "\"chain_packets\":%llu,\"chain_drops\":%llu,\"conserved\":%s}}\n",
+      "\"chain_packets\":%llu,\"chain_drops\":%llu,\"conserved\":%s,"
+      "\"peak_rss_kb\":%ld}}\n",
       io::ingest_proto_name(config.listen_proto),
       plan::executor_kind_name(config.executor), mode.c_str(),
       std::string(sink.mode()).c_str(),
@@ -348,7 +354,7 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
       static_cast<unsigned long long>(shed),
       static_cast<unsigned long long>(stats.packets),
       static_cast<unsigned long long>(stats.drops),
-      conserved ? "true" : "false");
+      conserved ? "true" : "false", usage.ru_maxrss);
   std::fflush(stdout);
   return conserved ? 0 : 1;
 }

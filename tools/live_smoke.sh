@@ -8,8 +8,9 @@
 # with `sent` counted by the load generator and the right-hand side by the
 # receiver (chainsim's {"live":...} summary line). Runs both §VII-C
 # evaluation chains plus the DoS chain under a syn-flood, over UDP and
-# TCP. This is the CI `live-ingest-smoke` job; run it locally the same
-# way:
+# TCP, then checks that live mode's memory is bounded: the peak RSS of a
+# 2M-packet run stays within 1.5x of a 0.2M-packet run. This is the CI
+# `live-ingest-smoke` job; run it locally the same way:
 #
 #   tools/live_smoke.sh [build_dir]    (default: build)
 set -euo pipefail
@@ -23,6 +24,19 @@ LOADGEN="${BUILD}/tools/loadgen"
 
 failures=0
 
+# Prints the UDP port chainsim (pid $1, stdout in file $2) announces before
+# serve() blocks; prints nothing if it exits or never announces one.
+announced_port() {
+  local pid="$1" out="$2" port=""
+  for _ in $(seq 1 200); do
+    port="$(sed -n 's/^chainsim: listening on [a-z]* 127\.0\.0\.1:\([0-9]*\).*/\1/p' "${out}")"
+    [ -n "${port}" ] && break
+    kill -0 "${pid}" 2>/dev/null || break
+    sleep 0.05
+  done
+  echo "${port}"
+}
+
 run_case() {
   local name="$1" chain="$2" proto="$3" workload="$4"
   echo "--- live smoke: ${name} (--chain ${chain}, ${proto}, ${workload})"
@@ -31,14 +45,8 @@ run_case() {
   "${CHAINSIM}" --chain "${chain}" --mode speedybox \
     --listen 0 --proto "${proto}" --idle-timeout 2000 > "${out}" &
   local pid=$!
-  # The bound ephemeral port is announced before serve() blocks.
-  local port=""
-  for _ in $(seq 1 200); do
-    port="$(sed -n 's/^chainsim: listening on [a-z]* 127\.0\.0\.1:\([0-9]*\).*/\1/p' "${out}")"
-    [ -n "${port}" ] && break
-    kill -0 "${pid}" 2>/dev/null || break
-    sleep 0.05
-  done
+  local port
+  port="$(announced_port "${pid}" "${out}")"
   if [ -z "${port}" ]; then
     echo "FAIL ${name}: chainsim never announced a port" >&2
     cat "${out}" >&2
@@ -98,14 +106,44 @@ PYEOF
   rm -f "${out}"
 }
 
+# Peak RSS (chainsim's peak_rss_kb) of a live runner-executor run fed
+# `--repeat $1` copies of 100 flows x 1000 packets; empty on failure.
+live_peak_rss_kb() {
+  local out pid port
+  out="$(mktemp)"
+  "${CHAINSIM}" --chain nat,monitor --mode speedybox \
+    --listen 0 --idle-timeout 2000 > "${out}" &
+  pid=$!
+  port="$(announced_port "${pid}" "${out}")"
+  [ -n "${port}" ] &&
+    "${LOADGEN}" --port "${port}" --packets 1000 --repeat "$1" > /dev/null &&
+    wait "${pid}" && sed -n 's/.*"peak_rss_kb":\([0-9]*\).*/\1/p' "${out}"
+  kill "${pid}" 2>/dev/null || true
+  rm -f "${out}"
+}
+
 # §VII-C Chain 1 (gateway) over UDP, Chain 2 (inspection) over TCP, and
 # the syn-flood acceptance scenario through the DoS chain.
 run_case gateway nat,maglev,monitor,ipfilter udp datacenter
 run_case inspection ipfilter,snort,monitor tcp datacenter
 run_case synflood dos,monitor udp syn-flood
 
+# Live mode keeps no per-packet state: ten times the packets may cost at
+# most 1.5x the memory.
+echo "--- live smoke: bounded memory (--chain nat,monitor, 0.2M vs 2M packets)"
+short="$(live_peak_rss_kb 2)"
+long="$(live_peak_rss_kb 20)"
+if [ -z "${short}" ] || [ -z "${long}" ] ||
+   [ $((long * 2)) -gt $((short * 3)) ]; then
+  echo "FAIL memory: peak RSS '${short}' kB at 0.2M packets," \
+       "'${long}' kB at 2M (limit 1.5x)" >&2
+  failures=$((failures + 1))
+else
+  echo "    ok: peak RSS ${short} kB at 0.2M packets, ${long} kB at 2M"
+fi
+
 if [ "${failures}" -ne 0 ]; then
   echo "live smoke: ${failures} case(s) FAILED" >&2
   exit 1
 fi
-echo "live smoke: all cases conserved"
+echo "live smoke: all cases conserved, memory bounded"
