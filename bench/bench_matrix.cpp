@@ -4,8 +4,9 @@
 // demos (zero-loss max-rate bisection, latency-vs-offered-load curves)
 // from bench_method.
 //
-//   platforms   runner/original  runner/speedybox  sharded x4  pipeline
-//               onvm  autoscaled 1->4
+//   platforms   runner/original  runner/speedybox  sharded x4
+//               pipeline/speedybox  pipeline/original (the threaded ONVM
+//               deployment, one core per NF)  autoscaled 1->4
 //   chains      chain1_gateway     nat + maglev + monitor + ipfilter
 //               chain2_inspection  ipfilter(drop 10.1.3/24) + snort +
 //                                  monitor          (both §VII-C chains)
@@ -19,7 +20,7 @@
 // reference cell measured in the same run — "rel_rate" (speedup) and
 // "rel_p99" survive a machine change; tools/bench_gate diffs those against
 // bench/baselines/ with per-cell noise tolerances derived from the
-// measured trial spread. Cells without a cycle model (pipeline, onvm,
+// measured trial spread. Cells without a cycle model (pipeline,
 // autoscaled) are informational: "gated": false.
 //
 // Flags:
@@ -38,7 +39,6 @@
 #include <vector>
 
 #include "control/controller.hpp"
-#include "runtime/onvm_executor.hpp"
 #include "runtime/plan.hpp"
 #include "runtime/sharded_runtime.hpp"
 #include "runtime/speedybox_pipeline.hpp"
@@ -322,25 +322,17 @@ void run_cell_group(const RowContext& ctx, const ChainFactory& factory,
                           }),
              reference);
 
-  // -- pipeline (threaded SpeedyBox deployment): counters only.
-  {
+  // -- pipeline (threaded ONVM deployment, NF-per-core descriptor rings)
+  // -- in both modes: counters only.
+  for (const bool speedybox : {true, false}) {
     auto chain = factory();
-    runtime::SpeedyBoxPipeline pipeline{*chain};
+    runtime::SpeedyBoxPipeline pipeline{
+        *chain, {platform::PlatformKind::kOnvm, speedybox}};
     runtime::Executor& executor = pipeline;
     executor.run(packets, nullptr);
     emit_informational(
-        ctx, "pipeline", "pipeline/speedybox",
-        collect_result(executor, platform::PlatformKind::kOnvm));
-  }
-
-  // -- onvm (NF-per-core descriptor rings, original path): counters only.
-  {
-    auto chain = factory();
-    runtime::OnvmExecutor onvm{*chain};
-    runtime::Executor& executor = onvm;
-    executor.run(packets, nullptr);
-    emit_informational(
-        ctx, "onvm", "onvm/original",
+        ctx, speedybox ? "pipeline" : "pipeline_original",
+        speedybox ? "pipeline/speedybox" : "pipeline/original",
         collect_result(executor, platform::PlatformKind::kOnvm));
   }
 

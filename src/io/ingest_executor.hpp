@@ -9,7 +9,7 @@
 //                    burst SPSC staging onto the shard rings; workers
 //                    process concurrently with socket reads
 //   anything else    deferred: packets buffer and one Executor::run()
-//                    fires at finish() (the pipelines are one-shot — their
+//                    fires at finish() (the pipeline is one-shot — its
 //                    worker threads stop inside run())
 //
 // Overload control and telemetry compose unchanged: both are installed on

@@ -1,12 +1,12 @@
 // runtime::Executor — the one interface every deployment shape implements:
 //
-//   ChainRunner        single thread, original or SpeedyBox mode
-//   SpeedyBoxPipeline  threaded manager + NF cores (§VI deployment)
+//   ChainRunner        single thread, with the platform cycle model
 //   ShardedRuntime     RSS flow sharding, N full chain replicas
-//   OnvmExecutor       adapter over platform::OnvmPipeline (NF per core,
-//                      descriptor rings; lives in runtime/ because the
-//                      platform layer sits below runtime and cannot see
-//                      this header)
+//   SpeedyBoxPipeline  the threaded ONVM deployment (§VI-A): manager + one
+//                      core per NF (or fused segment), descriptor rings
+//
+// Each runs either data path — original or SpeedyBox — chosen by
+// RunConfig::speedybox.
 //
 // Call sites (chainsim, bench_util, the equivalence harnesses) dispatch
 // through this interface instead of hand-rolling one loop per executor, so
@@ -38,8 +38,8 @@ class Executor {
  public:
   virtual ~Executor() = default;
 
-  /// Short executor-shape label ("runner", "sharded", "pipeline", "onvm")
-  /// — used in logs, JSON output and telemetry shard labels.
+  /// Short executor-shape label ("runner", "sharded", "pipeline") — used
+  /// in logs, JSON output and telemetry shard labels.
   virtual std::string_view kind() const noexcept = 0;
 
   /// Drive a whole workload through the data path; returns the aggregate
@@ -52,8 +52,8 @@ class Executor {
   /// copied per run. When `outputs` is non-null it receives every packet
   /// post-chain — dropped ones included (check Packet::dropped()) — in
   /// input order where the executor preserves it (ChainRunner,
-  /// ShardedRuntime) and in completion order otherwise (the pipelines,
-  /// which only guarantee per-flow FIFO and omit dropped packets).
+  /// ShardedRuntime) and in completion order otherwise (the pipeline,
+  /// which only guarantees per-flow FIFO and omits dropped packets).
   virtual const RunStats& run(const std::vector<net::Packet>& packets,
                               std::vector<net::Packet>* outputs) = 0;
   const RunStats& run_raw(const std::vector<net::Packet>& packets) {

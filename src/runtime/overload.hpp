@@ -27,12 +27,12 @@
 //      watermark.
 //
 // The threaded executors have real SPSC rings in front of their workers.
-// SpeedyBoxPipeline and the OnvmExecutor adapter pass ring occupancy
+// SpeedyBoxPipeline passes its first ring's occupancy
 // (SpscRing::over_watermark) to OverloadController::offer as external
 // pressure, OR'd into the virtual gate's verdict; ShardedRuntime's
 // dispatcher sheds a burst outright at a pressured ring, and each shard's
-// runner runs its own virtual gate. ChainRunner, SpeedyBoxPipeline and
-// OnvmExecutor share one ingress routine, admit_arrival().
+// runner runs its own virtual gate. ChainRunner and SpeedyBoxPipeline
+// share one ingress routine, admit_arrival().
 #pragma once
 
 #include <cstddef>
@@ -153,8 +153,8 @@ class WatermarkGate {
 };
 
 /// Deterministic per-executor overload controller. Single-threaded: each
-/// ChainRunner (and each shard's runner), the pipeline manager and the
-/// ONVM adapter own one; the last two OR their real ring pressure in.
+/// ChainRunner (and each shard's runner) and the pipeline manager own one;
+/// the manager ORs its real ring pressure in.
 class OverloadController {
  public:
   enum class Decision : std::uint8_t {
@@ -222,8 +222,8 @@ class OverloadController {
 struct IngressSource {
   /// Chain whose classifier (a side-effect-free peek) and Global MAT say
   /// whether a flow is doomed — its consolidated rule a settled drop — for
-  /// slo-early-drop. Null where there is no Global MAT (original mode, the
-  /// ONVM platform path): that policy then degenerates to tail-drop.
+  /// slo-early-drop. Null where there is no Global MAT (original mode, in
+  /// every executor): that policy then degenerates to tail-drop.
   ServiceChain* chain = nullptr;
   /// The executor's real ingress ring is over its watermark.
   bool ring_pressure = false;

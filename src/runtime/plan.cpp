@@ -1,7 +1,6 @@
 #include "runtime/plan.hpp"
 
 #include "core/parallel_schedule.hpp"
-#include "runtime/onvm_executor.hpp"
 #include "runtime/overload.hpp"
 #include "runtime/sharded_runtime.hpp"
 #include "runtime/speedybox_pipeline.hpp"
@@ -85,8 +84,6 @@ const char* executor_kind_name(ExecutorKind kind) noexcept {
       return "sharded";
     case ExecutorKind::kPipeline:
       return "pipeline";
-    case ExecutorKind::kOnvm:
-      return "onvm";
   }
   return "runner";
 }
@@ -96,7 +93,6 @@ std::optional<ExecutorKind> parse_executor_kind(
   if (name == "runner") return ExecutorKind::kRunner;
   if (name == "sharded") return ExecutorKind::kSharded;
   if (name == "pipeline") return ExecutorKind::kPipeline;
-  if (name == "onvm") return ExecutorKind::kOnvm;
   return std::nullopt;
 }
 
@@ -229,7 +225,7 @@ DeploymentPlan DeploymentPlan::from_json(const telemetry::Json& json) {
       const auto kind =
           parse_executor_kind(string_field(value, "executor"));
       if (!kind) {
-        fail("field 'executor' must be runner, sharded, pipeline or onvm");
+        fail("field 'executor' must be runner, sharded or pipeline");
       }
       deployment.executor = *kind;
     } else if (key == "mode") {
@@ -324,14 +320,6 @@ void DeploymentPlan::validate() const {
   if (executor != ExecutorKind::kSharded && shards > 0) {
     fail("shards only applies to the sharded executor");
   }
-  if (executor == ExecutorKind::kPipeline && !speedybox) {
-    fail("the pipeline executor runs the SpeedyBox path only "
-         "(mode must be speedybox)");
-  }
-  if (executor == ExecutorKind::kOnvm && speedybox) {
-    fail("the onvm executor runs the original path only "
-         "(mode must be original)");
-  }
   if (!segments.empty()) {
     const nf::Registry& registry = nf::Registry::instance();
     std::size_t covered = 0;
@@ -422,11 +410,7 @@ BuiltDeployment build(const DeploymentPlan& plan) {
       break;
     case ExecutorKind::kPipeline:
       built.executor = std::make_unique<runtime::SpeedyBoxPipeline>(
-          *built.chain, plan.ring_capacity, plan.segment_sizes());
-      break;
-    case ExecutorKind::kOnvm:
-      built.executor = std::make_unique<runtime::OnvmExecutor>(
-          *built.chain, plan.ring_capacity, plan.batch_size);
+          *built.chain, config, plan.ring_capacity, plan.segment_sizes());
       break;
   }
   if (plan.overload.enabled) {

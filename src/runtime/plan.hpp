@@ -10,8 +10,8 @@
 // equivalence tests all exchange the same document, and plan::build() turns
 // a validated plan into a ready runtime::Executor.
 //
-// Segments partition the chain into contiguous NF runs. The SpeedyBox
-// pipeline fuses each segment onto one worker core (fewer ring hops); a
+// Segments partition the chain into contiguous NF runs. The pipeline
+// executor fuses each segment onto one worker core (fewer ring hops); a
 // segment marked `parallel` additionally asserts that its members' state
 // functions are pairwise parallelizable under Table I — validate() enforces
 // that against the registry's payload-access metadata, so a plan cannot
@@ -46,7 +46,7 @@ class PlanError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-enum class ExecutorKind : std::uint8_t { kRunner, kSharded, kPipeline, kOnvm };
+enum class ExecutorKind : std::uint8_t { kRunner, kSharded, kPipeline };
 
 const char* executor_kind_name(ExecutorKind kind) noexcept;
 std::optional<ExecutorKind> parse_executor_kind(std::string_view name) noexcept;
@@ -111,10 +111,9 @@ struct DeploymentPlan {
   std::string dump() const { return to_json().dump(); }
 
   /// Cross-field constraints (throws PlanError / nf::RegistryError):
-  /// non-empty registry-valid chain; executor/mode/shards legality
-  /// (pipeline => speedybox, onvm => original, sharded <=> shards > 0);
-  /// segments cover the chain exactly; parallel segments honor Table I;
-  /// a fault target that is actually in the chain.
+  /// non-empty registry-valid chain; sharded <=> shards > 0 (every executor
+  /// runs either mode); segments cover the chain exactly; parallel segments
+  /// honor Table I; a fault target that is actually in the chain.
   void validate() const;
 
   /// Segment sizes for the pipeline constructor ({} when segments is
@@ -141,7 +140,7 @@ std::unique_ptr<runtime::ServiceChain> build_chain(
     const std::optional<std::pair<std::string, runtime::FaultSpec>>& fault =
         std::nullopt);
 
-/// The RunConfig a plan implies for the single-threaded/sharded shapes.
+/// The RunConfig a plan implies for every executor shape.
 runtime::RunConfig run_config(const DeploymentPlan& plan);
 
 /// validate() + build chain + construct the executor shape + apply the

@@ -44,10 +44,6 @@ namespace speedybox::runtime {
 struct RunConfig {
   platform::PlatformKind platform = platform::PlatformKind::kBess;
   bool speedybox = true;
-  /// Account state-function execution as the Table-I critical path (the
-  /// §V-C2 optimization). Disabled, state functions count sequentially —
-  /// the ablation Fig. 7 uses to split the HA vs SF contributions.
-  bool model_parallelism = true;
   /// Burst size the run loops drain in (DESIGN.md §8). 1 degenerates to
   /// packet-at-a-time; results are bit-identical at every size (the
   /// differential harness proves it) — only the amortization changes.

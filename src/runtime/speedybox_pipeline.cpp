@@ -9,10 +9,11 @@
 
 namespace speedybox::runtime {
 
-SpeedyBoxPipeline::SpeedyBoxPipeline(ServiceChain& chain,
+SpeedyBoxPipeline::SpeedyBoxPipeline(ServiceChain& chain, RunConfig config,
                                      std::size_t ring_capacity,
                                      std::vector<std::size_t> segment_sizes)
-    : chain_(chain), completions_(ring_capacity) {
+    : chain_(chain), config_(config), completions_(ring_capacity) {
+  if (config_.batch_size == 0) config_.batch_size = 1;
   if (segment_sizes.empty()) {
     segment_sizes.assign(chain_.size(), 1);
   }
@@ -25,7 +26,7 @@ SpeedyBoxPipeline::SpeedyBoxPipeline(ServiceChain& chain,
     stages_.emplace_back(begin, begin + size);
     begin += size;
   }
-  if (begin != chain_.size()) {
+  if (begin != chain_.size() || stages_.empty()) {
     throw std::invalid_argument(
         "SpeedyBoxPipeline: segment sizes do not partition the chain");
   }
@@ -36,6 +37,7 @@ SpeedyBoxPipeline::SpeedyBoxPipeline(ServiceChain& chain,
         std::make_unique<util::SpscRing<Descriptor>>(ring_capacity));
     stop_flags_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
+  if (config_.overload.enabled) set_overload_policy(config_.overload);
   workers_.reserve(stages_.size());
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     workers_.emplace_back([this, i] { worker(i); });
@@ -48,14 +50,17 @@ SpeedyBoxPipeline::~SpeedyBoxPipeline() {
 
 void SpeedyBoxPipeline::worker(std::size_t stage) {
   util::SpscRing<Descriptor>& in = *rings_[stage];
+  util::SpscRing<Descriptor>& out =
+      stage + 1 == stages_.size() ? completions_ : *rings_[stage + 1];
   const auto [begin, end] = stages_[stage];
-  const bool last = stage + 1 == stages_.size();
   // Burst discipline (DESIGN.md §8): pop up to a batch of descriptors with
-  // one ring round-trip, process them in pop order, then forward the whole
-  // burst downstream with one push per burst. Per-descriptor semantics —
-  // including teardown markers holding their slot relative to later packets
-  // of the same flow — are untouched; only the ring traffic amortizes.
-  std::vector<Descriptor> burst(net::kDefaultBatchSize);
+  // one ring round-trip, run them through this stage's NFs, then forward
+  // the whole burst downstream with one push per burst. Dropped packets
+  // ride along untouched, so the manager counts every loss at completion
+  // and teardown markers keep their slot relative to later packets of the
+  // same flow; only the ring traffic amortizes.
+  std::vector<Descriptor> burst(config_.batch_size);
+  net::PacketBatch batch{config_.batch_size};
   for (;;) {
     const std::size_t popped =
         in.try_pop_burst(std::span<Descriptor>{burst});
@@ -67,53 +72,68 @@ void SpeedyBoxPipeline::worker(std::size_t stage) {
       continue;
     }
 
-    for (std::size_t d = 0; d < popped; ++d) {
-      Descriptor& descriptor = burst[d];
-      if (descriptor.packet != nullptr) {
-        // Consolidated stage: the fused NFs run sequentially in chain
-        // order on this core, re-checking the drop flag between NFs just
-        // as the per-NF stages did across ring hops.
-        net::Packet& packet = *descriptor.packet;
-        for (std::size_t nf = begin; nf < end && !packet.dropped(); ++nf) {
-          if (descriptor.recording) {
-            core::SpeedyBoxContext ctx{chain_.local_mat(nf),
-                                       chain_.global_mat().event_table(),
-                                       descriptor.fid};
-            chain_.nf(nf).process(packet, &ctx);
-          } else if (descriptor.rule != nullptr) {
-            // Execute this NF's recorded state-function batch, if any.
-            for (const auto& batch : descriptor.rule->batches) {
-              if (batch.nf_index != nf) continue;
-              if (const auto parsed = net::parse_packet(packet)) {
-                batch.execute(packet, *parsed);
-              }
-              break;
-            }
-          }
-        }
+    if (config_.speedybox) {
+      for (std::size_t d = 0; d < popped; ++d) {
+        run_speedybox_stage(burst[d], begin, end);
       }
-
-      // Teardown hooks mutate NF-internal per-flow state, so they must run
-      // here — on the core that owns these NFs — not on the manager.
-      // Per-flow FIFO guarantees every earlier packet of the flow already
-      // passed this stage. (Descriptors with a null packet are pure
-      // teardown markers for flows the manager finished inline.)
-      if (descriptor.teardown) {
-        for (std::size_t nf = begin; nf < end; ++nf) {
-          chain_.local_mat(nf).run_teardown_hooks(descriptor.fid);
-        }
+    } else {
+      // Original path: the unmodified chain, NF-major over the burst with
+      // no context, as ChainRunner runs it. A packet dropped upstream
+      // enters the batch masked, so no later NF touches it.
+      batch.clear();
+      for (std::size_t d = 0; d < popped; ++d) batch.push(burst[d].packet);
+      for (std::size_t nf = begin; nf < end && batch.valid_count() > 0;
+           ++nf) {
+        chain_.nf(nf).process_batch(batch, {});
       }
     }
 
     // A partial try_push_burst moves out exactly what it reports, so the
     // retry loop resumes at the first un-pushed descriptor — burst order
     // (and with it per-flow FIFO) is preserved across partial pushes.
-    util::SpscRing<Descriptor>& out =
-        last ? completions_ : *rings_[stage + 1];
     std::span<Descriptor> pending{burst.data(), popped};
     while (!pending.empty()) {
       pending = pending.subspan(out.try_push_burst(pending));
       if (!pending.empty()) std::this_thread::yield();
+    }
+  }
+}
+
+void SpeedyBoxPipeline::run_speedybox_stage(Descriptor& descriptor,
+                                            std::size_t begin,
+                                            std::size_t end) {
+  if (descriptor.packet != nullptr) {
+    // Consolidated stage: the fused NFs run sequentially in chain order on
+    // this core, re-checking the drop flag between NFs just as the per-NF
+    // stages do across ring hops.
+    net::Packet& packet = *descriptor.packet;
+    for (std::size_t nf = begin; nf < end && !packet.dropped(); ++nf) {
+      if (descriptor.recording) {
+        core::SpeedyBoxContext ctx{chain_.local_mat(nf),
+                                   chain_.global_mat().event_table(),
+                                   descriptor.fid};
+        chain_.nf(nf).process(packet, &ctx);
+      } else if (descriptor.rule != nullptr) {
+        // Execute this NF's recorded state-function batch, if any.
+        for (const auto& batch : descriptor.rule->batches) {
+          if (batch.nf_index != nf) continue;
+          if (const auto parsed = net::parse_packet(packet)) {
+            batch.execute(packet, *parsed);
+          }
+          break;
+        }
+      }
+    }
+  }
+
+  // Teardown hooks mutate NF-internal per-flow state, so they must run
+  // here — on the core that owns these NFs — not on the manager. Per-flow
+  // FIFO guarantees every earlier packet of the flow already passed this
+  // stage. (Descriptors with a null packet are pure teardown markers for
+  // flows the manager finished inline.)
+  if (descriptor.teardown) {
+    for (std::size_t nf = begin; nf < end; ++nf) {
+      chain_.local_mat(nf).run_teardown_hooks(descriptor.fid);
     }
   }
 }
@@ -130,6 +150,12 @@ void SpeedyBoxPipeline::dispatch(Descriptor descriptor) {
   if (metrics_ != nullptr) {
     metrics_->ring_occupancy.set(rings_.front()->size());
   }
+}
+
+void SpeedyBoxPipeline::count_drop(net::Packet* packet) {
+  ++stats_.drops;
+  if (metrics_ != nullptr) metrics_->drops.add(1);
+  delete packet;
 }
 
 void SpeedyBoxPipeline::finish_teardown(std::uint32_t fid) {
@@ -165,7 +191,6 @@ void SpeedyBoxPipeline::handle_completion(Descriptor& descriptor) {
     // The initial packet has visited every NF: consolidate and release any
     // packets of this flow that arrived in the meantime, in order.
     chain_.global_mat().consolidate_flow(descriptor.fid);
-    ++recorded_flows_;
     if (metrics_ != nullptr) metrics_->consolidations.add(1);
     FlowState* flow = flows_.find(descriptor.fid);
     if (flow != nullptr) {
@@ -179,20 +204,18 @@ void SpeedyBoxPipeline::handle_completion(Descriptor& descriptor) {
   }
 
   if (packet != nullptr) {
-    if (packet->dropped()) {
+    if (!packet->dropped()) {
+      sink_.push_back(std::move(*packet));
+      delete packet;
+    } else if (packet->faulted()) {
       // Injected NF faults are disjoint from policy drops so conservation
       // can separate them (packets == delivered + drops + faulted).
-      if (packet->faulted()) {
-        ++stats_.overload.faulted;
-        if (metrics_ != nullptr) metrics_->faulted.add(1);
-      } else {
-        ++drops_;
-        if (metrics_ != nullptr) metrics_->drops.add(1);
-      }
+      ++stats_.overload.faulted;
+      if (metrics_ != nullptr) metrics_->faulted.add(1);
+      delete packet;
     } else {
-      sink_.push_back(std::move(*packet));
+      count_drop(packet);
     }
-    delete packet;
   }
   if (descriptor.teardown) finish_teardown(descriptor.fid);
 }
@@ -205,69 +228,62 @@ void SpeedyBoxPipeline::fast_path(net::Packet* packet, std::uint32_t fid,
     ++stats_.overload.degraded_packets;
     if (metrics_ != nullptr) metrics_->degraded_packets.add(1);
   }
-  if (packet->dropped() || !header.rule_hit) {
-    if (!header.rule_hit && !packet->dropped()) {
-      // No rule (e.g. torn down between hold and release): forward as-is.
-      sink_.push_back(std::move(*packet));
-      delete packet;
-    } else {
-      ++drops_;
-      if (metrics_ != nullptr) metrics_->drops.add(1);
-      delete packet;
-    }
-    // The packet ends here, but the per-NF teardown hooks still have to
-    // run on their owning cores: send a packet-less marker down the rings.
-    if (teardown) dispatch_teardown_marker(fid);
-    return;
-  }
-
-  if (header.rule->batches.empty()) {
-    // Pure header-action rule: nothing for the NF cores to do — but route
-    // through them anyway iff something of this flow could still be in
-    // flight? Recording completion already ordered before READY, so the
-    // manager can finish the packet directly.
+  if (packet->dropped()) {
+    count_drop(packet);
+  } else if (!header.rule_hit || header.rule->batches.empty()) {
+    // No rule (torn down between hold and release) forwards the packet
+    // as-is; a pure header-action rule leaves nothing for the NF cores.
+    // Recording completion already ordered before READY, so the manager
+    // finishes the packet directly.
     sink_.push_back(std::move(*packet));
     delete packet;
-    if (teardown) dispatch_teardown_marker(fid);
+  } else {
+    Descriptor descriptor;
+    descriptor.packet = packet;
+    descriptor.fid = fid;
+    descriptor.teardown = teardown;
+    descriptor.rule = header.rule;
+    dispatch(std::move(descriptor));
     return;
   }
-
-  Descriptor descriptor;
-  descriptor.packet = packet;
-  descriptor.fid = fid;
-  descriptor.recording = false;
-  descriptor.teardown = teardown;
-  descriptor.rule = header.rule;
-  dispatch(std::move(descriptor));
+  // The packet ends here, but the per-NF teardown hooks still have to run
+  // on their owning cores: send a packet-less marker down the rings.
+  if (teardown) dispatch_teardown_marker(fid);
 }
 
 void SpeedyBoxPipeline::push(net::Packet packet) {
   drain_completions(false);
 
   // Shed packets never allocate a descriptor, never classify, never touch
-  // a ring: the near-zero-cycle ingress path. The manager owns classifier
-  // and Global MAT, and produces into the first ring, whose real pressure
-  // joins the controller's virtual gate.
+  // a ring: the near-zero-cycle ingress path. The manager produces into
+  // the first ring, whose real pressure joins the controller's virtual
+  // gate; only the SpeedyBox path has a Global MAT to name doomed flows.
   if (controller_ != nullptr &&
       !admit_arrival(*controller_, packet,
-                     {&chain_, rings_.front()->over_watermark(),
+                     {config_.speedybox ? &chain_ : nullptr,
+                      rings_.front()->over_watermark(),
                       rings_.front()->size()},
                      stats_.overload, metrics_)) {
     return;
   }
-  ++packets_;
+  ++stats_.packets;
+  if (metrics_ != nullptr) metrics_->packets.add(1);
 
   auto* descriptor_packet = new net::Packet(std::move(packet));
+  if (!config_.speedybox) {
+    // Original path: no classifier, no MATs — a plain descriptor visits
+    // every NF core.
+    Descriptor descriptor;
+    descriptor.packet = descriptor_packet;
+    dispatch(std::move(descriptor));
+    return;
+  }
+
   const auto classification =
       chain_.classifier().classify(*descriptor_packet);
-  if (metrics_ != nullptr) {
-    metrics_->packets.add(1);
-    metrics_->classifier_lookups.add(1);
-  }
+  if (metrics_ != nullptr) metrics_->classifier_lookups.add(1);
   if (!classification) {
-    ++drops_;
-    if (metrics_ != nullptr) metrics_->drops.add(1);
-    delete descriptor_packet;
+    count_drop(descriptor_packet);
     return;
   }
   const std::uint32_t fid = classification->fid;
@@ -308,7 +324,6 @@ void SpeedyBoxPipeline::push(net::Packet packet) {
     // Hold until the initial packet's consolidation completes, preserving
     // per-flow order and single-core access to the NFs' per-flow state.
     flow.pending.emplace_back(descriptor_packet, teardown);
-    ++held_packets_;
     if (metrics_ != nullptr) metrics_->held_packets.add(1);
     return;
   }
@@ -343,8 +358,6 @@ const RunStats& SpeedyBoxPipeline::run(const trace::Workload& workload) {
     push(workload.materialize(i));
   }
   stop_and_collect();
-  stats_.packets = packets_;
-  stats_.drops = drops_;
   return stats_;
 }
 
@@ -357,26 +370,25 @@ const RunStats& SpeedyBoxPipeline::run(
     push(std::move(packet));
   }
   auto collected = stop_and_collect();
-  stats_.packets = packets_;
-  stats_.drops = drops_;
   if (outputs != nullptr) *outputs = std::move(collected);
   return stats_;
 }
 
 void SpeedyBoxPipeline::attach_telemetry(telemetry::Registry* registry,
                                          const std::string& label) {
-  if (registry == nullptr) {
-    set_telemetry(nullptr);
-    return;
+  metrics_ = registry == nullptr
+                 ? nullptr
+                 : &registry->create_shard(label, chain_.nf_names());
+  if (metrics_ != nullptr) {
+    metrics_->ring_capacity.set(rings_.front()->capacity());
   }
-  set_telemetry(&registry->create_shard(label, chain_.nf_names()));
 }
 
 void SpeedyBoxPipeline::set_overload_policy(const OverloadConfig& config) {
   controller_ = config.enabled
                     ? std::make_unique<OverloadController>(config)
                     : nullptr;
-  if (config.enabled && !rings_.empty()) {
+  if (config.enabled) {
     const auto capacity = static_cast<double>(rings_.front()->capacity());
     rings_.front()->set_watermarks(
         static_cast<std::size_t>(config.high_watermark * capacity),

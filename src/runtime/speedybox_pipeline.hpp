@@ -1,8 +1,15 @@
-// Threaded SpeedyBox deployment, ONVM-style (§VI-A): the NF Manager
-// (classifier + Global MAT) runs on the caller's core; each NF runs on its
-// own thread; all hand-offs go through shared-memory SPSC descriptor rings.
+// Threaded ONVM-style deployment (§VI-A), with or without SpeedyBox: the NF
+// Manager runs on the caller's core; each stage (one NF, or a fused segment
+// of NFs) runs on its own thread; all hand-offs go through shared-memory
+// SPSC descriptor rings. RunConfig::speedybox picks the data path, the same
+// branch ChainRunner takes; threads, rings, stop protocol, sink, counters,
+// overload gate and telemetry are shared by both modes.
 //
-// Data-path routing, matching the paper's architecture:
+// Original mode (the unmodified ONVM chain): the manager only gates
+// arrivals, then dispatches a plain descriptor that every NF core runs
+// through its NFs with no context — no classifier, no MATs.
+//
+// SpeedyBox mode — data-path routing, matching the paper's architecture:
 //
 //   initial packet      manager ──ring──► NF1(record) ─► … ─► NFn(record)
 //                               ◄──────────── completion ring ────────┘
@@ -28,7 +35,7 @@
 // locked by that NF — see MaglevLb::mutex_ / DosPrevention::mutex_.
 //
 // Per-flow FIFO order is preserved end-to-end; the global output order is
-// the manager's dispatch order.
+// the manager's dispatch order (arrival order in original mode).
 #pragma once
 
 #include <atomic>
@@ -53,16 +60,20 @@ class SpeedyBoxPipeline : public Executor {
   /// pipeline; its NFs' internal state must only be inspected after
   /// stop_and_collect().
   ///
+  /// `config` picks the mode (speedybox), the burst size every stage drains
+  /// its ring in (batch_size) and the overload policy; the platform field
+  /// is unused (the pipeline carries no cycle model).
+  ///
   /// `segment_sizes` partitions the chain into consolidated stages: each
   /// entry is the number of consecutive NFs fused onto one worker core
   /// (plan::DeploymentPlan::segment_sizes()). Fused NFs run sequentially
   /// in chain order on their core, so outputs are byte-identical at every
   /// partition — only the ring-hop count changes. Empty = one NF per
   /// stage, the historical shape. Throws std::invalid_argument when the
-  /// sizes do not cover the chain exactly.
-  explicit SpeedyBoxPipeline(ServiceChain& chain,
-                             std::size_t ring_capacity = 1024,
-                             std::vector<std::size_t> segment_sizes = {});
+  /// sizes do not cover a non-empty chain exactly.
+  SpeedyBoxPipeline(ServiceChain& chain, RunConfig config,
+                    std::size_t ring_capacity = 1024,
+                    std::vector<std::size_t> segment_sizes = {});
   ~SpeedyBoxPipeline();
 
   SpeedyBoxPipeline(const SpeedyBoxPipeline&) = delete;
@@ -75,20 +86,23 @@ class SpeedyBoxPipeline : public Executor {
   /// surviving packets in dispatch order.
   std::vector<net::Packet> stop_and_collect();
 
-  std::uint64_t drops() const noexcept { return drops_; }
-  std::uint64_t recorded_flows() const noexcept { return recorded_flows_; }
-  std::uint64_t held_packets() const noexcept { return held_packets_; }
-
   // -- Executor interface (one-shot: run() joins the NF threads) --
   //
   // The pipeline carries no cycle model (that lives in ChainRunner), so
   // its RunStats hold the counters only: packets, drops, and the overload
-  // block. Output order is completion order; dropped packets are omitted.
+  // block — written by the manager as packets are admitted and complete,
+  // exact once stop_and_collect() returns. Output order is completion
+  // order; dropped packets are omitted.
   std::string_view kind() const noexcept override { return "pipeline"; }
   const RunStats& run(const trace::Workload& workload) override;
   const RunStats& run(const std::vector<net::Packet>& packets,
                       std::vector<net::Packet>* outputs) override;
   const RunStats& stats() const noexcept override { return stats_; }
+  /// Manager-side telemetry: every hooked cell is written by the manager
+  /// thread only — push(), completions and teardown all run there — so the
+  /// single-writer contract holds with no locking. The NF worker threads
+  /// are not instrumented (they carry no timers; the cycle accounting for
+  /// this deployment lives in ChainRunner's model).
   void attach_telemetry(telemetry::Registry* registry,
                         const std::string& label) override;
   /// The manager is the producer of the first descriptor ring, so real
@@ -97,18 +111,6 @@ class SpeedyBoxPipeline : public Executor {
   /// admission tokens and graceful degradation are shared with the
   /// single-threaded gate. Call before the first push.
   void set_overload_policy(const OverloadConfig& config) override;
-
-  /// Attach manager-side telemetry (null detaches). Every hooked cell is
-  /// written by the manager thread only — push(), completions and teardown
-  /// all run there — so the single-writer contract holds with no locking.
-  /// The NF worker threads are not instrumented (they carry no timers; the
-  /// cycle accounting for this deployment lives in ChainRunner's model).
-  void set_telemetry(telemetry::ShardMetrics* metrics) noexcept {
-    metrics_ = metrics;
-    if (metrics_ != nullptr && !rings_.empty()) {
-      metrics_->ring_capacity.set(rings_.front()->capacity());
-    }
-  }
 
  private:
   struct Descriptor {
@@ -129,6 +131,10 @@ class SpeedyBoxPipeline : public Executor {
   };
 
   void worker(std::size_t stage);
+  /// SpeedyBox mode: run one descriptor through the NFs [begin, end) of a
+  /// stage — recording, its rule's state-function batches, teardown hooks.
+  void run_speedybox_stage(Descriptor& descriptor, std::size_t begin,
+                           std::size_t end);
   void dispatch(Descriptor descriptor);
   void drain_completions(bool block_until_idle);
   void handle_completion(Descriptor& descriptor);
@@ -144,8 +150,11 @@ class SpeedyBoxPipeline : public Executor {
   /// whose last packet never traverses the rings (early drop, pure
   /// header-action rules). Its completion then calls finish_teardown.
   void dispatch_teardown_marker(std::uint32_t fid);
+  /// A policy or NF drop (not a fault): counted, then freed.
+  void count_drop(net::Packet* packet);
 
   ServiceChain& chain_;
+  RunConfig config_;
   /// Per-stage [begin, end) NF ranges (one worker thread + ring each).
   std::vector<std::pair<std::size_t, std::size_t>> stages_;
   telemetry::ShardMetrics* metrics_ = nullptr;
@@ -158,12 +167,8 @@ class SpeedyBoxPipeline : public Executor {
   core::FlowTable<std::uint32_t, FlowState> flows_;
   std::vector<net::Packet> sink_;
   std::size_t in_flight_ = 0;
-  std::uint64_t drops_ = 0;
-  std::uint64_t recorded_flows_ = 0;
-  std::uint64_t held_packets_ = 0;
-  std::uint64_t packets_ = 0;  // admitted into the chain
   bool stopped_ = false;
-  /// Counter-only Executor stats; finalized by the run() overloads.
+  /// Counter-only Executor stats (packets admitted, drops, overload block).
   RunStats stats_;
 };
 

@@ -7,8 +7,10 @@
 // plan::vii_c_chain*()).
 //
 // Also: a plan that survives a JSON round-trip builds the same bytes (the
-// serialized form is the deployment), and the pipeline's plan-driven fused
-// segments ({2,2} / {1,2}) match the per-NF reference flow-for-flow.
+// serialized form is the deployment), and the threaded pipeline — in both
+// modes, with one NF per stage and with the plan-driven fused segments
+// ({2,2} / {1,2} / one segment) — matches the same-mode runner
+// flow-for-flow.
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -216,10 +218,12 @@ void expect_flows_identical(const FlowOutputs& expected,
 }
 
 TEST(PlanEquivalence, PipelineAndFusedSegmentsMatchTheReference) {
-  // Per-NF reference: the hand-built single-threaded runner. Against it:
-  // the plan-built pipeline with default (one NF per stage) segments, and
-  // with the fused shapes {2,2} (chain1) / {1,2} (chain2) a planner would
-  // emit. All three must agree flow-for-flow, byte-for-byte.
+  // Reference: the hand-built single-threaded runner in the same mode.
+  // Against it: the plan-built pipeline with default (one NF per stage)
+  // segments, and with the fused shapes a planner would emit — in original
+  // mode (plain descriptors through every NF core) and SpeedyBox mode
+  // (manager fast path). Every cell must agree flow-for-flow,
+  // byte-for-byte, with equal drop counts.
   const std::vector<std::vector<plan::SegmentSpec>> chain1_segments = {
       {}, {{2, false}, {2, false}}, {{2, true}, {2, true}}};
   const std::vector<std::vector<plan::SegmentSpec>> chain2_segments = {
@@ -232,33 +236,38 @@ TEST(PlanEquivalence, PipelineAndFusedSegmentsMatchTheReference) {
     const std::vector<net::Packet> packets =
         materialize_all(test_case.workload());
 
-    auto hand = test_case.hand();
-    ChainRunner reference{*hand,
-                          {platform::PlatformKind::kBess, true}};
-    std::uint64_t reference_drops = 0;
-    std::vector<net::Packet> reference_out;
-    for (const net::Packet& original : packets) {
-      net::Packet packet = original;
-      packet.reset_metadata();
-      if (reference.process_packet(packet).dropped) {
-        ++reference_drops;
-      } else {
-        reference_out.push_back(std::move(packet));
+    for (const bool speedybox : {false, true}) {
+      auto hand = test_case.hand();
+      ChainRunner reference{*hand,
+                            {platform::PlatformKind::kBess, speedybox}};
+      std::uint64_t reference_drops = 0;
+      std::vector<net::Packet> reference_out;
+      for (const net::Packet& original : packets) {
+        net::Packet packet = original;
+        packet.reset_metadata();
+        if (reference.process_packet(packet).dropped) {
+          ++reference_drops;
+        } else {
+          reference_out.push_back(std::move(packet));
+        }
       }
-    }
-    const FlowOutputs reference_flows = group_by_flow(reference_out);
+      const FlowOutputs reference_flows = group_by_flow(reference_out);
 
-    for (const auto& segments : segment_shapes) {
-      SCOPED_TRACE(std::string(test_case.label) + "/segments=" +
-                   std::to_string(segments.size()));
-      DeploymentPlan deployment = runner_plan(test_case.spec());
-      deployment.executor = plan::ExecutorKind::kPipeline;
-      deployment.segments = segments;
-      auto built = plan::build(deployment);
-      std::vector<net::Packet> out;
-      const RunStats& stats = built.executor->run(packets, &out);
-      EXPECT_EQ(stats.drops, reference_drops);
-      expect_flows_identical(reference_flows, group_by_flow(out));
+      for (const auto& segments : segment_shapes) {
+        SCOPED_TRACE(std::string(test_case.label) +
+                     (speedybox ? "/speedybox" : "/original") +
+                     "/segments=" + std::to_string(segments.size()));
+        DeploymentPlan deployment = runner_plan(test_case.spec());
+        deployment.executor = plan::ExecutorKind::kPipeline;
+        deployment.speedybox = speedybox;
+        deployment.segments = segments;
+        auto built = plan::build(deployment);
+        std::vector<net::Packet> out;
+        const RunStats& stats = built.executor->run(packets, &out);
+        EXPECT_EQ(stats.packets, packets.size());
+        EXPECT_EQ(stats.drops, reference_drops);
+        expect_flows_identical(reference_flows, group_by_flow(out));
+      }
     }
   }
 }

@@ -165,7 +165,8 @@ void run_differential(const trace::Workload& workload,
   }
 
   auto pipeline_chain = factory();
-  SpeedyBoxPipeline pipeline{*pipeline_chain};
+  SpeedyBoxPipeline pipeline{*pipeline_chain,
+                             {platform::PlatformKind::kBess, true}};
   Executor& executor = pipeline;
   EXPECT_EQ(executor.kind(), "pipeline");
   std::vector<net::Packet> pipeline_out;

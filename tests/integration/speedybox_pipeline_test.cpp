@@ -1,6 +1,9 @@
-// The threaded SpeedyBox deployment end-to-end: recording on NF cores,
-// consolidation at the manager, fast-path state functions dispatched to the
-// owning cores, held packets released in order, early drop at the manager.
+// The threaded ONVM deployment end-to-end. SpeedyBox mode: recording on NF
+// cores, consolidation at the manager, fast-path state functions dispatched
+// to the owning cores, held packets released in order, early drop at the
+// manager. Original mode: every packet visits every NF core in FIFO order,
+// drops stop at the dropping NF, and the stop protocol survives tiny rings.
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -9,8 +12,10 @@
 #include "nf/ip_filter.hpp"
 #include "nf/mazu_nat.hpp"
 #include "nf/monitor.hpp"
+#include "nf/synthetic_nf.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/speedybox_pipeline.hpp"
+#include "telemetry/metrics.hpp"
 #include "test_helpers.hpp"
 #include "trace/workload.hpp"
 
@@ -20,22 +25,35 @@ namespace {
 using speedybox::testing::same_bytes;
 using speedybox::testing::tuple_n;
 
+const RunConfig kSpeedyBox{platform::PlatformKind::kOnvm, true};
+const RunConfig kOriginal{platform::PlatformKind::kOnvm, false};
+
+/// A manager-exported telemetry counter, summed over the registry's shards.
+std::uint64_t counter(const telemetry::Registry& registry,
+                      std::string_view name) {
+  for (const auto& [key, value] : registry.snapshot().aggregate().counters) {
+    if (key == name) return value;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
 TEST(SpeedyBoxPipeline, OutputsMatchSingleThreadedSpeedyBox) {
   const trace::Workload workload = trace::make_uniform_workload(15, 12, 80);
 
   // Threaded run.
   std::vector<net::Packet> threaded_out;
-  std::uint64_t threaded_flows;
+  telemetry::Registry registry;
   {
     ServiceChain chain;
     chain.emplace_nf<nf::MazuNat>();
     chain.emplace_nf<nf::Monitor>();
-    SpeedyBoxPipeline pipeline{chain};
+    SpeedyBoxPipeline pipeline{chain, kSpeedyBox};
+    pipeline.attach_telemetry(&registry, "pipeline");
     for (std::size_t i = 0; i < workload.packet_count(); ++i) {
       pipeline.push(workload.materialize(i));
     }
     threaded_out = pipeline.stop_and_collect();
-    threaded_flows = pipeline.recorded_flows();
   }
 
   // Single-threaded reference run.
@@ -53,7 +71,7 @@ TEST(SpeedyBoxPipeline, OutputsMatchSingleThreadedSpeedyBox) {
     }
   }
 
-  EXPECT_EQ(threaded_flows, 15u);
+  EXPECT_EQ(counter(registry, "consolidations"), 15u);
   ASSERT_EQ(threaded_out.size(), reference_out.size());
 
   // The pipeline guarantees per-flow FIFO but not global arrival order
@@ -86,7 +104,7 @@ TEST(SpeedyBoxPipeline, StateFunctionsRunOnNfCores) {
   chain.emplace_nf<nf::MazuNat>();
   auto& monitor = chain.emplace_nf<nf::Monitor>();
   {
-    SpeedyBoxPipeline pipeline{chain};
+    SpeedyBoxPipeline pipeline{chain, kSpeedyBox};
     for (int i = 0; i < 20; ++i) {
       pipeline.push(net::make_tcp_packet(tuple_n(1), "counted"));
     }
@@ -106,13 +124,13 @@ TEST(SpeedyBoxPipeline, EarlyDropAtManager) {
       std::vector<nf::AclRule>{nf::AclRule::drop_dst_port(80)}, "drop80");
   std::uint64_t drops;
   {
-    SpeedyBoxPipeline pipeline{chain};
+    SpeedyBoxPipeline pipeline{chain, kSpeedyBox};
     for (int i = 0; i < 10; ++i) {
       pipeline.push(net::make_tcp_packet(tuple_n(2, 80), "doomed"));
     }
     const auto out = pipeline.stop_and_collect();
     EXPECT_TRUE(out.empty());
-    drops = pipeline.drops();
+    drops = pipeline.stats().drops;
   }
   EXPECT_EQ(drops, 10u);
   // Only the initial packet reached the NF cores.
@@ -124,10 +142,11 @@ TEST(SpeedyBoxPipeline, PacketsHeldDuringRecordingAreReleasedInOrder) {
   ServiceChain chain;
   chain.emplace_nf<nf::MazuNat>();
   auto& monitor = chain.emplace_nf<nf::Monitor>();
-  std::uint64_t held;
+  telemetry::Registry registry;
   std::vector<net::Packet> out;
   {
-    SpeedyBoxPipeline pipeline{chain};
+    SpeedyBoxPipeline pipeline{chain, kSpeedyBox};
+    pipeline.attach_telemetry(&registry, "pipeline");
     // Burst the whole flow without draining: packets 2..N arrive while the
     // initial packet is still being recorded on the NF threads.
     for (int i = 0; i < 30; ++i) {
@@ -139,10 +158,10 @@ TEST(SpeedyBoxPipeline, PacketsHeldDuringRecordingAreReleasedInOrder) {
       pipeline.push(net::build_packet(spec));
     }
     out = pipeline.stop_and_collect();
-    held = pipeline.held_packets();
   }
   ASSERT_EQ(out.size(), 30u);
-  EXPECT_GT(held, 0u) << "the burst must actually exercise the hold queue";
+  EXPECT_GT(counter(registry, "held_packets"), 0u)
+      << "the burst must actually exercise the hold queue";
   EXPECT_EQ(monitor.total_packets(), 30u);
   // Per-flow FIFO: TCP sequence numbers strictly increasing.
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -157,7 +176,7 @@ TEST(SpeedyBoxPipeline, TeardownFreesFlowState) {
   ServiceChain chain;
   auto& nat = chain.emplace_nf<nf::MazuNat>();
   {
-    SpeedyBoxPipeline pipeline{chain};
+    SpeedyBoxPipeline pipeline{chain, kSpeedyBox};
     pipeline.push(net::make_tcp_packet(tuple_n(4), "open"));
     pipeline.push(net::make_tcp_packet(tuple_n(4), "data"));
     pipeline.push(net::make_tcp_packet(
@@ -177,13 +196,118 @@ TEST(SpeedyBoxPipeline, ManyFlowsStress) {
   const trace::Workload workload = trace::make_uniform_workload(50, 40, 48);
   std::vector<net::Packet> out;
   {
-    SpeedyBoxPipeline pipeline{chain, /*ring_capacity=*/32};
+    SpeedyBoxPipeline pipeline{chain, kSpeedyBox, /*ring_capacity=*/32};
     for (std::size_t i = 0; i < workload.packet_count(); ++i) {
       pipeline.push(workload.materialize(i));
     }
     out = pipeline.stop_and_collect();
   }
   EXPECT_EQ(out.size(), workload.packet_count());
+}
+
+// -- Original mode: the unmodified chain, one core per NF ------------------
+
+TEST(OriginalPipeline, AllPacketsTraverseAllStages) {
+  ServiceChain chain;
+  auto& m1 = chain.emplace_nf<nf::Monitor>("m1");
+  auto& m2 = chain.emplace_nf<nf::Monitor>("m2");
+  auto& m3 = chain.emplace_nf<nf::Monitor>("m3");
+  constexpr int kPackets = 500;
+  std::vector<net::Packet> out;
+  {
+    SpeedyBoxPipeline pipeline{chain, kOriginal};
+    for (int i = 0; i < kPackets; ++i) {
+      pipeline.push(net::make_tcp_packet(
+          tuple_n(static_cast<std::uint32_t>(i % 10)), "data"));
+    }
+    out = pipeline.stop_and_collect();
+  }
+  EXPECT_EQ(out.size(), static_cast<std::size_t>(kPackets));
+  EXPECT_EQ(m1.packets_processed(), static_cast<std::uint64_t>(kPackets));
+  EXPECT_EQ(m2.packets_processed(), static_cast<std::uint64_t>(kPackets));
+  EXPECT_EQ(m3.packets_processed(), static_cast<std::uint64_t>(kPackets));
+}
+
+TEST(OriginalPipeline, PreservesFifoOrder) {
+  ServiceChain chain;
+  chain.emplace_nf<nf::Monitor>("m1");
+  chain.emplace_nf<nf::Monitor>("m2");
+  SpeedyBoxPipeline pipeline{chain, kOriginal, /*ring_capacity=*/64};
+  constexpr int kPackets = 300;
+  for (int i = 0; i < kPackets; ++i) {
+    // Encode sequence in the source port: one flow per packet, so this is
+    // global order, not just per-flow FIFO.
+    net::FiveTuple tuple = tuple_n(1);
+    tuple.src_port = static_cast<std::uint16_t>(1000 + i);
+    pipeline.push(net::make_tcp_packet(tuple, "x"));
+  }
+  const auto out = pipeline.stop_and_collect();
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(kPackets));
+  for (int i = 0; i < kPackets; ++i) {
+    const auto parsed = net::parse_packet(out[static_cast<std::size_t>(i)]);
+    EXPECT_EQ(net::extract_five_tuple(out[static_cast<std::size_t>(i)],
+                                      *parsed)
+                  .src_port,
+              1000 + i);
+  }
+}
+
+TEST(OriginalPipeline, DroppedPacketsNeverReachDownstream) {
+  ServiceChain chain;
+  auto& filter = chain.emplace_nf<nf::IpFilter>(
+      std::vector<nf::AclRule>{nf::AclRule::drop_dst_port(80)}, "fw");
+  auto& monitor = chain.emplace_nf<nf::Monitor>("after");
+  std::vector<net::Packet> out;
+  std::uint64_t drops;
+  {
+    SpeedyBoxPipeline pipeline{chain, kOriginal};
+    for (int i = 0; i < 50; ++i) {
+      pipeline.push(net::make_tcp_packet(tuple_n(1, 80), "blocked"));
+      pipeline.push(net::make_tcp_packet(tuple_n(2, 443), "allowed"));
+    }
+    out = pipeline.stop_and_collect();
+    drops = pipeline.stats().drops;
+  }
+  EXPECT_EQ(out.size(), 50u);
+  EXPECT_EQ(drops, 50u);
+  EXPECT_EQ(monitor.packets_processed(), 50u);
+  EXPECT_EQ(filter.drops(), 50u);
+}
+
+TEST(OriginalPipeline, StagesActuallyTransformPackets) {
+  nf::SyntheticNfConfig config;
+  config.access = core::PayloadAccess::kWrite;
+  config.work_iterations = 1;
+  ServiceChain chain;
+  chain.emplace_nf<nf::SyntheticNf>(config, "writer");
+  SpeedyBoxPipeline pipeline{chain, kOriginal};
+  pipeline.push(net::make_tcp_packet(tuple_n(3), "mutate me"));
+  const auto out = pipeline.stop_and_collect();
+  ASSERT_EQ(out.size(), 1u);
+  const net::Packet reference = net::make_tcp_packet(tuple_n(3), "mutate me");
+  EXPECT_FALSE(same_bytes(out[0], reference));
+}
+
+TEST(OriginalPipeline, StopIdempotent) {
+  ServiceChain chain;
+  chain.emplace_nf<nf::Monitor>("m");
+  SpeedyBoxPipeline pipeline{chain, kOriginal};
+  pipeline.push(net::make_tcp_packet(tuple_n(4), "x"));
+  const auto first = pipeline.stop_and_collect();
+  EXPECT_EQ(first.size(), 1u);
+  const auto second = pipeline.stop_and_collect();
+  EXPECT_TRUE(second.empty());
+}
+
+TEST(OriginalPipeline, SmallRingsBackpressureWithoutDeadlock) {
+  ServiceChain chain;
+  chain.emplace_nf<nf::Monitor>("m1");
+  chain.emplace_nf<nf::Monitor>("m2");
+  SpeedyBoxPipeline pipeline{chain, kOriginal, /*ring_capacity=*/2};
+  for (int i = 0; i < 200; ++i) {
+    pipeline.push(net::make_tcp_packet(tuple_n(5), "x"));
+  }
+  EXPECT_EQ(pipeline.stop_and_collect().size(), 200u);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "bench_util.hpp"
 #include "nf/mazu_nat.hpp"
 #include "nf/monitor.hpp"
-#include "runtime/onvm_executor.hpp"
 #include "runtime/sharded_runtime.hpp"
 #include "runtime/speedybox_pipeline.hpp"
 
@@ -108,19 +107,14 @@ TEST(BenchSchemaProperty, EveryExecutorShapeEmitsValidRows) {
     rows.push_back(config_row(
         "sharded", collect_result(sharded, platform::PlatformKind::kBess)));
   }
-  {
+  for (const bool speedybox : {true, false}) {
     auto chain = small_chain()();
-    runtime::SpeedyBoxPipeline pipeline{*chain};
+    runtime::SpeedyBoxPipeline pipeline{
+        *chain, {platform::PlatformKind::kOnvm, speedybox}};
     pipeline.run(packets, nullptr);
     rows.push_back(config_row(
-        "pipeline", collect_result(pipeline, platform::PlatformKind::kOnvm)));
-  }
-  {
-    auto chain = small_chain()();
-    runtime::OnvmExecutor onvm{*chain};
-    onvm.run(packets, nullptr);
-    rows.push_back(config_row(
-        "onvm", collect_result(onvm, platform::PlatformKind::kOnvm)));
+        speedybox ? "pipeline/speedybox" : "pipeline/original",
+        collect_result(pipeline, platform::PlatformKind::kOnvm)));
   }
   expect_valid(make_document(std::move(rows)));
 }

@@ -1,7 +1,7 @@
 // Conservation property of the overload-control data path (DESIGN.md §9):
 // for every drop policy, on both §VII-C real-world chains, at 1 and 4
-// shards as well as the single-threaded runner, the SpeedyBox pipeline and
-// the ONVM adapter, the counters balance EXACTLY —
+// shards as well as the single-threaded runner and the threaded pipeline in
+// both modes, the counters balance EXACTLY —
 //
 //   offered  == admitted + shed_admission + shed_watermark + shed_early_drop
 //   admitted == delivered + drops + faulted
@@ -19,7 +19,6 @@
 
 #include "chain_fixtures.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/onvm_executor.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/sharded_runtime.hpp"
 #include "runtime/speedybox_pipeline.hpp"
@@ -109,10 +108,10 @@ constexpr DropPolicy kPolicies[] = {
 };
 
 /// The executor shapes that share one ingress gate (admit_arrival): the
-/// runner, the SpeedyBox pipeline (manager-side gate, real first-ring
-/// pressure OR'd in) and the ONVM adapter (no Global MAT, so slo-early-drop
-/// degenerates to tail-drop). Either way the outputs not marked dropped
-/// are the delivered packets.
+/// runner and the pipeline in both modes (manager-side gate, real
+/// first-ring pressure OR'd in; in original mode there is no Global MAT, so
+/// slo-early-drop degenerates to tail-drop). Either way the outputs not
+/// marked dropped are the delivered packets.
 struct GateShape {
   const char* name;
   std::unique_ptr<Executor> (*make)(ServiceChain& chain);
@@ -128,14 +127,16 @@ const GateShape kGateShapes[] = {
            chain, RunConfig{platform::PlatformKind::kBess, true});
      },
      true},
-    {"pipeline",
+    {"pipeline/speedybox",
      [](ServiceChain& chain) -> std::unique_ptr<Executor> {
-       return std::make_unique<SpeedyBoxPipeline>(chain);
+       return std::make_unique<SpeedyBoxPipeline>(
+           chain, RunConfig{platform::PlatformKind::kOnvm, true});
      },
      false},
-    {"onvm",
+    {"pipeline/original",
      [](ServiceChain& chain) -> std::unique_ptr<Executor> {
-       return std::make_unique<OnvmExecutor>(chain);
+       return std::make_unique<SpeedyBoxPipeline>(
+           chain, RunConfig{platform::PlatformKind::kOnvm, false});
      },
      false},
 };

@@ -54,9 +54,10 @@ ChainSpec random_chain(util::Rng& rng) {
 DeploymentPlan random_plan(util::Rng& rng) {
   DeploymentPlan plan;
   plan.chain = random_chain(rng);
-  // Executor/mode/shards drawn jointly legal-shaped (round-tripping does
-  // not require validate() to pass, but keep the generator honest).
-  switch (rng.below(4)) {
+  // Executor and shards drawn jointly legal-shaped (round-tripping does
+  // not require validate() to pass, but keep the generator honest); every
+  // executor runs either mode.
+  switch (rng.below(3)) {
     case 0:
       plan.executor = ExecutorKind::kRunner;
       break;
@@ -64,18 +65,11 @@ DeploymentPlan random_plan(util::Rng& rng) {
       plan.executor = ExecutorKind::kSharded;
       plan.shards = 1 + rng.below(8);
       break;
-    case 2:
-      plan.executor = ExecutorKind::kPipeline;
-      plan.speedybox = true;
-      break;
     default:
-      plan.executor = ExecutorKind::kOnvm;
-      plan.speedybox = false;
+      plan.executor = ExecutorKind::kPipeline;
       break;
   }
-  if (plan.executor == ExecutorKind::kRunner) {
-    plan.speedybox = rng.chance(0.5);
-  }
+  plan.speedybox = rng.chance(0.5);
   plan.platform = rng.chance(0.5) ? platform::PlatformKind::kBess
                                   : platform::PlatformKind::kOnvm;
   plan.batch_size = 1 + rng.below(256);
@@ -147,9 +141,29 @@ TEST_P(PlanRoundTrip, DeploymentPlanJsonIsLossless) {
     // Field-level spot checks so == can't hide behind dump().
     ASSERT_EQ(reparsed.chain, plan.chain);
     ASSERT_EQ(reparsed.executor, plan.executor);
+    ASSERT_EQ(reparsed.speedybox, plan.speedybox);
     ASSERT_EQ(reparsed.shards, plan.shards);
     ASSERT_EQ(reparsed.segments, plan.segments);
     ASSERT_EQ(reparsed.overload.enabled, plan.overload.enabled);
+  }
+}
+
+TEST_P(PlanRoundTrip, ModeNeverDecidesValidity) {
+  // Every executor runs either data path, so flipping a plan's mode never
+  // changes whether it validates.
+  util::Rng rng{GetParam()};
+  for (int i = 0; i < 100; ++i) {
+    DeploymentPlan plan = random_plan(rng);
+    const auto validates = [&plan](bool speedybox) {
+      plan.speedybox = speedybox;
+      try {
+        plan.validate();
+        return true;
+      } catch (const std::exception&) {
+        return false;
+      }
+    };
+    ASSERT_EQ(validates(false), validates(true)) << plan.dump();
   }
 }
 
@@ -200,6 +214,12 @@ TEST(PlanRejection, StructurallyBrokenSpecsFailLoudly) {
       ChainSpec::from_json(*telemetry::Json::parse(
           R"({"name":"c","nfs":["nat"],"extra":1})")),
       PlanError);
+  // The ONVM deployment is the pipeline in original mode; "onvm" is not
+  // an executor kind.
+  EXPECT_THROW(DeploymentPlan::parse(
+                   R"({"chain":{"name":"c","nfs":["nat"]},)"
+                   R"("executor":"onvm","mode":"original"})"),
+               PlanError);
 }
 
 }  // namespace

@@ -86,7 +86,7 @@ TEST(CanonicalChains, NfLabelsAreKindDashIndex) {
   EXPECT_EQ(names[2], "monitor-2");
 }
 
-TEST(DeploymentPlan, ValidateEnforcesExecutorModeShardRules) {
+TEST(DeploymentPlan, ValidateEnforcesShardRulesAndAllowsEitherMode) {
   DeploymentPlan plan;
   plan.chain = vii_c_chain2();
 
@@ -99,18 +99,22 @@ TEST(DeploymentPlan, ValidateEnforcesExecutorModeShardRules) {
   expect_plan_error([&] { plan.validate(); },
                     {"shards only applies to the sharded executor"});
 
-  plan.shards = 0;
-  plan.executor = ExecutorKind::kPipeline;
-  plan.speedybox = false;
-  expect_plan_error([&] { plan.validate(); },
-                    {"pipeline", "mode must be speedybox"});
-
-  plan.executor = ExecutorKind::kOnvm;
-  plan.speedybox = true;
-  expect_plan_error([&] { plan.validate(); },
-                    {"onvm", "mode must be original"});
+  // No executor/mode pair is invalid: every shape runs either data path.
+  for (const ExecutorKind executor :
+       {ExecutorKind::kRunner, ExecutorKind::kSharded,
+        ExecutorKind::kPipeline}) {
+    for (const bool speedybox : {false, true}) {
+      plan.executor = executor;
+      plan.shards = executor == ExecutorKind::kSharded ? 2 : 0;
+      plan.speedybox = speedybox;
+      EXPECT_NO_THROW(plan.validate())
+          << executor_kind_name(executor)
+          << (speedybox ? "/speedybox" : "/original");
+    }
+  }
 
   plan.executor = ExecutorKind::kRunner;
+  plan.shards = 0;
   plan.batch_size = 0;
   expect_plan_error([&] { plan.validate(); }, {"batch_size"});
 }
@@ -192,7 +196,14 @@ TEST(DeploymentPlan, StrictJsonRejectsUnknownAndMalformedFields) {
       [&] {
         parse(R"({"chain":{"name":"c","nfs":["nat"]},"executor":"warp"})");
       },
-      {"executor", "runner, sharded, pipeline or onvm"});
+      {"executor", "runner, sharded or pipeline"});
+  // The ONVM deployment is the pipeline executor in original mode, so
+  // "onvm" is not an executor kind and must fail loudly.
+  expect_plan_error(
+      [&] {
+        parse(R"({"chain":{"name":"c","nfs":["nat"]},"executor":"onvm"})");
+      },
+      {"executor", "runner, sharded or pipeline"});
   expect_plan_error(
       [&] { parse(R"({"chain":{"name":"c","nfs":[]}})"); },
       {"chain.nfs", "non-empty"});
@@ -219,9 +230,8 @@ TEST(Build, ConstructsEveryExecutorShape) {
   plan.executor = ExecutorKind::kPipeline;
   EXPECT_EQ(build(plan).executor->kind(), "pipeline");
 
-  plan.executor = ExecutorKind::kOnvm;
   plan.speedybox = false;
-  EXPECT_EQ(build(plan).executor->kind(), "onvm");
+  EXPECT_EQ(build(plan).executor->kind(), "pipeline");
 }
 
 TEST(Build, RejectsInvalidPlansBeforeConstructing) {

@@ -122,31 +122,41 @@ void report(const SimConfig& config, const char* mode,
     return util::CycleClock::to_us(static_cast<std::uint64_t>(
         stats.latency_cycles_subsequent.percentile(p)));
   };
-  const double p50_lat = latency_us(50);
-  const double p99_lat = latency_us(99);
-  const double cycles = stats.platform_cycles_subsequent.percentile(50);
-  const double rate = stats.rate_mpps(config.platform);
+  // The cycle model lives in ChainRunner; a shape that keeps none (the
+  // threaded pipeline) records no latency samples, and its model columns
+  // read n/a (empty in CSV) rather than zeros.
+  char model[128] = "";
+  if (stats.latency_cycles_initial.count() > 0 ||
+      stats.latency_cycles_subsequent.count() > 0) {
+    std::snprintf(model, sizeof model,
+                  config.csv ? "%.0f,%.3f,%.3f,%.3f"
+                             : "cyc/pkt(p50)=%-6.0f lat(p50/p99)=%.3f/%.3f "
+                               "us  rate=%.3f Mpps",
+                  stats.platform_cycles_subsequent.percentile(50),
+                  latency_us(50), latency_us(99),
+                  stats.rate_mpps(config.platform));
+  } else {
+    std::snprintf(model, sizeof model, "%s",
+                  config.csv ? ",,," : "model=n/a");
+  }
   const runtime::OverloadStats& overload = stats.overload;
   if (config.csv) {
-    std::printf("%s,%s,%llu,%llu,%llu,%.0f,%.3f,%.3f,%.3f,%llu,%llu,%llu\n",
+    std::printf("%s,%s,%llu,%llu,%llu,%s,%llu,%llu,%llu\n",
                 platform_name(config.platform), mode,
                 static_cast<unsigned long long>(stats.packets),
                 static_cast<unsigned long long>(stats.drops),
                 static_cast<unsigned long long>(stats.events_triggered),
-                cycles, p50_lat, p99_lat, rate,
-                static_cast<unsigned long long>(overload.offered),
+                model, static_cast<unsigned long long>(overload.offered),
                 static_cast<unsigned long long>(overload.shed_total()),
                 static_cast<unsigned long long>(overload.faulted));
     return;
   }
-  std::printf("%-9s %-10s packets=%-8llu drops=%-6llu events=%-4llu "
-              "cyc/pkt(p50)=%-6.0f lat(p50/p99)=%.3f/%.3f us  rate=%.3f "
-              "Mpps\n",
+  std::printf("%-9s %-10s packets=%-8llu drops=%-6llu events=%-4llu %s\n",
               platform_name(config.platform), mode,
               static_cast<unsigned long long>(stats.packets),
               static_cast<unsigned long long>(stats.drops),
               static_cast<unsigned long long>(stats.events_triggered),
-              cycles, p50_lat, p99_lat, rate);
+              model);
   if (overload.offered > 0 || overload.faulted > 0) {
     std::printf("  overload: offered=%llu admitted=%llu "
                 "shed(adm/wm/early)=%llu/%llu/%llu faulted=%llu "

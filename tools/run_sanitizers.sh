@@ -13,7 +13,8 @@ cd "$(dirname "$0")/.."
 
 # The suites that exercise threads and shared rings. The rest of the tree
 # is single-threaded and covered by the regular build. test_integration
-# carries the fault-injection differential; test_property the overload
+# carries the fault-injection differential and the threaded pipeline's
+# cases in both modes; test_property the overload
 # conservation sweep over the 4-shard runtime; test_control the live
 # resharding path (quiescence + cross-shard flow migration), and
 # test_equivalence its mid-trace autoscale differential — both must be

@@ -69,10 +69,11 @@ constexpr const char* kTool = "chainsim";
       "                             (\"-\" = stdout; default mode speedybox)\n"
       "  --platform bess|onvm       execution platform model (default bess)\n"
       "  --mode original|speedybox|both   which data path(s) to run\n"
-      "  --executor runner|sharded|pipeline|onvm\n"
+      "  --executor runner|sharded|pipeline\n"
       "                             executor shape (default runner; sharded\n"
-      "                             needs --shards; pipeline requires --mode\n"
-      "                             speedybox, onvm requires --mode original)\n"
+      "                             needs --shards; pipeline is the threaded\n"
+      "                             ONVM deployment, one core per NF, in\n"
+      "                             either mode)\n"
       "  --flows N --packets N --payload N   uniform workload shape\n"
       "  --workload NAME            uniform | datacenter | elephant-mice |\n"
       "                             sync-burst | flash-crowd | syn-flood\n"
@@ -183,8 +184,12 @@ SimConfig SimConfig::parse(int argc, char** argv) {
       config.mode_set = true;
       if (!config.run_original && !config.run_speedybox) usage(argv[0]);
     } else if (arg == "--executor") {
-      const auto kind = plan::parse_executor_kind(need_value(i));
-      if (!kind) usage(argv[0]);
+      const std::string value = need_value(i);
+      const auto kind = plan::parse_executor_kind(value);
+      if (!kind) {
+        config_error(kTool, "unknown --executor \"" + value +
+                                "\" (choose one of runner, sharded, pipeline)");
+      }
       config.executor = *kind;
       config.executor_set = true;
     } else if (arg == "--flows") {
@@ -435,16 +440,6 @@ void SimConfig::validate() const {
     if (executor == plan::ExecutorKind::kSharded && shards == 0) {
       config_error(kTool, "--executor sharded needs --shards N");
     }
-    if (executor == plan::ExecutorKind::kPipeline &&
-        (run_original || !run_speedybox)) {
-      config_error(kTool, "--executor pipeline runs the SpeedyBox path only: "
-                          "pass --mode speedybox");
-    }
-    if (executor == plan::ExecutorKind::kOnvm &&
-        (run_speedybox || !run_original)) {
-      config_error(kTool, "--executor onvm runs the original path only (no "
-                          "MATs on the platform layer): pass --mode original");
-    }
     if (autoscale && executor != plan::ExecutorKind::kSharded) {
       config_error(kTool, "--autoscale scales the flow-sharded runtime: pass "
                           "--shards N (or --executor sharded)");
@@ -538,7 +533,7 @@ void SimConfig::resolve_plan() {
       built.chain = plan::ChainSpec::parse(joined, "chainsim");
       built.executor = executor;
       // For --mode both this is the speedybox leg; plan_for() re-targets
-      // per run. validate() already pinned pipeline/onvm to one mode.
+      // per run.
       built.speedybox = run_speedybox;
       built.platform = platform;
       built.batch_size = batch_size;
