@@ -5,8 +5,15 @@
 //   * classifier cost (parse + validate + FID assignment);
 //   * Global MAT fast-path dispatch, with and without registered events
 //     (cost of the per-packet event check);
+//   * both of those at two working sets: one resident flow (every line
+//     cache-hot) and 32768 flows visited in a fixed shuffled order, where
+//     each packet pays for the per-flow lines it touches;
 //   * consolidation cost (the one-time per-flow control-plane work);
 //   * packet parse and checksum-validation primitives.
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "core/classifier.hpp"
@@ -14,9 +21,28 @@
 #include "net/checksum.hpp"
 #include "net/fields.hpp"
 #include "net/packet_builder.hpp"
+#include "util/rng.hpp"
 
 namespace speedybox {
 namespace {
+
+/// The resident-flow counts the working-set benches run at.
+constexpr std::int64_t kOneFlow = 1;
+constexpr std::int64_t kManyFlows = 32768;
+
+/// 0..flows-1 in a fixed shuffled order (Fisher-Yates over a seeded Rng),
+/// so consecutive packets touch unrelated flows' lines.
+std::vector<std::uint32_t> visit_order(std::size_t flows) {
+  std::vector<std::uint32_t> order(flows);
+  for (std::size_t i = 0; i < flows; ++i) {
+    order[i] = static_cast<std::uint32_t>(i);
+  }
+  util::Rng rng{0x5EED};
+  for (std::size_t i = flows; i > 1; --i) {
+    std::swap(order[i - 1], order[rng.below(i)]);
+  }
+  return order;
+}
 
 net::FiveTuple bench_tuple(std::uint32_t id = 1) {
   net::FiveTuple tuple;
@@ -87,48 +113,73 @@ void BM_FiveTupleHash(benchmark::State& state) {
 }
 BENCHMARK(BM_FiveTupleHash);
 
+/// Subsequent-packet classification with `flows` resident flows (arg 0).
 void BM_ClassifierSubsequent(benchmark::State& state) {
+  const auto flows = static_cast<std::size_t>(state.range(0));
   core::PacketClassifier classifier;
-  net::Packet first = net::make_tcp_packet(bench_tuple(), "x");
-  classifier.classify(first);
-  net::Packet packet = net::make_tcp_packet(bench_tuple(), "x");
+  std::vector<net::Packet> packets;
+  packets.reserve(flows);
+  for (std::size_t f = 0; f < flows; ++f) {
+    net::Packet first = net::make_tcp_packet(
+        bench_tuple(static_cast<std::uint32_t>(f)), "x");
+    classifier.classify(first);
+    packets.push_back(net::make_tcp_packet(
+        bench_tuple(static_cast<std::uint32_t>(f)), "x"));
+  }
+  const std::vector<std::uint32_t> order = visit_order(flows);
+  std::size_t next = 0;
   for (auto _ : state) {
-    auto result = classifier.classify(packet);
+    auto result = classifier.classify(packets[order[next]]);
     benchmark::DoNotOptimize(result);
+    if (++next == flows) next = 0;
   }
 }
-BENCHMARK(BM_ClassifierSubsequent);
+BENCHMARK(BM_ClassifierSubsequent)->ArgName("flows")->Arg(kOneFlow)->Arg(
+    kManyFlows);
 
 /// Fast-path dispatch with `events` registered hair-trigger-free events
-/// (arg 0 or 4): measures the per-packet cost of the event check.
+/// per flow (arg 0: 0, 1 or 4) over `flows` resident flows (arg 1):
+/// measures the per-packet cost of the event check. Each condition reads
+/// its flow's own cell, as NFs' bound conditions do.
 void BM_GlobalMatProcess(benchmark::State& state) {
+  const auto events = state.range(0);
+  const auto flows = static_cast<std::size_t>(state.range(1));
   core::LocalMat nat{"nat", 0};
   core::GlobalMat mat;
   mat.set_chain({&nat});
-  const std::uint32_t fid = 7;
-  for (const auto& action : nat_lb_actions()) {
-    nat.add_header_action(fid, action);
+  std::vector<std::uint64_t> cells(flows, 0);
+  std::vector<net::Packet> packets;
+  packets.reserve(flows);
+  for (std::size_t f = 0; f < flows; ++f) {
+    const auto fid = static_cast<std::uint32_t>(f);
+    for (const auto& action : nat_lb_actions()) {
+      nat.add_header_action(fid, action);
+    }
+    for (std::int64_t i = 0; i < events; ++i) {
+      core::EventRegistration event;
+      event.fid = fid;
+      event.nf_index = 0;
+      event.name = "never";
+      event.condition = [cell = &cells[f]] { return *cell != 0; };
+      event.update = [] { return core::EventUpdate{}; };
+      event.one_shot = false;
+      mat.event_table().register_event(std::move(event));
+    }
+    mat.consolidate_flow(fid);
+    packets.push_back(net::make_tcp_packet(bench_tuple(fid), "payload"));
+    packets.back().set_fid(fid);
   }
-  for (std::int64_t i = 0; i < state.range(0); ++i) {
-    core::EventRegistration event;
-    event.fid = fid;
-    event.nf_index = 0;
-    event.name = "never";
-    event.condition = [] { return false; };
-    event.update = [] { return core::EventUpdate{}; };
-    event.one_shot = false;
-    mat.event_table().register_event(std::move(event));
-  }
-  mat.consolidate_flow(fid);
-
-  net::Packet packet = net::make_tcp_packet(bench_tuple(), "payload");
-  packet.set_fid(fid);
+  const std::vector<std::uint32_t> order = visit_order(flows);
+  std::size_t next = 0;
   for (auto _ : state) {
-    auto result = mat.process(packet);
+    auto result = mat.process(packets[order[next]]);
     benchmark::DoNotOptimize(result);
+    if (++next == flows) next = 0;
   }
 }
-BENCHMARK(BM_GlobalMatProcess)->Arg(0)->Arg(1)->Arg(4);
+BENCHMARK(BM_GlobalMatProcess)
+    ->ArgNames({"events", "flows"})
+    ->ArgsProduct({{0, 1, 4}, {kOneFlow, kManyFlows}});
 
 void BM_ConsolidateFlow(benchmark::State& state) {
   core::LocalMat nat{"nat", 0};

@@ -80,9 +80,11 @@ ExportedFlow export_flow(runtime::ServiceChain& source,
     if (payload) {
       exported.states.push_back({i, observed, std::move(*payload)});
     }
-    if (const auto record = source.local_mat(i).snapshot(flow.fid)) {
-      evolve_tuple(*record, observed);
-    }
+    source.local_mat(i).visit(
+        flow.fid,
+        [&observed](const core::LocalRule& record) {
+          evolve_tuple(record, observed);
+        });
   }
 
   if (const core::ConsolidatedRule* rule =

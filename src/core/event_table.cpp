@@ -2,6 +2,16 @@
 
 namespace speedybox::core {
 
+void EventTable::copy_conditions(std::uint32_t fid,
+                                 std::vector<ConditionHandler>& out) const {
+  const std::lock_guard lock(mutex_);
+  const auto* list = events_.find(fid);
+  if (list == nullptr) return;
+  for (const EventRegistration& event : *list) {
+    if (event.condition) out.push_back(event.condition);
+  }
+}
+
 std::size_t EventTable::check(
     std::uint32_t fid,
     const std::function<void(const EventRegistration&, EventUpdate)>&
@@ -12,23 +22,23 @@ std::size_t EventTable::check(
   std::vector<EventRegistration> fired;
   {
     const std::lock_guard lock(mutex_);
-    const auto it = events_.find(fid);
-    if (it == events_.end()) return 0;
-    auto& list = it->second;
-    for (std::size_t i = 0; i < list.size();) {
-      ++checks_;
-      if (list[i].condition && list[i].condition()) {
-        ++triggers_;
-        fired.push_back(list[i]);
-        if (list[i].one_shot) {
-          list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
+    auto* list = events_.find(fid);
+    if (list == nullptr) return 0;
+    bump(checks_, list->size());
+    for (std::size_t i = 0; i < list->size();) {
+      EventRegistration& event = (*list)[i];
+      if (event.condition && event.condition()) {
+        fired.push_back(event);
+        if (event.one_shot) {
+          list->erase(list->begin() + static_cast<std::ptrdiff_t>(i));
           continue;  // next event shifted into slot i
         }
       }
       ++i;
     }
-    if (list.empty()) events_.erase(it);
+    if (list->empty()) events_.erase(fid);
   }
+  bump(triggers_, fired.size());
 
   // Phase 2 (outside the lock): compute updates and notify — the callback
   // re-consolidates the flow, which reads this table again.

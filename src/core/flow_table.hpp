@@ -1,6 +1,8 @@
 // FlowTable (DESIGN.md §13): the million-flow state engine behind every
 // per-flow structure on the hot path — the classifier's tuple→FID map, the
-// Global MAT's FID→rule map, and each NF's typed per-flow state.
+// Global MAT's FID→rule map, each Local MAT's and the Event Table's
+// FID-keyed records, each NF's typed per-flow state, the pipeline's flow
+// phases, and ChainRunner's original-mode tagging set and per-flow times.
 //
 // Why not std::unordered_map: at production flow counts the data path is
 // bounded by pointer-chasing cache misses (one heap node per entry, a
@@ -29,9 +31,11 @@
 //
 // Concurrency: a FlowTable has exactly one owner, like the maps it
 // replaces — per-shard under the sharded runtime's single-writer contract,
-// or guarded by the owning NF's mutex (MaglevLb, DosPrevention) where event
-// lambdas run on the manager core. Lookups update probe-length statistics,
-// so even const reads are owner-only.
+// or guarded by a mutex where several cores reach it: the owning NF's
+// (MaglevLb, DosPrevention), whose event lambdas run on the manager core,
+// and the Local MATs' and Event Table's, which NF cores record into while
+// the manager consolidates. Lookups update probe-length statistics, so
+// even const reads are owner-only.
 #pragma once
 
 #include <cstddef>

@@ -2,11 +2,12 @@
 // functions recorded in every Local MAT along the chain, and serves the fast
 // data path for subsequent packets:
 //
-//   subsequent packet ──► event check ──► consolidated header action
-//                                     ──► state-function batches (Table-I
-//                                         parallel schedule)
+//   subsequent packet ──► rule's event conditions ──► consolidated header
+//                         action ──► state-function handlers, chain order
+//                         (Table-I parallel schedule for the model)
 //
-// A triggered event patches the owning Local MAT record and re-consolidates
+// A condition that holds sends the flow through the Event Table: the
+// triggered event patches the owning Local MAT record and re-consolidates
 // the flow's rule before the packet is processed, so runtime behavior
 // changes (Maglev failover, DoS blacklisting) take effect immediately.
 #pragma once
@@ -25,16 +26,18 @@
 
 namespace speedybox::core {
 
-/// A flow's consolidated rule.
+/// A flow's consolidated rule, compiled so that a subsequent packet touches
+/// only the classifier, this rule, and the NF state its handlers and
+/// conditions name. The fields every fast-path packet reads come first, so
+/// they share the rule's leading cache lines.
 struct ConsolidatedRule {
-  ConsolidatedAction action;
-  BytePatch patch;                        // compiled field writes (lazy)
-  std::vector<StateFunctionBatch> batches; // per-NF, chain order
-  ParallelSchedule schedule;               // Table-I grouping of batches
-  std::uint64_t version = 0;               // bumped on re-consolidation
-  /// Set at consolidation when the flow has registered events; lets the
-  /// fast path skip the Event Table lookup entirely for event-free flows.
-  bool check_events = false;
+  /// Copies of the flow's event conditions, taken at consolidation. The
+  /// fast path evaluates them here and enters the Event Table only when
+  /// one holds; event-free flows carry none and skip events entirely.
+  std::vector<ConditionHandler> conditions;
+  /// Every state-function handler of the flow, stored once, in chain
+  /// order: the fast path runs straight through it.
+  std::vector<StateFunctionHandler> handlers;
 
   /// Batch-cost sampling: the first kCostSampleWindow measured packets time
   /// every batch individually to learn the critical-path fraction of the
@@ -42,12 +45,34 @@ struct ConsolidatedRule {
   /// timer pair and scales by the learned fraction — per-packet timer
   /// overhead stays constant no matter how many batches the rule has.
   static constexpr std::uint32_t kCostSampleWindow = 8;
-  std::uint32_t cost_samples = 0;
   double critical_fraction = 1.0;
-
+  std::uint32_t cost_samples = 0;
+  /// Parallel groups with ≥2 batches (each pays one fork/join in the
+  /// platform latency model) — a per-packet constant of the schedule.
+  std::uint32_t multi_batch_groups = 0;
+  /// The consolidated action restructures the header chain (decap or
+  /// encap), so state functions need a fresh parse of the packet.
+  bool reparse = false;
   /// Pre-consolidated pure-forward rule installed instead of recording
   /// while the path is degraded (runtime overload control, DESIGN.md §9).
   bool degraded_default = false;
+
+  ConsolidatedAction action;
+  BytePatch patch;                        // compiled field writes (lazy)
+  /// Per-NF batches as index ranges into `handlers`, chain order — what
+  /// the Table-I schedule, the cost-sampling window and the threaded
+  /// pipeline's NF stages use. NF names live in the chain's Local MATs.
+  std::vector<StateFunctionBatch> batches;
+  ParallelSchedule schedule;               // Table-I grouping of batches
+  std::uint64_t version = 0;               // bumped on re-consolidation
+
+  /// Run one NF's batch (its handlers, in recorded order).
+  void run_batch(const StateFunctionBatch& batch, net::Packet& packet,
+                 const net::ParsedPacket& parsed) const {
+    for (std::uint32_t i = batch.begin; i < batch.end; ++i) {
+      handlers[i](packet, parsed);
+    }
+  }
 };
 
 class GlobalMat {
@@ -81,7 +106,7 @@ class GlobalMat {
   /// flow's last packet would.
   bool rule_marked_drop(std::uint32_t fid) const {
     const ConsolidatedRule* rule = find(fid);
-    return rule != nullptr && rule->action.drop && !rule->check_events;
+    return rule != nullptr && rule->action.drop && rule->conditions.empty();
   }
 
   /// Install a pre-consolidated pure-forward default rule (graceful
@@ -132,26 +157,27 @@ class GlobalMat {
     std::uint64_t sf_total_cycles = 0;
     /// Modeled cycles under the Table-I parallel schedule (critical path).
     std::uint64_t sf_critical_path_cycles = 0;
-    /// Parallel groups with ≥2 batches (each pays one fork/join in the
-    /// platform latency model).
+    /// The rule's multi_batch_groups, reported when batches are measured.
     std::size_t multi_batch_groups = 0;
     /// Timer pairs consumed inside process() while measuring batches — the
     /// caller subtracts their overhead from its enclosing measurement.
     std::uint32_t timer_pairs = 0;
   };
 
-  /// Fast path for a subsequent packet: event check, consolidated header
-  /// action, state-function batches. `measure_batches` enables per-batch
-  /// cycle attribution (used by the benches); the equivalence tests leave it
-  /// off. `parsed_hint` is the classifier's parse of this packet — reused
-  /// for state-function execution when the consolidated action leaves the
-  /// header layout intact, so the fast path parses exactly once.
+  /// Fast path for a subsequent packet: the rule's event conditions,
+  /// consolidated header action, state-function handlers.
+  /// `measure_batches` enables per-batch cycle attribution (used by the
+  /// benches); the equivalence tests leave it off. `parsed_hint` is the
+  /// classifier's parse of this packet — reused for state-function
+  /// execution when the consolidated action leaves the header layout
+  /// intact, so the fast path parses exactly once.
   FastPathResult process(net::Packet& packet, bool measure_batches = false,
                          const net::ParsedPacket* parsed_hint = nullptr);
 
   /// The manager-side half of the fast path for threaded deployments:
-  /// event check + consolidated header action only. The caller dispatches
-  /// the returned rule's state-function batches to the owning NF cores.
+  /// event conditions + consolidated header action only. The caller
+  /// dispatches the returned rule's state-function batches to the owning
+  /// NF cores.
   struct FastHeaderResult {
     bool rule_hit = false;
     bool dropped = false;
@@ -176,13 +202,17 @@ class GlobalMat {
   void clear();
 
  private:
-  /// Shared front half of the fast path: rule lookup, event check (with
-  /// re-fetch after a trigger), consolidated header action. Returns a
+  /// Shared front half of the fast path: rule lookup, the rule's event
+  /// conditions (entering the Event Table, then re-fetching the rule, only
+  /// when one holds), consolidated header action. Returns a
   /// borrowed pointer to the rule the packet executes against (owned by
   /// rules_; valid until the next consolidation/erase of this flow), or
   /// null on a miss. Kept refcount-free because it runs per packet.
   ConsolidatedRule* apply_header_phase(net::Packet& packet, bool* dropped,
                                        std::size_t* events_triggered);
+  /// Evaluate the rule's condition copies until one holds; every
+  /// evaluation counts in the Event Table's checks_performed().
+  bool any_condition_holds(const ConsolidatedRule& rule);
 
   std::vector<LocalMat*> chain_;
   EventTable events_;
@@ -191,6 +221,9 @@ class GlobalMat {
   /// holders of the old snapshot stay consistent (see consolidate_flow).
   FlowTable<std::uint32_t, std::shared_ptr<ConsolidatedRule>> rules_;
   std::uint64_t consolidations_ = 0;
+  /// Per-batch cycle costs of the packet being sampled, reused across
+  /// packets so the sampling window allocates nothing per packet.
+  std::vector<std::uint64_t> batch_costs_;
 };
 
 }  // namespace speedybox::core

@@ -4,6 +4,9 @@
 // queue, §IV-B) here. The Global MAT consolidates across the chain's Local
 // MATs.
 //
+// Records live in a FID-keyed core::FlowTable: slab storage that a flow's
+// teardown returns for the next flow to reuse, with no heap node per flow.
+//
 // Thread safety: every operation takes the table's mutex, so an NF core can
 // record flows while the manager core consolidates, applies event updates,
 // or tears flows down (the threaded ONVM deployment, §VI-A). These are all
@@ -12,12 +15,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "core/flow_table.hpp"
 #include "core/header_action.hpp"
 #include "core/state_function.hpp"
 
@@ -42,11 +45,11 @@ class LocalMat {
 
   void add_header_action(std::uint32_t fid, const HeaderAction& action) {
     const std::lock_guard lock(mutex_);
-    rules_[fid].header_actions.push_back(action);
+    record(fid).header_actions.push_back(action);
   }
   void add_state_function(std::uint32_t fid, StateFunction fn) {
     const std::lock_guard lock(mutex_);
-    rules_[fid].state_functions.push_back(std::move(fn));
+    record(fid).state_functions.push_back(std::move(fn));
   }
 
   /// Event-driven runtime updates (§V-C1): replace the flow's recorded
@@ -54,17 +57,17 @@ class LocalMat {
   void replace_header_actions(std::uint32_t fid,
                               std::vector<HeaderAction> actions) {
     const std::lock_guard lock(mutex_);
-    rules_[fid].header_actions = std::move(actions);
+    record(fid).header_actions = std::move(actions);
   }
   void replace_state_functions(std::uint32_t fid,
                                std::vector<StateFunction> functions) {
     const std::lock_guard lock(mutex_);
-    rules_[fid].state_functions = std::move(functions);
+    record(fid).state_functions = std::move(functions);
   }
 
   void add_teardown_hook(std::uint32_t fid, std::function<void()> hook) {
     const std::lock_guard lock(mutex_);
-    rules_[fid].teardown_hooks.push_back(std::move(hook));
+    record(fid).teardown_hooks.push_back(std::move(hook));
   }
 
   /// Run (and consume) the flow's teardown hooks; called by the Global MAT
@@ -74,20 +77,21 @@ class LocalMat {
     std::vector<std::function<void()>> hooks;
     {
       const std::lock_guard lock(mutex_);
-      const auto it = rules_.find(fid);
-      if (it == rules_.end()) return;
-      hooks.swap(it->second.teardown_hooks);
+      LocalRule* rule = rules_.find(fid);
+      if (rule == nullptr) return;
+      hooks.swap(rule->teardown_hooks);
     }
     for (const auto& hook : hooks) hook();
   }
 
-  /// Copy of the flow's record (consolidation reads through this so no
-  /// reference escapes the lock).
-  std::optional<LocalRule> snapshot(std::uint32_t fid) const {
+  /// Read the flow's record in place, if it has one: `fn(const
+  /// LocalRule&)` runs under the table lock, so nothing it reads escapes
+  /// the lock and nothing is copied. `fn` must not call back into this
+  /// table.
+  template <class F>
+  void visit(std::uint32_t fid, F&& fn) const {
     const std::lock_guard lock(mutex_);
-    const auto it = rules_.find(fid);
-    if (it == rules_.end()) return std::nullopt;
-    return it->second;
+    if (const LocalRule* rule = rules_.find(fid)) fn(*rule);
   }
 
   /// Borrowing lookup for single-threaded use (tests, inline inspection):
@@ -95,8 +99,7 @@ class LocalMat {
   /// across concurrent mutation.
   const LocalRule* find(std::uint32_t fid) const {
     const std::lock_guard lock(mutex_);
-    const auto it = rules_.find(fid);
-    return it == rules_.end() ? nullptr : &it->second;
+    return rules_.find(fid);
   }
 
   bool contains(std::uint32_t fid) const {
@@ -120,10 +123,15 @@ class LocalMat {
   }
 
  private:
+  /// Find-or-create the flow's record; caller holds the lock.
+  LocalRule& record(std::uint32_t fid) {
+    return *rules_.try_emplace(fid).first;
+  }
+
   std::string nf_name_;
   std::size_t nf_index_;
   mutable std::mutex mutex_;
-  std::unordered_map<std::uint32_t, LocalRule> rules_;
+  FlowTable<std::uint32_t, LocalRule> rules_;
 };
 
 }  // namespace speedybox::core

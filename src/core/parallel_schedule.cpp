@@ -24,7 +24,7 @@ ParallelSchedule build_schedule(
 
   for (std::size_t i = 0; i < batches.size(); ++i) {
     if (batches[i].empty()) continue;
-    const PayloadAccess access = batches[i].access();
+    const PayloadAccess access = batches[i].access;
     bool joined = false;
     if (!schedule.groups.empty()) {
       // Batch i may join the open group only if every already-grouped batch

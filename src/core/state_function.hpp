@@ -10,8 +10,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "net/packet.hpp"
 
@@ -32,30 +32,27 @@ struct StateFunction {
   std::string name;  // diagnostics / equivalence audits
 };
 
+/// Batch access class = highest-priority member access (§V-C2).
+inline PayloadAccess batch_access(
+    std::span<const StateFunction> functions) noexcept {
+  PayloadAccess max = PayloadAccess::kIgnore;
+  for (const StateFunction& fn : functions) {
+    if (static_cast<int>(fn.access) > static_cast<int>(max)) max = fn.access;
+  }
+  return max;
+}
+
 /// All state functions one NF recorded for a flow (§V-C1: "we define all
-/// state functions of a rule as a state function batch"). Functions within
-/// a batch always execute in recorded order.
+/// state functions of a rule as a state function batch"), as the index
+/// range [begin, end) of the consolidated rule's chain-order handler
+/// array. Functions within a batch always execute in recorded order.
 struct StateFunctionBatch {
-  std::size_t nf_index = 0;      // position of the owning NF in the chain
-  std::string nf_name;
-  std::vector<StateFunction> functions;
+  std::uint32_t nf_index = 0;  // position of the owning NF in the chain
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+  PayloadAccess access = PayloadAccess::kIgnore;  // batch_access()
 
-  /// Batch access class = highest-priority member access (§V-C2).
-  PayloadAccess access() const noexcept {
-    PayloadAccess max = PayloadAccess::kIgnore;
-    for (const auto& fn : functions) {
-      if (static_cast<int>(fn.access) > static_cast<int>(max)) {
-        max = fn.access;
-      }
-    }
-    return max;
-  }
-
-  bool empty() const noexcept { return functions.empty(); }
-
-  void execute(net::Packet& packet, const net::ParsedPacket& parsed) const {
-    for (const auto& fn : functions) fn.handler(packet, parsed);
-  }
+  bool empty() const noexcept { return begin == end; }
 };
 
 inline std::string_view payload_access_name(PayloadAccess access) noexcept {

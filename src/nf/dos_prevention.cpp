@@ -41,36 +41,7 @@ void DosPrevention::process(net::Packet& packet,
   }
   core::apply_action_baseline(normal_action_, packet);
 
-  if (ctx != nullptr) {
-    ctx->add_header_action(normal_action_);
-    core::localmat_add_SF(
-        ctx,
-        [this, flow_args](net::Packet&, const net::ParsedPacket& p) {
-          const std::lock_guard lock(mutex_);
-          if (p.has_syn()) ++flow_args->syn_count;
-        },
-        core::PayloadAccess::kIgnore, name() + ".syn_count");
-    ctx->register_event(
-        name() + ".blacklist",
-        [this, tuple]() {
-          const std::lock_guard lock(mutex_);
-          const FlowState* state = flows_.find(tuple);
-          return state != nullptr && state->syn_count > threshold_;
-        },
-        [this, tuple]() {
-          const std::lock_guard lock(mutex_);
-          flows_.try_emplace(tuple).first->blacklisted = true;
-          ++drops_;  // accounted per-flow, not per-packet, on the fast path
-          core::EventUpdate update;
-          update.header_actions = {core::HeaderAction::drop()};
-          return update;
-        },
-        /*one_shot=*/true);
-    ctx->on_teardown([this, tuple]() {
-      const std::lock_guard lock(mutex_);
-      flows_.erase(tuple);
-    });
-  }
+  if (ctx != nullptr) record(tuple, flow_args, /*blacklisted=*/false, *ctx);
 }
 
 std::uint64_t DosPrevention::syn_count(const net::FiveTuple& tuple) const {
@@ -107,33 +78,35 @@ void DosPrevention::import_flow_state(const net::FiveTuple& tuple,
     blacklisted = state.blacklisted;
     flow_args = &state;
   }
-  if (ctx == nullptr) return;
-  if (blacklisted) {
-    // The event already fired on the source shard: re-record the post-event
-    // rule (drop + the still-live SYN counter) without re-arming the
-    // one-shot event.
-    ctx->add_header_action(core::HeaderAction::drop());
-  } else {
-    ctx->add_header_action(normal_action_);
-  }
+  if (ctx != nullptr) record(tuple, flow_args, blacklisted, *ctx);
+}
+
+void DosPrevention::record(const net::FiveTuple& tuple, FlowState* flow_args,
+                           bool blacklisted, core::SpeedyBoxContext& ctx) {
+  // A flow imported after its blacklist event fired on the source shard
+  // re-records the post-event rule (drop + the still-live SYN counter)
+  // without re-arming the one-shot event.
+  ctx.add_header_action(blacklisted ? core::HeaderAction::drop()
+                                    : normal_action_);
   core::localmat_add_SF(
-      ctx,
+      &ctx,
       [this, flow_args](net::Packet&, const net::ParsedPacket& p) {
         const std::lock_guard lock(mutex_);
         if (p.has_syn()) ++flow_args->syn_count;
       },
       core::PayloadAccess::kIgnore, name() + ".syn_count");
   if (!blacklisted) {
-    ctx->register_event(
+    // The condition and the update read the flow's bound FlowState, as
+    // the SYN-counting handler does — no per-packet flow lookup.
+    ctx.register_event(
         name() + ".blacklist",
-        [this, tuple]() {
+        [this, flow_args]() {
           const std::lock_guard lock(mutex_);
-          const FlowState* state = flows_.find(tuple);
-          return state != nullptr && state->syn_count > threshold_;
+          return flow_args->syn_count > threshold_;
         },
-        [this, tuple]() {
+        [this, flow_args]() {
           const std::lock_guard lock(mutex_);
-          flows_.try_emplace(tuple).first->blacklisted = true;
+          flow_args->blacklisted = true;
           ++drops_;  // accounted per-flow, not per-packet, on the fast path
           core::EventUpdate update;
           update.header_actions = {core::HeaderAction::drop()};
@@ -141,7 +114,7 @@ void DosPrevention::import_flow_state(const net::FiveTuple& tuple,
         },
         /*one_shot=*/true);
   }
-  ctx->on_teardown([this, tuple]() {
+  ctx.on_teardown([this, tuple]() {
     const std::lock_guard lock(mutex_);
     flows_.erase(tuple);
   });

@@ -60,6 +60,12 @@ class DosPrevention : public NetworkFunction {
     bool blacklisted = false;
   };
 
+  /// Record the flow's action, SYN counter, blacklist event (unless it has
+  /// already fired) and cleanup, bound to its FlowState — shared by the
+  /// initial-packet path and flow-state import.
+  void record(const net::FiveTuple& tuple, FlowState* flow_args,
+              bool blacklisted, core::SpeedyBoxContext& ctx);
+
   std::uint64_t threshold_;
   core::HeaderAction normal_action_;
   /// Guards flows_ and drops_: the blacklist event lambdas run on the

@@ -99,49 +99,7 @@ void MaglevLb::process(net::Packet& packet, core::SpeedyBoxContext* ctx) {
     core::apply_action_baseline(action, packet);
   }
 
-  if (ctx != nullptr) {
-    for (const core::HeaderAction& action : actions) {
-      ctx->add_header_action(action);
-    }
-    // Per-backend byte accounting as an IGNORE-class state function. The
-    // recorded args bind the flow's connection-tracking cell directly
-    // (pointer-stable slab record, updated in place on failover), so the
-    // handler always charges the *current* backend without a per-packet
-    // table lookup.
-    core::localmat_add_SF(
-        ctx,
-        [this, backend_cell](net::Packet& pkt, const net::ParsedPacket&) {
-          const std::lock_guard lock(mutex_);
-          bytes_[*backend_cell] += pkt.size();
-        },
-        core::PayloadAccess::kIgnore, name() + ".bytes");
-    // The failover event (§V-A Observation 2): when the flow's backend goes
-    // unhealthy, reroute and swap the modify actions on the fast path.
-    // Persistent, so repeated failures keep being handled, mirroring the
-    // per-packet health check of the baseline path. Both lambdas run on
-    // the manager core (Global MAT event check) while the data path runs
-    // on this NF's core — hence the lock.
-    ctx->register_event(
-        name() + ".failover",
-        [this, tuple]() {
-          const std::lock_guard lock(mutex_);
-          const std::size_t* backend = conn_track_.find(tuple);
-          return backend != nullptr && !backends_[*backend].healthy;
-        },
-        [this, tuple]() {
-          const std::lock_guard lock(mutex_);
-          ++reroutes_;
-          const std::size_t next = assign(core::HashedTuple::of(tuple));
-          core::EventUpdate update;
-          update.header_actions = actions_for(next);
-          return update;
-        },
-        /*one_shot=*/false);
-    ctx->on_teardown([this, tuple]() {
-      const std::lock_guard lock(mutex_);
-      conn_track_.erase(tuple);
-    });
-  }
+  if (ctx != nullptr) record(tuple, backend_cell, actions, *ctx);
 
   // Connection close: release the tracking entry inline on the unrecorded
   // path; the teardown hook handles the recorded path (after the rule
@@ -189,26 +147,42 @@ void MaglevLb::import_flow_state(const net::FiveTuple& tuple,
     backend_cell = &cell;
   }
   // Re-record what process() recorded for the initial packet (the lock is
-  // released first — see the lock-order note on mutex_): sticky modify
-  // actions, the per-backend byte accounting bound to the destination's
-  // connection-tracking cell, the persistent failover event, and cleanup.
-  if (ctx == nullptr) return;
+  // released first — see the lock-order note on mutex_), bound to the
+  // destination's connection-tracking cell.
+  if (ctx != nullptr) record(tuple, backend_cell, actions, *ctx);
+}
+
+void MaglevLb::record(const net::FiveTuple& tuple,
+                      const std::size_t* backend_cell,
+                      const std::vector<core::HeaderAction>& actions,
+                      core::SpeedyBoxContext& ctx) {
   for (const core::HeaderAction& action : actions) {
-    ctx->add_header_action(action);
+    ctx.add_header_action(action);
   }
+  // Per-backend byte accounting as an IGNORE-class state function. The
+  // recorded args bind the flow's connection-tracking cell directly
+  // (pointer-stable slab record, rewritten in place by assign() on
+  // failover), so the handler always charges the *current* backend
+  // without a per-packet table lookup.
   core::localmat_add_SF(
-      ctx,
+      &ctx,
       [this, backend_cell](net::Packet& pkt, const net::ParsedPacket&) {
         const std::lock_guard lock(mutex_);
         bytes_[*backend_cell] += pkt.size();
       },
       core::PayloadAccess::kIgnore, name() + ".bytes");
-  ctx->register_event(
+  // The failover event (§V-A Observation 2): when the flow's backend goes
+  // unhealthy, reroute and swap the modify actions on the fast path. The
+  // condition reads the same bound cell, so it follows every reroute.
+  // Persistent, so repeated failures keep being handled, mirroring the
+  // per-packet health check of the baseline path. Both lambdas run on
+  // the manager core (Global MAT event check) while the data path runs
+  // on this NF's core — hence the lock.
+  ctx.register_event(
       name() + ".failover",
-      [this, tuple]() {
+      [this, backend_cell]() {
         const std::lock_guard lock(mutex_);
-        const std::size_t* backend = conn_track_.find(tuple);
-        return backend != nullptr && !backends_[*backend].healthy;
+        return !backends_[*backend_cell].healthy;
       },
       [this, tuple]() {
         const std::lock_guard lock(mutex_);
@@ -219,7 +193,7 @@ void MaglevLb::import_flow_state(const net::FiveTuple& tuple,
         return update;
       },
       /*one_shot=*/false);
-  ctx->on_teardown([this, tuple]() {
+  ctx.on_teardown([this, tuple]() {
     const std::lock_guard lock(mutex_);
     conn_track_.erase(tuple);
   });

@@ -85,6 +85,12 @@ class MaglevLb : public NetworkFunction {
   /// (possibly new) backend index.
   std::size_t ensure_healthy(const core::HashedTuple& flow);
   std::vector<core::HeaderAction> actions_for(std::size_t backend) const;
+  /// Record the flow's modify actions, byte accounting, failover event and
+  /// cleanup, bound to its connection-tracking cell — shared by the
+  /// initial-packet path and flow-state import.
+  void record(const net::FiveTuple& tuple, const std::size_t* backend_cell,
+              const std::vector<core::HeaderAction>& actions,
+              core::SpeedyBoxContext& ctx);
 
   /// Guards conn_track_, backends_, table_, bytes_ and reroutes_. Unlike
   /// most NF-internal state (single-owner by the concurrency contract),

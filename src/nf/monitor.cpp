@@ -20,11 +20,7 @@ void Monitor::account(const core::HashedTuple& flow, const net::Packet& packet,
                       const net::ParsedPacket& parsed) {
   // The tuple was hashed exactly once upstream; the same hash indexes the
   // flow table and every sketch row.
-  FlowCounters& counters = *counters_.try_emplace(flow.tuple, flow.hash).first;
-  ++counters.packets;
-  counters.bytes += packet.size();
-  ++total_packets_;
-  total_bytes_ += packet.size();
+  count(*counters_.try_emplace(flow.tuple, flow.hash).first, packet.size());
 
   if (config_.sketch_depth > 0) {
     const std::uint64_t h = flow.hash.value;
@@ -129,11 +125,23 @@ void Monitor::record(const core::HashedTuple& flow,
   ctx.add_header_action(core::HeaderAction::forward());
   // Figure-2 semantics: the handler is recorded with resolved args — the
   // flow's counter record (slab-resident, pointer-stable across table
-  // resizes) and its precomputed sketch/port slots — so the per-packet
-  // classification work (hashing, table lookups) happens once, at rule
-  // setup.
+  // resizes) and, when the optional statistics are on, its precomputed
+  // sketch/port slots — so the per-packet classification work (hashing,
+  // table lookups) happens once, at rule setup.
   FlowCounters* flow_counters =
       counters_.try_emplace(flow.tuple, flow.hash).first;
+  const bool histogram = config_.payload_histogram;
+  if (config_.sketch_depth == 0 && !config_.per_port_stats && !histogram) {
+    // Counters only: two pointers of captures, which std::function keeps
+    // in its inline buffer — no heap closure to chase per packet.
+    core::localmat_add_SF(
+        &ctx,
+        [this, flow_counters](net::Packet& pkt, const net::ParsedPacket&) {
+          count(*flow_counters, pkt.size());
+        },
+        core::PayloadAccess::kIgnore, name() + ".count");
+    return;
+  }
   std::vector<std::uint64_t*> sketch_cells;
   const std::uint64_t h = flow.hash.value;
   for (std::uint32_t row = 0; row < config_.sketch_depth; ++row) {
@@ -144,17 +152,13 @@ void Monitor::record(const core::HashedTuple& flow,
   }
   std::uint64_t* port_cell =
       config_.per_port_stats ? &port_bytes_[flow.tuple.dst_port] : nullptr;
-  const bool histogram = config_.payload_histogram;
   core::localmat_add_SF(
       &ctx,
       [this, flow_counters, sketch_cells = std::move(sketch_cells),
        port_cell, histogram](net::Packet& pkt,
                              const net::ParsedPacket& parsed) {
         const std::uint64_t size = pkt.size();
-        ++flow_counters->packets;
-        flow_counters->bytes += size;
-        ++total_packets_;
-        total_bytes_ += size;
+        count(*flow_counters, size);
         for (std::uint64_t* cell : sketch_cells) *cell += size;
         if (port_cell != nullptr) *port_cell += size;
         if (histogram) {

@@ -120,6 +120,13 @@ class Monitor : public NetworkFunction {
  private:
   void account(const core::HashedTuple& flow, const net::Packet& packet,
                const net::ParsedPacket& parsed);
+  /// The per-packet counter update every path shares.
+  void count(FlowCounters& counters, std::uint64_t size) noexcept {
+    ++counters.packets;
+    counters.bytes += size;
+    ++total_packets_;
+    total_bytes_ += size;
+  }
   /// Record the flow's forward action + counting state function through the
   /// context — shared by the initial-packet path and flow-state import.
   void record(const core::HashedTuple& flow, core::SpeedyBoxContext& ctx);

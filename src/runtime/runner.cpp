@@ -1,8 +1,6 @@
 #include "runtime/runner.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "net/checksum.hpp"
 #include "util/cycle_clock.hpp"
@@ -350,13 +348,14 @@ void ChainRunner::process_original_batch(
     if (!batch.valid(i)) continue;
     ++live_entry;
     if (const auto parsed = net::parse_packet(batch.packet(i))) {
-      const net::FiveTuple tuple =
-          net::extract_five_tuple(batch.packet(i), *parsed);
-      outcomes[i].initial = seen_tuples_.insert(tuple).second;
-      if (parsed->has_fin_or_rst()) seen_tuples_.erase(tuple);
-      if (spans != nullptr && spans->should_sample(tuple.hash())) {
+      const auto flow = core::HashedTuple::of(
+          net::extract_five_tuple(batch.packet(i), *parsed));
+      outcomes[i].initial =
+          seen_tuples_.try_emplace(flow.tuple, flow.hash).second;
+      if (parsed->has_fin_or_rst()) seen_tuples_.erase(flow.tuple, flow.hash);
+      if (spans != nullptr && spans->should_sample(flow.hash.value)) {
         traced[i] = 1;
-        spans->begin(tuple.hash(), net::kInvalidFid,
+        spans->begin(flow.hash.value, net::kInvalidFid,
                      util::CycleClock::now());
       }
     }
@@ -625,33 +624,36 @@ std::size_t ChainRunner::expire_idle_flows(double max_idle_us) {
 const RunStats& ChainRunner::run_packets(
     const std::vector<net::Packet>& packets,
     std::vector<net::Packet>* outputs) {
-  std::unordered_map<net::FiveTuple, double, net::FiveTupleHash> flow_time;
+  // Per-flow times keyed by the pre-chain tuple (unmeasured bookkeeping),
+  // hashed once per packet.
+  core::FlowTable<net::FiveTuple, double> flow_time;
   const std::size_t burst = std::max<std::size_t>(1, config_.batch_size);
   std::vector<net::Packet> local(burst);
-  std::vector<std::optional<net::FiveTuple>> tuples(burst);
+  std::vector<std::optional<core::HashedTuple>> flows(burst);
   std::vector<PacketOutcome> outcomes;
+  net::PacketBatch batch{burst};
   if (outputs != nullptr) {
     outputs->clear();
     outputs->reserve(packets.size());
   }
   for (std::size_t offset = 0; offset < packets.size();) {
     const std::size_t chunk = std::min(burst, packets.size() - offset);
-    net::PacketBatch batch{burst};
+    batch.clear();
     for (std::size_t k = 0; k < chunk; ++k) {
       local[k] = packets[offset + k];
       local[k].reset_metadata();
-      // Key flow time by the pre-chain tuple (unmeasured bookkeeping).
-      tuples[k].reset();
+      flows[k].reset();
       if (const auto parsed = net::parse_packet(local[k])) {
-        tuples[k] = net::extract_five_tuple(local[k], *parsed);
+        flows[k] = core::HashedTuple::of(
+            net::extract_five_tuple(local[k], *parsed));
       }
       local[k].set_arrival_cycle(util::CycleClock::now());
       batch.push(&local[k]);
     }
     process_batch(batch, outcomes);
     for (std::size_t k = 0; k < chunk; ++k) {
-      if (tuples[k]) {
-        flow_time[*tuples[k]] +=
+      if (flows[k]) {
+        *flow_time.try_emplace(flows[k]->tuple, flows[k]->hash).first +=
             util::CycleClock::to_us(outcomes[k].latency_cycles);
       }
       if (outputs != nullptr) outputs->push_back(local[k]);
@@ -659,7 +661,10 @@ const RunStats& ChainRunner::run_packets(
     offset += chunk;
   }
   flow_time_us_.clear();
-  for (const auto& [tuple, time_us] : flow_time) flow_time_us_.add(time_us);
+  flow_time.for_each(
+      [this](const net::FiveTuple&, double time_us) {
+        flow_time_us_.add(time_us);
+      });
   return stats_;
 }
 

@@ -22,13 +22,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
-#include <memory>
-
 #include "core/classifier.hpp"
+#include "core/flow_table.hpp"
 #include "net/packet.hpp"
 #include "net/packet_batch.hpp"
 #include "platform/costs.hpp"
@@ -256,8 +255,9 @@ class ChainRunner : public Executor {
   RunStats stats_;
   util::SampleRecorder flow_time_us_;
   /// Original mode only: stats-side init/sub tagging (there is no
-  /// classifier on the original path). Maintained outside measured regions.
-  std::unordered_set<net::FiveTuple, net::FiveTupleHash> seen_tuples_;
+  /// classifier on the original path), used as a set — the value is
+  /// unused. Maintained outside measured regions.
+  core::FlowTable<net::FiveTuple, bool> seen_tuples_;
 };
 
 }  // namespace speedybox::runtime

@@ -115,10 +115,11 @@ void SpeedyBoxPipeline::run_speedybox_stage(Descriptor& descriptor,
         chain_.nf(nf).process(packet, &ctx);
       } else if (descriptor.rule != nullptr) {
         // Execute this NF's recorded state-function batch, if any.
-        for (const auto& batch : descriptor.rule->batches) {
+        const core::ConsolidatedRule& rule = *descriptor.rule;
+        for (const auto& batch : rule.batches) {
           if (batch.nf_index != nf) continue;
           if (const auto parsed = net::parse_packet(packet)) {
-            batch.execute(packet, *parsed);
+            rule.run_batch(batch, packet, *parsed);
           }
           break;
         }
@@ -230,7 +231,7 @@ void SpeedyBoxPipeline::fast_path(net::Packet* packet, std::uint32_t fid,
   }
   if (packet->dropped()) {
     count_drop(packet);
-  } else if (!header.rule_hit || header.rule->batches.empty()) {
+  } else if (!header.rule_hit || header.rule->handlers.empty()) {
     // No rule (torn down between hold and release) forwards the packet
     // as-is; a pure header-action rule leaves nothing for the NF cores.
     // Recording completion already ordered before READY, so the manager

@@ -23,20 +23,30 @@ std::vector<nf::Backend> two_backends() {
   };
 }
 
-trace::Workload ten_packet_flow() {
+std::vector<nf::Backend> three_backends() {
+  return {
+      {"b0", net::Ipv4Addr{10, 2, 0, 10}, 8000, true},
+      {"b1", net::Ipv4Addr{10, 2, 0, 11}, 8001, true},
+      {"b2", net::Ipv4Addr{10, 2, 0, 12}, 8002, true},
+  };
+}
+
+trace::Workload one_flow(std::uint32_t packets) {
   trace::Workload workload;
   trace::FlowSpec flow;
   flow.tuple = tuple_n(1);
-  flow.packet_count = 10;
+  flow.packet_count = packets;
   flow.payload.assign(32, 'p');
   flow.close_with_fin = false;  // keep the flow alive through the test
   flow.open_with_syn = false;
   workload.flows.push_back(flow);
-  for (std::uint32_t seq = 0; seq < 10; ++seq) {
+  for (std::uint32_t seq = 0; seq < packets; ++seq) {
     workload.order.push_back({0, seq, net::kTcpFlagAck});
   }
   return workload;
 }
+
+trace::Workload ten_packet_flow() { return one_flow(10); }
 
 TEST(MaglevEventEquivalence, PaperCaseStudy) {
   const trace::Workload workload = ten_packet_flow();
@@ -104,6 +114,39 @@ TEST(MaglevEventEquivalence, OriginalAndSpeedyBoxIdenticalUnderFailover) {
   const auto original = run_mode(false);
   const auto speedy = run_mode(true);
   speedybox::testing::expect_identical_outputs(original, speedy);
+}
+
+TEST(MaglevEventEquivalence, SecondFailoverFollowsTheReroutedBackend) {
+  // Fail the flow's backend before packet 6, then the backend it was
+  // rerouted to before packet 11. The failover condition must read the
+  // connection-tracking cell that the first reroute rewrote in place: a
+  // condition holding the first backend's index would keep firing (one
+  // reroute per packet) instead of firing exactly twice.
+  const trace::Workload workload = one_flow(15);
+
+  const auto run_mode = [&workload](bool speedybox) {
+    auto chain = std::make_unique<ServiceChain>();
+    auto& lb = chain->emplace_nf<nf::MaglevLb>(three_backends(),
+                                               std::size_t{251});
+    auto run = run_chain(*chain, workload, speedybox,
+                         [&lb](ServiceChain&, std::size_t index) {
+                           if (index == 5 || index == 10) {
+                             lb.fail_backend(
+                                 lb.backend_of(tuple_n(1)).value());
+                           }
+                         });
+    EXPECT_EQ(lb.reroutes(), 2u) << (speedybox ? "speedybox" : "original");
+    return std::make_pair(
+        std::move(run),
+        chain->global_mat().event_table().events_triggered());
+  };
+
+  const auto [original, original_events] = run_mode(false);
+  const auto [speedy, speedy_events] = run_mode(true);
+  ASSERT_EQ(original.outputs.size(), 15u);
+  speedybox::testing::expect_identical_outputs(original, speedy);
+  EXPECT_EQ(original_events, 0u);
+  EXPECT_EQ(speedy_events, 2u);
 }
 
 TEST(MaglevEventEquivalence, NoFailureNoEvent) {

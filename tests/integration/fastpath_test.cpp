@@ -32,7 +32,7 @@ TEST(FastPath, ConsolidatedRuleContainsNatModifiesAndMonitorBatch) {
   EXPECT_TRUE(rule->action.field_writes[static_cast<std::size_t>(
       net::HeaderField::kSrcPort)]);
   ASSERT_EQ(rule->batches.size(), 1u);  // only Monitor has state functions
-  EXPECT_EQ(rule->batches[0].nf_name, "monitor");
+  EXPECT_EQ(chain.local_mat(rule->batches[0].nf_index).nf_name(), "monitor");
 }
 
 TEST(FastPath, SubsequentOutputMatchesRecordingOutput) {

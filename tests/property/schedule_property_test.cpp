@@ -20,12 +20,11 @@ std::vector<StateFunctionBatch> random_batches(util::Rng& rng,
   std::vector<StateFunctionBatch> batches;
   for (std::size_t i = 0; i < count; ++i) {
     StateFunctionBatch batch;
-    batch.nf_index = i;
-    const auto access = static_cast<PayloadAccess>(rng.below(3));
-    batch.functions.push_back(
-        StateFunction{[](net::Packet&, const net::ParsedPacket&) {}, access,
-                      "sf"});
-    batches.push_back(std::move(batch));
+    batch.nf_index = static_cast<std::uint32_t>(i);
+    batch.begin = static_cast<std::uint32_t>(i);
+    batch.end = batch.begin + 1;
+    batch.access = static_cast<PayloadAccess>(rng.below(3));
+    batches.push_back(batch);
   }
   return batches;
 }
@@ -52,8 +51,8 @@ TEST_P(ScheduleProperty, GroupsAreSoundAndComplete) {
     for (const auto& group : schedule.groups) {
       for (std::size_t a = 0; a < group.size(); ++a) {
         for (std::size_t b = a + 1; b < group.size(); ++b) {
-          ASSERT_TRUE(parallelizable(batches[group[a]].access(),
-                                     batches[group[b]].access()))
+          ASSERT_TRUE(parallelizable(batches[group[a]].access,
+                                     batches[group[b]].access))
               << "group violates Table I";
         }
       }
@@ -93,10 +92,11 @@ TEST_P(ScheduleProperty, GreedyNeverWorseThanSequential) {
   std::vector<StateFunctionBatch> ignores;
   for (std::size_t i = 0; i < 6; ++i) {
     StateFunctionBatch batch;
-    batch.nf_index = i;
-    batch.functions.push_back(
-        StateFunction{{}, PayloadAccess::kIgnore, "i"});
-    ignores.push_back(std::move(batch));
+    batch.nf_index = static_cast<std::uint32_t>(i);
+    batch.begin = static_cast<std::uint32_t>(i);
+    batch.end = batch.begin + 1;
+    batch.access = PayloadAccess::kIgnore;
+    ignores.push_back(batch);
   }
   EXPECT_EQ(build_schedule(ignores).group_count(), 1u);
 }

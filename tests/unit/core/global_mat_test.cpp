@@ -1,7 +1,11 @@
 #include "core/global_mat.hpp"
 
+#include <atomic>
+#include <thread>
+
 #include <gtest/gtest.h>
 
+#include "core/api.hpp"
 #include "net/fields.hpp"
 #include "net/packet_builder.hpp"
 #include "test_helpers.hpp"
@@ -196,6 +200,68 @@ TEST_F(GlobalMatTest, ScheduleGroupsReadBatches) {
   const ConsolidatedRule* rule = mat_.find(10);
   ASSERT_EQ(rule->batches.size(), 2u);
   EXPECT_EQ(rule->schedule.group_count(), 1u);
+}
+
+// The threaded pipeline's split: NF cores record flows into the Local MATs
+// and the Event Table while the manager consolidates, fast-paths and tears
+// down earlier flows. Both tables keep their records in FlowTable slabs
+// whose even const lookups write probe counters, so every access must stay
+// under the table locks (run under TSan and ASan by run_sanitizers.sh).
+TEST(GlobalMatConcurrency, RecordWhileConsolidatingAndErasing) {
+  constexpr std::uint32_t kFlows = 3000;
+  constexpr std::uint32_t kLag = 64;  // flows kept alive behind the head
+  LocalMat nat{"nat", 0};
+  LocalMat monitor{"monitor", 1};
+  GlobalMat mat;
+  mat.set_chain({&nat, &monitor});
+  std::atomic<std::uint32_t> recorded{0};
+  std::atomic<std::uint64_t> sf_runs{0};
+  std::atomic<std::uint32_t> hooks_run{0};
+
+  std::thread nf_core([&] {
+    for (std::uint32_t fid = 0; fid < kFlows; ++fid) {
+      SpeedyBoxContext nat_ctx{nat, mat.event_table(), fid};
+      nat_ctx.add_header_action(
+          HeaderAction::modify(HeaderField::kSrcPort, 1000 + fid % 5000));
+      nat_ctx.on_teardown([&hooks_run] { hooks_run.fetch_add(1); });
+      SpeedyBoxContext monitor_ctx{monitor, mat.event_table(), fid};
+      monitor_ctx.add_header_action(HeaderAction::forward());
+      monitor_ctx.add_state_function(StateFunction{
+          [&sf_runs](net::Packet&, const net::ParsedPacket&) {
+            sf_runs.fetch_add(1);
+          },
+          PayloadAccess::kIgnore, "count"});
+      monitor_ctx.register_event(
+          "never", [] { return false; }, [] { return EventUpdate{}; },
+          /*one_shot=*/false);
+      recorded.store(fid + 1, std::memory_order_release);
+    }
+  });
+
+  // Manager: consolidate each flow once its recording completed, run one
+  // fast-path packet against it, and erase the flow kLag flows behind.
+  std::uint32_t erased = 0;
+  for (std::uint32_t fid = 0; fid < kFlows; ++fid) {
+    while (recorded.load(std::memory_order_acquire) <= fid) {
+      std::this_thread::yield();
+    }
+    mat.consolidate_flow(fid);
+    net::Packet packet = net::make_tcp_packet(tuple_n(fid), "x");
+    packet.set_fid(fid);
+    ASSERT_TRUE(mat.process(packet).rule_hit);
+    if (fid >= kLag) mat.erase_flow(erased++);
+  }
+  nf_core.join();
+  while (erased < kFlows) mat.erase_flow(erased++);
+
+  EXPECT_EQ(mat.size(), 0u);
+  EXPECT_EQ(nat.size(), 0u);
+  EXPECT_EQ(monitor.size(), 0u);
+  EXPECT_EQ(mat.event_table().flow_count(), 0u);
+  EXPECT_EQ(hooks_run.load(), kFlows);
+  EXPECT_EQ(sf_runs.load(), kFlows);
+  EXPECT_EQ(mat.event_table().checks_performed(), kFlows);
+  EXPECT_EQ(mat.consolidations(), kFlows);
 }
 
 }  // namespace

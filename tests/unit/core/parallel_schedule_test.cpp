@@ -5,13 +5,14 @@
 namespace speedybox::core {
 namespace {
 
-StateFunctionBatch batch_with(PayloadAccess access, std::size_t nf_index) {
+/// NF `nf_index`'s one-handler batch, at the same position of the rule's
+/// handler array.
+StateFunctionBatch batch_with(PayloadAccess access, std::uint32_t nf_index) {
   StateFunctionBatch batch;
   batch.nf_index = nf_index;
-  batch.nf_name = "nf" + std::to_string(nf_index);
-  batch.functions.push_back(
-      StateFunction{[](net::Packet&, const net::ParsedPacket&) {}, access,
-                    "sf"});
+  batch.begin = nf_index;
+  batch.end = nf_index + 1;
+  batch.access = access;
   return batch;
 }
 
@@ -31,15 +32,12 @@ TEST(TableI, PairwiseRules) {
 }
 
 TEST(BatchAccess, HighestPriorityWins) {
-  StateFunctionBatch batch;
-  batch.functions.push_back(
-      StateFunction{{}, PayloadAccess::kRead, "r"});
-  batch.functions.push_back(
-      StateFunction{{}, PayloadAccess::kIgnore, "i"});
-  EXPECT_EQ(batch.access(), PayloadAccess::kRead);
-  batch.functions.push_back(
-      StateFunction{{}, PayloadAccess::kWrite, "w"});
-  EXPECT_EQ(batch.access(), PayloadAccess::kWrite);
+  std::vector<StateFunction> functions;
+  functions.push_back(StateFunction{{}, PayloadAccess::kRead, "r"});
+  functions.push_back(StateFunction{{}, PayloadAccess::kIgnore, "i"});
+  EXPECT_EQ(batch_access(functions), PayloadAccess::kRead);
+  functions.push_back(StateFunction{{}, PayloadAccess::kWrite, "w"});
+  EXPECT_EQ(batch_access(functions), PayloadAccess::kWrite);
 }
 
 TEST(BuildSchedule, AllReadsFormOneGroup) {

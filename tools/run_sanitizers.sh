@@ -23,7 +23,10 @@ cd "$(dirname "$0")/.."
 # closed loop, whose TCP tests send from a second thread. test_tenancy
 # hosts several sharded executors at once and byte-checks outputs across
 # an arbiter-triggered mid-run shard reallocation (DESIGN.md §14).
-TARGETS=(test_util test_runtime test_telemetry test_integration test_equivalence test_property test_plan test_control test_io test_tenancy)
+# test_core records flows on one thread while another consolidates and
+# erases earlier ones, over the Local MATs' and Event Table's FlowTable
+# slabs: TSan checks their lock discipline, ASan the slab record lifetimes.
+TARGETS=(test_util test_core test_runtime test_telemetry test_integration test_equivalence test_property test_plan test_control test_io test_tenancy)
 
 run_one() {
   local sanitizer="$1"
