@@ -9,8 +9,11 @@
 //     cache-hot) and 32768 flows visited in a fixed shuffled order, where
 //     each packet pays for the per-flow lines it touches;
 //   * consolidation cost (the one-time per-flow control-plane work);
-//   * packet parse and checksum-validation primitives.
+//   * packet parse and checksum-validation primitives;
+//   * Snort's per-packet inspection at three payload sizes.
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "net/checksum.hpp"
 #include "net/fields.hpp"
 #include "net/packet_builder.hpp"
+#include "nf/snort_ids.hpp"
 #include "util/rng.hpp"
 
 namespace speedybox {
@@ -199,6 +203,25 @@ void BM_ConsolidateFlow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConsolidateFlow);
+
+/// One SnortIds over the default rules inspecting one port-80 flow:
+/// lowercase filler with one planted content (the pass rule's, so nothing
+/// accumulates in the audit log), payload bytes in arg 0.
+void BM_SnortProcess(benchmark::State& state) {
+  nf::SnortIds snort{nf::default_snort_rules()};
+  std::string payload(static_cast<std::size_t>(state.range(0)), 'a');
+  util::Rng rng{0x5EED};
+  for (char& c : payload) c = static_cast<char>('a' + rng.below(26));
+  const std::string planted = "GET /healthz";
+  std::memcpy(payload.data() + payload.size() / 4, planted.data(),
+              planted.size());
+  net::Packet packet = net::make_tcp_packet(bench_tuple(), payload);
+  for (auto _ : state) {
+    snort.process(packet, nullptr);
+    benchmark::DoNotOptimize(snort.pass_count());
+  }
+}
+BENCHMARK(BM_SnortProcess)->ArgName("payload")->Arg(64)->Arg(512)->Arg(1460);
 
 }  // namespace
 }  // namespace speedybox

@@ -1,41 +1,31 @@
 #include "nf/snort_ids.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "nf/flow_state.hpp"
 #include "util/prefetch.hpp"
 
 namespace speedybox::nf {
 
-namespace {
-
-std::string to_lower(std::string_view text) {
-  std::string lowered{text};
-  for (char& c : lowered) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return lowered;
-}
-
-}  // namespace
-
 SnortIds::SnortIds(std::vector<SnortRule> rules, std::string name)
     : NetworkFunction(std::move(name)), rules_(std::move(rules)) {
   for (std::uint32_t r = 0; r < rules_.size(); ++r) {
+    if (rules_[r].contents.size() > kMaxSnortContents) {
+      throw std::invalid_argument(
+          "SnortIds: rule sid " + std::to_string(rules_[r].sid) +
+          " has more than " + std::to_string(kMaxSnortContents) +
+          " content options");
+    }
     for (std::uint32_t c = 0; c < rules_[r].contents.size(); ++c) {
       const ContentMatch& content = rules_[r].contents[c];
-      const auto pattern_id =
-          static_cast<std::uint32_t>(pattern_owner_.size());
+      matcher_.add_pattern(content.pattern,
+                           static_cast<std::uint32_t>(pattern_owner_.size()),
+                           content.nocase);
       pattern_owner_.emplace_back(r, c);
-      if (content.nocase) {
-        nocase_matcher_.add_pattern(to_lower(content.pattern), pattern_id);
-      } else {
-        matcher_.add_pattern(content.pattern, pattern_id);
-      }
     }
   }
   matcher_.build();
-  nocase_matcher_.build();
   matched_generation_.assign(rules_.size(), 0);
   matched_bits_.assign(rules_.size(), 0);
 }
@@ -62,10 +52,10 @@ void SnortIds::inspect(const net::FiveTuple& tuple, const FlowState& state,
   if (state.candidate_rules.empty()) return;
   const auto payload = net::payload_view(packet, parsed);
 
-  // One automaton pass per case class; mark which contents of which rules
-  // occurred at positions satisfying their offset/depth constraints.
+  // One automaton pass over the payload; mark which contents of which
+  // rules occurred at positions satisfying their offset/depth constraints.
   ++generation_;
-  const auto on_match = [this](std::uint32_t pattern_id, std::size_t end) {
+  matcher_.match(payload, [this](std::uint32_t pattern_id, std::size_t end) {
     const auto [rule, content] = pattern_owner_[pattern_id];
     if (!rules_[rule].contents[content].position_ok(end)) return;
     if (matched_generation_[rule] != generation_) {
@@ -73,24 +63,12 @@ void SnortIds::inspect(const net::FiveTuple& tuple, const FlowState& state,
       matched_bits_[rule] = 0;
     }
     matched_bits_[rule] |= 1ULL << content;
-  };
-  if (matcher_.pattern_count() > 0) {
-    matcher_.match(payload, on_match);
-  }
-  if (nocase_matcher_.pattern_count() > 0) {
-    lowercase_scratch_.assign(payload.begin(), payload.end());
-    for (std::uint8_t& byte : lowercase_scratch_) {
-      if (byte >= 'A' && byte <= 'Z') {
-        byte = static_cast<std::uint8_t>(byte - 'A' + 'a');
-      }
-    }
-    nocase_matcher_.match(lowercase_scratch_, on_match);
-  }
+  });
 
   // Evaluate candidates; pass-first order (a firing pass rule suppresses
   // alert/log outcomes for this packet).
   bool passed = false;
-  std::vector<std::uint32_t> fired;
+  fired_.clear();
   for (const std::uint32_t r : state.candidate_rules) {
     if (matched_generation_[r] != generation_) continue;
     const SnortRule& rule = rules_[r];
@@ -103,13 +81,13 @@ void SnortIds::inspect(const net::FiveTuple& tuple, const FlowState& state,
       passed = true;
       break;
     }
-    fired.push_back(r);
+    fired_.push_back(r);
   }
   if (passed) {
     ++passes_;
     return;
   }
-  for (const std::uint32_t r : fired) {
+  for (const std::uint32_t r : fired_) {
     const SnortRule& rule = rules_[r];
     log_.push_back({tuple, rule.sid, rule.action});
     if (rule.action == SnortAction::kAlert) {

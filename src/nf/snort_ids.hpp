@@ -60,6 +60,8 @@ struct FlowStateTraits<SnortFlowState> {
 
 class SnortIds : public NetworkFunction {
  public:
+  /// Throws std::invalid_argument for a rule with more than
+  /// kMaxSnortContents content options.
   explicit SnortIds(std::vector<SnortRule> rules,
                     std::string name = "snort");
 
@@ -107,12 +109,9 @@ class SnortIds : public NetworkFunction {
                net::Packet& packet, const net::ParsedPacket& parsed);
 
   std::vector<SnortRule> rules_;
-  AhoCorasick matcher_;         // case-sensitive contents, raw payload
-  AhoCorasick nocase_matcher_;  // lowercased contents, lowercased payload
+  AhoCorasick matcher_;  // every content, `nocase` ones folded
   /// Automaton pattern id -> (rule index, content index within the rule).
-  /// Shared id space across both automatons.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pattern_owner_;
-  std::vector<std::uint8_t> lowercase_scratch_;
 
   FlowStateTable<FlowState> flows_;
   std::vector<SnortLogEntry> log_;
@@ -120,10 +119,12 @@ class SnortIds : public NetworkFunction {
   std::uint64_t logs_ = 0;
   std::uint64_t passes_ = 0;
 
-  // Scratch: per-rule matched-content bitmap, reused across packets.
+  // Scratch, reused across packets: per-rule matched-content bitmap (one
+  // bit per content, hence kMaxSnortContents) and the rules that fired.
   std::vector<std::uint32_t> matched_generation_;
   std::vector<std::uint64_t> matched_bits_;
   std::uint32_t generation_ = 0;
+  std::vector<std::uint32_t> fired_;
 };
 
 }  // namespace speedybox::nf

@@ -127,6 +127,11 @@ bool parse_options(std::string_view body, SnortRule* rule,
       value = value.substr(1, value.size() - 2);
       if (key == "content") {
         if (value.empty()) return set_error(error, "empty content");
+        if (rule->contents.size() == kMaxSnortContents) {
+          return set_error(error, "more than " +
+                                      std::to_string(kMaxSnortContents) +
+                                      " content options");
+        }
         ContentMatch content;
         content.pattern = std::string(value);
         rule->contents.push_back(std::move(content));

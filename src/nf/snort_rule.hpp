@@ -27,6 +27,10 @@ namespace speedybox::nf {
 
 enum class SnortAction : std::uint8_t { kPass, kAlert, kLog };
 
+/// Most content options one rule may carry: SnortIds tracks which of a
+/// rule's contents matched in one 64-bit mask.
+inline constexpr std::size_t kMaxSnortContents = 64;
+
 std::string_view snort_action_name(SnortAction action) noexcept;
 
 /// One content option with its modifiers.

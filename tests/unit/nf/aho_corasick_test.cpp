@@ -1,7 +1,9 @@
 #include "nf/aho_corasick.hpp"
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -133,6 +135,68 @@ TEST_P(AhoCorasickProperty, MatchesNaiveSearch) {
     ac.match(as_bytes(text),
              [&](std::uint32_t id, std::size_t) { ++actual[id]; });
     ASSERT_EQ(actual, naive) << "trial " << trial;
+  }
+}
+
+/// Mixed-case differential: half the patterns are `nocase`. The naive scan
+/// folds both sides for those only; the alphabet holds the letters' ASCII
+/// neighbours and the byte extremes, which folding must leave alone.
+TEST_P(AhoCorasickProperty, MixedCaseMatchesNaiveSearch) {
+  util::Rng rng{GetParam()};
+  const std::string alphabet{"aAbBzZ@[`{\x00\xFF", 12};
+  const auto random_string = [&](std::size_t max_len) {
+    std::string s(1 + rng.below(max_len), 'a');
+    for (auto& c : s) c = alphabet[rng.below(alphabet.size())];
+    return s;
+  };
+  const auto fold = [](std::string s) {
+    for (char& c : s) {
+      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    }
+    return s;
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    AhoCorasick ac;
+    std::vector<std::string> patterns;
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      patterns.push_back(random_string(4));
+      ac.add_pattern(patterns.back(), i, /*nocase=*/i % 2 == 1);
+    }
+    ac.build();
+    const std::string text = random_string(300);
+    const std::string folded_text = fold(text);
+
+    // (end, id), end-major like the automaton's report order.
+    std::vector<std::pair<std::size_t, std::uint32_t>> naive;
+    for (std::size_t end = 1; end <= text.size(); ++end) {
+      for (std::uint32_t i = 0; i < patterns.size(); ++i) {
+        const bool nocase = i % 2 == 1;
+        const std::string pattern = nocase ? fold(patterns[i]) : patterns[i];
+        if (pattern.size() > end) continue;
+        const std::string& hay = nocase ? folded_text : text;
+        if (hay.compare(end - pattern.size(), pattern.size(), pattern) == 0) {
+          naive.emplace_back(end, i);
+        }
+      }
+    }
+    std::vector<std::pair<std::size_t, std::uint32_t>> actual;
+    ac.match(as_bytes(text), [&](std::uint32_t id, std::size_t end) {
+      actual.emplace_back(end, id);
+    });
+    ASSERT_TRUE(std::is_sorted(
+        actual.begin(), actual.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; }))
+        << "trial " << trial << ": not in position order";
+    std::sort(actual.begin(), actual.end());
+    ASSERT_EQ(actual, naive) << "trial " << trial;
+
+    // contains_any on every prefix: false until the first match ends.
+    const std::size_t first_end =
+        naive.empty() ? text.size() + 1 : naive.front().first;
+    for (std::size_t n = 0; n <= text.size(); ++n) {
+      ASSERT_EQ(ac.contains_any(as_bytes(text).first(n)), first_end <= n)
+          << "trial " << trial << ", prefix " << n;
+    }
   }
 }
 

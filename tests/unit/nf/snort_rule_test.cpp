@@ -99,6 +99,23 @@ TEST(ParseSnortRule, Errors) {
                    .has_value());
 }
 
+TEST(ParseSnortRule, AtMost64Contents) {
+  const auto rule_with = [](int contents) {
+    std::string line = "alert tcp any any -> any any (";
+    for (int i = 0; i < contents; ++i) {
+      line += "content:\"QZ" + std::to_string(i) + "\"; ";
+    }
+    return line + "sid:9;)";
+  };
+  const auto rule = parse_snort_rule(rule_with(64));
+  ASSERT_TRUE(rule.has_value());
+  EXPECT_EQ(rule->contents.size(), kMaxSnortContents);
+
+  std::string error;
+  EXPECT_FALSE(parse_snort_rule(rule_with(65), &error).has_value());
+  EXPECT_NE(error.find("more than 64 content options"), std::string::npos);
+}
+
 TEST(ParseSnortRules, FileWithCommentsAndBlanks) {
   const auto rules = parse_snort_rules(R"(
 # comment

@@ -1,5 +1,8 @@
 #include "nf/snort_ids.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "net/packet_builder.hpp"
@@ -185,6 +188,41 @@ TEST(SnortIds, MixedCaseClassesInOneRule) {
   snort.process(wrong_case_body, nullptr);
   EXPECT_EQ(snort.alert_count(), 1u)
       << "the case-sensitive content must still be enforced";
+}
+
+SnortRule rule_with_contents(int contents) {
+  SnortRule rule;
+  rule.sid = 900;
+  for (int i = 0; i < contents; ++i) {
+    ContentMatch content;
+    content.pattern = "QZ" + std::to_string(100 + i);
+    rule.contents.push_back(content);
+  }
+  return rule;
+}
+
+std::string contents_payload(int first, int last) {
+  std::string payload;
+  for (int i = first; i < last; ++i) {
+    payload += "QZ" + std::to_string(100 + i) + " ";
+  }
+  return payload;
+}
+
+TEST(SnortIds, SixtyFourContentsNeedEveryOne) {
+  SnortIds snort{{rule_with_contents(64)}};
+  net::Packet missing_first =
+      net::make_tcp_packet(tuple_n(27, 80), contents_payload(1, 64));
+  snort.process(missing_first, nullptr);
+  EXPECT_EQ(snort.alert_count(), 0u);
+  net::Packet all =
+      net::make_tcp_packet(tuple_n(27, 80), contents_payload(0, 64));
+  snort.process(all, nullptr);
+  EXPECT_EQ(snort.alert_count(), 1u);
+}
+
+TEST(SnortIds, RejectsRuleOverContentLimit) {
+  EXPECT_THROW(SnortIds{{rule_with_contents(65)}}, std::invalid_argument);
 }
 
 TEST(SnortIds, LogRecordsFlowTuple) {

@@ -26,7 +26,10 @@ cd "$(dirname "$0")/.."
 # test_core records flows on one thread while another consolidates and
 # erases earlier ones, over the Local MATs' and Event Table's FlowTable
 # slabs: TSan checks their lock discipline, ASan the slab record lifetimes.
-TARGETS=(test_util test_core test_runtime test_telemetry test_integration test_equivalence test_property test_plan test_control test_io test_tenancy)
+# test_nf runs the NF unit suites, among them the Aho-Corasick mixed-case
+# differential: ASan checks the flat transition table's indexing and the
+# case-sensitive confirming memcmp at payload edges.
+TARGETS=(test_util test_core test_runtime test_telemetry test_integration test_equivalence test_property test_plan test_control test_io test_tenancy test_nf)
 
 run_one() {
   local sanitizer="$1"
