@@ -16,16 +16,16 @@
 //   chainsim --plan plan.json                            # plan doc -> run
 //
 // The NF vocabulary lives in nf::Registry (nf/registry.hpp); the flag
-// surface lives in tools/sim_config.{hpp,cpp}. Both the --chain and the
-// --plan paths resolve to the same plan::DeploymentPlan, and plan::build()
-// constructs the executor — chainsim itself only owns the workload, the
-// reporting and the live front-end.
+// surface lives in tools/sim_config.{hpp,cpp}. The flags fill a
+// plan::DeploymentPlan (or --plan loads one) and a trace::WorkloadSpec;
+// plan::build() constructs the executor and WorkloadSpec::build() the
+// trace — chainsim itself only owns the reporting, the run loop and the
+// live front-end.
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
-#include <fstream>
 #include <iterator>
 #include <memory>
 #include <optional>
@@ -44,7 +44,6 @@
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "tenancy/tenant_host.hpp"
-#include "trace/payload_synth.hpp"
 #include "trace/pcap.hpp"
 #include "util/cycle_clock.hpp"
 #include "util/logging.hpp"
@@ -78,31 +77,7 @@ std::vector<net::Packet> build_packets(const SimConfig& config) {
   if (!config.pcap_in.empty()) {
     return trace::read_pcap(config.pcap_in);
   }
-  trace::Workload workload;
-  if (config.workload == "datacenter") {
-    trace::DatacenterWorkloadConfig workload_config;
-    workload_config.flow_count = config.flows;
-    workload_config.payload_size = config.payload;
-    workload_config.seed = config.seed;
-    workload = make_datacenter_workload(workload_config);
-  } else if (config.workload == "uniform") {
-    workload = trace::make_uniform_workload(
-        config.flows, config.packets_per_flow, config.payload, config.seed);
-  } else {
-    trace::ScenarioScale scale;
-    // Scenario generators keep their internal population ratios; --flows
-    // scales the total population (validated names only reach here).
-    scale.flows = config.workload_shape_set ? config.flows : 0;
-    scale.payload_size = config.payload;
-    scale.seed = config.seed;
-    workload = *trace::make_named_scenario(config.workload, scale);
-  }
-  // Plant Snort rule contents whenever the chain contains an IDS.
-  trace::PayloadSynthConfig synth;
-  synth.match_fraction = config.snort_match_fraction;
-  synth.seed = config.seed ^ 0x5EED;
-  plant_rule_contents(workload, trace::default_snort_rules(), synth);
-
+  const trace::Workload workload = config.workload.build();
   if (!config.pcap_out.empty()) {
     write_pcap(config.pcap_out, workload);
     std::fprintf(stderr, "wrote %zu packets to %s\n",
@@ -134,7 +109,7 @@ void report(const SimConfig& config, const char* mode,
                                "us  rate=%.3f Mpps",
                   stats.platform_cycles_subsequent.percentile(50),
                   latency_us(50), latency_us(99),
-                  stats.rate_mpps(config.platform));
+                  stats.rate_mpps(config.deployment.platform));
   } else {
     std::snprintf(model, sizeof model, "%s",
                   config.csv ? ",,," : "model=n/a");
@@ -142,7 +117,7 @@ void report(const SimConfig& config, const char* mode,
   const runtime::OverloadStats& overload = stats.overload;
   if (config.csv) {
     std::printf("%s,%s,%llu,%llu,%llu,%s,%llu,%llu,%llu\n",
-                platform_name(config.platform), mode,
+                platform_name(config.deployment.platform), mode,
                 static_cast<unsigned long long>(stats.packets),
                 static_cast<unsigned long long>(stats.drops),
                 static_cast<unsigned long long>(stats.events_triggered),
@@ -152,7 +127,7 @@ void report(const SimConfig& config, const char* mode,
     return;
   }
   std::printf("%-9s %-10s packets=%-8llu drops=%-6llu events=%-4llu %s\n",
-              platform_name(config.platform), mode,
+              platform_name(config.deployment.platform), mode,
               static_cast<unsigned long long>(stats.packets),
               static_cast<unsigned long long>(stats.drops),
               static_cast<unsigned long long>(stats.events_triggered),
@@ -176,16 +151,16 @@ void report(const SimConfig& config, const char* mode,
 /// The trace as run_mode drives it, one run per segment. --fail-backend-at
 /// K cuts it at packet K into two segments (moved, not copied), and Maglev's
 /// backend 0 fails between their runs — a mid-run control-plane action.
-/// validate()/resolve_plan() admit the flag only on the single-threaded
-/// runner, whose run() may be called again and whose stats accumulate.
+/// resolve_plan() admits the flag only on the single-threaded runner, whose
+/// run() may be called again and whose stats accumulate.
 using Segments = std::vector<std::vector<net::Packet>>;
 
 Segments split_at_failure(const SimConfig& config,
                           std::vector<net::Packet> packets) {
   Segments segments;
-  const auto k = static_cast<std::size_t>(config.fail_backend_at);
-  if (config.fail_backend_at >= 0 && k < packets.size()) {
-    const auto cut = packets.begin() + static_cast<std::ptrdiff_t>(k);
+  if (config.fail_backend_at.value_or(packets.size()) < packets.size()) {
+    const auto cut = packets.begin() +
+                     static_cast<std::ptrdiff_t>(*config.fail_backend_at);
     segments.emplace_back(std::make_move_iterator(packets.begin()),
                           std::make_move_iterator(cut));
     packets.erase(packets.begin(), cut);
@@ -197,13 +172,15 @@ Segments split_at_failure(const SimConfig& config,
 void run_mode(const SimConfig& config, bool speedybox,
               const Segments& segments, telemetry::Registry* registry) {
   plan::BuiltDeployment built = build_deployment(config, speedybox);
+  const plan::DeploymentPlan& deployment = config.deployment;
   const std::string mode = speedybox ? "speedybox" : "original";
 
   // plan::build() already chose the executor shape and applied the
   // overload policy; everything below is shape-agnostic.
   runtime::Executor& executor = *built.executor;
   const std::string label =
-      config.executor == plan::ExecutorKind::kRunner ? mode + "/main" : mode;
+      deployment.executor == plan::ExecutorKind::kRunner ? mode + "/main"
+                                                         : mode;
   // The controller's signals come from telemetry snapshots; when the user
   // asked for autoscaling without any metrics flag, a private registry
   // feeds the control loop and is simply discarded afterwards.
@@ -219,8 +196,7 @@ void run_mode(const SimConfig& config, bool speedybox,
     control::AutoscaleConfig auto_config;
     auto_config.slo_us = config.slo_us;
     auto_config.min_shards = config.min_shards;
-    auto_config.max_shards =
-        config.max_shards == 0 ? config.shards : config.max_shards;
+    auto_config.max_shards = config.max_shards;
     auto_config.interval_packets = config.scale_interval;
     controller = std::make_unique<control::Controller>(
         auto_config, *effective_registry, label + "/controller");
@@ -235,15 +211,17 @@ void run_mode(const SimConfig& config, bool speedybox,
   const runtime::RunStats& stats = *last;
 
   std::string report_label = mode;
-  if (config.executor != plan::ExecutorKind::kRunner) {
+  if (deployment.executor != plan::ExecutorKind::kRunner) {
     report_label +=
-        std::string(" [") + plan::executor_kind_name(config.executor);
-    if (config.shards > 0) report_label += " x" + std::to_string(config.shards);
+        std::string(" [") + plan::executor_kind_name(deployment.executor);
+    if (deployment.shards > 0) {
+      report_label += " x" + std::to_string(deployment.shards);
+    }
     report_label += "]";
   }
   report(config, report_label.c_str(), stats);
 
-  if (config.executor == plan::ExecutorKind::kSharded && !config.csv) {
+  if (deployment.executor == plan::ExecutorKind::kSharded && !config.csv) {
     auto& sharded = static_cast<runtime::ShardedRuntime&>(executor);
     const runtime::ShardedRunResult& result = sharded.last_result();
     std::printf("  shards: agg-rate=%.3f Mpps, wall=%.1f ms, "
@@ -275,20 +253,21 @@ void run_mode(const SimConfig& config, bool speedybox,
 /// trace. Same plan-built chain/executor/overload as run_mode; the packet
 /// source is an IngestServer and the hand-off an IngestExecutor.
 int run_live(const SimConfig& config, telemetry::Registry* registry) {
-  const bool speedybox = config.run_speedybox;
-  const std::string mode = speedybox ? "speedybox" : "original";
-  plan::BuiltDeployment built = build_deployment(config, speedybox);
+  const plan::DeploymentPlan& deployment = config.deployment;
+  const std::string mode = deployment.speedybox ? "speedybox" : "original";
+  plan::BuiltDeployment built = build_deployment(config, deployment.speedybox);
   runtime::Executor& executor = *built.executor;
   const std::string label =
-      config.executor == plan::ExecutorKind::kRunner ? mode + "/main" : mode;
+      deployment.executor == plan::ExecutorKind::kRunner ? mode + "/main"
+                                                         : mode;
   executor.attach_telemetry(registry, label);
 
   io::IngestConfig ingest_config;
-  ingest_config.port = config.listen_port;
+  ingest_config.port = *config.listen_port;
   ingest_config.proto = config.listen_proto;
   ingest_config.rx_budget = config.rx_budget;
-  ingest_config.idle_timeout_ms = static_cast<int>(config.idle_timeout_ms);
-  ingest_config.batch_size = config.batch_size;
+  ingest_config.idle_timeout_ms = config.idle_timeout_ms;
+  ingest_config.batch_size = deployment.batch_size;
   ingest_config.use_recvmmsg = config.use_recvmmsg;
   io::IngestServer server{ingest_config};
   server.attach_telemetry(registry, mode + "/ingest");
@@ -309,7 +288,7 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
                 server.tcp_port());
   }
   std::printf(" (mode=%s executor=%s feed=%s)\n", mode.c_str(),
-              plan::executor_kind_name(config.executor),
+              plan::executor_kind_name(deployment.executor),
               std::string(sink.mode()).c_str());
   std::fflush(stdout);
 
@@ -317,10 +296,12 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
   const runtime::RunStats& stats = sink.finish();
 
   std::string report_label = mode + " [live";
-  if (config.executor != plan::ExecutorKind::kRunner) {
+  if (deployment.executor != plan::ExecutorKind::kRunner) {
     report_label +=
-        std::string(" ") + plan::executor_kind_name(config.executor);
-    if (config.shards > 0) report_label += " x" + std::to_string(config.shards);
+        std::string(" ") + plan::executor_kind_name(deployment.executor);
+    if (deployment.shards > 0) {
+      report_label += " x" + std::to_string(deployment.shards);
+    }
   }
   report_label += "]";
   report(config, report_label.c_str(), stats);
@@ -332,9 +313,9 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
   // against the load generator's own count.
   const runtime::OverloadStats& overload = stats.overload;
   const std::uint64_t admitted =
-      config.overload.enabled ? overload.admitted : sink.submitted();
+      deployment.overload.enabled ? overload.admitted : sink.submitted();
   const std::uint64_t shed =
-      config.overload.enabled ? overload.shed_total() : 0;
+      deployment.overload.enabled ? overload.shed_total() : 0;
   const bool conserved = sink.submitted() == admitted + shed &&
                          sink.submitted() == ingest.rx_frames;
   // Peak resident set of the whole run: live mode must stay bounded however
@@ -350,7 +331,7 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
       "\"chain_packets\":%llu,\"chain_drops\":%llu,\"conserved\":%s,"
       "\"peak_rss_kb\":%ld}}\n",
       io::ingest_proto_name(config.listen_proto),
-      plan::executor_kind_name(config.executor), mode.c_str(),
+      plan::executor_kind_name(deployment.executor), mode.c_str(),
       std::string(sink.mode()).c_str(),
       static_cast<unsigned long long>(ingest.rx_bytes),
       static_cast<unsigned long long>(ingest.rx_frames),
@@ -374,13 +355,8 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
 /// Emits one JSON line per tenant plus a host summary; exit 0 iff every
 /// tenant's conservation identity holds.
 int run_tenancy(const SimConfig& config, telemetry::Registry* registry) {
-  std::ifstream in(config.tenancy_file, std::ios::binary);
-  if (!in) {
-    tools::config_error("chainsim",
-                        "--tenancy: cannot read " + config.tenancy_file);
-  }
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
+  const std::string text =
+      tools::read_flag_file("chainsim", "--tenancy", config.tenancy_file);
   tenancy::HostSpec spec;
   try {
     spec = tenancy::HostSpec::parse(text);
@@ -392,12 +368,12 @@ int run_tenancy(const SimConfig& config, telemetry::Registry* registry) {
   tenancy::TenantHost host{std::move(spec), registry};
   bool all_conserved = true;
 
-  if (config.listen_set) {
+  if (config.listen_port.has_value()) {
     tenancy::ServeOptions options;
     options.proto = config.listen_proto;
     options.rx_budget = config.rx_budget;
-    options.idle_timeout_ms = static_cast<int>(config.idle_timeout_ms);
-    options.batch_size = config.batch_size;
+    options.idle_timeout_ms = config.idle_timeout_ms;
+    options.batch_size = config.deployment.batch_size;
     options.use_recvmmsg = config.use_recvmmsg;
     const auto ports = host.bind_listeners(options);
     for (std::size_t i = 0; i < ports.size(); ++i) {
@@ -535,23 +511,9 @@ int main(int argc, char** argv) {
   config.validate();
   config.resolve_plan();
   if (!config.emit_plan.empty()) {
-    const std::string document = config.deployment->dump();
-    if (config.emit_plan == "-") {
-      std::printf("%s\n", document.c_str());
-    } else {
-      std::FILE* file = std::fopen(config.emit_plan.c_str(), "w");
-      if (file == nullptr ||
-          std::fwrite(document.data(), 1, document.size(), file) !=
-              document.size() ||
-          std::fputc('\n', file) == EOF || std::fclose(file) != 0) {
-        std::fprintf(stderr, "chainsim: failed to write %s\n",
-                     config.emit_plan.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "chainsim: wrote plan to %s\n",
-                   config.emit_plan.c_str());
-    }
-    return 0;
+    return tools::write_plan("chainsim", config.emit_plan, config.deployment)
+               ? 0
+               : 1;
   }
   if (config.print_config) {
     std::printf("%s\n", config.to_json().c_str());
@@ -576,7 +538,7 @@ int main(int argc, char** argv) {
     if (!write_metrics(config, registry.get(), snapshotter)) return 1;
     return exit_code;
   }
-  if (config.listen_set) {
+  if (config.listen_port.has_value()) {
     const int exit_code = run_live(config, registry.get());
     if (!write_metrics(config, registry.get(), snapshotter)) return 1;
     return exit_code;
@@ -588,11 +550,10 @@ int main(int argc, char** argv) {
         "platform,mode,packets,drops,events,cycles_p50,lat_p50_us,"
         "lat_p99_us,rate_mpps,offered,shed,faulted\n");
   }
-  if (config.run_original) {
-    run_mode(config, false, segments, registry.get());
-  }
-  if (config.run_speedybox) {
-    run_mode(config, true, segments, registry.get());
+  for (const bool speedybox : {false, true}) {
+    if (config.both_modes || config.deployment.speedybox == speedybox) {
+      run_mode(config, speedybox, segments, registry.get());
+    }
   }
 
   if (!write_metrics(config, registry.get(), snapshotter)) return 1;

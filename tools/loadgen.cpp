@@ -6,22 +6,24 @@
 //            --listen 9000 &
 //   loadgen --port 9000 --workload syn-flood --rate 50000
 //
-// Workload construction mirrors chainsim's build_packets exactly (same
-// generators, same Snort payload planting, same seed derivation), so a
-// live run sees byte-identical packets to the in-process drive of the
-// same flags.
+// The workload flags fill a trace::WorkloadSpec with chainsim's defaults,
+// and WorkloadSpec::build() makes the trace, so a live run sees
+// byte-identical packets to the in-process drive of the same flags.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "io/loadgen.hpp"
-#include "trace/payload_synth.hpp"
-#include "trace/workload.hpp"
+#include "sim_config.hpp"
+#include "trace/workload_spec.hpp"
 
 using namespace speedybox;
 
 namespace {
+
+constexpr const char* kTool = "loadgen";
 
 struct GenConfig {
   std::string host = "127.0.0.1";
@@ -32,13 +34,7 @@ struct GenConfig {
   std::size_t tenants = 0;            // 0 = single-destination mode
   std::vector<std::uint16_t> ports;   // explicit per-tenant ports
   std::size_t repeat = 1;
-  std::string workload = "uniform";
-  std::size_t flows = 100;
-  std::uint32_t packets_per_flow = 20;
-  std::size_t payload = 128;
-  bool workload_shape_set = false;
-  double snort_match_fraction = 0.2;
-  std::uint64_t seed = 42;
+  trace::WorkloadSpec workload = tools::kToolWorkload;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -65,6 +61,19 @@ struct GenConfig {
   std::exit(2);
 }
 
+/// "a,b,c" -> {"a", "b", "c"}; empty items stay, for the parsers to reject.
+std::vector<std::string> split_list(const std::string& list) {
+  std::vector<std::string> items;
+  std::size_t start = 0;
+  for (std::size_t comma = list.find(','); comma != std::string::npos;
+       comma = list.find(',', start)) {
+    items.push_back(list.substr(start, comma - start));
+    start = comma + 1;
+  }
+  items.push_back(list.substr(start));
+  return items;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,20 +82,22 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
-  bool port_set = false;
+  // The value of flag argv[i], parsed strictly.
+  const auto uint_value = [&](int& i, std::uint64_t min_value = 1,
+                              std::uint64_t max_value =
+                                  std::numeric_limits<std::size_t>::max()) {
+    const char* flag = argv[i];
+    return static_cast<std::size_t>(tools::parse_uint_flag(
+        kTool, flag, need_value(i), min_value, max_value));
+  };
+  tools::FlagSet given;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    given.insert(arg);
     if (arg == "--host") {
       config.host = need_value(i);
     } else if (arg == "--port") {
-      const char* value = need_value(i);
-      char* end = nullptr;
-      const unsigned long port = std::strtoul(value, &end, 10);
-      if (end == value || *end != '\0' || port == 0 || port > 65535) {
-        usage(argv[0]);
-      }
-      config.port = static_cast<std::uint16_t>(port);
-      port_set = true;
+      config.port = static_cast<std::uint16_t>(uint_value(i, 1, 65535));
     } else if (arg == "--proto") {
       const std::string value = need_value(i);
       if (value == "udp") {
@@ -98,130 +109,72 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--rate") {
       // Comma list = one rate per tenant; a single value broadcasts.
-      std::string value = need_value(i);
-      std::size_t start = 0;
-      while (start <= value.size()) {
-        const std::size_t comma = value.find(',', start);
-        const std::string item = value.substr(
-            start,
-            comma == std::string::npos ? std::string::npos : comma - start);
-        char* end = nullptr;
-        const double rate = std::strtod(item.c_str(), &end);
-        if (item.empty() || end != item.c_str() + item.size() ||
-            rate < 0.0) {
-          usage(argv[0]);
-        }
+      for (const std::string& item : split_list(need_value(i))) {
+        const double rate =
+            tools::parse_double_flag(kTool, "--rate", item.c_str(), false);
+        if (rate < 0.0) usage(argv[0]);
         config.rates_pps.push_back(rate);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
       }
     } else if (arg == "--tenants") {
-      config.tenants = std::strtoul(need_value(i), nullptr, 10);
-      if (config.tenants == 0) usage(argv[0]);
+      config.tenants = uint_value(i);
     } else if (arg == "--ports") {
-      std::string value = need_value(i);
-      std::size_t start = 0;
-      while (start <= value.size()) {
-        const std::size_t comma = value.find(',', start);
-        const std::string item = value.substr(
-            start,
-            comma == std::string::npos ? std::string::npos : comma - start);
-        char* end = nullptr;
-        const unsigned long port = std::strtoul(item.c_str(), &end, 10);
-        if (item.empty() || end != item.c_str() + item.size() || port == 0 ||
-            port > 65535) {
-          usage(argv[0]);
-        }
-        config.ports.push_back(static_cast<std::uint16_t>(port));
-        if (comma == std::string::npos) break;
-        start = comma + 1;
+      for (const std::string& item : split_list(need_value(i))) {
+        config.ports.push_back(static_cast<std::uint16_t>(
+            tools::parse_uint_flag(kTool, "--ports", item.c_str(), 1, 65535)));
       }
     } else if (arg == "--repeat") {
-      config.repeat = std::strtoul(need_value(i), nullptr, 10);
-      if (config.repeat == 0) usage(argv[0]);
+      config.repeat = uint_value(i);
     } else if (arg == "--workload") {
-      config.workload = need_value(i);
+      config.workload.kind = need_value(i);
     } else if (arg == "--flows") {
-      config.flows = std::strtoul(need_value(i), nullptr, 10);
-      config.workload_shape_set = true;
+      config.workload.flows = uint_value(i);
     } else if (arg == "--packets") {
-      config.packets_per_flow =
-          static_cast<std::uint32_t>(std::strtoul(need_value(i), nullptr, 10));
-      config.workload_shape_set = true;
+      config.workload.packets_per_flow = static_cast<std::uint32_t>(
+          uint_value(i, 1, std::numeric_limits<std::uint32_t>::max()));
     } else if (arg == "--payload") {
-      config.payload = std::strtoul(need_value(i), nullptr, 10);
-      config.workload_shape_set = true;
+      config.workload.payload_size = uint_value(i, 0);
     } else if (arg == "--snort-match") {
-      const char* value = need_value(i);
-      char* end = nullptr;
-      config.snort_match_fraction = std::strtod(value, &end);
-      if (end == value || *end != '\0') usage(argv[0]);
+      config.workload.snort_match_fraction = tools::parse_double_flag(
+          kTool, "--snort-match", need_value(i), false);
     } else if (arg == "--seed") {
-      config.seed = std::strtoull(need_value(i), nullptr, 10);
+      config.workload.seed = tools::parse_uint_flag(kTool, "--seed",
+                                                    need_value(i), 0);
     } else {
       usage(argv[0]);
     }
   }
-  if (!port_set && config.ports.empty()) usage(argv[0]);
-  if (port_set && !config.ports.empty()) {
-    std::fprintf(stderr, "loadgen: --ports replaces --port (drop one)\n");
-    return 2;
+  const bool port_given = given.contains("--port");
+  if (!port_given && config.ports.empty()) usage(argv[0]);
+  if (port_given && !config.ports.empty()) {
+    tools::config_error(kTool, "--ports conflicts with --port: pass one of "
+                               "them");
   }
   if (config.tenants > 0 && !config.ports.empty() &&
       config.ports.size() != config.tenants) {
-    std::fprintf(stderr,
-                 "loadgen: --tenants %zu does not match the %zu --ports\n",
-                 config.tenants, config.ports.size());
-    return 2;
+    tools::config_error(kTool, "--tenants " + std::to_string(config.tenants) +
+                                   " conflicts with the " +
+                                   std::to_string(config.ports.size()) +
+                                   " --ports");
   }
   // --tenants N with --port P fans to consecutive ports P..P+N-1.
   if (config.tenants > 0 && config.ports.empty()) {
     for (std::size_t i = 0; i < config.tenants; ++i) {
-      const unsigned long port =
-          static_cast<unsigned long>(config.port) + i;
+      const std::size_t port = config.port + i;
       if (port > 65535) {
-        std::fprintf(stderr, "loadgen: tenant port %lu out of range\n", port);
-        return 2;
+        tools::config_error(kTool, "--tenants: tenant port " +
+                                       std::to_string(port) + " out of range");
       }
       config.ports.push_back(static_cast<std::uint16_t>(port));
     }
   }
   const bool multi_tenant = !config.ports.empty();
   if (!multi_tenant && config.rates_pps.size() > 1) {
-    std::fprintf(stderr,
-                 "loadgen: a rate list needs --tenants/--ports (one rate "
-                 "per tenant)\n");
-    return 2;
+    tools::config_error(kTool, "a --rate list needs --tenants or --ports: one "
+                               "rate per tenant");
   }
 
-  // Mirror chainsim's build_packets: same generators, same planting.
-  trace::Workload workload;
-  if (config.workload == "datacenter") {
-    trace::DatacenterWorkloadConfig workload_config;
-    workload_config.flow_count = config.flows;
-    workload_config.payload_size = config.payload;
-    workload_config.seed = config.seed;
-    workload = make_datacenter_workload(workload_config);
-  } else if (config.workload == "uniform") {
-    workload = trace::make_uniform_workload(
-        config.flows, config.packets_per_flow, config.payload, config.seed);
-  } else {
-    trace::ScenarioScale scale;
-    scale.flows = config.workload_shape_set ? config.flows : 0;
-    scale.payload_size = config.payload;
-    scale.seed = config.seed;
-    const auto scenario = trace::make_named_scenario(config.workload, scale);
-    if (!scenario.has_value()) {
-      std::fprintf(stderr, "loadgen: unknown --workload \"%s\"\n",
-                   config.workload.c_str());
-      return 2;
-    }
-    workload = *scenario;
-  }
-  trace::PayloadSynthConfig synth;
-  synth.match_fraction = config.snort_match_fraction;
-  synth.seed = config.seed ^ 0x5EED;
-  plant_rule_contents(workload, trace::default_snort_rules(), synth);
+  tools::resolve_workload(kTool, given, config.workload);
+  const trace::Workload workload = config.workload.build();
 
   if (multi_tenant) {
     io::MultiTenantConfig gen;

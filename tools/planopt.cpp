@@ -13,8 +13,6 @@
 // canonical §VII-C evaluation chains. Without --profile every NF costs
 // --default-nf-cycles (the plan is still valid, just unranked).
 #include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <string>
 
 #include "nf/registry.hpp"
@@ -114,12 +112,8 @@ int main(int argc, char** argv) {
 
   plan::Profile profile;
   if (!profile_file.empty()) {
-    std::ifstream in(profile_file, std::ios::binary);
-    if (!in) {
-      tools::config_error(kTool, "--profile: cannot read " + profile_file);
-    }
-    const std::string text{std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>()};
+    const std::string text =
+        tools::read_flag_file(kTool, "--profile", profile_file);
     try {
       profile = plan::Profile::from_jsonl(text);
     } catch (const std::exception& error) {
@@ -161,19 +155,5 @@ int main(int argc, char** argv) {
                  planner_config.target_mpps);
   }
 
-  const std::string document = deployment.dump();
-  if (out == "-") {
-    std::printf("%s\n", document.c_str());
-  } else {
-    std::FILE* file = std::fopen(out.c_str(), "w");
-    if (file == nullptr ||
-        std::fwrite(document.data(), 1, document.size(), file) !=
-            document.size() ||
-        std::fputc('\n', file) == EOF || std::fclose(file) != 0) {
-      std::fprintf(stderr, "planopt: failed to write %s\n", out.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "planopt: wrote plan to %s\n", out.c_str());
-  }
-  return 0;
+  return tools::write_plan(kTool, out, deployment) ? 0 : 1;
 }

@@ -1,12 +1,17 @@
 #include "sim_config.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <string_view>
+#include <vector>
 
-#include "trace/payload_synth.hpp"
+#include "runtime/fault_injector.hpp"
+#include "runtime/overload.hpp"
+#include "telemetry/json.hpp"
 #include "util/logging.hpp"
 
 namespace speedybox::tools {
@@ -17,13 +22,20 @@ void config_error(const std::string& tool, const std::string& message) {
 }
 
 std::uint64_t parse_uint_flag(const std::string& tool, const char* flag,
-                              const char* value, std::uint64_t min_value) {
+                              const char* value, std::uint64_t min_value,
+                              std::uint64_t max_value) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed < min_value) {
-    config_error(tool, std::string(flag) + ": want an integer >= " +
-                           std::to_string(min_value) + ", got \"" + value +
+  // strtoull skips blanks and takes a sign ("-1" wraps to the maximum), so
+  // the value must start with a digit.
+  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+      errno == ERANGE || parsed < min_value || parsed > max_value) {
+    std::string want = "want an integer >= " + std::to_string(min_value);
+    if (max_value != std::numeric_limits<std::uint64_t>::max()) {
+      want += " and <= " + std::to_string(max_value);
+    }
+    config_error(tool, std::string(flag) + ": " + want + ", got \"" + value +
                            "\"");
   }
   return parsed;
@@ -40,6 +52,50 @@ double parse_double_flag(const std::string& tool, const char* flag,
                            value + "\"");
   }
   return parsed;
+}
+
+std::string read_flag_file(const std::string& tool, const char* flag,
+                           const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) config_error(tool, std::string(flag) + ": cannot read " + path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+bool write_plan(const std::string& tool, const std::string& path,
+                const plan::DeploymentPlan& deployment) {
+  const std::string document = deployment.dump();
+  if (path == "-") {
+    std::printf("%s\n", document.c_str());
+    return true;
+  }
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (file == nullptr ||
+      std::fwrite(document.data(), 1, document.size(), file) !=
+          document.size() ||
+      std::fputc('\n', file) == EOF || std::fclose(file) != 0) {
+    std::fprintf(stderr, "%s: failed to write %s\n", tool.c_str(),
+                 path.c_str());
+    return false;
+  }
+  std::fprintf(stderr, "%s: wrote plan to %s\n", tool.c_str(), path.c_str());
+  return true;
+}
+
+void resolve_workload(const std::string& tool, const FlagSet& given,
+                      trace::WorkloadSpec& workload) {
+  try {
+    workload.validate();
+  } catch (const std::exception& error) {
+    config_error(tool, error.what());
+  }
+  if (given.contains("--packets") && workload.kind != "uniform") {
+    config_error(tool, "--packets needs --workload uniform: the " +
+                           workload.kind + " generator shapes its own flows");
+  }
+  if (workload.kind != "uniform" && workload.kind != "datacenter" &&
+      !given.contains("--flows")) {
+    workload.flows = 0;  // the scenario's own population
+  }
 }
 
 namespace {
@@ -74,12 +130,13 @@ constexpr const char* kTool = "chainsim";
       "                             needs --shards; pipeline is the threaded\n"
       "                             ONVM deployment, one core per NF, in\n"
       "                             either mode)\n"
-      "  --flows N --packets N --payload N   uniform workload shape\n"
+      "  --flows N --packets N --payload N   workload shape (--packets is\n"
+      "                             for the uniform workload only)\n"
       "  --workload NAME            uniform | datacenter | elephant-mice |\n"
       "                             sync-burst | flash-crowd | syn-flood\n"
-      "                             (scenario generators scale with --flows\n"
-      "                             / --payload / --seed; syn-flood pairs\n"
-      "                             with a dos chain element)\n"
+      "                             (only --flows scales a scenario's\n"
+      "                             population; syn-flood pairs with a dos\n"
+      "                             chain element)\n"
       "  --datacenter               alias for --workload datacenter\n"
       "  --pcap FILE                drive the chain from a pcap capture\n"
       "  --export-pcap FILE         write the generated workload as pcap\n"
@@ -109,8 +166,9 @@ constexpr const char* kTool = "chainsim";
       "                             latency-cycles=N,crash-at=N\"\n"
       "  --seed N                   workload seed (default 42)\n"
       "  --csv                      machine-readable one-line-per-config\n"
-      "  --print-config             echo the effective config as JSON and\n"
-      "                             exit (validates first)\n"
+      "  --print-config             echo the deployment and workload\n"
+      "                             documents and the run settings as JSON\n"
+      "                             and exit (validates first)\n"
       "  --metrics-out FILE         append a JSON telemetry snapshot line\n"
       "  --metrics-prom FILE        write a Prometheus text snapshot\n"
       "  --metrics-interval MS      also snapshot every MS ms (JSON-lines,\n"
@@ -141,27 +199,109 @@ constexpr const char* kTool = "chainsim";
   std::exit(2);
 }
 
+using Flags = std::vector<std::string_view>;
+
+/// When any `subjects` flag is given, each `others` flag must be absent
+/// (kConflicts) or given too (kNeeds).
+struct FlagRule {
+  Flags subjects;
+  enum { kConflicts, kNeeds } relation;
+  Flags others;
+  const char* reason;
+};
+
+const Flags kOverloadFlags = {"--overload", "--drop-policy",
+                              "--queue-capacity", "--inject-fault"};
+const Flags kWorkloadFlags = {"--workload", "--datacenter", "--flows",
+                              "--packets",  "--payload",    "--seed"};
+const Flags kAutoscaleFlags = {"--autoscale", "--slo-us", "--min-shards",
+                               "--max-shards", "--scale-interval"};
+
+/// Checked in order; the first violation is the diagnostic.
+const FlagRule kRules[] = {
+    {{"--tenancy"}, FlagRule::kConflicts,
+     {"--chain", "--plan", "--mode", "--executor", "--shards", "--platform"},
+     "the tenancy document carries every tenant's deployment"},
+    {{"--tenancy"}, FlagRule::kConflicts, kOverloadFlags,
+     "each tenant's plan carries its own overload and fault config"},
+    {{"--tenancy"}, FlagRule::kConflicts, kAutoscaleFlags,
+     "the host runs its SLO enforcement loop in place of --autoscale (SLOs "
+     "live in the spec)"},
+    {{"--tenancy"}, FlagRule::kConflicts, kWorkloadFlags,
+     "the tenancy document carries every tenant's workload"},
+    {{"--tenancy"}, FlagRule::kConflicts,
+     {"--pcap", "--export-pcap", "--fail-backend-at"},
+     "it acts on a single deployment's trace"},
+    {{"--tenancy"}, FlagRule::kConflicts, {"--emit-plan", "--print-config"},
+     "there is no single plan to echo"},
+    {{"--plan"}, FlagRule::kConflicts,
+     {"--chain", "--mode", "--executor", "--shards", "--platform",
+      "--batch-size"},
+     "the plan document carries the deployment"},
+    {{"--plan"}, FlagRule::kConflicts, kOverloadFlags,
+     "the plan document carries the overload and fault config"},
+    {{"--plan"}, FlagRule::kConflicts, kAutoscaleFlags,
+     "--autoscale is not expressible in a plan document yet"},
+    {{"--emit-plan"}, FlagRule::kConflicts, {"--print-config"},
+     "both echo and exit"},
+    {{"--pcap"}, FlagRule::kConflicts, kWorkloadFlags,
+     "the capture replaces the generated workload"},
+    {{"--listen"}, FlagRule::kConflicts, kWorkloadFlags,
+     "the workload lives in the load generator (pass it to loadgen)"},
+    {{"--pcap", "--listen"}, FlagRule::kConflicts, {"--export-pcap"},
+     "there is no generated workload to export"},
+    {{"--listen"}, FlagRule::kConflicts, {"--pcap"},
+     "the capture would be a second packet source"},
+    {{"--listen"}, FlagRule::kConflicts, {"--fail-backend-at"},
+     "live mode has no trace packet index"},
+    {{"--listen"}, FlagRule::kConflicts, {"--autoscale"},
+     "autoscaling is trace-driven for now"},
+    {{"--drop-policy", "--queue-capacity"}, FlagRule::kNeeds, {"--overload"},
+     "the gate does not exist without it"},
+    {{"--slo-us", "--min-shards", "--max-shards", "--scale-interval"},
+     FlagRule::kNeeds, {"--autoscale"},
+     "there is no controller without it"},
+    {{"--autoscale"}, FlagRule::kNeeds, {"--shards"},
+     "it scales the flow-sharded runtime"},
+    {{"--proto", "--rx-budget", "--idle-timeout", "--recvmmsg"},
+     FlagRule::kNeeds, {"--listen"},
+     "it configures the live front-end, which does not exist without it"},
+    {{"--metrics-interval"}, FlagRule::kNeeds, {"--metrics-out"},
+     "the interval snapshotter has nowhere to write"},
+};
+
 }  // namespace
 
 SimConfig SimConfig::parse(int argc, char** argv) {
   SimConfig config;
+  plan::DeploymentPlan& deployment = config.deployment;
+  trace::WorkloadSpec& workload = config.workload;
+  deployment.chain.name = "chainsim";
   const auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  // The value of flag argv[i], parsed strictly.
+  const auto uint_value = [&](int& i, std::uint64_t min_value = 1,
+                              std::uint64_t max_value =
+                                  std::numeric_limits<std::uint64_t>::max()) {
+    const char* flag = argv[i];
+    return parse_uint_flag(kTool, flag, need_value(i), min_value, max_value);
+  };
+  const auto double_value = [&](int& i) {
+    const char* flag = argv[i];
+    return parse_double_flag(kTool, flag, need_value(i));
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    config.given.insert(arg);
     if (arg == "--chain") {
-      std::string spec = need_value(i);
-      std::size_t start = 0;
-      while (start <= spec.size()) {
-        const std::size_t comma = spec.find(',', start);
-        const std::string name =
-            spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-        if (!name.empty()) config.chain.push_back(name);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
+      try {
+        const plan::ChainSpec more = plan::ChainSpec::parse(need_value(i));
+        deployment.chain.nfs.insert(deployment.chain.nfs.end(),
+                                    more.nfs.begin(), more.nfs.end());
+      } catch (const std::exception& error) {
+        config_error(kTool, error.what());
       }
     } else if (arg == "--plan") {
       config.plan_file = need_value(i);
@@ -169,20 +309,16 @@ SimConfig SimConfig::parse(int argc, char** argv) {
       config.emit_plan = need_value(i);
     } else if (arg == "--platform") {
       const std::string value = need_value(i);
-      if (value == "bess") {
-        config.platform = platform::PlatformKind::kBess;
-      } else if (value == "onvm") {
-        config.platform = platform::PlatformKind::kOnvm;
-      } else {
-        usage(argv[0]);
-      }
-      config.platform_set = true;
+      if (value != "bess" && value != "onvm") usage(argv[0]);
+      deployment.platform = value == "bess" ? platform::PlatformKind::kBess
+                                            : platform::PlatformKind::kOnvm;
     } else if (arg == "--mode") {
       const std::string value = need_value(i);
-      config.run_original = value == "original" || value == "both";
-      config.run_speedybox = value == "speedybox" || value == "both";
-      config.mode_set = true;
-      if (!config.run_original && !config.run_speedybox) usage(argv[0]);
+      if (value != "original" && value != "speedybox" && value != "both") {
+        usage(argv[0]);
+      }
+      config.both_modes = value == "both";
+      deployment.speedybox = value != "original";
     } else if (arg == "--executor") {
       const std::string value = need_value(i);
       const auto kind = plan::parse_executor_kind(value);
@@ -190,73 +326,56 @@ SimConfig SimConfig::parse(int argc, char** argv) {
         config_error(kTool, "unknown --executor \"" + value +
                                 "\" (choose one of runner, sharded, pipeline)");
       }
-      config.executor = *kind;
-      config.executor_set = true;
+      deployment.executor = *kind;
     } else if (arg == "--flows") {
-      config.flows = parse_uint_flag(kTool, "--flows", need_value(i));
-      config.workload_shape_set = true;
+      workload.flows = uint_value(i);
     } else if (arg == "--packets") {
-      config.packets_per_flow = static_cast<std::uint32_t>(
-          parse_uint_flag(kTool, "--packets", need_value(i)));
-      config.workload_shape_set = true;
+      workload.packets_per_flow = static_cast<std::uint32_t>(
+          uint_value(i, 1, std::numeric_limits<std::uint32_t>::max()));
     } else if (arg == "--payload") {
-      config.payload = parse_uint_flag(kTool, "--payload", need_value(i), 0);
-      config.workload_shape_set = true;
+      workload.payload_size = uint_value(i, 0);
     } else if (arg == "--datacenter") {
-      config.workload = "datacenter";
+      workload.kind = "datacenter";
     } else if (arg == "--workload") {
-      config.workload = need_value(i);
+      workload.kind = need_value(i);
     } else if (arg == "--pcap") {
       config.pcap_in = need_value(i);
     } else if (arg == "--export-pcap") {
       config.pcap_out = need_value(i);
     } else if (arg == "--fail-backend-at") {
-      config.fail_backend_at = std::strtol(need_value(i), nullptr, 10);
+      config.fail_backend_at = uint_value(i, 0);
     } else if (arg == "--shards") {
-      config.shards = parse_uint_flag(kTool, "--shards", need_value(i));
+      deployment.shards = uint_value(i);
     } else if (arg == "--batch-size") {
-      config.batch_size = parse_uint_flag(kTool, "--batch-size",
-                                          need_value(i));
-      config.batch_size_set = true;
+      deployment.batch_size = uint_value(i);
     } else if (arg == "--overload") {
-      config.overload.offered_load =
-          parse_double_flag(kTool, "--overload", need_value(i));
-      config.overload.enabled = true;
+      deployment.overload.offered_load = double_value(i);
+      deployment.overload.enabled = true;
     } else if (arg == "--drop-policy") {
       const auto policy = runtime::parse_drop_policy(need_value(i));
       if (!policy) usage(argv[0]);
-      config.overload.policy = *policy;
-      config.drop_policy_set = true;
+      deployment.overload.policy = *policy;
     } else if (arg == "--queue-capacity") {
-      config.overload.queue_capacity =
-          parse_uint_flag(kTool, "--queue-capacity", need_value(i));
-      config.queue_capacity_set = true;
+      deployment.overload.queue_capacity = uint_value(i);
     } else if (arg == "--autoscale") {
       config.autoscale = true;
     } else if (arg == "--slo-us") {
-      config.slo_us = parse_double_flag(kTool, "--slo-us", need_value(i));
-      config.autoscale_knob_set = true;
+      config.slo_us = double_value(i);
     } else if (arg == "--min-shards") {
-      config.min_shards =
-          parse_uint_flag(kTool, "--min-shards", need_value(i));
-      config.autoscale_knob_set = true;
+      config.min_shards = uint_value(i);
     } else if (arg == "--max-shards") {
-      config.max_shards =
-          parse_uint_flag(kTool, "--max-shards", need_value(i));
-      config.autoscale_knob_set = true;
+      config.max_shards = uint_value(i);
     } else if (arg == "--scale-interval") {
-      config.scale_interval =
-          parse_uint_flag(kTool, "--scale-interval", need_value(i));
-      config.autoscale_knob_set = true;
+      config.scale_interval = uint_value(i);
     } else if (arg == "--inject-fault") {
-      config.fault = runtime::parse_fault_spec(need_value(i));
-      if (!config.fault || !config.fault->second.any()) {
+      deployment.fault = runtime::parse_fault_spec(need_value(i));
+      if (!deployment.fault || !deployment.fault->second.any()) {
         config_error(kTool,
                      "--inject-fault: malformed spec (want "
                      "\"<nf>:fail-every=N,...\" with at least one action)");
       }
     } else if (arg == "--seed") {
-      config.seed = parse_uint_flag(kTool, "--seed", need_value(i), 0);
+      workload.seed = uint_value(i, 0);
     } else if (arg == "--csv") {
       config.csv = true;
     } else if (arg == "--print-config") {
@@ -266,16 +385,13 @@ SimConfig SimConfig::parse(int argc, char** argv) {
     } else if (arg == "--metrics-prom") {
       config.metrics_prom = need_value(i);
     } else if (arg == "--metrics-interval") {
-      config.metrics_interval_ms = std::strtol(need_value(i), nullptr, 10);
+      config.metrics_interval_ms = uint_value(i, 0);
     } else if (arg == "--trace-sample") {
       config.trace_sample = static_cast<std::uint32_t>(
-          parse_uint_flag(kTool, "--trace-sample", need_value(i)));
+          uint_value(i, 1, std::numeric_limits<std::uint32_t>::max()));
     } else if (arg == "--listen") {
-      const std::uint64_t port =
-          parse_uint_flag(kTool, "--listen", need_value(i), 0);
-      if (port > 65535) usage(argv[0]);
-      config.listen_port = static_cast<std::uint16_t>(port);
-      config.listen_set = true;
+      config.listen_port =
+          static_cast<std::uint16_t>(uint_value(i, 0, 65535));
     } else if (arg == "--proto") {
       const std::string value = need_value(i);
       if (value == "udp") {
@@ -287,17 +403,13 @@ SimConfig SimConfig::parse(int argc, char** argv) {
       } else {
         usage(argv[0]);
       }
-      config.proto_set = true;
     } else if (arg == "--rx-budget") {
-      config.rx_budget = parse_uint_flag(kTool, "--rx-budget", need_value(i));
-      config.rx_budget_set = true;
+      config.rx_budget = uint_value(i);
     } else if (arg == "--idle-timeout") {
-      config.idle_timeout_ms = static_cast<long>(
-          parse_uint_flag(kTool, "--idle-timeout", need_value(i)));
-      config.idle_timeout_set = true;
+      config.idle_timeout_ms =
+          static_cast<int>(uint_value(i, 1, std::numeric_limits<int>::max()));
     } else if (arg == "--recvmmsg") {
       config.use_recvmmsg = true;
-      config.recvmmsg_set = true;
     } else if (arg == "--tenancy") {
       config.tenancy_file = need_value(i);
     } else if (arg == "--log-level") {
@@ -308,359 +420,140 @@ SimConfig SimConfig::parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (config.chain.empty() && config.plan_file.empty() &&
-      config.tenancy_file.empty()) {
+  const FlagSet& given = config.given;
+  if (!given.contains("--chain") && !given.contains("--plan") &&
+      !given.contains("--tenancy")) {
     usage(argv[0]);
   }
   // --shards implies the sharded executor unless one was named.
-  if (!config.executor_set && config.shards > 0) {
-    config.executor = plan::ExecutorKind::kSharded;
+  if (given.contains("--shards") && !given.contains("--executor")) {
+    deployment.executor = plan::ExecutorKind::kSharded;
   }
+  // Without --mode a flag-built run drives both data paths; a plan, loaded
+  // or emitted, holds one.
+  if (!given.contains("--mode")) {
+    config.both_modes =
+        !given.contains("--plan") && !given.contains("--emit-plan");
+  }
+  if (config.max_shards == 0) config.max_shards = deployment.shards;
   return config;
 }
 
 void SimConfig::validate() const {
-  if (!tenancy_file.empty()) {
-    // The tenancy document owns everything per tenant (deployment,
-    // workload, overload, SLO); a flag that would fight it is an error.
-    if (!chain.empty() || !plan_file.empty()) {
-      config_error(kTool, "--tenancy already carries every tenant's "
-                          "deployment: drop --chain/--plan");
-    }
-    if (mode_set || executor_set || shards > 0 || platform_set) {
-      config_error(kTool, "--tenancy already carries every tenant's "
-                          "deployment shape: drop --mode/--executor/"
-                          "--shards/--platform");
-    }
-    if (workload_shape_set || workload != "uniform" || !pcap_in.empty() ||
-        !pcap_out.empty()) {
-      config_error(kTool, "--tenancy already carries every tenant's "
-                          "workload: drop --flows/--packets/--payload/"
-                          "--workload/--datacenter/--pcap/--export-pcap");
-    }
-    if (overload.enabled || drop_policy_set || queue_capacity_set ||
-        fault.has_value()) {
-      config_error(kTool, "--tenancy tenants carry their own overload/fault "
-                          "config in their plans: drop --overload/"
-                          "--drop-policy/--queue-capacity/--inject-fault");
-    }
-    if (autoscale || autoscale_knob_set) {
-      config_error(kTool, "--tenancy runs the SLO enforcement loop instead "
-                          "of --autoscale: drop it (SLOs live in the spec)");
-    }
-    if (fail_backend_at >= 0) {
-      config_error(kTool, "--fail-backend-at is single-deployment only");
-    }
-    if (!emit_plan.empty() || print_config) {
-      config_error(kTool,
-                   "--tenancy does not echo plans: drop "
-                   "--emit-plan/--print-config");
-    }
-    if (listen_set && listen_port != 0) {
-      config_error(kTool, "--tenancy listeners bind each tenant's own "
-                          "listen_port from the spec: pass --listen 0");
+  for (const FlagRule& rule : kRules) {
+    for (const std::string_view subject : rule.subjects) {
+      if (!given.contains(subject)) continue;
+      for (const std::string_view other : rule.others) {
+        const bool needs = rule.relation == FlagRule::kNeeds;
+        if (given.contains(other) == needs) continue;
+        config_error(kTool, std::string(subject) +
+                                (needs ? " needs " : " conflicts with ") +
+                                std::string(other) + ": " + rule.reason);
+      }
     }
   }
-  if (!plan_file.empty()) {
-    // The plan document owns the deployment shape; a flag that would fight
-    // it is an error, not a silent override.
-    if (!chain.empty()) {
-      config_error(kTool, "--plan already carries the chain: drop --chain");
-    }
-    if (mode_set) {
-      config_error(kTool, "--plan already carries the mode: drop --mode");
-    }
-    if (executor_set || shards > 0) {
-      config_error(kTool, "--plan already carries the executor shape: drop "
-                          "--executor/--shards");
-    }
-    if (platform_set) {
-      config_error(kTool,
-                   "--plan already carries the platform: drop --platform");
-    }
-    if (batch_size_set) {
-      config_error(kTool,
-                   "--plan already carries the batch size: drop --batch-size");
-    }
-    if (overload.enabled || drop_policy_set || queue_capacity_set) {
-      config_error(kTool, "--plan already carries the overload policy: drop "
-                          "--overload/--drop-policy/--queue-capacity");
-    }
-    if (fault.has_value()) {
-      config_error(kTool, "--plan already carries the fault spec: drop "
-                          "--inject-fault");
-    }
-    if (autoscale || autoscale_knob_set) {
-      config_error(kTool, "--autoscale is not expressible in a plan document "
-                          "yet: drop it (or run from flags)");
-    }
+  // Rules on flag values, not just on which flags were given.
+  if (given.contains("--emit-plan") && both_modes) {
+    config_error(kTool, "--emit-plan conflicts with --mode both: a plan "
+                        "holds one deployment (pass --mode original or "
+                        "--mode speedybox)");
   }
-  if (!emit_plan.empty()) {
-    if (mode_set && run_original && run_speedybox) {
-      config_error(kTool, "--emit-plan writes ONE deployment: pass --mode "
-                          "original or --mode speedybox (default speedybox)");
-    }
-    if (print_config) {
-      config_error(kTool,
-                   "--emit-plan and --print-config both echo and exit: "
-                   "pick one");
-    }
+  if (listen_port.has_value() && tenancy_file.empty() && both_modes) {
+    config_error(kTool, "--listen needs --mode original or --mode "
+                        "speedybox: live mode drives one data path");
   }
-  if (metrics_interval_ms > 0 && metrics_out.empty()) {
-    config_error(kTool, "--metrics-interval needs --metrics-out (the interval "
-                        "snapshotter has nowhere to write)");
+  if (listen_port.value_or(0) != 0 && !tenancy_file.empty()) {
+    config_error(kTool, "--tenancy needs --listen 0: each tenant's listener "
+                        "binds the listen_port in the spec");
   }
-  if (!pcap_in.empty() && (workload_shape_set || workload != "uniform")) {
-    config_error(kTool, "--pcap replaces the generated workload: drop "
-                        "--flows/--packets/--payload/--workload/--datacenter");
+  if (autoscale && (both_modes || !deployment.speedybox)) {
+    config_error(kTool, "--autoscale needs --mode speedybox: it migrates "
+                        "flows via the consolidated MATs, which the original "
+                        "chain does not build");
   }
-  if (workload != "uniform" && workload != "datacenter" &&
-      !trace::make_named_scenario(workload).has_value()) {
-    std::string names = "uniform, datacenter";
-    for (const std::string& name : trace::named_scenarios()) {
-      names += ", " + name;
-    }
-    config_error(kTool, "unknown --workload \"" + workload +
-                            "\" (choose one of " + names + ")");
+  if (autoscale && min_shards > max_shards) {
+    config_error(kTool, "--min-shards exceeds --max-shards");
   }
-  if (!pcap_in.empty() && !pcap_out.empty()) {
-    config_error(kTool, "--export-pcap writes the GENERATED workload; with "
-                        "--pcap there is nothing to export");
-  }
-  if (plan_file.empty()) {
-    // Executor/mode cross-checks on the flag-built deployment; the --plan
-    // path re-checks these against the loaded plan in resolve_plan().
-    if (fail_backend_at >= 0 && executor != plan::ExecutorKind::kRunner) {
-      config_error(kTool, "--fail-backend-at needs the single-threaded runner "
-                          "(mid-run control-plane actions are per-replica)");
-    }
-    if (shards > 0 && executor != plan::ExecutorKind::kSharded) {
-      config_error(kTool, "--shards only applies to --executor sharded");
-    }
-    if (executor == plan::ExecutorKind::kSharded && shards == 0) {
-      config_error(kTool, "--executor sharded needs --shards N");
-    }
-    if (autoscale && executor != plan::ExecutorKind::kSharded) {
-      config_error(kTool, "--autoscale scales the flow-sharded runtime: pass "
-                          "--shards N (or --executor sharded)");
-    }
-    if (autoscale && (run_original || !run_speedybox)) {
-      config_error(kTool, "--autoscale migrates flows via the consolidated "
-                          "MATs, which the original chain does not build: "
-                          "pass --mode speedybox");
-    }
-  }
-  if (!overload.enabled && (drop_policy_set || queue_capacity_set)) {
-    config_error(kTool, "--drop-policy/--queue-capacity need --overload (the "
-                        "gate does not exist without it)");
-  }
-  if (!autoscale && autoscale_knob_set) {
-    config_error(kTool, "--slo-us/--min-shards/--max-shards/--scale-interval "
-                        "need --autoscale (there is no controller without it)");
-  }
-  if (autoscale) {
-    const std::size_t ceiling = max_shards == 0 ? shards : max_shards;
-    if (min_shards > ceiling) {
-      config_error(kTool, "--min-shards exceeds --max-shards");
-    }
-    if (shards < min_shards || shards > ceiling) {
-      config_error(kTool, "--shards must start inside [--min-shards, "
-                          "--max-shards]");
-    }
-  }
-  if (!listen_set &&
-      (proto_set || rx_budget_set || idle_timeout_set || recvmmsg_set)) {
-    config_error(kTool, "--proto/--rx-budget/--idle-timeout/--recvmmsg need "
-                        "--listen (they configure the live front-end, which "
-                        "does not exist without it)");
-  }
-  if (listen_set && !tenancy_file.empty()) {
-    return;  // live tenancy mode: the checks below are single-deployment
-  }
-  if (listen_set) {
-    if (!pcap_in.empty()) {
-      config_error(kTool, "--listen ingests real wire packets: --pcap would "
-                          "be a second packet source (drop one of them)");
-    }
-    if (workload_shape_set || workload != "uniform") {
-      config_error(kTool, "--listen ingests real wire packets: the workload "
-                          "lives in the load generator now — drop --flows/"
-                          "--packets/--payload/--workload/--datacenter (pass "
-                          "them to loadgen instead)");
-    }
-    if (!pcap_out.empty()) {
-      config_error(kTool, "--export-pcap writes the GENERATED workload; with "
-                          "--listen there is nothing to export");
-    }
-    if (fail_backend_at >= 0) {
-      config_error(kTool, "--fail-backend-at fires at a trace packet index, "
-                          "which live mode does not have");
-    }
-    if (plan_file.empty() && run_original && run_speedybox) {
-      config_error(kTool, "--listen drives ONE live data path: pass --mode "
-                          "original or --mode speedybox");
-    }
-    if (autoscale) {
-      config_error(kTool, "--autoscale is trace-driven for now; live mode "
-                          "does not support it yet");
-    }
+  if (autoscale &&
+      (deployment.shards < min_shards || deployment.shards > max_shards)) {
+    config_error(kTool,
+                 "--shards must start inside [--min-shards, --max-shards]");
   }
 }
 
 void SimConfig::resolve_plan() {
   if (!tenancy_file.empty()) return;  // per-tenant plans live in the spec
-  if (!plan_file.empty()) {
-    std::ifstream in(plan_file, std::ios::binary);
-    if (!in) {
-      config_error(kTool, "--plan: cannot read " + plan_file);
+  try {
+    if (!plan_file.empty()) {
+      deployment = plan::DeploymentPlan::parse(
+          read_flag_file(kTool, "--plan", plan_file));
     }
-    const std::string text{std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>()};
-    try {
-      deployment = plan::DeploymentPlan::parse(text);
-      deployment->validate();
-    } catch (const std::exception& error) {
-      config_error(kTool, "--plan " + plan_file + ": " + error.what());
-    }
-  } else {
-    plan::DeploymentPlan built;
-    try {
-      std::string joined;
-      for (const std::string& token : chain) {
-        if (!joined.empty()) joined += ",";
-        joined += token;
-      }
-      built.chain = plan::ChainSpec::parse(joined, "chainsim");
-      built.executor = executor;
-      // For --mode both this is the speedybox leg; plan_for() re-targets
-      // per run.
-      built.speedybox = run_speedybox;
-      built.platform = platform;
-      built.batch_size = batch_size;
-      built.shards = shards;
-      built.overload = overload;
-      built.fault = fault;
-      built.validate();
-    } catch (const std::exception& error) {
-      config_error(kTool, error.what());
-    }
-    deployment = std::move(built);
-  }
-  // Mirror the deployment into the flag-shaped fields so the echo, the
-  // reports and the run loop all read one source of truth.
-  const plan::DeploymentPlan& resolved = *deployment;
-  chain.clear();
-  for (const nf::NfSpec& nf : resolved.chain.nfs) {
-    chain.push_back(nf.to_string());
-  }
-  platform = resolved.platform;
-  if (!plan_file.empty()) {
-    run_original = !resolved.speedybox;
-    run_speedybox = resolved.speedybox;
-  }
-  executor = resolved.executor;
-  shards = resolved.shards;
-  batch_size = resolved.batch_size;
-  overload = resolved.overload;
-  fault = resolved.fault;
-  // Cross-checks that needed the resolved executor (the flag path already
-  // ran them in validate()).
-  if (fail_backend_at >= 0 && executor != plan::ExecutorKind::kRunner) {
+    deployment.validate();
+  } catch (const std::exception& error) {
     config_error(kTool,
-                 std::string("--fail-backend-at needs the single-threaded "
-                             "runner, but the plan chose executor \"") +
-                     plan::executor_kind_name(executor) + "\"");
+                 (plan_file.empty() ? "" : "--plan " + plan_file + ": ") +
+                     error.what());
+  }
+  resolve_workload(kTool, given, workload);
+  if (fail_backend_at.has_value() &&
+      deployment.executor != plan::ExecutorKind::kRunner) {
+    config_error(kTool,
+                 std::string("--fail-backend-at needs the runner executor "
+                             "(mid-run control-plane actions are "
+                             "per-replica), but the deployment runs on \"") +
+                     plan::executor_kind_name(deployment.executor) + "\"");
   }
 }
 
 plan::DeploymentPlan SimConfig::plan_for(bool speedybox) const {
-  if (!deployment.has_value()) {
-    config_error(kTool, "internal: plan_for() before resolve_plan()");
-  }
-  plan::DeploymentPlan retargeted = *deployment;
+  plan::DeploymentPlan retargeted = deployment;
   retargeted.speedybox = speedybox;
   return retargeted;
 }
 
 std::string SimConfig::to_json() const {
-  std::string json = "{";
-  const auto field = [&](const char* key, const std::string& value,
-                         bool quote) {
-    if (json.size() > 1) json += ",";
-    json += "\"";
-    json += key;
-    json += "\":";
-    if (quote) json += "\"";
-    json += value;
-    if (quote) json += "\"";
-  };
-  std::string chain_list;
-  for (const std::string& name : chain) {
-    if (!chain_list.empty()) chain_list += ",";
-    chain_list += "\"" + name + "\"";
-  }
-  field("chain", "[" + chain_list + "]", false);
-  if (!plan_file.empty()) field("plan", plan_file, true);
-  field("platform", platform_name(platform), true);
-  field("mode",
-        run_original && run_speedybox
-            ? "both"
-            : (run_speedybox ? "speedybox" : "original"),
-        true);
-  field("executor", plan::executor_kind_name(executor), true);
-  if (listen_set) {
-    field("listen", std::to_string(listen_port), false);
-    field("proto", io::ingest_proto_name(listen_proto), true);
-    field("rx_budget", std::to_string(rx_budget), false);
-    field("idle_timeout_ms", std::to_string(idle_timeout_ms), false);
-  } else if (pcap_in.empty()) {
-    field("workload", workload, true);
-    field("flows", std::to_string(flows), false);
-    field("packets_per_flow", std::to_string(packets_per_flow), false);
-    field("payload", std::to_string(payload), false);
-    field("seed", std::to_string(seed), false);
+  using telemetry::Json;
+  Json json = Json::object();
+  if (!plan_file.empty()) json.set("plan", Json::string(plan_file));
+  json.set("deployment", deployment.to_json());
+  json.set("mode", Json::string(both_modes            ? "both"
+                                : deployment.speedybox ? "speedybox"
+                                                       : "original"));
+  if (listen_port.has_value()) {
+    json.set("listen", Json::object()
+                           .set("port", Json::integer(*listen_port))
+                           .set("proto", Json::string(io::ingest_proto_name(
+                                             listen_proto)))
+                           .set("rx_budget", Json::integer(rx_budget))
+                           .set("idle_timeout_ms",
+                                Json::integer(idle_timeout_ms))
+                           .set("recvmmsg", Json::boolean(use_recvmmsg)));
+  } else if (!pcap_in.empty()) {
+    json.set("pcap", Json::string(pcap_in));
   } else {
-    field("pcap", pcap_in, true);
+    json.set("workload", workload.to_json());
   }
-  if (!pcap_out.empty()) field("export_pcap", pcap_out, true);
-  field("shards", std::to_string(shards), false);
-  field("batch_size", std::to_string(batch_size), false);
-  if (fail_backend_at >= 0) {
-    field("fail_backend_at", std::to_string(fail_backend_at), false);
+  if (!pcap_out.empty()) json.set("export_pcap", Json::string(pcap_out));
+  if (fail_backend_at.has_value()) {
+    json.set("fail_backend_at", Json::integer(*fail_backend_at));
   }
-  field("autoscale", autoscale ? "true" : "false", false);
   if (autoscale) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%g", slo_us);
-    field("slo_us", buffer, false);
-    field("min_shards", std::to_string(min_shards), false);
-    field("max_shards",
-          std::to_string(max_shards == 0 ? shards : max_shards), false);
-    field("scale_interval", std::to_string(scale_interval), false);
+    json.set("autoscale", Json::object()
+                              .set("slo_us", Json::number(slo_us))
+                              .set("min_shards", Json::integer(min_shards))
+                              .set("max_shards", Json::integer(max_shards))
+                              .set("scale_interval",
+                                   Json::integer(scale_interval)));
   }
-  field("overload", overload.enabled ? "true" : "false", false);
-  if (overload.enabled) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%g", overload.offered_load);
-    field("offered_load", buffer, false);
-    field("drop_policy",
-          std::string(runtime::drop_policy_name(overload.policy)), true);
-    field("queue_capacity", std::to_string(overload.queue_capacity), false);
+  if (!metrics_out.empty()) json.set("metrics_out", Json::string(metrics_out));
+  if (!metrics_prom.empty()) {
+    json.set("metrics_prom", Json::string(metrics_prom));
   }
-  if (fault.has_value()) {
-    field("inject_fault", fault->first + ":" + fault->second.to_string(),
-          true);
-  }
-  if (!metrics_out.empty()) field("metrics_out", metrics_out, true);
-  if (!metrics_prom.empty()) field("metrics_prom", metrics_prom, true);
   if (metrics_interval_ms > 0) {
-    field("metrics_interval_ms", std::to_string(metrics_interval_ms), false);
+    json.set("metrics_interval_ms", Json::integer(metrics_interval_ms));
   }
-  if (trace_sample > 0) {
-    field("trace_sample", std::to_string(trace_sample), false);
-  }
-  json += "}";
-  return json;
+  if (trace_sample > 0) json.set("trace_sample", Json::integer(trace_sample));
+  return json.dump();
 }
 
 }  // namespace speedybox::tools
