@@ -204,24 +204,43 @@ void BM_ConsolidateFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_ConsolidateFlow);
 
-/// One SnortIds over the default rules inspecting one port-80 flow:
-/// lowercase filler with one planted content (the pass rule's, so nothing
-/// accumulates in the audit log), payload bytes in arg 0.
+/// One SnortIds over the default rules inspecting one port-80 flow,
+/// payload bytes in arg 0. Sparse rows (dense:0) carry lowercase filler
+/// with one planted content, the pass rule's, so nothing accumulates in
+/// the audit log; 192 B is Fig. 6's payload, where the matcher starts to
+/// interleave. Dense rows (dense:1) carry back-to-back `ADMIN`, a hit
+/// every five bytes, the matcher's worst case; each packet appends one
+/// alert to the audit log.
 void BM_SnortProcess(benchmark::State& state) {
   nf::SnortIds snort{nf::default_snort_rules()};
   std::string payload(static_cast<std::size_t>(state.range(0)), 'a');
-  util::Rng rng{0x5EED};
-  for (char& c : payload) c = static_cast<char>('a' + rng.below(26));
-  const std::string planted = "GET /healthz";
-  std::memcpy(payload.data() + payload.size() / 4, planted.data(),
-              planted.size());
+  if (state.range(1) == 0) {
+    util::Rng rng{0x5EED};
+    for (char& c : payload) c = static_cast<char>('a' + rng.below(26));
+    const std::string planted = "GET /healthz";
+    std::memcpy(payload.data() + payload.size() / 4, planted.data(),
+                planted.size());
+  } else {
+    const std::string admin = "ADMIN";
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = admin[i % admin.size()];
+    }
+  }
   net::Packet packet = net::make_tcp_packet(bench_tuple(), payload);
   for (auto _ : state) {
     snort.process(packet, nullptr);
     benchmark::DoNotOptimize(snort.pass_count());
+    benchmark::DoNotOptimize(snort.alert_count());
   }
 }
-BENCHMARK(BM_SnortProcess)->ArgName("payload")->Arg(64)->Arg(512)->Arg(1460);
+BENCHMARK(BM_SnortProcess)
+    ->ArgNames({"payload", "dense"})
+    ->Args({64, 0})
+    ->Args({192, 0})
+    ->Args({512, 0})
+    ->Args({1460, 0})
+    ->Args({512, 1})
+    ->Args({1460, 1});
 
 }  // namespace
 }  // namespace speedybox

@@ -14,6 +14,23 @@ constexpr std::uint8_t fold(std::uint8_t byte) noexcept {
              : byte;
 }
 
+/// The interleaved walk's stripe count: four named state chains are enough
+/// to overlap the table loads and still fit in registers at -O2.
+constexpr std::size_t kStripes = 4;
+/// A text is interleaved once each stripe's share is at least this many
+/// longest patterns, so the warm-up walks add at most a quarter.
+constexpr std::size_t kMinShare = 4;
+/// Accepting states each stripe buffers for the in-order replay. When one
+/// stripe's buffer fills, the lockstep stops and every stripe finishes its
+/// share on its own from the state it reached.
+constexpr std::size_t kHitBuffer = 64;
+
+/// An accepting state a stripe reached, and the step that reached it.
+struct StripeHit {
+  std::size_t state;
+  std::size_t step;
+};
+
 }  // namespace
 
 void AhoCorasick::add_pattern(std::string_view pattern, std::uint32_t id,
@@ -112,33 +129,119 @@ void AhoCorasick::build() {
     }
   }
   accept_offset_ = plain * width;
+  longest_ = 0;
+  for (const Pattern& pattern : patterns_) {
+    longest_ = std::max(longest_, pattern.bytes.size());
+  }
   built_ = true;
+}
+
+template <typename OnHit>
+bool AhoCorasick::report(std::span<const std::uint8_t> text,
+                         std::size_t state, std::size_t end,
+                         OnHit& on_hit) const {
+  // The folded text matched; a case-sensitive pattern must also match
+  // byte for byte. A state's depth bounds its patterns' lengths, and every
+  // state was reached from the root within the text, so the compared
+  // range starts inside the text.
+  const std::uint32_t k =
+      static_cast<std::uint32_t>(state - accept_offset_) / class_count_;
+  for (std::uint32_t o = output_begin_[k]; o < output_begin_[k + 1]; ++o) {
+    const Pattern& pattern = patterns_[output_list_[o]];
+    if (!pattern.nocase &&
+        std::memcmp(text.data() + end - pattern.bytes.size(),
+                    pattern.bytes.data(), pattern.bytes.size()) != 0) {
+      continue;
+    }
+    if (on_hit(pattern.id, end)) return true;
+  }
+  return false;
+}
+
+template <typename OnHit>
+bool AhoCorasick::walk(std::span<const std::uint8_t> text,
+                       std::size_t state, std::size_t from,
+                       std::size_t own, std::size_t to,
+                       OnHit& on_hit) const {
+  const std::uint32_t* const delta = delta_.data();
+  const std::uint8_t* const classes = classes_.data();
+  const std::uint32_t accept = accept_offset_;
+  for (; from < own; ++from) state = delta[state + classes[text[from]]];
+  for (; from < to; ++from) {
+    state = delta[state + classes[text[from]]];
+    if (state >= accept && report(text, state, from + 1, on_hit)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 template <typename OnHit>
 void AhoCorasick::scan(std::span<const std::uint8_t> text,
                        OnHit&& on_hit) const {
-  const std::uint32_t* delta = delta_.data();
-  const std::uint8_t* classes = classes_.data();
+  const std::size_t n = text.size();
+  if (longest_ == 0 || n < kStripes * kMinShare * longest_) {
+    walk(text, 0, 0, 0, n, on_hit);
+    return;
+  }
+  // Stripe k walks text[k * stride, k * stride + steps). Past the first,
+  // it owns the occurrences that end after k * stride + warmup, where
+  // stripe k - 1's walk stops; the last stripe also takes the < kStripes
+  // tail bytes.
+  const std::size_t warmup = longest_ - 1;
+  const std::size_t steps = (n + (kStripes - 1) * warmup) / kStripes;
+  const std::size_t stride = steps - warmup;
+  const std::uint8_t* const p0 = text.data();
+  const std::uint8_t* const p1 = p0 + stride;
+  const std::uint8_t* const p2 = p1 + stride;
+  const std::uint8_t* const p3 = p2 + stride;
+  const std::uint32_t* const delta = delta_.data();
+  const std::uint8_t* const classes = classes_.data();
   const std::uint32_t accept = accept_offset_;
-  std::uint32_t state = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    state = delta[state + classes[text[i]]];
-    if (state < accept) continue;
-    // The folded text matched; a case-sensitive pattern must also match
-    // byte for byte. A state's depth bounds its patterns' lengths, so the
-    // compared range starts inside the text.
-    const std::size_t end = i + 1;
-    const std::uint32_t k = (state - accept) / class_count_;
-    for (std::uint32_t o = output_begin_[k]; o < output_begin_[k + 1]; ++o) {
-      const Pattern& pattern = patterns_[output_list_[o]];
-      if (!pattern.nocase &&
-          std::memcmp(text.data() + end - pattern.bytes.size(),
-                      pattern.bytes.data(), pattern.bytes.size()) != 0) {
-        continue;
-      }
-      if (on_hit(pattern.id, end)) return;
+
+  std::array<std::array<StripeHit, kHitBuffer>, kStripes> hits;
+  std::array<std::size_t, kStripes> count{};
+  // Wider than a table entry, so indexing with them needs no zero
+  // extension.
+  std::size_t s0 = 0;
+  std::size_t s1 = 0;
+  std::size_t s2 = 0;
+  std::size_t s3 = 0;
+  std::size_t step = 0;
+  while (step < steps) {
+    // A stripe buffers at most one state a step, so none overflows before
+    // `stop`.
+    const std::size_t room =
+        kHitBuffer - *std::max_element(count.begin(), count.end());
+    if (room == 0) break;
+    const std::size_t stop = std::min(steps, step + room);
+    for (; step < stop; ++step) {
+      s0 = delta[s0 + classes[p0[step]]];
+      s1 = delta[s1 + classes[p1[step]]];
+      s2 = delta[s2 + classes[p2[step]]];
+      s3 = delta[s3 + classes[p3[step]]];
+      if (s0 >= accept) [[unlikely]] hits[0][count[0]++] = {s0, step + 1};
+      if (s1 >= accept) [[unlikely]] hits[1][count[1]++] = {s1, step + 1};
+      if (s2 >= accept) [[unlikely]] hits[2][count[2]++] = {s2, step + 1};
+      if (s3 >= accept) [[unlikely]] hits[3][count[3]++] = {s3, step + 1};
     }
+  }
+
+  // Replay stripe by stripe, each stripe finishing its share on its own
+  // past the step the lockstep reached, so hits come out in position
+  // order. A hit at or before `own` was a warm-up state's.
+  const std::array<std::size_t, kStripes> states{s0, s1, s2, s3};
+  for (std::size_t k = 0; k < kStripes; ++k) {
+    const std::size_t start = k * stride;
+    const std::size_t own = k == 0 ? 0 : start + warmup;
+    const std::size_t end = k + 1 == kStripes ? n : start + steps;
+    for (std::size_t h = 0; h < count[k]; ++h) {
+      const std::size_t hit_end = start + hits[k][h].step;
+      if (hit_end > own && report(text, hits[k][h].state, hit_end, on_hit)) {
+        return;
+      }
+    }
+    if (walk(text, states[k], start + step, own, end, on_hit)) return;
   }
 }
 

@@ -9,6 +9,12 @@
 // pre-multiplied row offsets with accepting states numbered last, so a
 // payload byte costs one table load and one compare. A case-sensitive
 // pattern is reported only after a memcmp of its exact bytes at the hit.
+//
+// Each byte's table load waits for the previous byte's state, so a long
+// payload is walked as four contiguous stripes in lockstep, four
+// independent state chains whose loads overlap. Every stripe after the
+// first starts from the root (longest pattern - 1) bytes before its share,
+// which puts it in the true state for every occurrence it owns.
 #pragma once
 
 #include <array>
@@ -59,9 +65,22 @@ class AhoCorasick {
   };
 
   /// Walk `text`, calling on_hit(pattern, end) for every confirmed
-  /// occurrence until it returns true.
+  /// occurrence, in position order, until it returns true.
   template <typename OnHit>
   void scan(std::span<const std::uint8_t> text, OnHit&& on_hit) const;
+
+  /// Walk text[from, to) starting in `state`, reporting the occurrences that
+  /// end past `own`. True once on_hit asked to stop.
+  template <typename OnHit>
+  bool walk(std::span<const std::uint8_t> text, std::size_t state,
+            std::size_t from, std::size_t own, std::size_t to,
+            OnHit& on_hit) const;
+
+  /// Confirm and report the patterns of accepting `state` at `end`. True
+  /// once on_hit asked to stop.
+  template <typename OnHit>
+  bool report(std::span<const std::uint8_t> text, std::size_t state,
+              std::size_t end, OnHit& on_hit) const;
 
   std::vector<Pattern> patterns_;
   /// Byte -> class of its folded form; 0 when no pattern contains it.
@@ -77,6 +96,8 @@ class AhoCorasick {
   /// output_list_[output_begin_[k], output_begin_[k + 1]), longest first.
   std::vector<std::uint32_t> output_begin_;
   std::vector<std::uint32_t> output_list_;
+  /// Length of the longest pattern; 0 when there is none.
+  std::size_t longest_ = 0;
   bool built_ = false;
 };
 

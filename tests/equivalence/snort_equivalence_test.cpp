@@ -15,17 +15,16 @@ namespace {
 using speedybox::testing::expect_identical_outputs;
 using speedybox::testing::run_chain;
 
-trace::Workload snort_workload() {
-  trace::Workload workload = trace::make_uniform_workload(30, 12, 160);
+trace::Workload snort_workload(std::size_t payload_bytes = 160) {
+  trace::Workload workload =
+      trace::make_uniform_workload(30, 12, payload_bytes);
   trace::PayloadSynthConfig config;
   config.match_fraction = 0.6;  // plenty of matching flows
   plant_rule_contents(workload, trace::default_snort_rules(), config);
   return workload;
 }
 
-TEST(SnortEquivalence, LogOutputsIdentical) {
-  const trace::Workload workload = snort_workload();
-
+void expect_identical_logs(const trace::Workload& workload) {
   ServiceChain original_chain;
   auto& original_snort =
       original_chain.emplace_nf<nf::SnortIds>(trace::default_snort_rules());
@@ -49,6 +48,15 @@ TEST(SnortEquivalence, LogOutputsIdentical) {
   EXPECT_EQ(original_snort.alert_count(), speedy_snort.alert_count());
   EXPECT_EQ(original_snort.log_count(), speedy_snort.log_count());
   EXPECT_EQ(original_snort.pass_count(), speedy_snort.pass_count());
+}
+
+/// 160 B payloads take the matcher's single walk and 512 B ones its
+/// interleaved walk.
+TEST(SnortEquivalence, LogOutputsIdentical) {
+  for (const std::size_t payload_bytes : {160, 512}) {
+    SCOPED_TRACE(::testing::Message() << payload_bytes << " B payloads");
+    expect_identical_logs(snort_workload(payload_bytes));
+  }
 }
 
 TEST(SnortEquivalence, AllThreeBranchesCovered) {

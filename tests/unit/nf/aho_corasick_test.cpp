@@ -200,6 +200,151 @@ TEST_P(AhoCorasickProperty, MixedCaseMatchesNaiveSearch) {
   }
 }
 
+/// Every (end, id) in the automaton's report order: ends ascending, and at
+/// one end longer patterns first, then lower ids. Pattern i has id i; a
+/// `nocase` pattern compares ASCII-folded.
+using Hits = std::vector<std::pair<std::size_t, std::uint32_t>>;
+
+Hits naive_hits(const std::string& text,
+                const std::vector<std::string>& patterns,
+                const std::vector<bool>& nocase) {
+  const auto fold = [](char c) {
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+  };
+  std::vector<std::uint32_t> order(patterns.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+    return patterns[a].size() > patterns[b].size();
+  });
+  Hits hits;
+  for (std::size_t end = 1; end <= text.size(); ++end) {
+    for (const std::uint32_t i : order) {
+      const std::string& pattern = patterns[i];
+      if (pattern.size() > end) continue;
+      const std::size_t start = end - pattern.size();
+      bool same = true;
+      for (std::size_t k = 0; same && k < pattern.size(); ++k) {
+        same = nocase[i] ? fold(text[start + k]) == fold(pattern[k])
+                         : text[start + k] == pattern[k];
+      }
+      if (same) hits.emplace_back(end, i);
+    }
+  }
+  return hits;
+}
+
+Hits automaton_hits(const AhoCorasick& ac, const std::string& text) {
+  Hits hits;
+  ac.match(as_bytes(text), [&hits](std::uint32_t id, std::size_t end) {
+    hits.emplace_back(end, id);
+  });
+  return hits;
+}
+
+/// Texts of up to 4 KB take the interleaved walk, whose four stripes meet
+/// within a pattern length of the quarter marks. On lowercase filler the
+/// longest pattern is planted to end at every byte near each quarter mark,
+/// one offset per text, with other patterns in the first and last bytes;
+/// lengths cover every residue mod 4. Plants of `nocase` patterns take
+/// random capitalization, and a quarter of the case-sensitive plants have
+/// one letter's case flipped, which only the confirm rejects. Then dense
+/// texts, a hit at nearly every byte, overflow the per-stripe hit buffers,
+/// with a longest pattern of 100 bytes so they overflow during the
+/// stripes' warm-up walks as well. Every (id, end) is compared in order
+/// with the naive scan, and contains_any on every prefix of some texts.
+TEST_P(AhoCorasickProperty, LongTextsMatchNaiveSearchInOrder) {
+  util::Rng rng{GetParam()};
+  const auto flip_case = [](char& c) { c = static_cast<char>(c ^ 0x20); };
+  const auto letters = [&](std::size_t n, bool mixed_case) {
+    std::string s(n, 'a');
+    for (char& c : s) {
+      c = static_cast<char>('a' + rng.below(26));
+      if (mixed_case && rng.chance(0.5)) flip_case(c);
+    }
+    return s;
+  };
+  const auto check = [&](const AhoCorasick& ac, const std::string& text,
+                         const std::vector<std::string>& patterns,
+                         const std::vector<bool>& nocase,
+                         bool every_prefix) {
+    const Hits expected = naive_hits(text, patterns, nocase);
+    ASSERT_EQ(automaton_hits(ac, text), expected);
+    if (!every_prefix) return;
+    const std::size_t first_end =
+        expected.empty() ? text.size() + 1 : expected.front().first;
+    for (std::size_t n = 0; n <= text.size(); ++n) {
+      ASSERT_EQ(ac.contains_any(as_bytes(text).first(n)), first_end <= n)
+          << "prefix " << n;
+    }
+  };
+
+  for (int trial = 0; trial < 3; ++trial) {
+    // Six mixed-case patterns of 1-16 letters, odd ids `nocase`; pattern 0
+    // is the longest.
+    const std::size_t longest = 8 + rng.below(9);
+    std::vector<std::string> patterns;
+    std::vector<bool> nocase;
+    AhoCorasick ac;
+    for (std::uint32_t i = 0; i < 6; ++i) {
+      patterns.push_back(letters(i == 0 ? longest : 1 + rng.below(longest),
+                                 /*mixed_case=*/true));
+      nocase.push_back(i % 2 == 1);
+      ac.add_pattern(patterns.back(), i, nocase.back());
+    }
+    ac.build();
+    const auto plant = [&](std::string& text, std::uint32_t i,
+                           std::size_t end) {
+      if (end < patterns[i].size() || end > text.size()) return;
+      std::string bytes = patterns[i];
+      if (nocase[i]) {
+        for (char& c : bytes) {
+          if (rng.chance(0.5)) flip_case(c);
+        }
+      } else if (rng.chance(0.25)) {
+        flip_case(bytes[rng.below(bytes.size())]);
+      }
+      text.replace(end - bytes.size(), bytes.size(), bytes);
+    };
+
+    const std::size_t sizes[] = {4096 - static_cast<std::size_t>(trial),
+                                 4093 + rng.below(4), rng.below(4097),
+                                 rng.below(1025)};
+    const auto reach = static_cast<std::ptrdiff_t>(longest) + 2;
+    for (const std::size_t n : sizes) {
+      for (std::ptrdiff_t d = -reach; d <= reach; ++d) {
+        SCOPED_TRACE(::testing::Message() << "trial " << trial << ", length "
+                                          << n << ", offset " << d);
+        std::string text = letters(n, /*mixed_case=*/false);
+        for (const std::size_t quarter : {n / 4, n / 2, 3 * n / 4}) {
+          if (static_cast<std::ptrdiff_t>(quarter) + d < 0) continue;
+          plant(text, 0, static_cast<std::size_t>(quarter + d));
+        }
+        plant(text, static_cast<std::uint32_t>(rng.below(6)),
+              patterns[0].size());
+        plant(text, static_cast<std::uint32_t>(rng.below(6)), n);
+        check(ac, text, patterns, nocase, /*every_prefix=*/d == 0);
+      }
+    }
+  }
+
+  // Dense: a hit at nearly every byte of 'a'/'A' text.
+  const std::vector<std::string> dense{"a", "aA", "aaa", std::string(100, 'a')};
+  const std::vector<bool> dense_nocase{true, false, true, true};
+  AhoCorasick ac;
+  for (std::uint32_t i = 0; i < dense.size(); ++i) {
+    ac.add_pattern(dense[i], i, dense_nocase[i]);
+  }
+  ac.build();
+  for (const std::size_t n : {4096 - rng.below(4), 1600 + rng.below(400)}) {
+    SCOPED_TRACE(::testing::Message() << "dense, length " << n);
+    std::string text(n, 'a');
+    for (char& c : text) {
+      if (rng.chance(0.3)) c = 'A';
+    }
+    check(ac, text, dense, dense_nocase, /*every_prefix=*/n < 4000);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, AhoCorasickProperty,
                          ::testing::Values(3, 14, 159, 2653));
 

@@ -1,5 +1,7 @@
 #include "nf/snort_ids.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -7,6 +9,7 @@
 
 #include "net/packet_builder.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace speedybox::nf {
 namespace {
@@ -231,6 +234,119 @@ TEST(SnortIds, LogRecordsFlowTuple) {
   snort.process(packet, nullptr);
   ASSERT_EQ(snort.log().size(), 1u);
   EXPECT_EQ(snort.log()[0].tuple, tuple_n(12, 80));
+}
+
+/// What `rules` should do with one payload, found rule by rule: a rule
+/// fires when its header matches and every content occurs, ASCII-folded
+/// when `nocase`, at a start its offset and depth allow. Nullopt when a
+/// firing pass rule suppresses the packet, else the log entries in rule
+/// order.
+std::optional<std::vector<SnortLogEntry>> naive_verdict(
+    const std::vector<SnortRule>& rules, const net::FiveTuple& tuple,
+    const std::string& payload) {
+  const auto fold = [](char c) {
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+  };
+  const auto occurs = [&](const ContentMatch& content) {
+    const std::string& pattern = content.pattern;
+    for (std::size_t start = content.offset;
+         start + pattern.size() <= payload.size(); ++start) {
+      if (content.depth && start >= content.offset + *content.depth) break;
+      bool same = true;
+      for (std::size_t k = 0; same && k < pattern.size(); ++k) {
+        same = content.nocase ? fold(payload[start + k]) == fold(pattern[k])
+                              : payload[start + k] == pattern[k];
+      }
+      if (same) return true;
+    }
+    return false;
+  };
+  std::vector<SnortLogEntry> fired;
+  for (const SnortRule& rule : rules) {
+    if (!rule.header_matches(tuple) ||
+        !std::all_of(rule.contents.begin(), rule.contents.end(), occurs)) {
+      continue;
+    }
+    if (rule.action == SnortAction::kPass) return std::nullopt;
+    fired.push_back({tuple, rule.sid, rule.action});
+  }
+  return fired;
+}
+
+/// Payloads of 512 B and 1460 B take the matcher's interleaved walk, whose
+/// stripes meet within a pattern length of the quarter marks. Each default
+/// rule's contents go back to back from a sweep of starts across every
+/// quarter mark, and again ending in the last byte, on lowercase filler,
+/// on port 80 and on a port only the any-port rules see. `nocase` contents
+/// take random capitalization, and a quarter of the others one flipped
+/// letter. Counts and log match a naive per-rule evaluation.
+TEST(SnortIds, LongPayloadsMatchNaiveRuleEvaluation) {
+  const std::vector<SnortRule> rules = default_snort_rules();
+  SnortIds snort{rules};
+  util::Rng rng{2019};
+  std::vector<SnortLogEntry> expected_log;
+  std::uint64_t expected_passes = 0;
+  const auto inspect = [&](const net::FiveTuple& tuple,
+                           const std::string& payload) {
+    net::Packet packet = net::make_tcp_packet(tuple, payload);
+    snort.process(packet, nullptr);
+    const auto verdict = naive_verdict(rules, tuple, payload);
+    if (!verdict) {
+      ++expected_passes;
+    } else {
+      expected_log.insert(expected_log.end(), verdict->begin(),
+                          verdict->end());
+    }
+  };
+
+  for (const std::size_t size : {512, 1460}) {
+    for (const SnortRule& rule : rules) {
+      // The rule's contents as planted, each followed by one filler byte.
+      std::string planted;
+      for (const ContentMatch& content : rule.contents) {
+        std::string bytes = content.pattern;
+        for (char& c : bytes) {
+          const bool letter = (c | 0x20) >= 'a' && (c | 0x20) <= 'z';
+          if (letter && content.nocase && rng.chance(0.5)) c ^= 0x20;
+        }
+        if (!content.nocase && rng.chance(0.25)) {
+          char& c = bytes[rng.below(bytes.size())];
+          if ((c | 0x20) >= 'a' && (c | 0x20) <= 'z') c ^= 0x20;
+        }
+        planted += bytes + "-";
+      }
+      planted.pop_back();
+
+      std::vector<std::size_t> starts{size - planted.size()};
+      for (const std::size_t quarter : {size / 4, size / 2, 3 * size / 4}) {
+        for (std::size_t d = 0; d <= 2 * planted.size(); ++d) {
+          starts.push_back(quarter - planted.size() + d);
+        }
+      }
+      for (const std::size_t start : starts) {
+        std::string payload(size, 'a');
+        for (char& c : payload) c = static_cast<char>('a' + rng.below(26));
+        payload.replace(start, planted.size(), planted);
+        inspect(tuple_n(40, 80), payload);
+        inspect(tuple_n(41, 8080), payload);
+      }
+    }
+  }
+
+  ASSERT_EQ(snort.log(), expected_log);
+  const auto entries = [&](SnortAction action) {
+    return static_cast<std::uint64_t>(
+        std::count_if(expected_log.begin(), expected_log.end(),
+                      [action](const SnortLogEntry& entry) {
+                        return entry.action == action;
+                      }));
+  };
+  EXPECT_EQ(snort.alert_count(), entries(SnortAction::kAlert));
+  EXPECT_EQ(snort.log_count(), entries(SnortAction::kLog));
+  EXPECT_EQ(snort.pass_count(), expected_passes);
+  EXPECT_GT(snort.alert_count(), 0u);
+  EXPECT_GT(snort.log_count(), 0u);
+  EXPECT_GT(snort.pass_count(), 0u);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Build and run the concurrency-sensitive test suites under ThreadSanitizer
-# and AddressSanitizer. TSan is the gate for the sharded runtime's
-# single-writer-per-flow contract (DESIGN.md "Sharded runtime"), the SPSC
-# ring burst hand-off, and the batch-of-one vs burst differential harness
-# (test_equivalence, DESIGN.md §8); ASan backs it up on the packet-buffer
-# side.
+# and under AddressSanitizer with UndefinedBehaviorSanitizer. TSan is the
+# gate for the sharded runtime's single-writer-per-flow contract
+# (DESIGN.md "Sharded runtime"), the SPSC ring burst hand-off, and the
+# batch-of-one vs burst differential harness (test_equivalence, DESIGN.md
+# §8); ASan backs it up on the packet-buffer side. UBSan runs without
+# recovery, so the first out-of-range pointer arithmetic, signed overflow
+# or misaligned load fails the address run.
 #
 # Usage: tools/run_sanitizers.sh [thread|address|all]   (default: all)
 set -euo pipefail
@@ -26,9 +28,10 @@ cd "$(dirname "$0")/.."
 # test_core records flows on one thread while another consolidates and
 # erases earlier ones, over the Local MATs' and Event Table's FlowTable
 # slabs: TSan checks their lock discipline, ASan the slab record lifetimes.
-# test_nf runs the NF unit suites, among them the Aho-Corasick mixed-case
-# differential: ASan checks the flat transition table's indexing and the
-# case-sensitive confirming memcmp at payload edges.
+# test_nf runs the NF unit suites, among them the Aho-Corasick
+# differentials: ASan checks the flat transition table's indexing and the
+# case-sensitive confirming memcmp at payload edges, UBSan the interleaved
+# walk's stripe pointers.
 TARGETS=(test_util test_core test_runtime test_telemetry test_integration test_equivalence test_property test_plan test_control test_io test_tenancy test_nf)
 
 run_one() {
@@ -44,7 +47,8 @@ run_one() {
     if [ "${sanitizer}" = "thread" ]; then
       TSAN_OPTIONS="halt_on_error=1" "./${build_dir}/tests/${target}"
     else
-      ASAN_OPTIONS="detect_leaks=0" "./${build_dir}/tests/${target}"
+      ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="print_stacktrace=1" \
+        "./${build_dir}/tests/${target}"
     fi
   done
   echo "=== ${sanitizer}: clean ==="
