@@ -19,6 +19,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/api.hpp"
 #include "core/classifier.hpp"
 #include "core/global_mat.hpp"
 #include "net/checksum.hpp"
@@ -148,26 +149,20 @@ BENCHMARK(BM_ClassifierSubsequent)->ArgName("flows")->Arg(kOneFlow)->Arg(
 void BM_GlobalMatProcess(benchmark::State& state) {
   const auto events = state.range(0);
   const auto flows = static_cast<std::size_t>(state.range(1));
-  core::LocalMat nat{"nat", 0};
   core::GlobalMat mat;
-  mat.set_chain({&nat});
   std::vector<std::uint64_t> cells(flows, 0);
   std::vector<net::Packet> packets;
   packets.reserve(flows);
   for (std::size_t f = 0; f < flows; ++f) {
     const auto fid = static_cast<std::uint32_t>(f);
+    core::SpeedyBoxContext nat{mat.open_flow(fid), 0, fid};
     for (const auto& action : nat_lb_actions()) {
-      nat.add_header_action(fid, action);
+      nat.add_header_action(action);
     }
     for (std::int64_t i = 0; i < events; ++i) {
-      core::EventRegistration event;
-      event.fid = fid;
-      event.nf_index = 0;
-      event.name = "never";
-      event.condition = [cell = &cells[f]] { return *cell != 0; };
-      event.update = [] { return core::EventUpdate{}; };
-      event.one_shot = false;
-      mat.event_table().register_event(std::move(event));
+      nat.register_event(
+          "never", [cell = &cells[f]] { return *cell != 0; },
+          [] { return core::EventUpdate{}; }, /*one_shot=*/false);
     }
     mat.consolidate_flow(fid);
     packets.push_back(net::make_tcp_packet(bench_tuple(fid), "payload"));
@@ -186,18 +181,17 @@ BENCHMARK(BM_GlobalMatProcess)
     ->ArgsProduct({{0, 1, 4}, {kOneFlow, kManyFlows}});
 
 void BM_ConsolidateFlow(benchmark::State& state) {
-  core::LocalMat nat{"nat", 0};
-  core::LocalMat monitor{"monitor", 1};
   core::GlobalMat mat;
-  mat.set_chain({&nat, &monitor});
   const std::uint32_t fid = 9;
+  core::FlowRecord& record = mat.open_flow(fid);
+  core::SpeedyBoxContext nat{record, 0, fid};
   for (const auto& action : nat_lb_actions()) {
-    nat.add_header_action(fid, action);
+    nat.add_header_action(action);
   }
-  monitor.add_state_function(
-      fid, core::StateFunction{
-               [](net::Packet&, const net::ParsedPacket&) {},
-               core::PayloadAccess::kIgnore, "count"});
+  core::SpeedyBoxContext monitor{record, 1, fid};
+  monitor.add_state_function(core::StateFunction{
+      [](net::Packet&, const net::ParsedPacket&) {},
+      core::PayloadAccess::kIgnore, "count"});
   for (auto _ : state) {
     mat.consolidate_flow(fid);
   }

@@ -47,7 +47,7 @@ class RateLimiter final : public nf::NetworkFunction {
 
     if (ctx == nullptr) return;  // original path: nothing else to do
 
-    // Step 2: record the same behavior into the Local MAT.
+    // Step 2: record the same behavior into the flow's record.
     ctx->add_header_action(mark_action());
     core::localmat_add_SF(
         ctx,
@@ -106,7 +106,7 @@ int main() {
   for (int i = 1; i <= 10; ++i) {
     net::Packet packet = net::make_tcp_packet(flow, "data");
     const auto outcome = runner.process_packet(packet);
-    const core::ConsolidatedRule* rule =
+    const core::FlowRecord* rule =
         chain.global_mat().find(packet.fid());
     std::printf("pkt %2d: %-9s %-9s  consolidated rule: %s\n", i,
                 outcome.initial ? "initial" : "fast-path",

@@ -18,7 +18,7 @@ using namespace speedybox;
 
 int main() {
   // 1. Build the chain. ServiceChain owns NFs added via emplace_nf and
-  //    wires up a Local MAT per NF plus the shared Global MAT + classifier.
+  //    wires up the Global MAT (one record per flow) + classifier.
   runtime::ServiceChain chain{"quickstart"};
   chain.emplace_nf<nf::MazuNat>();
   chain.emplace_nf<nf::Monitor>();
@@ -50,7 +50,7 @@ int main() {
                 static_cast<unsigned long long>(outcome.work_cycles),
                 util::CycleClock::to_us(outcome.latency_cycles));
     if (i == 0) {
-      const core::ConsolidatedRule* rule =
+      const core::FlowRecord* rule =
           chain.global_mat().find(packet.fid());
       std::printf("       consolidated rule: %s, %zu state-function "
                   "batch(es)\n",

@@ -8,11 +8,11 @@
 #include "core/api.hpp"
 #include "core/global_mat.hpp"
 #include "core/header_action.hpp"
-#include "core/local_mat.hpp"
 #include "net/fields.hpp"
 #include "net/five_tuple.hpp"
 #include "util/cycle_clock.hpp"
 #include "util/hash.hpp"
+#include "util/logging.hpp"
 
 namespace speedybox::control {
 
@@ -39,14 +39,15 @@ struct ExportedFlow {
   double critical_fraction = 1.0;
 };
 
-/// Evolve `tuple` through the header actions NF `record` applied, so the
-/// next NF's export is keyed by the tuple it observed. Absent or
-/// non-modify records leave the tuple untouched; a recorded drop does not
-/// stop the walk (downstream NFs may hold state from packets that flowed
-/// before the drop was installed — e.g. a DoS blacklist flipping the rule
-/// mid-flow — and NFs that truly never saw the flow export nothing).
-void evolve_tuple(const core::LocalRule& record, net::FiveTuple& tuple) {
-  for (const core::HeaderAction& action : record.header_actions) {
+/// Evolve `tuple` through the header actions one NF recorded, so the next
+/// NF's export is keyed by the tuple it observed. Non-modify actions leave
+/// the tuple untouched; a recorded drop does not stop the walk (downstream
+/// NFs may hold state from packets that flowed before the drop was
+/// installed — e.g. a DoS blacklist flipping the rule mid-flow — and NFs
+/// that truly never saw the flow export nothing).
+void evolve_tuple(std::span<const core::HeaderAction> actions,
+                  net::FiveTuple& tuple) {
+  for (const core::HeaderAction& action : actions) {
     if (action.type != core::HeaderActionType::kModify) continue;
     switch (action.field) {
       case net::HeaderField::kSrcIp:
@@ -75,20 +76,19 @@ ExportedFlow export_flow(runtime::ServiceChain& source,
   exported.last_seen_cycles = flow.last_seen_cycles;
 
   net::FiveTuple observed = flow.tuple;
+  const core::FlowRecord* record = source.global_mat().record(flow.fid);
   for (std::size_t i = 0; i < source.size(); ++i) {
     auto payload = source.nf(i).export_flow_state(observed);
     if (payload) {
       exported.states.push_back({i, observed, std::move(*payload)});
     }
-    source.local_mat(i).visit(
-        flow.fid,
-        [&observed](const core::LocalRule& record) {
-          evolve_tuple(record, observed);
-        });
+    if (record != nullptr) {
+      evolve_tuple(record->header_actions_of(static_cast<std::uint32_t>(i)),
+                   observed);
+    }
   }
 
-  if (const core::ConsolidatedRule* rule =
-          source.global_mat().find(flow.fid)) {
+  if (const core::FlowRecord* rule = source.global_mat().find(flow.fid)) {
     exported.had_rule = true;
     exported.degraded_default = rule->degraded_default;
     exported.cost_samples = rule->cost_samples;
@@ -98,14 +98,15 @@ ExportedFlow export_flow(runtime::ServiceChain& source,
 }
 
 void import_flow(runtime::ServiceChain& dest, const ExportedFlow& flow) {
+  // migrate_flows checked that the destination has a FID for every flow.
   const std::uint32_t fid =
-      dest.classifier().adopt_flow(flow.tuple, flow.last_seen_cycles);
+      dest.classifier().adopt_flow(flow.tuple, flow.last_seen_cycles).value();
+  core::FlowRecord& record = dest.global_mat().open_flow(fid);
   for (const ExportedNf& state : flow.states) {
-    // The context records straight into the destination's Local MAT and
-    // Event Table — the import is a replay of what the NF recorded for
-    // this flow's initial packet, minus already-fired one-shot events.
-    core::SpeedyBoxContext ctx{dest.local_mat(state.nf_index),
-                               dest.global_mat().event_table(), fid};
+    // The context records straight into the destination's record — the
+    // import is a replay of what the NF recorded for this flow's initial
+    // packet, minus already-fired one-shot events.
+    core::SpeedyBoxContext ctx{record, state.nf_index, fid};
     dest.nf(state.nf_index)
         .import_flow_state(state.observed, state.payload, &ctx);
   }
@@ -117,8 +118,10 @@ void import_flow(runtime::ServiceChain& dest, const ExportedFlow& flow) {
   }
   dest.global_mat().consolidate_flow(fid);
   if (flow.had_rule) {
-    dest.global_mat().transfer_cost_profile(fid, flow.cost_samples,
-                                            flow.critical_fraction);
+    // Transplant the learned batch-cost profile, so the destination's fast
+    // path does not re-enter the per-batch sampling window mid-flow.
+    record.cost_samples = flow.cost_samples;
+    record.critical_fraction = flow.critical_fraction;
   }
 }
 
@@ -137,6 +140,13 @@ void require_migratable(const runtime::ServiceChain& chain) {
 std::size_t migrate_flows(
     runtime::ServiceChain& source, runtime::ServiceChain& dest,
     std::span<const core::PacketClassifier::ActiveFlow> flows) {
+  // A destination without a free FID for every flow takes none of them:
+  // nothing is exported, so a failed import cannot lose state.
+  if (dest.classifier().free_fid_count() < flows.size()) {
+    SB_LOG_ERROR("migration",
+                 "too few free FIDs at the destination: flows stay put");
+    return 0;
+  }
   // Phase 1: copy everything out of the source. No source mutation beyond
   // Monitor's move-on-export, so sibling flows (NAT's two directions)
   // still see consistent shared state whatever the iteration order.

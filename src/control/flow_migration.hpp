@@ -1,23 +1,26 @@
 // Consistent flow-state migration between shard replicas (DESIGN.md §10).
 //
 // Live resharding moves a flow — classifier entry, per-NF internal state,
-// Local MAT records, Event Table entries, and the consolidated Global MAT
-// rule — from one quiesced ServiceChain replica to another, such that the
-// flow's next packet takes the identical fast path it would have taken had
-// it never moved. The per-NF state crosses via the serialization API on
-// nf::NetworkFunction (export_flow_state / import_flow_state); the Local
-// MAT records and events are re-recorded by the import (the recorded
-// closures capture source-instance pointers, so they can never be copied),
-// and the destination then re-consolidates, reproducing the source's rule
-// byte for byte.
+// and its Global MAT record (per-NF recordings and consolidated rule) —
+// from one quiesced ServiceChain replica to another, such that the flow's
+// next packet takes the identical fast path it would have taken had it
+// never moved. The per-NF state crosses via the serialization API on
+// nf::NetworkFunction (export_flow_state / import_flow_state), keyed by
+// the tuple each NF observed, which the export evolves through the header
+// actions the source record holds per NF. The recordings are re-recorded
+// by the import into the destination's record (the recorded closures
+// capture source-instance pointers, so they can never be copied), and the
+// destination then re-consolidates, reproducing the source's rule byte for
+// byte.
 //
-// The engine is strictly three-phase per migration batch:
+// The engine is strictly three-phase per migration batch, once the
+// destination has a free FID for every flow (else nothing moves):
 //
 //   1. export  — copy every migrating flow's per-NF payloads out of the
 //                source (Monitor moves its counters: a counted byte must
 //                live in exactly one shard);
-//   2. import  — adopt each flow at the destination (same FID probing as
-//                classify, preserved last-seen stamp), replay the per-NF
+//   2. import  — adopt each flow at the destination (a FID as classify
+//                assigns one, preserved last-seen stamp), replay the per-NF
 //                imports with a recording context, then consolidate and
 //                transplant the learned batch-cost profile;
 //   3. erase   — tear the flows out of the source (teardown hooks run, so
@@ -46,7 +49,9 @@ namespace speedybox::control {
 void require_migratable(const runtime::ServiceChain& chain);
 
 /// Move every flow in `flows` from `source` to `dest`. Both chains must be
-/// quiesced (no worker touching them). Returns the number of flows moved.
+/// quiesced (no worker touching them). Returns the number of flows moved:
+/// all of them, or 0 when `dest` has too few free FIDs (the flows and
+/// their state then stay at `source`, untouched).
 std::size_t migrate_flows(
     runtime::ServiceChain& source, runtime::ServiceChain& dest,
     std::span<const core::PacketClassifier::ActiveFlow> flows);

@@ -9,8 +9,10 @@
 //
 // The calls only *record* behavior — they never change the NF's own
 // processing — which is why integrating an NF takes a handful of lines
-// (Table II). On the baseline path and for pure observation the context is
-// null and NFs behave exactly as unmodified NFs.
+// (Table II). Each call appends to the flow's record (core/flow_record.hpp)
+// under the NF's chain position, with no lock and no table lookup. On the
+// baseline path and for pure observation the context is null and NFs
+// behave exactly as unmodified NFs.
 //
 // The free functions at the bottom mirror Figure 2's C-style signatures
 // one-for-one for fidelity with the paper; they are thin wrappers over the
@@ -18,11 +20,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <utility>
 
-#include "core/event_table.hpp"
+#include "core/flow_record.hpp"
 #include "core/header_action.hpp"
-#include "core/local_mat.hpp"
 #include "core/state_function.hpp"
 #include "net/packet.hpp"
 
@@ -30,45 +33,43 @@ namespace speedybox::core {
 
 class SpeedyBoxContext {
  public:
-  SpeedyBoxContext(LocalMat& local_mat, EventTable& events,
+  /// Record into `record` as the NF at chain position `nf_index`.
+  SpeedyBoxContext(FlowRecord& record, std::size_t nf_index,
                    std::uint32_t fid) noexcept
-      : local_mat_(&local_mat), events_(&events), fid_(fid) {}
+      : record_(&record),
+        nf_index_(static_cast<std::uint32_t>(nf_index)),
+        fid_(fid) {}
 
   std::uint32_t fid() const noexcept { return fid_; }
 
   /// Figure 2: localmat_add_HA.
   void add_header_action(const HeaderAction& action) {
-    local_mat_->add_header_action(fid_, action);
+    record_->add_header_action(nf_index_, action);
   }
 
   /// Figure 2: localmat_add_SF.
   void add_state_function(StateFunction fn) {
-    local_mat_->add_state_function(fid_, std::move(fn));
+    record_->add_state_function(nf_index_, std::move(fn));
   }
 
   /// Release NF-internal per-flow state when the flow is torn down. On the
   /// fast path the NF never sees the FIN/RST packet, so cleanup it would do
   /// inline runs through this hook instead.
   void on_teardown(std::function<void()> hook) {
-    local_mat_->add_teardown_hook(fid_, std::move(hook));
+    record_->add_teardown_hook(nf_index_, std::move(hook));
   }
 
   /// Figure 2: register_event.
   void register_event(std::string name, ConditionHandler condition,
                       UpdateHandler update, bool one_shot = true) {
-    EventRegistration event;
-    event.fid = fid_;
-    event.nf_index = local_mat_->nf_index();
-    event.name = std::move(name);
-    event.condition = std::move(condition);
-    event.update = std::move(update);
-    event.one_shot = one_shot;
-    events_->register_event(std::move(event));
+    record_->register_event(nf_index_, std::move(name),
+                            std::move(condition), std::move(update),
+                            one_shot);
   }
 
  private:
-  LocalMat* local_mat_;
-  EventTable* events_;
+  FlowRecord* record_;
+  std::uint32_t nf_index_;
   std::uint32_t fid_;
 };
 

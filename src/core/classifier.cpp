@@ -25,23 +25,23 @@ std::optional<PacketClassifier::Classification> PacketClassifier::classify(
   result.parsed = parsed;
   result.teardown = parsed.is_tcp() && parsed.has_fin_or_rst();
 
-  // Hash once; the same value serves the lookup, the insert and FID
-  // assignment (FID = low 20 bits of this hash).
+  // Hash once; the same value serves the lookup and the insert.
   const auto flow = HashedTuple::of(net::extract_five_tuple(packet, parsed));
   const net::FiveTuple& tuple = flow.tuple;
   const std::uint64_t stamp = packet.arrival_cycle() != 0
                                   ? packet.arrival_cycle()
                                   : util::CycleClock::now();
-  if (FlowRecord* record = by_tuple_.find(tuple, flow.hash)) {
+  if (TupleEntry* record = by_tuple_.find(tuple, flow.hash)) {
     result.path = Path::kSubsequent;
     result.fid = record->fid;
     record->last_seen_cycles = stamp;
     ++subsequent_count_;
   } else {
+    const auto fid = assign_fid(tuple);
+    if (!fid) return std::nullopt;  // every FID is live: refuse the flow
     result.path = Path::kInitial;
-    result.fid = assign_fid(flow.hash);
-    by_tuple_.try_emplace(tuple, flow.hash, FlowRecord{result.fid, stamp});
-    by_fid_.try_emplace(result.fid, tuple);
+    result.fid = *fid;
+    by_tuple_.try_emplace(tuple, flow.hash, TupleEntry{result.fid, stamp});
     ++initial_count_;
   }
 
@@ -50,20 +50,27 @@ std::optional<PacketClassifier::Classification> PacketClassifier::classify(
   return result;
 }
 
-std::uint32_t PacketClassifier::assign_fid(FlowHash hash) {
-  std::uint32_t fid = static_cast<std::uint32_t>(hash.value) & net::kFidMask;
-  // Linear probe past FIDs held by other live flows.
-  while (by_fid_.contains(fid)) {
-    fid = (fid + 1) & net::kFidMask;
+std::optional<std::uint32_t> PacketClassifier::assign_fid(
+    const net::FiveTuple& tuple) {
+  std::uint32_t fid;
+  if (!free_fids_.empty()) {
+    fid = free_fids_.back();
+    free_fids_.pop_back();
+  } else if (fids_.size() <= net::kFidMask) {
+    fid = static_cast<std::uint32_t>(fids_.size());
+    fids_.emplace_back();
+  } else {
+    return std::nullopt;
   }
+  fids_[fid] = FidSlot{tuple, true};
   return fid;
 }
 
 void PacketClassifier::release_flow(std::uint32_t fid) {
-  const net::FiveTuple* tuple = by_fid_.find(fid);
-  if (tuple == nullptr) return;
-  by_tuple_.erase(*tuple);
-  by_fid_.erase(fid);
+  if (fid >= fids_.size() || !fids_[fid].live) return;
+  by_tuple_.erase(fids_[fid].tuple);
+  fids_[fid].live = false;
+  free_fids_.push_back(fid);
 }
 
 std::vector<PacketClassifier::ActiveFlow> PacketClassifier::active_tuples()
@@ -71,34 +78,28 @@ std::vector<PacketClassifier::ActiveFlow> PacketClassifier::active_tuples()
   std::vector<ActiveFlow> flows;
   flows.reserve(by_tuple_.size());
   by_tuple_.for_each(
-      [&flows](const net::FiveTuple& tuple, const FlowRecord& record) {
+      [&flows](const net::FiveTuple& tuple, const TupleEntry& record) {
         flows.push_back({tuple, record.fid, record.last_seen_cycles});
       });
   return flows;
 }
 
-std::uint32_t PacketClassifier::adopt_flow(const net::FiveTuple& tuple,
-                                           std::uint64_t last_seen_cycles) {
-  const std::uint32_t fid = assign_fid(FlowHash{tuple.hash()});
-  by_tuple_.try_emplace(tuple, FlowRecord{fid, last_seen_cycles});
-  by_fid_.try_emplace(fid, tuple);
+std::optional<std::uint32_t> PacketClassifier::adopt_flow(
+    const net::FiveTuple& tuple, std::uint64_t last_seen_cycles) {
+  const auto fid = assign_fid(tuple);
+  if (fid) by_tuple_.try_emplace(tuple, TupleEntry{*fid, last_seen_cycles});
   return fid;
 }
 
 std::vector<std::uint32_t> PacketClassifier::collect_idle(
     std::uint64_t now_cycles, std::uint64_t max_age_cycles) const {
   std::vector<std::uint32_t> idle;
-  by_tuple_.for_each([&](const net::FiveTuple&, const FlowRecord& record) {
+  by_tuple_.for_each([&](const net::FiveTuple&, const TupleEntry& record) {
     if (now_cycles - record.last_seen_cycles > max_age_cycles) {
       idle.push_back(record.fid);
     }
   });
   return idle;
-}
-
-void PacketClassifier::clear() {
-  by_tuple_.clear();
-  by_fid_.clear();
 }
 
 }  // namespace speedybox::core

@@ -2,17 +2,18 @@
 // path. For every arriving packet it
 //
 //   1. parses the header chain once (the fast path never re-parses),
-//   2. hashes the five-tuple to a 20-bit FID and attaches it as descriptor
+//   2. maps the five-tuple to a 20-bit FID and attaches it as descriptor
 //      metadata — the FID stays consistent along the chain even if an NF
 //      rewrites the five-tuple,
 //   3. dispatches: unseen flow -> initial path (original chain, recording);
 //      known flow -> subsequent path (Global MAT),
 //   4. tracks flow state: a FIN or RST marks the flow for teardown so the
-//      rules in the Global and Local MATs can be freed.
+//      flow's record in the Global MAT can be freed.
 //
-// FID collisions (two live tuples hashing to the same 20-bit value) are
-// resolved by linear probing in FID space, keeping the FID↔flow mapping
-// one-to-one among active flows.
+// FIDs are dense slot indices: a new flow takes the most recently freed
+// FID, or the next unused one, and the Global MAT keeps the flow's record
+// at that slot. At most 2^20 flows are live at once; a new flow beyond
+// that is refused (classify returns no classification) until one closes.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,8 @@ class PacketClassifier {
 
   /// Parse + FID assignment + dispatch decision. Attaches FID and the
   /// initial/subsequent flag to the packet metadata. Returns nullopt for
-  /// malformed packets (caller drops them).
+  /// malformed packets and for a new flow while every FID is live (the
+  /// caller drops them).
   std::optional<Classification> classify(net::Packet& packet);
 
   /// Batched front end: `pre_parsed` is this packet's parse from the batch
@@ -53,12 +55,13 @@ class PacketClassifier {
   /// untouched. The slo-early-drop ingress gate uses this to ask "is this
   /// flow already doomed?" before spending any classify/record work.
   std::optional<std::uint32_t> peek(const net::FiveTuple& tuple) const {
-    const FlowRecord* record = by_tuple_.find(tuple);
+    const TupleEntry* record = by_tuple_.find(tuple);
     if (record == nullptr) return std::nullopt;
     return record->fid;
   }
 
-  /// Free the FID after the teardown packet has been fully processed.
+  /// Free the flow and its FID after the teardown packet has been fully
+  /// processed. A FID that is not live is ignored.
   void release_flow(std::uint32_t fid);
 
   /// An active flow as seen by migration: its tuple, FID and last-seen
@@ -73,12 +76,13 @@ class PacketClassifier {
   /// decide which flows leave this shard.
   std::vector<ActiveFlow> active_tuples() const;
 
-  /// Admit a flow migrated from another shard: assigns a FID (same probing
-  /// as classify) and installs the tuple with its original last-seen stamp.
+  /// Admit a flow migrated from another shard: assigns a FID (as classify
+  /// does) and installs the tuple with its original last-seen stamp.
   /// Unlike classify this does NOT count an initial packet — the flow is
   /// established, and its next packet must take the subsequent path.
-  std::uint32_t adopt_flow(const net::FiveTuple& tuple,
-                           std::uint64_t last_seen_cycles);
+  /// nullopt while every FID is live.
+  std::optional<std::uint32_t> adopt_flow(const net::FiveTuple& tuple,
+                                          std::uint64_t last_seen_cycles);
 
   /// FIDs of flows whose last packet is older than `max_age_cycles` before
   /// `now`. FIN/RST covers TCP teardown (§VI-B); idle expiry is the
@@ -87,36 +91,43 @@ class PacketClassifier {
   std::vector<std::uint32_t> collect_idle(std::uint64_t now_cycles,
                                           std::uint64_t max_age_cycles) const;
 
-  std::size_t active_flows() const noexcept { return by_fid_.size(); }
+  std::size_t active_flows() const noexcept { return by_tuple_.size(); }
+  /// How many new flows could be admitted now.
+  std::size_t free_fid_count() const noexcept {
+    return free_fids_.size() + (net::kFidMask + 1 - fids_.size());
+  }
   std::uint64_t initial_count() const noexcept { return initial_count_; }
   std::uint64_t subsequent_count() const noexcept { return subsequent_count_; }
 
-  /// Flow-table telemetry, both directions merged (tuple->record plus
-  /// fid->tuple).
-  FlowTableStats table_stats() const {
-    FlowTableStats stats = by_tuple_.stats();
-    stats.merge_from(by_fid_.stats());
-    return stats;
-  }
-
-  void clear();
+  /// Flow-table telemetry of the tuple->FID table.
+  FlowTableStats table_stats() const { return by_tuple_.stats(); }
 
  private:
-  struct FlowRecord {
+  struct TupleEntry {
     std::uint32_t fid = net::kInvalidFid;
     std::uint64_t last_seen_cycles = 0;
   };
 
-  std::uint32_t assign_fid(FlowHash hash);
+  /// Take a free FID for `tuple`: the most recently released one, else
+  /// the next never-used one. nullopt when all 2^20 are live.
+  std::optional<std::uint32_t> assign_fid(const net::FiveTuple& tuple);
 
   /// Flow table: the single per-packet lookup. The tuple is hashed once in
-  /// classify() and the hash reused for the lookup, the insert and FID
-  /// assignment. last-seen rides in the same record (updated in place), and
-  /// the timestamp reuses the packet's arrival stamp when the caller
-  /// provided one, so idle tracking adds no extra table operation or
-  /// counter read to the fast path.
-  FlowTable<net::FiveTuple, FlowRecord> by_tuple_;
-  FlowTable<std::uint32_t, net::FiveTuple> by_fid_;
+  /// classify() and the hash reused for the lookup and the insert.
+  /// last-seen rides in the same record (updated in place), and the
+  /// timestamp reuses the packet's arrival stamp when the caller provided
+  /// one, so idle tracking adds no extra table operation or counter read
+  /// to the fast path.
+  FlowTable<net::FiveTuple, TupleEntry> by_tuple_;
+  /// The FID allocator: each FID ever handed out, with its flow's tuple
+  /// while live (release_flow's key into by_tuple_), and the freed FIDs,
+  /// reused last-freed first.
+  struct FidSlot {
+    net::FiveTuple tuple;
+    bool live = false;
+  };
+  std::vector<FidSlot> fids_;
+  std::vector<std::uint32_t> free_fids_;
   std::uint64_t initial_count_ = 0;
   std::uint64_t subsequent_count_ = 0;
 };

@@ -1,0 +1,150 @@
+#include "core/flow_record.hpp"
+
+#include <algorithm>
+#include <functional>
+#include <iterator>
+
+namespace speedybox::core {
+
+namespace {
+
+/// [begin, end) of NF `nf`'s entries, given each entry's owner (its
+/// projection `owner`) in chain order.
+template <typename Entries, typename Owner>
+std::pair<std::ptrdiff_t, std::ptrdiff_t> owned_range(const Entries& entries,
+                                                      std::uint32_t nf,
+                                                      Owner owner) {
+  const auto [first, last] = std::ranges::equal_range(entries, nf, {}, owner);
+  return {first - entries.begin(), last - entries.begin()};
+}
+
+}  // namespace
+
+void FlowRecord::add_header_action(std::uint32_t nf,
+                                   const HeaderAction& action) {
+  header_actions.push_back(action);
+  action_owners.push_back(nf);
+}
+
+void FlowRecord::add_state_function(std::uint32_t nf, StateFunction fn) {
+  handlers.push_back(std::move(fn.handler));
+  functions.push_back({nf, fn.access, std::move(fn.name)});
+  functions_changed = true;
+}
+
+void FlowRecord::add_teardown_hook(std::uint32_t nf,
+                                   std::function<void()> hook) {
+  teardown_hooks.push_back({nf, std::move(hook)});
+}
+
+void FlowRecord::register_event(std::uint32_t nf, std::string name,
+                                ConditionHandler condition,
+                                UpdateHandler update, bool one_shot) {
+  conditions.push_back(std::move(condition));
+  events.push_back({nf, std::move(name), std::move(update), one_shot});
+}
+
+void FlowRecord::replace_header_actions(std::uint32_t nf,
+                                        std::vector<HeaderAction> actions) {
+  const auto [begin, end] = owned_range(action_owners, nf, std::identity{});
+  header_actions.erase(header_actions.begin() + begin,
+                       header_actions.begin() + end);
+  header_actions.insert(header_actions.begin() + begin, actions.begin(),
+                        actions.end());
+  action_owners.erase(action_owners.begin() + begin,
+                      action_owners.begin() + end);
+  action_owners.insert(action_owners.begin() + begin, actions.size(), nf);
+}
+
+void FlowRecord::replace_state_functions(std::uint32_t nf,
+                                         std::vector<StateFunction> fns) {
+  // Build the new handler array beside the old one: a descriptor in flight
+  // on another core may still be running the old handlers, so the old
+  // arrays are retired, not rewritten.
+  const auto [begin, end] =
+      owned_range(functions, nf, &RecordedFunction::nf_index);
+  std::vector<StateFunctionHandler> next(handlers.begin(),
+                                         handlers.begin() + begin);
+  std::vector<RecordedFunction> infos;
+  for (StateFunction& fn : fns) {
+    next.push_back(std::move(fn.handler));
+    infos.push_back({nf, fn.access, std::move(fn.name)});
+  }
+  next.insert(next.end(), handlers.begin() + end, handlers.end());
+  functions.erase(functions.begin() + begin, functions.begin() + end);
+  functions.insert(functions.begin() + begin,
+                   std::make_move_iterator(infos.begin()),
+                   std::make_move_iterator(infos.end()));
+  retired.emplace_back(std::move(handlers), std::move(batches));
+  handlers = std::move(next);
+  batches = {};
+  functions_changed = true;
+}
+
+std::span<const HeaderAction> FlowRecord::header_actions_of(
+    std::uint32_t nf) const {
+  const auto [begin, end] = owned_range(action_owners, nf, std::identity{});
+  return std::span<const HeaderAction>{header_actions}.subspan(
+      static_cast<std::size_t>(begin), static_cast<std::size_t>(end - begin));
+}
+
+void FlowRecord::compile() {
+  consolidated = true;
+  degraded_default = false;
+  ++version;
+  action = consolidate(header_actions);
+  patch = BytePatch{};
+  reparse = !action.leading_decaps.empty() || !action.trailing_encaps.empty();
+  cost_samples = 0;
+  critical_fraction = 1.0;
+  if (!functions_changed) return;
+  functions_changed = false;
+  // One batch per NF: a run of functions with the same owner.
+  batches.clear();
+  for (std::uint32_t i = 0; i < functions.size(); ++i) {
+    const std::uint32_t nf = functions[i].nf_index;
+    if (batches.empty() || batches.back().nf_index != nf) {
+      batches.push_back({nf, i, i, PayloadAccess::kIgnore});
+    }
+    StateFunctionBatch& batch = batches.back();
+    batch.end = i + 1;
+    batch.access = std::max(batch.access, functions[i].access);
+  }
+  schedule = build_schedule(batches);
+  multi_batch_groups = 0;
+  for (const auto& group : schedule.groups) {
+    if (group.size() > 1) ++multi_batch_groups;
+  }
+}
+
+void FlowRecord::run_teardown_hooks(std::uint32_t begin,
+                                    std::uint32_t end) const {
+  for (const TeardownHook& hook : teardown_hooks) {
+    if (hook.nf_index >= begin && hook.nf_index < end) hook.run();
+  }
+}
+
+void FlowRecord::reset() {
+  // The compiled action, patch and schedule are rebuilt by the next
+  // compile() (or install of a default rule) before any packet reads them.
+  open = false;
+  consolidated = false;
+  reparse = false;
+  degraded_default = false;
+  cost_samples = 0;
+  critical_fraction = 1.0;
+  conditions.clear();
+  handlers.clear();
+  batches.clear();
+  multi_batch_groups = 0;
+  version = 0;
+  events.clear();
+  functions.clear();
+  header_actions.clear();
+  action_owners.clear();
+  teardown_hooks.clear();
+  functions_changed = false;
+  retired.clear();
+}
+
+}  // namespace speedybox::core

@@ -1,0 +1,171 @@
+// One flow's SpeedyBox state (§IV–V, DESIGN.md §2.2). The paper's Local
+// MATs and Event Table are logical tables: per NF, the record keeps the
+// header actions, state functions, events and teardown hooks the NF
+// recorded on the flow's initial packet, each tagged with the NF's chain
+// position, in chain order. The rule the Global MAT consolidates from
+// them is compiled into the same record. A fired event rewrites the
+// owning NF's entries and the record is recompiled in place.
+//
+// The Global MAT keeps each record at its FID's slot of an array whose
+// addresses never move (core/global_mat.hpp). Freeing a record clears it
+// but keeps its arrays' capacity for the next flow at the slot.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "core/header_action.hpp"
+#include "core/parallel_schedule.hpp"
+#include "core/state_function.hpp"
+#include "net/packet.hpp"
+
+namespace speedybox::core {
+
+/// What a triggered event installs into the owning NF's recorded entries
+/// (§V-C1, Fig. 3).
+struct EventUpdate {
+  std::optional<std::vector<HeaderAction>> header_actions;
+  std::optional<std::vector<StateFunction>> state_functions;
+};
+
+/// Predicate over NF internal state ("state.matchCondition" in Fig. 1).
+/// NFs bind the per-flow cells they resolved while recording (Figure 2's
+/// args), so evaluating it never re-looks-up the flow.
+using ConditionHandler = std::function<bool()>;
+
+/// Produces the update at trigger time (so e.g. Maglev can compute the new
+/// backend with consistent hashing at the moment of failover).
+using UpdateHandler = std::function<EventUpdate()>;
+
+/// A registered event. Its condition sits at the same index of the
+/// record's `conditions`, the array the fast path scans.
+struct EventRegistration {
+  std::uint32_t nf_index = 0;  // whose entries the update rewrites
+  std::string name;
+  UpdateHandler update;
+  /// One-shot events (the common case: failover, blacklist) deregister on
+  /// trigger; persistent events keep being checked.
+  bool one_shot = true;
+};
+
+/// A recorded state function. Its handler sits at the same index of the
+/// record's `handlers`.
+struct RecordedFunction {
+  std::uint32_t nf_index = 0;  // chain position of the recording NF
+  PayloadAccess access = PayloadAccess::kIgnore;
+  std::string name;  // diagnostics / equivalence audits
+};
+
+/// Releases NF-internal per-flow state at teardown (FIN/RST): on the fast
+/// path the NF never sees the flow's last packet.
+struct TeardownHook {
+  std::uint32_t nf_index = 0;
+  std::function<void()> run;
+};
+
+/// The arrays a fast-path packet runs its state functions from. A threaded
+/// deployment hands them to the NF cores with the packet.
+struct HandlerArrays {
+  std::span<const StateFunctionHandler> handlers;
+  std::span<const StateFunctionBatch> batches;
+
+  /// Run one NF's batch (its handlers, in recorded order).
+  void run_batch(const StateFunctionBatch& batch, net::Packet& packet,
+                 const net::ParsedPacket& parsed) const {
+    for (std::uint32_t i = batch.begin; i < batch.end; ++i) {
+      handlers[i](packet, parsed);
+    }
+  }
+};
+
+struct alignas(64) FlowRecord {
+  /// Batch-cost sampling: the first kCostSampleWindow measured packets time
+  /// every batch individually to learn the critical-path fraction of the
+  /// Table-I schedule; afterwards the fast path times all batches with one
+  /// timer pair and scales by the learned fraction.
+  static constexpr std::uint32_t kCostSampleWindow = 8;
+
+  // --- The compiled rule: what every fast-path packet reads, first, so
+  // the batch pre-pass can prefetch it as the record's leading lines.
+  bool open = false;          // the slot holds a live flow
+  bool consolidated = false;  // the rule below is compiled
+  /// The consolidated action restructures the header chain (decap or
+  /// encap), so state functions need a fresh parse of the packet.
+  bool reparse = false;
+  /// Pre-consolidated pure-forward rule installed instead of recording
+  /// while the path is degraded (runtime overload control, DESIGN.md §9):
+  /// the fast path runs no event and no state function; teardown still
+  /// runs the hooks.
+  bool degraded_default = false;
+  std::uint32_t cost_samples = 0;
+  /// Parallel groups with ≥2 batches (each pays one fork/join in the
+  /// platform latency model) — a per-packet constant of the schedule.
+  std::uint32_t multi_batch_groups = 0;
+  double critical_fraction = 1.0;
+  std::vector<ConditionHandler> conditions;  // of `events`
+  /// The handlers of `functions`, in chain order: the fast path runs
+  /// straight through them.
+  std::vector<StateFunctionHandler> handlers;
+  ConsolidatedAction action;
+  BytePatch patch;  // compiled field writes (lazy)
+  /// Per-NF batches as index ranges into `handlers`, chain order — what
+  /// the Table-I schedule, the cost-sampling window and the threaded
+  /// pipeline's NF stages use.
+  std::vector<StateFunctionBatch> batches;
+  ParallelSchedule schedule;  // Table-I grouping of batches
+  std::uint64_t version = 0;  // bumped on every (re)compile
+
+  // --- The recordings, in chain order.
+  std::vector<EventRegistration> events;
+  std::vector<RecordedFunction> functions;
+  std::vector<HeaderAction> header_actions;
+  std::vector<std::uint32_t> action_owners;  // NF index of each action
+  std::vector<TeardownHook> teardown_hooks;
+  /// Rebuild `batches` and the schedule at the next compile. Set only by
+  /// recording and by replace_state_functions, which first retires the
+  /// arrays in-flight descriptors may still read: compile() must never
+  /// rewrite `handlers` or `batches` in place, since a header-only event
+  /// (Maglev failover) recompiles while other cores read them.
+  bool functions_changed = false;
+  /// Handler and batch arrays an event replaced: in-flight descriptors of
+  /// a threaded deployment may still run them, so they live until the
+  /// flow's teardown.
+  std::vector<std::pair<std::vector<StateFunctionHandler>,
+                        std::vector<StateFunctionBatch>>>
+      retired;
+
+  // --- Recording (SpeedyBoxContext), by the NF at chain position `nf`.
+  // The recording pass walks the chain, so entries arrive in chain order.
+  void add_header_action(std::uint32_t nf, const HeaderAction& action);
+  void add_state_function(std::uint32_t nf, StateFunction fn);
+  void add_teardown_hook(std::uint32_t nf, std::function<void()> hook);
+  void register_event(std::uint32_t nf, std::string name,
+                      ConditionHandler condition, UpdateHandler update,
+                      bool one_shot);
+
+  // --- Event updates (§V-C1): replace NF `nf`'s entries.
+  void replace_header_actions(std::uint32_t nf,
+                              std::vector<HeaderAction> actions);
+  void replace_state_functions(std::uint32_t nf,
+                               std::vector<StateFunction> fns);
+
+  /// NF `nf`'s recorded header actions.
+  std::span<const HeaderAction> header_actions_of(std::uint32_t nf) const;
+  HandlerArrays handler_arrays() const noexcept { return {handlers, batches}; }
+
+  /// Compile the rule from the recordings: the consolidated header action,
+  /// and the batches and schedule when the functions changed. Restarts
+  /// cost sampling and bumps the version.
+  void compile();
+  /// Run the teardown hooks of the NFs at chain positions [begin, end).
+  void run_teardown_hooks(std::uint32_t begin = 0,
+                          std::uint32_t end = UINT32_MAX) const;
+  /// Back to an empty record, keeping the arrays' capacity.
+  void reset();
+};
+
+}  // namespace speedybox::core

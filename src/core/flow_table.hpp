@@ -1,8 +1,8 @@
 // FlowTable (DESIGN.md §13): the million-flow state engine behind every
-// per-flow structure on the hot path — the classifier's tuple→FID map, the
-// Global MAT's FID→rule map, each Local MAT's and the Event Table's
-// FID-keyed records, each NF's typed per-flow state, the pipeline's flow
-// phases, and ChainRunner's original-mode tagging set and per-flow times.
+// per-flow hash table on the hot path — the classifier's tuple→FID map,
+// each NF's typed per-flow state, the pipeline's flow phases, and
+// ChainRunner's original-mode tagging set and per-flow times. (The Global
+// MAT needs none: its flow records sit at their dense FIDs' slots.)
 //
 // Why not std::unordered_map: at production flow counts the data path is
 // bounded by pointer-chasing cache misses (one heap node per entry, a
@@ -12,9 +12,9 @@
 //     contiguous array, so a lookup touches one ctrl cache line and (on a
 //     hit) one slot line — no node chasing, and 7-bit tag compares reject
 //     almost every non-matching slot without reading its key;
-//   * pre-hashed keys: FiveTuple hashes are computed once per packet (the
-//     classifier's hash doubles as the FID seed) and passed through every
-//     table call, so the chain never re-hashes a tuple it already hashed;
+//   * pre-hashed keys: FiveTuple hashes are computed once per packet and
+//     passed through every table call, so the chain never re-hashes a
+//     tuple it already hashed;
 //   * slab-allocated records: values live in fixed-size slab chunks that
 //     never move, so recorded state-function closures can capture value
 //     pointers across resizes (the same pointer-stability contract
@@ -32,10 +32,9 @@
 // Concurrency: a FlowTable has exactly one owner, like the maps it
 // replaces — per-shard under the sharded runtime's single-writer contract,
 // or guarded by a mutex where several cores reach it: the owning NF's
-// (MaglevLb, DosPrevention), whose event lambdas run on the manager core,
-// and the Local MATs' and Event Table's, which NF cores record into while
-// the manager consolidates. Lookups update probe-length statistics, so
-// even const reads are owner-only.
+// (MaglevLb, DosPrevention), whose event lambdas run on the manager core.
+// Lookups update probe-length statistics, so even const reads are
+// owner-only.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +42,6 @@
 #include <cstring>
 #include <memory>
 #include <new>
-#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -304,16 +302,6 @@ class FlowTable {
                        std::forward<Args>(args)...);
   }
 
-  /// Insert-or-overwrite; returns the stored value.
-  Value& insert_or_assign(const Key& key, FlowHash hash, Value value) {
-    auto [stored, inserted] = try_emplace(key, hash);
-    *stored = std::move(value);
-    return *stored;
-  }
-  Value& insert_or_assign(const Key& key, Value value) {
-    return insert_or_assign(key, FlowHash{Ops::hash(key)}, std::move(value));
-  }
-
   bool erase(const Key& key) { return erase(key, FlowHash{Ops::hash(key)}); }
   bool erase(const Key& key, FlowHash hash) {
     step_resize(kResizeStepSlots);
@@ -377,11 +365,6 @@ class FlowTable {
 
   std::size_t size() const noexcept { return live_.size + old_.size; }
   bool empty() const noexcept { return size() == 0; }
-
-  /// Raw byte image of a record — what migration memcpys out of the slab.
-  std::span<const std::byte> record_bytes(const Value& value) const noexcept {
-    return {reinterpret_cast<const std::byte*>(&value), sizeof(Value)};
-  }
 
   FlowTableStats stats() const {
     FlowTableStats stats;
@@ -497,9 +480,22 @@ class FlowTable {
     const std::uint32_t record = table.slots[slot].record;
     value_ptr(record)->~Value();
     arena_.release(record);
-    table.ctrl[slot] = kTombstone;
-    ++table.tombstones;
     --table.size;
+    if (table.ctrl[(slot + 1) & table.mask] != kEmpty) {
+      table.ctrl[slot] = kTombstone;
+      ++table.tombstones;
+      return;
+    }
+    // No probe runs past an empty slot, so no key's probe path reaches the
+    // empty slot after this one: neither this slot nor the run of
+    // tombstones right before it lies on any key's path, and all of them
+    // can be empty again.
+    table.ctrl[slot] = kEmpty;
+    for (std::size_t prev = (slot - 1) & table.mask;
+         table.ctrl[prev] == kTombstone; prev = (prev - 1) & table.mask) {
+      table.ctrl[prev] = kEmpty;
+      --table.tombstones;
+    }
   }
 
   void grow_if_needed() {
@@ -545,6 +541,7 @@ class FlowTable {
         const Slot& slot = old_.slots[drain_cursor_];
         place(live_, slot.key, Ops::hash(slot.key), slot.record);
         old_.ctrl[drain_cursor_] = kTombstone;
+        ++old_.tombstones;
         --old_.size;
         ++migrated_entries_;
       }

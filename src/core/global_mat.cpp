@@ -1,119 +1,110 @@
 #include "core/global_mat.hpp"
 
+#include <iterator>
+
 #include "util/cycle_clock.hpp"
 #include "util/logging.hpp"
 
 namespace speedybox::core {
 
-void GlobalMat::consolidate_flow(std::uint32_t fid) {
-  // A fresh rule object per consolidation: in-flight holders of the old
-  // snapshot stay consistent; the table points new packets at the new rule.
-  auto rule = std::make_shared<ConsolidatedRule>();
-  std::vector<HeaderAction> all_actions;
-  for (const LocalMat* mat : chain_) {
-    mat->visit(fid, [&](const LocalRule& record) {
-      all_actions.insert(all_actions.end(), record.header_actions.begin(),
-                         record.header_actions.end());
-      if (record.state_functions.empty()) return;
-      StateFunctionBatch batch;
-      batch.nf_index = static_cast<std::uint32_t>(mat->nf_index());
-      batch.begin = static_cast<std::uint32_t>(rule->handlers.size());
-      for (const StateFunction& fn : record.state_functions) {
-        rule->handlers.push_back(fn.handler);
-      }
-      batch.end = static_cast<std::uint32_t>(rule->handlers.size());
-      batch.access = batch_access(record.state_functions);
-      rule->batches.push_back(batch);
-    });
+FlowRecord& GlobalMat::slot(std::uint32_t fid) {
+  const std::size_t chunk = fid >> kChunkBits;
+  while (chunks_.size() <= chunk) {
+    chunks_.push_back(std::make_unique<FlowRecord[]>(kChunkMask + 1));
   }
-
-  const auto* existing = rules_.find(fid);
-  rule->version = (existing != nullptr ? (*existing)->version : 0) + 1;
-  rule->action = consolidate(all_actions);
-  rule->reparse = !rule->action.leading_decaps.empty() ||
-                  !rule->action.trailing_encaps.empty();
-  rule->schedule = build_schedule(rule->batches);
-  for (const auto& group : rule->schedule.groups) {
-    if (group.size() > 1) ++rule->multi_batch_groups;
-  }
-  events_.copy_conditions(fid, rule->conditions);
-  ++consolidations_;
-
-  SB_LOG_DEBUG("global_mat", "consolidated fid=%u v=%llu: %s", fid,
-               static_cast<unsigned long long>(rule->version),
-               rule->action.to_string().c_str());
-  rules_.insert_or_assign(fid, std::move(rule));
+  return chunks_[chunk][fid & kChunkMask];
 }
 
-bool GlobalMat::any_condition_holds(const ConsolidatedRule& rule) {
+FlowRecord& GlobalMat::open_flow(std::uint32_t fid) {
+  FlowRecord& record = slot(fid);
+  if (record.open) erase_flow(fid, /*run_hooks=*/false);
+  record.open = true;
+  ++open_;
+  return record;
+}
+
+void GlobalMat::compile(FlowRecord& record) {
+  if (!record.consolidated) ++compiled_;
+  record.compile();
+  ++consolidations_;
+}
+
+void GlobalMat::consolidate_flow(std::uint32_t fid) {
+  FlowRecord* record = this->record(fid);
+  if (record == nullptr) record = &open_flow(fid);
+  compile(*record);
+  SB_LOG_DEBUG("global_mat", "consolidated fid=%u v=%llu: %s", fid,
+               static_cast<unsigned long long>(record->version),
+               record->action.to_string().c_str());
+}
+
+std::size_t GlobalMat::check_events(std::uint32_t fid, FlowRecord& record) {
+  // Evaluate every condition first, then fire: an update may change the
+  // NF state a later condition reads, and the conditions of one packet
+  // all see the state before any update. One-shot events deregister as
+  // they fire.
+  std::vector<EventRegistration> fired;
   std::uint64_t evaluated = 0;
-  bool holds = false;
-  for (const ConditionHandler& condition : rule.conditions) {
-    ++evaluated;
-    if (condition()) {
-      holds = true;
-      break;
+  for (std::ptrdiff_t i = 0; i < std::ssize(record.conditions); ++evaluated) {
+    const ConditionHandler& condition = record.conditions[i];
+    if (!condition || !condition()) {
+      ++i;
+    } else if (!record.events[i].one_shot) {
+      fired.push_back(record.events[i++]);
+    } else {
+      fired.push_back(std::move(record.events[i]));
+      record.conditions.erase(record.conditions.begin() + i);
+      record.events.erase(record.events.begin() + i);
     }
   }
-  events_.count_checks(evaluated);
-  return holds;
+  bump(checks_, evaluated);
+  bump(triggers_, fired.size());
+
+  for (EventRegistration& event : fired) {
+    EventUpdate update = event.update ? event.update() : EventUpdate{};
+    if (update.header_actions) {
+      record.replace_header_actions(event.nf_index,
+                                    std::move(*update.header_actions));
+    }
+    if (update.state_functions) {
+      record.replace_state_functions(event.nf_index,
+                                     std::move(*update.state_functions));
+    }
+    SB_LOG_INFO("event_table", "event '%s' triggered for fid=%u",
+                event.name.c_str(), fid);
+    compile(record);
+  }
+  return fired.size();
 }
 
-ConsolidatedRule* GlobalMat::apply_header_phase(
-    net::Packet& packet, bool* dropped, std::size_t* events_triggered) {
+FlowRecord* GlobalMat::apply_header_phase(net::Packet& packet, bool* dropped,
+                                          std::size_t* events_triggered) {
   const std::uint32_t fid = packet.fid();
-  const auto* cell = rules_.find(fid);
-  if (cell == nullptr) return nullptr;
-  // Borrowed pointer, no refcount traffic on the per-packet path. An event
-  // below installs (and frees) a *new* rule object, so re-fetch afterwards
-  // to process this packet against the updated rule.
-  ConsolidatedRule* rule_ref = cell->get();
+  FlowRecord* rule = slot_if_allocated(fid);
+  if (rule == nullptr || !rule->consolidated) return nullptr;
 
   // 1. Event check (§V-A Observation 2): decide whether the consolidated
-  //    result can be reused before reusing it. The rule's own condition
-  //    copies decide; only a condition that holds pays for the Event
-  //    Table (its lock, the firing and the re-consolidation).
-  if (!rule_ref->conditions.empty() && any_condition_holds(*rule_ref)) {
-    *events_triggered = events_.check(
-        fid, [this, fid](const EventRegistration& event, EventUpdate update) {
-          if (event.nf_index < chain_.size()) {
-            LocalMat* mat = chain_[event.nf_index];
-            if (update.header_actions) {
-              mat->replace_header_actions(fid,
-                                          std::move(*update.header_actions));
-            }
-            if (update.state_functions) {
-              mat->replace_state_functions(fid,
-                                           std::move(*update.state_functions));
-            }
-          }
-          SB_LOG_INFO("event_table", "event '%s' triggered for fid=%u",
-                      event.name.c_str(), fid);
-          consolidate_flow(fid);
-        });
-    if (*events_triggered > 0) {
-      const auto* updated = rules_.find(fid);
-      if (updated == nullptr) return nullptr;
-      rule_ref = updated->get();
-    }
+  //    result can be reused before reusing it. A fired event recompiles
+  //    the record in place, so this packet runs the updated rule.
+  if (!rule->conditions.empty() && !rule->degraded_default) {
+    *events_triggered = check_events(fid, *rule);
   }
 
   // 2. Consolidated header action.
-  apply_consolidated(rule_ref->action, rule_ref->patch, packet);
+  apply_consolidated(rule->action, rule->patch, packet);
   *dropped = packet.dropped();
-  return rule_ref;
+  return rule;
 }
 
 GlobalMat::FastHeaderResult GlobalMat::process_header(net::Packet& packet) {
   FastHeaderResult result;
-  const ConsolidatedRule* rule = apply_header_phase(
-      packet, &result.dropped, &result.events_triggered);
+  FlowRecord* rule = apply_header_phase(packet, &result.dropped,
+                                        &result.events_triggered);
   result.rule_hit = rule != nullptr;
   if (rule != nullptr) {
     result.degraded_rule = rule->degraded_default;
-    // Threaded callers need an owning pin: the descriptor outlives this
-    // call and must survive a concurrent re-consolidation.
-    result.rule = find_shared(packet.fid());
+    result.record = rule;
+    if (!rule->degraded_default) result.handlers = rule->handler_arrays();
   }
   return result;
 }
@@ -122,22 +113,22 @@ GlobalMat::FastPathResult GlobalMat::process(
     net::Packet& packet, bool measure_batches,
     const net::ParsedPacket* parsed_hint) {
   FastPathResult result;
-  auto rule_ref = apply_header_phase(packet, &result.dropped,
-                                     &result.events_triggered);
+  FlowRecord* rule_ref = apply_header_phase(packet, &result.dropped,
+                                            &result.events_triggered);
   if (rule_ref == nullptr) return result;
   result.rule_hit = true;
   result.degraded_rule = rule_ref->degraded_default;
   if (result.dropped) {
     return result;  // early drop: no state function runs for dropped flows
   }
-  ConsolidatedRule& rule = *rule_ref;
+  FlowRecord& rule = *rule_ref;
 
   // 3. State-function handlers. Execution is in chain order
   //    (correctness); the parallel schedule provides the modeled
   //    critical-path latency the platforms account for (§V-C2). The
   //    classifier's parse is reused unless the consolidated action
   //    restructured the header chain.
-  if (rule.handlers.empty()) return result;
+  if (rule.handlers.empty() || rule.degraded_default) return result;
   std::optional<net::ParsedPacket> reparsed;
   if (rule.reparse || parsed_hint == nullptr) {
     reparsed = net::parse_packet(packet);
@@ -150,15 +141,16 @@ GlobalMat::FastPathResult GlobalMat::process(
     return result;
   }
   result.multi_batch_groups = rule.multi_batch_groups;
-  if (rule.cost_samples < ConsolidatedRule::kCostSampleWindow) {
+  if (rule.cost_samples < FlowRecord::kCostSampleWindow) {
     // Sampling phase: one timer pair per batch to learn the Table-I
     // critical-path fraction of this rule's schedule.
+    const HandlerArrays handlers = rule.handler_arrays();
     std::vector<std::uint64_t>& costs = batch_costs_;
     costs.assign(rule.batches.size(), 0);
     result.timer_pairs = static_cast<std::uint32_t>(rule.batches.size());
     for (std::size_t i = 0; i < rule.batches.size(); ++i) {
       const std::uint64_t b0 = util::CycleClock::now();
-      rule.run_batch(rule.batches[i], packet, parsed);
+      handlers.run_batch(rule.batches[i], packet, parsed);
       costs[i] = util::CycleClock::segment(b0, util::CycleClock::now());
     }
     for (const std::uint64_t cost : costs) result.sf_total_cycles += cost;
@@ -188,27 +180,31 @@ GlobalMat::FastPathResult GlobalMat::process(
 }
 
 void GlobalMat::install_default_rule(std::uint32_t fid) {
-  auto rule = std::make_shared<ConsolidatedRule>();
-  const auto* existing = rules_.find(fid);
-  rule->version = (existing != nullptr ? (*existing)->version : 0) + 1;
-  rule->degraded_default = true;
+  FlowRecord* record = this->record(fid);
+  if (record == nullptr) record = &open_flow(fid);
+  if (!record->consolidated) ++compiled_;
+  record->consolidated = true;
+  record->degraded_default = true;
+  record->action = ConsolidatedAction{};
+  record->patch = BytePatch{};
+  ++record->version;
   SB_LOG_DEBUG("global_mat", "degraded default rule for fid=%u", fid);
-  rules_.insert_or_assign(fid, std::move(rule));
 }
 
 void GlobalMat::erase_flow(std::uint32_t fid, bool run_hooks) {
-  rules_.erase(fid);
-  events_.erase_flow(fid);
-  for (LocalMat* mat : chain_) {
-    if (run_hooks) mat->run_teardown_hooks(fid);
-    mat->erase_flow(fid);
-  }
+  FlowRecord* record = this->record(fid);
+  if (record == nullptr) return;
+  if (run_hooks) record->run_teardown_hooks();
+  if (record->consolidated) --compiled_;
+  --open_;
+  record->reset();
 }
 
-void GlobalMat::clear() {
-  rules_.clear();
-  events_.clear();
-  for (LocalMat* mat : chain_) mat->clear();
+FlowTableStats GlobalMat::record_stats() const noexcept {
+  FlowTableStats stats;
+  stats.slab_bytes = chunks_.size() * (kChunkMask + 1) * sizeof(FlowRecord);
+  stats.slab_records = open_;
+  return stats;
 }
 
 }  // namespace speedybox::core

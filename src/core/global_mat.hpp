@@ -1,111 +1,70 @@
-// The Global MAT (§V): consolidates, per flow, the header actions and state
-// functions recorded in every Local MAT along the chain, and serves the fast
-// data path for subsequent packets:
+// The Global MAT (§V): one record per flow (core/flow_record.hpp) — the
+// flow's per-NF recordings and the rule consolidated from them — serving
+// the fast data path for subsequent packets:
 //
-//   subsequent packet ──► rule's event conditions ──► consolidated header
-//                         action ──► state-function handlers, chain order
-//                         (Table-I parallel schedule for the model)
+//   subsequent packet ──► the record's event conditions ──► consolidated
+//                         header action ──► state-function handlers, chain
+//                         order (Table-I parallel schedule for the model)
 //
-// A condition that holds sends the flow through the Event Table: the
-// triggered event patches the owning Local MAT record and re-consolidates
-// the flow's rule before the packet is processed, so runtime behavior
-// changes (Maglev failover, DoS blacklisting) take effect immediately.
+// A condition that holds fires its event, whose update rewrites the owning
+// NF's entries; the record is recompiled in place before the packet is
+// processed, so Maglev failover or DoS blacklisting take effect at once.
+//
+// Records live at their FID's slot of a chunked array whose addresses
+// never move; FIDs are dense slot indices (core/classifier.hpp), so a
+// classified packet reaches its record with one indexed load. One owner
+// thread, except that a threaded deployment's NF cores record into a
+// record, and run its handler arrays and teardown hooks, while the owner
+// serves other flows: the ring hand-offs order every access, no lock.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "core/event_table.hpp"
+#include "core/flow_record.hpp"
 #include "core/flow_table.hpp"
 #include "core/header_action.hpp"
-#include "core/local_mat.hpp"
-#include "core/parallel_schedule.hpp"
 #include "core/state_function.hpp"
 #include "util/prefetch.hpp"
 
 namespace speedybox::core {
 
-/// A flow's consolidated rule, compiled so that a subsequent packet touches
-/// only the classifier, this rule, and the NF state its handlers and
-/// conditions name. The fields every fast-path packet reads come first, so
-/// they share the rule's leading cache lines.
-struct ConsolidatedRule {
-  /// Copies of the flow's event conditions, taken at consolidation. The
-  /// fast path evaluates them here and enters the Event Table only when
-  /// one holds; event-free flows carry none and skip events entirely.
-  std::vector<ConditionHandler> conditions;
-  /// Every state-function handler of the flow, stored once, in chain
-  /// order: the fast path runs straight through it.
-  std::vector<StateFunctionHandler> handlers;
-
-  /// Batch-cost sampling: the first kCostSampleWindow measured packets time
-  /// every batch individually to learn the critical-path fraction of the
-  /// Table-I schedule; afterwards the fast path times all batches with one
-  /// timer pair and scales by the learned fraction — per-packet timer
-  /// overhead stays constant no matter how many batches the rule has.
-  static constexpr std::uint32_t kCostSampleWindow = 8;
-  double critical_fraction = 1.0;
-  std::uint32_t cost_samples = 0;
-  /// Parallel groups with ≥2 batches (each pays one fork/join in the
-  /// platform latency model) — a per-packet constant of the schedule.
-  std::uint32_t multi_batch_groups = 0;
-  /// The consolidated action restructures the header chain (decap or
-  /// encap), so state functions need a fresh parse of the packet.
-  bool reparse = false;
-  /// Pre-consolidated pure-forward rule installed instead of recording
-  /// while the path is degraded (runtime overload control, DESIGN.md §9).
-  bool degraded_default = false;
-
-  ConsolidatedAction action;
-  BytePatch patch;                        // compiled field writes (lazy)
-  /// Per-NF batches as index ranges into `handlers`, chain order — what
-  /// the Table-I schedule, the cost-sampling window and the threaded
-  /// pipeline's NF stages use. NF names live in the chain's Local MATs.
-  std::vector<StateFunctionBatch> batches;
-  ParallelSchedule schedule;               // Table-I grouping of batches
-  std::uint64_t version = 0;               // bumped on re-consolidation
-
-  /// Run one NF's batch (its handlers, in recorded order).
-  void run_batch(const StateFunctionBatch& batch, net::Packet& packet,
-                 const net::ParsedPacket& parsed) const {
-    for (std::uint32_t i = batch.begin; i < batch.end; ++i) {
-      handlers[i](packet, parsed);
-    }
-  }
-};
-
 class GlobalMat {
  public:
-  /// Wire the chain: Local MATs in chain order. Pointers must outlive the
-  /// Global MAT (they live in the ServiceChain that owns both).
-  void set_chain(std::vector<LocalMat*> chain) { chain_ = std::move(chain); }
-  const std::vector<LocalMat*>& chain() const noexcept { return chain_; }
+  /// Start a flow: the empty record at `fid`'s slot, which the recording
+  /// pass fills through SpeedyBoxContext. A record still open there is
+  /// freed first (without running its hooks).
+  FlowRecord& open_flow(std::uint32_t fid);
 
-  EventTable& event_table() noexcept { return events_; }
-  const EventTable& event_table() const noexcept { return events_; }
-
-  /// Build (or rebuild) the consolidated rule for a flow from the chain's
-  /// Local MATs. Called after the initial packet finishes the original path
-  /// and by event triggers. Each consolidation installs a fresh immutable-
-  /// shape rule object; holders of the previous snapshot (e.g. descriptors
-  /// in flight on a threaded deployment) keep a consistent view.
-  void consolidate_flow(std::uint32_t fid);
-
-  const ConsolidatedRule* find(std::uint32_t fid) const {
-    const auto* rule = rules_.find(fid);
-    return rule == nullptr ? nullptr : rule->get();
+  /// The flow's record while the flow is open (recording or consolidated),
+  /// or null.
+  FlowRecord* record(std::uint32_t fid) noexcept {
+    FlowRecord* slot = slot_if_allocated(fid);
+    return slot != nullptr && slot->open ? slot : nullptr;
   }
+
+  /// The flow's consolidated rule — its record once compiled — or null.
+  const FlowRecord* find(std::uint32_t fid) const noexcept {
+    const FlowRecord* slot = slot_if_allocated(fid);
+    return slot != nullptr && slot->consolidated ? slot : nullptr;
+  }
+
+  /// Compile (or recompile) the flow's rule from its recordings. Called
+  /// after the initial packet finishes the recording pass and by event
+  /// triggers; opens an empty record if the flow has none.
+  void consolidate_flow(std::uint32_t fid);
 
   /// True when the flow's consolidated rule is a settled drop: the header
   /// action drops and no registered event could change the verdict. The
   /// slo-early-drop overload policy sheds such packets at ingress —
   /// semantically equivalent to the fast path's early drop (which never
   /// runs state functions for dropped packets) minus the MAT walk. A FIN
-  /// shed this way leaves the rule for idle expiry, exactly like a UDP
+  /// shed this way leaves the record for idle expiry, exactly like a UDP
   /// flow's last packet would.
-  bool rule_marked_drop(std::uint32_t fid) const {
-    const ConsolidatedRule* rule = find(fid);
+  bool rule_marked_drop(std::uint32_t fid) const noexcept {
+    const FlowRecord* rule = find(fid);
     return rule != nullptr && rule->action.drop && rule->conditions.empty();
   }
 
@@ -115,35 +74,16 @@ class GlobalMat {
   /// No header rewrites, no state functions, no event checks.
   void install_default_rule(std::uint32_t fid);
 
-  /// Live-resharding rule handoff: transplant the learned batch-cost
-  /// profile from the source shard's rule onto this (freshly consolidated)
-  /// flow, so the destination fast path doesn't re-enter the per-batch
-  /// sampling window mid-flow. No-op if the flow has no rule.
-  void transfer_cost_profile(std::uint32_t fid, std::uint32_t cost_samples,
-                             double critical_fraction) {
-    auto* rule = rules_.find(fid);
-    if (rule == nullptr) return;
-    (*rule)->cost_samples = cost_samples;
-    (*rule)->critical_fraction = critical_fraction;
-  }
-
-  /// Batch pre-pass hint: warm the cache lines of `fid`'s consolidated rule
-  /// so the fast-path packets behind it in the burst find the rule resident
-  /// (DESIGN.md §8). A hint only — a miss or a stale line never affects
-  /// correctness.
+  /// Batch pre-pass hint: warm the leading lines of `fid`'s record — the
+  /// compiled rule's hot fields — so the fast-path packets behind it in
+  /// the burst find them resident (DESIGN.md §8). A hint only.
   void prefetch(std::uint32_t fid) const noexcept {
-    const auto* rule = rules_.find(fid);
-    if (rule != nullptr) {
-      util::prefetch_read(rule->get());
+    const FlowRecord* slot = slot_if_allocated(fid);
+    if (slot == nullptr) return;
+    const auto* bytes = reinterpret_cast<const char*>(slot);
+    for (std::size_t line = 0; line < kPrefetchLines; ++line) {
+      util::prefetch_read(bytes + line * util::kCacheLineSize);
     }
-  }
-
-  /// Shared snapshot of the flow's current rule (threaded deployments pin
-  /// the rule a packet executes against).
-  std::shared_ptr<const ConsolidatedRule> find_shared(
-      std::uint32_t fid) const {
-    const auto* rule = rules_.find(fid);
-    return rule == nullptr ? nullptr : *rule;
   }
 
   struct FastPathResult {
@@ -164,7 +104,7 @@ class GlobalMat {
     std::uint32_t timer_pairs = 0;
   };
 
-  /// Fast path for a subsequent packet: the rule's event conditions,
+  /// Fast path for a subsequent packet: the record's event conditions,
   /// consolidated header action, state-function handlers.
   /// `measure_batches` enables per-batch cycle attribution (used by the
   /// benches); the equivalence tests leave it off. `parsed_hint` is the
@@ -175,52 +115,75 @@ class GlobalMat {
                          const net::ParsedPacket* parsed_hint = nullptr);
 
   /// The manager-side half of the fast path for threaded deployments:
-  /// event conditions + consolidated header action only. The caller
-  /// dispatches the returned rule's state-function batches to the owning
-  /// NF cores.
+  /// event conditions + consolidated header action only. The caller hands
+  /// `handlers` to the owning NF cores with the packet.
   struct FastHeaderResult {
     bool rule_hit = false;
     bool dropped = false;
     bool degraded_rule = false;
     std::size_t events_triggered = 0;
-    std::shared_ptr<const ConsolidatedRule> rule;
+    FlowRecord* record = nullptr;
+    HandlerArrays handlers;
   };
   FastHeaderResult process_header(net::Packet& packet);
 
-  /// Flow teardown: drop the consolidated rule, the flow's events, and the
-  /// per-NF Local MAT records. `run_hooks = false` skips the per-NF
-  /// teardown hooks — for threaded deployments where the hooks (which
-  /// mutate NF-internal state) already ran on the owning NF cores and only
-  /// the manager-side erase remains.
+  /// Flow teardown: run the record's teardown hooks and free its slot.
+  /// `run_hooks = false` skips the hooks — for threaded deployments where
+  /// the hooks (which mutate NF-internal state) already ran on the owning
+  /// NF cores and only the owner-side free remains.
   void erase_flow(std::uint32_t fid, bool run_hooks = true);
 
-  std::size_t size() const noexcept { return rules_.size(); }
+  /// Consolidated rules (open flows with a compiled record).
+  std::size_t size() const noexcept { return compiled_; }
+  /// Open records (recording or consolidated).
+  std::size_t open_records() const noexcept { return open_; }
   std::uint64_t consolidations() const noexcept { return consolidations_; }
-  /// Rule-table telemetry (occupancy, probes, slab bytes) for the shard's
-  /// flow_table_* metrics.
-  FlowTableStats rule_table_stats() const { return rules_.stats(); }
-  void clear();
+  /// Event-condition evaluations and fired events, across all flows. One
+  /// writer (the thread running the fast path); any thread may read.
+  std::uint64_t checks_performed() const noexcept {
+    return checks_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t events_triggered() const noexcept {
+    return triggers_.load(std::memory_order_relaxed);
+  }
+  /// Record-array footprint for the shard's flow_table_* metrics: the
+  /// reserved chunk bytes and the open records (no hash slots to report).
+  FlowTableStats record_stats() const noexcept;
 
  private:
-  /// Shared front half of the fast path: rule lookup, the rule's event
-  /// conditions (entering the Event Table, then re-fetching the rule, only
-  /// when one holds), consolidated header action. Returns a
-  /// borrowed pointer to the rule the packet executes against (owned by
-  /// rules_; valid until the next consolidation/erase of this flow), or
-  /// null on a miss. Kept refcount-free because it runs per packet.
-  ConsolidatedRule* apply_header_phase(net::Packet& packet, bool* dropped,
-                                       std::size_t* events_triggered);
-  /// Evaluate the rule's condition copies until one holds; every
-  /// evaluation counts in the Event Table's checks_performed().
-  bool any_condition_holds(const ConsolidatedRule& rule);
+  static constexpr std::uint32_t kChunkBits = 8;
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
+  /// Leading record lines the batch pre-pass warms: the compiled rule's
+  /// flags, condition and handler arrays, action, patch and batches.
+  static constexpr std::size_t kPrefetchLines = 6;
 
-  std::vector<LocalMat*> chain_;
-  EventTable events_;
-  /// FID-keyed consolidated-rule table. The shared_ptr cells live in slab
-  /// records; each consolidation swaps the pointer in place, so in-flight
-  /// holders of the old snapshot stay consistent (see consolidate_flow).
-  FlowTable<std::uint32_t, std::shared_ptr<ConsolidatedRule>> rules_;
+  FlowRecord* slot_if_allocated(std::uint32_t fid) const noexcept {
+    const std::size_t chunk = fid >> kChunkBits;
+    return chunk < chunks_.size() ? &chunks_[chunk][fid & kChunkMask]
+                                  : nullptr;
+  }
+  FlowRecord& slot(std::uint32_t fid);
+  /// Shared front half of the fast path: record lookup, the record's
+  /// event conditions (firing any that hold and recompiling in place),
+  /// consolidated header action. Null on a miss.
+  FlowRecord* apply_header_phase(net::Packet& packet, bool* dropped,
+                                 std::size_t* events_triggered);
+  /// Evaluate every condition of the record; fire the events that hold.
+  /// Returns how many fired.
+  std::size_t check_events(std::uint32_t fid, FlowRecord& record);
+  void compile(FlowRecord& record);
+  static void bump(std::atomic<std::uint64_t>& cell,
+                   std::uint64_t delta) noexcept {
+    cell.store(cell.load(std::memory_order_relaxed) + delta,
+               std::memory_order_relaxed);
+  }
+
+  std::vector<std::unique_ptr<FlowRecord[]>> chunks_;
+  std::size_t open_ = 0;
+  std::size_t compiled_ = 0;
   std::uint64_t consolidations_ = 0;
+  std::atomic<std::uint64_t> checks_{0};
+  std::atomic<std::uint64_t> triggers_{0};
   /// Per-batch cycle costs of the packet being sampled, reused across
   /// packets so the sampling window allocates nothing per packet.
   std::vector<std::uint64_t> batch_costs_;

@@ -48,7 +48,7 @@ struct EncapSpec {
   friend bool operator==(const EncapSpec&, const EncapSpec&) = default;
 };
 
-/// One header action as recorded by an NF into its Local MAT. A Modify
+/// One header action as recorded by an NF into the flow's record. A Modify
 /// carries exactly one field write (an NF records several Modifies to
 /// rewrite several fields, as in Fig. 1's modify(DPort)).
 struct HeaderAction {

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 
 #include "net/packet.hpp"
@@ -32,16 +31,6 @@ struct StateFunction {
   std::string name;  // diagnostics / equivalence audits
 };
 
-/// Batch access class = highest-priority member access (§V-C2).
-inline PayloadAccess batch_access(
-    std::span<const StateFunction> functions) noexcept {
-  PayloadAccess max = PayloadAccess::kIgnore;
-  for (const StateFunction& fn : functions) {
-    if (static_cast<int>(fn.access) > static_cast<int>(max)) max = fn.access;
-  }
-  return max;
-}
-
 /// All state functions one NF recorded for a flow (§V-C1: "we define all
 /// state functions of a rule as a state function batch"), as the index
 /// range [begin, end) of the consolidated rule's chain-order handler
@@ -50,7 +39,7 @@ struct StateFunctionBatch {
   std::uint32_t nf_index = 0;  // position of the owning NF in the chain
   std::uint32_t begin = 0;
   std::uint32_t end = 0;
-  PayloadAccess access = PayloadAccess::kIgnore;  // batch_access()
+  PayloadAccess access = PayloadAccess::kIgnore;  // highest of its members
 
   bool empty() const noexcept { return begin == end; }
 };

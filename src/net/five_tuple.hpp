@@ -50,8 +50,8 @@ struct FiveTuple {
   friend constexpr bool operator==(const FiveTuple&,
                                    const FiveTuple&) = default;
 
-  /// 64-bit hash over all five fields; the classifier truncates this to a
-  /// 20-bit FID (§VI-B).
+  /// 64-bit hash over all five fields: the key hash of every tuple-keyed
+  /// flow table, the classifier's included.
   constexpr std::uint64_t hash() const noexcept {
     std::uint64_t h = util::mix64(src_ip.value);
     h = util::hash_combine(h, dst_ip.value);

@@ -2,8 +2,8 @@
 // Table. Monitors the number of TCP SYN flags per flow; while under the
 // threshold the flow gets its normal header action, and when the counter
 // exceeds the threshold an event replaces the action with drop — on the
-// fast path this is a registered event that rewrites the Local MAT record
-// and re-consolidates the Global MAT entry, exactly as in Fig. 3.
+// fast path this is a registered event that rewrites the NF's recorded
+// header action and re-consolidates the flow's rule, exactly as in Fig. 3.
 #pragma once
 
 #include <cstdint>

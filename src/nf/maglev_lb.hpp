@@ -97,9 +97,9 @@ class MaglevLb : public NetworkFunction {
   /// this NF deliberately shares its connection table with the failover
   /// event lambdas, which the Global MAT's event check runs on the
   /// *manager* core while the data path and teardown hooks run on the NF's
-  /// own core. Never held across a SpeedyBoxContext call — the Event Table
-  /// invokes condition lambdas under its own mutex, so holding this lock
-  /// while registering an event would invert the lock order.
+  /// own core. Never held across a SpeedyBoxContext call: recording
+  /// needs no lock of its own, but keeping the two apart leaves no lock
+  /// order to get wrong.
   mutable std::mutex mutex_;
   std::vector<Backend> backends_;
   std::size_t table_size_;

@@ -60,7 +60,7 @@ void Monitor::process_batch(net::PacketBatch& batch,
     core::SpeedyBoxContext* ctx = ctxs.empty() ? nullptr : ctxs[i];
     if (ctx != nullptr) {
       // Recording stays scalar (DESIGN.md §8): it runs once per flow and
-      // its Local MAT writes must interleave exactly as on the scalar path.
+      // its record writes must interleave exactly as on the scalar path.
       process(batch.packet(i), ctx);
       if (batch.packet(i).dropped()) batch.mask(i);
       continue;

@@ -88,7 +88,7 @@ class NetworkFunction {
   /// NF, i.e. after upstream rewrites) into an opaque byte payload. Returns
   /// std::nullopt when the NF holds no state for the flow — the importer
   /// then skips this NF entirely. Export is a COPY: source-side state is
-  /// released later via the LocalMat teardown hooks, except where an NF
+  /// released later via the flow record's teardown hooks, except where an NF
   /// documents move semantics (Monitor moves its per-flow counters so the
   /// cross-shard union of counter maps stays a partition).
   virtual std::optional<std::vector<std::uint8_t>> export_flow_state(
@@ -101,7 +101,7 @@ class NetworkFunction {
   /// Restore state exported by an identically configured instance AND
   /// re-record the flow's behavior through `ctx` (header actions, state
   /// functions, teardown hooks, events), exactly as process() would have on
-  /// the initial packet. Re-recording — not copying LocalMat entries — is
+  /// the initial packet. Re-recording — not copying recorded entries — is
   /// required because recorded closures capture the source instance and
   /// node pointers into its tables; the destination must capture its own.
   virtual void import_flow_state(const net::FiveTuple& tuple,

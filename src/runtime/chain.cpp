@@ -4,16 +4,7 @@
 
 namespace speedybox::runtime {
 
-void ServiceChain::add_nf(nf::NetworkFunction* nf) {
-  local_mats_.push_back(
-      std::make_unique<core::LocalMat>(nf->name(), nfs_.size()));
-  nfs_.push_back(nf);
-
-  std::vector<core::LocalMat*> mats;
-  mats.reserve(local_mats_.size());
-  for (const auto& mat : local_mats_) mats.push_back(mat.get());
-  global_mat_.set_chain(std::move(mats));
-}
+void ServiceChain::add_nf(nf::NetworkFunction* nf) { nfs_.push_back(nf); }
 
 std::vector<std::string> ServiceChain::nf_names() const {
   std::vector<std::string> names;
@@ -34,11 +25,6 @@ std::unique_ptr<ServiceChain> ServiceChain::clone(
     replica->add_nf(&ref);
   }
   return replica;
-}
-
-void ServiceChain::reset_flows() {
-  global_mat_.clear();
-  classifier_.clear();
 }
 
 }  // namespace speedybox::runtime

@@ -1,7 +1,7 @@
 // ServiceChain: the wiring of a SpeedyBox deployment — an ordered set of
-// NFs, one Local MAT per NF, the shared Global MAT (with its Event Table),
-// and the Packet Classifier. This is the object users of the library build
-// and hand to a ChainRunner.
+// NFs, the Global MAT (one record per flow, holding what each NF recorded
+// and the consolidated rule), and the Packet Classifier. This is the
+// object users of the library build and hand to a ChainRunner.
 #pragma once
 
 #include <memory>
@@ -10,7 +10,6 @@
 
 #include "core/classifier.hpp"
 #include "core/global_mat.hpp"
-#include "core/local_mat.hpp"
 #include "nf/network_function.hpp"
 
 namespace speedybox::runtime {
@@ -21,8 +20,8 @@ class ServiceChain {
       : name_(std::move(name)) {}
 
   /// Append an NF (non-owning: NFs usually live in the caller so their
-  /// state can be inspected after a run). Creates the NF's Local MAT and
-  /// rewires the Global MAT.
+  /// state can be inspected after a run). Its chain position is the index
+  /// its recordings carry in every flow record.
   void add_nf(nf::NetworkFunction* nf);
 
   /// Convenience for owning use: the chain keeps the NF alive.
@@ -53,31 +52,26 @@ class ServiceChain {
     return *nfs_[index];
   }
 
-  core::LocalMat& local_mat(std::size_t index) { return *local_mats_[index]; }
   core::GlobalMat& global_mat() noexcept { return global_mat_; }
   const core::GlobalMat& global_mat() const noexcept { return global_mat_; }
   core::PacketClassifier& classifier() noexcept { return classifier_; }
 
   /// Aggregated flow-table telemetry for the whole deployment unit: the
-  /// classifier's tables, the Global MAT's rule table, and every NF's
+  /// classifier's table, the Global MAT's record array, and every NF's
   /// per-flow state table (flow_state_stats). Feeds the shard's
   /// flow_table_* metrics.
   core::FlowTableStats flow_table_stats() const {
     core::FlowTableStats stats = classifier_.table_stats();
-    stats.merge_from(global_mat_.rule_table_stats());
+    stats.merge_from(global_mat_.record_stats());
     for (const nf::NetworkFunction* nf : nfs_) {
       stats.merge_from(nf->flow_state_stats());
     }
     return stats;
   }
 
-  /// Drop every flow's rules and classifier state (NF-internal state is the
-  /// NFs' own; reset those separately if needed).
-  void reset_flows();
-
   /// Replicate the chain for a sharded deployment: every NF is clone()d
   /// (configuration copied, per-flow state fresh) and owned by the new
-  /// chain, which gets its own classifier, MATs and Event Table. Throws
+  /// chain, which gets its own classifier and Global MAT. Throws
   /// std::logic_error if any NF does not support clone().
   std::unique_ptr<ServiceChain> clone(const std::string& name_suffix) const;
 
@@ -85,7 +79,6 @@ class ServiceChain {
   std::string name_;
   std::vector<nf::NetworkFunction*> nfs_;
   std::vector<std::unique_ptr<nf::NetworkFunction>> owned_;
-  std::vector<std::unique_ptr<core::LocalMat>> local_mats_;
   core::GlobalMat global_mat_;
   core::PacketClassifier classifier_;
 };

@@ -143,11 +143,12 @@ void ChainRunner::run_recording_path(
       spans->event(telemetry::SpanStage::kClassify, classify_cycles);
     }
   }
-  // Recording pass down the original chain, then consolidation.
+  // Recording pass down the original chain into the flow's record, then
+  // consolidation.
+  core::FlowRecord& record =
+      chain_.global_mat().open_flow(classification.fid);
   for (std::size_t i = 0; i < chain_.size(); ++i) {
-    core::SpeedyBoxContext ctx{chain_.local_mat(i),
-                               chain_.global_mat().event_table(),
-                               classification.fid};
+    core::SpeedyBoxContext ctx{record, i, classification.fid};
     const std::uint64_t t0 = util::CycleClock::now();
     chain_.nf(i).process(packet, &ctx);
     const std::uint64_t cycles =
@@ -270,11 +271,15 @@ void ChainRunner::run_fast_path(
 
 void ChainRunner::apply_teardown(
     const core::PacketClassifier::Classification& classification) {
-  // Flow teardown (FIN/RST): free all rules and the FID (§VI-B).
+  // Flow teardown (FIN/RST): run the record's hooks, free it and the FID
+  // (§VI-B). Timed only while telemetry is attached.
   if (!classification.teardown) return;
+  const std::uint64_t t0 = metrics_ != nullptr ? util::CycleClock::now() : 0;
   chain_.global_mat().erase_flow(classification.fid);
   chain_.classifier().release_flow(classification.fid);
   if (metrics_ != nullptr) {
+    metrics_->teardown_cycles.record(
+        util::CycleClock::segment(t0, util::CycleClock::now()));
     metrics_->teardowns.add(1);
     metrics_->active_flows.set(chain_.classifier().active_flows());
     const core::FlowTableStats ft = chain_.flow_table_stats();
@@ -489,8 +494,8 @@ void ChainRunner::process_speedybox_batch(
     const std::uint64_t classify_share =
         classified > 0 ? classify_segment / classified : 0;
 
-    // Pass 2: warm the Global MAT — prefetch the consolidated rule of
-    // every fast-path slot before any of them executes.
+    // Pass 2: warm the Global MAT — prefetch the record of every
+    // fast-path slot before any of them executes.
     for (std::size_t i = begin; i < end; ++i) {
       if (!batch.valid(i) || !classifications[i]) continue;
       if (classifications[i]->path ==
@@ -500,8 +505,8 @@ void ChainRunner::process_speedybox_batch(
     }
 
     // Pass 3: execute in slot order — recording packets take the
-    // per-packet recording pass (DESIGN.md §8: once per flow, and its Local
-    // MAT writes must interleave in arrival order), fast-path packets run
+    // per-packet recording pass (DESIGN.md §8: once per flow, and its NF
+    // state writes must interleave in arrival order), fast-path packets run
     // the consolidated rule, teardowns release their flow, each at its
     // slot.
     for (std::size_t i = begin; i < end; ++i) {

@@ -5,9 +5,9 @@
 // standard NFV answer is RSS-style flow sharding: replicate the whole
 // pipeline once per core and steer each flow to one replica by hashing its
 // five-tuple. Because every piece of SpeedyBox per-flow state — classifier
-// FIDs, Local MAT records, Event Table entries, consolidated rules, and the
-// NFs' own flow tables — is keyed by five-tuple, the chain replicates with
-// no cross-shard state at all.
+// FIDs, flow records (recordings, events, consolidated rules), and the
+// NFs' own flow tables — belongs to one five-tuple, the chain replicates
+// with no cross-shard state at all.
 //
 //   dispatcher (caller thread)
 //     parse + symmetric five-tuple hash ──► shard = hash mod N

@@ -6,6 +6,7 @@
 #include "core/api.hpp"
 #include "net/packet_batch.hpp"
 #include "trace/workload.hpp"
+#include "util/cycle_clock.hpp"
 
 namespace speedybox::runtime {
 
@@ -109,20 +110,17 @@ void SpeedyBoxPipeline::run_speedybox_stage(Descriptor& descriptor,
     net::Packet& packet = *descriptor.packet;
     for (std::size_t nf = begin; nf < end && !packet.dropped(); ++nf) {
       if (descriptor.recording) {
-        core::SpeedyBoxContext ctx{chain_.local_mat(nf),
-                                   chain_.global_mat().event_table(),
-                                   descriptor.fid};
+        core::SpeedyBoxContext ctx{*descriptor.record, nf, descriptor.fid};
         chain_.nf(nf).process(packet, &ctx);
-      } else if (descriptor.rule != nullptr) {
-        // Execute this NF's recorded state-function batch, if any.
-        const core::ConsolidatedRule& rule = *descriptor.rule;
-        for (const auto& batch : rule.batches) {
-          if (batch.nf_index != nf) continue;
-          if (const auto parsed = net::parse_packet(packet)) {
-            rule.run_batch(batch, packet, *parsed);
-          }
-          break;
+        continue;
+      }
+      // Execute this NF's recorded state-function batch, if any.
+      for (const auto& batch : descriptor.handlers.batches) {
+        if (batch.nf_index != nf) continue;
+        if (const auto parsed = net::parse_packet(packet)) {
+          descriptor.handlers.run_batch(batch, packet, *parsed);
         }
+        break;
       }
     }
   }
@@ -132,10 +130,9 @@ void SpeedyBoxPipeline::run_speedybox_stage(Descriptor& descriptor,
   // FIFO guarantees every earlier packet of the flow already passed this
   // stage. (Descriptors with a null packet are pure teardown markers for
   // flows the manager finished inline.)
-  if (descriptor.teardown) {
-    for (std::size_t nf = begin; nf < end; ++nf) {
-      chain_.local_mat(nf).run_teardown_hooks(descriptor.fid);
-    }
+  if (descriptor.teardown && descriptor.record != nullptr) {
+    descriptor.record->run_teardown_hooks(static_cast<std::uint32_t>(begin),
+                                          static_cast<std::uint32_t>(end));
   }
 }
 
@@ -161,26 +158,35 @@ void SpeedyBoxPipeline::count_drop(net::Packet* packet) {
 
 void SpeedyBoxPipeline::finish_teardown(std::uint32_t fid) {
   // Hooks already ran on the NF cores as the teardown descriptor passed
-  // each stage; only the manager-owned erase remains.
+  // each stage, and per-flow FIFO completed every earlier descriptor of the
+  // flow first: only the manager-owned free remains.
+  const std::uint64_t t0 = metrics_ != nullptr ? util::CycleClock::now() : 0;
   chain_.global_mat().erase_flow(fid, /*run_hooks=*/false);
   chain_.classifier().release_flow(fid);
+  std::deque<std::pair<net::Packet*, bool>> held;
+  if (FlowState* flow = flows_.find(fid)) held.swap(flow->held);
   flows_.erase(fid);
   if (metrics_ != nullptr) {
+    metrics_->teardown_cycles.record(
+        util::CycleClock::segment(t0, util::CycleClock::now()));
     metrics_->teardowns.add(1);
     metrics_->active_flows.set(chain_.classifier().active_flows());
     // Manager-owned tables only: the NF-internal state tables belong to
-    // the worker threads, so the manager reports classifier + rule table.
+    // the worker threads, so the manager reports classifier + records.
     core::FlowTableStats ft = chain_.classifier().table_stats();
-    ft.merge_from(chain_.global_mat().rule_table_stats());
+    ft.merge_from(chain_.global_mat().record_stats());
     metrics_->set_flow_table(ft.entries, ft.capacity, ft.slab_bytes,
                              ft.max_probe, ft.resize_steps);
   }
+  // In arrival order these packets follow the teardown: a new flow.
+  for (const auto& [packet, teardown] : held) route(packet);
 }
 
 void SpeedyBoxPipeline::dispatch_teardown_marker(std::uint32_t fid) {
   Descriptor descriptor;
   descriptor.fid = fid;
   descriptor.teardown = true;
+  descriptor.record = chain_.global_mat().record(fid);
   dispatch(std::move(descriptor));
 }
 
@@ -189,16 +195,19 @@ void SpeedyBoxPipeline::handle_completion(Descriptor& descriptor) {
   net::Packet* packet = descriptor.packet;
 
   if (descriptor.recording) {
-    // The initial packet has visited every NF: consolidate and release any
-    // packets of this flow that arrived in the meantime, in order.
+    // The initial packet has visited every NF: consolidate and release the
+    // packets of this flow that arrived in the meantime, in order, up to
+    // its FIN/RST; any behind that wait for the teardown.
     chain_.global_mat().consolidate_flow(descriptor.fid);
     if (metrics_ != nullptr) metrics_->consolidations.add(1);
     FlowState* flow = flows_.find(descriptor.fid);
     if (flow != nullptr) {
-      flow->phase = FlowPhase::kReady;
-      std::deque<std::pair<net::Packet*, bool>> pending;
-      pending.swap(flow->pending);
-      for (auto& [held, teardown] : pending) {
+      flow->phase =
+          descriptor.teardown ? FlowPhase::kClosing : FlowPhase::kReady;
+      while (flow->phase == FlowPhase::kReady && !flow->held.empty()) {
+        const auto [held, teardown] = flow->held.front();
+        flow->held.pop_front();
+        if (teardown) flow->phase = FlowPhase::kClosing;
         fast_path(held, descriptor.fid, teardown);
       }
     }
@@ -231,11 +240,11 @@ void SpeedyBoxPipeline::fast_path(net::Packet* packet, std::uint32_t fid,
   }
   if (packet->dropped()) {
     count_drop(packet);
-  } else if (!header.rule_hit || header.rule->handlers.empty()) {
-    // No rule (torn down between hold and release) forwards the packet
-    // as-is; a pure header-action rule leaves nothing for the NF cores.
-    // Recording completion already ordered before READY, so the manager
-    // finishes the packet directly.
+  } else if (!header.rule_hit || header.handlers.handlers.empty()) {
+    // A pure header-action rule leaves nothing for the NF cores (and a
+    // flow without a rule forwards the packet as-is). Recording
+    // completion already ordered before READY, so the manager finishes the
+    // packet directly.
     sink_.push_back(std::move(*packet));
     delete packet;
   } else {
@@ -243,7 +252,8 @@ void SpeedyBoxPipeline::fast_path(net::Packet* packet, std::uint32_t fid,
     descriptor.packet = packet;
     descriptor.fid = fid;
     descriptor.teardown = teardown;
-    descriptor.rule = header.rule;
+    descriptor.record = header.record;
+    descriptor.handlers = header.handlers;
     dispatch(std::move(descriptor));
     return;
   }
@@ -280,11 +290,14 @@ void SpeedyBoxPipeline::push(net::Packet packet) {
     return;
   }
 
-  const auto classification =
-      chain_.classifier().classify(*descriptor_packet);
+  route(descriptor_packet);
+}
+
+void SpeedyBoxPipeline::route(net::Packet* packet) {
+  const auto classification = chain_.classifier().classify(*packet);
   if (metrics_ != nullptr) metrics_->classifier_lookups.add(1);
   if (!classification) {
-    count_drop(descriptor_packet);
+    count_drop(packet);
     return;
   }
   const std::uint32_t fid = classification->fid;
@@ -295,10 +308,11 @@ void SpeedyBoxPipeline::push(net::Packet packet) {
       metrics_->mat_misses.add(1);
       metrics_->active_flows.set(chain_.classifier().active_flows());
       core::FlowTableStats ft = chain_.classifier().table_stats();
-      ft.merge_from(chain_.global_mat().rule_table_stats());
+      ft.merge_from(chain_.global_mat().record_stats());
       metrics_->set_flow_table(ft.entries, ft.capacity, ft.slab_bytes,
                                ft.max_probe, ft.resize_steps);
     }
+    FlowState& flow = *flows_.try_emplace(fid).first;
     if (controller_ != nullptr && controller_->degraded()) {
       // Graceful degradation: no recording traversal — the flow gets the
       // pre-consolidated default rule and goes straight to the fast path,
@@ -306,29 +320,33 @@ void SpeedyBoxPipeline::push(net::Packet packet) {
       chain_.global_mat().install_default_rule(fid);
       ++stats_.overload.degraded_flows;
       if (metrics_ != nullptr) metrics_->degraded_flows.add(1);
-      flows_.try_emplace(fid).first->phase = FlowPhase::kReady;
-      fast_path(descriptor_packet, fid, teardown);
+      flow.phase = teardown ? FlowPhase::kClosing : FlowPhase::kReady;
+      fast_path(packet, fid, teardown);
       return;
     }
-    flows_.try_emplace(fid).first->phase = FlowPhase::kRecording;
+    flow.phase = FlowPhase::kRecording;
     Descriptor descriptor;
-    descriptor.packet = descriptor_packet;
+    descriptor.packet = packet;
     descriptor.fid = fid;
     descriptor.recording = true;
     descriptor.teardown = teardown;
+    descriptor.record = &chain_.global_mat().open_flow(fid);
     dispatch(std::move(descriptor));
     return;
   }
 
   FlowState& flow = *flows_.try_emplace(fid).first;
-  if (flow.phase == FlowPhase::kRecording) {
-    // Hold until the initial packet's consolidation completes, preserving
-    // per-flow order and single-core access to the NFs' per-flow state.
-    flow.pending.emplace_back(descriptor_packet, teardown);
+  if (flow.phase != FlowPhase::kReady) {
+    // Recording: hold until the initial packet's consolidation completes,
+    // preserving per-flow order and single-core access to the NFs'
+    // per-flow state. Closing: hold until the teardown completes; the
+    // packet then starts the tuple's next flow.
+    flow.held.emplace_back(packet, teardown);
     if (metrics_ != nullptr) metrics_->held_packets.add(1);
     return;
   }
-  fast_path(descriptor_packet, fid, teardown);
+  if (teardown) flow.phase = FlowPhase::kClosing;
+  fast_path(packet, fid, teardown);
 }
 
 void SpeedyBoxPipeline::drain_completions(bool block_until_idle) {

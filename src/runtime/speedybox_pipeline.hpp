@@ -15,24 +15,27 @@
 //                               ◄──────────── completion ring ────────┘
 //                       manager consolidates, flow becomes READY
 //   subsequent packet   manager: event check + consolidated header action
-//                       (early drop here), then the descriptor — pinned to
-//                       an immutable rule snapshot — visits the NF cores
+//                       (early drop here), then the descriptor — carrying
+//                       the record's handler arrays — visits the NF cores
 //                       that own state-function batches; the others pass it
 //                       through.
 //   packets arriving while the flow is still recording are held at the
 //   manager and released, in order, once consolidation completes — so a
-//   flow's per-NF state is never touched by two cores at once.
+//   flow's per-NF state is never touched by two cores at once. Packets
+//   arriving after the flow's FIN/RST are held until its teardown
+//   completes, then start a new flow, as they would in arrival order.
 //
-// Concurrency contract (see DESIGN.md): Local MATs and the Event Table are
-// internally locked (control-plane rate); each NF's internal state is only
-// ever touched by its own thread (recording, its recorded state functions,
-// and its flow-teardown hooks — which run as the teardown-flagged
-// descriptor passes the NF's stage, never on the manager); the classifier
-// and Global MAT rule map belong to the manager thread; rules are
-// immutable snapshots shared via shared_ptr. The one exception to NF-state
-// single ownership: state an NF shares with its registered event lambdas
-// (the Event Table check runs them on the manager) must be internally
-// locked by that NF — see MaglevLb::mutex_ / DosPrevention::mutex_.
+// Concurrency contract (see DESIGN.md): a descriptor carries its flow's
+// record, which NF cores record into with no lock — the ring hand-offs
+// order it all. Each NF's internal state is only ever touched by its own
+// thread (recording, its state functions, and its teardown hooks, which
+// run as the teardown-flagged descriptor passes the NF's stage); the
+// classifier and the Global MAT belong to the manager. Handler arrays an
+// event replaces while a descriptor still runs them are retired until the
+// flow's teardown. The one exception to NF-state single ownership: state
+// an NF shares with its registered event lambdas (the manager's event
+// check runs them) must be internally locked by that NF — see
+// MaglevLb::mutex_ / DosPrevention::mutex_.
 //
 // Per-flow FIFO order is preserved end-to-end; the global output order is
 // the manager's dispatch order (arrival order in original mode).
@@ -119,18 +122,25 @@ class SpeedyBoxPipeline : public Executor {
     std::uint32_t fid = net::kInvalidFid;
     bool recording = false;
     bool teardown = false;
-    /// Fast-path packets pin the rule snapshot they execute against.
-    std::shared_ptr<const core::ConsolidatedRule> rule;
+    /// The flow's record: recording NF cores append to it, and teardown
+    /// runs its hooks. Null only for a flow without one.
+    core::FlowRecord* record = nullptr;
+    /// Fast-path packets: the handler arrays they execute.
+    core::HandlerArrays handlers;
   };
 
-  enum class FlowPhase : std::uint8_t { kRecording, kReady };
+  /// kClosing: the flow's FIN/RST is on its way through the NF cores.
+  enum class FlowPhase : std::uint8_t { kRecording, kReady, kClosing };
   struct FlowState {
     FlowPhase phase = FlowPhase::kRecording;
-    /// Packets (and their teardown flags) held while recording.
-    std::deque<std::pair<net::Packet*, bool>> pending;
+    /// Packets (and their teardown flags) held while recording or closing.
+    std::deque<std::pair<net::Packet*, bool>> held;
   };
 
   void worker(std::size_t stage);
+  /// SpeedyBox mode, manager side: classify an admitted packet and send it
+  /// down the recording or fast path, or hold it.
+  void route(net::Packet* packet);
   /// SpeedyBox mode: run one descriptor through the NFs [begin, end) of a
   /// stage — recording, its rule's state-function batches, teardown hooks.
   void run_speedybox_stage(Descriptor& descriptor, std::size_t begin,
@@ -141,10 +151,11 @@ class SpeedyBoxPipeline : public Executor {
   /// Fast-path a packet of a READY flow on the manager, then dispatch or
   /// finish it.
   void fast_path(net::Packet* packet, std::uint32_t fid, bool teardown);
-  /// Manager-side erase of a torn-down flow (rule, classifier FID, flow
-  /// record). The NF-side teardown hooks are NOT run here: they mutate
-  /// NF-internal state and therefore run on the owning NF cores as the
-  /// teardown-flagged descriptor traverses the rings.
+  /// Manager-side free of a torn-down flow (record, classifier FID, flow
+  /// state), then the routing of any packets held behind its FIN/RST. The
+  /// NF-side teardown hooks are NOT run here: they mutate NF-internal state
+  /// and therefore run on the owning NF cores as the teardown-flagged
+  /// descriptor traverses the rings.
   void finish_teardown(std::uint32_t fid);
   /// Route a packet-less teardown marker through the NF cores, for flows
   /// whose last packet never traverses the rings (early drop, pure

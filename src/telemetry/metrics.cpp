@@ -93,6 +93,7 @@ ShardSnapshot snapshot_shard(const ShardMetrics& shard) {
       {"slowpath_cycles", shard.slowpath_cycles.snapshot()},
       {"classify_cycles", shard.classify_cycles.snapshot()},
       {"consolidate_cycles", shard.consolidate_cycles.snapshot()},
+      {"teardown_cycles", shard.teardown_cycles.snapshot()},
       {"batch_occupancy", shard.batch_occupancy.snapshot()},
       {"degraded_episode_packets",
        shard.degraded_episode_packets.snapshot()},

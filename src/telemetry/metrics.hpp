@@ -176,6 +176,10 @@ struct ShardMetrics {
   CycleHistogram classify_cycles;     // slow path only (fast path folds the
                                       // classifier into fastpath_cycles)
   CycleHistogram consolidate_cycles;
+  /// Per closed flow: the record's teardown hooks, its free and the
+  /// classifier release (runner and sharded workers: apply_teardown;
+  /// pipeline manager: finish_teardown).
+  CycleHistogram teardown_cycles;
   /// Batch fill level per process_batch call (worker-owned): how full the
   /// bursts actually run — tails and trickle traffic show up as mass at
   /// small occupancies. Value histogram, same lock-free cell layout as the

@@ -138,7 +138,7 @@ TEST(MaglevEventEquivalence, SecondFailoverFollowsTheReroutedBackend) {
     EXPECT_EQ(lb.reroutes(), 2u) << (speedybox ? "speedybox" : "original");
     return std::make_pair(
         std::move(run),
-        chain->global_mat().event_table().events_triggered());
+        chain->global_mat().events_triggered());
   };
 
   const auto [original, original_events] = run_mode(false);

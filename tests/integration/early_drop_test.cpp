@@ -52,7 +52,7 @@ TEST(EarlyDrop, SpeedyBoxDropsSubsequentAtChainHead) {
   // The consolidated rule is a pure drop.
   net::Packet probe = net::make_tcp_packet(tuple_n(2, 80), "x");
   const auto cls = chain.classifier().classify(probe);
-  const core::ConsolidatedRule* rule = chain.global_mat().find(cls->fid);
+  const core::FlowRecord* rule = chain.global_mat().find(cls->fid);
   ASSERT_NE(rule, nullptr);
   EXPECT_TRUE(rule->action.drop);
 }

@@ -24,7 +24,7 @@ TEST(FastPath, ConsolidatedRuleContainsNatModifiesAndMonitorBatch) {
   net::Packet first = net::make_tcp_packet(tuple_n(1), "x");
   runner.process_packet(first);
 
-  const core::ConsolidatedRule* rule =
+  const core::FlowRecord* rule =
       chain.global_mat().find(first.fid());
   ASSERT_NE(rule, nullptr);
   EXPECT_TRUE(rule->action.field_writes[static_cast<std::size_t>(
@@ -32,7 +32,7 @@ TEST(FastPath, ConsolidatedRuleContainsNatModifiesAndMonitorBatch) {
   EXPECT_TRUE(rule->action.field_writes[static_cast<std::size_t>(
       net::HeaderField::kSrcPort)]);
   ASSERT_EQ(rule->batches.size(), 1u);  // only Monitor has state functions
-  EXPECT_EQ(chain.local_mat(rule->batches[0].nf_index).nf_name(), "monitor");
+  EXPECT_EQ(chain.nf(rule->batches[0].nf_index).name(), "monitor");
 }
 
 TEST(FastPath, SubsequentOutputMatchesRecordingOutput) {
@@ -81,7 +81,7 @@ TEST(FastPath, ForwardOnlyChainRuleIsPureForward) {
   ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
   net::Packet first = net::make_tcp_packet(tuple_n(60), "x");
   runner.process_packet(first);
-  const core::ConsolidatedRule* rule = chain.global_mat().find(first.fid());
+  const core::FlowRecord* rule = chain.global_mat().find(first.fid());
   ASSERT_NE(rule, nullptr);
   EXPECT_TRUE(rule->action.is_pure_forward());
 }

@@ -188,6 +188,42 @@ TEST(SpeedyBoxPipeline, TeardownFreesFlowState) {
   EXPECT_EQ(chain.classifier().active_flows(), 0u);
 }
 
+TEST(SpeedyBoxPipeline, PacketsBehindAFinStartANewFlow) {
+  // In arrival order the FIN closes the flow, so a packet of the same tuple
+  // behind it is a new flow's initial packet — as on the runner — even if
+  // it arrives while the FIN is still on its way through the NF cores.
+  const net::FiveTuple tuple = tuple_n(5);
+  std::vector<net::Packet> input = {
+      net::make_tcp_packet(tuple, "open"),
+      net::make_tcp_packet(tuple, "", net::kTcpFlagFin | net::kTcpFlagAck),
+      net::make_tcp_packet(tuple, "again"),
+      net::make_tcp_packet(tuple, "more"),
+  };
+  ServiceChain threaded;
+  auto& nat = threaded.emplace_nf<nf::MazuNat>();
+  auto& monitor = threaded.emplace_nf<nf::Monitor>();
+  std::vector<net::Packet> out;
+  {
+    SpeedyBoxPipeline pipeline{threaded, kSpeedyBox};
+    pipeline.run(input, &out);
+  }
+  ServiceChain reference;
+  reference.emplace_nf<nf::MazuNat>();
+  reference.emplace_nf<nf::Monitor>();
+  ChainRunner runner{reference, kSpeedyBox};
+  std::vector<net::Packet> expected;
+  runner.run_packets(input, &expected);
+
+  ASSERT_EQ(out.size(), expected.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_TRUE(same_bytes(out[i], expected[i])) << "packet " << i;
+  }
+  EXPECT_EQ(threaded.classifier().initial_count(), 2u);
+  EXPECT_EQ(threaded.global_mat().consolidations(), 2u);
+  EXPECT_EQ(nat.active_mappings(), 1u) << "the second flow is still open";
+  EXPECT_EQ(monitor.total_packets(), 4u);
+}
+
 TEST(SpeedyBoxPipeline, ManyFlowsStress) {
   ServiceChain chain;
   chain.emplace_nf<nf::MazuNat>();

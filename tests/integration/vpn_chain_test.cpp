@@ -27,7 +27,7 @@ TEST(VpnChain, EncapDecapCancelOnFastPath) {
   net::Packet first = net::make_tcp_packet(tuple_n(1), "through the tunnel");
   runner.process_packet(first);
 
-  const core::ConsolidatedRule* rule = chain.global_mat().find(first.fid());
+  const core::FlowRecord* rule = chain.global_mat().find(first.fid());
   ASSERT_NE(rule, nullptr);
   EXPECT_TRUE(rule->action.trailing_encaps.empty())
       << "encap must cancel against the downstream decap";
@@ -50,7 +50,7 @@ TEST(VpnChain, ResidualEncapSurvivesConsolidation) {
 
   net::Packet first = net::make_tcp_packet(tuple_n(2), "egress only");
   runner.process_packet(first);
-  const core::ConsolidatedRule* rule = chain.global_mat().find(first.fid());
+  const core::FlowRecord* rule = chain.global_mat().find(first.fid());
   ASSERT_NE(rule, nullptr);
   ASSERT_EQ(rule->action.trailing_encaps.size(), 1u);
   EXPECT_EQ(rule->action.trailing_encaps[0].kind, net::EncapKind::kAh);

@@ -225,6 +225,48 @@ TEST(FlowMigration, MigratedFlowsTakeTheFastPathOnTheDestination) {
       });
 }
 
+TEST(FlowMigration, FullDestinationLeavesTheFlowsAtTheSource) {
+  const runtime::RunConfig run_config{platform::PlatformKind::kBess, true};
+  auto source_chain = monitor_filter_chain();
+  runtime::ChainRunner source_runner{*source_chain, run_config};
+  for (std::uint32_t flow = 0; flow < 4; ++flow) {
+    for (int i = 0; i < 3; ++i) {
+      net::Packet packet = net::make_tcp_packet(tuple_n(flow), "warm");
+      source_runner.process_packet(packet);
+    }
+  }
+  const auto flows = source_chain->classifier().active_tuples();
+  ASSERT_EQ(flows.size(), 4u);
+  auto& source_monitor = static_cast<nf::Monitor&>(source_chain->nf(0));
+  const nf::FlowCounters before = *source_monitor.counters_of(tuple_n(0));
+
+  // Every destination FID is live but three: too few for the group.
+  auto dest_chain = monitor_filter_chain();
+  constexpr std::uint32_t kFids = net::kFidMask + 1;
+  for (std::uint32_t i = 0; i < kFids; ++i) {
+    net::FiveTuple tuple = tuple_n(0);
+    tuple.src_ip = net::Ipv4Addr{i};
+    tuple.dst_port = 9;
+    ASSERT_TRUE(dest_chain->classifier().adopt_flow(tuple, 0).has_value());
+  }
+  for (std::uint32_t fid = 0; fid < 3; ++fid) {
+    dest_chain->classifier().release_flow(fid);
+  }
+  EXPECT_EQ(migrate_flows(*source_chain, *dest_chain, flows), 0u);
+
+  // Nothing moved: the destination took no flow, and the source keeps
+  // every flow, its counters and its consolidated rule.
+  EXPECT_EQ(dest_chain->classifier().active_flows(), kFids - 3);
+  EXPECT_EQ(source_chain->classifier().active_flows(), 4u);
+  ASSERT_EQ(source_monitor.flow_count(), 4u);
+  EXPECT_EQ(*source_monitor.counters_of(tuple_n(0)), before);
+  for (std::uint32_t flow = 0; flow < 4; ++flow) {
+    net::Packet packet = net::make_tcp_packet(tuple_n(flow), "after");
+    EXPECT_TRUE(source_runner.process_packet(packet).fast_path)
+        << "flow " << flow;
+  }
+}
+
 // --- Controller against a live runtime ------------------------------------
 
 std::vector<net::Packet> warm_packets(std::size_t count) {

@@ -12,44 +12,43 @@ using speedybox::testing::tuple_n;
 
 class ApiTest : public ::testing::Test {
  protected:
-  ApiTest() : mat_("nf", 0), ctx_(mat_, events_, 42) {}
+  ApiTest() : ctx_(record_, 2, 42) {}
 
-  LocalMat mat_;
-  EventTable events_;
+  FlowRecord record_;
   SpeedyBoxContext ctx_;
 };
 
 TEST_F(ApiTest, FidExposed) { EXPECT_EQ(ctx_.fid(), 42u); }
 
-TEST_F(ApiTest, AddHeaderActionRecordsUnderFid) {
+TEST_F(ApiTest, AddHeaderActionRecordsUnderNf) {
   ctx_.add_header_action(HeaderAction::drop());
-  ASSERT_NE(mat_.find(42), nullptr);
-  EXPECT_EQ(mat_.find(42)->header_actions[0].type, HeaderActionType::kDrop);
+  ASSERT_EQ(record_.header_actions_of(2).size(), 1u);
+  EXPECT_EQ(record_.header_actions_of(2)[0].type, HeaderActionType::kDrop);
 }
 
-TEST_F(ApiTest, AddStateFunctionRecordsUnderFid) {
+TEST_F(ApiTest, AddStateFunctionRecordsUnderNf) {
   ctx_.add_state_function(
       StateFunction{[](net::Packet&, const net::ParsedPacket&) {},
                     PayloadAccess::kRead, "sf"});
-  ASSERT_NE(mat_.find(42), nullptr);
-  EXPECT_EQ(mat_.find(42)->state_functions.size(), 1u);
+  ASSERT_EQ(record_.functions.size(), 1u);
+  EXPECT_EQ(record_.functions[0].nf_index, 2u);
+  EXPECT_EQ(record_.handlers.size(), 1u);
 }
 
-TEST_F(ApiTest, RegisterEventBindsFidAndNfIndex) {
+TEST_F(ApiTest, RegisterEventBindsNfIndex) {
   ctx_.register_event(
       "ev", [] { return true; }, [] { return EventUpdate{}; });
-  EXPECT_TRUE(events_.has_events(42));
-  std::size_t seen_nf = 99;
-  events_.check(42, [&](const EventRegistration& event, EventUpdate) {
-    seen_nf = event.nf_index;
-  });
-  EXPECT_EQ(seen_nf, 0u);
+  ASSERT_EQ(record_.events.size(), 1u);
+  EXPECT_EQ(record_.conditions.size(), 1u);
+  EXPECT_EQ(record_.events[0].nf_index, 2u);
+  EXPECT_EQ(record_.events[0].name, "ev");
+  EXPECT_TRUE(record_.events[0].one_shot);
 }
 
 TEST_F(ApiTest, OnTeardownRegistersHook) {
   bool ran = false;
   ctx_.on_teardown([&ran] { ran = true; });
-  mat_.run_teardown_hooks(42);
+  record_.run_teardown_hooks();
   EXPECT_TRUE(ran);
 }
 
@@ -72,9 +71,8 @@ TEST(ApiFigure2, NullContextIsSafeNoOp) {
 }
 
 TEST(ApiFigure2, WrappersForwardToContext) {
-  LocalMat mat{"nf", 3};
-  EventTable events;
-  SpeedyBoxContext ctx{mat, events, 7};
+  FlowRecord record;
+  SpeedyBoxContext ctx{record, 3, 7};
 
   localmat_add_HA(&ctx, HeaderAction::modify(net::HeaderField::kTtl, 1));
   localmat_add_SF(
@@ -83,12 +81,12 @@ TEST(ApiFigure2, WrappersForwardToContext) {
   register_event(
       &ctx, "ev", [] { return false; }, [] { return EventUpdate{}; });
 
-  ASSERT_NE(mat.find(7), nullptr);
-  EXPECT_EQ(mat.find(7)->header_actions.size(), 1u);
-  ASSERT_EQ(mat.find(7)->state_functions.size(), 1u);
-  EXPECT_EQ(mat.find(7)->state_functions[0].access, PayloadAccess::kWrite);
-  EXPECT_EQ(mat.find(7)->state_functions[0].name, "writer");
-  EXPECT_TRUE(events.has_events(7));
+  EXPECT_EQ(record.header_actions_of(3).size(), 1u);
+  ASSERT_EQ(record.functions.size(), 1u);
+  EXPECT_EQ(record.functions[0].nf_index, 3u);
+  EXPECT_EQ(record.functions[0].access, PayloadAccess::kWrite);
+  EXPECT_EQ(record.functions[0].name, "writer");
+  EXPECT_EQ(record.events.size(), 1u);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 #include "core/classifier.hpp"
 
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "net/fields.hpp"
 #include "net/packet_builder.hpp"
 #include "test_helpers.hpp"
 
@@ -124,6 +126,61 @@ TEST(Classifier, UdpFlowsClassified) {
   EXPECT_EQ(ra->path, PacketClassifier::Path::kInitial);
   EXPECT_EQ(rb->path, PacketClassifier::Path::kSubsequent);
   EXPECT_FALSE(rb->teardown);  // no TCP flags on UDP
+}
+
+TEST(Classifier, FidsAreDenseAndTheLastFreedIsReusedFirst) {
+  PacketClassifier classifier;
+  std::vector<std::uint32_t> fids;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    net::Packet packet = net::make_tcp_packet(tuple_n(i), "x");
+    fids.push_back(classifier.classify(packet)->fid);
+  }
+  EXPECT_EQ(fids, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  classifier.release_flow(1);
+  classifier.release_flow(2);
+  classifier.release_flow(2);  // not live any more: ignored
+  net::Packet next = net::make_tcp_packet(tuple_n(10), "x");
+  EXPECT_EQ(classifier.classify(next)->fid, 2u);
+  net::Packet after = net::make_tcp_packet(tuple_n(11), "x");
+  EXPECT_EQ(classifier.classify(after)->fid, 1u);
+  EXPECT_EQ(classifier.active_flows(), 4u);
+}
+
+TEST(Classifier, RefusesANewFlowWhileEveryFidIsLive) {
+  PacketClassifier classifier;
+  // One packet, re-addressed per flow: the pre-parsed overload reads the
+  // tuple from the bytes, so 2^20 flows need no 2^20 packets.
+  net::Packet packet = net::make_tcp_packet(tuple_n(0), "");
+  const auto parsed = net::parse_packet(packet);
+  ASSERT_TRUE(parsed.has_value());
+  const auto classify_source = [&](std::uint32_t source_ip) {
+    net::set_field(packet, *parsed, net::HeaderField::kSrcIp, source_ip);
+    return classifier.classify(packet, &*parsed);
+  };
+
+  constexpr std::uint32_t kFids = net::kFidMask + 1;
+  std::uint32_t refused = 0;
+  for (std::uint32_t source = 0; source < kFids; ++source) {
+    if (!classify_source(source)) ++refused;
+  }
+  ASSERT_EQ(refused, 0u);
+  EXPECT_EQ(classifier.active_flows(), kFids);
+  EXPECT_EQ(classifier.initial_count(), kFids);
+
+  // Every FID is live: a new flow is refused, a known one still classifies.
+  EXPECT_FALSE(classify_source(kFids).has_value());
+  EXPECT_EQ(classifier.initial_count(), kFids);
+  const auto known = classify_source(12345);
+  ASSERT_TRUE(known.has_value());
+  EXPECT_EQ(known->path, PacketClassifier::Path::kSubsequent);
+  EXPECT_FALSE(classifier.adopt_flow(tuple_n(1), 0).has_value());
+
+  // Closing one flow frees its FID for the next new flow.
+  classifier.release_flow(known->fid);
+  const auto admitted = classify_source(kFids);
+  ASSERT_TRUE(admitted.has_value());
+  EXPECT_EQ(admitted->path, PacketClassifier::Path::kInitial);
+  EXPECT_EQ(admitted->fid, known->fid);
 }
 
 }  // namespace

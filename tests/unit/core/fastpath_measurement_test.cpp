@@ -3,6 +3,7 @@
 // bookkeeping.
 #include <gtest/gtest.h>
 
+#include "core/api.hpp"
 #include "core/global_mat.hpp"
 #include "net/packet_builder.hpp"
 #include "test_helpers.hpp"
@@ -25,9 +26,9 @@ StateFunction busy_sf(PayloadAccess access, int weight,
 
 class FastPathMeasurement : public ::testing::Test {
  protected:
-  FastPathMeasurement() : a_("a", 0), b_("b", 1) {
-    mat_.set_chain({&a_, &b_});
-  }
+  /// Recording contexts of a two-NF chain (a, b) for flow `fid`.
+  SpeedyBoxContext a(std::uint32_t fid) { return context(fid, 0); }
+  SpeedyBoxContext b(std::uint32_t fid) { return context(fid, 1); }
 
   GlobalMat::FastPathResult run_packet(std::uint32_t fid) {
     net::Packet packet = net::make_tcp_packet(tuple_n(fid), "x");
@@ -35,14 +36,19 @@ class FastPathMeasurement : public ::testing::Test {
     return mat_.process(packet, /*measure_batches=*/true);
   }
 
-  LocalMat a_;
-  LocalMat b_;
   GlobalMat mat_;
+
+ private:
+  SpeedyBoxContext context(std::uint32_t fid, std::size_t nf) {
+    FlowRecord* record = mat_.record(fid);
+    if (record == nullptr) record = &mat_.open_flow(fid);
+    return SpeedyBoxContext{*record, nf, fid};
+  }
 };
 
 TEST_F(FastPathMeasurement, SamplingPhaseReportsPerBatchPairs) {
-  a_.add_state_function(1, busy_sf(PayloadAccess::kRead, 2));
-  b_.add_state_function(1, busy_sf(PayloadAccess::kRead, 2));
+  a(1).add_state_function(busy_sf(PayloadAccess::kRead, 2));
+  b(1).add_state_function(busy_sf(PayloadAccess::kRead, 2));
   mat_.consolidate_flow(1);
 
   const auto result = run_packet(1);
@@ -52,11 +58,11 @@ TEST_F(FastPathMeasurement, SamplingPhaseReportsPerBatchPairs) {
 }
 
 TEST_F(FastPathMeasurement, SteadyStateUsesOnePair) {
-  a_.add_state_function(2, busy_sf(PayloadAccess::kRead, 2));
-  b_.add_state_function(2, busy_sf(PayloadAccess::kRead, 2));
+  a(2).add_state_function(busy_sf(PayloadAccess::kRead, 2));
+  b(2).add_state_function(busy_sf(PayloadAccess::kRead, 2));
   mat_.consolidate_flow(2);
 
-  for (std::uint32_t i = 0; i < ConsolidatedRule::kCostSampleWindow; ++i) {
+  for (std::uint32_t i = 0; i < FlowRecord::kCostSampleWindow; ++i) {
     run_packet(2);
   }
   const auto steady = run_packet(2);
@@ -68,12 +74,12 @@ TEST_F(FastPathMeasurement, SteadyStateUsesOnePair) {
 TEST_F(FastPathMeasurement, CriticalFractionLearnedForParallelBatches) {
   // Two equal READ batches in one group: the critical path is ~half the
   // total, and the learned fraction must reflect that in steady state.
-  a_.add_state_function(3, busy_sf(PayloadAccess::kRead, 4));
-  b_.add_state_function(3, busy_sf(PayloadAccess::kRead, 4));
+  a(3).add_state_function(busy_sf(PayloadAccess::kRead, 4));
+  b(3).add_state_function(busy_sf(PayloadAccess::kRead, 4));
   mat_.consolidate_flow(3);
   ASSERT_EQ(mat_.find(3)->schedule.group_count(), 1u);
 
-  for (std::uint32_t i = 0; i <= ConsolidatedRule::kCostSampleWindow; ++i) {
+  for (std::uint32_t i = 0; i <= FlowRecord::kCostSampleWindow; ++i) {
     run_packet(3);
   }
   const double fraction = mat_.find(3)->critical_fraction;
@@ -87,23 +93,23 @@ TEST_F(FastPathMeasurement, CriticalFractionLearnedForParallelBatches) {
 }
 
 TEST_F(FastPathMeasurement, SequentialBatchesKeepFractionNearOne) {
-  a_.add_state_function(4, busy_sf(PayloadAccess::kWrite, 3));
-  b_.add_state_function(4, busy_sf(PayloadAccess::kWrite, 3));
+  a(4).add_state_function(busy_sf(PayloadAccess::kWrite, 3));
+  b(4).add_state_function(busy_sf(PayloadAccess::kWrite, 3));
   mat_.consolidate_flow(4);
   ASSERT_EQ(mat_.find(4)->schedule.group_count(), 2u);
 
-  for (std::uint32_t i = 0; i <= ConsolidatedRule::kCostSampleWindow; ++i) {
+  for (std::uint32_t i = 0; i <= FlowRecord::kCostSampleWindow; ++i) {
     run_packet(4);
   }
   EXPECT_GT(mat_.find(4)->critical_fraction, 0.9);
 }
 
 TEST_F(FastPathMeasurement, ReconsolidationRestartsSampling) {
-  a_.add_state_function(5, busy_sf(PayloadAccess::kRead, 1));
+  a(5).add_state_function(busy_sf(PayloadAccess::kRead, 1));
   mat_.consolidate_flow(5);
   for (int i = 0; i < 12; ++i) run_packet(5);
   EXPECT_EQ(mat_.find(5)->cost_samples,
-            ConsolidatedRule::kCostSampleWindow);
+            FlowRecord::kCostSampleWindow);
 
   mat_.consolidate_flow(5);
   EXPECT_EQ(mat_.find(5)->cost_samples, 0u);
@@ -113,16 +119,15 @@ TEST_F(FastPathMeasurement, ReconsolidationRestartsSampling) {
 TEST_F(FastPathMeasurement, ParsedHintReusedWhenLayoutIntact) {
   // A modify-only rule: the hint from the classifier parse must be usable
   // and the state function must see correct payload offsets.
-  a_.add_header_action(6, HeaderAction::modify(net::HeaderField::kTtl, 7));
+  a(6).add_header_action(HeaderAction::modify(net::HeaderField::kTtl, 7));
   std::string seen_payload;
-  a_.add_state_function(
-      6, StateFunction{[&seen_payload](net::Packet& pkt,
-                                       const net::ParsedPacket& parsed) {
-                         const auto payload = net::payload_view(
-                             static_cast<const net::Packet&>(pkt), parsed);
-                         seen_payload.assign(payload.begin(), payload.end());
-                       },
-                       PayloadAccess::kRead, "peek"});
+  a(6).add_state_function(StateFunction{
+      [&seen_payload](net::Packet& pkt, const net::ParsedPacket& parsed) {
+        const auto payload =
+            net::payload_view(static_cast<const net::Packet&>(pkt), parsed);
+        seen_payload.assign(payload.begin(), payload.end());
+      },
+      PayloadAccess::kRead, "peek"});
   mat_.consolidate_flow(6);
 
   net::Packet packet = net::make_tcp_packet(tuple_n(6), "HINTED");
@@ -135,16 +140,15 @@ TEST_F(FastPathMeasurement, ParsedHintReusedWhenLayoutIntact) {
 TEST_F(FastPathMeasurement, StructuralRuleReparsesForStateFunctions) {
   // A rule with a trailing encap changes offsets; the state function must
   // still see the (re-parsed) payload, not stale hint offsets.
-  a_.add_header_action(7, HeaderAction::encap_ah(42));
+  a(7).add_header_action(HeaderAction::encap_ah(42));
   std::string seen_payload;
-  b_.add_state_function(
-      7, StateFunction{[&seen_payload](net::Packet& pkt,
-                                       const net::ParsedPacket& parsed) {
-                         const auto payload = net::payload_view(
-                             static_cast<const net::Packet&>(pkt), parsed);
-                         seen_payload.assign(payload.begin(), payload.end());
-                       },
-                       PayloadAccess::kRead, "peek"});
+  b(7).add_state_function(StateFunction{
+      [&seen_payload](net::Packet& pkt, const net::ParsedPacket& parsed) {
+        const auto payload =
+            net::payload_view(static_cast<const net::Packet&>(pkt), parsed);
+        seen_payload.assign(payload.begin(), payload.end());
+      },
+      PayloadAccess::kRead, "peek"});
   mat_.consolidate_flow(7);
 
   net::Packet packet = net::make_tcp_packet(tuple_n(7), "TUNNELED");

@@ -1,0 +1,261 @@
+#include "core/flow_record.hpp"
+
+#include <gtest/gtest.h>
+
+#include "core/api.hpp"
+#include "core/global_mat.hpp"
+#include "net/packet_builder.hpp"
+#include "test_helpers.hpp"
+
+namespace speedybox::core {
+namespace {
+
+using net::HeaderField;
+using speedybox::testing::tuple_n;
+
+StateFunction named_sf(std::string name,
+                       PayloadAccess access = PayloadAccess::kIgnore) {
+  return StateFunction{[](net::Packet&, const net::ParsedPacket&) {},
+                       access, std::move(name)};
+}
+
+TEST(FlowRecord, RecordsHeaderActionsInOrder) {
+  FlowRecord record;
+  record.add_header_action(0, HeaderAction::modify(HeaderField::kSrcIp, 5));
+  record.add_header_action(0, HeaderAction::modify(HeaderField::kSrcPort, 6));
+  const auto actions = record.header_actions_of(0);
+  ASSERT_EQ(actions.size(), 2u);
+  EXPECT_EQ(actions[0].field, HeaderField::kSrcIp);
+  EXPECT_EQ(actions[1].field, HeaderField::kSrcPort);
+}
+
+TEST(FlowRecord, StateFunctionQueuePreservesOrder) {
+  FlowRecord record;
+  std::vector<int> calls;
+  for (int i = 0; i < 3; ++i) {
+    record.add_state_function(
+        1, StateFunction{[&calls, i](net::Packet&, const net::ParsedPacket&) {
+                           calls.push_back(i);
+                         },
+                         PayloadAccess::kRead, "sf"});
+  }
+  net::Packet packet;
+  net::ParsedPacket parsed;
+  for (const auto& handler : record.handlers) handler(packet, parsed);
+  EXPECT_EQ(calls, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(FlowRecord, CompileBuildsOneBatchPerNf) {
+  FlowRecord record;
+  record.add_state_function(0, named_sf("a", PayloadAccess::kRead));
+  record.add_state_function(0, named_sf("b", PayloadAccess::kWrite));
+  record.add_state_function(3, named_sf("c"));
+  record.add_state_function(4, named_sf("d", PayloadAccess::kRead));
+  record.add_state_function(4, named_sf("e"));
+  record.compile();
+  ASSERT_EQ(record.batches.size(), 3u);
+  EXPECT_EQ(record.batches[0].nf_index, 0u);
+  EXPECT_EQ(record.batches[0].begin, 0u);
+  EXPECT_EQ(record.batches[0].end, 2u);
+  EXPECT_EQ(record.batches[0].access, PayloadAccess::kWrite);
+  EXPECT_EQ(record.batches[1].nf_index, 3u);
+  EXPECT_EQ(record.batches[1].begin, 2u);
+  EXPECT_EQ(record.batches[1].end, 3u);
+  EXPECT_EQ(record.batches[1].access, PayloadAccess::kIgnore);
+  EXPECT_EQ(record.batches[2].nf_index, 4u);
+  EXPECT_EQ(record.batches[2].begin, 3u);
+  EXPECT_EQ(record.batches[2].end, 5u);
+  EXPECT_EQ(record.batches[2].access, PayloadAccess::kRead);
+  EXPECT_EQ(record.version, 1u);
+}
+
+// A batch's access is the highest of its functions': Write over Read over
+// Ignore, whatever order they were recorded in.
+TEST(BatchAccess, HighestPriorityWins) {
+  const auto access_of = [](std::vector<PayloadAccess> accesses) {
+    FlowRecord record;
+    for (const PayloadAccess access : accesses) {
+      record.add_state_function(0, named_sf("sf", access));
+    }
+    record.compile();
+    EXPECT_EQ(record.batches.size(), 1u);
+    return record.batches.front().access;
+  };
+  using enum PayloadAccess;
+  EXPECT_EQ(access_of({kRead, kIgnore}), kRead);
+  EXPECT_EQ(access_of({kIgnore, kRead}), kRead);
+  EXPECT_EQ(access_of({kIgnore, kIgnore}), kIgnore);
+  EXPECT_EQ(access_of({kRead, kIgnore, kWrite}), kWrite);
+  EXPECT_EQ(access_of({kWrite, kRead, kIgnore}), kWrite);
+}
+
+TEST(FlowRecord, ReplaceHeaderActionsTouchesOnlyTheOwner) {
+  FlowRecord record;
+  record.add_header_action(0, HeaderAction::modify(HeaderField::kSrcIp, 1));
+  record.add_header_action(2, HeaderAction::modify(HeaderField::kDstIp, 1));
+  record.add_header_action(2, HeaderAction::modify(HeaderField::kDstPort, 9));
+  record.replace_header_actions(2, {HeaderAction::drop()});
+  ASSERT_EQ(record.header_actions_of(2).size(), 1u);
+  EXPECT_EQ(record.header_actions_of(2)[0].type, HeaderActionType::kDrop);
+  ASSERT_EQ(record.header_actions_of(0).size(), 1u);
+  EXPECT_EQ(record.header_actions_of(0)[0].field, HeaderField::kSrcIp);
+}
+
+TEST(FlowRecord, ReplaceStateFunctionsRetiresTheOldArrays) {
+  FlowRecord record;
+  record.add_state_function(0, named_sf("keep"));
+  record.add_state_function(1, named_sf("old"));
+  record.compile();
+  const HandlerArrays before = record.handler_arrays();
+
+  record.replace_state_functions(1, {named_sf("new", PayloadAccess::kWrite),
+                                     named_sf("newer")});
+  record.compile();
+  ASSERT_EQ(record.functions.size(), 3u);
+  ASSERT_EQ(record.handlers.size(), 3u);
+  EXPECT_EQ(record.functions[0].name, "keep");
+  EXPECT_EQ(record.functions[1].name, "new");
+  EXPECT_EQ(record.functions[2].name, "newer");
+  ASSERT_EQ(record.batches.size(), 2u);
+  EXPECT_EQ(record.batches[1].begin, 1u);
+  EXPECT_EQ(record.batches[1].end, 3u);
+  EXPECT_EQ(record.batches[1].access, PayloadAccess::kWrite);
+  // A descriptor still holding the old arrays reads them unchanged.
+  ASSERT_EQ(record.retired.size(), 1u);
+  EXPECT_EQ(before.handlers.data(), record.retired[0].first.data());
+  EXPECT_EQ(before.handlers.size(), 2u);
+  EXPECT_EQ(before.batches.size(), 2u);
+  EXPECT_EQ(before.batches[1].end, 2u);
+}
+
+TEST(FlowRecord, TeardownHooksRunByNfRange) {
+  FlowRecord record;
+  std::vector<std::uint32_t> ran;
+  for (std::uint32_t nf = 0; nf < 3; ++nf) {
+    record.add_teardown_hook(nf, [&ran, nf] { ran.push_back(nf); });
+  }
+  record.run_teardown_hooks(1, 3);
+  EXPECT_EQ(ran, (std::vector<std::uint32_t>{1, 2}));
+  record.run_teardown_hooks();
+  EXPECT_EQ(ran, (std::vector<std::uint32_t>{1, 2, 0, 1, 2}));
+}
+
+TEST(FlowRecord, ResetKeepsCapacityButNoEntries) {
+  FlowRecord record;
+  record.open = true;
+  for (int i = 0; i < 4; ++i) record.add_state_function(0, named_sf("sf"));
+  record.register_event(0, "ev", [] { return false; }, {}, true);
+  record.compile();
+  const std::size_t capacity = record.handlers.capacity();
+  record.reset();
+  EXPECT_FALSE(record.open);
+  EXPECT_FALSE(record.consolidated);
+  EXPECT_TRUE(record.functions.empty());
+  EXPECT_TRUE(record.handlers.empty());
+  EXPECT_TRUE(record.events.empty());
+  EXPECT_TRUE(record.conditions.empty());
+  EXPECT_TRUE(record.batches.empty());
+  EXPECT_EQ(record.version, 0u);
+  EXPECT_EQ(record.handlers.capacity(), capacity);
+}
+
+// --- Events, as the Global MAT's fast path evaluates them ----------------
+
+class RecordEvents : public ::testing::Test {
+ protected:
+  /// Register on flow `fid` an event whose condition reads `*flag` and
+  /// whose update turns NF 0's actions into a drop.
+  void add_event(std::uint32_t fid, const bool* flag, bool one_shot = true,
+                 std::string name = "ev") {
+    FlowRecord* record = mat_.record(fid);
+    if (record == nullptr) record = &mat_.open_flow(fid);
+    SpeedyBoxContext ctx{*record, 0, fid};
+    ctx.register_event(
+        std::move(name), [flag] { return *flag; },
+        [] {
+          EventUpdate update;
+          update.header_actions = {HeaderAction::drop()};
+          return update;
+        },
+        one_shot);
+  }
+
+  GlobalMat::FastPathResult run(std::uint32_t fid) {
+    net::Packet packet = net::make_tcp_packet(tuple_n(fid), "x");
+    packet.set_fid(fid);
+    return mat_.process(packet);
+  }
+
+  GlobalMat mat_;
+};
+
+TEST_F(RecordEvents, ConditionFalseDoesNotTrigger) {
+  bool flag = false;
+  add_event(1, &flag);
+  mat_.consolidate_flow(1);
+  EXPECT_EQ(run(1).events_triggered, 0u);
+  EXPECT_EQ(mat_.find(1)->events.size(), 1u);
+  EXPECT_EQ(mat_.events_triggered(), 0u);
+  EXPECT_EQ(mat_.checks_performed(), 1u);
+}
+
+TEST_F(RecordEvents, TriggerAppliesUpdateToTheSamePacket) {
+  bool flag = true;
+  add_event(1, &flag);
+  mat_.consolidate_flow(1);
+  const auto result = run(1);
+  EXPECT_EQ(result.events_triggered, 1u);
+  EXPECT_TRUE(result.dropped);
+  EXPECT_TRUE(mat_.find(1)->action.drop);
+}
+
+TEST_F(RecordEvents, OneShotDeregistersAfterTrigger) {
+  bool flag = true;
+  add_event(1, &flag, /*one_shot=*/true);
+  mat_.consolidate_flow(1);
+  EXPECT_EQ(run(1).events_triggered, 1u);
+  EXPECT_TRUE(mat_.find(1)->events.empty());
+  EXPECT_EQ(run(1).events_triggered, 0u);
+}
+
+TEST_F(RecordEvents, PersistentKeepsFiring) {
+  bool flag = true;
+  add_event(1, &flag, /*one_shot=*/false);
+  mat_.consolidate_flow(1);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(run(1).events_triggered, 1u);
+  flag = false;
+  EXPECT_EQ(run(1).events_triggered, 0u);
+  EXPECT_EQ(mat_.checks_performed(), 4u);
+  EXPECT_EQ(mat_.events_triggered(), 3u);
+}
+
+TEST_F(RecordEvents, MultipleEventsPerFlowAllFire) {
+  bool flag = true;
+  add_event(1, &flag, true, "a");
+  add_event(1, &flag, true, "b");
+  mat_.consolidate_flow(1);
+  const std::uint64_t before = mat_.consolidations();
+  EXPECT_EQ(run(1).events_triggered, 2u);
+  EXPECT_EQ(mat_.consolidations(), before + 2) << "one recompile per event";
+}
+
+TEST_F(RecordEvents, EventsIsolatedPerFlow) {
+  bool flag = true;
+  add_event(1, &flag);
+  mat_.consolidate_flow(1);
+  mat_.consolidate_flow(2);
+  EXPECT_EQ(run(2).events_triggered, 0u);
+  EXPECT_EQ(mat_.find(1)->events.size(), 1u);
+}
+
+TEST_F(RecordEvents, EraseFlowRemovesEvents) {
+  bool flag = true;
+  add_event(3, &flag);
+  mat_.consolidate_flow(3);
+  mat_.erase_flow(3);
+  EXPECT_EQ(mat_.record(3), nullptr);
+  EXPECT_FALSE(run(3).rule_hit);
+}
+
+}  // namespace
+}  // namespace speedybox::core

@@ -219,12 +219,14 @@ TEST(FlowTableTest, StatsTrackOccupancyProbesAndSlab) {
   EXPECT_EQ(merged.max_probe, stats.max_probe);
 }
 
-TEST(FlowTableTest, InsertOrAssignOverwrites) {
+TEST(FlowTableTest, TryEmplaceReturnsTheExistingValue) {
   FlowTable<net::FiveTuple, std::uint32_t> table;
-  table.insert_or_assign(tuple_n(1), 5u);
-  table.insert_or_assign(tuple_n(1), 9u);
-  ASSERT_NE(table.find(tuple_n(1)), nullptr);
-  EXPECT_EQ(*table.find(tuple_n(1)), 9u);
+  const auto [first, inserted] = table.try_emplace(tuple_n(1), 5u);
+  EXPECT_TRUE(inserted);
+  const auto [again, reinserted] = table.try_emplace(tuple_n(1), 9u);
+  EXPECT_FALSE(reinserted);
+  EXPECT_EQ(again, first);
+  EXPECT_EQ(*table.find(tuple_n(1)), 5u);
   EXPECT_EQ(table.size(), 1u);
 }
 
@@ -235,6 +237,43 @@ TEST(FlowTableTest, MoveTransfersEntries) {
   EXPECT_EQ(moved.size(), 100u);
   ASSERT_NE(moved.find(tuple_n(5)), nullptr);
   EXPECT_EQ(*moved.find(tuple_n(5)), 5u);
+}
+
+TEST(FlowTableTest, EraseBeforeAnEmptySlotLeavesNoTombstone) {
+  FlowTable<std::uint32_t, int> table;
+  table.try_emplace(7u, 1);
+  EXPECT_TRUE(table.erase(7u));
+  EXPECT_EQ(table.stats().tombstones, 0u);
+  EXPECT_EQ(table.find(7u), nullptr);
+}
+
+/// Keys land at their own value's slot (tag 0), so a test can lay out a
+/// probe cluster by hand.
+struct SlotKeyOps {
+  static std::uint64_t hash(std::uint32_t key) noexcept {
+    return static_cast<std::uint64_t>(key) << 7;
+  }
+  static bool equal(std::uint32_t a, std::uint32_t b) noexcept {
+    return a == b;
+  }
+};
+
+TEST(FlowTableTest, EraseAtAClusterEndClearsTheTombstonesBeforeIt) {
+  FlowTable<std::uint32_t, int, SlotKeyOps> table;
+  // 3, 19 and 35 share home slot 3 of the 16-slot table: slots 3, 4, 5.
+  for (const std::uint32_t key : {3u, 19u, 35u}) table.try_emplace(key, 1);
+  ASSERT_EQ(table.stats().capacity, 16u);
+
+  EXPECT_TRUE(table.erase(19u));  // slot 5 still follows: a tombstone
+  EXPECT_EQ(table.stats().tombstones, 1u);
+  EXPECT_NE(table.find(35u), nullptr) << "the probe must cross slot 4";
+
+  EXPECT_TRUE(table.erase(35u));  // slot 6 is empty: 5 and 4 empty again
+  EXPECT_EQ(table.stats().tombstones, 0u);
+  EXPECT_NE(table.find(3u), nullptr);
+  EXPECT_EQ(table.find(19u), nullptr);
+  EXPECT_EQ(table.find(35u), nullptr);
+  EXPECT_EQ(table.size(), 1u);
 }
 
 }  // namespace

@@ -18,22 +18,26 @@ using speedybox::testing::tuple_n;
 
 class GlobalMatTest : public ::testing::Test {
  protected:
-  GlobalMatTest() : nat_("nat", 0), monitor_("monitor", 1) {
-    mat_.set_chain({&nat_, &monitor_});
-  }
+  /// Recording contexts of a two-NF chain (nat, monitor) for flow `fid`.
+  SpeedyBoxContext nat(std::uint32_t fid) { return context(fid, 0); }
+  SpeedyBoxContext monitor(std::uint32_t fid) { return context(fid, 1); }
 
-  LocalMat nat_;
-  LocalMat monitor_;
   GlobalMat mat_;
+
+ private:
+  SpeedyBoxContext context(std::uint32_t fid, std::size_t nf) {
+    FlowRecord* record = mat_.record(fid);
+    if (record == nullptr) record = &mat_.open_flow(fid);
+    return SpeedyBoxContext{*record, nf, fid};
+  }
 };
 
-TEST_F(GlobalMatTest, ConsolidatesAcrossLocalMats) {
-  nat_.add_header_action(1, HeaderAction::modify(HeaderField::kSrcIp, 7));
-  monitor_.add_header_action(1,
-                             HeaderAction::modify(HeaderField::kDstPort, 99));
+TEST_F(GlobalMatTest, ConsolidatesAcrossNfs) {
+  nat(1).add_header_action(HeaderAction::modify(HeaderField::kSrcIp, 7));
+  monitor(1).add_header_action(HeaderAction::modify(HeaderField::kDstPort, 99));
   mat_.consolidate_flow(1);
 
-  const ConsolidatedRule* rule = mat_.find(1);
+  const FlowRecord* rule = mat_.find(1);
   ASSERT_NE(rule, nullptr);
   EXPECT_EQ(rule->action.field_writes[static_cast<std::size_t>(
                 HeaderField::kSrcIp)],
@@ -46,16 +50,16 @@ TEST_F(GlobalMatTest, ConsolidatesAcrossLocalMats) {
 TEST_F(GlobalMatTest, BatchesKeepChainOrder) {
   int order_marker = 0;
   int nat_seen_at = -1, monitor_seen_at = -1;
-  nat_.add_state_function(
-      2, StateFunction{[&](net::Packet&, const net::ParsedPacket&) {
-                         nat_seen_at = order_marker++;
-                       },
-                       PayloadAccess::kIgnore, "nat.sf"});
-  monitor_.add_state_function(
-      2, StateFunction{[&](net::Packet&, const net::ParsedPacket&) {
-                         monitor_seen_at = order_marker++;
-                       },
-                       PayloadAccess::kIgnore, "mon.sf"});
+  nat(2).add_state_function(StateFunction{
+      [&](net::Packet&, const net::ParsedPacket&) {
+        nat_seen_at = order_marker++;
+      },
+      PayloadAccess::kIgnore, "nat.sf"});
+  monitor(2).add_state_function(StateFunction{
+      [&](net::Packet&, const net::ParsedPacket&) {
+        monitor_seen_at = order_marker++;
+      },
+      PayloadAccess::kIgnore, "mon.sf"});
   mat_.consolidate_flow(2);
 
   net::Packet packet = net::make_tcp_packet(tuple_n(2), "x");
@@ -74,8 +78,8 @@ TEST_F(GlobalMatTest, ProcessMissReturnsNoHit) {
 }
 
 TEST_F(GlobalMatTest, AppliesConsolidatedModify) {
-  nat_.add_header_action(4, HeaderAction::modify(HeaderField::kDstIp,
-                                                 0x0A0A0A0A));
+  nat(4).add_header_action(
+      HeaderAction::modify(HeaderField::kDstIp, 0x0A0A0A0A));
   mat_.consolidate_flow(4);
 
   net::Packet packet = net::make_tcp_packet(tuple_n(4), "x");
@@ -89,12 +93,10 @@ TEST_F(GlobalMatTest, AppliesConsolidatedModify) {
 
 TEST_F(GlobalMatTest, DropShortCircuitsStateFunctions) {
   bool sf_ran = false;
-  nat_.add_header_action(5, HeaderAction::drop());
-  monitor_.add_state_function(
-      5, StateFunction{[&](net::Packet&, const net::ParsedPacket&) {
-                         sf_ran = true;
-                       },
-                       PayloadAccess::kIgnore, "sf"});
+  nat(5).add_header_action(HeaderAction::drop());
+  monitor(5).add_state_function(StateFunction{
+      [&](net::Packet&, const net::ParsedPacket&) { sf_ran = true; },
+      PayloadAccess::kIgnore, "sf"});
   mat_.consolidate_flow(5);
 
   net::Packet packet = net::make_tcp_packet(tuple_n(5), "x");
@@ -107,24 +109,20 @@ TEST_F(GlobalMatTest, DropShortCircuitsStateFunctions) {
 
 TEST_F(GlobalMatTest, EventTriggerRewritesRuleBeforeProcessing) {
   bool condition = false;
-  nat_.add_header_action(6, HeaderAction::modify(HeaderField::kDstPort, 80));
+  nat(6).add_header_action(HeaderAction::modify(HeaderField::kDstPort, 80));
   mat_.consolidate_flow(6);
 
-  EventRegistration event;
-  event.fid = 6;
-  event.nf_index = 0;
-  event.name = "switch-port";
-  event.condition = [&condition] { return condition; };
-  event.update = [] {
-    EventUpdate update;
-    update.header_actions = {HeaderAction::modify(HeaderField::kDstPort,
-                                                  8080)};
-    return update;
-  };
-  mat_.event_table().register_event(std::move(event));
+  nat(6).register_event(
+      "switch-port", [&condition] { return condition; },
+      [] {
+        EventUpdate update;
+        update.header_actions = {
+            HeaderAction::modify(HeaderField::kDstPort, 8080)};
+        return update;
+      });
   // Events are normally registered during the recording pass; a late
-  // registration takes effect at the next consolidation.
-  mat_.consolidate_flow(6);
+  // registration takes effect at once, since the fast path reads the
+  // record's own event list.
 
   // Before the condition holds: port 80.
   net::Packet before = net::make_tcp_packet(tuple_n(6), "x");
@@ -146,39 +144,50 @@ TEST_F(GlobalMatTest, EventTriggerRewritesRuleBeforeProcessing) {
 }
 
 TEST_F(GlobalMatTest, ReconsolidationBumpsVersion) {
-  nat_.add_header_action(7, HeaderAction::forward());
+  nat(7).add_header_action(HeaderAction::forward());
   mat_.consolidate_flow(7);
   EXPECT_EQ(mat_.find(7)->version, 1u);
   mat_.consolidate_flow(7);
   EXPECT_EQ(mat_.find(7)->version, 2u);
 }
 
-TEST_F(GlobalMatTest, EraseFlowClearsRuleEventsAndLocalRules) {
-  nat_.add_header_action(8, HeaderAction::forward());
+TEST_F(GlobalMatTest, EraseFlowRunsHooksAndFreesTheRecord) {
+  nat(8).add_header_action(HeaderAction::forward());
   mat_.consolidate_flow(8);
   bool torn_down = false;
-  nat_.add_teardown_hook(8, [&torn_down] { torn_down = true; });
-
-  EventRegistration event;
-  event.fid = 8;
-  event.condition = [] { return false; };
-  mat_.event_table().register_event(std::move(event));
+  nat(8).on_teardown([&torn_down] { torn_down = true; });
+  nat(8).register_event(
+      "never", [] { return false; }, [] { return EventUpdate{}; });
 
   mat_.erase_flow(8);
   EXPECT_EQ(mat_.find(8), nullptr);
-  EXPECT_FALSE(mat_.event_table().has_events(8));
-  EXPECT_EQ(nat_.find(8), nullptr);
+  EXPECT_EQ(mat_.record(8), nullptr);
   EXPECT_TRUE(torn_down);
+  EXPECT_EQ(mat_.size(), 0u);
+  EXPECT_EQ(mat_.open_records(), 0u);
+
+  // The slot serves the next flow with that FID from an empty record.
+  FlowRecord& reused = mat_.open_flow(8);
+  EXPECT_TRUE(reused.header_actions.empty());
+  EXPECT_TRUE(reused.events.empty());
+  EXPECT_TRUE(reused.teardown_hooks.empty());
+}
+
+TEST_F(GlobalMatTest, RecordAddressesSurviveGrowth) {
+  const FlowRecord* first = &mat_.open_flow(0);
+  for (std::uint32_t fid = 1; fid < 5000; ++fid) mat_.open_flow(fid);
+  EXPECT_EQ(mat_.record(0), first);
+  EXPECT_EQ(mat_.open_records(), 5000u);
 }
 
 TEST_F(GlobalMatTest, MeasuredRunReportsCycleBreakdown) {
-  nat_.add_header_action(9, HeaderAction::modify(HeaderField::kTtl, 3));
-  monitor_.add_state_function(
-      9, StateFunction{[](net::Packet&, const net::ParsedPacket&) {
-                         volatile int x = 0;
-                         for (int i = 0; i < 200; ++i) x = x + i;
-                       },
-                       PayloadAccess::kIgnore, "work"});
+  nat(9).add_header_action(HeaderAction::modify(HeaderField::kTtl, 3));
+  monitor(9).add_state_function(StateFunction{
+      [](net::Packet&, const net::ParsedPacket&) {
+        volatile int x = 0;
+        for (int i = 0; i < 200; ++i) x = x + i;
+      },
+      PayloadAccess::kIgnore, "work"});
   mat_.consolidate_flow(9);
 
   net::Packet packet = net::make_tcp_packet(tuple_n(9), "x");
@@ -190,41 +199,48 @@ TEST_F(GlobalMatTest, MeasuredRunReportsCycleBreakdown) {
 }
 
 TEST_F(GlobalMatTest, ScheduleGroupsReadBatches) {
-  nat_.add_state_function(
-      10, StateFunction{[](net::Packet&, const net::ParsedPacket&) {},
-                        PayloadAccess::kRead, "a"});
-  monitor_.add_state_function(
-      10, StateFunction{[](net::Packet&, const net::ParsedPacket&) {},
-                        PayloadAccess::kRead, "b"});
+  nat(10).add_state_function(StateFunction{
+      [](net::Packet&, const net::ParsedPacket&) {}, PayloadAccess::kRead,
+      "a"});
+  monitor(10).add_state_function(StateFunction{
+      [](net::Packet&, const net::ParsedPacket&) {}, PayloadAccess::kRead,
+      "b"});
   mat_.consolidate_flow(10);
-  const ConsolidatedRule* rule = mat_.find(10);
+  const FlowRecord* rule = mat_.find(10);
   ASSERT_EQ(rule->batches.size(), 2u);
   EXPECT_EQ(rule->schedule.group_count(), 1u);
 }
 
-// The threaded pipeline's split: NF cores record flows into the Local MATs
-// and the Event Table while the manager consolidates, fast-paths and tears
-// down earlier flows. Both tables keep their records in FlowTable slabs
-// whose even const lookups write probe counters, so every access must stay
-// under the table locks (run under TSan and ASan by run_sanitizers.sh).
-TEST(GlobalMatConcurrency, RecordWhileConsolidatingAndErasing) {
+// The threaded pipeline's split: the manager opens each flow's record and
+// hands its address to an NF core, which records into it with no lock
+// while the manager consolidates, fast-paths and erases earlier flows and
+// recycles their FIDs. Only the hand-off atomics order the two threads
+// (run under TSan and ASan by run_sanitizers.sh).
+TEST(GlobalMatConcurrency, RecordIntoRecordsWhileConsolidatingAndErasing) {
   constexpr std::uint32_t kFlows = 3000;
-  constexpr std::uint32_t kLag = 64;  // flows kept alive behind the head
-  LocalMat nat{"nat", 0};
-  LocalMat monitor{"monitor", 1};
+  constexpr std::uint32_t kAhead = 32;  // flows opened ahead of the manager
+  constexpr std::uint32_t kLag = 64;    // flows kept alive behind the head
+  // Flow i takes FID i % kSlots: each FID is reused as soon as the flow
+  // before it on the FID has been erased.
+  constexpr std::uint32_t kSlots = kAhead + kLag + 1;
   GlobalMat mat;
-  mat.set_chain({&nat, &monitor});
+  std::vector<FlowRecord*> handoff(kFlows, nullptr);
+  std::atomic<std::uint32_t> opened{0};
   std::atomic<std::uint32_t> recorded{0};
   std::atomic<std::uint64_t> sf_runs{0};
   std::atomic<std::uint32_t> hooks_run{0};
 
   std::thread nf_core([&] {
-    for (std::uint32_t fid = 0; fid < kFlows; ++fid) {
-      SpeedyBoxContext nat_ctx{nat, mat.event_table(), fid};
+    for (std::uint32_t i = 0; i < kFlows; ++i) {
+      while (opened.load(std::memory_order_acquire) <= i) {
+        std::this_thread::yield();
+      }
+      const std::uint32_t fid = i % kSlots;
+      SpeedyBoxContext nat_ctx{*handoff[i], 0, fid};
       nat_ctx.add_header_action(
-          HeaderAction::modify(HeaderField::kSrcPort, 1000 + fid % 5000));
+          HeaderAction::modify(HeaderField::kSrcPort, 1000 + i % 5000));
       nat_ctx.on_teardown([&hooks_run] { hooks_run.fetch_add(1); });
-      SpeedyBoxContext monitor_ctx{monitor, mat.event_table(), fid};
+      SpeedyBoxContext monitor_ctx{*handoff[i], 1, fid};
       monitor_ctx.add_header_action(HeaderAction::forward());
       monitor_ctx.add_state_function(StateFunction{
           [&sf_runs](net::Packet&, const net::ParsedPacket&) {
@@ -234,33 +250,39 @@ TEST(GlobalMatConcurrency, RecordWhileConsolidatingAndErasing) {
       monitor_ctx.register_event(
           "never", [] { return false; }, [] { return EventUpdate{}; },
           /*one_shot=*/false);
-      recorded.store(fid + 1, std::memory_order_release);
+      recorded.store(i + 1, std::memory_order_release);
     }
   });
 
-  // Manager: consolidate each flow once its recording completed, run one
-  // fast-path packet against it, and erase the flow kLag flows behind.
+  // Manager: open flow i, then consolidate flow i - kAhead once its
+  // recording completed, run one fast-path packet against it, and erase
+  // the flow kLag flows behind that.
   std::uint32_t erased = 0;
-  for (std::uint32_t fid = 0; fid < kFlows; ++fid) {
-    while (recorded.load(std::memory_order_acquire) <= fid) {
+  for (std::uint32_t i = 0; i < kFlows + kAhead; ++i) {
+    if (i < kFlows) {
+      handoff[i] = &mat.open_flow(i % kSlots);
+      opened.store(i + 1, std::memory_order_release);
+    }
+    if (i < kAhead) continue;
+    const std::uint32_t flow = i - kAhead;
+    while (recorded.load(std::memory_order_acquire) <= flow) {
       std::this_thread::yield();
     }
+    const std::uint32_t fid = flow % kSlots;
     mat.consolidate_flow(fid);
-    net::Packet packet = net::make_tcp_packet(tuple_n(fid), "x");
+    net::Packet packet = net::make_tcp_packet(tuple_n(flow), "x");
     packet.set_fid(fid);
     ASSERT_TRUE(mat.process(packet).rule_hit);
-    if (fid >= kLag) mat.erase_flow(erased++);
+    if (flow >= kLag) mat.erase_flow(erased++ % kSlots);
   }
   nf_core.join();
-  while (erased < kFlows) mat.erase_flow(erased++);
+  while (erased < kFlows) mat.erase_flow(erased++ % kSlots);
 
   EXPECT_EQ(mat.size(), 0u);
-  EXPECT_EQ(nat.size(), 0u);
-  EXPECT_EQ(monitor.size(), 0u);
-  EXPECT_EQ(mat.event_table().flow_count(), 0u);
+  EXPECT_EQ(mat.open_records(), 0u);
   EXPECT_EQ(hooks_run.load(), kFlows);
   EXPECT_EQ(sf_runs.load(), kFlows);
-  EXPECT_EQ(mat.event_table().checks_performed(), kFlows);
+  EXPECT_EQ(mat.checks_performed(), kFlows);
   EXPECT_EQ(mat.consolidations(), kFlows);
 }
 

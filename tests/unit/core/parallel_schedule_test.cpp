@@ -31,15 +31,6 @@ TEST(TableI, PairwiseRules) {
   EXPECT_TRUE(parallelizable(kIgnore, kIgnore));
 }
 
-TEST(BatchAccess, HighestPriorityWins) {
-  std::vector<StateFunction> functions;
-  functions.push_back(StateFunction{{}, PayloadAccess::kRead, "r"});
-  functions.push_back(StateFunction{{}, PayloadAccess::kIgnore, "i"});
-  EXPECT_EQ(batch_access(functions), PayloadAccess::kRead);
-  functions.push_back(StateFunction{{}, PayloadAccess::kWrite, "w"});
-  EXPECT_EQ(batch_access(functions), PayloadAccess::kWrite);
-}
-
 TEST(BuildSchedule, AllReadsFormOneGroup) {
   std::vector<StateFunctionBatch> batches{
       batch_with(PayloadAccess::kRead, 0),

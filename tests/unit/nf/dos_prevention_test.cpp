@@ -88,47 +88,36 @@ TEST(DosPrevention, AppliesNormalActionWhenClean) {
 
 TEST(DosPrevention, RegistersEventAndStateFunction) {
   DosPrevention dos{2};
-  core::LocalMat mat{"dos", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 15};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 15};
   net::Packet packet = syn_packet(8);
   packet.set_fid(15);
   dos.process(packet, &ctx);
-
-  ASSERT_NE(mat.find(15), nullptr);
-  EXPECT_EQ(mat.find(15)->state_functions.size(), 1u);
-  EXPECT_TRUE(events.has_events(15));
+  EXPECT_EQ(record.functions.size(), 1u);
+  EXPECT_FALSE(record.events.empty());
 }
 
 TEST(DosPrevention, EventTriggersDropUpdateAtThreshold) {
   DosPrevention dos{2};
-  core::LocalMat mat{"dos", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 16};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 16};
   net::Packet initial = syn_packet(9);
   initial.set_fid(16);
   dos.process(initial, &ctx);  // syn_count = 1
 
   // Simulate the fast path running the recorded SF twice more.
-  const auto& sf = mat.find(16)->state_functions[0];
+  const auto& sf = record.handlers[0];
   net::Packet more = syn_packet(9);
   const auto parsed = net::parse_packet(more);
-  sf.handler(more, *parsed);  // 2
-  int triggered = 0;
-  events.check(16, [&](const core::EventRegistration&, core::EventUpdate) {
-    ++triggered;
-  });
-  EXPECT_EQ(triggered, 0) << "2 > 2 is false";
+  sf(more, *parsed);  // 2
+  ASSERT_EQ(record.conditions.size(), 1u);
+  EXPECT_FALSE(record.conditions[0]()) << "2 > 2 is false";
 
-  sf.handler(more, *parsed);  // 3
-  events.check(16,
-               [&](const core::EventRegistration&, core::EventUpdate update) {
-                 ++triggered;
-                 ASSERT_TRUE(update.header_actions.has_value());
-                 EXPECT_EQ(update.header_actions->at(0).type,
-                           core::HeaderActionType::kDrop);
-               });
-  EXPECT_EQ(triggered, 1);
+  sf(more, *parsed);  // 3
+  ASSERT_TRUE(record.conditions[0]());
+  const core::EventUpdate update = record.events[0].update();
+  ASSERT_TRUE(update.header_actions.has_value());
+  EXPECT_EQ(update.header_actions->at(0).type, core::HeaderActionType::kDrop);
   EXPECT_TRUE(dos.is_blacklisted(tuple_n(9)));
 }
 

@@ -13,8 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/api.hpp"
-#include "core/event_table.hpp"
-#include "core/local_mat.hpp"
+#include "core/flow_record.hpp"
 #include "net/fields.hpp"
 #include "net/packet_builder.hpp"
 #include "nf/dos_prevention.hpp"
@@ -33,13 +32,12 @@ namespace {
 
 using speedybox::testing::tuple_n;
 
-/// Recording scaffold: a LocalMat/EventTable pair plus a context for one
-/// flow, mirroring what the migration engine hands import_flow_state.
+/// Recording scaffold: a flow record plus a context into it, mirroring
+/// what the migration engine hands import_flow_state.
 struct Recorder {
-  core::LocalMat mat{"nf-under-test", 0};
-  core::EventTable events;
+  core::FlowRecord record;
   core::SpeedyBoxContext ctx;
-  explicit Recorder(std::uint32_t fid) : ctx{mat, events, fid} {}
+  explicit Recorder(std::uint32_t fid) : ctx{record, 0, fid} {}
 };
 
 /// export(source) → import(dest) → export(dest): both exports must exist
@@ -145,8 +143,7 @@ TEST(MazuNatFlowState, ImportReRecordsActionsAndTeardown) {
   Recorder rec{5};
   roundtrip(source, dest, tuple_n(2), &rec.ctx);
 
-  const core::LocalRule* rule = rec.mat.find(5);
-  ASSERT_NE(rule, nullptr);
+  const core::FlowRecord* rule = &rec.record;
   ASSERT_EQ(rule->header_actions.size(), 2u);
   EXPECT_EQ(rule->header_actions[0].field, net::HeaderField::kSrcIp);
   EXPECT_EQ(rule->header_actions[1].field, net::HeaderField::kSrcPort);
@@ -155,7 +152,7 @@ TEST(MazuNatFlowState, ImportReRecordsActionsAndTeardown) {
 
   // The teardown hook must release the DESTINATION's mapping.
   EXPECT_EQ(dest.active_mappings(), 1u);
-  rec.mat.run_teardown_hooks(5);
+  rec.record.run_teardown_hooks();
   EXPECT_EQ(dest.active_mappings(), 0u);
   EXPECT_EQ(source.active_mappings(), 1u);
 }
@@ -294,11 +291,9 @@ TEST(IpFilterFlowState, CachedVerdictsRoundTrip) {
   EXPECT_NE(pass_payload, drop_payload);
 
   // The re-recorded rule must reproduce the verdict.
-  ASSERT_NE(pass_rec.mat.find(1), nullptr);
-  EXPECT_EQ(pass_rec.mat.find(1)->header_actions[0].type,
+  EXPECT_EQ(pass_rec.record.header_actions[0].type,
             core::HeaderActionType::kForward);
-  ASSERT_NE(drop_rec.mat.find(2), nullptr);
-  EXPECT_EQ(drop_rec.mat.find(2)->header_actions[0].type,
+  EXPECT_EQ(drop_rec.record.header_actions[0].type,
             core::HeaderActionType::kDrop);
   EXPECT_EQ(dest.cached_flows(), 2u);
 }
@@ -372,10 +367,9 @@ TEST(DosPreventionFlowState, BlacklistedFlowImportsAsDropWithoutReArming) {
   // The re-recorded rule drops; the one-shot blacklist event is NOT
   // re-armed (it already fired on the source shard — re-arming would
   // double-count drops when the consolidated rule replays it).
-  const core::LocalRule* rule = rec.mat.find(3);
-  ASSERT_NE(rule, nullptr);
+  const core::FlowRecord* rule = &rec.record;
   EXPECT_EQ(rule->header_actions[0].type, core::HeaderActionType::kDrop);
-  EXPECT_FALSE(rec.events.has_events(3));
+  EXPECT_TRUE(rec.record.events.empty());
 }
 
 }  // namespace

@@ -59,30 +59,27 @@ TEST(Gateway, DropsExpiredTtl) {
 
 TEST(Gateway, RecordsTwoModifies) {
   Gateway gw{voice_video_classes()};
-  core::LocalMat mat{"gw", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 3};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 3};
   net::Packet packet = net::make_tcp_packet(tuple_n(5, 5060), "x");
   packet.set_fid(3);
   gw.process(packet, &ctx);
-  ASSERT_NE(mat.find(3), nullptr);
-  ASSERT_EQ(mat.find(3)->header_actions.size(), 2u);
-  EXPECT_EQ(mat.find(3)->header_actions[0].field, net::HeaderField::kTtl);
-  EXPECT_EQ(mat.find(3)->header_actions[1].field, net::HeaderField::kTos);
+  ASSERT_EQ(record.header_actions.size(), 2u);
+  EXPECT_EQ(record.header_actions[0].field, net::HeaderField::kTtl);
+  EXPECT_EQ(record.header_actions[1].field, net::HeaderField::kTos);
 }
 
 TEST(Gateway, RecordsDropOnExpiredTtl) {
   Gateway gw{{}};
-  core::LocalMat mat{"gw", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 4};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 4};
   net::PacketSpec spec;
   spec.tuple = tuple_n(6);
   spec.ttl = 1;
   net::Packet packet = net::build_packet(spec);
   packet.set_fid(4);
   gw.process(packet, &ctx);
-  EXPECT_EQ(mat.find(4)->header_actions[0].type,
+  EXPECT_EQ(record.header_actions[0].type,
             core::HeaderActionType::kDrop);
 }
 

@@ -104,21 +104,19 @@ TEST(IpFilter, VerdictCachedPerFlow) {
 
 TEST(IpFilter, RecordsDropOrForward) {
   IpFilter filter{{AclRule::drop_dst_port(80)}};
-  core::LocalMat mat{"fw", 0};
-  core::EventTable events;
-
-  core::SpeedyBoxContext drop_ctx{mat, events, 1};
+  core::FlowRecord dropped;
+  core::SpeedyBoxContext drop_ctx{dropped, 0, 1};
   net::Packet bad = net::make_tcp_packet(tuple_n(6, 80), "x");
   bad.set_fid(1);
   filter.process(bad, &drop_ctx);
-  EXPECT_EQ(mat.find(1)->header_actions[0].type,
-            core::HeaderActionType::kDrop);
+  EXPECT_EQ(dropped.header_actions[0].type, core::HeaderActionType::kDrop);
 
-  core::SpeedyBoxContext fwd_ctx{mat, events, 2};
+  core::FlowRecord forwarded;
+  core::SpeedyBoxContext fwd_ctx{forwarded, 0, 2};
   net::Packet good = net::make_tcp_packet(tuple_n(7, 443), "x");
   good.set_fid(2);
   filter.process(good, &fwd_ctx);
-  EXPECT_EQ(mat.find(2)->header_actions[0].type,
+  EXPECT_EQ(forwarded.header_actions[0].type,
             core::HeaderActionType::kForward);
 }
 

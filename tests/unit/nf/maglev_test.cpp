@@ -105,48 +105,39 @@ TEST(MaglevLb, ChecksumsValidAfterRewrite) {
 
 TEST(MaglevLb, RecordsModifyActionsAndEvent) {
   MaglevLb lb{test_backends(), 251};
-  core::LocalMat mat{"maglev", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 77};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 77};
 
   net::Packet packet = net::make_tcp_packet(tuple_n(5), "x");
   packet.set_fid(77);
   lb.process(packet, &ctx);
 
-  const core::LocalRule* rule = mat.find(77);
-  ASSERT_NE(rule, nullptr);
+  const core::FlowRecord* rule = &record;
   ASSERT_EQ(rule->header_actions.size(), 2u);
   EXPECT_EQ(rule->header_actions[0].field, net::HeaderField::kDstIp);
   EXPECT_EQ(rule->header_actions[1].field, net::HeaderField::kDstPort);
-  EXPECT_TRUE(events.has_events(77));
-  ASSERT_EQ(rule->state_functions.size(), 1u);
-  EXPECT_EQ(rule->state_functions[0].access, core::PayloadAccess::kIgnore);
+  EXPECT_FALSE(record.events.empty());
+  ASSERT_EQ(rule->functions.size(), 1u);
+  EXPECT_EQ(rule->functions[0].access, core::PayloadAccess::kIgnore);
 }
 
 TEST(MaglevLb, EventFiresOnlyWhenBackendUnhealthy) {
   MaglevLb lb{test_backends(), 251};
-  core::LocalMat mat{"maglev", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 88};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 88};
   net::Packet packet = net::make_tcp_packet(tuple_n(6), "x");
   packet.set_fid(88);
   lb.process(packet, &ctx);
   const std::size_t original = lb.backend_of(tuple_n(6)).value();
 
-  int triggered = 0;
-  events.check(88, [&](const core::EventRegistration&, core::EventUpdate) {
-    ++triggered;
-  });
-  EXPECT_EQ(triggered, 0);
+  ASSERT_EQ(record.conditions.size(), 1u);
+  EXPECT_FALSE(record.conditions[0]());
 
   lb.fail_backend(original);
-  events.check(88,
-               [&](const core::EventRegistration&, core::EventUpdate update) {
-                 ++triggered;
-                 ASSERT_TRUE(update.header_actions.has_value());
-                 EXPECT_EQ(update.header_actions->size(), 2u);
-               });
-  EXPECT_EQ(triggered, 1);
+  ASSERT_TRUE(record.conditions[0]());
+  const core::EventUpdate update = record.events[0].update();
+  ASSERT_TRUE(update.header_actions.has_value());
+  EXPECT_EQ(update.header_actions->size(), 2u);
   EXPECT_NE(lb.backend_of(tuple_n(6)).value(), original);
 }
 

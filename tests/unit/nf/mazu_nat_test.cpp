@@ -142,14 +142,13 @@ TEST(MazuNat, ChecksumsValidAfterTranslation) {
 
 TEST(MazuNat, RecordsTwoModifyActions) {
   MazuNat nat;
-  core::LocalMat mat{"nat", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 9};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 9};
   net::Packet packet = net::make_tcp_packet(tuple_n(7), "x");
   packet.set_fid(9);
   nat.process(packet, &ctx);
 
-  const core::LocalRule* rule = mat.find(9);
+  const core::FlowRecord* rule = &record;
   ASSERT_NE(rule, nullptr);
   ASSERT_EQ(rule->header_actions.size(), 2u);
   EXPECT_EQ(rule->header_actions[0].field, net::HeaderField::kSrcIp);
@@ -158,14 +157,13 @@ TEST(MazuNat, RecordsTwoModifyActions) {
 
 TEST(MazuNat, TeardownHookReleasesMapping) {
   MazuNat nat;
-  core::LocalMat mat{"nat", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 10};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 10};
   net::Packet packet = net::make_tcp_packet(tuple_n(8), "x");
   packet.set_fid(10);
   nat.process(packet, &ctx);
   EXPECT_EQ(nat.active_mappings(), 1u);
-  mat.run_teardown_hooks(10);
+  record.run_teardown_hooks();
   EXPECT_EQ(nat.active_mappings(), 0u);
 }
 

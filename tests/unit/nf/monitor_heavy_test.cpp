@@ -59,14 +59,12 @@ TEST(MonitorHeavy, DisabledFeaturesReturnZero) {
 
 TEST(MonitorHeavy, HistogramMakesStateFunctionReadClass) {
   Monitor monitor{MonitorConfig::heavy(), "m"};
-  core::LocalMat mat{"m", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 1};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 1};
   net::Packet packet = net::make_tcp_packet(tuple_n(6), "x");
   packet.set_fid(1);
   monitor.process(packet, &ctx);
-  ASSERT_NE(mat.find(1), nullptr);
-  EXPECT_EQ(mat.find(1)->state_functions[0].access,
+  EXPECT_EQ(record.functions[0].access,
             core::PayloadAccess::kRead);
 }
 

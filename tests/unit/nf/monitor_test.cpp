@@ -61,32 +61,30 @@ TEST(Monitor, TotalsAggregate) {
 
 TEST(Monitor, RecordsIgnoreClassStateFunction) {
   Monitor monitor;
-  core::LocalMat mat{"monitor", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 5};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 5};
   net::Packet packet = net::make_tcp_packet(tuple_n(4), "x");
   packet.set_fid(5);
   monitor.process(packet, &ctx);
 
-  const core::LocalRule* rule = mat.find(5);
+  const core::FlowRecord* rule = &record;
   ASSERT_NE(rule, nullptr);
   EXPECT_EQ(rule->header_actions[0].type, core::HeaderActionType::kForward);
-  ASSERT_EQ(rule->state_functions.size(), 1u);
-  EXPECT_EQ(rule->state_functions[0].access, core::PayloadAccess::kIgnore);
+  ASSERT_EQ(rule->functions.size(), 1u);
+  EXPECT_EQ(rule->functions[0].access, core::PayloadAccess::kIgnore);
 }
 
 TEST(Monitor, RecordedHandlerCountsSubsequentPackets) {
   Monitor monitor;
-  core::LocalMat mat{"monitor", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 6};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 6};
   net::Packet initial = net::make_tcp_packet(tuple_n(5), "x");
   initial.set_fid(6);
   monitor.process(initial, &ctx);
 
   net::Packet subsequent = net::make_tcp_packet(tuple_n(5), "yy");
   const auto parsed = net::parse_packet(subsequent);
-  mat.find(6)->state_functions[0].handler(subsequent, *parsed);
+  record.handlers[0](subsequent, *parsed);
   ASSERT_NE(monitor.counters_of(tuple_n(5)), nullptr);
   EXPECT_EQ(monitor.counters_of(tuple_n(5))->packets, 2u);
 }

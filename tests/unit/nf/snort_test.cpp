@@ -97,27 +97,25 @@ TEST(SnortIds, PerPacketInspectionRepeats) {
 
 TEST(SnortIds, RecordsForwardAndReadStateFunction) {
   SnortIds snort{test_rules()};
-  core::LocalMat mat{"snort", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 11};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 11};
 
   net::Packet packet = net::make_tcp_packet(tuple_n(9, 80), "attack");
   packet.set_fid(11);
   snort.process(packet, &ctx);
 
-  const core::LocalRule* rule = mat.find(11);
+  const core::FlowRecord* rule = &record;
   ASSERT_NE(rule, nullptr);
   ASSERT_EQ(rule->header_actions.size(), 1u);
   EXPECT_EQ(rule->header_actions[0].type, core::HeaderActionType::kForward);
-  ASSERT_EQ(rule->state_functions.size(), 1u);
-  EXPECT_EQ(rule->state_functions[0].access, core::PayloadAccess::kRead);
+  ASSERT_EQ(rule->functions.size(), 1u);
+  EXPECT_EQ(rule->functions[0].access, core::PayloadAccess::kRead);
 }
 
 TEST(SnortIds, RecordedHandlerInspectsLikeProcess) {
   SnortIds snort{test_rules()};
-  core::LocalMat mat{"snort", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 12};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 12};
 
   net::Packet initial = net::make_tcp_packet(tuple_n(10, 80), "clean");
   initial.set_fid(12);
@@ -127,7 +125,7 @@ TEST(SnortIds, RecordedHandlerInspectsLikeProcess) {
   // Invoke the recorded handler on a malicious subsequent packet.
   net::Packet subsequent = net::make_tcp_packet(tuple_n(10, 80), "attack!");
   const auto parsed = net::parse_packet(subsequent);
-  mat.find(12)->state_functions[0].handler(subsequent, *parsed);
+  record.handlers[0](subsequent, *parsed);
   EXPECT_EQ(snort.alert_count(), 1u);
 }
 

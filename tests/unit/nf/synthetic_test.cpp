@@ -87,14 +87,12 @@ TEST(SyntheticNf, RecordsConfiguredAccessClass) {
   SyntheticNfConfig config;
   config.access = core::PayloadAccess::kWrite;
   SyntheticNf nf{config};
-  core::LocalMat mat{"syn", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 3};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 3};
   net::Packet packet = net::make_tcp_packet(tuple_n(6), "x");
   packet.set_fid(3);
   nf.process(packet, &ctx);
-  ASSERT_NE(mat.find(3), nullptr);
-  EXPECT_EQ(mat.find(3)->state_functions[0].access,
+  EXPECT_EQ(record.functions[0].access,
             core::PayloadAccess::kWrite);
 }
 
@@ -103,15 +101,14 @@ TEST(SyntheticNf, OptionalHeaderActionAppliedAndRecorded) {
   config.header_action =
       core::HeaderAction::modify(net::HeaderField::kTos, 0x10);
   SyntheticNf nf{config};
-  core::LocalMat mat{"syn", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 4};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 4};
   net::Packet packet = net::make_tcp_packet(tuple_n(7), "x");
   packet.set_fid(4);
   nf.process(packet, &ctx);
   const auto parsed = net::parse_packet(packet);
   EXPECT_EQ(net::get_field(packet, *parsed, net::HeaderField::kTos), 0x10u);
-  EXPECT_EQ(mat.find(4)->header_actions[0].type,
+  EXPECT_EQ(record.header_actions[0].type,
             core::HeaderActionType::kModify);
 }
 

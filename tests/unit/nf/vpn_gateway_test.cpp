@@ -66,44 +66,39 @@ TEST(VpnGateway, IngressRejectsPlainPackets) {
 
 TEST(VpnGateway, RecordsEncapAction) {
   VpnGateway vpn{VpnMode::kEgress};
-  core::LocalMat mat{"vpn", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 5};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 5};
   net::Packet packet = net::make_tcp_packet(tuple_n(7), "x");
   packet.set_fid(5);
   vpn.process(packet, &ctx);
-  ASSERT_NE(mat.find(5), nullptr);
-  ASSERT_EQ(mat.find(5)->header_actions.size(), 1u);
-  EXPECT_EQ(mat.find(5)->header_actions[0].type,
+  ASSERT_EQ(record.header_actions.size(), 1u);
+  EXPECT_EQ(record.header_actions[0].type,
             core::HeaderActionType::kEncap);
-  EXPECT_EQ(mat.find(5)->header_actions[0].encap.kind, net::EncapKind::kAh);
+  EXPECT_EQ(record.header_actions[0].encap.kind, net::EncapKind::kAh);
 }
 
 TEST(VpnGateway, RecordsDecapAction) {
   VpnGateway egress{VpnMode::kEgress};
   VpnGateway ingress{VpnMode::kIngress};
-  core::LocalMat mat{"vpn-in", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 6};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 6};
   net::Packet packet = net::make_tcp_packet(tuple_n(8), "x");
   packet.set_fid(6);
   egress.process(packet, nullptr);
   ingress.process(packet, &ctx);
-  ASSERT_NE(mat.find(6), nullptr);
-  EXPECT_EQ(mat.find(6)->header_actions[0].type,
+  EXPECT_EQ(record.header_actions[0].type,
             core::HeaderActionType::kDecap);
 }
 
 TEST(VpnGateway, TeardownFreesAssociation) {
   VpnGateway vpn{VpnMode::kEgress};
-  core::LocalMat mat{"vpn", 0};
-  core::EventTable events;
-  core::SpeedyBoxContext ctx{mat, events, 7};
+  core::FlowRecord record;
+  core::SpeedyBoxContext ctx{record, 0, 7};
   net::Packet packet = net::make_tcp_packet(tuple_n(9), "x");
   packet.set_fid(7);
   vpn.process(packet, &ctx);
   EXPECT_EQ(vpn.active_associations(), 1u);
-  mat.run_teardown_hooks(7);
+  record.run_teardown_hooks();
   EXPECT_EQ(vpn.active_associations(), 0u);
 }
 

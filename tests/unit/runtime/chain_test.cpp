@@ -9,7 +9,7 @@
 namespace speedybox::runtime {
 namespace {
 
-TEST(ServiceChain, AddNfCreatesLocalMatAndWiresGlobalMat) {
+TEST(ServiceChain, AddNfAppendsInChainOrder) {
   nf::Monitor monitor;
   nf::IpFilter filter{{}};
   ServiceChain chain;
@@ -17,12 +17,10 @@ TEST(ServiceChain, AddNfCreatesLocalMatAndWiresGlobalMat) {
   chain.add_nf(&filter);
 
   EXPECT_EQ(chain.size(), 2u);
-  EXPECT_EQ(chain.local_mat(0).nf_name(), "monitor");
-  EXPECT_EQ(chain.local_mat(0).nf_index(), 0u);
-  EXPECT_EQ(chain.local_mat(1).nf_name(), "ipfilter");
-  EXPECT_EQ(chain.local_mat(1).nf_index(), 1u);
-  EXPECT_EQ(chain.global_mat().chain().size(), 2u);
-  EXPECT_EQ(chain.global_mat().chain()[1], &chain.local_mat(1));
+  EXPECT_EQ(&chain.nf(0), &monitor);
+  EXPECT_EQ(&chain.nf(1), &filter);
+  EXPECT_EQ(chain.nf_names(),
+            (std::vector<std::string>{"monitor", "ipfilter"}));
 }
 
 TEST(ServiceChain, EmplaceNfOwnsInstance) {
@@ -31,21 +29,6 @@ TEST(ServiceChain, EmplaceNfOwnsInstance) {
   EXPECT_EQ(chain.size(), 1u);
   EXPECT_EQ(&chain.nf(0), &monitor);
   EXPECT_EQ(chain.nf(0).name(), "owned-monitor");
-}
-
-TEST(ServiceChain, ResetFlowsClearsMatsAndClassifier) {
-  ServiceChain chain;
-  chain.emplace_nf<nf::Monitor>();
-  chain.local_mat(0).add_header_action(1, core::HeaderAction::forward());
-  chain.global_mat().consolidate_flow(1);
-  net::Packet packet =
-      net::make_tcp_packet(speedybox::testing::tuple_n(1), "x");
-  chain.classifier().classify(packet);
-
-  chain.reset_flows();
-  EXPECT_EQ(chain.global_mat().size(), 0u);
-  EXPECT_EQ(chain.local_mat(0).size(), 0u);
-  EXPECT_EQ(chain.classifier().active_flows(), 0u);
 }
 
 TEST(ServiceChain, NameAccessor) {

@@ -97,7 +97,7 @@ TEST(Runner, TeardownErasesRulesAndFid) {
   runner.process_packet(fin);
   EXPECT_EQ(chain.global_mat().size(), 0u);
   EXPECT_EQ(chain.classifier().active_flows(), 0u);
-  EXPECT_EQ(chain.local_mat(0).size(), 0u);
+  EXPECT_EQ(chain.global_mat().open_records(), 0u);
 }
 
 TEST(Runner, MalformedPacketDroppedInSpeedyBoxMode) {
@@ -183,15 +183,11 @@ TEST(Runner, EventsCountedInStats) {
   net::Packet first = net::make_tcp_packet(tuple_n(6), "x");
   runner.process_packet(first);
 
-  // Register a hair-trigger event directly.
-  core::EventRegistration event;
-  event.fid = first.fid();
-  event.nf_index = 0;
-  event.name = "test";
-  event.condition = [] { return true; };
-  event.update = [] { return core::EventUpdate{}; };
-  chain.global_mat().event_table().register_event(std::move(event));
-  chain.global_mat().consolidate_flow(first.fid());  // refresh event flag
+  // Register a hair-trigger event directly into the flow's record.
+  core::SpeedyBoxContext ctx{*chain.global_mat().record(first.fid()), 0,
+                             first.fid()};
+  ctx.register_event(
+      "test", [] { return true; }, [] { return core::EventUpdate{}; });
 
   net::Packet second = net::make_tcp_packet(tuple_n(6), "x");
   const PacketOutcome outcome = runner.process_packet(second);

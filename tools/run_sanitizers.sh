@@ -25,9 +25,11 @@ cd "$(dirname "$0")/.."
 # closed loop, whose TCP tests send from a second thread. test_tenancy
 # hosts several sharded executors at once and byte-checks outputs across
 # an arbiter-triggered mid-run shard reallocation (DESIGN.md §14).
-# test_core records flows on one thread while another consolidates and
-# erases earlier ones, over the Local MATs' and Event Table's FlowTable
-# slabs: TSan checks their lock discipline, ASan the slab record lifetimes.
+# test_core records flows into their records on one thread while another
+# consolidates, fast-paths and erases earlier ones and recycles their FIDs,
+# with no lock: TSan checks that the hand-offs order every record access,
+# ASan the record and slab lifetimes. Leak detection is on in the address
+# run, so memory that nothing frees any more fails it.
 # test_nf runs the NF unit suites, among them the Aho-Corasick
 # differentials: ASan checks the flat transition table's indexing and the
 # case-sensitive confirming memcmp at payload edges, UBSan the interleaved
@@ -47,8 +49,7 @@ run_one() {
     if [ "${sanitizer}" = "thread" ]; then
       TSAN_OPTIONS="halt_on_error=1" "./${build_dir}/tests/${target}"
     else
-      ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="print_stacktrace=1" \
-        "./${build_dir}/tests/${target}"
+      UBSAN_OPTIONS="print_stacktrace=1" "./${build_dir}/tests/${target}"
     fi
   done
   echo "=== ${sanitizer}: clean ==="
