@@ -53,7 +53,8 @@ void run() {
   for (std::size_t shards : {1u, 2u, 4u, 8u}) {
     runtime::ShardedRuntime runtime{
         prototype, shards, {platform::PlatformKind::kOnvm, true}};
-    const runtime::ShardedRunResult result = runtime.run_workload(workload);
+    runtime.run(workload);
+    const runtime::ShardedRunResult& result = runtime.last_result();
     if (shards == 1) base_rate = result.aggregate_rate_mpps;
 
     {

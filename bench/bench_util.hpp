@@ -6,10 +6,12 @@
 // Absolute numbers are machine-dependent; EXPERIMENTS.md compares shapes.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_method.hpp"
 #include "bench_schema.hpp"
@@ -63,15 +65,34 @@ inline ConfigResult run_config(const ChainFactory& factory,
                                const runtime::OverloadConfig& overload = {}) {
   auto chain = factory();
   runtime::RunConfig config{platform, speedybox};
-  config.batch_size = batch_size;
+  config.batch_size = std::max<std::size_t>(1, batch_size);
   runtime::ChainRunner runner{*chain, config};
-  // Drive through the Executor interface — same entry points chainsim and
-  // the equivalence harnesses use for every shape.
-  runtime::Executor& executor = runner;
-  if (overload.enabled) executor.set_overload_policy(overload);
-  executor.run(workload);
-  ConfigResult result = collect_result(executor, platform);
-  result.flow_time_us = runner.flow_time_us();
+  if (overload.enabled) runner.set_overload_policy(overload);
+  // The runner's own batch loop, so each packet's outcome is at hand: a
+  // flow's processing time (Fig. 9) is the sum of its packets' modeled
+  // latencies.
+  std::vector<double> flow_time(workload.flows.size(), 0.0);
+  std::vector<net::Packet> burst(config.batch_size);
+  std::vector<runtime::PacketOutcome> outcomes;
+  net::PacketBatch batch{config.batch_size};
+  for (std::size_t offset = 0; offset < workload.packet_count();
+       offset += config.batch_size) {
+    const std::size_t count =
+        std::min(config.batch_size, workload.packet_count() - offset);
+    batch.clear();
+    for (std::size_t k = 0; k < count; ++k) {
+      burst[k] = workload.materialize(offset + k);
+      burst[k].set_arrival_cycle(util::CycleClock::now());
+      batch.push(&burst[k]);
+    }
+    runner.process_batch(batch, outcomes);
+    for (std::size_t k = 0; k < count; ++k) {
+      flow_time[workload.order[offset + k].flow] +=
+          util::CycleClock::to_us(outcomes[k].latency_cycles);
+    }
+  }
+  ConfigResult result = collect_result(runner, platform);
+  for (const double time_us : flow_time) result.flow_time_us.add(time_us);
   if (result.flow_time_us.count() > 0) {
     result.p50_flow_time_us = result.flow_time_us.percentile(50);
   }

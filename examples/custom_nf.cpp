@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <unordered_map>
 
+#include "net/packet_builder.hpp"
 #include "nf/network_function.hpp"
 #include "runtime/runner.hpp"
 

@@ -44,7 +44,7 @@ Audit run_mode(bool speedybox, const trace::Workload& workload) {
   Chain c = build_chain();
   runtime::ChainRunner runner{
       *c.chain, {platform::PlatformKind::kBess, speedybox}};
-  runner.run_workload(workload);
+  runner.run(workload);
   return {c.snort->log(), c.snort->alert_count(), c.snort->log_count(),
           c.snort->pass_count(), runner.stats().drops};
 }

@@ -8,6 +8,7 @@
 //   $ ./quickstart
 #include <cstdio>
 
+#include "net/packet_builder.hpp"
 #include "nf/ip_filter.hpp"
 #include "nf/mazu_nat.hpp"
 #include "nf/monitor.hpp"

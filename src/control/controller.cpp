@@ -118,18 +118,15 @@ ControlSignals Controller::compute_signals(
 
 void Controller::tick(runtime::ShardedRuntime& runtime) {
   const ControlSignals signals = compute_signals(runtime);
-  const std::size_t active = runtime.active_shard_count();
-  const std::size_t target = policy_.decide(signals, active);
-  if (target == active) {
-    metrics_->active_shards.set(active);
-    return;
-  }
-  const ReshardReport report = reshard(runtime, target);
+  const ReshardReport report = reshard(
+      runtime, policy_.decide(signals, runtime.active_shard_count()));
+  metrics_->active_shards.set(report.to_shards);
+  // No change decided, or a refused reshard: no scale event.
+  if (report.to_shards == report.from_shards) return;
   events_.push_back(report);
   metrics_->scale_events.add(1);
   metrics_->migrated_flows.add(report.migrated_flows);
   metrics_->migration_cycles.record(report.migration_cycles);
-  metrics_->active_shards.set(report.to_shards);
 }
 
 }  // namespace speedybox::control

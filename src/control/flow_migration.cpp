@@ -178,31 +178,59 @@ ReshardReport reshard(runtime::ShardedRuntime& runtime,
 
   const std::uint64_t start = util::CycleClock::now();
   runtime.quiesce();
-  // Scale-up: destination workers must exist (and be registered with
-  // telemetry/overload) before their chains receive state.
-  if (report.to_shards > report.from_shards) {
-    runtime.ensure_worker_shards(report.to_shards);
-  }
   // Every shard ever started may hold flows whose Lemire index changes
   // under the new count — any pair of shards can exchange flows, not just
-  // the tail (shard_index is multiply-shift, not modulo).
+  // the tail (shard_index is multiply-shift, not modulo). Build every
+  // (source, destination) group before moving any.
+  struct Group {
+    std::size_t source;
+    std::size_t dest;
+    std::vector<core::PacketClassifier::ActiveFlow> flows;
+  };
+  std::vector<Group> groups;
+  std::vector<std::size_t> incoming(report.to_shards, 0);
   for (std::size_t s = 0; s < runtime.shard_count(); ++s) {
-    runtime::ServiceChain& chain = runtime.shard_chain(s);
-    const auto flows = chain.classifier().active_tuples();
     // Bucket by destination shard: shard indices are small and dense, so a
     // flat vector indexed by shard beats an ordered map of buckets.
     std::vector<std::vector<core::PacketClassifier::ActiveFlow>> moves(
         report.to_shards);
-    for (const auto& flow : flows) {
+    for (const auto& flow :
+         runtime.shard_chain(s).classifier().active_tuples()) {
       const std::size_t target = util::shard_index(
           flow.tuple.symmetric_hash(), report.to_shards);
       if (target != s) moves[target].push_back(flow);
     }
     for (std::size_t target = 0; target < moves.size(); ++target) {
       if (moves[target].empty()) continue;
-      report.migrated_flows +=
-          migrate_flows(chain, runtime.shard_chain(target), moves[target]);
+      incoming[target] += moves[target].size();
+      groups.push_back({s, target, std::move(moves[target])});
     }
+  }
+  // A destination that cannot take every flow routed to it refuses the
+  // whole reshard: were one group left behind, dispatch under the new
+  // count would send its later packets to a shard that holds none of its
+  // state. Shards not started yet are empty replicas with every FID free.
+  for (std::size_t target = 0; target < incoming.size(); ++target) {
+    const std::size_t free =
+        target < runtime.shard_count()
+            ? runtime.shard_chain(target).classifier().free_fid_count()
+            : std::size_t{net::kFidMask} + 1;
+    if (free < incoming[target]) {
+      SB_LOG_ERROR("migration",
+                   "too few free FIDs at a destination: reshard refused");
+      report.to_shards = report.from_shards;
+      return report;
+    }
+  }
+  // Scale-up: destination workers must exist (and be registered with
+  // telemetry/overload) before their chains receive state.
+  if (report.to_shards > report.from_shards) {
+    runtime.ensure_worker_shards(report.to_shards);
+  }
+  for (const Group& group : groups) {
+    report.migrated_flows +=
+        migrate_flows(runtime.shard_chain(group.source),
+                      runtime.shard_chain(group.dest), group.flows);
   }
   if (report.to_shards < report.from_shards) {
     runtime.retire_worker_shards(report.to_shards);

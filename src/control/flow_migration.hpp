@@ -69,7 +69,10 @@ struct ReshardReport {
 /// Lemire shard index changes under the new count, retire surplus workers,
 /// and re-open dispatch. Dispatcher thread only, at a packet boundary
 /// (ShardedRuntime::ScaleHook is exactly that). A no-op (beyond the
-/// report) when new_count already matches.
+/// report) when new_count already matches. When some destination has too
+/// few free FIDs for the flows it would receive, nothing moves, no worker
+/// starts or retires, the shard count stays, and the report reads
+/// to_shards == from_shards.
 ReshardReport reshard(runtime::ShardedRuntime& runtime,
                       std::size_t new_count);
 

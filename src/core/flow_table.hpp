@@ -1,8 +1,8 @@
 // FlowTable (DESIGN.md §13): the million-flow state engine behind every
 // per-flow hash table on the hot path — the classifier's tuple→FID map,
 // each NF's typed per-flow state, the pipeline's flow phases, and
-// ChainRunner's original-mode tagging set and per-flow times. (The Global
-// MAT needs none: its flow records sit at their dense FIDs' slots.)
+// ChainRunner's original-mode tagging set. (The Global MAT needs none: its
+// flow records sit at their dense FIDs' slots.)
 //
 // Why not std::unordered_map: at production flow counts the data path is
 // bounded by pointer-chasing cache misses (one heap node per entry, a

@@ -110,8 +110,7 @@ GlobalMat::FastHeaderResult GlobalMat::process_header(net::Packet& packet) {
 }
 
 GlobalMat::FastPathResult GlobalMat::process(
-    net::Packet& packet, bool measure_batches,
-    const net::ParsedPacket* parsed_hint) {
+    net::Packet& packet, const net::ParsedPacket* parsed_hint) {
   FastPathResult result;
   FlowRecord* rule_ref = apply_header_phase(packet, &result.dropped,
                                             &result.events_triggered);
@@ -136,10 +135,6 @@ GlobalMat::FastPathResult GlobalMat::process(
   }
   const net::ParsedPacket& parsed = reparsed ? *reparsed : *parsed_hint;
 
-  if (!measure_batches) {
-    for (const auto& handler : rule.handlers) handler(packet, parsed);
-    return result;
-  }
   result.multi_batch_groups = rule.multi_batch_groups;
   if (rule.cost_samples < FlowRecord::kCostSampleWindow) {
     // Sampling phase: one timer pair per batch to learn the Table-I

@@ -97,21 +97,21 @@ class GlobalMat {
     std::uint64_t sf_total_cycles = 0;
     /// Modeled cycles under the Table-I parallel schedule (critical path).
     std::uint64_t sf_critical_path_cycles = 0;
-    /// The rule's multi_batch_groups, reported when batches are measured.
+    /// The rule's multi_batch_groups.
     std::size_t multi_batch_groups = 0;
-    /// Timer pairs consumed inside process() while measuring batches — the
-    /// caller subtracts their overhead from its enclosing measurement.
+    /// Timer pairs consumed inside process() — the caller subtracts their
+    /// overhead from its enclosing measurement.
     std::uint32_t timer_pairs = 0;
   };
 
   /// Fast path for a subsequent packet: the record's event conditions,
-  /// consolidated header action, state-function handlers.
-  /// `measure_batches` enables per-batch cycle attribution (used by the
-  /// benches); the equivalence tests leave it off. `parsed_hint` is the
+  /// consolidated header action, state-function handlers, with the state
+  /// functions' cycles measured (per batch while the rule samples its
+  /// schedule, under one timer pair after). `parsed_hint` is the
   /// classifier's parse of this packet — reused for state-function
   /// execution when the consolidated action leaves the header layout
   /// intact, so the fast path parses exactly once.
-  FastPathResult process(net::Packet& packet, bool measure_batches = false,
+  FastPathResult process(net::Packet& packet,
                          const net::ParsedPacket* parsed_hint = nullptr);
 
   /// The manager-side half of the fast path for threaded deployments:

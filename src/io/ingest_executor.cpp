@@ -1,31 +1,8 @@
 #include "io/ingest_executor.hpp"
 
-#include <stdexcept>
-#include <utility>
-
-#include "net/packet_batch.hpp"
-#include "runtime/sharded_runtime.hpp"
-#include "util/cycle_clock.hpp"
-
 namespace speedybox::io {
 
-IngestExecutor::IngestExecutor(runtime::Executor& executor,
-                               bool capture_outputs)
-    : executor_(executor),
-      runner_(dynamic_cast<runtime::ChainRunner*>(&executor)),
-      sharded_(dynamic_cast<runtime::ShardedRuntime*>(&executor)),
-      capture_outputs_(capture_outputs) {}
-
-std::string_view IngestExecutor::mode() const noexcept {
-  if (runner_ != nullptr) return "stream-batch";
-  if (sharded_ != nullptr) return "stream-push";
-  return "deferred";
-}
-
 void IngestExecutor::submit(std::vector<net::Packet>&& batch) {
-  if (finished_) {
-    throw std::logic_error("IngestExecutor::submit after finish");
-  }
   if (gate_) {
     // Host-boundary admission: shed packets compact out of the batch here,
     // so `submitted_` (and everything downstream) counts only the
@@ -42,51 +19,7 @@ void IngestExecutor::submit(std::vector<net::Packet>&& batch) {
     batch.resize(kept);
   }
   submitted_ += batch.size();
-  if (sharded_ != nullptr) {
-    for (net::Packet& packet : batch) {
-      packet.set_arrival_cycle(util::CycleClock::now());
-      sharded_->push(std::move(packet));
-    }
-    return;
-  }
-  if (runner_ != nullptr) {
-    // Mirror ChainRunner::run_packets' inner loop: one PacketBatch per
-    // submitted batch, drops masked in place, outputs in arrival order.
-    net::PacketBatch staged{batch.size()};
-    for (net::Packet& packet : batch) {
-      packet.set_arrival_cycle(util::CycleClock::now());
-      staged.push(&packet);
-    }
-    runner_->process_batch(staged, outcomes_scratch_);
-    if (capture_outputs_) {
-      for (net::Packet& packet : batch) {
-        outputs_.push_back(std::move(packet));
-      }
-    }
-    return;
-  }
-  pending_.insert(pending_.end(), std::make_move_iterator(batch.begin()),
-                  std::make_move_iterator(batch.end()));
-}
-
-const runtime::RunStats& IngestExecutor::finish() {
-  if (finished_) {
-    throw std::logic_error("IngestExecutor::finish is one-shot");
-  }
-  finished_ = true;
-  if (sharded_ != nullptr) {
-    runtime::ShardedRunResult result = sharded_->finish();
-    if (capture_outputs_) outputs_ = std::move(result.packets);
-    sharded_stats_ = std::move(result.stats);
-    return sharded_stats_;
-  }
-  if (runner_ != nullptr) {
-    return runner_->stats();
-  }
-  const runtime::RunStats& stats =
-      executor_.run(pending_, capture_outputs_ ? &outputs_ : nullptr);
-  pending_.clear();
-  return stats;
+  executor_.submit(batch, capture_outputs_);
 }
 
 }  // namespace speedybox::io

@@ -108,8 +108,8 @@ class IngestServer {
 
   /// Run the event loop, feeding `sink`, until stop() or the idle timeout.
   /// Returns the run's counters (the final socket_drops read included).
-  /// One-shot, like Executor::run. Does NOT call sink.finish() — the
-  /// caller owns the executor lifecycle.
+  /// One-shot. Does NOT call sink.finish() — the caller owns the executor
+  /// lifecycle.
   IngestStats serve(IngestExecutor& sink);
 
   /// End serve() from any thread.

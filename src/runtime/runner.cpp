@@ -1,6 +1,7 @@
 #include "runtime/runner.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "net/checksum.hpp"
 #include "util/cycle_clock.hpp"
@@ -83,7 +84,10 @@ void RunStats::merge_from(const RunStats& other) {
 
 ChainRunner::ChainRunner(ServiceChain& chain, RunConfig config,
                          const platform::PlatformCosts& costs)
-    : chain_(chain), config_(config), costs_(costs) {
+    : chain_(chain),
+      config_(config),
+      costs_(costs),
+      batch_(config.batch_size) {
   if (!config_.speedybox) {
     stats_.per_nf_cycle_sum.assign(chain.size(), 0);
     stats_.per_nf_cycle_count.assign(chain.size(), 0);
@@ -202,8 +206,8 @@ void ChainRunner::run_fast_path(
 
   // Fast path: Global MAT (event check + consolidated HA + SF batches).
   const std::uint64_t t_start = util::CycleClock::now();
-  const auto result = chain_.global_mat().process(
-      packet, /*measure_batches=*/true, &classification.parsed);
+  const auto result =
+      chain_.global_mat().process(packet, &classification.parsed);
   // Remove this measurement's own overhead plus that of the timer pairs
   // GlobalMat used internally for batch attribution, then add the packet's
   // share of the batched classifier pass.
@@ -626,76 +630,26 @@ std::size_t ChainRunner::expire_idle_flows(double max_idle_us) {
   return idle.size();
 }
 
-const RunStats& ChainRunner::run_packets(
-    const std::vector<net::Packet>& packets,
-    std::vector<net::Packet>* outputs) {
-  // Per-flow times keyed by the pre-chain tuple (unmeasured bookkeeping),
-  // hashed once per packet.
-  core::FlowTable<net::FiveTuple, double> flow_time;
-  const std::size_t burst = std::max<std::size_t>(1, config_.batch_size);
-  std::vector<net::Packet> local(burst);
-  std::vector<std::optional<core::HashedTuple>> flows(burst);
-  std::vector<PacketOutcome> outcomes;
-  net::PacketBatch batch{burst};
-  if (outputs != nullptr) {
-    outputs->clear();
-    outputs->reserve(packets.size());
-  }
-  for (std::size_t offset = 0; offset < packets.size();) {
-    const std::size_t chunk = std::min(burst, packets.size() - offset);
-    batch.clear();
-    for (std::size_t k = 0; k < chunk; ++k) {
-      local[k] = packets[offset + k];
-      local[k].reset_metadata();
-      flows[k].reset();
-      if (const auto parsed = net::parse_packet(local[k])) {
-        flows[k] = core::HashedTuple::of(
-            net::extract_five_tuple(local[k], *parsed));
-      }
-      local[k].set_arrival_cycle(util::CycleClock::now());
-      batch.push(&local[k]);
+void ChainRunner::submit(std::span<net::Packet> burst, bool keep) {
+  const std::size_t size = std::max<std::size_t>(1, config_.batch_size);
+  for (std::size_t offset = 0; offset < burst.size(); offset += size) {
+    const std::size_t end = std::min(burst.size(), offset + size);
+    batch_.clear();
+    for (std::size_t k = offset; k < end; ++k) {
+      burst[k].set_arrival_cycle(util::CycleClock::now());
+      batch_.push(&burst[k]);
     }
-    process_batch(batch, outcomes);
-    for (std::size_t k = 0; k < chunk; ++k) {
-      if (flows[k]) {
-        *flow_time.try_emplace(flows[k]->tuple, flows[k]->hash).first +=
-            util::CycleClock::to_us(outcomes[k].latency_cycles);
-      }
-      if (outputs != nullptr) outputs->push_back(local[k]);
-    }
-    offset += chunk;
+    process_batch(batch_, outcomes_);
   }
-  flow_time_us_.clear();
-  flow_time.for_each(
-      [this](const net::FiveTuple&, double time_us) {
-        flow_time_us_.add(time_us);
-      });
-  return stats_;
+  if (keep) {
+    kept_.insert(kept_.end(), std::make_move_iterator(burst.begin()),
+                 std::make_move_iterator(burst.end()));
+  }
 }
 
-const RunStats& ChainRunner::run_workload(const trace::Workload& workload) {
-  std::vector<double> flow_time_us(workload.flows.size(), 0.0);
-  const std::size_t burst = std::max<std::size_t>(1, config_.batch_size);
-  std::vector<net::Packet> local(burst);
-  std::vector<PacketOutcome> outcomes;
-  const std::size_t total = workload.order.size();
-  for (std::size_t offset = 0; offset < total;) {
-    const std::size_t chunk = std::min(burst, total - offset);
-    net::PacketBatch batch{burst};
-    for (std::size_t k = 0; k < chunk; ++k) {
-      local[k] = workload.materialize(offset + k);
-      local[k].set_arrival_cycle(util::CycleClock::now());
-      batch.push(&local[k]);
-    }
-    process_batch(batch, outcomes);
-    for (std::size_t k = 0; k < chunk; ++k) {
-      flow_time_us[workload.order[offset + k].flow] +=
-          util::CycleClock::to_us(outcomes[k].latency_cycles);
-    }
-    offset += chunk;
-  }
-  flow_time_us_.clear();
-  for (const double t : flow_time_us) flow_time_us_.add(t);
+const RunStats& ChainRunner::drain(std::vector<net::Packet>* outputs) {
+  if (outputs != nullptr) outputs->swap(kept_);
+  kept_.clear();
   return stats_;
 }
 

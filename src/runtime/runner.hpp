@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/classifier.hpp"
@@ -35,7 +36,6 @@
 #include "runtime/executor.hpp"
 #include "runtime/overload.hpp"
 #include "telemetry/metrics.hpp"
-#include "trace/workload.hpp"
 #include "util/histogram.hpp"
 
 namespace speedybox::runtime {
@@ -153,25 +153,22 @@ class ChainRunner : public Executor {
   void process_batch(net::PacketBatch& batch,
                      std::vector<PacketOutcome>& outcomes);
 
-  /// Run a whole workload; returns aggregate stats. Per-flow processing
-  /// times (Fig. 9) are recorded into flow_time_us().
-  const RunStats& run_workload(const trace::Workload& workload);
-
-  /// Run a raw packet sequence (e.g. from trace::read_pcap). Packets are
-  /// copied per run; per-flow times are keyed by five-tuple. When
-  /// `outputs` is non-null it receives every packet post-chain in input
-  /// order, dropped ones included.
+  /// Run a raw packet sequence (e.g. from trace::read_pcap): Executor::run.
   const RunStats& run_packets(const std::vector<net::Packet>& packets,
-                              std::vector<net::Packet>* outputs = nullptr);
+                              std::vector<net::Packet>* outputs = nullptr) {
+    return run(packets, outputs);
+  }
 
   // -- Executor ------------------------------------------------------------
   std::string_view kind() const noexcept override { return "runner"; }
-  const RunStats& run(const trace::Workload& workload) override {
-    return run_workload(workload);
-  }
-  const RunStats& run(const std::vector<net::Packet>& packets,
-                      std::vector<net::Packet>* outputs) override {
-    return run_packets(packets, outputs);
+  /// Processes the burst inline, in batches of RunConfig::batch_size,
+  /// stamping each packet's arrival as its batch forms.
+  void submit(std::span<net::Packet> burst, bool keep) override;
+  /// Hands back the kept packets. Not one-shot: stats accumulate over
+  /// every submit() until the runner is destroyed.
+  const RunStats& drain(std::vector<net::Packet>* outputs) override;
+  std::size_t batch_size() const noexcept override {
+    return config_.batch_size;
   }
   void attach_telemetry(telemetry::Registry* registry,
                         const std::string& label) override;
@@ -193,12 +190,6 @@ class ChainRunner : public Executor {
   /// degradation under sustained pressure).
   bool recording_suspended() const noexcept {
     return controller_ != nullptr && controller_->degraded();
-  }
-
-  /// Aggregated per-flow processing time in µs (one sample per flow of the
-  /// last run_workload call).
-  const util::SampleRecorder& flow_time_us() const noexcept {
-    return flow_time_us_;
   }
 
   /// Attach live telemetry (null detaches — the default). The runner's
@@ -253,7 +244,10 @@ class ChainRunner : public Executor {
   /// the gate is active. Stats-only: never touches packet bytes.
   double service_ema_cycles_ = 0.0;
   RunStats stats_;
-  util::SampleRecorder flow_time_us_;
+  /// submit()'s batch and outcome scratch, and the packets kept for drain().
+  net::PacketBatch batch_;
+  std::vector<PacketOutcome> outcomes_;
+  std::vector<net::Packet> kept_;
   /// Original mode only: stats-side init/sub tagging (there is no
   /// classifier on the original path), used as a set — the value is
   /// unused. Maintained outside measured regions.

@@ -70,20 +70,19 @@ void ShardedRuntime::set_scale_hook(ScaleHook hook,
   scale_interval_ = interval_packets == 0 ? 1 : interval_packets;
 }
 
-void ShardedRuntime::push(net::Packet packet) {
+void ShardedRuntime::dispatch(net::Packet&& packet, bool keep) {
   if (joined_) {
-    throw std::logic_error("ShardedRuntime::push after finish()");
-  }
-  Job job;
-  job.index = next_index_++;
-  if (const auto parsed = net::parse_packet(packet)) {
-    job.tuple = net::extract_five_tuple(packet, *parsed);
+    throw std::logic_error("ShardedRuntime: packet after finish()");
   }
   // Unparseable packets have no flow; any fixed shard preserves their
   // relative order.
-  const std::size_t shard_index =
-      job.tuple ? shard_of(*job.tuple) : std::size_t{0};
+  std::size_t shard_index = 0;
+  if (const auto parsed = net::parse_packet(packet)) {
+    shard_index = shard_of(net::extract_five_tuple(packet, *parsed));
+  }
+  Job job;
   job.packet = std::move(packet);
+  if (keep) job.slot = kept_count_++;
   Shard& shard = *shards_[shard_index];
   shard.staging.push_back(std::move(job));
   if (shard.staging.size() >= config_.batch_size) {
@@ -92,19 +91,26 @@ void ShardedRuntime::push(net::Packet packet) {
   // Scaling decisions fire at exact packet counts, independent of batch
   // size or worker timing — the property the autoscale differential-
   // equivalence harness leans on.
-  if (scale_hook_ && next_index_ % scale_interval_ == 0) {
+  ++pushed_;
+  if (scale_hook_ && pushed_ % scale_interval_ == 0) {
     scale_hook_(*this);
   }
 }
 
+void ShardedRuntime::submit(std::span<net::Packet> burst, bool keep) {
+  for (net::Packet& packet : burst) dispatch(std::move(packet), keep);
+}
+
 void ShardedRuntime::shed_jobs(std::span<Job> jobs) {
+  dispatcher_shed_ += jobs.size();
   for (Job& job : jobs) {
+    if (job.slot == kNotKept) continue;
     job.packet.mark_dropped();
     PacketOutcome outcome;
     outcome.dropped = true;
     outcome.shed = true;
-    dispatcher_shed_.push_back(
-        {job.index, outcome, std::move(job.packet)});
+    dispatcher_shed_kept_.push_back(
+        {job.slot, outcome, std::move(job.packet)});
   }
 }
 
@@ -187,12 +193,9 @@ void ShardedRuntime::worker(Shard& shard) {
       shard.runner->process_batch(batch, outcomes);
       for (std::size_t k = 0; k < live.size(); ++k) {
         Job& job = jobs[live[k]];
-        if (job.tuple) {
-          shard.flow_time_us[*job.tuple] +=
-              util::CycleClock::to_us(outcomes[k].latency_cycles);
-        }
+        if (job.slot == kNotKept) continue;
         shard.processed.push_back(
-            {job.index, outcomes[k], std::move(job.packet)});
+            {job.slot, outcomes[k], std::move(job.packet)});
       }
     }
     if (marker_epoch != 0) {
@@ -309,43 +312,29 @@ ShardedRunResult ShardedRuntime::finish() {
   ShardedRunResult result;
   result.wall_seconds =
       static_cast<double>(steady_ns() - start_ns_) / 1e9;
-  result.outcomes.resize(next_index_);
-  result.packets.resize(next_index_);
+  result.outcomes.resize(kept_count_);
+  result.packets.resize(kept_count_);
+  const auto place = [&result](std::vector<Processed>& kept) {
+    for (Processed& rec : kept) {
+      result.outcomes[rec.slot] = rec.outcome;
+      result.packets[rec.slot] = std::move(rec.packet);
+    }
+    kept = {};
+  };
   result.shard_packets.reserve(shards_.size());
-  // After live resharding a flow's packets may have been processed by more
-  // than one shard, so per-flow times accumulate across shards by tuple
-  // before becoming samples (a static run degenerates to the old
-  // disjoint-keys merge).
-  std::unordered_map<net::FiveTuple, double, net::FiveTupleHash> flow_time;
   for (auto& shard : shards_) {
     const RunStats& stats = shard->runner->stats();
     result.shard_packets.push_back(stats.packets);
     result.stats.merge_from(stats);
     result.aggregate_rate_mpps += stats.rate_mpps(config_.platform);
-    for (Processed& rec : shard->processed) {
-      result.outcomes[rec.index] = rec.outcome;
-      result.packets[rec.index] = std::move(rec.packet);
-    }
-    for (const auto& [tuple, time_us] : shard->flow_time_us) {
-      flow_time[tuple] += time_us;
-    }
-    shard->processed.clear();
-    shard->processed.shrink_to_fit();
-  }
-  for (const auto& [tuple, time_us] : flow_time) {
-    result.flow_time_us.add(time_us);
+    place(shard->processed);
   }
   // Dispatcher-shed packets never reached a shard runner, so no shard's
   // `offered` counted them: add them to both sides of the conservation
   // identity (offered == packets + shed_total) exactly once.
-  result.stats.overload.offered += dispatcher_shed_.size();
-  result.stats.overload.shed_watermark += dispatcher_shed_.size();
-  for (Processed& rec : dispatcher_shed_) {
-    result.outcomes[rec.index] = rec.outcome;
-    result.packets[rec.index] = std::move(rec.packet);
-  }
-  dispatcher_shed_.clear();
-  dispatcher_shed_.shrink_to_fit();
+  result.stats.overload.offered += dispatcher_shed_;
+  result.stats.overload.shed_watermark += dispatcher_shed_;
+  place(dispatcher_shed_kept_);
   return result;
 }
 
@@ -359,30 +348,16 @@ ShardedRunResult ShardedRuntime::run_packets(
   return finish();
 }
 
-ShardedRunResult ShardedRuntime::run_workload(
-    const trace::Workload& workload) {
-  for (std::size_t i = 0; i < workload.packet_count(); ++i) {
-    push(workload.materialize(i));
-  }
-  return finish();
-}
-
-const RunStats& ShardedRuntime::run(const trace::Workload& workload) {
-  last_result_ = run_workload(workload);
-  return last_result_.stats;
-}
-
-const RunStats& ShardedRuntime::run(
-    const std::vector<net::Packet>& packets,
-    std::vector<net::Packet>* outputs) {
-  last_result_ = run_packets(packets);
-  if (outputs != nullptr) *outputs = last_result_.packets;
+const RunStats& ShardedRuntime::drain(std::vector<net::Packet>* outputs) {
+  last_result_ = finish();
+  if (outputs != nullptr) *outputs = std::move(last_result_.packets);
+  last_result_.packets = {};
   return last_result_.stats;
 }
 
 void ShardedRuntime::attach_telemetry(telemetry::Registry* registry,
                                       const std::string& label) {
-  if (next_index_ != 0) {
+  if (pushed_ != 0) {
     throw std::logic_error(
         "ShardedRuntime::attach_telemetry after first push");
   }
@@ -403,7 +378,7 @@ void ShardedRuntime::attach_telemetry(telemetry::Registry* registry,
 }
 
 void ShardedRuntime::set_overload_policy(const OverloadConfig& config) {
-  if (next_index_ != 0) {
+  if (pushed_ != 0) {
     throw std::logic_error(
         "ShardedRuntime::set_overload_policy after first push");
   }

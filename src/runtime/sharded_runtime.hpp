@@ -16,10 +16,17 @@
 //   shard worker k (one thread per shard)
 //     owns replica k of the ServiceChain (chain.clone()) and a ChainRunner
 //     pops whole bursts (try_pop_burst), runs them through
-//     ChainRunner::process_batch in FIFO order, records outcomes + stats
-//   finish()
-//     joins workers, reassembles outcomes/packets in input order, merges
-//     per-shard RunStats (exact sum/count merging, see RunStats::merge_from)
+//     ChainRunner::process_batch in FIFO order; keeps a packet and its
+//     outcome only when the caller asked for it back, else frees it there
+//   finish() / drain()
+//     joins workers, places the kept packets and outcomes in input order,
+//     merges per-shard RunStats (exact sum/count merging, see
+//     RunStats::merge_from)
+//
+// What is kept follows from what the caller asked for: push() and
+// finish() keep every packet, and submit() keeps a burst only with `keep`.
+// A live run (io::IngestExecutor without capture) therefore holds nothing
+// per packet, however long it serves.
 //
 // Concurrency contract (DESIGN.md "Sharded runtime"): the symmetric hash
 // gives both directions of a connection the same shard, so every flow's
@@ -45,10 +52,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -56,27 +61,24 @@
 #include "runtime/executor.hpp"
 #include "runtime/runner.hpp"
 #include "telemetry/metrics.hpp"
-#include "trace/workload.hpp"
-#include "util/histogram.hpp"
 #include "util/spsc_ring.hpp"
 
 namespace speedybox::runtime {
 
-/// Merged result of one sharded run — the same shape ChainRunner produces
-/// (RunStats + per-flow times + per-packet outcomes), so figure benches and
-/// chainsim report sharded runs through their existing paths.
+/// Merged result of one sharded run: the merged RunStats, plus the kept
+/// packets and their outcomes.
 struct ShardedRunResult {
   /// Exact merge of the per-shard stats (histogram buckets and sums added).
   RunStats stats;
   /// Packets dispatched to each shard.
   std::vector<std::uint64_t> shard_packets;
-  /// Per input packet, in input order.
+  /// Per kept packet (every push(); submit() bursts with keep), in input
+  /// order.
   std::vector<PacketOutcome> outcomes;
-  /// The processed packets, in input order (dropped ones keep their
-  /// dropped flag set).
+  /// The kept packets post-chain, in input order (dropped ones keep their
+  /// dropped flag set). Empty after drain(), which hands them to the
+  /// caller.
   std::vector<net::Packet> packets;
-  /// Per-flow processing time, keyed by the pre-chain five-tuple.
-  util::SampleRecorder flow_time_us;
   /// Wall-clock of the run (dispatch through join). Unlike the modeled
   /// cycle stats this includes real thread overlap, so it is what the
   /// sharding-scaling bench reports.
@@ -118,12 +120,12 @@ class ShardedRuntime : public Executor {
   ShardedRuntime(const ShardedRuntime&) = delete;
   ShardedRuntime& operator=(const ShardedRuntime&) = delete;
 
-  /// Dispatch one packet to its flow's shard. Packets stage per shard and
-  /// flush to the ring as a whole burst once `config.batch_size` have
-  /// accumulated (finish()/the destructor flush partial bursts). A flush
-  /// blocks (spin-yield) while the ring lacks room — backpressure, never
-  /// packet loss.
-  void push(net::Packet packet);
+  /// Dispatch one packet to its flow's shard, kept for finish(). Packets
+  /// stage per shard and flush to the ring as a whole burst once
+  /// `config.batch_size` have accumulated (finish()/the destructor flush
+  /// partial bursts). A flush blocks (spin-yield) while the ring lacks
+  /// room — backpressure, never packet loss.
+  void push(net::Packet packet) { dispatch(std::move(packet), true); }
 
   /// Drain everything in flight, join the workers, and merge the per-shard
   /// results. One-shot: the runtime cannot be pushed to afterwards.
@@ -132,13 +134,17 @@ class ShardedRuntime : public Executor {
   /// Convenience one-shot run: push every packet (copied, metadata reset)
   /// in order, then finish().
   ShardedRunResult run_packets(const std::vector<net::Packet>& packets);
-  ShardedRunResult run_workload(const trace::Workload& workload);
 
-  // -- Executor interface (one-shot: run() ends in finish()) --
+  // -- Executor interface (one-shot: drain() ends in finish()) --
   std::string_view kind() const noexcept override { return "sharded"; }
-  const RunStats& run(const trace::Workload& workload) override;
-  const RunStats& run(const std::vector<net::Packet>& packets,
-                      std::vector<net::Packet>* outputs) override;
+  /// Dispatches every packet of the burst, as push() does.
+  void submit(std::span<net::Packet> burst, bool keep) override;
+  /// finish(), then the kept packets move to `outputs`; the rest of the
+  /// result stays readable through last_result().
+  const RunStats& drain(std::vector<net::Packet>* outputs) override;
+  std::size_t batch_size() const noexcept override {
+    return config_.batch_size;
+  }
   const RunStats& stats() const noexcept override {
     return last_result_.stats;
   }
@@ -155,8 +161,8 @@ class ShardedRuntime : public Executor {
   /// the dispatcher sheds instead of spin-blocking when a worker falls
   /// behind. Must be called before the first push.
   void set_overload_policy(const OverloadConfig& config) override;
-  /// Full merged result of the last Executor::run (outcomes, packets,
-  /// per-flow times) — what the equivalence harnesses compare.
+  /// Merged result of the last drain(): stats, per-shard counts and the
+  /// kept packets' outcomes — what the equivalence harnesses compare.
   const ShardedRunResult& last_result() const noexcept {
     return last_result_;
   }
@@ -176,7 +182,8 @@ class ShardedRuntime : public Executor {
   std::uint64_t backpressure_waits() const noexcept {
     return backpressure_waits_;
   }
-  std::uint64_t pushed() const noexcept { return next_index_; }
+  /// Packets dispatched so far (kept or not).
+  std::uint64_t pushed() const noexcept { return pushed_; }
   /// Worst ring fill fraction across the active shards, as the dispatcher
   /// sees it — a queue-pressure signal for the autoscaling controller.
   double max_ring_occupancy() const noexcept;
@@ -209,17 +216,19 @@ class ShardedRuntime : public Executor {
   void set_active_shard_count(std::size_t count);
 
  private:
+  /// Job::slot of a packet nobody asked to keep.
+  static constexpr std::uint64_t kNotKept = ~std::uint64_t{0};
   struct Job {
     net::Packet packet;
-    std::uint64_t index = 0;
-    std::optional<net::FiveTuple> tuple;
+    /// Position among the kept packets (input order), or kNotKept.
+    std::uint64_t slot = kNotKept;
     /// Non-zero marks a quiescence drain marker, not a packet: the worker
     /// publishes this epoch once everything ahead of it is processed.
     std::uint64_t drain_epoch = 0;
   };
-  /// One worker's record of a processed packet; merged at finish().
+  /// A kept packet and its outcome; placed at its slot by finish().
   struct Processed {
-    std::uint64_t index;
+    std::uint64_t slot;
     PacketOutcome outcome;
     net::Packet packet;
   };
@@ -243,19 +252,19 @@ class ShardedRuntime : public Executor {
     // Worker-local until the thread is joined; read only afterwards (or
     // while quiesced, ordered by the drain-marker epoch handshake).
     std::vector<Processed> processed;
-    std::unordered_map<net::FiveTuple, double, net::FiveTupleHash>
-        flow_time_us;
   };
 
+  /// Stage one packet for its flow's shard (push() and submit()).
+  void dispatch(net::Packet&& packet, bool keep);
   void worker(Shard& shard);
   void start_worker(Shard& shard);
   /// Push shard's staged jobs into its ring (partial bursts yield-retry
   /// the remainder; with overload enabled a pressured or full ring sheds
   /// them instead). Dispatcher thread only.
   void flush_shard(Shard& shard);
-  /// Record `jobs` as dispatcher-shed (ring watermark): packets marked
-  /// dropped, outcomes flagged shed, counted once in the merged
-  /// offered/shed_watermark at finish().
+  /// Record `jobs` as dispatcher-shed (ring watermark): counted once in
+  /// the merged offered/shed_watermark at finish(); kept ones are marked
+  /// dropped, with outcomes flagged shed.
   void shed_jobs(std::span<Job> jobs);
   void join_workers();
 
@@ -276,14 +285,16 @@ class ShardedRuntime : public Executor {
   std::uint64_t scale_interval_ = 0;
   std::atomic<bool> done_{false};
   bool joined_ = false;
-  std::uint64_t next_index_ = 0;
+  std::uint64_t pushed_ = 0;
+  std::uint64_t kept_count_ = 0;
   std::uint64_t backpressure_waits_ = 0;
   std::uint64_t start_ns_ = 0;
   OverloadConfig overload_{};
   bool overload_set_ = false;
-  /// Shed at the dispatcher, so never seen by any shard runner; merged
-  /// into outcomes/packets (and the overload counters) at finish().
-  std::vector<Processed> dispatcher_shed_;
+  /// Shed at the dispatcher, so never seen by any shard runner: counted
+  /// into the overload counters at finish(), and the kept ones placed.
+  std::uint64_t dispatcher_shed_ = 0;
+  std::vector<Processed> dispatcher_shed_kept_;
   ShardedRunResult last_result_;
 };
 

@@ -5,7 +5,6 @@
 
 #include "core/api.hpp"
 #include "net/packet_batch.hpp"
-#include "trace/workload.hpp"
 #include "util/cycle_clock.hpp"
 
 namespace speedybox::runtime {
@@ -45,9 +44,7 @@ SpeedyBoxPipeline::SpeedyBoxPipeline(ServiceChain& chain, RunConfig config,
   }
 }
 
-SpeedyBoxPipeline::~SpeedyBoxPipeline() {
-  if (!stopped_) stop_and_collect();
-}
+SpeedyBoxPipeline::~SpeedyBoxPipeline() { stop(); }
 
 void SpeedyBoxPipeline::worker(std::size_t stage) {
   util::SpscRing<Descriptor>& in = *rings_[stage];
@@ -156,6 +153,11 @@ void SpeedyBoxPipeline::count_drop(net::Packet* packet) {
   delete packet;
 }
 
+void SpeedyBoxPipeline::deliver(net::Packet* packet, bool keep) {
+  if (keep) sink_.push_back(std::move(*packet));
+  delete packet;
+}
+
 void SpeedyBoxPipeline::finish_teardown(std::uint32_t fid) {
   // Hooks already ran on the NF cores as the teardown descriptor passed
   // each stage, and per-flow FIFO completed every earlier descriptor of the
@@ -163,7 +165,7 @@ void SpeedyBoxPipeline::finish_teardown(std::uint32_t fid) {
   const std::uint64_t t0 = metrics_ != nullptr ? util::CycleClock::now() : 0;
   chain_.global_mat().erase_flow(fid, /*run_hooks=*/false);
   chain_.classifier().release_flow(fid);
-  std::deque<std::pair<net::Packet*, bool>> held;
+  std::deque<Held> held;
   if (FlowState* flow = flows_.find(fid)) held.swap(flow->held);
   flows_.erase(fid);
   if (metrics_ != nullptr) {
@@ -179,7 +181,7 @@ void SpeedyBoxPipeline::finish_teardown(std::uint32_t fid) {
                              ft.max_probe, ft.resize_steps);
   }
   // In arrival order these packets follow the teardown: a new flow.
-  for (const auto& [packet, teardown] : held) route(packet);
+  for (const Held& packet : held) route(packet.packet, packet.keep);
 }
 
 void SpeedyBoxPipeline::dispatch_teardown_marker(std::uint32_t fid) {
@@ -205,18 +207,17 @@ void SpeedyBoxPipeline::handle_completion(Descriptor& descriptor) {
       flow->phase =
           descriptor.teardown ? FlowPhase::kClosing : FlowPhase::kReady;
       while (flow->phase == FlowPhase::kReady && !flow->held.empty()) {
-        const auto [held, teardown] = flow->held.front();
+        const Held held = flow->held.front();
         flow->held.pop_front();
-        if (teardown) flow->phase = FlowPhase::kClosing;
-        fast_path(held, descriptor.fid, teardown);
+        if (held.teardown) flow->phase = FlowPhase::kClosing;
+        fast_path(held.packet, held.keep, descriptor.fid, held.teardown);
       }
     }
   }
 
   if (packet != nullptr) {
     if (!packet->dropped()) {
-      sink_.push_back(std::move(*packet));
-      delete packet;
+      deliver(packet, descriptor.keep);
     } else if (packet->faulted()) {
       // Injected NF faults are disjoint from policy drops so conservation
       // can separate them (packets == delivered + drops + faulted).
@@ -230,8 +231,8 @@ void SpeedyBoxPipeline::handle_completion(Descriptor& descriptor) {
   if (descriptor.teardown) finish_teardown(descriptor.fid);
 }
 
-void SpeedyBoxPipeline::fast_path(net::Packet* packet, std::uint32_t fid,
-                                  bool teardown) {
+void SpeedyBoxPipeline::fast_path(net::Packet* packet, bool keep,
+                                  std::uint32_t fid, bool teardown) {
   const auto header = chain_.global_mat().process_header(*packet);
   if (metrics_ != nullptr && header.rule_hit) metrics_->mat_hits.add(1);
   if (header.rule_hit && header.degraded_rule) {
@@ -245,11 +246,11 @@ void SpeedyBoxPipeline::fast_path(net::Packet* packet, std::uint32_t fid,
     // flow without a rule forwards the packet as-is). Recording
     // completion already ordered before READY, so the manager finishes the
     // packet directly.
-    sink_.push_back(std::move(*packet));
-    delete packet;
+    deliver(packet, keep);
   } else {
     Descriptor descriptor;
     descriptor.packet = packet;
+    descriptor.keep = keep;
     descriptor.fid = fid;
     descriptor.teardown = teardown;
     descriptor.record = header.record;
@@ -262,7 +263,14 @@ void SpeedyBoxPipeline::fast_path(net::Packet* packet, std::uint32_t fid,
   if (teardown) dispatch_teardown_marker(fid);
 }
 
-void SpeedyBoxPipeline::push(net::Packet packet) {
+void SpeedyBoxPipeline::submit(std::span<net::Packet> burst, bool keep) {
+  if (stopped_) {
+    throw std::logic_error("SpeedyBoxPipeline: submit after drain()");
+  }
+  for (net::Packet& packet : burst) admit(std::move(packet), keep);
+}
+
+void SpeedyBoxPipeline::admit(net::Packet&& packet, bool keep) {
   drain_completions(false);
 
   // Shed packets never allocate a descriptor, never classify, never touch
@@ -286,14 +294,15 @@ void SpeedyBoxPipeline::push(net::Packet packet) {
     // every NF core.
     Descriptor descriptor;
     descriptor.packet = descriptor_packet;
+    descriptor.keep = keep;
     dispatch(std::move(descriptor));
     return;
   }
 
-  route(descriptor_packet);
+  route(descriptor_packet, keep);
 }
 
-void SpeedyBoxPipeline::route(net::Packet* packet) {
+void SpeedyBoxPipeline::route(net::Packet* packet, bool keep) {
   const auto classification = chain_.classifier().classify(*packet);
   if (metrics_ != nullptr) metrics_->classifier_lookups.add(1);
   if (!classification) {
@@ -321,12 +330,13 @@ void SpeedyBoxPipeline::route(net::Packet* packet) {
       ++stats_.overload.degraded_flows;
       if (metrics_ != nullptr) metrics_->degraded_flows.add(1);
       flow.phase = teardown ? FlowPhase::kClosing : FlowPhase::kReady;
-      fast_path(packet, fid, teardown);
+      fast_path(packet, keep, fid, teardown);
       return;
     }
     flow.phase = FlowPhase::kRecording;
     Descriptor descriptor;
     descriptor.packet = packet;
+    descriptor.keep = keep;
     descriptor.fid = fid;
     descriptor.recording = true;
     descriptor.teardown = teardown;
@@ -341,12 +351,12 @@ void SpeedyBoxPipeline::route(net::Packet* packet) {
     // preserving per-flow order and single-core access to the NFs'
     // per-flow state. Closing: hold until the teardown completes; the
     // packet then starts the tuple's next flow.
-    flow.held.emplace_back(packet, teardown);
+    flow.held.push_back({packet, keep, teardown});
     if (metrics_ != nullptr) metrics_->held_packets.add(1);
     return;
   }
   if (teardown) flow.phase = FlowPhase::kClosing;
-  fast_path(packet, fid, teardown);
+  fast_path(packet, keep, fid, teardown);
 }
 
 void SpeedyBoxPipeline::drain_completions(bool block_until_idle) {
@@ -359,37 +369,21 @@ void SpeedyBoxPipeline::drain_completions(bool block_until_idle) {
   }
 }
 
-std::vector<net::Packet> SpeedyBoxPipeline::stop_and_collect() {
-  if (!stopped_) {
-    drain_completions(/*block_until_idle=*/true);
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      stop_flags_[i]->store(true, std::memory_order_release);
-      workers_[i].join();
-    }
-    drain_completions(false);
-    stopped_ = true;
+void SpeedyBoxPipeline::stop() {
+  if (stopped_) return;
+  drain_completions(/*block_until_idle=*/true);
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    stop_flags_[i]->store(true, std::memory_order_release);
+    workers_[i].join();
   }
-  return std::move(sink_);
+  drain_completions(false);
+  stopped_ = true;
 }
 
-const RunStats& SpeedyBoxPipeline::run(const trace::Workload& workload) {
-  for (std::size_t i = 0; i < workload.packet_count(); ++i) {
-    push(workload.materialize(i));
-  }
-  stop_and_collect();
-  return stats_;
-}
-
-const RunStats& SpeedyBoxPipeline::run(
-    const std::vector<net::Packet>& packets,
-    std::vector<net::Packet>* outputs) {
-  for (const net::Packet& original : packets) {
-    net::Packet packet = original;
-    packet.reset_metadata();
-    push(std::move(packet));
-  }
-  auto collected = stop_and_collect();
-  if (outputs != nullptr) *outputs = std::move(collected);
+const RunStats& SpeedyBoxPipeline::drain(std::vector<net::Packet>* outputs) {
+  stop();
+  if (outputs != nullptr) outputs->swap(sink_);
+  sink_ = {};
   return stats_;
 }
 

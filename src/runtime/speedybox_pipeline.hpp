@@ -38,13 +38,16 @@
 // MaglevLb::mutex_ / DosPrevention::mutex_.
 //
 // Per-flow FIFO order is preserved end-to-end; the global output order is
-// the manager's dispatch order (arrival order in original mode).
+// the manager's dispatch order (arrival order in original mode). A
+// completed packet goes to the sink only when its burst was submitted
+// with `keep`; otherwise the manager frees it on the spot.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -61,7 +64,7 @@ class SpeedyBoxPipeline : public Executor {
  public:
   /// The chain (NFs, MATs, classifier) is borrowed and must outlive the
   /// pipeline; its NFs' internal state must only be inspected after
-  /// stop_and_collect().
+  /// drain().
   ///
   /// `config` picks the mode (speedybox), the burst size every stage drains
   /// its ring in (batch_size) and the overload policy; the platform field
@@ -82,27 +85,24 @@ class SpeedyBoxPipeline : public Executor {
   SpeedyBoxPipeline(const SpeedyBoxPipeline&) = delete;
   SpeedyBoxPipeline& operator=(const SpeedyBoxPipeline&) = delete;
 
-  /// Process one packet (runs the manager logic on the caller's thread).
-  void push(net::Packet packet);
-
-  /// Drain everything in flight, join the NF threads, and return the
-  /// surviving packets in dispatch order.
-  std::vector<net::Packet> stop_and_collect();
-
-  // -- Executor interface (one-shot: run() joins the NF threads) --
+  // -- Executor interface (one-shot: drain() joins the NF threads) --
   //
   // The pipeline carries no cycle model (that lives in ChainRunner), so
   // its RunStats hold the counters only: packets, drops, and the overload
   // block — written by the manager as packets are admitted and complete,
-  // exact once stop_and_collect() returns. Output order is completion
-  // order; dropped packets are omitted.
+  // exact once drain() returns. Output order is completion order; dropped
+  // packets are omitted.
   std::string_view kind() const noexcept override { return "pipeline"; }
-  const RunStats& run(const trace::Workload& workload) override;
-  const RunStats& run(const std::vector<net::Packet>& packets,
-                      std::vector<net::Packet>* outputs) override;
+  /// Runs the manager logic on the caller's thread for every packet of the
+  /// burst, collecting completions as it goes.
+  void submit(std::span<net::Packet> burst, bool keep) override;
+  const RunStats& drain(std::vector<net::Packet>* outputs) override;
+  std::size_t batch_size() const noexcept override {
+    return config_.batch_size;
+  }
   const RunStats& stats() const noexcept override { return stats_; }
   /// Manager-side telemetry: every hooked cell is written by the manager
-  /// thread only — push(), completions and teardown all run there — so the
+  /// thread only — submit(), completions and teardown all run there — so the
   /// single-writer contract holds with no locking. The NF worker threads
   /// are not instrumented (they carry no timers; the cycle accounting for
   /// this deployment lives in ChainRunner's model).
@@ -112,13 +112,15 @@ class SpeedyBoxPipeline : public Executor {
   /// ring pressure (SpscRing::over_watermark) feeds the controller as
   /// external pressure alongside its virtual-queue model; policy,
   /// admission tokens and graceful degradation are shared with the
-  /// single-threaded gate. Call before the first push.
+  /// single-threaded gate. Call before the first packet.
   void set_overload_policy(const OverloadConfig& config) override;
 
  private:
   struct Descriptor {
     /// Null for pure teardown markers (hooks-only traversal).
     net::Packet* packet = nullptr;
+    /// The packet goes to the sink at completion (submit()'s `keep`).
+    bool keep = false;
     std::uint32_t fid = net::kInvalidFid;
     bool recording = false;
     bool teardown = false;
@@ -131,16 +133,24 @@ class SpeedyBoxPipeline : public Executor {
 
   /// kClosing: the flow's FIN/RST is on its way through the NF cores.
   enum class FlowPhase : std::uint8_t { kRecording, kReady, kClosing };
+  /// A packet the manager holds while its flow records or closes.
+  struct Held {
+    net::Packet* packet;
+    bool keep;
+    bool teardown;
+  };
   struct FlowState {
     FlowPhase phase = FlowPhase::kRecording;
-    /// Packets (and their teardown flags) held while recording or closing.
-    std::deque<std::pair<net::Packet*, bool>> held;
+    std::deque<Held> held;
   };
 
   void worker(std::size_t stage);
+  /// Manager side of one arriving packet: the overload gate, then a plain
+  /// descriptor (original mode) or route().
+  void admit(net::Packet&& packet, bool keep);
   /// SpeedyBox mode, manager side: classify an admitted packet and send it
   /// down the recording or fast path, or hold it.
-  void route(net::Packet* packet);
+  void route(net::Packet* packet, bool keep);
   /// SpeedyBox mode: run one descriptor through the NFs [begin, end) of a
   /// stage — recording, its rule's state-function batches, teardown hooks.
   void run_speedybox_stage(Descriptor& descriptor, std::size_t begin,
@@ -150,7 +160,8 @@ class SpeedyBoxPipeline : public Executor {
   void handle_completion(Descriptor& descriptor);
   /// Fast-path a packet of a READY flow on the manager, then dispatch or
   /// finish it.
-  void fast_path(net::Packet* packet, std::uint32_t fid, bool teardown);
+  void fast_path(net::Packet* packet, bool keep, std::uint32_t fid,
+                 bool teardown);
   /// Manager-side free of a torn-down flow (record, classifier FID, flow
   /// state), then the routing of any packets held behind its FIN/RST. The
   /// NF-side teardown hooks are NOT run here: they mutate NF-internal state
@@ -163,6 +174,10 @@ class SpeedyBoxPipeline : public Executor {
   void dispatch_teardown_marker(std::uint32_t fid);
   /// A policy or NF drop (not a fault): counted, then freed.
   void count_drop(net::Packet* packet);
+  /// A delivered packet: to the sink when kept, freed otherwise.
+  void deliver(net::Packet* packet, bool keep);
+  /// Complete everything in flight and join the NF threads (idempotent).
+  void stop();
 
   ServiceChain& chain_;
   RunConfig config_;
@@ -176,6 +191,7 @@ class SpeedyBoxPipeline : public Executor {
   std::vector<std::unique_ptr<std::atomic<bool>>> stop_flags_;
 
   core::FlowTable<std::uint32_t, FlowState> flows_;
+  /// Delivered packets of kept bursts, in completion order.
   std::vector<net::Packet> sink_;
   std::size_t in_flight_ = 0;
   bool stopped_ = false;

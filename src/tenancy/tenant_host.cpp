@@ -83,8 +83,8 @@ std::uint64_t TenantResult::delivered() const noexcept {
 struct TenantHost::Tenant {
   const TenantSpec* spec = nullptr;
   plan::BuiltDeployment built;
-  runtime::ShardedRuntime* sharded = nullptr;  // null for runner tenants
-  runtime::ChainRunner* runner = nullptr;      // null for sharded tenants
+  /// Control-plane handle (quiesce, reshard); null for runner tenants.
+  runtime::ShardedRuntime* sharded = nullptr;
   TenantGate gate;
 
   // Windowed-signal baselines (cumulative counters/buckets at last tick).
@@ -103,7 +103,6 @@ struct TenantHost::Tenant {
   int max_escalation = 0;
   double worst_p99_us = 0.0;
   double last_p99_us = 0.0;
-  std::vector<net::Packet> outputs;  // runner-tenant in-process capture
 
   // Live mode.
   std::unique_ptr<io::IngestServer> server;
@@ -131,8 +130,6 @@ TenantHost::TenantHost(HostSpec spec, telemetry::Registry* registry)
     }
     tenant->sharded = dynamic_cast<runtime::ShardedRuntime*>(
         tenant->built.executor.get());
-    tenant->runner =
-        dynamic_cast<runtime::ChainRunner*>(tenant->built.executor.get());
     if (tenant->sharded != nullptr) {
       tenant->shards_view.store(tenant->sharded->active_shard_count(),
                                 std::memory_order_relaxed);
@@ -183,7 +180,9 @@ void TenantHost::apply_shard_delta(Tenant& tenant, int delta) {
   if (target == active) return;
   // New worker shards registered by the scale-up inherit the tenant label.
   const telemetry::TenantScope scope(*registry_, tenant.spec->id);
-  control::reshard(*tenant.sharded, target);
+  const control::ReshardReport report = control::reshard(*tenant.sharded,
+                                                         target);
+  if (report.to_shards == report.from_shards) return;  // refused
   tenant.shards_view.store(tenant.sharded->active_shard_count(),
                            std::memory_order_relaxed);
   ++tenant.realloc_events;
@@ -289,13 +288,7 @@ HostRunResult TenantHost::run() {
     net::Packet packet = std::move(packets[next][sent[next]]);
     ++sent[next];
     if (tenant.gate.offer(flow_hash_of(packet))) {
-      packet.set_arrival_cycle(util::CycleClock::now());
-      if (tenant.sharded != nullptr) {
-        tenant.sharded->push(std::move(packet));
-      } else {
-        tenant.runner->process_packet(packet);
-        tenant.outputs.push_back(std::move(packet));
-      }
+      tenant.built.executor->submit({&packet, 1}, /*keep=*/true);
     }
     if (++arrivals % spec_.enforcement.window_packets == 0) {
       enforcement_tick(/*apply_resharding=*/true);
@@ -308,14 +301,9 @@ HostRunResult TenantHost::run() {
     Tenant& tenant = *tenants_[i];
     TenantResult& out = result.tenants[i];
     out.id = tenant.spec->id;
+    out.stats = tenant.built.executor->drain(&out.outputs);
     if (tenant.sharded != nullptr) {
-      runtime::ShardedRunResult finished = tenant.sharded->finish();
-      out.stats = std::move(finished.stats);
-      out.outputs = std::move(finished.packets);
       out.final_shards = tenant.sharded->active_shard_count();
-    } else {
-      out.stats = tenant.runner->stats();
-      out.outputs = std::move(tenant.outputs);
     }
     out.offered = tenant.gate.offered();
     out.gate_shed = tenant.gate.shed();

@@ -79,8 +79,8 @@ void TenantSpec::validate() const {
       plan.executor != plan::ExecutorKind::kSharded) {
     fail("tenant '" + id + "': executor '" +
          plan::executor_kind_name(plan.executor) +
-         "' cannot host a tenant (the one-shot pipeline does not stream; "
-         "use runner or sharded)");
+         "' cannot host a tenant (the pipeline records no per-packet "
+         "latency for the SLO loop to read; use runner or sharded)");
   }
   if (slo_us <= 0.0) fail("tenant '" + id + "': slo_us must be > 0");
   if (weight <= 0.0) fail("tenant '" + id + "': weight must be > 0");

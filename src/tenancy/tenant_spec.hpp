@@ -28,9 +28,9 @@ using SpecError = plan::PlanError;
 struct TenantSpec {
   /// Unique within the host; becomes the telemetry tenant label.
   std::string id;
-  /// The tenant's chain + executor shape. Only the streaming-capable
-  /// shapes host (runner, sharded) — validate() rejects the one-shot
-  /// pipeline/onvm executors loudly.
+  /// The tenant's chain + executor shape. Only the shapes that record
+  /// per-packet latency for the SLO loop host (runner, sharded) —
+  /// validate() rejects the pipeline/onvm executors loudly.
   plan::DeploymentPlan plan;
   /// Windowed p99 per-packet latency objective, microseconds.
   double slo_us = 50.0;

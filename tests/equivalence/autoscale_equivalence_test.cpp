@@ -123,8 +123,10 @@ ElasticRun run_elastic(const std::vector<net::Packet>& packets,
       },
       kHookInterval);
   Executor& executor = runtime;
-  executor.run(packets, nullptr);
+  std::vector<net::Packet> outputs;
+  executor.run(packets, &outputs);
   elastic.result = runtime.last_result();
+  elastic.result.packets = std::move(outputs);
   return elastic;
 }
 

@@ -6,6 +6,7 @@
 #include "nf/ip_filter.hpp"
 #include "runtime/runner.hpp"
 #include "test_helpers.hpp"
+#include "trace/workload.hpp"
 
 namespace speedybox::runtime {
 namespace {
@@ -74,14 +75,14 @@ TEST(EarlyDrop, SubsequentWorkFarBelowOriginal) {
   auto original_chain = build();
   ChainRunner original{*original_chain,
                        {platform::PlatformKind::kBess, false}};
-  const double original_work = original.run_workload(workload)
+  const double original_work = original.run(workload)
                                    .platform_cycles_subsequent.percentile(50);
 
   auto speedy_chain = build();
   ChainRunner speedy{*speedy_chain,
                      {platform::PlatformKind::kBess, true}};
   const double speedy_work =
-      speedy.run_workload(workload).platform_cycles_subsequent.percentile(50);
+      speedy.run(workload).platform_cycles_subsequent.percentile(50);
 
   EXPECT_LT(speedy_work, original_work * 0.7)
       << "early drop should save well over 30% of per-packet platform "

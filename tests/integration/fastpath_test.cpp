@@ -9,6 +9,7 @@
 #include "nf/monitor.hpp"
 #include "runtime/runner.hpp"
 #include "test_helpers.hpp"
+#include "trace/workload.hpp"
 
 namespace speedybox::runtime {
 namespace {
@@ -104,13 +105,13 @@ TEST(FastPath, WorkCyclesShrinkVersusOriginalOnLongChain) {
   ChainRunner original{*original_chain,
                        {platform::PlatformKind::kBess, false}};
   const double original_work =
-      original.run_workload(workload).platform_cycles_subsequent.percentile(50);
+      original.run(workload).platform_cycles_subsequent.percentile(50);
 
   auto speedy_chain = build();
   ChainRunner speedy{*speedy_chain,
                      {platform::PlatformKind::kBess, true}};
   const double speedy_work =
-      speedy.run_workload(workload).platform_cycles_subsequent.percentile(50);
+      speedy.run(workload).platform_cycles_subsequent.percentile(50);
 
   EXPECT_LT(speedy_work, original_work)
       << "consolidation must reduce real CPU work on a 3-NF chain";

@@ -114,7 +114,8 @@ TEST(FaultInjection, ShardedFourWayIndependentSchedulesAndConservation) {
                          {platform::PlatformKind::kBess, /*speedybox=*/false}};
   Executor& executor = runtime;
   const std::vector<net::Packet> packets = workload_packets();
-  executor.run(packets, nullptr);
+  std::vector<net::Packet> outputs;  // keeps the outcomes too
+  executor.run(packets, &outputs);
   const ShardedRunResult& result = runtime.last_result();
 
   // Each shard's clone()d injector runs its own schedule over the packets
@@ -181,10 +182,9 @@ TEST(FaultInjection, ShardedCrashAndRestoreUnderThreads) {
                          {platform::PlatformKind::kBess, /*speedybox=*/true}};
   Executor& executor = runtime;
   const std::vector<net::Packet> packets = workload_packets();
-  executor.run(packets, nullptr);
-  const ShardedRunResult& result = runtime.last_result();
+  const RunStats& stats = executor.run(packets, nullptr);
 
-  EXPECT_EQ(result.stats.packets, packets.size());
+  EXPECT_EQ(stats.packets, packets.size());
   std::uint64_t crashes = 0;
   for (std::size_t s = 0; s < runtime.shard_count(); ++s) {
     crashes += injector_of(runtime.shard_chain(s)).crashes();

@@ -134,7 +134,7 @@ TEST(FlowLifecycle, WorkloadRunLeavesNoResidue) {
 
   // Uniform workload closes every flow with FIN.
   const trace::Workload workload = trace::make_uniform_workload(20, 10, 64);
-  runner.run_workload(workload);
+  runner.run(workload);
   EXPECT_EQ(chain.global_mat().size(), 0u);
   EXPECT_EQ(chain.classifier().active_flows(), 0u);
 
@@ -144,7 +144,7 @@ TEST(FlowLifecycle, WorkloadRunLeavesNoResidue) {
   config.batch_size = 32;
   auto chain1 = speedybox::testing::make_chain1();
   ChainRunner chain1_runner{*chain1, config};
-  chain1_runner.run_workload(closing);
+  chain1_runner.run(closing);
   EXPECT_EQ(chain1_runner.stats().packets, closing.packet_count());
   expect_chain1_clean(*chain1);
 
@@ -190,7 +190,7 @@ TEST(FlowLifecycle, TeardownTimerCoversEveryTeardown) {
     auto chain = speedybox::testing::make_chain1();
     ChainRunner runner{*chain, config};
     runner.attach_telemetry(&registry, "runner");
-    runner.run_workload(workload);
+    runner.run(workload);
     expect_every_teardown_timed(registry, kFlows);
   }
   {

@@ -24,6 +24,7 @@
 #include "nf/monitor.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/sharded_runtime.hpp"
+#include "runtime/speedybox_pipeline.hpp"
 #include "test_helpers.hpp"
 #include "trace/payload_synth.hpp"
 #include "trace/workload.hpp"
@@ -248,18 +249,13 @@ TEST(LiveIngest, ConservationHoldsWithGarbageOnTheWire) {
   EXPECT_EQ(stats.packets, sink.submitted());
 }
 
-TEST(LiveIngest, ShardedStreamPushConservesPackets) {
-  // stream-push feeding: the ingest thread doubles as the dispatcher of a
-  // 2-shard runtime; every wire frame must come out the other end.
+/// Threaded sinks: every wire frame must come out the other end.
+void expect_threaded_sink_conserves(runtime::Executor& executor) {
   const trace::Workload workload = small_datacenter_workload(4242, false);
-  const auto chain = chain1_gateway();
-  runtime::ShardedRuntime sharded{*chain, 2, speedybox_run_config()};
-
   IngestConfig config;
   config.idle_timeout_ms = 300;
   IngestServer server{config};
-  IngestExecutor sink{sharded, /*capture_outputs=*/true};
-  EXPECT_EQ(sink.mode(), "stream-push");
+  IngestExecutor sink{executor, /*capture_outputs=*/true};
 
   LoadgenConfig gen;
   gen.port = server.udp_port();
@@ -273,6 +269,21 @@ TEST(LiveIngest, ShardedStreamPushConservesPackets) {
   EXPECT_EQ(stats.packets, report.sent);
   EXPECT_EQ(stats.drops, 0u);  // chain1's ACL is empty
   EXPECT_EQ(sink.outputs().size(), report.sent);
+}
+
+TEST(LiveIngest, ShardedStreamPushConservesPackets) {
+  // The ingest thread doubles as the dispatcher of a 2-shard runtime.
+  const auto chain = chain1_gateway();
+  runtime::ShardedRuntime sharded{*chain, 2, speedybox_run_config()};
+  expect_threaded_sink_conserves(sharded);
+}
+
+TEST(LiveIngest, PipelineStreamsAndConservesPackets) {
+  // The ingest thread doubles as the pipeline's manager: packets flow to
+  // the NF cores while the sockets are still being read.
+  const auto chain = chain1_gateway();
+  runtime::SpeedyBoxPipeline pipeline{*chain, speedybox_run_config()};
+  expect_threaded_sink_conserves(pipeline);
 }
 
 TEST(LiveIngest, RecvmmsgBatchedUdpIsByteIdenticalAndConserving) {

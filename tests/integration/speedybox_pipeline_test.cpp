@@ -28,6 +28,18 @@ using speedybox::testing::tuple_n;
 const RunConfig kSpeedyBox{platform::PlatformKind::kOnvm, true};
 const RunConfig kOriginal{platform::PlatformKind::kOnvm, false};
 
+/// Submit one packet, kept for drained().
+void push(Executor& executor, net::Packet packet) {
+  executor.submit({&packet, 1}, /*keep=*/true);
+}
+
+/// End the run; the delivered packets, in completion order.
+std::vector<net::Packet> drained(Executor& executor) {
+  std::vector<net::Packet> out;
+  executor.drain(&out);
+  return out;
+}
+
 /// A manager-exported telemetry counter, summed over the registry's shards.
 std::uint64_t counter(const telemetry::Registry& registry,
                       std::string_view name) {
@@ -51,9 +63,9 @@ TEST(SpeedyBoxPipeline, OutputsMatchSingleThreadedSpeedyBox) {
     SpeedyBoxPipeline pipeline{chain, kSpeedyBox};
     pipeline.attach_telemetry(&registry, "pipeline");
     for (std::size_t i = 0; i < workload.packet_count(); ++i) {
-      pipeline.push(workload.materialize(i));
+      push(pipeline, workload.materialize(i));
     }
-    threaded_out = pipeline.stop_and_collect();
+    threaded_out = drained(pipeline);
   }
 
   // Single-threaded reference run.
@@ -106,9 +118,9 @@ TEST(SpeedyBoxPipeline, StateFunctionsRunOnNfCores) {
   {
     SpeedyBoxPipeline pipeline{chain, kSpeedyBox};
     for (int i = 0; i < 20; ++i) {
-      pipeline.push(net::make_tcp_packet(tuple_n(1), "counted"));
+      push(pipeline, net::make_tcp_packet(tuple_n(1), "counted"));
     }
-    pipeline.stop_and_collect();
+    drained(pipeline);
   }
   // Every packet accounted exactly once (initial on the monitor's core via
   // process(), subsequent via its recorded state function on the same
@@ -126,9 +138,9 @@ TEST(SpeedyBoxPipeline, EarlyDropAtManager) {
   {
     SpeedyBoxPipeline pipeline{chain, kSpeedyBox};
     for (int i = 0; i < 10; ++i) {
-      pipeline.push(net::make_tcp_packet(tuple_n(2, 80), "doomed"));
+      push(pipeline, net::make_tcp_packet(tuple_n(2, 80), "doomed"));
     }
-    const auto out = pipeline.stop_and_collect();
+    const auto out = drained(pipeline);
     EXPECT_TRUE(out.empty());
     drops = pipeline.stats().drops;
   }
@@ -155,9 +167,9 @@ TEST(SpeedyBoxPipeline, PacketsHeldDuringRecordingAreReleasedInOrder) {
       spec.tuple = tuple;
       spec.seq = static_cast<std::uint32_t>(i);
       spec.payload = {};
-      pipeline.push(net::build_packet(spec));
+      push(pipeline, net::build_packet(spec));
     }
-    out = pipeline.stop_and_collect();
+    out = drained(pipeline);
   }
   ASSERT_EQ(out.size(), 30u);
   EXPECT_GT(counter(registry, "held_packets"), 0u)
@@ -177,11 +189,11 @@ TEST(SpeedyBoxPipeline, TeardownFreesFlowState) {
   auto& nat = chain.emplace_nf<nf::MazuNat>();
   {
     SpeedyBoxPipeline pipeline{chain, kSpeedyBox};
-    pipeline.push(net::make_tcp_packet(tuple_n(4), "open"));
-    pipeline.push(net::make_tcp_packet(tuple_n(4), "data"));
-    pipeline.push(net::make_tcp_packet(
+    push(pipeline, net::make_tcp_packet(tuple_n(4), "open"));
+    push(pipeline, net::make_tcp_packet(tuple_n(4), "data"));
+    push(pipeline, net::make_tcp_packet(
         tuple_n(4), "", net::kTcpFlagFin | net::kTcpFlagAck));
-    pipeline.stop_and_collect();
+    drained(pipeline);
   }
   EXPECT_EQ(nat.active_mappings(), 0u);
   EXPECT_EQ(chain.global_mat().size(), 0u);
@@ -234,9 +246,9 @@ TEST(SpeedyBoxPipeline, ManyFlowsStress) {
   {
     SpeedyBoxPipeline pipeline{chain, kSpeedyBox, /*ring_capacity=*/32};
     for (std::size_t i = 0; i < workload.packet_count(); ++i) {
-      pipeline.push(workload.materialize(i));
+      push(pipeline, workload.materialize(i));
     }
-    out = pipeline.stop_and_collect();
+    out = drained(pipeline);
   }
   EXPECT_EQ(out.size(), workload.packet_count());
 }
@@ -253,10 +265,10 @@ TEST(OriginalPipeline, AllPacketsTraverseAllStages) {
   {
     SpeedyBoxPipeline pipeline{chain, kOriginal};
     for (int i = 0; i < kPackets; ++i) {
-      pipeline.push(net::make_tcp_packet(
+      push(pipeline, net::make_tcp_packet(
           tuple_n(static_cast<std::uint32_t>(i % 10)), "data"));
     }
-    out = pipeline.stop_and_collect();
+    out = drained(pipeline);
   }
   EXPECT_EQ(out.size(), static_cast<std::size_t>(kPackets));
   EXPECT_EQ(m1.packets_processed(), static_cast<std::uint64_t>(kPackets));
@@ -275,9 +287,9 @@ TEST(OriginalPipeline, PreservesFifoOrder) {
     // global order, not just per-flow FIFO.
     net::FiveTuple tuple = tuple_n(1);
     tuple.src_port = static_cast<std::uint16_t>(1000 + i);
-    pipeline.push(net::make_tcp_packet(tuple, "x"));
+    push(pipeline, net::make_tcp_packet(tuple, "x"));
   }
-  const auto out = pipeline.stop_and_collect();
+  const auto out = drained(pipeline);
   ASSERT_EQ(out.size(), static_cast<std::size_t>(kPackets));
   for (int i = 0; i < kPackets; ++i) {
     const auto parsed = net::parse_packet(out[static_cast<std::size_t>(i)]);
@@ -298,10 +310,10 @@ TEST(OriginalPipeline, DroppedPacketsNeverReachDownstream) {
   {
     SpeedyBoxPipeline pipeline{chain, kOriginal};
     for (int i = 0; i < 50; ++i) {
-      pipeline.push(net::make_tcp_packet(tuple_n(1, 80), "blocked"));
-      pipeline.push(net::make_tcp_packet(tuple_n(2, 443), "allowed"));
+      push(pipeline, net::make_tcp_packet(tuple_n(1, 80), "blocked"));
+      push(pipeline, net::make_tcp_packet(tuple_n(2, 443), "allowed"));
     }
-    out = pipeline.stop_and_collect();
+    out = drained(pipeline);
     drops = pipeline.stats().drops;
   }
   EXPECT_EQ(out.size(), 50u);
@@ -317,8 +329,8 @@ TEST(OriginalPipeline, StagesActuallyTransformPackets) {
   ServiceChain chain;
   chain.emplace_nf<nf::SyntheticNf>(config, "writer");
   SpeedyBoxPipeline pipeline{chain, kOriginal};
-  pipeline.push(net::make_tcp_packet(tuple_n(3), "mutate me"));
-  const auto out = pipeline.stop_and_collect();
+  push(pipeline, net::make_tcp_packet(tuple_n(3), "mutate me"));
+  const auto out = drained(pipeline);
   ASSERT_EQ(out.size(), 1u);
   const net::Packet reference = net::make_tcp_packet(tuple_n(3), "mutate me");
   EXPECT_FALSE(same_bytes(out[0], reference));
@@ -328,10 +340,10 @@ TEST(OriginalPipeline, StopIdempotent) {
   ServiceChain chain;
   chain.emplace_nf<nf::Monitor>("m");
   SpeedyBoxPipeline pipeline{chain, kOriginal};
-  pipeline.push(net::make_tcp_packet(tuple_n(4), "x"));
-  const auto first = pipeline.stop_and_collect();
+  push(pipeline, net::make_tcp_packet(tuple_n(4), "x"));
+  const auto first = drained(pipeline);
   EXPECT_EQ(first.size(), 1u);
-  const auto second = pipeline.stop_and_collect();
+  const auto second = drained(pipeline);
   EXPECT_TRUE(second.empty());
 }
 
@@ -341,9 +353,9 @@ TEST(OriginalPipeline, SmallRingsBackpressureWithoutDeadlock) {
   chain.emplace_nf<nf::Monitor>("m2");
   SpeedyBoxPipeline pipeline{chain, kOriginal, /*ring_capacity=*/2};
   for (int i = 0; i < 200; ++i) {
-    pipeline.push(net::make_tcp_packet(tuple_n(5), "x"));
+    push(pipeline, net::make_tcp_packet(tuple_n(5), "x"));
   }
-  EXPECT_EQ(pipeline.stop_and_collect().size(), 200u);
+  EXPECT_EQ(drained(pipeline).size(), 200u);
 }
 
 }  // namespace

@@ -182,7 +182,8 @@ TEST(OverloadConservation, ShardedAllPoliciesBothChains) {
                                {platform::PlatformKind::kBess, true}};
         Executor& executor = runtime;
         executor.set_overload_policy(overload_at_2x(policy));
-        executor.run(packets, nullptr);
+        std::vector<net::Packet> outputs;  // keeps the outcomes too
+        executor.run(packets, &outputs);
         const ShardedRunResult& result = runtime.last_result();
         ASSERT_EQ(result.outcomes.size(), packets.size());
         std::uint64_t delivered = 0;
@@ -230,7 +231,8 @@ TEST(OverloadConservation, ScenarioGeneratorsConserveOnBothChains) {
                                {platform::PlatformKind::kBess, true}};
         Executor& executor = runtime;
         executor.set_overload_policy(overload_at_2x(policy));
-        executor.run(packets, nullptr);
+        std::vector<net::Packet> outputs;  // keeps the outcomes too
+        executor.run(packets, &outputs);
         const ShardedRunResult& result = runtime.last_result();
         ASSERT_EQ(result.outcomes.size(), packets.size());
         std::uint64_t delivered = 0;

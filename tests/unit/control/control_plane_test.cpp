@@ -267,6 +267,75 @@ TEST(FlowMigration, FullDestinationLeavesTheFlowsAtTheSource) {
   }
 }
 
+TEST(Reshard, RefusedWhenADestinationLacksFidsForItsGroup) {
+  // Scaling 2 -> 1 shards moves shard 1's flows to shard 0, which has too
+  // few free FIDs for them: nothing may move and routing must stay at two
+  // shards, or the flows' later packets would reach a shard without their
+  // records.
+  telemetry::Registry registry;
+  auto prototype = monitor_filter_chain();
+  runtime::ShardedRuntime runtime{
+      *prototype, 2, {platform::PlatformKind::kBess, true}, 1024,
+      &registry, "rt/"};
+  std::vector<net::FiveTuple> flows;
+  for (std::uint32_t id = 0; flows.size() < 4; ++id) {
+    if (runtime.shard_of(tuple_n(id)) == 1) flows.push_back(tuple_n(id));
+  }
+  std::vector<net::Packet> input;
+  const auto send = [&](const char* payload) {
+    for (const net::FiveTuple& tuple : flows) {
+      input.push_back(net::make_tcp_packet(tuple, payload));
+      runtime.push(input.back());
+    }
+  };
+  send("open");
+  send("warm");
+  runtime.quiesce();
+  core::PacketClassifier& full = runtime.shard_chain(0).classifier();
+  for (std::uint32_t i = 0; full.free_fid_count() >= flows.size(); ++i) {
+    net::FiveTuple filler = tuple_n(0);
+    filler.src_ip = net::Ipv4Addr{i};
+    filler.dst_port = 9;
+    ASSERT_TRUE(full.adopt_flow(filler, 0).has_value());
+  }
+
+  const ReshardReport report = reshard(runtime, 1);
+  EXPECT_EQ(report.migrated_flows, 0u);
+  EXPECT_EQ(report.to_shards, report.from_shards);
+  EXPECT_EQ(runtime.active_shard_count(), 2u);
+
+  // The controller counts no scale event for a refused reshard.
+  AutoscaleConfig config;
+  config.slo_us = 1e9;  // calm: it wants one shard
+  config.min_shards = 1;
+  config.max_shards = 2;
+  config.down_streak = 1;
+  config.cooldown_windows = 0;
+  Controller controller{config, registry};
+  controller.tick(runtime);
+  EXPECT_TRUE(controller.scale_events().empty());
+  EXPECT_EQ(runtime.active_shard_count(), 2u);
+
+  const std::size_t later = input.size();
+  send("after");
+  send("more");
+  const runtime::ShardedRunResult result = runtime.finish();
+  auto reference_chain = monitor_filter_chain();
+  runtime::ChainRunner reference{*reference_chain,
+                                 {platform::PlatformKind::kBess, false}};
+  std::vector<net::Packet> expected;
+  reference.run_packets(input, &expected);
+  ASSERT_EQ(result.packets.size(), input.size());
+  for (std::size_t i = later; i < input.size(); ++i) {
+    EXPECT_TRUE(result.outcomes[i].fast_path) << "packet " << i;
+    EXPECT_EQ(result.packets[i].dropped(), expected[i].dropped())
+        << "packet " << i;
+    EXPECT_TRUE(speedybox::testing::same_bytes(result.packets[i],
+                                               expected[i]))
+        << "packet " << i;
+  }
+}
+
 // --- Controller against a live runtime ------------------------------------
 
 std::vector<net::Packet> warm_packets(std::size_t count) {

@@ -33,7 +33,7 @@ class FastPathMeasurement : public ::testing::Test {
   GlobalMat::FastPathResult run_packet(std::uint32_t fid) {
     net::Packet packet = net::make_tcp_packet(tuple_n(fid), "x");
     packet.set_fid(fid);
-    return mat_.process(packet, /*measure_batches=*/true);
+    return mat_.process(packet);
   }
 
   GlobalMat mat_;
@@ -133,7 +133,7 @@ TEST_F(FastPathMeasurement, ParsedHintReusedWhenLayoutIntact) {
   net::Packet packet = net::make_tcp_packet(tuple_n(6), "HINTED");
   packet.set_fid(6);
   const auto parsed = net::parse_packet(packet);
-  mat_.process(packet, /*measure_batches=*/true, &*parsed);
+  mat_.process(packet, &*parsed);
   EXPECT_EQ(seen_payload, "HINTED");
 }
 
@@ -154,7 +154,7 @@ TEST_F(FastPathMeasurement, StructuralRuleReparsesForStateFunctions) {
   net::Packet packet = net::make_tcp_packet(tuple_n(7), "TUNNELED");
   packet.set_fid(7);
   const auto parsed = net::parse_packet(packet);
-  mat_.process(packet, /*measure_batches=*/true, &*parsed);
+  mat_.process(packet, &*parsed);
   EXPECT_EQ(seen_payload, "TUNNELED");
   EXPECT_TRUE(net::outer_ah_spi(packet).has_value());
 }

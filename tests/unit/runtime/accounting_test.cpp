@@ -92,7 +92,7 @@ TEST(Accounting, SequentialHistogramEmptyOnOriginalPath) {
   ServiceChain chain;
   chain.emplace_nf<nf::Monitor>();
   ChainRunner runner{chain, {platform::PlatformKind::kBess, false}};
-  runner.run_workload(trace::make_uniform_workload(3, 5, 32));
+  runner.run(trace::make_uniform_workload(3, 5, 32));
   EXPECT_EQ(runner.stats().latency_cycles_subsequent_sequential.count(), 0u);
 }
 
@@ -184,7 +184,7 @@ TEST(Accounting, OnvmStageSamplesSplitFrontEndAndStateFunctions) {
   config.work_iterations = 64;
   chain.emplace_nf<nf::SyntheticNf>(config, "s1");
   ChainRunner runner{chain, {platform::PlatformKind::kOnvm, true}};
-  runner.run_workload(trace::make_uniform_workload(4, 20, 64));
+  runner.run(trace::make_uniform_workload(4, 20, 64));
   // Stage 0 = classifier+serial front end, stage 1 = state functions.
   ASSERT_GE(runner.stats().stage_cycle_sum.size(), 2u);
   EXPECT_GT(runner.stats().stage_cycle_count[0], 0u);

@@ -58,7 +58,7 @@ RunResult run_once(const trace::Workload& workload, Registry* registry,
     runner.set_telemetry(metrics);
   }
   const auto start = std::chrono::steady_clock::now();
-  const runtime::RunStats& stats = runner.run_workload(workload);
+  const runtime::RunStats& stats = runner.run(workload);
   const auto end = std::chrono::steady_clock::now();
 
   RunResult result;

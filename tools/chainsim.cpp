@@ -206,7 +206,7 @@ void run_mode(const SimConfig& config, bool speedybox,
   const runtime::RunStats* last = nullptr;
   for (const std::vector<net::Packet>& segment : segments) {
     if (last != nullptr && maglev != nullptr) maglev->fail_backend(0);
-    last = &executor.run_raw(segment);
+    last = &executor.run(segment, nullptr);
   }
   const runtime::RunStats& stats = *last;
 
@@ -287,9 +287,8 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
                 config.listen_proto == io::IngestProto::kBoth ? " " : "",
                 server.tcp_port());
   }
-  std::printf(" (mode=%s executor=%s feed=%s)\n", mode.c_str(),
-              plan::executor_kind_name(deployment.executor),
-              std::string(sink.mode()).c_str());
+  std::printf(" (mode=%s executor=%s)\n", mode.c_str(),
+              plan::executor_kind_name(deployment.executor));
   std::fflush(stdout);
 
   const io::IngestStats ingest = server.serve(sink);
@@ -324,7 +323,7 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
   getrusage(RUSAGE_SELF, &usage);
   std::printf(
       "{\"live\":{\"proto\":\"%s\",\"executor\":\"%s\",\"mode\":\"%s\","
-      "\"feed\":\"%s\",\"rx_bytes\":%llu,\"rx_frames\":%llu,"
+      "\"rx_bytes\":%llu,\"rx_frames\":%llu,"
       "\"rx_batches\":%llu,\"parse_errors\":%llu,\"socket_drops\":%llu,"
       "\"tcp_connections\":%llu,\"poisoned_streams\":%llu,"
       "\"submitted\":%llu,\"admitted\":%llu,\"shed\":%llu,"
@@ -332,7 +331,6 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
       "\"peak_rss_kb\":%ld}}\n",
       io::ingest_proto_name(config.listen_proto),
       plan::executor_kind_name(deployment.executor), mode.c_str(),
-      std::string(sink.mode()).c_str(),
       static_cast<unsigned long long>(ingest.rx_bytes),
       static_cast<unsigned long long>(ingest.rx_frames),
       static_cast<unsigned long long>(ingest.rx_batches),

@@ -8,9 +8,10 @@
 # with `sent` counted by the load generator and the right-hand side by the
 # receiver (chainsim's {"live":...} summary line). Runs both §VII-C
 # evaluation chains plus the DoS chain under a syn-flood, over UDP and
-# TCP, then checks that live mode's memory is bounded: the peak RSS of a
-# 2M-packet run stays within 1.5x of a 0.2M-packet run. This is the CI
-# `live-ingest-smoke` job; run it locally the same way:
+# TCP, then checks that live mode's memory is bounded on every executor
+# shape (the runner, `--shards 2` and `--executor pipeline`): the peak RSS
+# of a 2M-packet run stays within 1.5x of a 0.2M-packet run. This is the
+# CI `live-ingest-smoke` job; run it locally the same way:
 #
 #   tools/live_smoke.sh [build_dir]    (default: build)
 set -euo pipefail
@@ -106,17 +107,20 @@ PYEOF
   rm -f "${out}"
 }
 
-# Peak RSS (chainsim's peak_rss_kb) of a live runner-executor run fed
-# `--repeat $1` copies of 100 flows x 1000 packets; empty on failure.
+# Peak RSS (chainsim's peak_rss_kb) of a live run fed `--repeat $1`
+# copies of 100 flows x 1000 packets, with the executor flags that follow;
+# empty on failure.
 live_peak_rss_kb() {
-  local out pid port
+  local repeat="$1" out pid port
+  shift
   out="$(mktemp)"
-  "${CHAINSIM}" --chain nat,monitor --mode speedybox \
+  "${CHAINSIM}" --chain nat,monitor --mode speedybox "$@" \
     --listen 0 --idle-timeout 2000 > "${out}" &
   pid=$!
   port="$(announced_port "${pid}" "${out}")"
   [ -n "${port}" ] &&
-    "${LOADGEN}" --port "${port}" --packets 1000 --repeat "$1" > /dev/null &&
+    "${LOADGEN}" --port "${port}" --packets 1000 --repeat "${repeat}" \
+      > /dev/null &&
     wait "${pid}" && sed -n 's/.*"peak_rss_kb":\([0-9]*\).*/\1/p' "${out}"
   kill "${pid}" 2>/dev/null || true
   rm -f "${out}"
@@ -128,19 +132,28 @@ run_case gateway nat,maglev,monitor,ipfilter udp datacenter
 run_case inspection ipfilter,snort,monitor tcp datacenter
 run_case synflood dos,monitor udp syn-flood
 
-# Live mode keeps no per-packet state: ten times the packets may cost at
-# most 1.5x the memory.
-echo "--- live smoke: bounded memory (--chain nat,monitor, 0.2M vs 2M packets)"
-short="$(live_peak_rss_kb 2)"
-long="$(live_peak_rss_kb 20)"
-if [ -z "${short}" ] || [ -z "${long}" ] ||
-   [ $((long * 2)) -gt $((short * 3)) ]; then
-  echo "FAIL memory: peak RSS '${short}' kB at 0.2M packets," \
-       "'${long}' kB at 2M (limit 1.5x)" >&2
-  failures=$((failures + 1))
-else
-  echo "    ok: peak RSS ${short} kB at 0.2M packets, ${long} kB at 2M"
-fi
+# Live mode keeps no per-packet state on any executor shape: ten times the
+# packets may cost at most 1.5x the memory.
+check_bounded_memory() {
+  local shape="$1"
+  shift
+  echo "--- live smoke: bounded memory, ${shape} (--chain nat,monitor," \
+       "0.2M vs 2M packets)"
+  local short long
+  short="$(live_peak_rss_kb 2 "$@")"
+  long="$(live_peak_rss_kb 20 "$@")"
+  if [ -z "${short}" ] || [ -z "${long}" ] ||
+     [ $((long * 2)) -gt $((short * 3)) ]; then
+    echo "FAIL memory (${shape}): peak RSS '${short}' kB at 0.2M packets," \
+         "'${long}' kB at 2M (limit 1.5x)" >&2
+    failures=$((failures + 1))
+  else
+    echo "    ok: peak RSS ${short} kB at 0.2M packets, ${long} kB at 2M"
+  fi
+}
+check_bounded_memory runner
+check_bounded_memory "2 shards" --shards 2
+check_bounded_memory pipeline --executor pipeline
 
 if [ "${failures}" -ne 0 ]; then
   echo "live smoke: ${failures} case(s) FAILED" >&2
