@@ -309,10 +309,11 @@ void run_cell_group(const RowContext& ctx, const ChainFactory& factory,
              measure_best(policy,
                           [&] {
                             auto prototype = factory();
+                            runtime::RunConfig config{
+                                platform::PlatformKind::kBess, true};
+                            config.cycle_model = true;
                             runtime::ShardedRuntime sharded{
-                                *prototype,
-                                kShards,
-                                {platform::PlatformKind::kBess, true}};
+                                *prototype, kShards, config};
                             sharded.run(packets, nullptr);
                             ConfigResult result = collect_result(
                                 sharded, platform::PlatformKind::kBess);
@@ -340,9 +341,10 @@ void run_cell_group(const RowContext& ctx, const ChainFactory& factory,
   {
     telemetry::Registry registry;
     auto prototype = factory();
-    runtime::ShardedRuntime sharded{
-        *prototype, 1, {platform::PlatformKind::kBess, true},
-        16384, &registry, "matrix/"};
+    runtime::RunConfig run{platform::PlatformKind::kBess, true};
+    run.cycle_model = true;
+    runtime::ShardedRuntime sharded{*prototype, 1, run, 16384, &registry,
+                                    "matrix/"};
     control::AutoscaleConfig config;
     config.slo_us = 1.0;  // aggressive: any recording storm breaches
     config.min_shards = 1;

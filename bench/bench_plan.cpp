@@ -57,8 +57,10 @@ plan::Profile measure_profile(const plan::ChainSpec& spec,
       telemetry::snapshot_json(registry.snapshot()));
 }
 
-double measure_rate(const plan::DeploymentPlan& deployment,
+/// The plan's modeled rate: it runs with the cycle model on.
+double measure_rate(plan::DeploymentPlan deployment,
                     const trace::Workload& workload) {
+  deployment.cycle_model = true;
   auto built = plan::build(deployment);
   built.executor->run(workload);
   return collect_result(*built.executor, deployment.platform).rate_mpps;

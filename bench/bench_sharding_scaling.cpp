@@ -50,9 +50,10 @@ void run() {
   json.param("workload", "datacenter");
   json.param("chain", "nat,maglev,monitor,ipfilter");
   double base_rate = 0.0;
+  runtime::RunConfig run{platform::PlatformKind::kOnvm, true};
+  run.cycle_model = true;  // the aggregate rate is the model's
   for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    runtime::ShardedRuntime runtime{
-        prototype, shards, {platform::PlatformKind::kOnvm, true}};
+    runtime::ShardedRuntime runtime{prototype, shards, run};
     runtime.run(workload);
     const runtime::ShardedRunResult& result = runtime.last_result();
     if (shards == 1) base_rate = result.aggregate_rate_mpps;

@@ -42,6 +42,7 @@ tenancy::TenantSpec victim_spec(std::size_t flows,
   tenant.plan.chain = plan::vii_c_chain1();
   tenant.plan.executor = plan::ExecutorKind::kSharded;
   tenant.plan.shards = 2;
+  tenant.plan.cycle_model = true;  // the rows report the modeled rate
   tenant.workload.kind = "uniform";
   tenant.workload.flows = flows;
   tenant.workload.packets_per_flow = packets_per_flow;
@@ -54,6 +55,7 @@ tenancy::TenantSpec flood_spec(std::size_t scenario_flows) {
   tenant.id = "flood";
   tenant.plan.chain = plan::ChainSpec::parse("ipfilter,monitor");
   tenant.plan.executor = plan::ExecutorKind::kRunner;
+  tenant.plan.cycle_model = true;
   tenant.slo_us = 1e9;  // the adversary never qualifies as a victim
   tenant.workload.kind = "syn-flood";
   tenant.workload.flows = scenario_flows;  // 0 = scenario default (3072)

@@ -66,6 +66,7 @@ inline ConfigResult run_config(const ChainFactory& factory,
   auto chain = factory();
   runtime::RunConfig config{platform, speedybox};
   config.batch_size = std::max<std::size_t>(1, batch_size);
+  config.cycle_model = true;  // the figures report the platform model
   runtime::ChainRunner runner{*chain, config};
   if (overload.enabled) runner.set_overload_policy(overload);
   // The runner's own batch loop, so each packet's outcome is at hand: a

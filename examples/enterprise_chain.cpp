@@ -50,8 +50,9 @@ Chain build_chain() {
 void run_mode(const char* label, bool speedybox,
               const trace::Workload& workload) {
   Chain c = build_chain();
-  runtime::ChainRunner runner{
-      *c.chain, {platform::PlatformKind::kBess, speedybox}};
+  runtime::RunConfig config{platform::PlatformKind::kBess, speedybox};
+  config.cycle_model = true;  // the latency distribution is the model's
+  runtime::ChainRunner runner{*c.chain, config};
 
   const std::size_t fail_at = workload.order.size() / 2;
   for (std::size_t i = 0; i < workload.order.size(); ++i) {

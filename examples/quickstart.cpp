@@ -27,9 +27,11 @@ int main() {
       nf::AclRule::drop_dst_port(23)});  // telnet is blocked
 
   // 2. Attach a runner: platform model (BESS-style run-to-completion here)
-  //    + the SpeedyBox data path.
-  runtime::ChainRunner runner{
-      chain, {platform::PlatformKind::kBess, /*speedybox=*/true}};
+  //    + the SpeedyBox data path, with the cycle model on so each packet
+  //    reports its cycles and modeled latency.
+  runtime::RunConfig config{platform::PlatformKind::kBess, /*speedybox=*/true};
+  config.cycle_model = true;
+  runtime::ChainRunner runner{chain, config};
 
   // 3. Two flows: one normal HTTP flow, one telnet flow that the firewall
   //    blacklists.

@@ -83,10 +83,11 @@ struct HandlerArrays {
 };
 
 struct alignas(64) FlowRecord {
-  /// Batch-cost sampling: the first kCostSampleWindow measured packets time
-  /// every batch individually to learn the critical-path fraction of the
-  /// Table-I schedule; afterwards the fast path times all batches with one
-  /// timer pair and scales by the learned fraction.
+  /// Batch-cost sampling (cycle model only): the first kCostSampleWindow
+  /// measured packets time every batch individually to learn the
+  /// critical-path fraction of the Table-I schedule; afterwards the fast
+  /// path times all batches with one timer pair and scales by the learned
+  /// fraction.
   static constexpr std::uint32_t kCostSampleWindow = 8;
 
   // --- The compiled rule: what every fast-path packet reads, first, so

@@ -110,7 +110,7 @@ GlobalMat::FastHeaderResult GlobalMat::process_header(net::Packet& packet) {
 }
 
 GlobalMat::FastPathResult GlobalMat::process(
-    net::Packet& packet, const net::ParsedPacket* parsed_hint) {
+    net::Packet& packet, const net::ParsedPacket* parsed_hint, bool model) {
   FastPathResult result;
   FlowRecord* rule_ref = apply_header_phase(packet, &result.dropped,
                                             &result.events_triggered);
@@ -135,6 +135,10 @@ GlobalMat::FastPathResult GlobalMat::process(
   }
   const net::ParsedPacket& parsed = reparsed ? *reparsed : *parsed_hint;
 
+  if (!model) {
+    for (const auto& handler : rule.handlers) handler(packet, parsed);
+    return result;
+  }
   result.multi_batch_groups = rule.multi_batch_groups;
   if (rule.cost_samples < FlowRecord::kCostSampleWindow) {
     // Sampling phase: one timer pair per batch to learn the Table-I

@@ -93,7 +93,8 @@ class GlobalMat {
     /// counts these packets separately (they skipped recording).
     bool degraded_rule = false;
     std::size_t events_triggered = 0;
-    /// Measured cycles actually spent executing state functions.
+    /// The cycle model's fields (`model` only; 0 otherwise). Measured
+    /// cycles actually spent executing state functions.
     std::uint64_t sf_total_cycles = 0;
     /// Modeled cycles under the Table-I parallel schedule (critical path).
     std::uint64_t sf_critical_path_cycles = 0;
@@ -105,14 +106,16 @@ class GlobalMat {
   };
 
   /// Fast path for a subsequent packet: the record's event conditions,
-  /// consolidated header action, state-function handlers, with the state
-  /// functions' cycles measured (per batch while the rule samples its
-  /// schedule, under one timer pair after). `parsed_hint` is the
-  /// classifier's parse of this packet — reused for state-function
+  /// consolidated header action, state-function handlers. `parsed_hint` is
+  /// the classifier's parse of this packet — reused for state-function
   /// execution when the consolidated action leaves the header layout
-  /// intact, so the fast path parses exactly once.
+  /// intact, so the fast path parses exactly once. With `model` (the
+  /// platform cycle model, DESIGN.md §1) the state functions' cycles are
+  /// measured: per batch while the rule samples its Table-I schedule,
+  /// under one timer pair after. Without it no timer runs.
   FastPathResult process(net::Packet& packet,
-                         const net::ParsedPacket* parsed_hint = nullptr);
+                         const net::ParsedPacket* parsed_hint = nullptr,
+                         bool model = false);
 
   /// The manager-side half of the fast path for threaded deployments:
   /// event conditions + consolidated header action only. The caller hands

@@ -181,6 +181,7 @@ telemetry::Json DeploymentPlan::to_json() const {
                                ? "bess"
                                : "onvm"));
   json.set("batch_size", Json::integer(batch_size));
+  if (cycle_model) json.set("cycle_model", Json::boolean(true));
   if (shards > 0) json.set("shards", Json::integer(shards));
   json.set("ring_capacity", Json::integer(ring_capacity));
   if (!segments.empty()) {
@@ -243,6 +244,9 @@ DeploymentPlan DeploymentPlan::from_json(const telemetry::Json& json) {
                                            : platform::PlatformKind::kOnvm;
     } else if (key == "batch_size") {
       deployment.batch_size = size_field(value, "batch_size");
+    } else if (key == "cycle_model") {
+      if (!value.is_bool()) fail("field 'cycle_model' must be a boolean");
+      deployment.cycle_model = value.as_bool();
     } else if (key == "shards") {
       deployment.shards = size_field(value, "shards");
     } else if (key == "ring_capacity") {
@@ -391,6 +395,7 @@ runtime::RunConfig run_config(const DeploymentPlan& plan) {
   runtime::RunConfig config{plan.platform, plan.speedybox};
   config.batch_size = plan.batch_size;
   config.overload = plan.overload;
+  config.cycle_model = plan.cycle_model;
   return config;
 }
 

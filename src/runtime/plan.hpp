@@ -16,8 +16,8 @@
 // functions are pairwise parallelizable under Table I — validate() enforces
 // that against the registry's payload-access metadata, so a plan cannot
 // claim parallelism the paper's rule forbids. The single-threaded shapes
-// always run the §V-C2 parallel-schedule latency model; segments are
-// validated planner metadata for them.
+// run the §V-C2 parallel-schedule latency model when the plan turns the
+// cycle model on; segments are validated planner metadata for them.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +91,9 @@ struct DeploymentPlan {
   bool speedybox = true;
   platform::PlatformKind platform = platform::PlatformKind::kBess;
   std::size_t batch_size = net::kDefaultBatchSize;
+  /// RunConfig::cycle_model: the runner and every shard keep the platform
+  /// cycle model (the pipeline keeps none either way).
+  bool cycle_model = false;
   std::size_t shards = 0;  // sharded executor only (and then required)
   std::size_t ring_capacity = 1024;
   /// Consolidation segments covering the chain in order; empty = one NF

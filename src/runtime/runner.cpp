@@ -88,7 +88,7 @@ ChainRunner::ChainRunner(ServiceChain& chain, RunConfig config,
       config_(config),
       costs_(costs),
       batch_(config.batch_size) {
-  if (!config_.speedybox) {
+  if (config_.cycle_model && !config_.speedybox) {
     stats_.per_nf_cycle_sum.assign(chain.size(), 0);
     stats_.per_nf_cycle_count.assign(chain.size(), 0);
   }
@@ -127,14 +127,11 @@ void ChainRunner::run_recording_path(
     const core::PacketClassifier::Classification& classification,
     std::uint64_t classify_cycles, std::uint64_t t_start,
     std::uint64_t ingress_cycles, PacketOutcome& outcome) {
-  const bool onvm = config_.platform == platform::PlatformKind::kOnvm;
-  const std::uint64_t hop =
-      onvm ? costs_.onvm_ring_hop_cycles : costs_.bess_hop_cycles;
-
   outcome.work_cycles = classify_cycles;
-  outcome.latency_cycles = classify_cycles + ingress_cycles;
   // Slow path: each segment below has its own timer pair, so telemetry
-  // between segments stays invisible to the reported cycles.
+  // between segments stays invisible to the reported cycles. The timers
+  // run for the cycle model and for attached telemetry only.
+  const bool timed = config_.cycle_model || metrics_ != nullptr;
   telemetry::SpanRecorder* spans =
       metrics_ != nullptr && metrics_->spans.enabled() ? &metrics_->spans
                                                        : nullptr;
@@ -151,21 +148,24 @@ void ChainRunner::run_recording_path(
   // consolidation.
   core::FlowRecord& record =
       chain_.global_mat().open_flow(classification.fid);
+  std::uint64_t visited = 0;
   for (std::size_t i = 0; i < chain_.size(); ++i) {
     core::SpeedyBoxContext ctx{record, i, classification.fid};
-    const std::uint64_t t0 = util::CycleClock::now();
+    const std::uint64_t t0 = timed ? util::CycleClock::now() : 0;
     chain_.nf(i).process(packet, &ctx);
-    const std::uint64_t cycles =
-        util::CycleClock::segment(t0, util::CycleClock::now());
-    outcome.work_cycles += cycles;
-    outcome.latency_cycles += cycles + hop;
-    if (metrics_ != nullptr && i < metrics_->per_nf.size()) {
-      metrics_->per_nf[i].packets.add(1);
-      metrics_->per_nf[i].cycles.record(cycles);
-    }
-    if (trace) {
-      spans->event(telemetry::SpanStage::kNf, outcome.work_cycles,
-                   static_cast<int>(i));
+    ++visited;
+    if (timed) {
+      const std::uint64_t cycles =
+          util::CycleClock::segment(t0, util::CycleClock::now());
+      outcome.work_cycles += cycles;
+      if (metrics_ != nullptr && i < metrics_->per_nf.size()) {
+        metrics_->per_nf[i].packets.add(1);
+        metrics_->per_nf[i].cycles.record(cycles);
+      }
+      if (trace) {
+        spans->event(telemetry::SpanStage::kNf, outcome.work_cycles,
+                     static_cast<int>(i));
+      }
     }
     if (packet.dropped()) {
       outcome.dropped = true;
@@ -173,13 +173,19 @@ void ChainRunner::run_recording_path(
       break;
     }
   }
-  const std::uint64_t t0 = util::CycleClock::now();
+  const std::uint64_t t0 = timed ? util::CycleClock::now() : 0;
   chain_.global_mat().consolidate_flow(classification.fid);
+  if (!timed) return;
   const std::uint64_t consolidate_cycles =
       util::CycleClock::segment(t0, util::CycleClock::now());
   outcome.work_cycles += consolidate_cycles;
-  outcome.latency_cycles += consolidate_cycles;
-  outcome.platform_cycles = outcome.latency_cycles;
+  if (config_.cycle_model) {
+    // Modeled latency: the work plus one platform hop per NF visited and
+    // the packet's share of the rx burst cost.
+    outcome.latency_cycles =
+        outcome.work_cycles + ingress_cycles + hop_cycles() * visited;
+    outcome.platform_cycles = outcome.latency_cycles;
+  }
   if (metrics_ != nullptr) {
     metrics_->consolidations.add(1);
     metrics_->consolidate_cycles.record(consolidate_cycles);
@@ -200,14 +206,18 @@ void ChainRunner::run_fast_path(
     const core::PacketClassifier::Classification& classification,
     std::uint64_t classify_cycles, std::uint64_t ingress_cycles,
     PacketOutcome& outcome) {
-  const bool onvm = config_.platform == platform::PlatformKind::kOnvm;
-  const std::uint64_t hop =
-      onvm ? costs_.onvm_ring_hop_cycles : costs_.bess_hop_cycles;
-
-  // Fast path: Global MAT (event check + consolidated HA + SF batches).
-  const std::uint64_t t_start = util::CycleClock::now();
+  // Fast path: Global MAT (event check + consolidated HA + SF batches),
+  // under one timer pair when the cycle model or telemetry reads it.
+  const bool model = config_.cycle_model;
+  const bool timed = model || metrics_ != nullptr;
+  const std::uint64_t t_start = timed ? util::CycleClock::now() : 0;
   const auto result =
-      chain_.global_mat().process(packet, &classification.parsed);
+      chain_.global_mat().process(packet, &classification.parsed, model);
+  outcome.dropped = result.dropped;
+  outcome.degraded = result.degraded_rule;
+  outcome.events_triggered = result.events_triggered;
+  outcome.fast_path = true;
+  if (!timed) return;
   // Remove this measurement's own overhead plus that of the timer pairs
   // GlobalMat used internally for batch attribution, then add the packet's
   // share of the batched classifier pass.
@@ -216,12 +226,36 @@ void ChainRunner::run_fast_path(
       util::CycleClock::timer_overhead() * (1 + result.timer_pairs);
   const std::uint64_t total =
       classify_cycles + (raw > timer_cost ? raw - timer_cost : 0);
-
-  outcome.dropped = result.dropped;
-  outcome.degraded = result.degraded_rule;
-  outcome.events_triggered = result.events_triggered;
   outcome.work_cycles = total;
-  outcome.platform_cycles = total + hop + ingress_cycles;
+  const std::uint64_t serial =
+      total > result.sf_total_cycles ? total - result.sf_total_cycles : 0;
+  if (model) account_fast_path_model(result, serial, ingress_cycles, outcome);
+
+  // Fast path: one timer pair brackets the whole path, so every hook —
+  // including the sampling decision — runs after the closing now().
+  // Span events are rebuilt from the already-measured splits; only the
+  // model times the state functions apart, so without it the span
+  // carries the total alone.
+  telemetry::SpanRecorder* spans =
+      metrics_ != nullptr && metrics_->spans.enabled() ? &metrics_->spans
+                                                       : nullptr;
+  if (spans != nullptr && spans->should_sample(classification.fid)) {
+    spans->begin(classification.fid, classification.fid, t_start);
+    if (model) {
+      spans->event(telemetry::SpanStage::kHeaderAction, serial);
+      if (result.sf_total_cycles > 0) {
+        spans->event(telemetry::SpanStage::kStateFunctions, total);
+      }
+    }
+    spans->finish(/*fast_path=*/true, outcome.dropped, total);
+  }
+}
+
+void ChainRunner::account_fast_path_model(
+    const core::GlobalMat::FastPathResult& result, std::uint64_t serial,
+    std::uint64_t ingress_cycles, PacketOutcome& outcome) {
+  const std::uint64_t hop = hop_cycles();
+  outcome.platform_cycles = outcome.work_cycles + hop + ingress_cycles;
 
   // Latency model: everything except the state functions (classifier,
   // event check, consolidated header action) is serial; state functions
@@ -231,8 +265,6 @@ void ChainRunner::run_fast_path(
   // parallelism never makes latency worse. The sequential latency (state
   // functions counted one after another) is kept beside it for the Fig. 7
   // HA/SF split.
-  const std::uint64_t serial =
-      total > result.sf_total_cycles ? total - result.sf_total_cycles : 0;
   std::uint64_t sf_cycles = result.sf_total_cycles;
   if (result.multi_batch_groups > 0) {
     const std::uint64_t parallel =
@@ -241,7 +273,6 @@ void ChainRunner::run_fast_path(
             static_cast<std::uint64_t>(result.multi_batch_groups);
     sf_cycles = std::min(sf_cycles, parallel);
   }
-  outcome.fast_path = true;
   outcome.latency_cycles = serial + sf_cycles + hop + ingress_cycles;
   outcome.latency_cycles_sequential =
       serial + result.sf_total_cycles + hop + ingress_cycles;
@@ -250,26 +281,11 @@ void ChainRunner::run_fast_path(
   // state-function execution pipeline against each other on ONVM; on
   // BESS the whole fast path is one logical stage. The front end fronts
   // the rx burst, so its stage carries the ingress share.
-  if (onvm) {
+  if (config_.platform == platform::PlatformKind::kOnvm) {
     add_stage_sample(0, serial + hop + ingress_cycles);
     if (sf_cycles > 0) add_stage_sample(1, sf_cycles);
   } else {
     add_stage_sample(0, outcome.latency_cycles);
-  }
-
-  // Fast path: one timer pair brackets the whole path, so every hook —
-  // including the sampling decision — runs after the closing now().
-  // Span events are rebuilt from the already-measured splits.
-  telemetry::SpanRecorder* spans =
-      metrics_ != nullptr && metrics_->spans.enabled() ? &metrics_->spans
-                                                       : nullptr;
-  if (spans != nullptr && spans->should_sample(classification.fid)) {
-    spans->begin(classification.fid, classification.fid, t_start);
-    spans->event(telemetry::SpanStage::kHeaderAction, serial);
-    if (result.sf_total_cycles > 0) {
-      spans->event(telemetry::SpanStage::kStateFunctions, total);
-    }
-    spans->finish(/*fast_path=*/true, outcome.dropped, total);
   }
 }
 
@@ -336,12 +352,13 @@ void ChainRunner::process_batch(net::PacketBatch& batch,
 
 void ChainRunner::process_original_batch(
     net::PacketBatch& batch, std::vector<PacketOutcome>& outcomes) {
+  const bool model = config_.cycle_model;
+  const bool timed = model || metrics_ != nullptr;
   const bool onvm = config_.platform == platform::PlatformKind::kOnvm;
-  const std::uint64_t hop =
-      onvm ? costs_.onvm_ring_hop_cycles : costs_.bess_hop_cycles;
+  const std::uint64_t hop = hop_cycles();
   const std::size_t n = batch.size();
 
-  // Pre-pass in slot order, outside the measured regions: stats-side
+  // Pre-pass in slot order, outside the measured regions: the model's
   // init/sub tagging and span sampling. The insert/erase sequence on
   // seen_tuples_ only depends on the tuple order, which slots preserve.
   telemetry::SpanRecorder* spans =
@@ -356,12 +373,17 @@ void ChainRunner::process_original_batch(
     entered_batch[i] = batch.valid(i) ? 1 : 0;
     if (!batch.valid(i)) continue;
     ++live_entry;
+    if (!model && spans == nullptr) continue;
     if (const auto parsed = net::parse_packet(batch.packet(i))) {
       const auto flow = core::HashedTuple::of(
           net::extract_five_tuple(batch.packet(i), *parsed));
-      outcomes[i].initial =
-          seen_tuples_.try_emplace(flow.tuple, flow.hash).second;
-      if (parsed->has_fin_or_rst()) seen_tuples_.erase(flow.tuple, flow.hash);
+      if (model) {
+        outcomes[i].initial =
+            seen_tuples_.try_emplace(flow.tuple, flow.hash).second;
+        if (parsed->has_fin_or_rst()) {
+          seen_tuples_.erase(flow.tuple, flow.hash);
+        }
+      }
       if (spans != nullptr && spans->should_sample(flow.hash.value)) {
         traced[i] = 1;
         spans->begin(flow.hash.value, net::kInvalidFid,
@@ -376,11 +398,12 @@ void ChainRunner::process_original_batch(
       live_entry > 0 ? costs_.rx_burst_fixed_cycles / live_entry : 0;
 
   // NF-major traversal: NF k processes the whole burst (one timer pair per
-  // NF per batch), then hands it to NF k+1 — the BESS/VPP execution shape.
-  // Per-flow packet order within each NF is slot order, and no state is
-  // shared across NFs on the original path, so every NF sees exactly the
-  // state and bytes it would packet-at-a-time. A slot masked by NF k
-  // (dropped) skips NFs k+1.., as a packet-at-a-time chain exits early.
+  // NF per batch when timed), then hands it to NF k+1 — the BESS/VPP
+  // execution shape. Per-flow packet order within each NF is slot order,
+  // and no state is shared across NFs on the original path, so every NF
+  // sees exactly the state and bytes it would packet-at-a-time. A slot
+  // masked by NF k (dropped) skips NFs k+1.., as a packet-at-a-time chain
+  // exits early.
   std::vector<std::uint8_t> entered(n);
   for (std::size_t i = 0; i < chain_.size(); ++i) {
     std::size_t live = 0;
@@ -390,8 +413,9 @@ void ChainRunner::process_original_batch(
     }
     if (live == 0) break;
 
-    const std::uint64_t t0 = util::CycleClock::now();
+    const std::uint64_t t0 = timed ? util::CycleClock::now() : 0;
     chain_.nf(i).process_batch(batch, {});
+    if (!timed) continue;
     const std::uint64_t cycles =
         util::CycleClock::segment(t0, util::CycleClock::now());
     // Per-packet attribution: equal share of the batch segment (the batch
@@ -401,9 +425,14 @@ void ChainRunner::process_original_batch(
     for (std::size_t s = 0; s < n; ++s) {
       if (entered[s] == 0) continue;
       outcomes[s].work_cycles += share;
-      outcomes[s].latency_cycles += share + hop;
-      stats_.per_nf_cycle_sum[i] += share + hop;
-      ++stats_.per_nf_cycle_count[i];
+      if (model) {
+        outcomes[s].latency_cycles += share + hop;
+        stats_.per_nf_cycle_sum[i] += share + hop;
+        ++stats_.per_nf_cycle_count[i];
+        if (onvm && !outcomes[s].initial) {
+          add_stage_sample(i, share + hop + (i == 0 ? ingress : 0));
+        }
+      }
       if (metrics_ != nullptr && i < metrics_->per_nf.size()) {
         metrics_->per_nf[i].packets.add(1);
         metrics_->per_nf[i].cycles.record(share);
@@ -412,22 +441,22 @@ void ChainRunner::process_original_batch(
         spans->event(telemetry::SpanStage::kNf, outcomes[s].work_cycles,
                      static_cast<int>(i));
       }
-      if (onvm && !outcomes[s].initial) {
-        add_stage_sample(i, share + hop + (i == 0 ? ingress : 0));
-      }
-      if (batch.packet(s).dropped()) {
-        outcomes[s].dropped = true;
-        outcomes[s].faulted = batch.packet(s).faulted();
-      }
     }
   }
 
   for (std::size_t s = 0; s < n; ++s) {
     if (entered_batch[s] == 0) continue;
-    outcomes[s].latency_cycles += ingress;
-    outcomes[s].platform_cycles = outcomes[s].latency_cycles;
-    if (!onvm && !outcomes[s].initial) {
-      add_stage_sample(0, outcomes[s].latency_cycles);
+    const net::Packet& packet = batch.packet(s);
+    if (packet.dropped()) {
+      outcomes[s].dropped = true;
+      outcomes[s].faulted = packet.faulted();
+    }
+    if (model) {
+      outcomes[s].latency_cycles += ingress;
+      outcomes[s].platform_cycles = outcomes[s].latency_cycles;
+      if (!onvm && !outcomes[s].initial) {
+        add_stage_sample(0, outcomes[s].latency_cycles);
+      }
     }
     if (traced[s] != 0) {
       spans->finish(/*fast_path=*/false, outcomes[s].dropped,
@@ -472,14 +501,16 @@ void ChainRunner::process_speedybox_batch(
   std::vector<std::optional<core::PacketClassifier::Classification>>
       classifications(n);
   std::vector<net::FiveTuple> torn;
+  const bool timed = config_.cycle_model || metrics_ != nullptr;
   std::size_t begin = 0;
   while (begin < n) {
     torn.clear();
-    // Pass 1: classify the segment under ONE timer pair — the classifier
-    // cost amortizes across the burst instead of paying a pair per packet.
+    // Pass 1: classify the segment under ONE timer pair (when timed) — the
+    // classifier cost amortizes across the burst instead of paying a pair
+    // per packet.
     std::size_t end = begin;
     std::size_t classified = 0;
-    const std::uint64_t t0 = util::CycleClock::now();
+    const std::uint64_t t0 = timed ? util::CycleClock::now() : 0;
     for (; end < n; ++end) {
       if (!batch.valid(end)) continue;
       if (parsed[end] &&
@@ -494,7 +525,7 @@ void ChainRunner::process_speedybox_batch(
       }
     }
     const std::uint64_t classify_segment =
-        util::CycleClock::segment(t0, util::CycleClock::now());
+        timed ? util::CycleClock::segment(t0, util::CycleClock::now()) : 0;
     const std::uint64_t classify_share =
         classified > 0 ? classify_segment / classified : 0;
 
@@ -520,8 +551,10 @@ void ChainRunner::process_speedybox_batch(
         batch.packet(i).mark_dropped();
         outcome.dropped = true;
         outcome.work_cycles = classify_share;
-        outcome.platform_cycles = outcome.latency_cycles =
-            classify_share + ingress;
+        if (config_.cycle_model) {
+          outcome.platform_cycles = outcome.latency_cycles =
+              classify_share + ingress;
+        }
         batch.mask(i);
         account(outcome);
         continue;
@@ -591,6 +624,7 @@ void ChainRunner::account(const PacketOutcome& outcome) {
       metrics_->slowpath_cycles.record(outcome.work_cycles);
     }
   }
+  if (!config_.cycle_model) return;
 
   double latency = static_cast<double>(outcome.latency_cycles);
   if (controller_ != nullptr) {
@@ -620,9 +654,11 @@ void ChainRunner::account(const PacketOutcome& outcome) {
 
 std::size_t ChainRunner::expire_idle_flows(double max_idle_us) {
   if (!config_.speedybox) return 0;
-  const std::vector<std::uint32_t> idle = chain_.classifier().collect_idle(
-      util::CycleClock::now(),
-      util::CycleClock::from_ns(max_idle_us * 1e3));
+  // Convert first: the first from_ns call calibrates the clock for 20 ms,
+  // which must not fall between the now() stamp and the scan.
+  const std::uint64_t max_idle = util::CycleClock::from_ns(max_idle_us * 1e3);
+  const std::vector<std::uint32_t> idle =
+      chain_.classifier().collect_idle(util::CycleClock::now(), max_idle);
   for (const std::uint32_t fid : idle) {
     chain_.global_mat().erase_flow(fid);
     chain_.classifier().release_flow(fid);
@@ -635,8 +671,11 @@ void ChainRunner::submit(std::span<net::Packet> burst, bool keep) {
   for (std::size_t offset = 0; offset < burst.size(); offset += size) {
     const std::size_t end = std::min(burst.size(), offset + size);
     batch_.clear();
+    // One arrival stamp per batch: its only reader is the classifier's
+    // idle clock.
+    const std::uint64_t arrival = util::CycleClock::now();
     for (std::size_t k = offset; k < end; ++k) {
-      burst[k].set_arrival_cycle(util::CycleClock::now());
+      burst[k].set_arrival_cycle(arrival);
       batch_.push(&burst[k]);
     }
     process_batch(batch_, outcomes_);

@@ -1,8 +1,11 @@
 // ChainRunner: executes packets through a ServiceChain under one of four
-// configurations — {BESS, ONVM} × {original, SpeedyBox} — with per-packet
-// cycle accounting.
+// configurations — {BESS, ONVM} × {original, SpeedyBox}. By default it
+// keeps counters only; RunConfig::cycle_model adds per-packet cycle
+// accounting under the platform model below, and attached telemetry times
+// the work layers (classify, fast path, slow path, per NF, consolidate,
+// teardown) without it.
 //
-// Measurement model (DESIGN.md §1/§5):
+// Measurement model (DESIGN.md §1/§5), with cycle_model on:
 //   * work cycles   — really-executed CPU cycles (parsing, table lookups,
 //                     inspections, consolidations). This is what the
 //                     "CPU cycle per packet" figures report.
@@ -29,6 +32,7 @@
 
 #include "core/classifier.hpp"
 #include "core/flow_table.hpp"
+#include "core/global_mat.hpp"
 #include "net/packet.hpp"
 #include "net/packet_batch.hpp"
 #include "platform/costs.hpp"
@@ -50,12 +54,25 @@ struct RunConfig {
   /// Overload control (DESIGN.md §9). Disabled: the ingress gate does not
   /// exist and the data path is byte-identical to a config without it.
   OverloadConfig overload{};
+  /// The platform cycle model (DESIGN.md §1): per-packet timers, the
+  /// Table-I cost-sampling window, the modeled hop, ingress and fork/join
+  /// costs, and RunStats' histograms and per-NF/stage sums. Off (the
+  /// default), the data path runs no per-packet timer and keeps counters
+  /// only; bytes, drop verdicts and counters are identical either way.
+  /// The figure benches and chainsim's trace report turn it on.
+  bool cycle_model = false;
 };
 
 struct PacketOutcome {
+  /// The flow's first packet: the classifier's verdict on the SpeedyBox
+  /// path; on the original path (no classifier) the cycle model's tagging,
+  /// false with the model off.
   bool initial = false;
   bool dropped = false;
   bool fast_path = false;  // subsequent packet on the SpeedyBox path
+  /// The four cycle fields are 0 unless a timer ran. work_cycles is
+  /// measured with the cycle model on or telemetry attached; the modeled
+  /// ones below only with the cycle model.
   std::uint64_t work_cycles = 0;     // really-executed CPU cycles
   /// work + per-NF platform framework overhead (no parallelism discount) —
   /// the "CPU cycle per packet" a platform-level measurement reports, which
@@ -79,7 +96,9 @@ struct PacketOutcome {
 /// per-packet distributions are fixed-size LogHistograms of cycles (readers
 /// convert with CycleClock::to_us), merged across shards by adding buckets.
 /// The work-cycle distributions live in telemetry (fastpath_cycles /
-/// slowpath_cycles), not here.
+/// slowpath_cycles), not here. The histograms and the per-NF and stage sums
+/// are the cycle model's (RunConfig::cycle_model): empty with it off, when
+/// rate_mpps() reads 0. The counters are always kept.
 struct RunStats {
   /// Modeled per-packet latency in cycles, recorded once per packet by
   /// class; under the overload gate it includes the modeled queueing delay.
@@ -162,7 +181,7 @@ class ChainRunner : public Executor {
   // -- Executor ------------------------------------------------------------
   std::string_view kind() const noexcept override { return "runner"; }
   /// Processes the burst inline, in batches of RunConfig::batch_size,
-  /// stamping each packet's arrival as its batch forms.
+  /// stamping each batch's arrival once as it forms.
   void submit(std::span<net::Packet> burst, bool keep) override;
   /// Hands back the kept packets. Not one-shot: stats accumulate over
   /// every submit() until the runner is destroyed.
@@ -231,8 +250,20 @@ class ChainRunner : public Executor {
       PacketOutcome& outcome);
   void apply_teardown(
       const core::PacketClassifier::Classification& classification);
+  /// The cycle model's share of a timed fast-path packet: platform and
+  /// modeled latency cycles, and the rate model's stage samples.
+  void account_fast_path_model(const core::GlobalMat::FastPathResult& result,
+                               std::uint64_t serial,
+                               std::uint64_t ingress_cycles,
+                               PacketOutcome& outcome);
   void account(const PacketOutcome& outcome);
   void add_stage_sample(std::size_t stage, std::uint64_t cycles);
+  /// The platform's modeled per-NF hand-off cost.
+  std::uint64_t hop_cycles() const noexcept {
+    return config_.platform == platform::PlatformKind::kOnvm
+               ? costs_.onvm_ring_hop_cycles
+               : costs_.bess_hop_cycles;
+  }
 
   ServiceChain& chain_;
   RunConfig config_;
@@ -241,16 +272,16 @@ class ChainRunner : public Executor {
   std::unique_ptr<OverloadController> controller_;
   /// EMA of per-packet service latency (cycles) — scales the virtual queue
   /// depth into the modeled queueing delay added to latency samples while
-  /// the gate is active. Stats-only: never touches packet bytes.
+  /// the gate is active. Cycle model only; never touches packet bytes.
   double service_ema_cycles_ = 0.0;
   RunStats stats_;
   /// submit()'s batch and outcome scratch, and the packets kept for drain().
   net::PacketBatch batch_;
   std::vector<PacketOutcome> outcomes_;
   std::vector<net::Packet> kept_;
-  /// Original mode only: stats-side init/sub tagging (there is no
-  /// classifier on the original path), used as a set — the value is
-  /// unused. Maintained outside measured regions.
+  /// Original mode with the cycle model only: the model's init/sub
+  /// tagging (there is no classifier on the original path), used as a
+  /// set — the value is unused. Maintained outside measured regions.
   core::FlowTable<net::FiveTuple, bool> seen_tuples_;
 };
 

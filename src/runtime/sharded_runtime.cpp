@@ -180,12 +180,15 @@ void ShardedRuntime::worker(Shard& shard) {
     batch.clear();
     live.clear();
     std::uint64_t marker_epoch = 0;
+    // One arrival stamp per burst: its only reader is the classifier's
+    // idle clock.
+    const std::uint64_t arrival = util::CycleClock::now();
     for (std::size_t i = 0; i < popped; ++i) {
       if (jobs[i].drain_epoch != 0) {
         marker_epoch = std::max(marker_epoch, jobs[i].drain_epoch);
         continue;
       }
-      jobs[i].packet.set_arrival_cycle(util::CycleClock::now());
+      jobs[i].packet.set_arrival_cycle(arrival);
       batch.push(&jobs[i].packet);
       live.push_back(i);
     }

@@ -1,35 +1,19 @@
 #include "util/cycle_clock.hpp"
 
-#include <chrono>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#include <x86intrin.h>
-#define SPEEDYBOX_HAVE_RDTSC 1
-#endif
-
 namespace speedybox::util {
 namespace {
-
-std::uint64_t raw_now() noexcept {
-#ifdef SPEEDYBOX_HAVE_RDTSC
-  return __rdtsc();
-#else
-  return static_cast<std::uint64_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count());
-#endif
-}
 
 double calibrate_hz() noexcept {
 #ifdef SPEEDYBOX_HAVE_RDTSC
   using clock = std::chrono::steady_clock;
   const auto t0 = clock::now();
-  const std::uint64_t c0 = raw_now();
+  const std::uint64_t c0 = CycleClock::now();
   // Busy-wait ~20ms; long enough to average out scheduling noise, short
   // enough to be unnoticeable at startup.
   while (clock::now() - t0 < std::chrono::milliseconds(20)) {
   }
   const auto t1 = clock::now();
-  const std::uint64_t c1 = raw_now();
+  const std::uint64_t c1 = CycleClock::now();
   const double ns =
       static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
   return static_cast<double>(c1 - c0) / ns * 1e9;
@@ -39,8 +23,6 @@ double calibrate_hz() noexcept {
 }
 
 }  // namespace
-
-std::uint64_t CycleClock::now() noexcept { return raw_now(); }
 
 double CycleClock::frequency_hz() noexcept {
   static const double hz = calibrate_hz();

@@ -6,15 +6,28 @@
 // against steady_clock so cycles can be converted to wall time.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+
+#if defined(__x86_64__) || defined(_M_X64)
+#include <x86intrin.h>
+#define SPEEDYBOX_HAVE_RDTSC 1
+#endif
 
 namespace speedybox::util {
 
 class CycleClock {
  public:
   /// Current cycle counter. Monotonic, ~constant rate on modern x86
-  /// (invariant TSC).
-  static std::uint64_t now() noexcept;
+  /// (invariant TSC). Inline, so a timer pair costs no call.
+  static std::uint64_t now() noexcept {
+#ifdef SPEEDYBOX_HAVE_RDTSC
+    return __rdtsc();
+#else
+    return static_cast<std::uint64_t>(
+        std::chrono::steady_clock::now().time_since_epoch().count());
+#endif
+  }
 
   /// Calibrated counter frequency in Hz. First call performs a short
   /// (~20ms) calibration loop; subsequent calls are free.

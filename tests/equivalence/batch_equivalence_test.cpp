@@ -59,9 +59,12 @@ struct RunResult {
   RunStats stats;
 };
 
+/// The cycle model is on, so the histogram counts and the original path's
+/// init/sub tagging below are compared too.
 RunConfig make_config(bool speedybox, std::size_t batch_size) {
   RunConfig config{platform::PlatformKind::kBess, speedybox};
   config.batch_size = batch_size;
+  config.cycle_model = true;
   return config;
 }
 

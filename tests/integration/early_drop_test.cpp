@@ -11,6 +11,7 @@
 namespace speedybox::runtime {
 namespace {
 
+using speedybox::testing::modeled;
 using speedybox::testing::tuple_n;
 
 std::vector<nf::AclRule> pass_acl() { return {}; }
@@ -74,13 +75,13 @@ TEST(EarlyDrop, SubsequentWorkFarBelowOriginal) {
   // Platform cycles (work + per-NF overhead) — the Table-III metric.
   auto original_chain = build();
   ChainRunner original{*original_chain,
-                       {platform::PlatformKind::kBess, false}};
+                       modeled({platform::PlatformKind::kBess, false})};
   const double original_work = original.run(workload)
                                    .platform_cycles_subsequent.percentile(50);
 
   auto speedy_chain = build();
   ChainRunner speedy{*speedy_chain,
-                     {platform::PlatformKind::kBess, true}};
+                     modeled({platform::PlatformKind::kBess, true})};
   const double speedy_work =
       speedy.run(workload).platform_cycles_subsequent.percentile(50);
 

@@ -23,7 +23,11 @@ net::Packet udp_packet(std::uint32_t flow) {
   return net::make_udp_packet(tuple, "query");
 }
 
+// The 2 ms threshold is converted before any flow is stamped: the first
+// conversion calibrates the clock (~20 ms), which would otherwise age every
+// flow past it, whichever argument the compiler evaluates first.
 TEST(IdleExpiry, CollectIdleFindsOnlyStaleFlows) {
+  const std::uint64_t max_idle = util::CycleClock::from_ns(2e6);
   core::PacketClassifier classifier;
   net::Packet stale = udp_packet(1);
   classifier.classify(stale);
@@ -31,13 +35,13 @@ TEST(IdleExpiry, CollectIdleFindsOnlyStaleFlows) {
   net::Packet fresh = udp_packet(2);
   classifier.classify(fresh);
 
-  const auto idle = classifier.collect_idle(
-      util::CycleClock::now(), util::CycleClock::from_ns(2e6));  // 2 ms
+  const auto idle = classifier.collect_idle(util::CycleClock::now(), max_idle);
   ASSERT_EQ(idle.size(), 1u);
   EXPECT_EQ(idle[0], stale.fid());
 }
 
 TEST(IdleExpiry, RefreshedFlowIsNotIdle) {
+  const std::uint64_t max_idle = util::CycleClock::from_ns(2e6);
   core::PacketClassifier classifier;
   net::Packet first = udp_packet(3);
   classifier.classify(first);
@@ -45,10 +49,8 @@ TEST(IdleExpiry, RefreshedFlowIsNotIdle) {
   net::Packet again = udp_packet(3);  // same tuple refreshes last-seen
   classifier.classify(again);
 
-  EXPECT_TRUE(classifier
-                  .collect_idle(util::CycleClock::now(),
-                                util::CycleClock::from_ns(2e6))
-                  .empty());
+  EXPECT_TRUE(
+      classifier.collect_idle(util::CycleClock::now(), max_idle).empty());
 }
 
 TEST(IdleExpiry, RunnerExpiryFreesEverything) {

@@ -101,8 +101,9 @@ TEST(BenchSchemaProperty, EveryExecutorShapeEmitsValidRows) {
   std::vector<telemetry::Json> rows;
   {
     auto chain = small_chain()();
-    runtime::ShardedRuntime sharded{
-        *chain, 2, {platform::PlatformKind::kBess, true}};
+    runtime::RunConfig config{platform::PlatformKind::kBess, true};
+    config.cycle_model = true;  // the sharded row reports modeled cycles
+    runtime::ShardedRuntime sharded{*chain, 2, config};
     sharded.run(packets, nullptr);
     rows.push_back(config_row(
         "sharded", collect_result(sharded, platform::PlatformKind::kBess)));

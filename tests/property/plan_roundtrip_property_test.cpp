@@ -105,6 +105,7 @@ DeploymentPlan random_plan(util::Rng& rng) {
     plan.predicted_cycles_per_packet = 1.0 + rng.below(100000);
     plan.target_rate_mpps = 0.1 + rng.below(100) * 0.1;
   }
+  plan.cycle_model = rng.chance(0.5);
   return plan;
 }
 
@@ -142,6 +143,7 @@ TEST_P(PlanRoundTrip, DeploymentPlanJsonIsLossless) {
     ASSERT_EQ(reparsed.chain, plan.chain);
     ASSERT_EQ(reparsed.executor, plan.executor);
     ASSERT_EQ(reparsed.speedybox, plan.speedybox);
+    ASSERT_EQ(reparsed.cycle_model, plan.cycle_model);
     ASSERT_EQ(reparsed.shards, plan.shards);
     ASSERT_EQ(reparsed.segments, plan.segments);
     ASSERT_EQ(reparsed.overload.enabled, plan.overload.enabled);

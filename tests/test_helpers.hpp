@@ -8,6 +8,7 @@
 #include "net/packet.hpp"
 #include "net/byte_order.hpp"
 #include "net/packet_builder.hpp"
+#include "runtime/runner.hpp"
 
 namespace speedybox::testing {
 
@@ -27,6 +28,13 @@ inline net::Packet tcp_packet(std::uint32_t flow_id,
                               std::string_view payload = "hello",
                               std::uint8_t flags = net::kTcpFlagAck) {
   return net::make_tcp_packet(tuple_n(flow_id), payload, flags);
+}
+
+/// `config` with the platform cycle model on (RunConfig::cycle_model), for
+/// tests that assert modeled values.
+inline runtime::RunConfig modeled(runtime::RunConfig config) {
+  config.cycle_model = true;
+  return config;
 }
 
 /// Byte-for-byte wire equality (metadata ignored).

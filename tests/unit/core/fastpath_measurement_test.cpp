@@ -30,10 +30,12 @@ class FastPathMeasurement : public ::testing::Test {
   SpeedyBoxContext a(std::uint32_t fid) { return context(fid, 0); }
   SpeedyBoxContext b(std::uint32_t fid) { return context(fid, 1); }
 
+  /// One fast-path packet under the cycle model (the measurements below
+  /// are the model's).
   GlobalMat::FastPathResult run_packet(std::uint32_t fid) {
     net::Packet packet = net::make_tcp_packet(tuple_n(fid), "x");
     packet.set_fid(fid);
-    return mat_.process(packet);
+    return mat_.process(packet, nullptr, /*model=*/true);
   }
 
   GlobalMat mat_;
@@ -55,6 +57,28 @@ TEST_F(FastPathMeasurement, SamplingPhaseReportsPerBatchPairs) {
   EXPECT_EQ(result.timer_pairs, 2u) << "sampling: one pair per batch";
   EXPECT_GT(result.sf_total_cycles, 0u);
   EXPECT_LE(result.sf_critical_path_cycles, result.sf_total_cycles);
+}
+
+TEST_F(FastPathMeasurement, WithoutTheModelNoTimerRunsAndNothingIsSampled) {
+  int runs = 0;
+  a(2).add_state_function(StateFunction{
+      [&runs](net::Packet&, const net::ParsedPacket&) { ++runs; },
+      PayloadAccess::kRead, "count"});
+  b(2).add_state_function(busy_sf(PayloadAccess::kRead, 1));
+  mat_.consolidate_flow(2);
+
+  for (std::uint32_t i = 0; i <= FlowRecord::kCostSampleWindow; ++i) {
+    net::Packet packet = net::make_tcp_packet(tuple_n(2), "x");
+    packet.set_fid(2);
+    const auto result = mat_.process(packet);
+    EXPECT_TRUE(result.rule_hit);
+    EXPECT_EQ(result.timer_pairs, 0u);
+    EXPECT_EQ(result.sf_total_cycles, 0u);
+    EXPECT_EQ(result.sf_critical_path_cycles, 0u);
+  }
+  EXPECT_EQ(runs, static_cast<int>(FlowRecord::kCostSampleWindow) + 1)
+      << "the state functions still run on every packet";
+  EXPECT_EQ(mat_.find(2)->cost_samples, 0u) << "no sampling window";
 }
 
 TEST_F(FastPathMeasurement, SteadyStateUsesOnePair) {

@@ -192,7 +192,7 @@ TEST_F(GlobalMatTest, MeasuredRunReportsCycleBreakdown) {
 
   net::Packet packet = net::make_tcp_packet(tuple_n(9), "x");
   packet.set_fid(9);
-  const auto result = mat_.process(packet);
+  const auto result = mat_.process(packet, nullptr, /*model=*/true);
   EXPECT_GT(result.sf_total_cycles, 0u);
   EXPECT_GT(result.sf_critical_path_cycles, 0u);
   EXPECT_LE(result.sf_critical_path_cycles, result.sf_total_cycles);

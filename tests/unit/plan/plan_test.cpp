@@ -155,6 +155,7 @@ TEST(DeploymentPlan, JsonRoundTripsEveryField) {
   plan.speedybox = true;
   plan.platform = platform::PlatformKind::kOnvm;
   plan.batch_size = 64;
+  plan.cycle_model = true;
   plan.shards = 4;
   plan.ring_capacity = 2048;
   plan.segments = {{2, true}, {2, false}};
@@ -168,6 +169,7 @@ TEST(DeploymentPlan, JsonRoundTripsEveryField) {
 
   const DeploymentPlan reparsed = DeploymentPlan::parse(plan.dump());
   EXPECT_EQ(reparsed, plan);  // == compares dump()
+  EXPECT_TRUE(reparsed.cycle_model);
   EXPECT_EQ(reparsed.shards, 4u);
   EXPECT_EQ(reparsed.segments, plan.segments);
   EXPECT_TRUE(reparsed.overload.enabled);
@@ -213,6 +215,25 @@ TEST(DeploymentPlan, StrictJsonRejectsUnknownAndMalformedFields) {
               R"({"policy":"yolo"}})");
       },
       {"overload.policy"});
+  expect_plan_error(
+      [&] {
+        parse(R"({"chain":{"name":"c","nfs":["nat"]},"cycle_model":1})");
+      },
+      {"cycle_model", "boolean"});
+}
+
+TEST(DeploymentPlan, CycleModelIsOffByDefaultAndCarriedIntoTheRunConfig) {
+  DeploymentPlan plan;
+  plan.chain = vii_c_chain1();
+  EXPECT_FALSE(plan.cycle_model);
+  EXPECT_FALSE(run_config(plan).cycle_model);
+  EXPECT_EQ(plan.dump().find("cycle_model"), std::string::npos)
+      << "a default plan's document does not name the field";
+  plan.cycle_model = true;
+  EXPECT_TRUE(run_config(plan).cycle_model);
+  EXPECT_TRUE(DeploymentPlan::parse(
+                  R"({"chain":{"name":"c","nfs":["nat"]},"cycle_model":true})")
+                  .cycle_model);
 }
 
 TEST(Build, ConstructsEveryExecutorShape) {

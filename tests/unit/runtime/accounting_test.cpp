@@ -16,6 +16,7 @@
 namespace speedybox::runtime {
 namespace {
 
+using speedybox::testing::modeled;
 using speedybox::testing::tuple_n;
 
 TEST(Accounting, PlatformCyclesIncludePerNfOverhead) {
@@ -24,7 +25,7 @@ TEST(Accounting, PlatformCyclesIncludePerNfOverhead) {
   ServiceChain chain;
   chain.emplace_nf<nf::Monitor>();
   chain.emplace_nf<nf::Monitor>("m2");
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, false},
+  ChainRunner runner{chain, modeled({platform::PlatformKind::kBess, false}),
                      costs};
   net::Packet packet = net::make_tcp_packet(tuple_n(1), "x");
   const PacketOutcome outcome = runner.process_packet(packet);
@@ -39,7 +40,7 @@ TEST(Accounting, FastPathPaysExactlyOneHopPlusRxShare) {
   ServiceChain chain;
   chain.emplace_nf<nf::Monitor>();
   chain.emplace_nf<nf::Monitor>("m2");
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true},
+  ChainRunner runner{chain, modeled({platform::PlatformKind::kBess, true}),
                      costs};
   net::Packet first = net::make_tcp_packet(tuple_n(2), "x");
   runner.process_packet(first);
@@ -74,7 +75,7 @@ TEST(Accounting, SequentialLatencyNeverBelowParallel) {
   config.work_iterations = 64;
   chain.emplace_nf<nf::SyntheticNf>(config, "s1");
   chain.emplace_nf<nf::SyntheticNf>(config, "s2");
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
+  ChainRunner runner{chain, modeled({platform::PlatformKind::kBess, true})};
 
   net::Packet first = net::make_tcp_packet(tuple_n(3), "payload payload");
   runner.process_packet(first);
@@ -91,7 +92,7 @@ TEST(Accounting, SequentialLatencyNeverBelowParallel) {
 TEST(Accounting, SequentialHistogramEmptyOnOriginalPath) {
   ServiceChain chain;
   chain.emplace_nf<nf::Monitor>();
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, false}};
+  ChainRunner runner{chain, modeled({platform::PlatformKind::kBess, false})};
   runner.run(trace::make_uniform_workload(3, 5, 32));
   EXPECT_EQ(runner.stats().latency_cycles_subsequent_sequential.count(), 0u);
 }
@@ -105,7 +106,7 @@ TEST(Accounting, HistogramsMatchOutcomesWithinBucketError) {
     ServiceChain chain;
     chain.emplace_nf<nf::Monitor>();
     chain.emplace_nf<nf::Monitor>("m2");
-    ChainRunner runner{chain, {platform::PlatformKind::kBess, speedybox}};
+    ChainRunner runner{chain, modeled({platform::PlatformKind::kBess, speedybox})};
 
     // Exact references, indexed [initial, subsequent].
     util::SampleRecorder latency[2];
@@ -169,7 +170,7 @@ TEST(Accounting, LatencyAtLeastPlatformMinusParallelOverlap) {
   chain.emplace_nf<nf::SyntheticNf>(
       nf::SyntheticNfConfig{0, core::PayloadAccess::kIgnore, std::nullopt},
       "noop");
-  ChainRunner runner{chain, {platform::PlatformKind::kBess, true}};
+  ChainRunner runner{chain, modeled({platform::PlatformKind::kBess, true})};
   net::Packet first = net::make_tcp_packet(tuple_n(4), "x");
   runner.process_packet(first);
   net::Packet second = net::make_tcp_packet(tuple_n(4), "x");
@@ -183,7 +184,7 @@ TEST(Accounting, OnvmStageSamplesSplitFrontEndAndStateFunctions) {
   config.access = core::PayloadAccess::kRead;
   config.work_iterations = 64;
   chain.emplace_nf<nf::SyntheticNf>(config, "s1");
-  ChainRunner runner{chain, {platform::PlatformKind::kOnvm, true}};
+  ChainRunner runner{chain, modeled({platform::PlatformKind::kOnvm, true})};
   runner.run(trace::make_uniform_workload(4, 20, 64));
   // Stage 0 = classifier+serial front end, stage 1 = state functions.
   ASSERT_GE(runner.stats().stage_cycle_sum.size(), 2u);

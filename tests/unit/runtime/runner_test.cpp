@@ -11,13 +11,15 @@
 namespace speedybox::runtime {
 namespace {
 
+using speedybox::testing::modeled;
 using speedybox::testing::tuple_n;
 
+// The runner's tests read modeled values: the cycle model is on.
 RunConfig bess_original() {
-  return {platform::PlatformKind::kBess, /*speedybox=*/false};
+  return modeled({platform::PlatformKind::kBess, /*speedybox=*/false});
 }
 RunConfig bess_speedybox() {
-  return {platform::PlatformKind::kBess, /*speedybox=*/true};
+  return modeled({platform::PlatformKind::kBess, /*speedybox=*/true});
 }
 
 TEST(Runner, OriginalModeProcessesThroughAllNfs) {
@@ -140,7 +142,7 @@ TEST(Runner, RateModelProducesFiniteRates) {
        {platform::PlatformKind::kBess, platform::PlatformKind::kOnvm}) {
     ServiceChain fresh;
     fresh.emplace_nf<nf::Monitor>();
-    ChainRunner runner{fresh, {platform, false}};
+    ChainRunner runner{fresh, modeled({platform, false})};
     runner.run(trace::make_uniform_workload(3, 20, 64));
     const double mpps = runner.stats().rate_mpps(platform);
     EXPECT_GT(mpps, 0.0);
@@ -162,7 +164,7 @@ TEST(Runner, OnvmLatencyExceedsBessLatency) {
                                 std::nullopt},
           name);
     }
-    ChainRunner runner{chain, {platform, false}};
+    ChainRunner runner{chain, modeled({platform, false})};
     return runner.run(workload).latency_cycles_subsequent.percentile(
         50);
   };

@@ -19,6 +19,7 @@ namespace speedybox::runtime {
 namespace {
 
 using speedybox::testing::same_bytes;
+using speedybox::testing::modeled;
 using speedybox::testing::tuple_n;
 
 /// Every packet of `workload`, for runs whose outcomes are inspected.
@@ -230,7 +231,7 @@ TEST(ShardedRuntime, MergedStatsAreExactSumsOfShardStats) {
   chain->emplace_nf<nf::IpFilter>(std::vector<nf::AclRule>{
       nf::AclRule::drop_dst_port(81)});
   ShardedRuntime runtime{*chain, 3,
-                         {platform::PlatformKind::kBess, true}};
+                         modeled({platform::PlatformKind::kBess, true})};
   const ShardedRunResult result = runtime.run_packets(packets_of(workload));
 
   std::uint64_t packets = 0;

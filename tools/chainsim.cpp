@@ -64,10 +64,14 @@ nf::MaglevLb* find_maglev(runtime::ServiceChain& chain) {
   return nullptr;
 }
 
+/// `cycle_model` turns the platform cycle model on over the plan's own
+/// setting: the trace-driven report prints modeled columns.
 plan::BuiltDeployment build_deployment(const SimConfig& config,
-                                       bool speedybox) {
+                                       bool speedybox, bool cycle_model) {
+  plan::DeploymentPlan deployment = config.plan_for(speedybox);
+  deployment.cycle_model = deployment.cycle_model || cycle_model;
   try {
-    return plan::build(config.plan_for(speedybox));
+    return plan::build(deployment);
   } catch (const std::exception& error) {
     tools::config_error("chainsim", error.what());
   }
@@ -97,9 +101,10 @@ void report(const SimConfig& config, const char* mode,
     return util::CycleClock::to_us(static_cast<std::uint64_t>(
         stats.latency_cycles_subsequent.percentile(p)));
   };
-  // The cycle model lives in ChainRunner; a shape that keeps none (the
-  // threaded pipeline) records no latency samples, and its model columns
-  // read n/a (empty in CSV) rather than zeros.
+  // The cycle model lives in ChainRunner; a run without it (live ingest)
+  // or a shape that keeps none (the threaded pipeline) records no latency
+  // samples, and its model columns read n/a (empty in CSV) rather than
+  // zeros.
   char model[128] = "";
   if (stats.latency_cycles_initial.count() > 0 ||
       stats.latency_cycles_subsequent.count() > 0) {
@@ -171,7 +176,8 @@ Segments split_at_failure(const SimConfig& config,
 
 void run_mode(const SimConfig& config, bool speedybox,
               const Segments& segments, telemetry::Registry* registry) {
-  plan::BuiltDeployment built = build_deployment(config, speedybox);
+  plan::BuiltDeployment built =
+      build_deployment(config, speedybox, /*cycle_model=*/true);
   const plan::DeploymentPlan& deployment = config.deployment;
   const std::string mode = speedybox ? "speedybox" : "original";
 
@@ -255,7 +261,8 @@ void run_mode(const SimConfig& config, bool speedybox,
 int run_live(const SimConfig& config, telemetry::Registry* registry) {
   const plan::DeploymentPlan& deployment = config.deployment;
   const std::string mode = deployment.speedybox ? "speedybox" : "original";
-  plan::BuiltDeployment built = build_deployment(config, deployment.speedybox);
+  plan::BuiltDeployment built =
+      build_deployment(config, deployment.speedybox, /*cycle_model=*/false);
   runtime::Executor& executor = *built.executor;
   const std::string label =
       deployment.executor == plan::ExecutorKind::kRunner ? mode + "/main"
