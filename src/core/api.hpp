@@ -4,8 +4,8 @@
 // a flow on the recording path, and uses it to describe what it just did:
 //
 //   ctx->add_header_action(HeaderAction::modify(kDstPort, 8080));
-//   ctx->add_state_function({handler, PayloadAccess::kRead, "inspect"});
-//   ctx->register_event("failover", condition, update);
+//   ctx->add_state_function({handler, PayloadAccess::kRead, "inspect", cell});
+//   ctx->register_event("failover", condition, update, false, cell);
 //
 // The calls only *record* behavior — they never change the NF's own
 // processing — which is why integrating an NF takes a handful of lines
@@ -13,6 +13,12 @@
 // under the NF's chain position, with no lock and no table lookup. On the
 // baseline path and for pure observation the context is null and NFs
 // behave exactly as unmodified NFs.
+//
+// Figure 2 records each handler with its `args* arg_list`. Here the
+// handler is a closure that captures its state, and the args pointer names
+// that state's address: the flow record lists it, and the batch's warm
+// pass prefetches it before the packet runs the handler (DESIGN.md §8).
+// The args are a hint: a null or wrong pointer changes no output.
 //
 // The free functions at the bottom mirror Figure 2's C-style signatures
 // one-for-one for fidelity with the paper; they are thin wrappers over the
@@ -59,12 +65,13 @@ class SpeedyBoxContext {
     record_->add_teardown_hook(nf_index_, std::move(hook));
   }
 
-  /// Figure 2: register_event.
+  /// Figure 2: register_event. `args` is the state the condition reads.
   void register_event(std::string name, ConditionHandler condition,
-                      UpdateHandler update, bool one_shot = true) {
+                      UpdateHandler update, bool one_shot = true,
+                      const void* args = nullptr) {
     record_->register_event(nf_index_, std::move(name),
                             std::move(condition), std::move(update),
-                            one_shot);
+                            one_shot, args);
   }
 
  private:
@@ -88,24 +95,27 @@ inline void localmat_add_HA(SpeedyBoxContext* ctx,
 }
 
 /// "void localmat_add_SF(int FID, function_handler*, int function_type,
-///  args* arg_list)".
+///  args* arg_list)". `arg_list` is the per-flow state `fn` reads.
 inline void localmat_add_SF(SpeedyBoxContext* ctx, StateFunctionHandler fn,
                             PayloadAccess function_type,
-                            std::string name = {}) {
+                            std::string name = {},
+                            const void* arg_list = nullptr) {
   if (ctx != nullptr) {
-    ctx->add_state_function(
-        StateFunction{std::move(fn), function_type, std::move(name)});
+    ctx->add_state_function(StateFunction{std::move(fn), function_type,
+                                          std::move(name), arg_list});
   }
 }
 
 /// "void register_event(int FID, condition_handler*, args* arg_list,
-///  HA update_action, update_function_handler*)".
+///  HA update_action, update_function_handler*)". `arg_list` is the
+/// per-flow state `condition` reads.
 inline void register_event(SpeedyBoxContext* ctx, std::string name,
                            ConditionHandler condition, UpdateHandler update,
-                           bool one_shot = true) {
+                           bool one_shot = true,
+                           const void* arg_list = nullptr) {
   if (ctx != nullptr) {
     ctx->register_event(std::move(name), std::move(condition),
-                        std::move(update), one_shot);
+                        std::move(update), one_shot, arg_list);
   }
 }
 

@@ -13,20 +13,19 @@ std::optional<PacketClassifier::Classification> PacketClassifier::classify(
   if (!parsed || !net::verify_ipv4_checksum(packet, parsed->l3_offset)) {
     return std::nullopt;
   }
-  return classify(packet, &*parsed);
+  return classify(packet,
+                  HashedTuple::of(net::extract_five_tuple(packet, *parsed)),
+                  *parsed);
 }
 
 std::optional<PacketClassifier::Classification> PacketClassifier::classify(
-    net::Packet& packet, const net::ParsedPacket* pre_parsed) {
-  if (pre_parsed == nullptr) return std::nullopt;
-  const net::ParsedPacket& parsed = *pre_parsed;
-
+    net::Packet& packet, const HashedTuple& flow,
+    const net::ParsedPacket& parsed) {
   Classification result;
   result.parsed = parsed;
   result.teardown = parsed.is_tcp() && parsed.has_fin_or_rst();
 
-  // Hash once; the same value serves the lookup and the insert.
-  const auto flow = HashedTuple::of(net::extract_five_tuple(packet, parsed));
+  // One hash serves the lookup and the insert.
   const net::FiveTuple& tuple = flow.tuple;
   const std::uint64_t stamp = packet.arrival_cycle() != 0
                                   ? packet.arrival_cycle()

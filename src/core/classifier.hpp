@@ -42,13 +42,17 @@ class PacketClassifier {
   /// caller drops them).
   std::optional<Classification> classify(net::Packet& packet);
 
-  /// Batched front end: `pre_parsed` is this packet's parse from the batch
-  /// pre-pass, already checksum-validated — the lookup/FID half runs
-  /// without re-parsing. Passing nullptr means the pre-pass found the
-  /// packet malformed: the classification fails exactly as the parsing
-  /// overload's would.
-  std::optional<Classification> classify(
-      net::Packet& packet, const net::ParsedPacket* pre_parsed);
+  /// The lookup/FID half on a packet the caller already parsed and
+  /// checksum-validated (`parsed`) and whose five-tuple it already hashed
+  /// (`flow`): the batch's pre-pass does both once per packet, and
+  /// classify(packet) forwards here.
+  std::optional<Classification> classify(net::Packet& packet,
+                                         const HashedTuple& flow,
+                                         const net::ParsedPacket& parsed);
+
+  /// Warm the tuple table's control and slot lines `hash`'s lookup starts
+  /// at: the batch pre-pass hint (DESIGN.md §8).
+  void prefetch(FlowHash hash) const noexcept { by_tuple_.prefetch(hash); }
 
   /// Side-effect-free lookup: the FID of a known flow, nullopt for an
   /// unseen tuple. No counters move, no FID is assigned, last-seen stays
@@ -112,8 +116,8 @@ class PacketClassifier {
   /// the next never-used one. nullopt when all 2^20 are live.
   std::optional<std::uint32_t> assign_fid(const net::FiveTuple& tuple);
 
-  /// Flow table: the single per-packet lookup. The tuple is hashed once in
-  /// classify() and the hash reused for the lookup and the insert.
+  /// Flow table: the single per-packet lookup. The tuple is hashed once per
+  /// packet and the hash reused for the lookup and the insert.
   /// last-seen rides in the same record (updated in place), and the
   /// timestamp reuses the packet's arrival stamp when the caller provided
   /// one, so idle tracking adds no extra table operation or counter read

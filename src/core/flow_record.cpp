@@ -4,6 +4,8 @@
 #include <functional>
 #include <iterator>
 
+#include "util/prefetch.hpp"
+
 namespace speedybox::core {
 
 namespace {
@@ -18,6 +20,41 @@ std::pair<std::ptrdiff_t, std::ptrdiff_t> owned_range(const Entries& entries,
   return {first - entries.begin(), last - entries.begin()};
 }
 
+/// Fill `record.hot_addresses` with every cache line a fast-path packet
+/// reads beyond the record's leading lines, each once, in the order it
+/// reads them: the condition array, the handler array, then each
+/// condition's and each state function's state.
+void compile_hot_addresses(FlowRecord& record) {
+  record.hot_count = 0;
+  const auto add = [&record](const void* address) {
+    if (address == nullptr || record.hot_count == FlowRecord::kHotAddresses) {
+      return;
+    }
+    const auto line = [](const void* a) {
+      return reinterpret_cast<std::uintptr_t>(a) / util::kCacheLineSize;
+    };
+    for (std::uint8_t i = 0; i < record.hot_count; ++i) {
+      if (line(record.hot_addresses[i]) == line(address)) return;
+    }
+    record.hot_addresses[record.hot_count++] = address;
+  };
+  const auto add_array = [&add](const auto& array) {
+    const auto* bytes = reinterpret_cast<const char*>(array.data());
+    const std::size_t size = array.size() * sizeof(array.front());
+    for (std::size_t offset = 0; offset < size;
+         offset += util::kCacheLineSize) {
+      add(bytes + offset);
+    }
+    if (size > 0) add(bytes + size - 1);
+  };
+  add_array(record.conditions);
+  add_array(record.handlers);
+  for (const EventRegistration& event : record.events) add(event.args);
+  for (const RecordedFunction& function : record.functions) {
+    add(function.args);
+  }
+}
+
 }  // namespace
 
 void FlowRecord::add_header_action(std::uint32_t nf,
@@ -28,7 +65,7 @@ void FlowRecord::add_header_action(std::uint32_t nf,
 
 void FlowRecord::add_state_function(std::uint32_t nf, StateFunction fn) {
   handlers.push_back(std::move(fn.handler));
-  functions.push_back({nf, fn.access, std::move(fn.name)});
+  functions.push_back({nf, fn.access, std::move(fn.name), fn.args});
   functions_changed = true;
 }
 
@@ -39,9 +76,10 @@ void FlowRecord::add_teardown_hook(std::uint32_t nf,
 
 void FlowRecord::register_event(std::uint32_t nf, std::string name,
                                 ConditionHandler condition,
-                                UpdateHandler update, bool one_shot) {
+                                UpdateHandler update, bool one_shot,
+                                const void* args) {
   conditions.push_back(std::move(condition));
-  events.push_back({nf, std::move(name), std::move(update), one_shot});
+  events.push_back({nf, std::move(name), std::move(update), one_shot, args});
 }
 
 void FlowRecord::replace_header_actions(std::uint32_t nf,
@@ -68,7 +106,7 @@ void FlowRecord::replace_state_functions(std::uint32_t nf,
   std::vector<RecordedFunction> infos;
   for (StateFunction& fn : fns) {
     next.push_back(std::move(fn.handler));
-    infos.push_back({nf, fn.access, std::move(fn.name)});
+    infos.push_back({nf, fn.access, std::move(fn.name), fn.args});
   }
   next.insert(next.end(), handlers.begin() + end, handlers.end());
   functions.erase(functions.begin() + begin, functions.begin() + end);
@@ -97,6 +135,7 @@ void FlowRecord::compile() {
   reparse = !action.leading_decaps.empty() || !action.trailing_encaps.empty();
   cost_samples = 0;
   critical_fraction = 1.0;
+  compile_hot_addresses(*this);
   if (!functions_changed) return;
   functions_changed = false;
   // One batch per NF: a run of functions with the same owner.
@@ -131,6 +170,7 @@ void FlowRecord::reset() {
   consolidated = false;
   reparse = false;
   degraded_default = false;
+  hot_count = 0;
   cost_samples = 0;
   critical_fraction = 1.0;
   conditions.clear();

@@ -11,6 +11,8 @@
 // but keeps its arrays' capacity for the next flow at the slot.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -22,6 +24,7 @@
 #include "core/parallel_schedule.hpp"
 #include "core/state_function.hpp"
 #include "net/packet.hpp"
+#include "util/prefetch.hpp"
 
 namespace speedybox::core {
 
@@ -50,6 +53,7 @@ struct EventRegistration {
   /// One-shot events (the common case: failover, blacklist) deregister on
   /// trigger; persistent events keep being checked.
   bool one_shot = true;
+  const void* args = nullptr;  // the state the condition reads (a hint)
 };
 
 /// A recorded state function. Its handler sits at the same index of the
@@ -58,6 +62,7 @@ struct RecordedFunction {
   std::uint32_t nf_index = 0;  // chain position of the recording NF
   PayloadAccess access = PayloadAccess::kIgnore;
   std::string name;  // diagnostics / equivalence audits
+  const void* args = nullptr;  // StateFunction::args
 };
 
 /// Releases NF-internal per-flow state at teardown (FIN/RST): on the fast
@@ -89,9 +94,13 @@ struct alignas(64) FlowRecord {
   /// path times all batches with one timer pair and scales by the learned
   /// fraction.
   static constexpr std::uint32_t kCostSampleWindow = 8;
+  /// Entries of `hot_addresses`; a flow whose fast path touches more lines
+  /// warms the first ones only.
+  static constexpr std::size_t kHotAddresses = 5;
 
-  // --- The compiled rule: what every fast-path packet reads, first, so
-  // the batch pre-pass can prefetch it as the record's leading lines.
+  // --- What every default fast-path packet reads, first: the batch's
+  // classify pass prefetches these leading lines (GlobalMat::prefetch),
+  // and the warm pass then prefetches the addresses they name.
   bool open = false;          // the slot holds a live flow
   bool consolidated = false;  // the rule below is compiled
   /// The consolidated action restructures the header chain (decap or
@@ -102,23 +111,38 @@ struct alignas(64) FlowRecord {
   /// the fast path runs no event and no state function; teardown still
   /// runs the hooks.
   bool degraded_default = false;
-  std::uint32_t cost_samples = 0;
-  /// Parallel groups with ≥2 batches (each pays one fork/join in the
-  /// platform latency model) — a per-packet constant of the schedule.
-  std::uint32_t multi_batch_groups = 0;
-  double critical_fraction = 1.0;
+  std::uint8_t hot_count = 0;  // live entries of `hot_addresses`
+  /// Rebuild `batches` and the schedule at the next compile. Set only by
+  /// recording and by replace_state_functions, which first retires the
+  /// arrays in-flight descriptors may still read: compile() must never
+  /// rewrite `handlers` or `batches` in place, since a header-only event
+  /// (Maglev failover) recompiles while other cores read them. (Kept in
+  /// this word, which has room, so the record stays at nine lines.)
+  bool functions_changed = false;
   std::vector<ConditionHandler> conditions;  // of `events`
   /// The handlers of `functions`, in chain order: the fast path runs
   /// straight through them.
   std::vector<StateFunctionHandler> handlers;
+  /// The lines a fast-path packet reads beyond these leading ones, as
+  /// compile() found them: the condition and handler arrays, then the
+  /// recorded args of each event and state function (Figure 2's arg_list),
+  /// one entry per cache line. Prefetch hints only.
+  std::array<const void*, kHotAddresses> hot_addresses{};
   ConsolidatedAction action;
   BytePatch patch;  // compiled field writes (lazy)
+
+  // --- Read by the cycle model, the threaded pipeline and compile().
   /// Per-NF batches as index ranges into `handlers`, chain order — what
   /// the Table-I schedule, the cost-sampling window and the threaded
   /// pipeline's NF stages use.
   std::vector<StateFunctionBatch> batches;
   ParallelSchedule schedule;  // Table-I grouping of batches
   std::uint64_t version = 0;  // bumped on every (re)compile
+  std::uint32_t cost_samples = 0;
+  /// Parallel groups with ≥2 batches (each pays one fork/join in the
+  /// platform latency model) — a per-packet constant of the schedule.
+  std::uint32_t multi_batch_groups = 0;
+  double critical_fraction = 1.0;
 
   // --- The recordings, in chain order.
   std::vector<EventRegistration> events;
@@ -126,12 +150,6 @@ struct alignas(64) FlowRecord {
   std::vector<HeaderAction> header_actions;
   std::vector<std::uint32_t> action_owners;  // NF index of each action
   std::vector<TeardownHook> teardown_hooks;
-  /// Rebuild `batches` and the schedule at the next compile. Set only by
-  /// recording and by replace_state_functions, which first retires the
-  /// arrays in-flight descriptors may still read: compile() must never
-  /// rewrite `handlers` or `batches` in place, since a header-only event
-  /// (Maglev failover) recompiles while other cores read them.
-  bool functions_changed = false;
   /// Handler and batch arrays an event replaced: in-flight descriptors of
   /// a threaded deployment may still run them, so they live until the
   /// flow's teardown.
@@ -146,7 +164,7 @@ struct alignas(64) FlowRecord {
   void add_teardown_hook(std::uint32_t nf, std::function<void()> hook);
   void register_event(std::uint32_t nf, std::string name,
                       ConditionHandler condition, UpdateHandler update,
-                      bool one_shot);
+                      bool one_shot, const void* args = nullptr);
 
   // --- Event updates (§V-C1): replace NF `nf`'s entries.
   void replace_header_actions(std::uint32_t nf,
@@ -159,8 +177,8 @@ struct alignas(64) FlowRecord {
   HandlerArrays handler_arrays() const noexcept { return {handlers, batches}; }
 
   /// Compile the rule from the recordings: the consolidated header action,
-  /// and the batches and schedule when the functions changed. Restarts
-  /// cost sampling and bumps the version.
+  /// the batches and schedule when the functions changed, and the hot
+  /// addresses. Restarts cost sampling and bumps the version.
   void compile();
   /// Run the teardown hooks of the NFs at chain positions [begin, end).
   void run_teardown_hooks(std::uint32_t begin = 0,
@@ -168,5 +186,26 @@ struct alignas(64) FlowRecord {
   /// Back to an empty record, keeping the arrays' capacity.
   void reset();
 };
+
+/// The record's leading lines, through the patch: every field the default
+/// fast path reads lies at or before it. GlobalMat::prefetch warms them.
+inline constexpr std::size_t kFlowRecordHotLines =
+    (offsetof(FlowRecord, patch) + sizeof(FlowRecord::patch) +
+     util::kCacheLineSize - 1) /
+    util::kCacheLineSize;
+
+// A field the default fast path reads, moved past the patch, would fall out
+// of the warmed lines; an inserted field must not grow the record either.
+static_assert(offsetof(FlowRecord, hot_count) < offsetof(FlowRecord, patch) &&
+                  offsetof(FlowRecord, conditions) <
+                      offsetof(FlowRecord, patch) &&
+                  offsetof(FlowRecord, handlers) <
+                      offsetof(FlowRecord, patch) &&
+                  offsetof(FlowRecord, hot_addresses) <
+                      offsetof(FlowRecord, patch) &&
+                  offsetof(FlowRecord, action) < offsetof(FlowRecord, patch),
+              "a field the default fast path reads lies past the warmed lines");
+static_assert(sizeof(FlowRecord) <= 9 * util::kCacheLineSize,
+              "FlowRecord grew past nine cache lines");
 
 }  // namespace speedybox::core

@@ -184,6 +184,7 @@ void GlobalMat::install_default_rule(std::uint32_t fid) {
   if (!record->consolidated) ++compiled_;
   record->consolidated = true;
   record->degraded_default = true;
+  record->hot_count = 0;  // the default rule runs no condition or handler
   record->action = ConsolidatedAction{};
   record->patch = BytePatch{};
   ++record->version;

@@ -74,15 +74,27 @@ class GlobalMat {
   /// No header rewrites, no state functions, no event checks.
   void install_default_rule(std::uint32_t fid);
 
-  /// Batch pre-pass hint: warm the leading lines of `fid`'s record — the
-  /// compiled rule's hot fields — so the fast-path packets behind it in
-  /// the burst find them resident (DESIGN.md §8). A hint only.
+  /// The batch's classify-pass hint: warm the leading lines of `fid`'s
+  /// record, which hold every field the default fast path reads
+  /// (DESIGN.md §8). A hint only.
   void prefetch(std::uint32_t fid) const noexcept {
     const FlowRecord* slot = slot_if_allocated(fid);
     if (slot == nullptr) return;
     const auto* bytes = reinterpret_cast<const char*>(slot);
-    for (std::size_t line = 0; line < kPrefetchLines; ++line) {
+    for (std::size_t line = 0; line < kFlowRecordHotLines; ++line) {
       util::prefetch_read(bytes + line * util::kCacheLineSize);
+    }
+  }
+
+  /// The batch's warm-pass hint, a pass after prefetch(): warm the lines
+  /// the record's hot-address list names — its condition and handler
+  /// arrays and the NF state they read. A hint only: nothing read here
+  /// is kept, so a recompile before the packet runs changes no output.
+  void prefetch_hot(std::uint32_t fid) const noexcept {
+    const FlowRecord* slot = slot_if_allocated(fid);
+    if (slot == nullptr) return;
+    for (std::uint8_t i = 0; i < slot->hot_count; ++i) {
+      util::prefetch_read(slot->hot_addresses[i]);
     }
   }
 
@@ -156,9 +168,6 @@ class GlobalMat {
  private:
   static constexpr std::uint32_t kChunkBits = 8;
   static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
-  /// Leading record lines the batch pre-pass warms: the compiled rule's
-  /// flags, condition and handler arrays, action, patch and batches.
-  static constexpr std::size_t kPrefetchLines = 6;
 
   FlowRecord* slot_if_allocated(std::uint32_t fid) const noexcept {
     const std::size_t chunk = fid >> kChunkBits;

@@ -5,7 +5,8 @@
 //
 // Handlers are closures capturing the NF's internal state; invoking the
 // handler on the fast path is exactly the paper's "executes the state
-// functions by invoking the function handlers as recorded".
+// functions by invoking the function handlers as recorded". The recorded
+// args name that state's address for the batch's warm pass.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,11 @@ struct StateFunction {
   StateFunctionHandler handler;
   PayloadAccess access = PayloadAccess::kIgnore;
   std::string name;  // diagnostics / equivalence audits
+  /// Figure 2's `args* arg_list`: the per-flow state the handler reads,
+  /// which the fast path prefetches before running it. A hint only: the
+  /// handler reaches its state through its own captures, so a null or
+  /// wrong value changes no output.
+  const void* args = nullptr;
 };
 
 /// All state functions one NF recorded for a flow (§V-C1: "we define all

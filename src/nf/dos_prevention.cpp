@@ -94,7 +94,7 @@ void DosPrevention::record(const net::FiveTuple& tuple, FlowState* flow_args,
         const std::lock_guard lock(mutex_);
         if (p.has_syn()) ++flow_args->syn_count;
       },
-      core::PayloadAccess::kIgnore, name() + ".syn_count");
+      core::PayloadAccess::kIgnore, name() + ".syn_count", flow_args);
   if (!blacklisted) {
     // The condition and the update read the flow's bound FlowState, as
     // the SYN-counting handler does — no per-packet flow lookup.
@@ -112,7 +112,7 @@ void DosPrevention::record(const net::FiveTuple& tuple, FlowState* flow_args,
           update.header_actions = {core::HeaderAction::drop()};
           return update;
         },
-        /*one_shot=*/true);
+        /*one_shot=*/true, flow_args);
   }
   ctx.on_teardown([this, tuple]() {
     const std::lock_guard lock(mutex_);

@@ -170,7 +170,7 @@ void MaglevLb::record(const net::FiveTuple& tuple,
         const std::lock_guard lock(mutex_);
         bytes_[*backend_cell] += pkt.size();
       },
-      core::PayloadAccess::kIgnore, name() + ".bytes");
+      core::PayloadAccess::kIgnore, name() + ".bytes", backend_cell);
   // The failover event (§V-A Observation 2): when the flow's backend goes
   // unhealthy, reroute and swap the modify actions on the fast path. The
   // condition reads the same bound cell, so it follows every reroute.
@@ -192,7 +192,7 @@ void MaglevLb::record(const net::FiveTuple& tuple,
         update.header_actions = actions_for(next);
         return update;
       },
-      /*one_shot=*/false);
+      /*one_shot=*/false, backend_cell);
   ctx.on_teardown([this, tuple]() {
     const std::lock_guard lock(mutex_);
     conn_track_.erase(tuple);

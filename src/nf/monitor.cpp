@@ -139,7 +139,7 @@ void Monitor::record(const core::HashedTuple& flow,
         [this, flow_counters](net::Packet& pkt, const net::ParsedPacket&) {
           count(*flow_counters, pkt.size());
         },
-        core::PayloadAccess::kIgnore, name() + ".count");
+        core::PayloadAccess::kIgnore, name() + ".count", flow_counters);
     return;
   }
   std::vector<std::uint64_t*> sketch_cells;
@@ -169,7 +169,7 @@ void Monitor::record(const core::HashedTuple& flow,
         }
       },
       histogram ? core::PayloadAccess::kRead : core::PayloadAccess::kIgnore,
-      name() + ".count");
+      name() + ".count", flow_counters);
 }
 
 std::optional<std::vector<std::uint8_t>> Monitor::export_flow_state(

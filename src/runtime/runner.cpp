@@ -468,22 +468,40 @@ void ChainRunner::process_original_batch(
 
 void ChainRunner::process_speedybox_batch(
     net::PacketBatch& batch, std::vector<PacketOutcome>& outcomes) {
+  // Staged group prefetching (DESIGN.md §8): each level of a fast-path
+  // packet's dependent loads is requested a whole pass before it is read —
+  // the classifier's lines in the pre-pass, the flow record's leading lines
+  // in the classify pass, the lines the record names in the warm pass —
+  // and execution then runs in slot order.
   const std::size_t n = batch.size();
+  if (slots_.size() < n) slots_.resize(n);
+  core::PacketClassifier& classifier = chain_.classifier();
+  core::GlobalMat& mat = chain_.global_mat();
+  const bool timed = config_.cycle_model || metrics_ != nullptr;
+  // Telemetry times the pre-pass and the warm passes into one
+  // batch_prep_cycles sample per batch. They share the classify passes'
+  // stamps, so a one-segment batch pays one more timer pair.
+  const bool prep_timed = metrics_ != nullptr;
+  const std::uint64_t prep_start = prep_timed ? util::CycleClock::now() : 0;
 
-  // Stateless pre-pass: parse + checksum-validate every live packet once
-  // for the whole traversal, so the classifier does not parse again.
-  std::vector<std::optional<net::ParsedPacket>> parsed(n);
-  std::vector<net::FiveTuple> tuples(n);
+  // Pre-pass, stateless: parse + checksum-validate every live packet once
+  // for the whole traversal, hash its tuple once for the classifier, and
+  // prefetch the classifier lines its lookup starts at.
   std::size_t live_entry = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (!batch.valid(i)) continue;
     ++live_entry;
     const net::Packet& packet = batch.packet(i);
-    auto p = net::parse_packet(packet);
-    if (p && net::verify_ipv4_checksum(packet, p->l3_offset)) {
-      tuples[i] = net::extract_five_tuple(packet, *p);
-      parsed[i] = *p;
+    SlotScratch& slot = slots_[i];
+    slot.parsed = net::parse_packet(packet);
+    if (slot.parsed &&
+        !net::verify_ipv4_checksum(packet, slot.parsed->l3_offset)) {
+      slot.parsed.reset();
     }
+    if (!slot.parsed) continue;
+    slot.flow =
+        core::HashedTuple::of(net::extract_five_tuple(packet, *slot.parsed));
+    classifier.prefetch(slot.flow.hash);
   }
   // One rx-burst fixed cost per batch, shared by the packets that entered
   // it — the vector-I/O amortization (a burst of one pays it all).
@@ -498,48 +516,58 @@ void ChainRunner::process_speedybox_batch(
   // else (initial-then-subsequent of one flow, cross-flow interleavings)
   // classifies identically up front because execution never touches the
   // classifier outside apply_teardown.
-  std::vector<std::optional<core::PacketClassifier::Classification>>
-      classifications(n);
-  std::vector<net::FiveTuple> torn;
-  const bool timed = config_.cycle_model || metrics_ != nullptr;
+  std::uint64_t t0 = timed ? util::CycleClock::now() : 0;
+  std::uint64_t prep_cycles =
+      prep_timed ? util::CycleClock::segment(prep_start, t0) : 0;
   std::size_t begin = 0;
   while (begin < n) {
-    torn.clear();
-    // Pass 1: classify the segment under ONE timer pair (when timed) — the
-    // classifier cost amortizes across the burst instead of paying a pair
-    // per packet.
+    torn_.clear();
+    // Classify pass under ONE timer pair (when timed) — the classifier
+    // cost amortizes across the burst instead of paying a pair per packet.
+    // A fast-path slot's record is prefetched as soon as its FID is known.
     std::size_t end = begin;
     std::size_t classified = 0;
-    const std::uint64_t t0 = timed ? util::CycleClock::now() : 0;
     for (; end < n; ++end) {
       if (!batch.valid(end)) continue;
-      if (parsed[end] &&
-          std::find(torn.begin(), torn.end(), tuples[end]) != torn.end()) {
+      SlotScratch& slot = slots_[end];
+      if (slot.parsed && std::find(torn_.begin(), torn_.end(),
+                                   slot.flow.tuple) != torn_.end()) {
         break;  // flush boundary: reuse of a just-torn-down tuple
       }
-      classifications[end] = chain_.classifier().classify(
-          batch.packet(end), parsed[end] ? &*parsed[end] : nullptr);
+      slot.classification =
+          slot.parsed ? classifier.classify(batch.packet(end), slot.flow,
+                                            *slot.parsed)
+                      : std::nullopt;
       ++classified;
-      if (classifications[end] && classifications[end]->teardown) {
-        torn.push_back(tuples[end]);
+      if (!slot.classification) continue;
+      if (slot.classification->teardown) torn_.push_back(slot.flow.tuple);
+      if (slot.classification->path ==
+          core::PacketClassifier::Path::kSubsequent) {
+        mat.prefetch(slot.classification->fid);
       }
     }
+    const std::uint64_t t1 = timed ? util::CycleClock::now() : 0;
     const std::uint64_t classify_segment =
-        timed ? util::CycleClock::segment(t0, util::CycleClock::now()) : 0;
+        timed ? util::CycleClock::segment(t0, t1) : 0;
     const std::uint64_t classify_share =
         classified > 0 ? classify_segment / classified : 0;
 
-    // Pass 2: warm the Global MAT — prefetch the record of every
-    // fast-path slot before any of them executes.
+    // Warm pass: the records arrived during the classify pass; prefetch
+    // the lines each fast-path record names (condition and handler arrays,
+    // the NF state they read).
     for (std::size_t i = begin; i < end; ++i) {
-      if (!batch.valid(i) || !classifications[i]) continue;
-      if (classifications[i]->path ==
-          core::PacketClassifier::Path::kSubsequent) {
-        chain_.global_mat().prefetch(classifications[i]->fid);
+      if (!batch.valid(i)) continue;
+      const auto& classification = slots_[i].classification;
+      if (classification && classification->path ==
+                                core::PacketClassifier::Path::kSubsequent) {
+        mat.prefetch_hot(classification->fid);
       }
     }
+    if (prep_timed) {
+      prep_cycles += util::CycleClock::segment(t1, util::CycleClock::now());
+    }
 
-    // Pass 3: execute in slot order — recording packets take the
+    // Execution pass, in slot order — recording packets take the
     // per-packet recording pass (DESIGN.md §8: once per flow, and its NF
     // state writes must interleave in arrival order), fast-path packets run
     // the consolidated rule, teardowns release their flow, each at its
@@ -547,7 +575,8 @@ void ChainRunner::process_speedybox_batch(
     for (std::size_t i = begin; i < end; ++i) {
       if (!batch.valid(i)) continue;
       PacketOutcome& outcome = outcomes[i];
-      if (!classifications[i]) {
+      const SlotScratch& slot = slots_[i];
+      if (!slot.classification) {
         batch.packet(i).mark_dropped();
         outcome.dropped = true;
         outcome.work_cycles = classify_share;
@@ -559,7 +588,7 @@ void ChainRunner::process_speedybox_batch(
         account(outcome);
         continue;
       }
-      const auto& classification = *classifications[i];
+      const auto& classification = *slot.classification;
       outcome.initial =
           classification.path == core::PacketClassifier::Path::kInitial;
       if (outcome.initial && recording_suspended()) {
@@ -583,7 +612,9 @@ void ChainRunner::process_speedybox_batch(
       account(outcome);
     }
     begin = end;
+    if (timed && begin < n) t0 = util::CycleClock::now();
   }
+  if (prep_timed) metrics_->batch_prep_cycles.record(prep_cycles);
 }
 
 void ChainRunner::account(const PacketOutcome& outcome) {

@@ -275,6 +275,16 @@ class ChainRunner : public Executor {
   /// the gate is active. Cycle model only; never touches packet bytes.
   double service_ema_cycles_ = 0.0;
   RunStats stats_;
+  /// process_speedybox_batch's per-slot scratch, reused across batches:
+  /// the pre-pass's parse and hashed tuple, then the classification.
+  struct SlotScratch {
+    std::optional<net::ParsedPacket> parsed;
+    core::HashedTuple flow;
+    std::optional<core::PacketClassifier::Classification> classification;
+  };
+  std::vector<SlotScratch> slots_;
+  /// The tuples torn down earlier in the current segment.
+  std::vector<net::FiveTuple> torn_;
   /// submit()'s batch and outcome scratch, and the packets kept for drain().
   net::PacketBatch batch_;
   std::vector<PacketOutcome> outcomes_;

@@ -92,6 +92,7 @@ ShardSnapshot snapshot_shard(const ShardMetrics& shard) {
       {"fastpath_cycles", shard.fastpath_cycles.snapshot()},
       {"slowpath_cycles", shard.slowpath_cycles.snapshot()},
       {"classify_cycles", shard.classify_cycles.snapshot()},
+      {"batch_prep_cycles", shard.batch_prep_cycles.snapshot()},
       {"consolidate_cycles", shard.consolidate_cycles.snapshot()},
       {"teardown_cycles", shard.teardown_cycles.snapshot()},
       {"batch_occupancy", shard.batch_occupancy.snapshot()},

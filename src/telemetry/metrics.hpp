@@ -175,6 +175,10 @@ struct ShardMetrics {
   CycleHistogram slowpath_cycles;     // whole recording/original traversal
   CycleHistogram classify_cycles;     // slow path only (fast path folds the
                                       // classifier into fastpath_cycles)
+  /// Per SpeedyBox batch (runner and sharded workers): the passes that
+  /// only prefetch or prepare — parse, checksum and tuple hash of every
+  /// packet, and the warm pass over fast-path records.
+  CycleHistogram batch_prep_cycles;
   CycleHistogram consolidate_cycles;
   /// Per closed flow: the record's teardown hooks, its free and the
   /// classifier release (runner and sharded workers: apply_teardown;

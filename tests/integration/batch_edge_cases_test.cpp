@@ -9,17 +9,24 @@
 //     forwarded, per-slot outcomes still filled;
 //   * a recording-pass (initial) packet sharing a batch with fast-path
 //     packets — recording stays per-packet in-batch while its neighbors
-//     take the Global-MAT path.
+//     take the Global-MAT path;
+//   * an event that fires inside a burst (a DoS blacklist) or on the first
+//     burst after a Maglev backend fails — the batch warms every fast-path
+//     record before any of them runs, so the packets behind the event must
+//     still run the recompiled rule.
 //
 // Each case is checked both directly (expected flags) and differentially
 // (byte-identical to a packet-at-a-time run — process_packet, a batch of
 // one — of the same packets on a fresh chain).
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nf/dos_prevention.hpp"
 #include "nf/ip_filter.hpp"
+#include "nf/maglev_lb.hpp"
 #include "nf/monitor.hpp"
 #include "net/packet_batch.hpp"
 #include "runtime/runner.hpp"
@@ -257,6 +264,138 @@ TEST(BatchEdgeCases, PreDroppedPacketEntersMaskedAndIsSkipped) {
   EXPECT_FALSE(outcomes[1].fast_path);
   EXPECT_EQ(runner.stats().packets, 1u)
       << "slots masked at batch entry are not processed or accounted";
+}
+
+/// Batch sizes of the in-burst event cases: a batch of one, and bursts
+/// that cut the traffic at different slots (13 leaves an odd tail).
+constexpr std::size_t kEventBatchSizes[] = {1, 8, 13, 32};
+
+/// Both runs of an event case must agree on every packet's bytes and drop
+/// flag.
+void expect_same_outputs(const std::vector<net::Packet>& batched,
+                         const std::vector<net::Packet>& reference,
+                         std::size_t batch_size) {
+  ASSERT_EQ(batched.size(), reference.size());
+  for (std::size_t i = 0; i < batched.size(); ++i) {
+    EXPECT_EQ(batched[i].dropped(), reference[i].dropped())
+        << "batch " << batch_size << " packet " << i;
+    EXPECT_TRUE(same_bytes(batched[i], reference[i]))
+        << "batch " << batch_size << " packet " << i;
+  }
+}
+
+TEST(BatchEdgeCases, DosBlacklistFiresInsideABurst) {
+  // Every third packet is a SYN of flow 50; the others are fast-path
+  // packets of five other flows. With a threshold of 3, the SYN at index
+  // 12 arrives with a count of 4 and fires the blacklist, which lands
+  // inside a burst at every batch size above 1.
+  static constexpr std::uint64_t kThreshold = 3;
+  constexpr std::size_t kFirstDrop = 12;
+  std::vector<net::Packet> packets;
+  for (std::uint32_t i = 0; i < 48; ++i) {
+    packets.push_back(i % 3 == 0 ? flow_packet(50, "", net::kTcpFlagSyn)
+                                 : flow_packet(i % 5, "payload"));
+  }
+  struct Run {
+    std::vector<net::Packet> outputs;
+    std::uint64_t events = 0;
+    std::uint64_t dos_drops = 0;
+    std::vector<nf::FlowCounters> counters;
+  };
+  const auto run = [&packets](std::size_t batch_size) {
+    ServiceChain chain;
+    auto& dos = chain.emplace_nf<nf::DosPrevention>(kThreshold);
+    auto& monitor = chain.emplace_nf<nf::Monitor>();
+    ChainRunner runner{chain, speedybox_config(batch_size)};
+    Run result;
+    result.events = runner.run(packets, &result.outputs).events_triggered;
+    result.dos_drops = dos.drops();
+    for (const std::uint32_t flow : {0u, 1u, 2u, 3u, 4u, 50u}) {
+      const nf::FlowCounters* counters = monitor.counters_of(tuple_n(flow));
+      result.counters.push_back(counters != nullptr ? *counters
+                                                    : nf::FlowCounters{});
+    }
+    return result;
+  };
+  const auto first_drop = [](const std::vector<net::Packet>& outputs) {
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+      if (outputs[i].dropped()) return i;
+    }
+    return outputs.size();
+  };
+
+  const Run reference = run(1);
+  ASSERT_EQ(first_drop(reference.outputs), kFirstDrop);
+  ASSERT_EQ(reference.events, 1u);
+  for (const std::size_t batch_size : kEventBatchSizes) {
+    const Run batched = run(batch_size);
+    EXPECT_EQ(first_drop(batched.outputs), kFirstDrop) << batch_size;
+    EXPECT_EQ(batched.events, reference.events) << batch_size;
+    EXPECT_EQ(batched.dos_drops, reference.dos_drops) << batch_size;
+    EXPECT_EQ(batched.counters, reference.counters) << batch_size;
+    expect_same_outputs(batched.outputs, reference.outputs, batch_size);
+  }
+}
+
+TEST(BatchEdgeCases, MaglevFailoverBetweenBursts) {
+  // Twelve flows record in a first run; backend 0 then fails, and the next
+  // run carries three packets of every flow, interleaved: the flows pinned
+  // to backend 0 fire their failover event on their first fast-path packet
+  // of the burst, the others keep their backend.
+  const std::vector<nf::Backend> backends{
+      {"b0", net::Ipv4Addr{10, 2, 0, 10}, 8000, true},
+      {"b1", net::Ipv4Addr{10, 2, 0, 11}, 8001, true},
+      {"b2", net::Ipv4Addr{10, 2, 0, 12}, 8002, true},
+  };
+  constexpr std::uint32_t kFlows = 12;
+  std::vector<net::Packet> first_packets;
+  std::vector<net::Packet> after_failure;
+  for (std::uint32_t flow = 0; flow < kFlows; ++flow) {
+    first_packets.push_back(flow_packet(flow, "open"));
+  }
+  for (std::uint32_t round = 0; round < 3; ++round) {
+    for (std::uint32_t flow = 0; flow < kFlows; ++flow) {
+      after_failure.push_back(flow_packet(flow, "steady"));
+    }
+  }
+  struct Run {
+    std::vector<net::Packet> outputs;
+    std::vector<std::size_t> pinned_before;
+    std::uint64_t events = 0;
+    std::uint64_t reroutes = 0;
+    std::vector<std::uint64_t> bytes;
+  };
+  const auto run = [&](std::size_t batch_size) {
+    ServiceChain chain;
+    auto& lb = chain.emplace_nf<nf::MaglevLb>(backends, std::size_t{251});
+    chain.emplace_nf<nf::Monitor>();
+    ChainRunner runner{chain, speedybox_config(batch_size)};
+    Run result;
+    runner.run(first_packets, &result.outputs);
+    for (std::uint32_t flow = 0; flow < kFlows; ++flow) {
+      result.pinned_before.push_back(lb.backend_of(tuple_n(flow)).value());
+    }
+    lb.fail_backend(0);
+    result.events = runner.run(after_failure, &result.outputs).events_triggered;
+    result.reroutes = lb.reroutes();
+    result.bytes = lb.bytes_per_backend();
+    return result;
+  };
+
+  const Run reference = run(1);
+  const auto pinned = std::count(reference.pinned_before.begin(),
+                                 reference.pinned_before.end(), 0u);
+  ASSERT_GT(pinned, 0) << "some flow must start on the failing backend";
+  ASSERT_LT(pinned, kFlows) << "some flow must start elsewhere";
+  ASSERT_EQ(reference.reroutes, static_cast<std::uint64_t>(pinned));
+  for (const std::size_t batch_size : kEventBatchSizes) {
+    const Run batched = run(batch_size);
+    EXPECT_EQ(batched.pinned_before, reference.pinned_before) << batch_size;
+    EXPECT_EQ(batched.events, reference.events) << batch_size;
+    EXPECT_EQ(batched.reroutes, reference.reroutes) << batch_size;
+    EXPECT_EQ(batched.bytes, reference.bytes) << batch_size;
+    expect_same_outputs(batched.outputs, reference.outputs, batch_size);
+  }
 }
 
 }  // namespace

@@ -148,14 +148,16 @@ TEST(Classifier, FidsAreDenseAndTheLastFreedIsReusedFirst) {
 
 TEST(Classifier, RefusesANewFlowWhileEveryFidIsLive) {
   PacketClassifier classifier;
-  // One packet, re-addressed per flow: the pre-parsed overload reads the
-  // tuple from the bytes, so 2^20 flows need no 2^20 packets.
+  // One packet, re-addressed per flow: the pre-hashed overload takes the
+  // tuple read back from the bytes, so 2^20 flows need no 2^20 packets.
   net::Packet packet = net::make_tcp_packet(tuple_n(0), "");
   const auto parsed = net::parse_packet(packet);
   ASSERT_TRUE(parsed.has_value());
   const auto classify_source = [&](std::uint32_t source_ip) {
     net::set_field(packet, *parsed, net::HeaderField::kSrcIp, source_ip);
-    return classifier.classify(packet, &*parsed);
+    return classifier.classify(
+        packet, HashedTuple::of(net::extract_five_tuple(packet, *parsed)),
+        *parsed);
   };
 
   constexpr std::uint32_t kFids = net::kFidMask + 1;

@@ -1,5 +1,9 @@
 #include "core/flow_record.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/api.hpp"
@@ -43,6 +47,40 @@ TEST(FlowRecord, StateFunctionQueuePreservesOrder) {
   net::ParsedPacket parsed;
   for (const auto& handler : record.handlers) handler(packet, parsed);
   EXPECT_EQ(calls, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(FlowRecord, CompileListsTheLinesTheFastPathReads) {
+  // In read order: the condition array, the handler array, then the
+  // recorded args; one entry per cache line, null args left out. The two
+  // args share a line, so at most five lines are named.
+  alignas(64) static std::uint64_t cell[2] = {};
+  FlowRecord record;
+  StateFunction count = named_sf("count");
+  count.args = &cell[1];
+  record.add_state_function(0, std::move(count));
+  record.add_state_function(1, named_sf("no-args"));
+  record.register_event(0, "limit", [] { return false; }, {}, true, &cell[0]);
+  record.compile();
+
+  const auto line = [](const void* address) {
+    return reinterpret_cast<std::uintptr_t>(address) / util::kCacheLineSize;
+  };
+  std::vector<std::uintptr_t> lines;
+  for (std::uint8_t i = 0; i < record.hot_count; ++i) {
+    lines.push_back(line(record.hot_addresses[i]));
+  }
+  ASSERT_FALSE(lines.empty());
+  EXPECT_EQ(lines.front(), line(record.conditions.data()));
+  EXPECT_EQ(lines.back(), line(&cell[0]));
+  EXPECT_NE(std::find(lines.begin(), lines.end(),
+                      line(record.handlers.data())),
+            lines.end());
+  std::vector<std::uintptr_t> unique = lines;
+  std::sort(unique.begin(), unique.end());
+  EXPECT_EQ(std::unique(unique.begin(), unique.end()), unique.end());
+
+  record.reset();
+  EXPECT_EQ(record.hot_count, 0u);
 }
 
 TEST(FlowRecord, CompileBuildsOneBatchPerNf) {

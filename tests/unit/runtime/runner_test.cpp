@@ -5,6 +5,8 @@
 #include "nf/ip_filter.hpp"
 #include "nf/monitor.hpp"
 #include "nf/synthetic_nf.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/metrics.hpp"
 #include "test_helpers.hpp"
 #include "trace/workload.hpp"
 
@@ -20,6 +22,34 @@ RunConfig bess_original() {
 }
 RunConfig bess_speedybox() {
   return modeled({platform::PlatformKind::kBess, /*speedybox=*/true});
+}
+
+TEST(Runner, BatchPrepTimedOncePerSpeedyBoxBatch) {
+  // 600 packets at batch 32: 19 batches, each with one batch_prep_cycles
+  // sample (the pre-pass plus the warm pass) beside its occupancy sample.
+  ServiceChain chain;
+  chain.emplace_nf<nf::Monitor>();
+  chain.emplace_nf<nf::IpFilter>(std::vector<nf::AclRule>{});
+  RunConfig config{platform::PlatformKind::kBess, /*speedybox=*/true};
+  config.batch_size = 32;
+  ChainRunner runner{chain, config};
+  telemetry::Registry registry;
+  runner.attach_telemetry(&registry, "runner");
+  runner.run(trace::make_uniform_workload(120, 5, 64));
+
+  const telemetry::MetricsSnapshot snapshot = registry.snapshot();
+  std::uint64_t prep = 0;
+  std::uint64_t batches = 0;
+  for (const auto& [name, histogram] : snapshot.aggregate().histograms) {
+    if (name == "batch_prep_cycles") prep = histogram.count();
+    if (name == "batch_occupancy") batches = histogram.count();
+  }
+  EXPECT_EQ(batches, 19u);
+  EXPECT_EQ(prep, batches);
+  EXPECT_NE(telemetry::to_json(snapshot).find("batch_prep_cycles"),
+            std::string::npos);
+  EXPECT_NE(telemetry::to_prometheus(snapshot).find("batch_prep_cycles"),
+            std::string::npos);
 }
 
 TEST(Runner, OriginalModeProcessesThroughAllNfs) {
