@@ -230,22 +230,19 @@ ScenarioResult run_scenario(const std::vector<net::Packet>& packets,
                             bool overload_on) {
   telemetry::Registry registry;
   auto prototype = make_chain();
-  runtime::ShardedRuntime runtime{
-      *prototype, start_shards,
-      {platform::PlatformKind::kBess, true}, kRingCapacity,
-      &registry, "rt/"};
+  runtime::RunConfig run_config{platform::PlatformKind::kBess, true};
   if (overload_on) {
     // Overload machinery armed but balanced (arrivals at exactly the
-    // drain rate, no degradation): the offered/admitted/shed counters are
+    // drain rate, so the virtual queue never passes one packet and no
+    // arrival is ever pressured): the offered/admitted/shed counters are
     // live — so the conservation gates check real bookkeeping — while
     // shedding stays deterministically zero.
-    runtime::OverloadConfig overload;
-    overload.enabled = true;
-    overload.offered_load = 1.0;
-    overload.queue_capacity = 1024;
-    overload.degrade_after = 0;
-    runtime.set_overload_policy(overload);
+    run_config.overload.enabled = true;
+    run_config.overload.offered_load = 1.0;
+    run_config.overload.queue_capacity = 1024;
   }
+  runtime::ShardedRuntime runtime{*prototype, start_shards, run_config,
+                                  kRingCapacity, &registry, "rt/"};
   control::Controller controller{config, registry};
   control::require_migratable(runtime.shard_chain(0));
   ScenarioResult result;

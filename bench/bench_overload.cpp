@@ -64,8 +64,8 @@ bool check_conservation(const Cell& cell) {
 }
 
 int run() {
-  print_header("Overload sweep — admission control & bounded-queue "
-               "backpressure (DESIGN.md §9)");
+  print_header("Overload sweep — bounded-queue backpressure and drop "
+               "policies (DESIGN.md §9)");
 
   trace::DatacenterWorkloadConfig workload_config;
   workload_config.flow_count = 150;
@@ -121,7 +121,7 @@ int run() {
 
   std::printf("%-5s %-15s %10s %10s %12s %12s %9s  %s\n", "load", "policy",
               "admitted", "shed", "lat_p50_us", "lat_p99_us", "goodput",
-              "(shed adm/wm/early)");
+              "(shed wm/early)");
   bool conserved = true;
   for (const double multiplier : multipliers) {
     for (const runtime::DropPolicy policy : policies) {
@@ -150,12 +150,11 @@ int run() {
       const double p99 = percentile_us(stats.latency_cycles_subsequent, 99);
       const std::string policy_name{drop_policy_name(policy)};
       std::printf("%-5.1f %-15s %10llu %10llu %12.3f %12.3f %8.1f%%  "
-                  "(%llu/%llu/%llu)\n",
+                  "(%llu/%llu)\n",
                   multiplier, policy_name.c_str(),
                   static_cast<unsigned long long>(counters.admitted),
                   static_cast<unsigned long long>(counters.shed_total()),
                   p50, p99, cell.goodput * 100.0,
-                  static_cast<unsigned long long>(counters.shed_admission),
                   static_cast<unsigned long long>(counters.shed_watermark),
                   static_cast<unsigned long long>(
                       counters.shed_early_drop));
@@ -166,8 +165,6 @@ int run() {
       row.set("offered_multiplier", telemetry::Json::number(multiplier));
       row.set("policy", telemetry::Json::string(policy_name));
       row.set("goodput", telemetry::Json::number(cell.goodput));
-      row.set("shed_admission",
-              telemetry::Json::integer(counters.shed_admission));
       row.set("shed_watermark",
               telemetry::Json::integer(counters.shed_watermark));
       row.set("shed_early_drop",

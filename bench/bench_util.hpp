@@ -67,8 +67,8 @@ inline ConfigResult run_config(const ChainFactory& factory,
   runtime::RunConfig config{platform, speedybox};
   config.batch_size = std::max<std::size_t>(1, batch_size);
   config.cycle_model = true;  // the figures report the platform model
+  config.overload = overload;
   runtime::ChainRunner runner{*chain, config};
-  if (overload.enabled) runner.set_overload_policy(overload);
   // The runner's own batch loop, so each packet's outcome is at hand: a
   // flow's processing time (Fig. 9) is the sum of its packets' modeled
   // latencies.

@@ -79,8 +79,8 @@ ControlSignals Controller::compute_signals(
   for (const auto& [name, value] : total.counters) {
     if (name == "packets") packets = value;
     else if (name == "admitted") admitted = value;
-    else if (name == "shed_admission" || name == "shed_watermark" ||
-             name == "shed_early_drop") {
+    else if (name == "shed_watermark" || name == "shed_early_drop" ||
+             name == "shed_ring") {
       shed += value;
     }
   }

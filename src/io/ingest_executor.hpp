@@ -10,9 +10,11 @@
 // `capture_outputs` asks for the post-chain packets, nothing is kept per
 // packet, so a live run's memory does not grow with its length.
 //
-// Overload control and telemetry compose unchanged: both are installed on
-// the wrapped executor before serving, and the ingress gate sees live
-// arrivals exactly as it sees trace-driven ones.
+// Overload control and telemetry compose unchanged: the wrapped executor
+// was built with its gate in RunConfig::overload and has its telemetry
+// attached before serving, and the gate sees live arrivals exactly as it
+// sees trace-driven ones. The batches come off the server's one UDP
+// receive path (batched recvmmsg) or its TCP reassembler.
 //
 // Thread contract: submit() and finish() are ingest-thread only (the
 // ingest thread IS the dispatcher of a sharded sink).

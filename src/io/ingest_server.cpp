@@ -16,12 +16,13 @@ namespace {
 /// under trickle traffic (the flush-on-idle-wakeup in serve()).
 constexpr int kFlushIntervalMs = 5;
 
-/// recv scratch: one max-size UDP datagram / one TCP read chunk.
+/// TCP read scratch: one stream chunk.
 constexpr std::size_t kRecvBufferBytes = 64 * 1024;
 
-/// Per-datagram slot in the recvmmsg scratch: a jumbo Ethernet frame fits,
-/// so batched mode never truncates anything the single-recv mode accepts.
-constexpr std::size_t kMmsgStride = 9216;
+/// Per-datagram slot in the recvmmsg scratch: every frame decode_frame
+/// accepts fits whole, and the byte past kMaxFrameBytes makes a longer
+/// datagram read as oversize rather than as a frame cut to size.
+constexpr std::size_t kDatagramSlotBytes = kMaxFrameBytes + 1;
 
 }  // namespace
 
@@ -48,10 +49,10 @@ IngestServer::IngestServer(IngestConfig config) : config_(std::move(config)) {
     tcp_listener_ =
         make_tcp_listener(config_.bind_address, config_.port, &tcp_port_);
   }
-  recv_buffer_.resize(kRecvBufferBytes);
-  if (config_.use_recvmmsg && udp_.valid()) {
-    const std::size_t slots = std::min<std::size_t>(config_.rx_budget, 64);
-    mmsg_buffer_.resize(slots * kMmsgStride);
+  if (tcp_listener_.valid()) recv_buffer_.resize(kRecvBufferBytes);
+  if (udp_.valid()) {
+    const std::size_t slots = std::min(config_.rx_budget, kRecvManyMax);
+    mmsg_buffer_.resize(slots * kDatagramSlotBytes);
     mmsg_lengths_.resize(slots);
   }
   staged_.reserve(config_.batch_size);
@@ -144,40 +145,25 @@ IngestStats IngestServer::serve(IngestExecutor& sink) {
 }
 
 void IngestServer::drain_udp() {
-  if (config_.use_recvmmsg) {
-    // Batched drain: up to rx_budget datagrams per wakeup, but one syscall
-    // per slot-capacity batch instead of one per datagram. Frame
-    // accounting is identical to the scalar path below.
-    std::size_t drained = 0;
-    while (drained < config_.rx_budget) {
-      const std::size_t want =
-          std::min(config_.rx_budget - drained, mmsg_lengths_.size());
-      const RecvManyResult result =
-          recv_many(udp_.get(), mmsg_buffer_, kMmsgStride,
-                    std::span<std::size_t>(mmsg_lengths_.data(), want));
-      if (result.has_drop_count) cmsg_drops_ = result.rxq_dropped;
-      if (result.messages == 0) break;  // would-block
-      for (std::size_t i = 0; i < result.messages; ++i) {
-        stats_.rx_bytes += mmsg_lengths_[i];
-        if (metrics_ != nullptr) metrics_->rx_bytes.add(mmsg_lengths_[i]);
-        ingest_frame(std::span<const std::uint8_t>(
-            mmsg_buffer_.data() + i * kMmsgStride, mmsg_lengths_[i]));
-      }
-      drained += result.messages;
-      if (result.messages < want) break;  // socket drained dry
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < config_.rx_budget; ++i) {
-    const RecvResult result = recv_some(udp_.get(), recv_buffer_);
+  // Up to rx_budget datagrams per wakeup, one recvmmsg() per slot-capacity
+  // batch.
+  std::size_t drained = 0;
+  while (drained < config_.rx_budget) {
+    const std::size_t want =
+        std::min(config_.rx_budget - drained, mmsg_lengths_.size());
+    const RecvManyResult result =
+        recv_many(udp_.get(), mmsg_buffer_, kDatagramSlotBytes,
+                  std::span<std::size_t>(mmsg_lengths_.data(), want));
     if (result.has_drop_count) cmsg_drops_ = result.rxq_dropped;
-    if (result.bytes <= 0) break;  // would-block (UDP never EOFs)
-    stats_.rx_bytes += static_cast<std::uint64_t>(result.bytes);
-    if (metrics_ != nullptr) {
-      metrics_->rx_bytes.add(static_cast<std::uint64_t>(result.bytes));
+    if (result.messages == 0) break;  // would-block
+    for (std::size_t i = 0; i < result.messages; ++i) {
+      stats_.rx_bytes += mmsg_lengths_[i];
+      if (metrics_ != nullptr) metrics_->rx_bytes.add(mmsg_lengths_[i]);
+      ingest_frame(std::span<const std::uint8_t>(
+          mmsg_buffer_.data() + i * kDatagramSlotBytes, mmsg_lengths_[i]));
     }
-    ingest_frame(std::span<const std::uint8_t>(
-        recv_buffer_.data(), static_cast<std::size_t>(result.bytes)));
+    drained += result.messages;
+    if (result.messages < want) break;  // socket drained dry
   }
 }
 
@@ -202,18 +188,18 @@ void IngestServer::drain_tcp(TcpConn& conn, std::uint32_t events) {
   // complete frame the reassembler holds — a frame already buffered in
   // user space must not wait for more wire bytes to be dispatched.
   for (std::size_t i = 0; i < config_.rx_budget; ++i) {
-    const RecvResult result = recv_some(conn.fd.get(), recv_buffer_);
-    if (result.bytes < 0) break;  // would-block
-    if (result.bytes == 0) {      // orderly EOF
+    const long bytes = recv_some(conn.fd.get(), recv_buffer_);
+    if (bytes < 0) break;  // would-block
+    if (bytes == 0) {      // orderly EOF
       closed = true;
       break;
     }
-    stats_.rx_bytes += static_cast<std::uint64_t>(result.bytes);
+    stats_.rx_bytes += static_cast<std::uint64_t>(bytes);
     if (metrics_ != nullptr) {
-      metrics_->rx_bytes.add(static_cast<std::uint64_t>(result.bytes));
+      metrics_->rx_bytes.add(static_cast<std::uint64_t>(bytes));
     }
     conn.framer.feed(std::span<const std::uint8_t>(
-        recv_buffer_.data(), static_cast<std::size_t>(result.bytes)));
+        recv_buffer_.data(), static_cast<std::size_t>(bytes)));
   }
   while (std::optional<std::vector<std::uint8_t>> frame = conn.framer.next()) {
     ingest_frame(*frame);

@@ -3,8 +3,9 @@
 // IngestExecutor sink.
 //
 //   epoll (level-triggered, io::EventLoop)
-//     UDP socket    one datagram = one Ethernet frame; drained up to
-//                   rx_budget frames per wakeup (fairness against TCP)
+//     UDP socket    one datagram = one Ethernet frame; drained with
+//                   batched recvmmsg() up to rx_budget frames per wakeup
+//                   (fairness against TCP)
 //     TCP listener  accepts; each connection carries 4-byte-BE
 //                   length-prefixed frames (io::StreamFramer reassembles)
 //   decode_frame() validates every frame (malformed → parse_errors, never
@@ -15,10 +16,10 @@
 //                   trickle traffic is never held hostage to the batch)
 //
 // Backpressure contract with the overload controller: the front-end never
-// drops a decoded frame itself. Admission/shedding is the wrapped
-// executor's ingress gate (DESIGN.md §9) — a sharded sink's dispatcher
-// sheds on ring watermarks, a runner sink's token bucket sheds at
-// admission — so the conservation identity the closed-loop smoke checks is
+// drops a decoded frame itself. Shedding is the wrapped executor's ingress
+// gate (DESIGN.md §9) — a sharded sink's dispatcher sheds on ring
+// watermarks, a runner sink's virtual queue sheds on its own — so the
+// conservation identity the closed-loop smoke checks is
 //   sent == admitted + shed + parse_errors + socket_drops
 // with socket_drops the kernel's receive-queue overflow count (the only
 // loss the process cannot refuse: the wire outran the event loop).
@@ -51,7 +52,8 @@ struct IngestConfig {
   IngestProto proto = IngestProto::kUdp;
   /// Max frames drained from one socket per epoll wakeup. Bounds the time
   /// one hot socket can hold the loop (and with it the staging latency of
-  /// every other socket's frames).
+  /// every other socket's frames). UDP reads up to 64 of them per
+  /// recvmmsg() call.
   std::size_t rx_budget = 64;
   /// serve() returns after this long without receiving anything.
   int idle_timeout_ms = 1000;
@@ -60,11 +62,6 @@ struct IngestConfig {
   /// Kernel receive buffer for the UDP socket (0 = system default). The
   /// deeper this is, the burstier the wire can be before socket_drops.
   int rcvbuf_bytes = 1 << 22;
-  /// Drain the UDP socket with batched recvmmsg() — up to rx_budget
-  /// datagrams per syscall instead of one recvmsg() each. Same frame
-  /// accounting (the conservation smoke passes either way); fewer
-  /// syscalls per wakeup under load.
-  bool use_recvmmsg = false;
 };
 
 /// Counters of one serve() run (also mirrored into telemetry when
@@ -141,9 +138,10 @@ class IngestServer {
   IngestExecutor* sink_ = nullptr;  // valid inside serve()
   std::vector<net::Packet> staged_;
   std::vector<std::uint64_t> staged_recv_cycle_;
+  /// TCP read scratch: one stream chunk.
   std::vector<std::uint8_t> recv_buffer_;
-  /// recvmmsg scratch (use_recvmmsg only): slot i at offset i*stride, plus
-  /// the per-datagram byte counts the kernel fills in.
+  /// recvmmsg scratch: datagram slot i at offset i * kDatagramSlotBytes,
+  /// plus the per-datagram byte counts the kernel fills in.
   std::vector<std::uint8_t> mmsg_buffer_;
   std::vector<std::size_t> mmsg_lengths_;
   IngestStats stats_;

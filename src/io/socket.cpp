@@ -118,48 +118,28 @@ Fd accept_connection(int listener_fd) {
   return fd;
 }
 
-RecvResult recv_some(int fd, std::span<std::uint8_t> buffer) {
-  iovec iov{buffer.data(), buffer.size()};
-  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(std::uint32_t))];
-  msghdr msg{};
-  msg.msg_iov = &iov;
-  msg.msg_iovlen = 1;
-  msg.msg_control = control;
-  msg.msg_controllen = sizeof control;
-
-  RecvResult result;
-  const ssize_t n = recvmsg(fd, &msg, 0);
+long recv_some(int fd, std::span<std::uint8_t> buffer) {
+  const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), 0);
   if (n < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-      return result;  // bytes = -1: nothing available
+      return -1;  // nothing available
     }
-    throw_errno("recvmsg");
+    throw_errno("recv");
   }
-  result.bytes = static_cast<long>(n);
-  for (cmsghdr* cmsg = CMSG_FIRSTHDR(&msg); cmsg != nullptr;
-       cmsg = CMSG_NXTHDR(&msg, cmsg)) {
-    if (cmsg->cmsg_level == SOL_SOCKET && cmsg->cmsg_type == SO_RXQ_OVFL) {
-      std::uint32_t dropped = 0;
-      std::memcpy(&dropped, CMSG_DATA(cmsg), sizeof dropped);
-      result.rxq_dropped = dropped;
-      result.has_drop_count = true;
-    }
-  }
-  return result;
+  return static_cast<long>(n);
 }
 
 RecvManyResult recv_many(int fd, std::span<std::uint8_t> buffer,
                          std::size_t stride, std::span<std::size_t> lengths) {
-  constexpr std::size_t kMaxBatch = 64;
   RecvManyResult result;
   const std::size_t by_buffer = stride == 0 ? 0 : buffer.size() / stride;
   const std::size_t want =
-      std::min({lengths.size(), by_buffer, kMaxBatch});
+      std::min({lengths.size(), by_buffer, kRecvManyMax});
   if (want == 0) return result;
 
-  mmsghdr msgs[kMaxBatch];
-  iovec iovs[kMaxBatch];
-  alignas(cmsghdr) char controls[kMaxBatch]
+  mmsghdr msgs[kRecvManyMax];
+  iovec iovs[kRecvManyMax];
+  alignas(cmsghdr) char controls[kRecvManyMax]
                                [CMSG_SPACE(sizeof(std::uint32_t))];
   std::memset(msgs, 0, want * sizeof(mmsghdr));
   for (std::size_t i = 0; i < want; ++i) {

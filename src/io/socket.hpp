@@ -8,10 +8,11 @@
 //
 // All functions throw std::system_error on syscall failure (socket setup
 // is control-plane: failing loudly beats limping without a socket); the
-// per-datagram receive path reports would-block/EOF through its result
-// instead of throwing.
+// receive calls report would-block/EOF through their results instead of
+// throwing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -71,20 +72,12 @@ Fd make_tcp_listener(const std::string& address, std::uint16_t port,
 /// back non-blocking too. Invalid Fd when no connection is pending.
 Fd accept_connection(int listener_fd);
 
-/// One non-blocking datagram/stream read.
-struct RecvResult {
-  /// Bytes read; 0 = orderly EOF (TCP), -1 = nothing available right now.
-  long bytes = -1;
-  /// Cumulative receive-queue overflow count the kernel attached to this
-  /// datagram (SO_RXQ_OVFL ancillary data; UDP receivers only).
-  std::uint32_t rxq_dropped = 0;
-  bool has_drop_count = false;
-};
+/// One non-blocking stream read: the bytes read, 0 on orderly EOF, -1 when
+/// nothing is available right now.
+long recv_some(int fd, std::span<std::uint8_t> buffer);
 
-/// recvmsg() wrapper harvesting the SO_RXQ_OVFL drop counter. Works for
-/// both UDP datagrams and TCP stream chunks (the latter simply never carry
-/// a drop count).
-RecvResult recv_some(int fd, std::span<std::uint8_t> buffer);
+/// Most datagrams one recv_many() call receives.
+inline constexpr std::size_t kRecvManyMax = 64;
 
 /// Result of one recv_many() batch.
 struct RecvManyResult {
@@ -96,10 +89,10 @@ struct RecvManyResult {
 };
 
 /// Batched non-blocking datagram receive via recvmmsg(): up to
-/// `lengths.size()` datagrams in ONE syscall, datagram i landing at
-/// buffer.subspan(i * stride, stride) with its byte count in lengths[i].
-/// messages = 0 means nothing was available. SO_RXQ_OVFL ancillary data is
-/// harvested per message, exactly like recv_some() — the last datagram's
+/// min(`lengths.size()`, kRecvManyMax) datagrams in ONE syscall, datagram i
+/// landing at buffer.subspan(i * stride, stride) with its byte count in
+/// lengths[i]. messages = 0 means nothing was available. SO_RXQ_OVFL
+/// ancillary data is harvested per message — the last datagram's
 /// cumulative counter wins, matching the kernel's monotonic semantics.
 RecvManyResult recv_many(int fd, std::span<std::uint8_t> buffer,
                          std::size_t stride, std::span<std::size_t> lengths);

@@ -6,7 +6,8 @@
 //                      core per NF (or fused segment), descriptor rings
 //
 // Each runs either data path — original or SpeedyBox — chosen by
-// RunConfig::speedybox.
+// RunConfig::speedybox, and reads its overload gate (DESIGN.md §9) from
+// RunConfig::overload when it is constructed.
 //
 // Packets enter and leave every shape through one streaming contract, the
 // software analogue of a DPDK dataplane taking bursts off the NIC:
@@ -30,8 +31,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "runtime/overload.hpp"
 
 namespace speedybox::net {
 class Packet;
@@ -92,11 +91,6 @@ class Executor {
   /// runtime labels its per-shard cells "<label>/shard<i>".
   virtual void attach_telemetry(telemetry::Registry* registry,
                                 const std::string& label) = 0;
-
-  /// Install the overload policy (DESIGN.md §9). Must be called before the
-  /// first packet. A config with enabled=false restores the zero-cost
-  /// byte-identical default path.
-  virtual void set_overload_policy(const OverloadConfig& config) = 0;
 };
 
 }  // namespace speedybox::runtime

@@ -31,7 +31,6 @@ std::optional<DropPolicy> parse_drop_policy(std::string_view name) noexcept {
 void OverloadStats::merge_from(const OverloadStats& other) noexcept {
   offered += other.offered;
   admitted += other.admitted;
-  shed_admission += other.shed_admission;
   shed_watermark += other.shed_watermark;
   shed_early_drop += other.shed_early_drop;
   faulted += other.faulted;
@@ -56,16 +55,12 @@ std::uint64_t band_of(std::uint64_t flow_hash) noexcept {
 
 OverloadController::OverloadController(const OverloadConfig& config) noexcept
     : config_(config),
-      high_(std::max<std::size_t>(
-          1, static_cast<std::size_t>(
-                 config.high_watermark *
-                 static_cast<double>(config.queue_capacity)))),
-      low_(std::min(static_cast<std::size_t>(
-                        config.low_watermark *
-                        static_cast<double>(config.queue_capacity)),
-                    high_)),
-      gate_(high_, low_),
-      tokens_(config.admission_burst),
+      gate_(std::max<std::size_t>(
+                1, static_cast<std::size_t>(
+                       kHighWatermark *
+                       static_cast<double>(config.queue_capacity))),
+            static_cast<std::size_t>(
+                kLowWatermark * static_cast<double>(config.queue_capacity))),
       delta_(config.offered_load > 0.0 ? 1.0 / config.offered_load : 1.0) {
   // Shed just the excess: at offered load L, a fraction 1 - 1/L of the
   // arrivals outpace the drain. Floor of 1/8 keeps the band meaningful
@@ -78,13 +73,8 @@ OverloadController::OverloadController(const OverloadConfig& config) noexcept
 OverloadController::Decision OverloadController::offer(
     std::uint64_t flow_hash, bool doomed,
     bool external_pressure) noexcept {
-  // One inter-arrival gap elapses: the server completes delta_ packets and
-  // the admission bucket refills accordingly.
+  // One inter-arrival gap elapses: the server completes delta_ packets.
   depth_ = std::max(0.0, depth_ - delta_);
-  if (config_.admission_rate > 0.0) {
-    tokens_ = std::min(config_.admission_burst,
-                       tokens_ + delta_ * config_.admission_rate);
-  }
   const bool pressured =
       gate_.update(static_cast<std::size_t>(depth_)) || external_pressure;
   update_degrade(pressured);
@@ -94,10 +84,12 @@ OverloadController::Decision OverloadController::offer(
     // Doomed flows shed unconditionally: their packets die at the Global
     // MAT anyway, so shedding at ingress is free goodput for the rest.
     decision = Decision::kShedEarlyDrop;
-  } else if (config_.admission_rate > 0.0 && tokens_ < 1.0) {
-    decision = Decision::kShedAdmission;
   } else if (pressured) {
-    decision = shed_verdict(true, flow_hash, doomed);
+    // Per-flow-fair sheds its hash band only, so the flows outside it keep
+    // their whole sequence; every other policy sheds every arrival.
+    const bool survives = config_.policy == DropPolicy::kPerFlowFair &&
+                          band_of(flow_hash) >= shed_band_slots_;
+    if (!survives) decision = Decision::kShedWatermark;
   }
 
   if (decision == Decision::kAdmit) {
@@ -107,23 +99,9 @@ OverloadController::Decision OverloadController::offer(
       decision = Decision::kShedWatermark;
     } else {
       depth_ += 1.0;
-      if (config_.admission_rate > 0.0) tokens_ -= 1.0;
     }
   }
   return decision;
-}
-
-OverloadController::Decision OverloadController::shed_verdict(
-    bool pressured, std::uint64_t flow_hash, bool doomed) noexcept {
-  if (config_.policy == DropPolicy::kSloEarlyDrop && doomed) {
-    return Decision::kShedEarlyDrop;
-  }
-  if (!pressured) return Decision::kAdmit;
-  if (config_.policy == DropPolicy::kPerFlowFair) {
-    return band_of(flow_hash) < shed_band_slots_ ? Decision::kShedWatermark
-                                                 : Decision::kAdmit;
-  }
-  return Decision::kShedWatermark;
 }
 
 void OverloadController::update_degrade(bool pressured) noexcept {
@@ -132,8 +110,7 @@ void OverloadController::update_degrade(bool pressured) noexcept {
   } else {
     pressured_streak_ = 0;
   }
-  if (!degraded_ && config_.degrade_after > 0 &&
-      pressured_streak_ >= config_.degrade_after) {
+  if (!degraded_ && pressured_streak_ >= kDegradeAfter) {
     degraded_ = true;
     ++episodes_;
     episode_packets_ = 0;
@@ -184,10 +161,6 @@ bool admit_arrival(OverloadController& controller, const net::Packet& packet,
       ++stats.admitted;
       if (metrics != nullptr) metrics->admitted.add(1);
       return true;
-    case OverloadController::Decision::kShedAdmission:
-      ++stats.shed_admission;
-      if (metrics != nullptr) metrics->shed_admission.add(1);
-      break;
     case OverloadController::Decision::kShedWatermark:
       ++stats.shed_watermark;
       if (metrics != nullptr) metrics->shed_watermark.add(1);

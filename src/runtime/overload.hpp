@@ -1,11 +1,9 @@
 // Overload control for the data path (DESIGN.md §9).
 //
-// Three cooperating mechanisms, all deterministic so equivalence and
+// Two cooperating mechanisms, both deterministic so equivalence and
 // conservation proofs stay exact:
 //
-//   1. Admission control — a token bucket in virtual service-time units
-//      shapes the offered load before any chain work is spent.
-//   2. Bounded-queue backpressure — a discrete virtual ingress queue
+//   1. Bounded-queue backpressure — a discrete virtual ingress queue
 //      models the arrival/service race at a configured offered-load
 //      multiple of capacity; high/low watermarks with hysteresis decide
 //      when to shed, and the DropPolicy decides WHO sheds:
@@ -20,19 +18,22 @@
 //                            (the Table-3 early-drop consolidation turned
 //                            into a load-shedding weapon); tail-drop
 //                            handles the remaining excess.
-//   3. Graceful degradation — sustained pressure suspends new-flow
+//   2. Graceful degradation — sustained pressure suspends new-flow
 //      recording: new flows get a pre-consolidated pure-forward default
 //      rule (GlobalMat::install_default_rule) so the fast path keeps its
 //      latency; recording resumes when the queue drains to the low
 //      watermark.
 //
-// The threaded executors have real SPSC rings in front of their workers.
-// SpeedyBoxPipeline passes its first ring's occupancy
-// (SpscRing::over_watermark) to OverloadController::offer as external
-// pressure, OR'd into the virtual gate's verdict; ShardedRuntime's
-// dispatcher sheds a burst outright at a pressured ring, and each shard's
-// runner runs its own virtual gate. ChainRunner and SpeedyBoxPipeline
-// share one ingress routine, admit_arrival().
+// Every executor shape reads its gate from RunConfig::overload at
+// construction; there is no other way to install one. The threaded
+// executors have real SPSC rings in front of their workers, armed at the
+// same watermark fractions (arm_ring_watermarks). SpeedyBoxPipeline passes
+// its first ring's occupancy (SpscRing::over_watermark) to
+// OverloadController::offer as external pressure, OR'd into the virtual
+// gate's verdict; ShardedRuntime's dispatcher sheds a burst outright at a
+// pressured ring, and each shard's runner runs its own virtual gate.
+// ChainRunner and SpeedyBoxPipeline share one ingress routine,
+// admit_arrival().
 #pragma once
 
 #include <cstddef>
@@ -65,38 +66,51 @@ std::string_view drop_policy_name(DropPolicy policy) noexcept;
 /// anything else.
 std::optional<DropPolicy> parse_drop_policy(std::string_view name) noexcept;
 
+/// Exactly the plan document's `overload` object (plan.cpp): a field the
+/// JSON does not carry would be lost on every round trip.
 struct OverloadConfig {
   bool enabled = false;
   /// Offered load as a multiple of the data path's service capacity: the
   /// virtual arrival clock runs `offered_load` times faster than the
   /// service clock (2.0 = arrivals at twice the drain rate). Values <= 1
   /// still exercise the machinery but the queue stays near-empty. The
-  /// threaded executors ignore this (their rings see real arrival rates).
+  /// threaded executors' rings see real arrival rates instead.
   double offered_load = 2.0;
   DropPolicy policy = DropPolicy::kTailDrop;
   /// Virtual ingress queue bound, in packets. Also the denominator for the
   /// watermark fractions.
   std::size_t queue_capacity = 1024;
-  /// Watermark fractions of queue_capacity; pressure engages at high and
-  /// clears at low (hysteresis).
-  double high_watermark = 0.875;
-  double low_watermark = 0.5;
-  /// Token-bucket admission shaping: sustained rate in service units
-  /// (1.0 = exactly the drain rate) and burst depth in packets. A rate
-  /// <= 0 disables the bucket — watermark shedding alone then bounds the
-  /// queue.
-  double admission_rate = 0.0;
-  double admission_burst = 64.0;
-  /// Suspend new-flow recording after this many consecutive pressured
-  /// arrivals; 0 disables graceful degradation.
-  std::uint32_t degrade_after = 64;
 };
+
+/// Guard: the plan JSON's overload object (plan.cpp) carries every field.
+static_assert(util::field_count<OverloadConfig>() == 4,
+              "OverloadConfig changed: carry the field in the plan JSON "
+              "(overload_to_json/overload_from_json) and update this count");
+
+/// Watermark fractions of a queue's capacity: pressure engages at the high
+/// one and clears at the low one (hysteresis). The virtual queue and the
+/// threaded executors' real rings share them.
+inline constexpr double kHighWatermark = 0.875;
+inline constexpr double kLowWatermark = 0.5;
+/// Consecutive pressured arrivals after which new-flow recording is
+/// suspended (graceful degradation).
+inline constexpr std::uint32_t kDegradeAfter = 64;
+
+/// Arm a real ingress ring (util::SpscRing) at the gate's watermark
+/// fractions of its capacity, so SpscRing::over_watermark mirrors the
+/// virtual gate.
+template <typename Ring>
+void arm_ring_watermarks(Ring& ring) {
+  const auto capacity = static_cast<double>(ring.capacity());
+  ring.set_watermarks(static_cast<std::size_t>(kHighWatermark * capacity),
+                      static_cast<std::size_t>(kLowWatermark * capacity));
+}
 
 /// Shed/degrade counters, nested inside RunStats and merged shard-wise
 /// alongside it. Conservation invariant (checked by the property tests and
 /// bench_overload):
 ///
-///   offered  == admitted + shed_admission + shed_watermark + shed_early_drop
+///   offered  == admitted + shed_watermark + shed_early_drop
 ///   admitted == delivered + drops + faulted        (RunStats.packets ==
 ///                                                   admitted by definition)
 ///
@@ -105,7 +119,6 @@ struct OverloadConfig {
 struct OverloadStats {
   std::uint64_t offered = 0;
   std::uint64_t admitted = 0;
-  std::uint64_t shed_admission = 0;   // token bucket empty
   std::uint64_t shed_watermark = 0;   // queue pressure (any policy)
   std::uint64_t shed_early_drop = 0;  // MAT-doomed flow shed at ingress
   /// Packets lost to injected NF faults — disjoint from `drops` so
@@ -120,7 +133,7 @@ struct OverloadStats {
   std::uint64_t degraded_episode_packets = 0;
 
   std::uint64_t shed_total() const noexcept {
-    return shed_admission + shed_watermark + shed_early_drop;
+    return shed_watermark + shed_early_drop;
   }
 
   void merge_from(const OverloadStats& other) noexcept;
@@ -128,7 +141,7 @@ struct OverloadStats {
 
 /// Guard: merge_from below is field-by-field; adding a field without
 /// extending it would silently drop that counter from shard merging.
-static_assert(util::field_count<OverloadStats>() == 10,
+static_assert(util::field_count<OverloadStats>() == 9,
               "OverloadStats changed: update merge_from (overload.cpp) and "
               "this count");
 
@@ -159,7 +172,6 @@ class OverloadController {
  public:
   enum class Decision : std::uint8_t {
     kAdmit,
-    kShedAdmission,
     kShedWatermark,
     kShedEarlyDrop,
   };
@@ -195,18 +207,12 @@ class OverloadController {
   }
 
  private:
-  /// Policy verdict for a pressured (or doomed) arrival: who sheds.
-  Decision shed_verdict(bool pressured, std::uint64_t flow_hash,
-                        bool doomed) noexcept;
   void update_degrade(bool pressured) noexcept;
 
   OverloadConfig config_;
-  std::size_t high_;  // packets
-  std::size_t low_;
-  WatermarkGate gate_;
-  double depth_ = 0.0;   // virtual queue occupancy, packets
-  double tokens_;        // admission bucket fill
-  double delta_;         // service completions per arrival (1/offered_load)
+  WatermarkGate gate_;  // over the virtual queue depth, in packets
+  double depth_ = 0.0;  // virtual queue occupancy, packets
+  double delta_;        // service completions per arrival (1/offered_load)
   /// Per-flow-fair: hash bands (of 1024) that shed while pressured, sized
   /// to the offered-load excess.
   std::uint64_t shed_band_slots_ = 0;

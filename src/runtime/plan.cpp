@@ -418,9 +418,6 @@ BuiltDeployment build(const DeploymentPlan& plan) {
           *built.chain, config, plan.ring_capacity, plan.segment_sizes());
       break;
   }
-  if (plan.overload.enabled) {
-    built.executor->set_overload_policy(plan.overload);
-  }
   return built;
 }
 

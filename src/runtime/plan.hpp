@@ -146,8 +146,9 @@ std::unique_ptr<runtime::ServiceChain> build_chain(
 /// The RunConfig a plan implies for every executor shape.
 runtime::RunConfig run_config(const DeploymentPlan& plan);
 
-/// validate() + build chain + construct the executor shape + apply the
-/// overload policy. The returned executor is ready to run().
+/// validate() + build chain + construct the executor shape from
+/// run_config(), which carries the overload policy. The returned executor
+/// is ready to run().
 BuiltDeployment build(const DeploymentPlan& plan);
 
 // -- Canonical §VII-C evaluation chains ------------------------------------

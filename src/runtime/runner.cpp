@@ -106,13 +106,6 @@ void ChainRunner::attach_telemetry(telemetry::Registry* registry,
   set_telemetry(&registry->create_shard(label, chain_.nf_names()));
 }
 
-void ChainRunner::set_overload_policy(const OverloadConfig& config) {
-  config_.overload = config;
-  controller_ = config.enabled
-                    ? std::make_unique<OverloadController>(config)
-                    : nullptr;
-}
-
 void ChainRunner::add_stage_sample(std::size_t stage, std::uint64_t cycles) {
   if (stats_.stage_cycle_sum.size() <= stage) {
     stats_.stage_cycle_sum.resize(stage + 1, 0.0);

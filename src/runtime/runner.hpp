@@ -51,8 +51,10 @@ struct RunConfig {
   /// packet-at-a-time; results are bit-identical at every size (the
   /// differential harness proves it) — only the amortization changes.
   std::size_t batch_size = net::kDefaultBatchSize;
-  /// Overload control (DESIGN.md §9). Disabled: the ingress gate does not
-  /// exist and the data path is byte-identical to a config without it.
+  /// Overload control (DESIGN.md §9), read by every executor shape when it
+  /// is constructed — the only way to install the gate. Disabled: the gate
+  /// does not exist and the data path is byte-identical to a config
+  /// without it.
   OverloadConfig overload{};
   /// The platform cycle model (DESIGN.md §1): per-packet timers, the
   /// Table-I cost-sampling window, the modeled hop, ingress and fork/join
@@ -191,9 +193,6 @@ class ChainRunner : public Executor {
   }
   void attach_telemetry(telemetry::Registry* registry,
                         const std::string& label) override;
-  /// Install (or, with enabled=false, remove) the overload controller.
-  /// Call before the first packet of a run.
-  void set_overload_policy(const OverloadConfig& config) override;
 
   /// Tear down every flow idle for longer than `max_idle_us` — rule + FID +
   /// NF per-flow state (via teardown hooks). The garbage collection

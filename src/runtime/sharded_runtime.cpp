@@ -101,8 +101,9 @@ void ShardedRuntime::submit(std::span<net::Packet> burst, bool keep) {
   for (net::Packet& packet : burst) dispatch(std::move(packet), keep);
 }
 
-void ShardedRuntime::shed_jobs(std::span<Job> jobs) {
+void ShardedRuntime::shed_jobs(Shard& shard, std::span<Job> jobs) {
   dispatcher_shed_ += jobs.size();
+  if (shard.metrics != nullptr) shard.metrics->shed_ring.add(jobs.size());
   for (Job& job : jobs) {
     if (job.slot == kNotKept) continue;
     job.packet.mark_dropped();
@@ -123,12 +124,12 @@ void ShardedRuntime::flush_shard(Shard& shard) {
   }
   std::span<Job> pending{shard.staging};
   // With overload enabled a pressured ring sheds the burst outright —
-  // bounded queueing instead of unbounded dispatcher blocking. The shed
-  // counters live dispatcher-side only (RunStats at finish()): the shard
-  // worker owns the telemetry shed cells, and the single-writer contract
-  // forbids the dispatcher touching them.
-  if (overload_.enabled && ring.over_watermark()) {
-    shed_jobs(pending);
+  // bounded queueing instead of unbounded dispatcher blocking. The shard
+  // worker owns the gate's shed cells, so these sheds go to the
+  // dispatcher-owned shed_ring cell (single-writer contract).
+  const bool gated = config_.overload.enabled;
+  if (gated && ring.over_watermark()) {
+    shed_jobs(shard, pending);
     shard.staging.clear();
     if (metrics != nullptr) metrics->ring_occupancy.set(ring.size());
     return;
@@ -141,9 +142,9 @@ void ShardedRuntime::flush_shard(Shard& shard) {
     const std::size_t pushed = ring.try_push_burst(pending);
     pending = pending.subspan(pushed);
     if (pending.empty()) break;
-    if (overload_.enabled) {
+    if (gated) {
       // Full ring under overload: shed the remainder, never block.
-      shed_jobs(pending);
+      shed_jobs(shard, pending);
       break;
     }
     if (!waited) {
@@ -230,13 +231,7 @@ void ShardedRuntime::ensure_worker_shards(std::size_t count) {
       shard->metrics->ring_capacity.set(shard->ring->capacity());
       shard->runner->set_telemetry(shard->metrics);
     }
-    if (overload_set_) {
-      shard->runner->set_overload_policy(overload_);
-      const auto capacity = static_cast<double>(shard->ring->capacity());
-      shard->ring->set_watermarks(
-          static_cast<std::size_t>(overload_.high_watermark * capacity),
-          static_cast<std::size_t>(overload_.low_watermark * capacity));
-    }
+    if (config_.overload.enabled) arm_ring_watermarks(*shard->ring);
     shards_.push_back(std::move(shard));
   }
   for (std::size_t s = 0; s < count; ++s) {
@@ -377,22 +372,6 @@ void ShardedRuntime::attach_telemetry(telemetry::Registry* registry,
         label_prefix_ + std::to_string(s), shard.chain->nf_names());
     shard.metrics->ring_capacity.set(shard.ring->capacity());
     shard.runner->set_telemetry(shard.metrics);
-  }
-}
-
-void ShardedRuntime::set_overload_policy(const OverloadConfig& config) {
-  if (pushed_ != 0) {
-    throw std::logic_error(
-        "ShardedRuntime::set_overload_policy after first push");
-  }
-  overload_ = config;
-  overload_set_ = true;
-  for (auto& shard : shards_) {
-    shard->runner->set_overload_policy(config);
-    const auto capacity = static_cast<double>(shard->ring->capacity());
-    shard->ring->set_watermarks(
-        static_cast<std::size_t>(config.high_watermark * capacity),
-        static_cast<std::size_t>(config.low_watermark * capacity));
   }
 }
 

@@ -12,7 +12,8 @@
 //   dispatcher (caller thread)
 //     parse + symmetric five-tuple hash ──► shard = hash mod N
 //     per-shard staging buffer, flushed to the shard's SPSC ring as a whole
-//     burst (try_push_burst; yield on full: backpressure, never drop)
+//     burst (try_push_burst; yield on full: backpressure, never drop —
+//     unless RunConfig::overload is on, when a pressured ring sheds)
 //   shard worker k (one thread per shard)
 //     owns replica k of the ServiceChain (chain.clone()) and a ChainRunner
 //     pops whole bursts (try_pop_burst), runs them through
@@ -101,13 +102,18 @@ class ShardedRuntime : public Executor {
   /// std::logic_error naming the NF if any NF in the prototype does not
   /// support clone().
   ///
+  /// With `config.overload` on, every shard's ChainRunner gates its own
+  /// arrivals (flow state is shard-affine, so slo-early-drop consults the
+  /// shard's own MAT) and the real rings' watermarks are armed, so the
+  /// dispatcher sheds instead of spin-blocking when a worker falls behind.
+  ///
   /// When `registry` is non-null (it must outlive the runtime) one
   /// ShardMetrics per shard is created there (`shard_label_prefix` +
   /// "shard0", "shard1", …, with per-NF slots from the prototype's NF
   /// names) and attached to the shard's ChainRunner. Cell ownership: the
   /// shard worker writes the processing metrics, the dispatcher (the
   /// push() caller) writes that shard's ring_occupancy /
-  /// backpressure_yields / ring_burst_size cells.
+  /// backpressure_yields / ring_burst_size / shed_ring cells.
   ShardedRuntime(const ServiceChain& prototype, std::size_t shard_count,
                  RunConfig config = {}, std::size_t ring_capacity = 1024,
                  telemetry::Registry* registry = nullptr,
@@ -124,7 +130,8 @@ class ShardedRuntime : public Executor {
   /// stage per shard and flush to the ring as a whole burst once
   /// `config.batch_size` have accumulated (finish()/the destructor flush
   /// partial bursts). A flush blocks (spin-yield) while the ring lacks
-  /// room — backpressure, never packet loss.
+  /// room — backpressure, never packet loss — unless the overload gate is
+  /// on (see the constructor).
   void push(net::Packet packet) { dispatch(std::move(packet), true); }
 
   /// Drain everything in flight, join the workers, and merge the per-shard
@@ -155,12 +162,6 @@ class ShardedRuntime : public Executor {
   /// later by a scale-up inherit the same registry and label scheme.
   void attach_telemetry(telemetry::Registry* registry,
                         const std::string& label) override;
-  /// Forwards the policy to every shard's ChainRunner (each shard gates
-  /// its own arrivals — flow state is shard-affine, so slo-early-drop can
-  /// consult the shard's own MAT) and arms the real rings' watermarks so
-  /// the dispatcher sheds instead of spin-blocking when a worker falls
-  /// behind. Must be called before the first push.
-  void set_overload_policy(const OverloadConfig& config) override;
   /// Merged result of the last drain(): stats, per-shard counts and the
   /// kept packets' outcomes — what the equivalence harnesses compare.
   const ShardedRunResult& last_result() const noexcept {
@@ -262,10 +263,10 @@ class ShardedRuntime : public Executor {
   /// the remainder; with overload enabled a pressured or full ring sheds
   /// them instead). Dispatcher thread only.
   void flush_shard(Shard& shard);
-  /// Record `jobs` as dispatcher-shed (ring watermark): counted once in
-  /// the merged offered/shed_watermark at finish(); kept ones are marked
-  /// dropped, with outcomes flagged shed.
-  void shed_jobs(std::span<Job> jobs);
+  /// Record `jobs` as shed at `shard`'s ring: counted in its shed_ring
+  /// cell now and once in the merged offered/shed_watermark at finish();
+  /// kept ones are marked dropped, with outcomes flagged shed.
+  void shed_jobs(Shard& shard, std::span<Job> jobs);
   void join_workers();
 
   RunConfig config_;
@@ -289,8 +290,6 @@ class ShardedRuntime : public Executor {
   std::uint64_t kept_count_ = 0;
   std::uint64_t backpressure_waits_ = 0;
   std::uint64_t start_ns_ = 0;
-  OverloadConfig overload_{};
-  bool overload_set_ = false;
   /// Shed at the dispatcher, so never seen by any shard runner: counted
   /// into the overload counters at finish(), and the kept ones placed.
   std::uint64_t dispatcher_shed_ = 0;

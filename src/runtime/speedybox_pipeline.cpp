@@ -37,7 +37,10 @@ SpeedyBoxPipeline::SpeedyBoxPipeline(ServiceChain& chain, RunConfig config,
         std::make_unique<util::SpscRing<Descriptor>>(ring_capacity));
     stop_flags_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
-  if (config_.overload.enabled) set_overload_policy(config_.overload);
+  if (config_.overload.enabled) {
+    controller_ = std::make_unique<OverloadController>(config_.overload);
+    arm_ring_watermarks(*rings_.front());
+  }
   workers_.reserve(stages_.size());
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     workers_.emplace_back([this, i] { worker(i); });
@@ -234,7 +237,13 @@ void SpeedyBoxPipeline::handle_completion(Descriptor& descriptor) {
 void SpeedyBoxPipeline::fast_path(net::Packet* packet, bool keep,
                                   std::uint32_t fid, bool teardown) {
   const auto header = chain_.global_mat().process_header(*packet);
-  if (metrics_ != nullptr && header.rule_hit) metrics_->mat_hits.add(1);
+  stats_.events_triggered += header.events_triggered;
+  if (metrics_ != nullptr) {
+    if (header.rule_hit) metrics_->mat_hits.add(1);
+    if (header.events_triggered > 0) {
+      metrics_->events_triggered.add(header.events_triggered);
+    }
+  }
   if (header.rule_hit && header.degraded_rule) {
     ++stats_.overload.degraded_packets;
     if (metrics_ != nullptr) metrics_->degraded_packets.add(1);
@@ -394,18 +403,6 @@ void SpeedyBoxPipeline::attach_telemetry(telemetry::Registry* registry,
                  : &registry->create_shard(label, chain_.nf_names());
   if (metrics_ != nullptr) {
     metrics_->ring_capacity.set(rings_.front()->capacity());
-  }
-}
-
-void SpeedyBoxPipeline::set_overload_policy(const OverloadConfig& config) {
-  controller_ = config.enabled
-                    ? std::make_unique<OverloadController>(config)
-                    : nullptr;
-  if (config.enabled) {
-    const auto capacity = static_cast<double>(rings_.front()->capacity());
-    rings_.front()->set_watermarks(
-        static_cast<std::size_t>(config.high_watermark * capacity),
-        static_cast<std::size_t>(config.low_watermark * capacity));
   }
 }
 

@@ -68,7 +68,11 @@ class SpeedyBoxPipeline : public Executor {
   ///
   /// `config` picks the mode (speedybox), the burst size every stage drains
   /// its ring in (batch_size) and the overload policy; the platform field
-  /// is unused (the pipeline carries no cycle model).
+  /// is unused (the pipeline carries no cycle model). The manager is the
+  /// producer of the first descriptor ring, so with the gate on that ring's
+  /// real pressure (SpscRing::over_watermark) feeds the controller as
+  /// external pressure alongside its virtual-queue model; policy and
+  /// graceful degradation are shared with the single-threaded gate.
   ///
   /// `segment_sizes` partitions the chain into consolidated stages: each
   /// entry is the number of consecutive NFs fused onto one worker core
@@ -88,9 +92,9 @@ class SpeedyBoxPipeline : public Executor {
   // -- Executor interface (one-shot: drain() joins the NF threads) --
   //
   // The pipeline carries no cycle model (that lives in ChainRunner), so
-  // its RunStats hold the counters only: packets, drops, and the overload
-  // block — written by the manager as packets are admitted and complete,
-  // exact once drain() returns. Output order is completion order; dropped
+  // its RunStats hold the counters only: packets, drops, fired events and
+  // the overload block — written by the manager as packets are admitted,
+  // fast-pathed and complete, exact once drain() returns. Output order is completion order; dropped
   // packets are omitted.
   std::string_view kind() const noexcept override { return "pipeline"; }
   /// Runs the manager logic on the caller's thread for every packet of the
@@ -108,12 +112,6 @@ class SpeedyBoxPipeline : public Executor {
   /// this deployment lives in ChainRunner's model).
   void attach_telemetry(telemetry::Registry* registry,
                         const std::string& label) override;
-  /// The manager is the producer of the first descriptor ring, so real
-  /// ring pressure (SpscRing::over_watermark) feeds the controller as
-  /// external pressure alongside its virtual-queue model; policy,
-  /// admission tokens and graceful degradation are shared with the
-  /// single-threaded gate. Call before the first packet.
-  void set_overload_policy(const OverloadConfig& config) override;
 
  private:
   struct Descriptor {
@@ -195,7 +193,8 @@ class SpeedyBoxPipeline : public Executor {
   std::vector<net::Packet> sink_;
   std::size_t in_flight_ = 0;
   bool stopped_ = false;
-  /// Counter-only Executor stats (packets admitted, drops, overload block).
+  /// Counter-only Executor stats (packets admitted, drops, events,
+  /// overload block).
   RunStats stats_;
 };
 

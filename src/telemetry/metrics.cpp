@@ -61,9 +61,9 @@ ShardSnapshot snapshot_shard(const ShardMetrics& shard) {
       {"held_packets", shard.held_packets.get()},
       {"backpressure_yields", shard.backpressure_yields.get()},
       {"admitted", shard.admitted.get()},
-      {"shed_admission", shard.shed_admission.get()},
       {"shed_watermark", shard.shed_watermark.get()},
       {"shed_early_drop", shard.shed_early_drop.get()},
+      {"shed_ring", shard.shed_ring.get()},
       {"faulted", shard.faulted.get()},
       {"degraded_flows", shard.degraded_flows.get()},
       {"degraded_packets", shard.degraded_packets.get()},

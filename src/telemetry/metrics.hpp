@@ -12,9 +12,9 @@
 // background snapshotter running mid-run).
 //
 // Different cells of one ShardMetrics may have different writers (the
-// sharded dispatcher owns ring_occupancy/backpressure_yields while the
-// shard worker owns everything else) — the contract is per cell, not per
-// struct.
+// sharded dispatcher owns ring_occupancy/backpressure_yields/shed_ring
+// while the shard worker owns everything else) — the contract is per cell,
+// not per struct.
 //
 // Data-path cost when telemetry is off: the instrumented executors keep a
 // `ShardMetrics*` that is null when no registry is attached, so every hook
@@ -118,9 +118,9 @@ struct ShardMetrics {
   // -- overload & fault counters (DESIGN.md §9). `drops` above excludes
   // -- faulted packets; the shed counters never overlap `packets`. --
   Counter admitted;          // passed the ingress gate
-  Counter shed_admission;    // token bucket empty
   Counter shed_watermark;    // queue pressure shed (any policy)
   Counter shed_early_drop;   // MAT-doomed flow shed at ingress
+  Counter shed_ring;         // dispatcher: burst shed at a pressured ring
   Counter faulted;           // lost to an injected NF failure
   Counter degraded_flows;    // flows given the degraded default rule
   Counter degraded_packets;  // packets that executed a default rule

@@ -324,14 +324,8 @@ std::vector<std::pair<std::uint16_t, std::uint16_t>>
 TenantHost::bind_listeners(const ServeOptions& options) {
   if (!listeners_bound_) {
     for (auto& tenant : tenants_) {
-      io::IngestConfig config;
-      config.bind_address = options.bind_address;
+      io::IngestConfig config = options.ingest;
       config.port = tenant->spec->listen_port;
-      config.proto = options.proto;
-      config.rx_budget = options.rx_budget;
-      config.idle_timeout_ms = options.idle_timeout_ms;
-      config.batch_size = options.batch_size;
-      config.use_recvmmsg = options.use_recvmmsg;
       tenant->server = std::make_unique<io::IngestServer>(config);
       const telemetry::TenantScope scope(*registry_, tenant->spec->id);
       tenant->server->attach_telemetry(registry_,

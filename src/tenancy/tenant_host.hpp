@@ -116,12 +116,9 @@ struct HostRunResult {
 
 /// Live-mode knobs (serve()).
 struct ServeOptions {
-  std::string bind_address = "127.0.0.1";
-  io::IngestProto proto = io::IngestProto::kUdp;
-  int idle_timeout_ms = 1000;
-  std::size_t rx_budget = 64;
-  std::size_t batch_size = 32;
-  bool use_recvmmsg = false;
+  /// Every tenant's listener; its port comes from the tenant's spec
+  /// (listen_port), never from here.
+  io::IngestConfig ingest;
   /// Enforcement-loop poll period.
   int enforce_interval_ms = 20;
 };

@@ -112,6 +112,11 @@ dry --chain nat,monitor --shards 2 --flows 50 --packets 20 \
   --inject-fault monitor:fail-every=7
 dry --chain snort,monitor --overload 2.0 --drop-policy per-flow-fair \
   --queue-capacity 512
+dry --chain nat,monitor --shards 2 --overload 2.0 \
+  --drop-policy per-flow-fair
+accept "${CHAINSIM}" --chain nat,monitor --mode speedybox --shards 2 \
+  --overload 2.0 --emit-plan "${TMP}/overload.json"
+dry --plan "${TMP}/overload.json"
 for executor in runner pipeline; do
   dry --chain "${CHAIN1}" --datacenter --flows 200 --mode both \
     --executor "${executor}"
@@ -242,7 +247,7 @@ chainsim_rejects --shards --chain nat --mode speedybox --shards 5 \
   --autoscale --max-shards 4
 
 echo "--- chainsim: live-mode rules"
-for flag in "--proto tcp" "--rx-budget 8" "--idle-timeout 5" "--recvmmsg"; do
+for flag in "--proto tcp" "--rx-budget 8" "--idle-timeout 5"; do
   # shellcheck disable=SC2086
   chainsim_rejects "${flag%% *}" --chain nat ${flag}
 done

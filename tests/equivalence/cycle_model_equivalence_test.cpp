@@ -116,7 +116,6 @@ ModelRun run(Shape shape, bool chain1, bool speedybox,
 void expect_same_overload(const OverloadStats& a, const OverloadStats& b) {
   EXPECT_EQ(a.offered, b.offered);
   EXPECT_EQ(a.admitted, b.admitted);
-  EXPECT_EQ(a.shed_admission, b.shed_admission);
   EXPECT_EQ(a.shed_watermark, b.shed_watermark);
   EXPECT_EQ(a.shed_early_drop, b.shed_early_drop);
   EXPECT_EQ(a.faulted, b.faulted);

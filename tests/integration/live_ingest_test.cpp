@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "io/ingest_server.hpp"
 #include "io/loadgen.hpp"
 #include "io/socket.hpp"
+#include "net/packet_builder.hpp"
 #include "nf/dos_prevention.hpp"
 #include "nf/monitor.hpp"
 #include "runtime/runner.hpp"
@@ -286,10 +288,9 @@ TEST(LiveIngest, PipelineStreamsAndConservesPackets) {
   expect_threaded_sink_conserves(pipeline);
 }
 
-TEST(LiveIngest, RecvmmsgBatchedUdpIsByteIdenticalAndConserving) {
-  // The recvmmsg fast path must be a pure receive optimization: same
-  // bytes, same ordering, same conservation ledger as recvfrom — with
-  // garbage mixed into the batches.
+TEST(LiveIngest, BatchedUdpWithGarbageIsByteIdenticalAndConserving) {
+  // The batched UDP receive must keep bytes, ordering and the conservation
+  // ledger of the in-process drive, with garbage mixed into the batches.
   const trace::Workload workload = small_datacenter_workload(90125, false);
   const auto reference_chain = chain1_gateway();
   const std::vector<net::Packet> reference =
@@ -299,7 +300,6 @@ TEST(LiveIngest, RecvmmsgBatchedUdpIsByteIdenticalAndConserving) {
   runtime::ChainRunner runner{*live_chain, speedybox_run_config()};
   IngestConfig config;
   config.idle_timeout_ms = 300;
-  config.use_recvmmsg = true;
   IngestServer server{config};
   IngestExecutor sink{runner, /*capture_outputs=*/true};
 
@@ -320,6 +320,40 @@ TEST(LiveIngest, RecvmmsgBatchedUdpIsByteIdenticalAndConserving) {
   EXPECT_EQ(report.sent + 1,
             sink.submitted() + ingest.parse_errors + ingest.socket_drops);
   expect_byte_identical(sink.outputs(), reference);
+}
+
+TEST(LiveIngest, UdpFramesUpToMaxFrameBytesArriveWhole) {
+  // Every frame decode_frame accepts must reach the chain whole over UDP,
+  // jumbo-and-beyond sizes included; one byte more is oversize.
+  runtime::ServiceChain chain;
+  chain.emplace_nf<nf::Monitor>();
+  runtime::ChainRunner runner{chain, {platform::PlatformKind::kBess, false}};
+  IngestConfig config;
+  config.idle_timeout_ms = 300;
+  IngestServer server{config};
+  IngestExecutor sink{runner, /*capture_outputs=*/true};
+
+  constexpr std::size_t kHeaders = 14 + 20 + 8;  // Ethernet, IPv4, UDP
+  std::vector<net::Packet> sent;
+  Fd sender = make_udp_sender("127.0.0.1", server.udp_port());
+  std::uint32_t flow = 0;
+  for (const std::size_t size :
+       {std::size_t{9216}, std::size_t{9300}, kMaxFrameBytes,
+        kMaxFrameBytes + 1}) {
+    net::Packet packet = net::make_udp_packet(
+        speedybox::testing::tuple_n(flow++), std::string(size - kHeaders, 'x'));
+    ASSERT_EQ(packet.size(), size);
+    ASSERT_TRUE(send_all(sender.get(), packet.bytes()));
+    if (size <= kMaxFrameBytes) sent.push_back(std::move(packet));
+  }
+
+  const IngestStats ingest = server.serve(sink);
+  sink.finish();
+
+  EXPECT_EQ(ingest.socket_drops, 0u);
+  EXPECT_EQ(ingest.rx_frames, sent.size());
+  EXPECT_EQ(ingest.parse_errors, 1u) << "the oversize frame";
+  expect_byte_identical(sink.outputs(), sent);
 }
 
 TEST(LiveIngest, PoisonedTcpStreamIsKilledNotCrashed) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/api.hpp"
 #include "nf/ip_filter.hpp"
 #include "nf/mazu_nat.hpp"
 #include "nf/monitor.hpp"
@@ -48,6 +49,39 @@ std::uint64_t counter(const telemetry::Registry& registry,
   }
   ADD_FAILURE() << "no counter " << name;
   return 0;
+}
+
+/// On each flow's recording pass, registers a one-shot event whose
+/// condition always holds: it fires once, on the flow's first fast-path
+/// packet.
+class AlwaysFiresNf : public nf::NetworkFunction {
+ public:
+  AlwaysFiresNf() : nf::NetworkFunction("always-fires") {}
+  void process(net::Packet&, core::SpeedyBoxContext* ctx) override {
+    if (ctx == nullptr) return;
+    ctx->register_event(
+        "always", [] { return true; }, [] { return core::EventUpdate{}; });
+  }
+};
+
+TEST(SpeedyBoxPipeline, CountsTheEventsItsFastPathFires) {
+  // 10 flows of 5 packets: every flow has fast-path packets, so each
+  // flow's event fires exactly once.
+  const trace::Workload workload = trace::make_uniform_workload(10, 5, 32);
+  telemetry::Registry registry;
+  ServiceChain chain;
+  chain.emplace_nf<AlwaysFiresNf>();
+  SpeedyBoxPipeline pipeline{chain, kSpeedyBox};
+  pipeline.attach_telemetry(&registry, "pipeline");
+  const RunStats& stats = pipeline.run(workload);
+  EXPECT_EQ(chain.global_mat().events_triggered(), 10u);
+  EXPECT_EQ(stats.events_triggered, chain.global_mat().events_triggered());
+  EXPECT_EQ(counter(registry, "events_triggered"), stats.events_triggered);
+
+  ServiceChain reference;
+  reference.emplace_nf<AlwaysFiresNf>();
+  ChainRunner runner{reference, {platform::PlatformKind::kBess, true}};
+  EXPECT_EQ(runner.run(workload).events_triggered, stats.events_triggered);
 }
 
 TEST(SpeedyBoxPipeline, OutputsMatchSingleThreadedSpeedyBox) {

@@ -3,13 +3,14 @@
 // shards as well as the single-threaded runner and the threaded pipeline in
 // both modes, the counters balance EXACTLY —
 //
-//   offered  == admitted + shed_admission + shed_watermark + shed_early_drop
+//   offered  == admitted + shed_watermark + shed_early_drop
 //   admitted == delivered + drops + faulted
 //
 // where delivered is counted from the actual output packets, not from a
-// counter. And with overload control disabled, the path is byte-identical
-// to a run that never heard of the subsystem, with every overload counter
-// at zero.
+// counter. Every executor is built with the gate in its RunConfig, the one
+// way to install it. And with overload control disabled, the path is
+// byte-identical to a run that never heard of the subsystem, with every
+// overload counter at zero.
 #include <iterator>
 #include <memory>
 #include <string>
@@ -62,14 +63,16 @@ std::vector<net::Packet> chain2_packets() {
   return packets;
 }
 
-OverloadConfig overload_at_2x(DropPolicy policy) {
-  OverloadConfig config;
-  config.enabled = true;
-  config.policy = policy;
-  config.offered_load = 2.0;
+/// A RunConfig with the gate on at 2x offered load under `policy`.
+RunConfig overload_at_2x(platform::PlatformKind platform, bool speedybox,
+                         DropPolicy policy) {
+  RunConfig config{platform, speedybox};
+  config.overload.enabled = true;
+  config.overload.policy = policy;
+  config.overload.offered_load = 2.0;
   // Small enough that these workloads (a few thousand packets) actually
   // reach the watermarks and shed.
-  config.queue_capacity = 256;
+  config.overload.queue_capacity = 256;
   return config;
 }
 
@@ -81,8 +84,8 @@ void expect_conserved(const RunStats& stats, std::size_t offered_inputs,
   EXPECT_EQ(overload.offered, offered_inputs)
       << "every input packet is offered";
   EXPECT_EQ(overload.offered,
-            overload.admitted + overload.shed_admission +
-                overload.shed_watermark + overload.shed_early_drop)
+            overload.admitted + overload.shed_watermark +
+                overload.shed_early_drop)
       << "arrival conservation";
   EXPECT_EQ(overload.admitted, stats.packets)
       << "admitted packets are exactly the chain's packets";
@@ -114,7 +117,7 @@ constexpr DropPolicy kPolicies[] = {
 /// marked dropped are the delivered packets.
 struct GateShape {
   const char* name;
-  std::unique_ptr<Executor> (*make)(ServiceChain& chain);
+  std::unique_ptr<Executor> (*make)(ServiceChain& chain, DropPolicy policy);
   /// The runner's outputs keep dropped and shed packets in input order;
   /// the threaded shapes omit them.
   bool outputs_keep_dropped;
@@ -122,21 +125,22 @@ struct GateShape {
 
 const GateShape kGateShapes[] = {
     {"runner",
-     [](ServiceChain& chain) -> std::unique_ptr<Executor> {
+     [](ServiceChain& chain, DropPolicy policy) -> std::unique_ptr<Executor> {
        return std::make_unique<ChainRunner>(
-           chain, RunConfig{platform::PlatformKind::kBess, true});
+           chain, overload_at_2x(platform::PlatformKind::kBess, true, policy));
      },
      true},
     {"pipeline/speedybox",
-     [](ServiceChain& chain) -> std::unique_ptr<Executor> {
+     [](ServiceChain& chain, DropPolicy policy) -> std::unique_ptr<Executor> {
        return std::make_unique<SpeedyBoxPipeline>(
-           chain, RunConfig{platform::PlatformKind::kOnvm, true});
+           chain, overload_at_2x(platform::PlatformKind::kOnvm, true, policy));
      },
      false},
     {"pipeline/original",
-     [](ServiceChain& chain) -> std::unique_ptr<Executor> {
+     [](ServiceChain& chain, DropPolicy policy) -> std::unique_ptr<Executor> {
        return std::make_unique<SpeedyBoxPipeline>(
-           chain, RunConfig{platform::PlatformKind::kOnvm, false});
+           chain,
+           overload_at_2x(platform::PlatformKind::kOnvm, false, policy));
      },
      false},
 };
@@ -149,8 +153,7 @@ TEST(OverloadConservation, GateShapesAllPoliciesBothChains) {
         SCOPED_TRACE(std::string(scenario.chain_name) + "/" + shape.name +
                      "/" + std::string(drop_policy_name(policy)));
         auto chain = scenario.factory();
-        const std::unique_ptr<Executor> executor = shape.make(*chain);
-        executor->set_overload_policy(overload_at_2x(policy));
+        const std::unique_ptr<Executor> executor = shape.make(*chain, policy);
         std::vector<net::Packet> outputs;
         const RunStats& stats = executor->run(packets, &outputs);
         if (shape.outputs_keep_dropped) {
@@ -178,12 +181,11 @@ TEST(OverloadConservation, ShardedAllPoliciesBothChains) {
                      std::string(drop_policy_name(policy)) + "/shards=" +
                      std::to_string(shards));
         auto prototype = scenario.factory();
-        ShardedRuntime runtime{*prototype, shards,
-                               {platform::PlatformKind::kBess, true}};
-        Executor& executor = runtime;
-        executor.set_overload_policy(overload_at_2x(policy));
+        ShardedRuntime runtime{
+            *prototype, shards,
+            overload_at_2x(platform::PlatformKind::kBess, true, policy)};
         std::vector<net::Packet> outputs;  // keeps the outcomes too
-        executor.run(packets, &outputs);
+        runtime.run(packets, &outputs);
         const ShardedRunResult& result = runtime.last_result();
         ASSERT_EQ(result.outcomes.size(), packets.size());
         std::uint64_t delivered = 0;
@@ -227,12 +229,11 @@ TEST(OverloadConservation, ScenarioGeneratorsConserveOnBothChains) {
                      "/" + std::string(drop_policy_name(policy)) +
                      "/shards=" + std::to_string(shards));
         auto prototype = scenario.factory();
-        ShardedRuntime runtime{*prototype, shards,
-                               {platform::PlatformKind::kBess, true}};
-        Executor& executor = runtime;
-        executor.set_overload_policy(overload_at_2x(policy));
+        ShardedRuntime runtime{
+            *prototype, shards,
+            overload_at_2x(platform::PlatformKind::kBess, true, policy)};
         std::vector<net::Packet> outputs;  // keeps the outcomes too
-        executor.run(packets, &outputs);
+        runtime.run(packets, &outputs);
         const ShardedRunResult& result = runtime.last_result();
         ASSERT_EQ(result.outcomes.size(), packets.size());
         std::uint64_t delivered = 0;
@@ -250,18 +251,17 @@ TEST(OverloadConservation, SloEarlyDropActuallyShedsDoomedFlows) {
   // slo-early-drop their subsequent packets must shed at ingress.
   const std::vector<net::Packet> packets = chain2_packets();
   auto chain = make_chain2();
-  ChainRunner runner{*chain, {platform::PlatformKind::kBess, true}};
-  Executor& executor = runner;
-  executor.set_overload_policy(
-      overload_at_2x(DropPolicy::kSloEarlyDrop));
-  const RunStats& stats = executor.run(packets, nullptr);
+  ChainRunner runner{*chain,
+                     overload_at_2x(platform::PlatformKind::kBess, true,
+                                    DropPolicy::kSloEarlyDrop)};
+  const RunStats& stats = runner.run(packets, nullptr);
   EXPECT_GT(stats.overload.shed_early_drop, 0u)
       << "doomed flows exist on chain2: some must shed at ingress";
 }
 
 TEST(OverloadConservation, DisabledOverloadIsByteIdentical) {
-  // set_overload_policy(enabled=false) must restore the EXACT default
-  // path: same bytes, same outcomes, all overload counters zero.
+  // A gate configured but disabled must leave the EXACT default path:
+  // same bytes, same outcomes, all overload counters zero.
   for (const Scenario& scenario : kScenarios) {
     SCOPED_TRACE(scenario.chain_name);
     const std::vector<net::Packet> packets = scenario.packets();
@@ -273,14 +273,12 @@ TEST(OverloadConservation, DisabledOverloadIsByteIdentical) {
     baseline.run(packets, &baseline_out);
 
     auto chain = scenario.factory();
-    ChainRunner runner{*chain,
-                       {platform::PlatformKind::kBess, true}};
-    Executor& executor = runner;
-    OverloadConfig disabled;
-    disabled.enabled = false;
-    executor.set_overload_policy(disabled);
+    RunConfig disabled = overload_at_2x(platform::PlatformKind::kBess, true,
+                                        DropPolicy::kTailDrop);
+    disabled.overload.enabled = false;
+    ChainRunner runner{*chain, disabled};
     std::vector<net::Packet> outputs;
-    const RunStats& stats = executor.run(packets, &outputs);
+    const RunStats& stats = runner.run(packets, &outputs);
 
     ASSERT_EQ(outputs.size(), baseline_out.size());
     for (std::size_t i = 0; i < outputs.size(); ++i) {

@@ -1,7 +1,7 @@
 // Unit tests for the overload-control subsystem (DESIGN.md §9): the
-// deterministic OverloadController (token bucket, watermark gate, drop
-// policies, graceful degradation), the WatermarkGate hysteresis, the
-// OverloadStats merge, and the FaultInjector wrapper.
+// deterministic OverloadController (watermark gate, drop policies,
+// graceful degradation), the WatermarkGate hysteresis, the OverloadStats
+// merge, and the FaultInjector wrapper.
 #include "runtime/overload.hpp"
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@ OverloadConfig base_config(DropPolicy policy, double offered_load,
   config.policy = policy;
   config.offered_load = offered_load;
   config.queue_capacity = queue_capacity;
-  config.degrade_after = 0;  // degradation tested separately
   return config;
 }
 
@@ -77,7 +76,6 @@ TEST(OverloadStats, MergeFromAddsEveryField) {
   OverloadStats a;
   a.offered = 1;
   a.admitted = 2;
-  a.shed_admission = 3;
   a.shed_watermark = 4;
   a.shed_early_drop = 5;
   a.faulted = 6;
@@ -89,7 +87,6 @@ TEST(OverloadStats, MergeFromAddsEveryField) {
   b.merge_from(a);
   EXPECT_EQ(b.offered, 2u);
   EXPECT_EQ(b.admitted, 4u);
-  EXPECT_EQ(b.shed_admission, 6u);
   EXPECT_EQ(b.shed_watermark, 8u);
   EXPECT_EQ(b.shed_early_drop, 10u);
   EXPECT_EQ(b.faulted, 12u);
@@ -97,7 +94,7 @@ TEST(OverloadStats, MergeFromAddsEveryField) {
   EXPECT_EQ(b.degraded_packets, 16u);
   EXPECT_EQ(b.degraded_episodes, 18u);
   EXPECT_EQ(b.degraded_episode_packets, 20u);
-  EXPECT_EQ(b.shed_total(), 24u);
+  EXPECT_EQ(b.shed_total(), 18u);
 }
 
 TEST(OverloadController, UnderloadNeverSheds) {
@@ -176,27 +173,6 @@ TEST(OverloadController, PerFlowFairShedsWholeBands) {
   }
 }
 
-TEST(OverloadController, TokenBucketShapesAdmission) {
-  // offered_load 1.0 keeps the queue flat, so only the bucket acts:
-  // burst 2 drains, then rate 0.5/arrival alternates admit/shed.
-  OverloadConfig config = base_config(DropPolicy::kTailDrop, 1.0, 1024);
-  config.admission_rate = 0.5;
-  config.admission_burst = 2.0;
-  OverloadController controller{config};
-  std::vector<Decision> decisions;
-  for (int i = 0; i < 9; ++i) {
-    decisions.push_back(controller.offer(7, false));
-  }
-  const std::vector<Decision> expected{
-      Decision::kAdmit,         Decision::kAdmit,
-      Decision::kAdmit,         Decision::kShedAdmission,
-      Decision::kAdmit,         Decision::kShedAdmission,
-      Decision::kAdmit,         Decision::kShedAdmission,
-      Decision::kAdmit,
-  };
-  EXPECT_EQ(decisions, expected);
-}
-
 TEST(OverloadController, SloEarlyDropShedsDoomedUnconditionally) {
   OverloadController slo{
       base_config(DropPolicy::kSloEarlyDrop, 0.5, 64)};
@@ -220,12 +196,12 @@ TEST(OverloadController, ExternalPressureJoinsTheGate) {
 }
 
 TEST(OverloadController, DegradationEpisodeLifecycle) {
-  OverloadConfig config = base_config(DropPolicy::kTailDrop, 0.5, 64);
-  config.degrade_after = 3;
-  OverloadController controller{config};
-  // Three consecutive pressured arrivals engage degradation...
-  controller.offer(1, false, true);
-  controller.offer(1, false, true);
+  OverloadController controller{
+      base_config(DropPolicy::kTailDrop, 0.5, 64)};
+  // kDegradeAfter consecutive pressured arrivals engage degradation...
+  for (std::uint32_t i = 1; i < kDegradeAfter; ++i) {
+    controller.offer(1, false, true);
+  }
   EXPECT_FALSE(controller.degraded());
   controller.offer(1, false, true);
   EXPECT_TRUE(controller.degraded());
@@ -239,12 +215,15 @@ TEST(OverloadController, DegradationEpisodeLifecycle) {
   EXPECT_FALSE(controller.degraded());
   const auto episode = controller.take_finished_episode();
   ASSERT_TRUE(episode.has_value());
-  EXPECT_EQ(*episode, 4u) << "arrivals 3..6 rode the episode";
+  EXPECT_EQ(*episode, 4u)
+      << "the engaging arrival, two more and the clearing one";
   EXPECT_FALSE(controller.take_finished_episode().has_value())
       << "the latch drains on read";
   EXPECT_EQ(controller.degraded_episode_packets(), 4u);
   // An interrupted streak never degrades.
-  controller.offer(1, false, true);
+  for (std::uint32_t i = 1; i < kDegradeAfter; ++i) {
+    controller.offer(1, false, true);
+  }
   controller.offer(1, false, false);
   controller.offer(1, false, true);
   EXPECT_FALSE(controller.degraded());
@@ -258,10 +237,8 @@ TEST(ChainRunnerDegradation, NewFlowsGetDefaultRulesUnderPressure) {
   ServiceChain chain;
   chain.emplace_nf<nf::Monitor>();
   RunConfig run_config{platform::PlatformKind::kBess, /*speedybox=*/true};
+  run_config.overload = base_config(DropPolicy::kPerFlowFair, 2.0, 16);
   ChainRunner runner{chain, run_config};
-  OverloadConfig overload = base_config(DropPolicy::kPerFlowFair, 2.0, 16);
-  overload.degrade_after = 4;
-  runner.set_overload_policy(overload);
 
   for (std::uint32_t i = 0; i < 2000; ++i) {
     net::Packet packet = net::make_tcp_packet(tuple_n(i), "x");

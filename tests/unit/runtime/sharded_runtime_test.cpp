@@ -1,6 +1,7 @@
 // ShardedRuntime unit tests: flow→shard affinity (both directions of a
-// connection), drain-on-destruction, full-ring backpressure, clone
-// refusal, and exact per-shard stats merging.
+// connection), drain-on-destruction, full-ring backpressure, shedding at
+// the rings under the overload gate, clone refusal, and exact per-shard
+// stats merging.
 #include <atomic>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "nf/ip_filter.hpp"
 #include "nf/mazu_nat.hpp"
 #include "nf/monitor.hpp"
+#include "runtime/fault_injector.hpp"
 #include "runtime/sharded_runtime.hpp"
 #include "test_helpers.hpp"
 #include "trace/workload.hpp"
@@ -141,6 +143,43 @@ TEST(ShardedRuntime, FullRingExertsBackpressureWithoutLoss) {
   }
 }
 
+TEST(ShardedRuntime, OverloadFromRunConfigShedsAtTheRings) {
+  // The gate in RunConfig alone arms the dispatcher: behind small rings a
+  // slow NF makes it shed, never wait. Original mode, so every packet
+  // reaches the injector's latency spike.
+  ServiceChain chain{"slow"};
+  FaultSpec spec;
+  spec.latency_every = 1;
+  spec.latency_cycles = 100000;
+  chain.adopt_nf(std::make_unique<FaultInjector>(
+      std::make_unique<nf::Monitor>("m"), spec));
+  RunConfig config{platform::PlatformKind::kBess, false};
+  config.batch_size = 8;
+  config.overload.enabled = true;
+  telemetry::Registry registry;
+  ShardedRuntime runtime{chain, 2, config, /*ring_capacity=*/16, &registry,
+                         "rt/"};
+  const trace::Workload workload = trace::make_uniform_workload(32, 16, 32);
+  const RunStats& stats = runtime.run(packets_of(workload), nullptr);
+
+  EXPECT_EQ(runtime.backpressure_waits(), 0u)
+      << "an armed dispatcher sheds instead of blocking";
+  const OverloadStats& overload = stats.overload;
+  EXPECT_EQ(overload.offered, workload.packet_count());
+  EXPECT_EQ(overload.offered, overload.admitted + overload.shed_total());
+  std::uint64_t ring_shed = 0;
+  std::uint64_t shed_cells = 0;
+  for (const auto& [name, value] : registry.snapshot().aggregate().counters) {
+    if (name == "shed_ring") ring_shed = value;
+    if (name == "shed_ring" || name == "shed_watermark" ||
+        name == "shed_early_drop") {
+      shed_cells += value;
+    }
+  }
+  EXPECT_GT(ring_shed, 0u) << "a 16-slot ring behind a slow NF must shed";
+  EXPECT_EQ(shed_cells, overload.shed_total())
+      << "telemetry sees every shed RunStats counts";
+}
 TEST(ShardedRuntime, RingSmallerThanBurstStillDeliversEverything) {
   // Ring capacity 4 < batch_size 8: every staging flush is a partial burst
   // push, so the dispatcher's retry loop and the worker's partial pops are

@@ -139,11 +139,10 @@ void report(const SimConfig& config, const char* mode,
               model);
   if (overload.offered > 0 || overload.faulted > 0) {
     std::printf("  overload: offered=%llu admitted=%llu "
-                "shed(adm/wm/early)=%llu/%llu/%llu faulted=%llu "
+                "shed(wm/early)=%llu/%llu faulted=%llu "
                 "degraded(flows/pkts/episodes)=%llu/%llu/%llu\n",
                 static_cast<unsigned long long>(overload.offered),
                 static_cast<unsigned long long>(overload.admitted),
-                static_cast<unsigned long long>(overload.shed_admission),
                 static_cast<unsigned long long>(overload.shed_watermark),
                 static_cast<unsigned long long>(overload.shed_early_drop),
                 static_cast<unsigned long long>(overload.faulted),
@@ -269,29 +268,24 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
                                                          : mode;
   executor.attach_telemetry(registry, label);
 
-  io::IngestConfig ingest_config;
-  ingest_config.port = *config.listen_port;
-  ingest_config.proto = config.listen_proto;
-  ingest_config.rx_budget = config.rx_budget;
-  ingest_config.idle_timeout_ms = config.idle_timeout_ms;
+  io::IngestConfig ingest_config = config.ingest;
   ingest_config.batch_size = deployment.batch_size;
-  ingest_config.use_recvmmsg = config.use_recvmmsg;
   io::IngestServer server{ingest_config};
   server.attach_telemetry(registry, mode + "/ingest");
   io::IngestExecutor sink{executor};
 
   // The load generator (or the CI smoke) discovers the bound port from
   // this line, so it must hit the pipe before serve() blocks.
-  std::printf("chainsim: listening on %s", config.listen_proto ==
+  std::printf("chainsim: listening on %s", config.ingest.proto ==
                                                    io::IngestProto::kTcp
                                                ? ""
                                                : "udp ");
-  if (config.listen_proto != io::IngestProto::kTcp) {
+  if (config.ingest.proto != io::IngestProto::kTcp) {
     std::printf("127.0.0.1:%u", server.udp_port());
   }
-  if (config.listen_proto != io::IngestProto::kUdp) {
+  if (config.ingest.proto != io::IngestProto::kUdp) {
     std::printf("%stcp 127.0.0.1:%u",
-                config.listen_proto == io::IngestProto::kBoth ? " " : "",
+                config.ingest.proto == io::IngestProto::kBoth ? " " : "",
                 server.tcp_port());
   }
   std::printf(" (mode=%s executor=%s)\n", mode.c_str(),
@@ -336,7 +330,7 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
       "\"submitted\":%llu,\"admitted\":%llu,\"shed\":%llu,"
       "\"chain_packets\":%llu,\"chain_drops\":%llu,\"conserved\":%s,"
       "\"peak_rss_kb\":%ld}}\n",
-      io::ingest_proto_name(config.listen_proto),
+      io::ingest_proto_name(config.ingest.proto),
       plan::executor_kind_name(deployment.executor), mode.c_str(),
       static_cast<unsigned long long>(ingest.rx_bytes),
       static_cast<unsigned long long>(ingest.rx_frames),
@@ -373,23 +367,20 @@ int run_tenancy(const SimConfig& config, telemetry::Registry* registry) {
   tenancy::TenantHost host{std::move(spec), registry};
   bool all_conserved = true;
 
-  if (config.listen_port.has_value()) {
+  if (config.listen) {
     tenancy::ServeOptions options;
-    options.proto = config.listen_proto;
-    options.rx_budget = config.rx_budget;
-    options.idle_timeout_ms = config.idle_timeout_ms;
-    options.batch_size = config.deployment.batch_size;
-    options.use_recvmmsg = config.use_recvmmsg;
+    options.ingest = config.ingest;
+    options.ingest.batch_size = config.deployment.batch_size;
     const auto ports = host.bind_listeners(options);
     for (std::size_t i = 0; i < ports.size(); ++i) {
       // The smoke script discovers every tenant's bound port from these
       // lines, so they must hit the pipe before serve() blocks.
       std::printf("chainsim: tenant %s listening on",
                   host.spec().tenants[i].id.c_str());
-      if (config.listen_proto != io::IngestProto::kTcp) {
+      if (config.ingest.proto != io::IngestProto::kTcp) {
         std::printf(" udp 127.0.0.1:%u", ports[i].first);
       }
-      if (config.listen_proto != io::IngestProto::kUdp) {
+      if (config.ingest.proto != io::IngestProto::kUdp) {
         std::printf(" tcp 127.0.0.1:%u", ports[i].second);
       }
       std::printf("\n");
@@ -543,7 +534,7 @@ int main(int argc, char** argv) {
     if (!write_metrics(config, registry.get(), snapshotter)) return 1;
     return exit_code;
   }
-  if (config.listen_port.has_value()) {
+  if (config.listen) {
     const int exit_code = run_live(config, registry.get());
     if (!write_metrics(config, registry.get(), snapshotter)) return 1;
     return exit_code;

@@ -186,9 +186,6 @@ constexpr const char* kTool = "chainsim";
       "                             (default 64; needs --listen)\n"
       "  --idle-timeout MS          exit live mode after MS ms without\n"
       "                             traffic (default 1000; needs --listen)\n"
-      "  --recvmmsg                 drain the live UDP socket with batched\n"
-      "                             recvmmsg() — up to --rx-budget datagrams\n"
-      "                             per syscall (needs --listen)\n"
       "  --tenancy FILE             host the multi-tenant spec in FILE\n"
       "                             (tenancy::HostSpec JSON) instead of one\n"
       "                             deployment; in-process by default, add\n"
@@ -263,8 +260,8 @@ const FlagRule kRules[] = {
      "there is no controller without it"},
     {{"--autoscale"}, FlagRule::kNeeds, {"--shards"},
      "it scales the flow-sharded runtime"},
-    {{"--proto", "--rx-budget", "--idle-timeout", "--recvmmsg"},
-     FlagRule::kNeeds, {"--listen"},
+    {{"--proto", "--rx-budget", "--idle-timeout"}, FlagRule::kNeeds,
+     {"--listen"},
      "it configures the live front-end, which does not exist without it"},
     {{"--metrics-interval"}, FlagRule::kNeeds, {"--metrics-out"},
      "the interval snapshotter has nowhere to write"},
@@ -390,26 +387,25 @@ SimConfig SimConfig::parse(int argc, char** argv) {
       config.trace_sample = static_cast<std::uint32_t>(
           uint_value(i, 1, std::numeric_limits<std::uint32_t>::max()));
     } else if (arg == "--listen") {
-      config.listen_port =
+      config.listen = true;
+      config.ingest.port =
           static_cast<std::uint16_t>(uint_value(i, 0, 65535));
     } else if (arg == "--proto") {
       const std::string value = need_value(i);
       if (value == "udp") {
-        config.listen_proto = io::IngestProto::kUdp;
+        config.ingest.proto = io::IngestProto::kUdp;
       } else if (value == "tcp") {
-        config.listen_proto = io::IngestProto::kTcp;
+        config.ingest.proto = io::IngestProto::kTcp;
       } else if (value == "both") {
-        config.listen_proto = io::IngestProto::kBoth;
+        config.ingest.proto = io::IngestProto::kBoth;
       } else {
         usage(argv[0]);
       }
     } else if (arg == "--rx-budget") {
-      config.rx_budget = uint_value(i);
+      config.ingest.rx_budget = uint_value(i);
     } else if (arg == "--idle-timeout") {
-      config.idle_timeout_ms =
+      config.ingest.idle_timeout_ms =
           static_cast<int>(uint_value(i, 1, std::numeric_limits<int>::max()));
-    } else if (arg == "--recvmmsg") {
-      config.use_recvmmsg = true;
     } else if (arg == "--tenancy") {
       config.tenancy_file = need_value(i);
     } else if (arg == "--log-level") {
@@ -458,11 +454,11 @@ void SimConfig::validate() const {
                         "holds one deployment (pass --mode original or "
                         "--mode speedybox)");
   }
-  if (listen_port.has_value() && tenancy_file.empty() && both_modes) {
+  if (listen && tenancy_file.empty() && both_modes) {
     config_error(kTool, "--listen needs --mode original or --mode "
                         "speedybox: live mode drives one data path");
   }
-  if (listen_port.value_or(0) != 0 && !tenancy_file.empty()) {
+  if (listen && ingest.port != 0 && !tenancy_file.empty()) {
     config_error(kTool, "--tenancy needs --listen 0: each tenant's listener "
                         "binds the listen_port in the spec");
   }
@@ -519,15 +515,14 @@ std::string SimConfig::to_json() const {
   json.set("mode", Json::string(both_modes            ? "both"
                                 : deployment.speedybox ? "speedybox"
                                                        : "original"));
-  if (listen_port.has_value()) {
+  if (listen) {
     json.set("listen", Json::object()
-                           .set("port", Json::integer(*listen_port))
+                           .set("port", Json::integer(ingest.port))
                            .set("proto", Json::string(io::ingest_proto_name(
-                                             listen_proto)))
-                           .set("rx_budget", Json::integer(rx_budget))
+                                             ingest.proto)))
+                           .set("rx_budget", Json::integer(ingest.rx_budget))
                            .set("idle_timeout_ms",
-                                Json::integer(idle_timeout_ms))
-                           .set("recvmmsg", Json::boolean(use_recvmmsg)));
+                                Json::integer(ingest.idle_timeout_ms)));
   } else if (!pcap_in.empty()) {
     json.set("pcap", Json::string(pcap_in));
   } else {

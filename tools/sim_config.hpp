@@ -82,12 +82,10 @@ struct SimConfig {
   std::uint64_t metrics_interval_ms = 0;  // 0 = final snapshot only
   std::uint32_t trace_sample = 0;  // 1-in-N packet span sampling (0 = off)
   // -- live ingestion (DESIGN.md §11): --listen switches the packet source
-  // -- from the in-process trace to a real socket --
-  std::optional<std::uint16_t> listen_port;  // 0 = ephemeral
-  io::IngestProto listen_proto = io::IngestProto::kUdp;
-  std::size_t rx_budget = 64;
-  int idle_timeout_ms = 1000;
-  bool use_recvmmsg = false;  // batched UDP drain (recvmmsg) in live mode
+  // -- from the in-process trace to a real socket. The front-end's flags
+  // -- fill `ingest`; its burst size is the deployment's batch_size. --
+  bool listen = false;
+  io::IngestConfig ingest;
   // -- multi-tenant hosting (DESIGN.md §14): a tenancy::HostSpec document
   // -- replaces the single deployment and its workload --
   std::string tenancy_file;

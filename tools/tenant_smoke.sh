@@ -7,10 +7,10 @@
 #     enforcement on the offender: victim gate untouched (zero shed,
 #     ladder at L0), flood tightened (escalation >= L1, shed > 0).
 #
-#  2. Live case over real loopback sockets with the batched receive path
-#     (--recvmmsg): two tenants on ephemeral UDP ports, loadgen fans a
-#     workload across both with per-tenant pacing, and the frame ledger
-#     must close across the process boundary per tenant:
+#  2. Live case over real loopback sockets: two tenants on ephemeral UDP
+#     ports, loadgen fans a workload across both with per-tenant pacing,
+#     and the frame ledger must close across the process boundary per
+#     tenant:
 #
 #       sent == offered + parse_errors + socket_drops
 #
@@ -85,8 +85,8 @@ else
   failures=$((failures + 1))
 fi
 
-# --- case 2: live two-tenant loop over loopback UDP (--recvmmsg) ---------
-echo "--- tenant smoke: live (two tenants, loadgen fan-out, recvmmsg)"
+# --- case 2: live two-tenant loop over loopback UDP ------------------------
+echo "--- tenant smoke: live (two tenants, loadgen fan-out)"
 cat > "${workdir}/live.json" <<'EOF'
 {"version": 1, "name": "smoke-live", "tenants": [
   {"id": "alpha", "slo_us": 1000000000,
@@ -101,7 +101,7 @@ cat > "${workdir}/live.json" <<'EOF'
                 "seed": 22}}]}
 EOF
 "${CHAINSIM}" --tenancy "${workdir}/live.json" --listen 0 \
-  --idle-timeout 2000 --recvmmsg > "${workdir}/live.out" &
+  --idle-timeout 2000 > "${workdir}/live.out" &
 pid=$!
 ports=""
 for _ in $(seq 1 200); do
