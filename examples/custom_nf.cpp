@@ -48,7 +48,14 @@ class RateLimiter final : public nf::NetworkFunction {
 
     if (ctx == nullptr) return;  // original path: nothing else to do
 
-    // Step 2: record the same behavior into the flow's record.
+    // Step 2: record the same behavior into the flow's record. Each
+    // lambda's captures are stored inline in the record, so they must be
+    // trivially copyable and at most 32 bytes: [this, tuple] is 24. A
+    // lambda capturing a std::vector or std::string does not compile (the
+    // error names CaptureOwnsMemoryOrIsTooLarge); keep such state in the
+    // NF and capture a pointer to it. Names are views, so pass strings
+    // that outlive the flow: literals here, members built once per
+    // instance in the bundled NFs.
     ctx->add_header_action(mark_action());
     core::localmat_add_SF(
         ctx,

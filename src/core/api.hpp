@@ -14,11 +14,17 @@
 // baseline path and for pure observation the context is null and NFs
 // behave exactly as unmodified NFs.
 //
-// Figure 2 records each handler with its `args* arg_list`. Here the
-// handler is a closure that captures its state, and the args pointer names
-// that state's address: the flow record lists it, and the batch's warm
-// pass prefetches it before the packet runs the handler (DESIGN.md §8).
-// The args are a hint: a null or wrong pointer changes no output.
+// Figure 2 records each handler with its `args* arg_list`. Here a handler,
+// condition, update or teardown hook is a util::InlineFunction: a function
+// pointer with its captures held inline, at most 32 bytes and trivially
+// copyable (`[this, cell]`, `[this, tuple]`, `[this, tuple, cell]`). A
+// lambda that captures more, or captures a std::vector or std::string,
+// does not compile; capture a pointer to state the NF owns instead. So
+// recording allocates nothing. The args pointer names the captured state's
+// address: the flow record lists it, and the batch's warm pass prefetches
+// it before the packet runs the handler (DESIGN.md §8). The args are a
+// hint: a null or wrong pointer changes no output. Names are views: pass a
+// string the NF keeps, built once per instance, not one built per flow.
 //
 // The free functions at the bottom mirror Figure 2's C-style signatures
 // one-for-one for fidelity with the paper; they are thin wrappers over the
@@ -26,9 +32,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <utility>
+#include <string_view>
 
 #include "core/flow_record.hpp"
 #include "core/header_action.hpp"
@@ -54,24 +58,23 @@ class SpeedyBoxContext {
   }
 
   /// Figure 2: localmat_add_SF.
-  void add_state_function(StateFunction fn) {
-    record_->add_state_function(nf_index_, std::move(fn));
+  void add_state_function(const StateFunction& fn) {
+    record_->add_state_function(nf_index_, fn);
   }
 
   /// Release NF-internal per-flow state when the flow is torn down. On the
   /// fast path the NF never sees the FIN/RST packet, so cleanup it would do
   /// inline runs through this hook instead.
-  void on_teardown(std::function<void()> hook) {
-    record_->add_teardown_hook(nf_index_, std::move(hook));
+  void on_teardown(TeardownHandler hook) {
+    record_->add_teardown_hook(nf_index_, hook);
   }
 
   /// Figure 2: register_event. `args` is the state the condition reads.
-  void register_event(std::string name, ConditionHandler condition,
+  void register_event(std::string_view name, ConditionHandler condition,
                       UpdateHandler update, bool one_shot = true,
                       const void* args = nullptr) {
-    record_->register_event(nf_index_, std::move(name),
-                            std::move(condition), std::move(update),
-                            one_shot, args);
+    record_->register_event(nf_index_, name, condition, update, one_shot,
+                            args);
   }
 
  private:
@@ -98,24 +101,22 @@ inline void localmat_add_HA(SpeedyBoxContext* ctx,
 ///  args* arg_list)". `arg_list` is the per-flow state `fn` reads.
 inline void localmat_add_SF(SpeedyBoxContext* ctx, StateFunctionHandler fn,
                             PayloadAccess function_type,
-                            std::string name = {},
+                            std::string_view name = {},
                             const void* arg_list = nullptr) {
   if (ctx != nullptr) {
-    ctx->add_state_function(StateFunction{std::move(fn), function_type,
-                                          std::move(name), arg_list});
+    ctx->add_state_function(StateFunction{fn, function_type, name, arg_list});
   }
 }
 
 /// "void register_event(int FID, condition_handler*, args* arg_list,
 ///  HA update_action, update_function_handler*)". `arg_list` is the
 /// per-flow state `condition` reads.
-inline void register_event(SpeedyBoxContext* ctx, std::string name,
+inline void register_event(SpeedyBoxContext* ctx, std::string_view name,
                            ConditionHandler condition, UpdateHandler update,
                            bool one_shot = true,
                            const void* arg_list = nullptr) {
   if (ctx != nullptr) {
-    ctx->register_event(std::move(name), std::move(condition),
-                        std::move(update), one_shot, arg_list);
+    ctx->register_event(name, condition, update, one_shot, arg_list);
   }
 }
 

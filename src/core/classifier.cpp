@@ -30,17 +30,18 @@ std::optional<PacketClassifier::Classification> PacketClassifier::classify(
   const std::uint64_t stamp = packet.arrival_cycle() != 0
                                   ? packet.arrival_cycle()
                                   : util::CycleClock::now();
-  if (TupleEntry* record = by_tuple_.find(tuple, flow.hash)) {
+  const std::uint32_t known = by_tuple_.find_index(tuple, flow.hash);
+  if (known != Table::kNoIndex) {
     result.path = Path::kSubsequent;
-    result.fid = record->fid;
-    record->last_seen_cycles = stamp;
+    result.fid = known;
+    by_tuple_.value_at(known).last_seen_cycles = stamp;
     ++subsequent_count_;
   } else {
-    const auto fid = assign_fid(tuple);
-    if (!fid) return std::nullopt;  // every FID is live: refuse the flow
+    if (by_tuple_.size() == kMaxFlows) return std::nullopt;  // every FID live
     result.path = Path::kInitial;
-    result.fid = *fid;
-    by_tuple_.try_emplace(tuple, flow.hash, TupleEntry{result.fid, stamp});
+    result.fid =
+        by_tuple_.try_emplace_index(tuple, flow.hash, TupleEntry{tuple, stamp})
+            .first;
     ++initial_count_;
   }
 
@@ -49,55 +50,43 @@ std::optional<PacketClassifier::Classification> PacketClassifier::classify(
   return result;
 }
 
-std::optional<std::uint32_t> PacketClassifier::assign_fid(
-    const net::FiveTuple& tuple) {
-  std::uint32_t fid;
-  if (!free_fids_.empty()) {
-    fid = free_fids_.back();
-    free_fids_.pop_back();
-  } else if (fids_.size() <= net::kFidMask) {
-    fid = static_cast<std::uint32_t>(fids_.size());
-    fids_.emplace_back();
-  } else {
-    return std::nullopt;
-  }
-  fids_[fid] = FidSlot{tuple, true};
-  return fid;
-}
-
 void PacketClassifier::release_flow(std::uint32_t fid) {
-  if (fid >= fids_.size() || !fids_[fid].live) return;
-  by_tuple_.erase(fids_[fid].tuple);
-  fids_[fid].live = false;
-  free_fids_.push_back(fid);
+  if (!by_tuple_.holds_index(fid)) return;
+  // The key is copied out first: erasing ends the entry it sits in.
+  const net::FiveTuple tuple = by_tuple_.value_at(fid).tuple;
+  by_tuple_.erase(tuple);
 }
 
 std::vector<PacketClassifier::ActiveFlow> PacketClassifier::active_tuples()
     const {
   std::vector<ActiveFlow> flows;
   flows.reserve(by_tuple_.size());
-  by_tuple_.for_each(
-      [&flows](const net::FiveTuple& tuple, const TupleEntry& record) {
-        flows.push_back({tuple, record.fid, record.last_seen_cycles});
-      });
+  by_tuple_.for_each_indexed([&flows](const net::FiveTuple& tuple,
+                                      std::uint32_t fid,
+                                      const TupleEntry& entry) {
+    flows.push_back({tuple, fid, entry.last_seen_cycles});
+  });
   return flows;
 }
 
 std::optional<std::uint32_t> PacketClassifier::adopt_flow(
     const net::FiveTuple& tuple, std::uint64_t last_seen_cycles) {
-  const auto fid = assign_fid(tuple);
-  if (fid) by_tuple_.try_emplace(tuple, TupleEntry{*fid, last_seen_cycles});
-  return fid;
+  if (by_tuple_.size() == kMaxFlows) return std::nullopt;
+  return by_tuple_
+      .try_emplace_index(tuple, FlowHash{tuple.hash()},
+                         TupleEntry{tuple, last_seen_cycles})
+      .first;
 }
 
 std::vector<std::uint32_t> PacketClassifier::collect_idle(
     std::uint64_t now_cycles, std::uint64_t max_age_cycles) const {
   std::vector<std::uint32_t> idle;
-  by_tuple_.for_each([&](const net::FiveTuple&, const TupleEntry& record) {
-    if (now_cycles - record.last_seen_cycles > max_age_cycles) {
-      idle.push_back(record.fid);
-    }
-  });
+  by_tuple_.for_each_indexed(
+      [&](const net::FiveTuple&, std::uint32_t fid, const TupleEntry& entry) {
+        if (now_cycles - entry.last_seen_cycles > max_age_cycles) {
+          idle.push_back(fid);
+        }
+      });
   return idle;
 }
 

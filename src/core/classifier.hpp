@@ -10,10 +10,13 @@
 //   4. tracks flow state: a FIN or RST marks the flow for teardown so the
 //      flow's record in the Global MAT can be freed.
 //
-// FIDs are dense slot indices: a new flow takes the most recently freed
-// FID, or the next unused one, and the Global MAT keeps the flow's record
-// at that slot. At most 2^20 flows are live at once; a new flow beyond
-// that is refused (classify returns no classification) until one closes.
+// A flow's FID is the record index of its entry in the tuple table, read
+// from the probed slot (core/flow_table.hpp): the slot the batch pre-pass
+// already prefetched, so classifying a known flow waits on no further load.
+// FIDs are dense: a new flow takes the most recently freed FID, or the next
+// unused one, and the Global MAT keeps the flow's record at that slot. At
+// most 2^20 flows are live at once; a new flow beyond that is refused
+// (classify returns no classification) until one closes.
 #pragma once
 
 #include <cstdint>
@@ -59,9 +62,10 @@ class PacketClassifier {
   /// untouched. The slo-early-drop ingress gate uses this to ask "is this
   /// flow already doomed?" before spending any classify/record work.
   std::optional<std::uint32_t> peek(const net::FiveTuple& tuple) const {
-    const TupleEntry* record = by_tuple_.find(tuple);
-    if (record == nullptr) return std::nullopt;
-    return record->fid;
+    const std::uint32_t fid =
+        by_tuple_.find_index(tuple, FlowHash{tuple.hash()});
+    if (fid == Table::kNoIndex) return std::nullopt;
+    return fid;
   }
 
   /// Free the flow and its FID after the teardown packet has been fully
@@ -98,7 +102,7 @@ class PacketClassifier {
   std::size_t active_flows() const noexcept { return by_tuple_.size(); }
   /// How many new flows could be admitted now.
   std::size_t free_fid_count() const noexcept {
-    return free_fids_.size() + (net::kFidMask + 1 - fids_.size());
+    return kMaxFlows - by_tuple_.size();
   }
   std::uint64_t initial_count() const noexcept { return initial_count_; }
   std::uint64_t subsequent_count() const noexcept { return subsequent_count_; }
@@ -107,31 +111,21 @@ class PacketClassifier {
   FlowTableStats table_stats() const { return by_tuple_.stats(); }
 
  private:
+  static constexpr std::size_t kMaxFlows = std::size_t{net::kFidMask} + 1;
+
+  /// A live flow's entry, at record index FID: its tuple (release_flow's
+  /// key) and last-seen stamp. The per-packet stamp is a store here, which
+  /// no later step waits on. The stamp reuses the packet's arrival stamp
+  /// when the caller provided one, so idle tracking adds no counter read.
   struct TupleEntry {
-    std::uint32_t fid = net::kInvalidFid;
+    net::FiveTuple tuple;
     std::uint64_t last_seen_cycles = 0;
   };
-
-  /// Take a free FID for `tuple`: the most recently released one, else
-  /// the next never-used one. nullopt when all 2^20 are live.
-  std::optional<std::uint32_t> assign_fid(const net::FiveTuple& tuple);
+  using Table = FlowTable<net::FiveTuple, TupleEntry>;
 
   /// Flow table: the single per-packet lookup. The tuple is hashed once per
   /// packet and the hash reused for the lookup and the insert.
-  /// last-seen rides in the same record (updated in place), and the
-  /// timestamp reuses the packet's arrival stamp when the caller provided
-  /// one, so idle tracking adds no extra table operation or counter read
-  /// to the fast path.
-  FlowTable<net::FiveTuple, TupleEntry> by_tuple_;
-  /// The FID allocator: each FID ever handed out, with its flow's tuple
-  /// while live (release_flow's key into by_tuple_), and the freed FIDs,
-  /// reused last-freed first.
-  struct FidSlot {
-    net::FiveTuple tuple;
-    bool live = false;
-  };
-  std::vector<FidSlot> fids_;
-  std::vector<std::uint32_t> free_fids_;
+  Table by_tuple_;
   std::uint64_t initial_count_ = 0;
   std::uint64_t subsequent_count_ = 0;
 };

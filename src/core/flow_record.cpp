@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <iterator>
 
 #include "util/prefetch.hpp"
 
@@ -63,23 +62,23 @@ void FlowRecord::add_header_action(std::uint32_t nf,
   action_owners.push_back(nf);
 }
 
-void FlowRecord::add_state_function(std::uint32_t nf, StateFunction fn) {
-  handlers.push_back(std::move(fn.handler));
-  functions.push_back({nf, fn.access, std::move(fn.name), fn.args});
+void FlowRecord::add_state_function(std::uint32_t nf,
+                                    const StateFunction& fn) {
+  handlers.push_back(fn.handler);
+  functions.push_back({nf, fn.access, fn.name, fn.args});
   functions_changed = true;
 }
 
-void FlowRecord::add_teardown_hook(std::uint32_t nf,
-                                   std::function<void()> hook) {
-  teardown_hooks.push_back({nf, std::move(hook)});
+void FlowRecord::add_teardown_hook(std::uint32_t nf, TeardownHandler hook) {
+  teardown_hooks.push_back({nf, hook});
 }
 
-void FlowRecord::register_event(std::uint32_t nf, std::string name,
+void FlowRecord::register_event(std::uint32_t nf, std::string_view name,
                                 ConditionHandler condition,
                                 UpdateHandler update, bool one_shot,
                                 const void* args) {
-  conditions.push_back(std::move(condition));
-  events.push_back({nf, std::move(name), std::move(update), one_shot, args});
+  conditions.push_back(condition);
+  events.push_back({nf, name, update, one_shot, args});
 }
 
 void FlowRecord::replace_header_actions(std::uint32_t nf,
@@ -104,15 +103,13 @@ void FlowRecord::replace_state_functions(std::uint32_t nf,
   std::vector<StateFunctionHandler> next(handlers.begin(),
                                          handlers.begin() + begin);
   std::vector<RecordedFunction> infos;
-  for (StateFunction& fn : fns) {
-    next.push_back(std::move(fn.handler));
-    infos.push_back({nf, fn.access, std::move(fn.name), fn.args});
+  for (const StateFunction& fn : fns) {
+    next.push_back(fn.handler);
+    infos.push_back({nf, fn.access, fn.name, fn.args});
   }
   next.insert(next.end(), handlers.begin() + end, handlers.end());
   functions.erase(functions.begin() + begin, functions.begin() + end);
-  functions.insert(functions.begin() + begin,
-                   std::make_move_iterator(infos.begin()),
-                   std::make_move_iterator(infos.end()));
+  functions.insert(functions.begin() + begin, infos.begin(), infos.end());
   retired.emplace_back(std::move(handlers), std::move(batches));
   handlers = std::move(next);
   batches = {};
@@ -149,10 +146,10 @@ void FlowRecord::compile() {
     batch.end = i + 1;
     batch.access = std::max(batch.access, functions[i].access);
   }
-  schedule = build_schedule(batches);
+  build_schedule(batches, schedule);
   multi_batch_groups = 0;
-  for (const auto& group : schedule.groups) {
-    if (group.size() > 1) ++multi_batch_groups;
+  for (std::size_t g = 0; g < schedule.group_count(); ++g) {
+    if (schedule.group(g).size() > 1) ++multi_batch_groups;
   }
 }
 

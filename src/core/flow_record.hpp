@@ -6,6 +6,13 @@
 // them is compiled into the same record. A fired event rewrites the
 // owning NF's entries and the record is recompiled in place.
 //
+// Every recorded handler, event condition, event update and teardown hook
+// is a util::InlineFunction: a function pointer with its captures held in
+// place, trivially copyable and trivially destructible. Names are views of
+// strings the NF built once. So once a slot's arrays have grown to a flow's
+// size, setting up, compiling and tearing down the next flow at that slot
+// allocates nothing and frees nothing.
+//
 // The Global MAT keeps each record at its FID's slot of an array whose
 // addresses never move (core/global_mat.hpp). Freeing a record clears it
 // but keeps its arrays' capacity for the next flow at the slot.
@@ -14,16 +21,17 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
-#include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/header_action.hpp"
 #include "core/parallel_schedule.hpp"
 #include "core/state_function.hpp"
 #include "net/packet.hpp"
+#include "util/inline_function.hpp"
 #include "util/prefetch.hpp"
 
 namespace speedybox::core {
@@ -38,17 +46,21 @@ struct EventUpdate {
 /// Predicate over NF internal state ("state.matchCondition" in Fig. 1).
 /// NFs bind the per-flow cells they resolved while recording (Figure 2's
 /// args), so evaluating it never re-looks-up the flow.
-using ConditionHandler = std::function<bool()>;
+using ConditionHandler = util::InlineFunction<bool()>;
 
 /// Produces the update at trigger time (so e.g. Maglev can compute the new
 /// backend with consistent hashing at the moment of failover).
-using UpdateHandler = std::function<EventUpdate()>;
+using UpdateHandler = util::InlineFunction<EventUpdate()>;
+
+/// Releases NF-internal per-flow state at teardown (FIN/RST): on the fast
+/// path the NF never sees the flow's last packet.
+using TeardownHandler = util::InlineFunction<void()>;
 
 /// A registered event. Its condition sits at the same index of the
 /// record's `conditions`, the array the fast path scans.
 struct EventRegistration {
   std::uint32_t nf_index = 0;  // whose entries the update rewrites
-  std::string name;
+  std::string_view name;  // a string the NF keeps
   UpdateHandler update;
   /// One-shot events (the common case: failover, blacklist) deregister on
   /// trigger; persistent events keep being checked.
@@ -61,15 +73,14 @@ struct EventRegistration {
 struct RecordedFunction {
   std::uint32_t nf_index = 0;  // chain position of the recording NF
   PayloadAccess access = PayloadAccess::kIgnore;
-  std::string name;  // diagnostics / equivalence audits
+  std::string_view name;  // StateFunction::name
   const void* args = nullptr;  // StateFunction::args
 };
 
-/// Releases NF-internal per-flow state at teardown (FIN/RST): on the fast
-/// path the NF never sees the flow's last packet.
+/// A teardown handler, tagged with the recording NF's chain position.
 struct TeardownHook {
   std::uint32_t nf_index = 0;
-  std::function<void()> run;
+  TeardownHandler run;
 };
 
 /// The arrays a fast-path packet runs its state functions from. A threaded
@@ -160,9 +171,9 @@ struct alignas(64) FlowRecord {
   // --- Recording (SpeedyBoxContext), by the NF at chain position `nf`.
   // The recording pass walks the chain, so entries arrive in chain order.
   void add_header_action(std::uint32_t nf, const HeaderAction& action);
-  void add_state_function(std::uint32_t nf, StateFunction fn);
-  void add_teardown_hook(std::uint32_t nf, std::function<void()> hook);
-  void register_event(std::uint32_t nf, std::string name,
+  void add_state_function(std::uint32_t nf, const StateFunction& fn);
+  void add_teardown_hook(std::uint32_t nf, TeardownHandler hook);
+  void register_event(std::uint32_t nf, std::string_view name,
                       ConditionHandler condition, UpdateHandler update,
                       bool one_shot, const void* args = nullptr);
 
@@ -186,6 +197,14 @@ struct alignas(64) FlowRecord {
   /// Back to an empty record, keeping the arrays' capacity.
   void reset();
 };
+
+// What lets reset() free nothing: every recorded entry is plain bytes.
+static_assert(std::is_trivially_copyable_v<RecordedFunction> &&
+                  std::is_trivially_copyable_v<EventRegistration> &&
+                  std::is_trivially_copyable_v<TeardownHook> &&
+                  std::is_trivially_copyable_v<StateFunctionHandler> &&
+                  std::is_trivially_copyable_v<ConditionHandler>,
+              "a recorded entry owns memory");
 
 /// The record's leading lines, through the patch: every field the default
 /// fast path reads lies at or before it. GlobalMat::prefetch warms them.

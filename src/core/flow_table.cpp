@@ -16,9 +16,11 @@ std::uint32_t SlabArena::allocate() {
     if (live_ == chunks_.size() * kRecordsPerChunk) {
       chunks_.push_back(
           std::make_unique<std::byte[]>(kRecordsPerChunk * record_size_));
+      in_use_.resize(chunks_.size() * kRecordsPerChunk);
     }
     index = static_cast<std::uint32_t>(live_);
   }
+  in_use_[index] = true;
   // Zero-fill so record padding bytes are deterministic: migration export
   // can memcpy the record image and byte-equivalence holds across
   // export → import → export round trips.
@@ -29,12 +31,14 @@ std::uint32_t SlabArena::allocate() {
 
 void SlabArena::release(std::uint32_t index) noexcept {
   free_.push_back(index);
+  in_use_[index] = false;
   --live_;
 }
 
 void SlabArena::clear() noexcept {
   chunks_.clear();
   free_.clear();
+  in_use_.clear();
   live_ = 0;
 }
 

@@ -40,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -98,7 +99,8 @@ struct FlowTableStats {
 
 /// Slab allocator for fixed-size per-flow records. Chunked storage: record
 /// addresses are stable for the record's whole life (chunks are never
-/// reallocated), freed indices are recycled LIFO, and every allocation is
+/// reallocated), freed indices are recycled LIFO — the most recently freed
+/// first, else the next never-used one — and every allocation is
 /// zero-filled first so the padding bytes of a record struct are
 /// deterministic — which is what lets migration export serialize a record
 /// as a raw memcpy of its slab bytes.
@@ -126,6 +128,11 @@ class SlabArena {
            static_cast<std::size_t>(index % kRecordsPerChunk) * record_size_;
   }
 
+  /// Whether `index` names an allocated, not yet released record.
+  bool in_use(std::uint32_t index) const noexcept {
+    return index < in_use_.size() && in_use_[index];
+  }
+
   std::size_t record_size() const noexcept { return record_size_; }
   std::size_t live_records() const noexcept { return live_; }
   std::size_t capacity_bytes() const noexcept {
@@ -139,6 +146,7 @@ class SlabArena {
   std::size_t record_size_;
   std::vector<std::unique_ptr<std::byte[]>> chunks_;
   std::vector<std::uint32_t> free_;
+  std::vector<bool> in_use_;  // one bit per carved record
   std::size_t live_ = 0;
 };
 
@@ -237,15 +245,37 @@ class FlowTable {
     return const_cast<Value*>(std::as_const(*this).find(key, hash));
   }
   const Value* find(const Key& key, FlowHash hash) const {
+    const std::uint32_t index = find_index(key, hash);
+    return index == kNoIndex ? nullptr : value_ptr(index);
+  }
+
+  // --- record indices ------------------------------------------------------
+  //
+  // Every entry's value is a slab record with a dense index, stable for the
+  // entry's life: a freed index goes to the next insert, the most recently
+  // freed first, else the next never-used one. A caller may use the index
+  // as the entry's identity (the classifier's FID is its record index).
+
+  static constexpr std::uint32_t kNoIndex = UINT32_MAX;
+
+  /// The record index of `key`'s entry, or kNoIndex. The index is read from
+  /// the probed slot, so a hit touches only the control and slot lines
+  /// prefetch() warms; the record itself stays unread.
+  std::uint32_t find_index(const Key& key, FlowHash hash) const {
     ++lookups_;
     std::size_t slot = find_slot(live_, key, hash.value);
-    if (slot == kNoSlot && !old_.ctrl.empty()) {
-      slot = find_slot(old_, key, hash.value);
-      if (slot != kNoSlot) return value_ptr(old_.slots[slot].record);
-      return nullptr;
-    }
-    return slot == kNoSlot ? nullptr : value_ptr(live_.slots[slot].record);
+    if (slot != kNoSlot) return live_.slots[slot].record;
+    if (old_.ctrl.empty()) return kNoIndex;
+    slot = find_slot(old_, key, hash.value);
+    return slot == kNoSlot ? kNoIndex : old_.slots[slot].record;
   }
+
+  /// Whether a live entry's value sits at record index `index`.
+  bool holds_index(std::uint32_t index) const noexcept {
+    return arena_.in_use(index);
+  }
+  /// The value at a live entry's record index.
+  Value& value_at(std::uint32_t index) noexcept { return *value_ptr(index); }
 
   bool contains(const Key& key) const { return find(key) != nullptr; }
 
@@ -268,12 +298,26 @@ class FlowTable {
   template <class... Args>
   std::pair<Value*, bool> try_emplace(const Key& key, FlowHash hash,
                                       Args&&... args) {
+    const auto [index, inserted] =
+        try_emplace_index(key, hash, std::forward<Args>(args)...);
+    return {value_ptr(index), inserted};
+  }
+
+  template <class... Args>
+  std::pair<Value*, bool> try_emplace(const Key& key, Args&&... args) {
+    return try_emplace(key, FlowHash{Ops::hash(key)},
+                       std::forward<Args>(args)...);
+  }
+
+  /// try_emplace that returns the entry's record index.
+  template <class... Args>
+  std::pair<std::uint32_t, bool> try_emplace_index(const Key& key,
+                                                   FlowHash hash,
+                                                   Args&&... args) {
     step_resize(kResizeStepSlots);
     ++lookups_;
     std::size_t slot = find_slot(live_, key, hash.value);
-    if (slot != kNoSlot) {
-      return {value_ptr(live_.slots[slot].record), false};
-    }
+    if (slot != kNoSlot) return {live_.slots[slot].record, false};
     if (!old_.ctrl.empty()) {
       const std::size_t old_slot = find_slot(old_, key, hash.value);
       if (old_slot != kNoSlot) {
@@ -286,20 +330,14 @@ class FlowTable {
         --old_.size;
         grow_if_needed();
         place(live_, key, hash.value, record);
-        return {value_ptr(record), false};
+        return {record, false};
       }
     }
     grow_if_needed();
     const std::uint32_t record = arena_.allocate();
-    Value* value = new (arena_.data(record)) Value(std::forward<Args>(args)...);
+    new (arena_.data(record)) Value(std::forward<Args>(args)...);
     place(live_, key, hash.value, record);
-    return {value, true};
-  }
-
-  template <class... Args>
-  std::pair<Value*, bool> try_emplace(const Key& key, Args&&... args) {
-    return try_emplace(key, FlowHash{Ops::hash(key)},
-                       std::forward<Args>(args)...);
+    return {record, true};
   }
 
   bool erase(const Key& key) { return erase(key, FlowHash{Ops::hash(key)}); }
@@ -361,6 +399,18 @@ class FlowTable {
   void for_each(F&& fn) const {
     visit_table<const Value>(live_, fn);
     visit_table<const Value>(old_, fn);
+  }
+  /// for_each in the same order, passing each entry's record index too:
+  /// fn(key, index, value).
+  template <class F>
+  void for_each_indexed(F&& fn) const {
+    for (const Table* table : {&live_, &old_}) {
+      for (std::size_t slot = 0; slot < table->ctrl.size(); ++slot) {
+        if (table->ctrl[slot] & 0x80) continue;
+        const std::uint32_t index = table->slots[slot].record;
+        fn(table->slots[slot].key, index, std::as_const(*value_ptr(index)));
+      }
+    }
   }
 
   std::size_t size() const noexcept { return live_.size + old_.size; }

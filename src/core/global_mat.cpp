@@ -52,7 +52,7 @@ std::size_t GlobalMat::check_events(std::uint32_t fid, FlowRecord& record) {
     } else if (!record.events[i].one_shot) {
       fired.push_back(record.events[i++]);
     } else {
-      fired.push_back(std::move(record.events[i]));
+      fired.push_back(record.events[i]);
       record.conditions.erase(record.conditions.begin() + i);
       record.events.erase(record.events.begin() + i);
     }
@@ -70,8 +70,8 @@ std::size_t GlobalMat::check_events(std::uint32_t fid, FlowRecord& record) {
       record.replace_state_functions(event.nf_index,
                                      std::move(*update.state_functions));
     }
-    SB_LOG_INFO("event_table", "event '%s' triggered for fid=%u",
-                event.name.c_str(), fid);
+    SB_LOG_INFO("event_table", "event '%.*s' triggered for fid=%u",
+                static_cast<int>(event.name.size()), event.name.data(), fid);
     compile(record);
   }
   return fired.size();

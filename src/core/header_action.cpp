@@ -1,6 +1,8 @@
 #include "core/header_action.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "net/byte_order.hpp"
 #include "net/checksum.hpp"
@@ -98,8 +100,8 @@ ConsolidatedAction consolidate(std::span<const HeaderAction> actions) {
 BytePatch BytePatch::compile(const ConsolidatedAction& action,
                              const net::ParsedPacket& parsed) {
   BytePatch patch;
-  patch.inner_l3_ = parsed.inner_l3_offset;
-  patch.l4_ = parsed.l4_offset;
+  patch.inner_l3_ = static_cast<std::uint16_t>(parsed.inner_l3_offset);
+  patch.l4_ = static_cast<std::uint16_t>(parsed.l4_offset);
 
   std::size_t lo = SIZE_MAX;
   std::size_t hi = 0;
@@ -108,21 +110,23 @@ BytePatch BytePatch::compile(const ConsolidatedAction& action,
     std::size_t width;
     std::uint32_t value;
   };
-  std::vector<Write> writes;
+  // At most one write per field, so a fixed array holds them all.
+  std::array<Write, net::kHeaderFieldCount> writes;
+  std::size_t count = 0;
   for (std::size_t i = 0; i < action.field_writes.size(); ++i) {
     if (!action.field_writes[i]) continue;
     const auto ref =
         net::field_ref(parsed, static_cast<net::HeaderField>(i));
     if (!ref) continue;
-    writes.push_back({ref->offset, ref->width, *action.field_writes[i]});
+    writes[count++] = {ref->offset, ref->width, *action.field_writes[i]};
     lo = std::min(lo, ref->offset);
     hi = std::max(hi, ref->offset + ref->width);
   }
-  if (writes.empty()) return patch;
+  if (count == 0) return patch;
 
-  patch.base_offset_ = lo;
-  patch.length_ = std::min(hi - lo, kMaxWindow);
-  for (const Write& w : writes) {
+  patch.base_offset_ = static_cast<std::uint16_t>(lo);
+  patch.length_ = static_cast<std::uint16_t>(std::min(hi - lo, kMaxWindow));
+  for (const Write& w : std::span{writes}.first(count)) {
     for (std::size_t b = 0; b < w.width; ++b) {
       const std::size_t rel = w.offset + b - lo;
       if (rel >= patch.length_) continue;

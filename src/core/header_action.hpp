@@ -155,10 +155,12 @@ class BytePatch {
  private:
   static constexpr std::size_t kMaxWindow = 64;
 
-  std::size_t inner_l3_ = 0;
-  std::size_t l4_ = 0;
-  std::size_t base_offset_ = 0;
-  std::size_t length_ = 0;
+  // Header offsets, all well inside the first 64 KiB of a frame: 16 bits
+  // keep the patch, and so the flow record, small.
+  std::uint16_t inner_l3_ = 0;
+  std::uint16_t l4_ = 0;
+  std::uint16_t base_offset_ = 0;
+  std::uint16_t length_ = 0;
   std::array<std::uint8_t, kMaxWindow> mask_{};
   std::array<std::uint8_t, kMaxWindow> value_{};
 };

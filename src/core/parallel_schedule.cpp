@@ -7,9 +7,9 @@ namespace speedybox::core {
 std::uint64_t ParallelSchedule::critical_path(
     const std::vector<std::uint64_t>& costs) const {
   std::uint64_t total = 0;
-  for (const auto& group : groups) {
+  for (std::size_t g = 0; g < group_count(); ++g) {
     std::uint64_t group_max = 0;
-    for (const std::size_t index : group) {
+    for (const std::uint32_t index : group(g)) {
       if (index < costs.size()) group_max = std::max(group_max, costs[index]);
     }
     total += group_max;
@@ -17,33 +17,30 @@ std::uint64_t ParallelSchedule::critical_path(
   return total;
 }
 
-ParallelSchedule build_schedule(
-    const std::vector<StateFunctionBatch>& batches) {
-  ParallelSchedule schedule;
-  std::vector<PayloadAccess> group_access;  // access of each batch in group
-
+void build_schedule(std::span<const StateFunctionBatch> batches,
+                    ParallelSchedule& schedule) {
+  schedule.members.clear();
+  schedule.ends.clear();
+  // Batch i may join the open group only if every already-grouped batch
+  // (all of which precede it in chain order) permits it. By Table I only a
+  // WRITE member can refuse, and it refuses all but an IGNORE batch.
+  bool group_writes = false;
   for (std::size_t i = 0; i < batches.size(); ++i) {
     if (batches[i].empty()) continue;
     const PayloadAccess access = batches[i].access;
-    bool joined = false;
-    if (!schedule.groups.empty()) {
-      // Batch i may join the open group only if every already-grouped batch
-      // (all of which precede it in chain order) permits it.
-      joined = std::all_of(
-          group_access.begin(), group_access.end(),
-          [access](PayloadAccess prior) {
-            return parallelizable(prior, access);
-          });
+    const bool joined = !schedule.ends.empty() &&
+                        parallelizable(group_writes ? PayloadAccess::kWrite
+                                                    : PayloadAccess::kIgnore,
+                                       access);
+    if (!joined) {
+      schedule.ends.push_back(
+          static_cast<std::uint32_t>(schedule.members.size()));
+      group_writes = false;
     }
-    if (joined) {
-      schedule.groups.back().push_back(i);
-      group_access.push_back(access);
-    } else {
-      schedule.groups.push_back({i});
-      group_access.assign(1, access);
-    }
+    schedule.members.push_back(static_cast<std::uint32_t>(i));
+    ++schedule.ends.back();
+    group_writes = group_writes || access == PayloadAccess::kWrite;
   }
-  return schedule;
 }
 
 }  // namespace speedybox::core

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/state_function.hpp"
@@ -24,17 +26,29 @@ constexpr bool parallelizable(PayloadAccess batch1,
 /// Groups of batch indices that can run concurrently; groups execute in
 /// sequence. A batch joins the current group only if it is parallelizable
 /// with every batch already in the group (pairwise, in chain order).
+/// Stored flat: `members` lists the grouped batch indices group after
+/// group, and `ends[g]` is where group g's run of them ends.
 struct ParallelSchedule {
-  std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::uint32_t> members;
+  std::vector<std::uint32_t> ends;
 
-  std::size_t group_count() const noexcept { return groups.size(); }
+  std::size_t group_count() const noexcept { return ends.size(); }
+  /// The batch indices of group `g`, in chain order.
+  std::span<const std::uint32_t> group(std::size_t g) const noexcept {
+    const std::uint32_t begin = g == 0 ? 0 : ends[g - 1];
+    return std::span<const std::uint32_t>{members}.subspan(begin,
+                                                           ends[g] - begin);
+  }
 
   /// Modeled critical-path cost: sum over groups of the max member cost.
   /// `costs[i]` is the measured cycle cost of batch i.
   std::uint64_t critical_path(const std::vector<std::uint64_t>& costs) const;
 };
 
-/// Build the schedule for the given batches (in chain order).
-ParallelSchedule build_schedule(const std::vector<StateFunctionBatch>& batches);
+/// Rebuild `schedule` for the given batches (in chain order) in place: a
+/// recycled flow record's schedule reuses its storage, so recompiling a
+/// rule allocates nothing.
+void build_schedule(std::span<const StateFunctionBatch> batches,
+                    ParallelSchedule& schedule);
 
 }  // namespace speedybox::core

@@ -3,17 +3,20 @@
 // function is a callable handler plus a payload-access class
 // (WRITE/READ/IGNORE) that drives the Table-I parallelism analysis.
 //
-// Handlers are closures capturing the NF's internal state; invoking the
-// handler on the fast path is exactly the paper's "executes the state
-// functions by invoking the function handlers as recorded". The recorded
-// args name that state's address for the batch's warm pass.
+// A handler is Figure 2's {function handler, args} pair held in one
+// util::InlineFunction: a function pointer plus the NF state it captures,
+// stored inline (at most 32 bytes, trivially copyable), so recording one
+// allocates nothing. Invoking the handler on the fast path is exactly the
+// paper's "executes the state functions by invoking the function handlers
+// as recorded". The recorded args name that state's address for the
+// batch's warm pass.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
+#include <string_view>
 
 #include "net/packet.hpp"
+#include "util/inline_function.hpp"
 
 namespace speedybox::core {
 
@@ -24,12 +27,14 @@ enum class PayloadAccess : std::uint8_t { kIgnore = 0, kRead = 1, kWrite = 2 };
 std::string_view payload_access_name(PayloadAccess access) noexcept;
 
 using StateFunctionHandler =
-    std::function<void(net::Packet&, const net::ParsedPacket&)>;
+    util::InlineFunction<void(net::Packet&, const net::ParsedPacket&)>;
 
 struct StateFunction {
   StateFunctionHandler handler;
   PayloadAccess access = PayloadAccess::kIgnore;
-  std::string name;  // diagnostics / equivalence audits
+  /// Diagnostics / equivalence audits. A view: the NF keeps the string,
+  /// built once per instance, for as long as its flows are recorded.
+  std::string_view name;
   /// Figure 2's `args* arg_list`: the per-flow state the handler reads,
   /// which the fast path prefetches before running it. A hint only: the
   /// handler reaches its state through its own captures, so a null or

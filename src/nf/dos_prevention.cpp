@@ -94,12 +94,12 @@ void DosPrevention::record(const net::FiveTuple& tuple, FlowState* flow_args,
         const std::lock_guard lock(mutex_);
         if (p.has_syn()) ++flow_args->syn_count;
       },
-      core::PayloadAccess::kIgnore, name() + ".syn_count", flow_args);
+      core::PayloadAccess::kIgnore, syn_count_name_, flow_args);
   if (!blacklisted) {
     // The condition and the update read the flow's bound FlowState, as
     // the SYN-counting handler does — no per-packet flow lookup.
     ctx.register_event(
-        name() + ".blacklist",
+        blacklist_name_,
         [this, flow_args]() {
           const std::lock_guard lock(mutex_);
           return flow_args->syn_count > threshold_;

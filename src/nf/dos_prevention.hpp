@@ -76,6 +76,9 @@ class DosPrevention : public NetworkFunction {
   mutable std::mutex mutex_;
   FlowStateTable<FlowState> flows_;
   std::uint64_t drops_ = 0;
+  // Recorded names, built once: flow records keep views of them.
+  const std::string syn_count_name_ = name() + ".syn_count";
+  const std::string blacklist_name_ = name() + ".blacklist";
 };
 
 }  // namespace speedybox::nf

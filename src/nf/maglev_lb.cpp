@@ -170,7 +170,7 @@ void MaglevLb::record(const net::FiveTuple& tuple,
         const std::lock_guard lock(mutex_);
         bytes_[*backend_cell] += pkt.size();
       },
-      core::PayloadAccess::kIgnore, name() + ".bytes", backend_cell);
+      core::PayloadAccess::kIgnore, bytes_name_, backend_cell);
   // The failover event (§V-A Observation 2): when the flow's backend goes
   // unhealthy, reroute and swap the modify actions on the fast path. The
   // condition reads the same bound cell, so it follows every reroute.
@@ -179,7 +179,7 @@ void MaglevLb::record(const net::FiveTuple& tuple,
   // the manager core (Global MAT event check) while the data path runs
   // on this NF's core — hence the lock.
   ctx.register_event(
-      name() + ".failover",
+      failover_name_,
       [this, backend_cell]() {
         const std::lock_guard lock(mutex_);
         return !backends_[*backend_cell].healthy;

@@ -107,6 +107,9 @@ class MaglevLb : public NetworkFunction {
   FlowStateTable<std::size_t> conn_track_;  // flow -> backend index
   std::vector<std::uint64_t> bytes_;
   std::uint64_t reroutes_ = 0;
+  // Recorded names, built once: flow records keep views of them.
+  const std::string bytes_name_ = name() + ".bytes";
+  const std::string failover_name_ = name() + ".failover";
 };
 
 }  // namespace speedybox::nf

@@ -69,13 +69,12 @@ void MazuNat::process(net::Packet& packet, core::SpeedyBoxContext* ctx) {
       reverse_.try_emplace(ext_port, tuple);
     }
     ++translations_;
-    for (const auto& action : outbound_actions(ext_port)) {
+    const std::vector<core::HeaderAction> actions = outbound_actions(ext_port);
+    for (const auto& action : actions) {
       core::apply_action_baseline(action, packet);
     }
     if (ctx != nullptr) {
-      for (const auto& action : outbound_actions(ext_port)) {
-        ctx->add_header_action(action);
-      }
+      for (const auto& action : actions) ctx->add_header_action(action);
       ctx->on_teardown([this, tuple]() { release_mapping(tuple); });
     }
     if (parsed->has_fin_or_rst()) release_mapping(tuple);

@@ -1,6 +1,7 @@
 #include "nf/monitor.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "nf/flow_state.hpp"
 #include "util/hash.hpp"
@@ -10,17 +11,22 @@ namespace speedybox::nf {
 
 Monitor::Monitor(MonitorConfig config, std::string name)
     : NetworkFunction(std::move(name)), config_(config) {
+  if (config_.sketch_depth > MonitorConfig::kMaxSketchDepth) {
+    throw std::invalid_argument("Monitor: more than kMaxSketchDepth rows");
+  }
   sketch_.assign(config_.sketch_depth,
                  std::vector<std::uint64_t>(config_.sketch_width, 0));
   if (config_.per_port_stats) port_bytes_.assign(65536, 0);
   if (config_.payload_histogram) byte_histogram_.assign(256, 0);
 }
 
-void Monitor::account(const core::HashedTuple& flow, const net::Packet& packet,
-                      const net::ParsedPacket& parsed) {
+FlowCounters& Monitor::account(const core::HashedTuple& flow,
+                               const net::Packet& packet,
+                               const net::ParsedPacket& parsed) {
   // The tuple was hashed exactly once upstream; the same hash indexes the
   // flow table and every sketch row.
-  count(*counters_.try_emplace(flow.tuple, flow.hash).first, packet.size());
+  FlowCounters& counters = *counters_.try_emplace(flow.tuple, flow.hash).first;
+  count(counters, packet.size());
 
   if (config_.sketch_depth > 0) {
     const std::uint64_t h = flow.hash.value;
@@ -39,6 +45,7 @@ void Monitor::account(const core::HashedTuple& flow, const net::Packet& packet,
       ++byte_histogram_[byte];
     }
   }
+  return counters;
 }
 
 void Monitor::process_batch(net::PacketBatch& batch,
@@ -115,53 +122,50 @@ void Monitor::process(net::Packet& packet, core::SpeedyBoxContext* ctx) {
   const auto flow =
       core::HashedTuple::of(net::extract_five_tuple(packet, *parsed));
 
-  account(flow, packet, *parsed);
-
-  if (ctx != nullptr) record(flow, *ctx);
+  FlowCounters& counters = account(flow, packet, *parsed);
+  if (ctx != nullptr) record(flow, counters, *ctx);
 }
 
-void Monitor::record(const core::HashedTuple& flow,
+void Monitor::record(const core::HashedTuple& flow, FlowCounters& counters,
                      core::SpeedyBoxContext& ctx) {
   ctx.add_header_action(core::HeaderAction::forward());
   // Figure-2 semantics: the handler is recorded with resolved args — the
   // flow's counter record (slab-resident, pointer-stable across table
   // resizes) and, when the optional statistics are on, its precomputed
-  // sketch/port slots — so the per-packet classification work (hashing,
+  // sketch/port cells — so the per-packet classification work (hashing,
   // table lookups) happens once, at rule setup.
-  FlowCounters* flow_counters =
-      counters_.try_emplace(flow.tuple, flow.hash).first;
+  FlowCounters* flow_counters = &counters;
   const bool histogram = config_.payload_histogram;
   if (config_.sketch_depth == 0 && !config_.per_port_stats && !histogram) {
-    // Counters only: two pointers of captures, which std::function keeps
-    // in its inline buffer — no heap closure to chase per packet.
     core::localmat_add_SF(
         &ctx,
         [this, flow_counters](net::Packet& pkt, const net::ParsedPacket&) {
           count(*flow_counters, pkt.size());
         },
-        core::PayloadAccess::kIgnore, name() + ".count", flow_counters);
+        core::PayloadAccess::kIgnore, count_name_, flow_counters);
     return;
   }
-  std::vector<std::uint64_t*> sketch_cells;
+  StatCells* cells = stat_cells_.try_emplace(flow.tuple, flow.hash).first;
   const std::uint64_t h = flow.hash.value;
   for (std::uint32_t row = 0; row < config_.sketch_depth; ++row) {
     const std::uint64_t index =
         util::mix64(h ^ (0x9E3779B97F4A7C15ULL * (row + 1))) %
         config_.sketch_width;
-    sketch_cells.push_back(&sketch_[row][index]);
+    cells->sketch[row] = &sketch_[row][index];
   }
-  std::uint64_t* port_cell =
+  cells->port =
       config_.per_port_stats ? &port_bytes_[flow.tuple.dst_port] : nullptr;
   core::localmat_add_SF(
       &ctx,
-      [this, flow_counters, sketch_cells = std::move(sketch_cells),
-       port_cell, histogram](net::Packet& pkt,
-                             const net::ParsedPacket& parsed) {
+      [this, flow_counters, cells](net::Packet& pkt,
+                                   const net::ParsedPacket& parsed) {
         const std::uint64_t size = pkt.size();
         count(*flow_counters, size);
-        for (std::uint64_t* cell : sketch_cells) *cell += size;
-        if (port_cell != nullptr) *port_cell += size;
-        if (histogram) {
+        for (std::uint32_t row = 0; row < config_.sketch_depth; ++row) {
+          *cells->sketch[row] += size;
+        }
+        if (cells->port != nullptr) *cells->port += size;
+        if (config_.payload_histogram) {
           for (const std::uint8_t byte : net::payload_view(
                    static_cast<const net::Packet&>(pkt), parsed)) {
             ++byte_histogram_[byte];
@@ -169,7 +173,9 @@ void Monitor::record(const core::HashedTuple& flow,
         }
       },
       histogram ? core::PayloadAccess::kRead : core::PayloadAccess::kIgnore,
-      name() + ".count", flow_counters);
+      count_name_, flow_counters);
+  ctx.on_teardown(
+      [this, tuple = flow.tuple]() { stat_cells_.erase(tuple); });
 }
 
 std::optional<std::vector<std::uint8_t>> Monitor::export_flow_state(
@@ -184,8 +190,8 @@ std::optional<std::vector<std::uint8_t>> Monitor::export_flow_state(
 void Monitor::import_flow_state(const net::FiveTuple& tuple,
                                 std::span<const std::uint8_t> bytes,
                                 core::SpeedyBoxContext* ctx) {
-  counters_.import_state(tuple, bytes);
-  if (ctx != nullptr) record(core::HashedTuple::of(tuple), *ctx);
+  FlowCounters& counters = counters_.import_state(tuple, bytes);
+  if (ctx != nullptr) record(core::HashedTuple::of(tuple), counters, *ctx);
 }
 
 }  // namespace speedybox::nf

@@ -28,8 +28,12 @@ struct FlowCounters {
 };
 
 struct MonitorConfig {
+  /// Most sketch rows: a flow's resolved cells fit a fixed block.
+  static constexpr std::uint32_t kMaxSketchDepth = 8;
+
   /// Count-min sketch for heavy-hitter detection: `sketch_depth` rows of
-  /// `sketch_width` counters, updated per packet. 0 depth disables it.
+  /// `sketch_width` counters, updated per packet. 0 depth disables it; at
+  /// most kMaxSketchDepth rows.
   std::uint32_t sketch_depth = 0;
   std::uint32_t sketch_width = 16384;
   /// Maintain per-destination-port byte counters.
@@ -118,8 +122,10 @@ class Monitor : public NetworkFunction {
   }
 
  private:
-  void account(const core::HashedTuple& flow, const net::Packet& packet,
-               const net::ParsedPacket& parsed);
+  /// Count the packet; returns the flow's counters cell.
+  FlowCounters& account(const core::HashedTuple& flow,
+                        const net::Packet& packet,
+                        const net::ParsedPacket& parsed);
   /// The per-packet counter update every path shares.
   void count(FlowCounters& counters, std::uint64_t size) noexcept {
     ++counters.packets;
@@ -127,9 +133,20 @@ class Monitor : public NetworkFunction {
     ++total_packets_;
     total_bytes_ += size;
   }
-  /// Record the flow's forward action + counting state function through the
-  /// context — shared by the initial-packet path and flow-state import.
-  void record(const core::HashedTuple& flow, core::SpeedyBoxContext& ctx);
+  /// Record the flow's forward action + counting state function, bound to
+  /// its counters cell, through the context — shared by the initial-packet
+  /// path and flow-state import.
+  void record(const core::HashedTuple& flow, FlowCounters& counters,
+              core::SpeedyBoxContext& ctx);
+
+  /// A recorded flow's resolved statistics cells (heavy configurations):
+  /// its sketch counter in each row and its destination port's counter.
+  /// More than a recorded handler's captures hold, so the handler points
+  /// at this block; the flow's teardown hook frees it.
+  struct StatCells {
+    std::array<std::uint64_t*, MonitorConfig::kMaxSketchDepth> sketch{};
+    std::uint64_t* port = nullptr;
+  };
 
   MonitorConfig config_;
   FlowStateTable<FlowCounters> counters_;
@@ -138,6 +155,9 @@ class Monitor : public NetworkFunction {
   std::vector<std::vector<std::uint64_t>> sketch_;  // depth x width
   std::vector<std::uint64_t> port_bytes_;  // 65536 entries when enabled
   std::vector<std::uint64_t> byte_histogram_;  // 256 entries when enabled
+  FlowStateTable<StatCells> stat_cells_;
+  // The recorded name, built once: flow records keep views of it.
+  const std::string count_name_ = name() + ".count";
 };
 
 }  // namespace speedybox::nf

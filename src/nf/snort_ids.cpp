@@ -124,7 +124,7 @@ void SnortIds::process(net::Packet& packet, core::SpeedyBoxContext* ctx) {
                                  const net::ParsedPacket& p) {
           inspect(tuple, *flow_args, pkt, p);
         },
-        core::PayloadAccess::kRead, name() + ".inspect", flow_args);
+        core::PayloadAccess::kRead, inspect_name_, flow_args);
     ctx->on_teardown([this, tuple]() { flows_.erase(tuple); });
   }
 
@@ -219,7 +219,7 @@ void SnortIds::import_flow_state(const net::FiveTuple& tuple,
                                  const net::ParsedPacket& p) {
           inspect(tuple, *flow_args, pkt, p);
         },
-        core::PayloadAccess::kRead, name() + ".inspect", flow_args);
+        core::PayloadAccess::kRead, inspect_name_, flow_args);
     ctx->on_teardown([this, tuple]() { flows_.erase(tuple); });
   }
 }

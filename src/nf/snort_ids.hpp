@@ -125,6 +125,8 @@ class SnortIds : public NetworkFunction {
   std::vector<std::uint64_t> matched_bits_;
   std::uint32_t generation_ = 0;
   std::vector<std::uint32_t> fired_;
+  // The recorded name, built once: flow records keep views of it.
+  const std::string inspect_name_ = name() + ".inspect";
 };
 
 }  // namespace speedybox::nf

@@ -67,7 +67,7 @@ void SyntheticNf::process(net::Packet& packet, core::SpeedyBoxContext* ctx) {
         [this](net::Packet& pkt, const net::ParsedPacket& p) {
           run_state_function(pkt, p);
         },
-        config_.access, name() + ".work");
+        config_.access, work_name_);
   }
 }
 

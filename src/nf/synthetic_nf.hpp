@@ -44,6 +44,8 @@ class SyntheticNf : public NetworkFunction {
 
   SyntheticNfConfig config_;
   std::uint64_t digest_ = 0;
+  // The recorded name, built once: flow records keep views of it.
+  const std::string work_name_ = name() + ".work";
 };
 
 }  // namespace speedybox::nf

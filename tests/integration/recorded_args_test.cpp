@@ -67,9 +67,9 @@ class CellCounter : public nf::NetworkFunction {
           ++cell->packets;
           cell->bytes += pkt.size();
         },
-        core::PayloadAccess::kIgnore, name() + ".count", args);
+        core::PayloadAccess::kIgnore, "cell-counter.count", args);
     core::register_event(
-        ctx, name() + ".limit",
+        ctx, "cell-counter.limit",
         [cell] { return cell->packets >= kLimit; },
         [cell] {
           cell->blocked = true;

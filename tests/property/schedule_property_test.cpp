@@ -29,6 +29,13 @@ std::vector<StateFunctionBatch> random_batches(util::Rng& rng,
   return batches;
 }
 
+/// The schedule of `batches`, built into a fresh ParallelSchedule.
+ParallelSchedule schedule_of(const std::vector<StateFunctionBatch>& batches) {
+  ParallelSchedule schedule;
+  build_schedule(batches, schedule);
+  return schedule;
+}
+
 class ScheduleProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ScheduleProperty, GroupsAreSoundAndComplete) {
@@ -36,19 +43,22 @@ TEST_P(ScheduleProperty, GroupsAreSoundAndComplete) {
   for (int trial = 0; trial < 300; ++trial) {
     const std::size_t count = 1 + rng.below(10);
     const auto batches = random_batches(rng, count);
-    const ParallelSchedule schedule = build_schedule(batches);
+    const ParallelSchedule schedule = schedule_of(batches);
 
     // Completeness: every index exactly once, ascending across groups.
     std::vector<std::size_t> flattened;
-    for (const auto& group : schedule.groups) {
-      for (const std::size_t index : group) flattened.push_back(index);
+    for (std::size_t g = 0; g < schedule.group_count(); ++g) {
+      for (const std::size_t index : schedule.group(g)) {
+        flattened.push_back(index);
+      }
     }
     std::vector<std::size_t> expected(count);
     std::iota(expected.begin(), expected.end(), 0);
     ASSERT_EQ(flattened, expected);
 
     // Soundness: all ordered pairs within a group parallelizable.
-    for (const auto& group : schedule.groups) {
+    for (std::size_t g = 0; g < schedule.group_count(); ++g) {
+      const auto group = schedule.group(g);
       for (std::size_t a = 0; a < group.size(); ++a) {
         for (std::size_t b = a + 1; b < group.size(); ++b) {
           ASSERT_TRUE(parallelizable(batches[group[a]].access,
@@ -65,7 +75,7 @@ TEST_P(ScheduleProperty, CriticalPathBounded) {
   for (int trial = 0; trial < 300; ++trial) {
     const std::size_t count = 1 + rng.below(10);
     const auto batches = random_batches(rng, count);
-    const ParallelSchedule schedule = build_schedule(batches);
+    const ParallelSchedule schedule = schedule_of(batches);
 
     std::vector<std::uint64_t> costs;
     for (std::size_t i = 0; i < count; ++i) costs.push_back(rng.below(1000));
@@ -86,7 +96,7 @@ TEST_P(ScheduleProperty, GreedyNeverWorseThanSequential) {
   for (int trial = 0; trial < 100; ++trial) {
     const std::size_t count = 1 + rng.below(8);
     const auto batches = random_batches(rng, count);
-    EXPECT_LE(build_schedule(batches).group_count(), count);
+    EXPECT_LE(schedule_of(batches).group_count(), count);
   }
 
   std::vector<StateFunctionBatch> ignores;
@@ -98,7 +108,7 @@ TEST_P(ScheduleProperty, GreedyNeverWorseThanSequential) {
     batch.access = PayloadAccess::kIgnore;
     ignores.push_back(batch);
   }
-  EXPECT_EQ(build_schedule(ignores).group_count(), 1u);
+  EXPECT_EQ(schedule_of(ignores).group_count(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleProperty,

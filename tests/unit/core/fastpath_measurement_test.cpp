@@ -15,13 +15,13 @@ namespace {
 using speedybox::testing::tuple_n;
 
 StateFunction busy_sf(PayloadAccess access, int weight,
-                      std::string name = "sf") {
+                      std::string_view name = "sf") {
   return StateFunction{
       [weight](net::Packet&, const net::ParsedPacket&) {
         volatile int x = 0;
         for (int i = 0; i < weight * 400; ++i) x = x + i;
       },
-      access, std::move(name)};
+      access, name};
 }
 
 class FastPathMeasurement : public ::testing::Test {

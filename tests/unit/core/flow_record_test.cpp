@@ -1,7 +1,9 @@
 #include "core/flow_record.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,10 +19,10 @@ namespace {
 using net::HeaderField;
 using speedybox::testing::tuple_n;
 
-StateFunction named_sf(std::string name,
+StateFunction named_sf(std::string_view name,
                        PayloadAccess access = PayloadAccess::kIgnore) {
   return StateFunction{[](net::Packet&, const net::ParsedPacket&) {},
-                       access, std::move(name)};
+                       access, name};
 }
 
 TEST(FlowRecord, RecordsHeaderActionsInOrder) {
@@ -181,20 +183,72 @@ TEST(FlowRecord, TeardownHooksRunByNfRange) {
 TEST(FlowRecord, ResetKeepsCapacityButNoEntries) {
   FlowRecord record;
   record.open = true;
+  bool hook_ran = false;
+  record.add_header_action(0, HeaderAction::modify(HeaderField::kSrcIp, 5));
   for (int i = 0; i < 4; ++i) record.add_state_function(0, named_sf("sf"));
+  record.add_state_function(1, named_sf("sf", PayloadAccess::kRead));
   record.register_event(0, "ev", [] { return false; }, {}, true);
+  record.add_teardown_hook(1, [&hook_ran] { hook_ran = true; });
   record.compile();
-  const std::size_t capacity = record.handlers.capacity();
+  const auto capacities = [&record] {
+    return std::vector<std::size_t>{
+        record.header_actions.capacity(), record.action_owners.capacity(),
+        record.handlers.capacity(),       record.functions.capacity(),
+        record.conditions.capacity(),     record.events.capacity(),
+        record.teardown_hooks.capacity(), record.batches.capacity(),
+        record.schedule.members.capacity(), record.schedule.ends.capacity()};
+  };
+  const std::vector<std::size_t> before = capacities();
   record.reset();
   EXPECT_FALSE(record.open);
   EXPECT_FALSE(record.consolidated);
+  EXPECT_TRUE(record.header_actions.empty());
+  EXPECT_TRUE(record.action_owners.empty());
   EXPECT_TRUE(record.functions.empty());
   EXPECT_TRUE(record.handlers.empty());
   EXPECT_TRUE(record.events.empty());
   EXPECT_TRUE(record.conditions.empty());
+  EXPECT_TRUE(record.teardown_hooks.empty());
   EXPECT_TRUE(record.batches.empty());
   EXPECT_EQ(record.version, 0u);
-  EXPECT_EQ(record.handlers.capacity(), capacity);
+  // Every array keeps its storage for the next flow at the slot.
+  EXPECT_EQ(capacities(), before);
+  // A hook recorded before the reset is gone with its flow.
+  record.run_teardown_hooks();
+  EXPECT_FALSE(hook_ran);
+}
+
+// The recorded callables hold their captures inline: a capture that owns
+// memory, or is larger than the inline capacity, does not compile.
+TEST(FlowRecord, RecordedCallablesRefuseCapturesThatDoNotFit) {
+  const std::vector<int> owned{1, 2, 3};
+  const auto owns_memory = [owned](net::Packet&, const net::ParsedPacket&) {
+    (void)owned;
+  };
+  const std::array<std::uint64_t, 5> wide{};
+  const auto too_large = [wide] { return wide[0] == 0; };
+  const auto hook_owns_memory = [owned] { (void)owned; };
+  static_assert(
+      !std::is_constructible_v<StateFunctionHandler, decltype(owns_memory)>);
+  static_assert(
+      !std::is_constructible_v<ConditionHandler, decltype(too_large)>);
+  static_assert(
+      !std::is_constructible_v<TeardownHandler, decltype(hook_owns_memory)>);
+  // [this, tuple, pointer], Snort's capture, is the largest that fits.
+  struct Capture {
+    const void* self;
+    net::FiveTuple tuple;
+    const void* args;
+  };
+  const auto snort_sized = [capture = Capture{}](net::Packet&,
+                                                 const net::ParsedPacket&) {
+    (void)capture;
+  };
+  static_assert(sizeof(snort_sized) == 32);
+  static_assert(
+      std::is_constructible_v<StateFunctionHandler, decltype(snort_sized)>);
+  EXPECT_EQ(owned.size(), 3u);
+  EXPECT_TRUE(too_large());
 }
 
 // --- Events, as the Global MAT's fast path evaluates them ----------------
@@ -204,12 +258,12 @@ class RecordEvents : public ::testing::Test {
   /// Register on flow `fid` an event whose condition reads `*flag` and
   /// whose update turns NF 0's actions into a drop.
   void add_event(std::uint32_t fid, const bool* flag, bool one_shot = true,
-                 std::string name = "ev") {
+                 std::string_view name = "ev") {
     FlowRecord* record = mat_.record(fid);
     if (record == nullptr) record = &mat_.open_flow(fid);
     SpeedyBoxContext ctx{*record, 0, fid};
     ctx.register_event(
-        std::move(name), [flag] { return *flag; },
+        name, [flag] { return *flag; },
         [] {
           EventUpdate update;
           update.header_actions = {HeaderAction::drop()};

@@ -16,6 +16,20 @@ StateFunctionBatch batch_with(PayloadAccess access, std::uint32_t nf_index) {
   return batch;
 }
 
+/// The schedule of `batches`, built into a fresh ParallelSchedule.
+ParallelSchedule schedule_of(const std::vector<StateFunctionBatch>& batches) {
+  ParallelSchedule schedule;
+  build_schedule(batches, schedule);
+  return schedule;
+}
+
+/// Group `g`'s batch indices.
+std::vector<std::size_t> members(const ParallelSchedule& schedule,
+                                 std::size_t g) {
+  const auto group = schedule.group(g);
+  return {group.begin(), group.end()};
+}
+
 // Table I, literally: parallelizable unless batch1 WRITEs and batch2 does
 // not IGNORE.
 TEST(TableI, PairwiseRules) {
@@ -37,9 +51,9 @@ TEST(BuildSchedule, AllReadsFormOneGroup) {
       batch_with(PayloadAccess::kRead, 1),
       batch_with(PayloadAccess::kRead, 2),
   };
-  const ParallelSchedule schedule = build_schedule(batches);
+  const ParallelSchedule schedule = schedule_of(batches);
   ASSERT_EQ(schedule.group_count(), 1u);
-  EXPECT_EQ(schedule.groups[0], (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(members(schedule, 0), (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(BuildSchedule, WriterBlocksFollowingReader) {
@@ -47,7 +61,7 @@ TEST(BuildSchedule, WriterBlocksFollowingReader) {
       batch_with(PayloadAccess::kWrite, 0),
       batch_with(PayloadAccess::kRead, 1),
   };
-  const ParallelSchedule schedule = build_schedule(batches);
+  const ParallelSchedule schedule = schedule_of(batches);
   EXPECT_EQ(schedule.group_count(), 2u);
 }
 
@@ -56,9 +70,9 @@ TEST(BuildSchedule, WriterGroupsWithFollowingIgnore) {
       batch_with(PayloadAccess::kWrite, 0),
       batch_with(PayloadAccess::kIgnore, 1),
   };
-  const ParallelSchedule schedule = build_schedule(batches);
+  const ParallelSchedule schedule = schedule_of(batches);
   ASSERT_EQ(schedule.group_count(), 1u);
-  EXPECT_EQ(schedule.groups[0].size(), 2u);
+  EXPECT_EQ(schedule.group(0).size(), 2u);
 }
 
 TEST(BuildSchedule, ReaderThenWriterGroupTogether) {
@@ -67,7 +81,7 @@ TEST(BuildSchedule, ReaderThenWriterGroupTogether) {
       batch_with(PayloadAccess::kRead, 0),
       batch_with(PayloadAccess::kWrite, 1),
   };
-  EXPECT_EQ(build_schedule(batches).group_count(), 1u);
+  EXPECT_EQ(schedule_of(batches).group_count(), 1u);
 }
 
 TEST(BuildSchedule, WriterInGroupBlocksLaterReader) {
@@ -78,10 +92,10 @@ TEST(BuildSchedule, WriterInGroupBlocksLaterReader) {
       batch_with(PayloadAccess::kWrite, 1),
       batch_with(PayloadAccess::kRead, 2),
   };
-  const ParallelSchedule schedule = build_schedule(batches);
+  const ParallelSchedule schedule = schedule_of(batches);
   ASSERT_EQ(schedule.group_count(), 2u);
-  EXPECT_EQ(schedule.groups[0], (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(schedule.groups[1], (std::vector<std::size_t>{2}));
+  EXPECT_EQ(members(schedule, 0), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(members(schedule, 1), (std::vector<std::size_t>{2}));
 }
 
 TEST(BuildSchedule, EmptyBatchesSkipped) {
@@ -90,13 +104,13 @@ TEST(BuildSchedule, EmptyBatchesSkipped) {
       StateFunctionBatch{},  // NF with no state functions
       batch_with(PayloadAccess::kRead, 2),
   };
-  const ParallelSchedule schedule = build_schedule(batches);
+  const ParallelSchedule schedule = schedule_of(batches);
   ASSERT_EQ(schedule.group_count(), 1u);
-  EXPECT_EQ(schedule.groups[0], (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(members(schedule, 0), (std::vector<std::size_t>{0, 2}));
 }
 
 TEST(BuildSchedule, NoBatchesNoGroups) {
-  EXPECT_EQ(build_schedule({}).group_count(), 0u);
+  EXPECT_EQ(schedule_of({}).group_count(), 0u);
 }
 
 TEST(CriticalPath, SumOfGroupMaxima) {
@@ -107,7 +121,7 @@ TEST(CriticalPath, SumOfGroupMaxima) {
   };
   // Groups: {0,1,2}? read,read then write joins only if every prior allows:
   // (read,write)=Y, (read,write)=Y -> one group of 3.
-  const ParallelSchedule schedule = build_schedule(batches);
+  const ParallelSchedule schedule = schedule_of(batches);
   ASSERT_EQ(schedule.group_count(), 1u);
   EXPECT_EQ(schedule.critical_path({100, 250, 50}), 250u);
 }
@@ -117,7 +131,7 @@ TEST(CriticalPath, SequentialGroupsAdd) {
       batch_with(PayloadAccess::kWrite, 0),
       batch_with(PayloadAccess::kWrite, 1),
   };
-  const ParallelSchedule schedule = build_schedule(batches);
+  const ParallelSchedule schedule = schedule_of(batches);
   ASSERT_EQ(schedule.group_count(), 2u);
   EXPECT_EQ(schedule.critical_path({100, 250}), 350u);
 }

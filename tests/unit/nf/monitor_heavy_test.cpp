@@ -1,5 +1,7 @@
 // Heavy-monitor statistics: count-min sketch estimates, per-port bytes and
 // the payload byte histogram — and their baseline-vs-fast-path equivalence.
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "nf/monitor.hpp"
@@ -99,6 +101,16 @@ TEST(MonitorHeavy, FastPathStatsEqualBaselineStats) {
   for (const std::uint16_t port : {80, 81, 82}) {
     EXPECT_EQ(baseline.port_bytes(port), speedy.port_bytes(port));
   }
+}
+
+// A recorded flow's sketch cells live in a fixed block of
+// kMaxSketchDepth rows, so a deeper sketch is refused at construction.
+TEST(MonitorHeavy, RefusesMoreSketchRowsThanAFlowsCellBlockHolds) {
+  MonitorConfig config = MonitorConfig::heavy();
+  config.sketch_depth = MonitorConfig::kMaxSketchDepth;
+  EXPECT_NO_THROW(Monitor(config, "deepest"));
+  config.sketch_depth = MonitorConfig::kMaxSketchDepth + 1;
+  EXPECT_THROW(Monitor(config, "too-deep"), std::invalid_argument);
 }
 
 }  // namespace

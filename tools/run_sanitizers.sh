@@ -34,7 +34,10 @@ cd "$(dirname "$0")/.."
 # differentials: ASan checks the flat transition table's indexing and the
 # case-sensitive confirming memcmp at payload edges, UBSan the interleaved
 # walk's stripe pointers.
-TARGETS=(test_util test_core test_runtime test_telemetry test_integration test_equivalence test_property test_plan test_control test_io test_tenancy test_nf)
+# test_alloc replaces the global operator new to count allocations; its
+# replacement forwards to malloc, which both sanitizers still intercept, so
+# ASan checks the flow records' reuse of their arrays across flows.
+TARGETS=(test_util test_core test_runtime test_telemetry test_integration test_equivalence test_property test_plan test_control test_io test_tenancy test_nf test_alloc)
 
 run_one() {
   local sanitizer="$1"
