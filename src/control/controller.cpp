@@ -124,9 +124,11 @@ void Controller::tick(runtime::ShardedRuntime& runtime) {
   // No change decided, or a refused reshard: no scale event.
   if (report.to_shards == report.from_shards) return;
   events_.push_back(report);
-  metrics_->scale_events.add(1);
-  metrics_->migrated_flows.add(report.migrated_flows);
   metrics_->migration_cycles.record(report.migration_cycles);
+  std::uint64_t migrated = 0;
+  for (const ReshardReport& event : events_) migrated += event.migrated_flows;
+  metrics_->scale_events.set(events_.size());
+  metrics_->migrated_flows.set(migrated);
 }
 
 }  // namespace speedybox::control

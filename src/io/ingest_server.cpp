@@ -130,11 +130,9 @@ IngestStats IngestServer::serve(IngestExecutor& sink) {
         authoritative.has_value() ? *authoritative : cmsg_drops_;
     stats_.socket_drops =
         cumulative >= drop_baseline_ ? cumulative - drop_baseline_ : 0;
-    if (metrics_ != nullptr && stats_.socket_drops > 0) {
-      metrics_->socket_drops.add(stats_.socket_drops);
-    }
     loop_.remove(udp_.get());
   }
+  publish();
   if (tcp_listener_.valid()) loop_.remove(tcp_listener_.get());
   for (const std::unique_ptr<TcpConn>& conn : conns_) {
     loop_.remove(conn->fd.get());
@@ -158,7 +156,6 @@ void IngestServer::drain_udp() {
     if (result.messages == 0) break;  // would-block
     for (std::size_t i = 0; i < result.messages; ++i) {
       stats_.rx_bytes += mmsg_lengths_[i];
-      if (metrics_ != nullptr) metrics_->rx_bytes.add(mmsg_lengths_[i]);
       ingest_frame(std::span<const std::uint8_t>(
           mmsg_buffer_.data() + i * kDatagramSlotBytes, mmsg_lengths_[i]));
     }
@@ -195,9 +192,6 @@ void IngestServer::drain_tcp(TcpConn& conn, std::uint32_t events) {
       break;
     }
     stats_.rx_bytes += static_cast<std::uint64_t>(bytes);
-    if (metrics_ != nullptr) {
-      metrics_->rx_bytes.add(static_cast<std::uint64_t>(bytes));
-    }
     conn.framer.feed(std::span<const std::uint8_t>(
         recv_buffer_.data(), static_cast<std::size_t>(bytes)));
   }
@@ -215,7 +209,6 @@ void IngestServer::drain_tcp(TcpConn& conn, std::uint32_t events) {
       // The peer closed mid-frame: the tail can never complete. Count it
       // as a parse error so the bytes are not silently unaccounted.
       ++stats_.parse_errors;
-      if (metrics_ != nullptr) metrics_->parse_errors.add(1);
     }
     close_conn(conn.fd.get());
   }
@@ -226,11 +219,9 @@ void IngestServer::ingest_frame(std::span<const std::uint8_t> bytes) {
   const FrameError error = decode_frame(bytes, packet);
   if (error != FrameError::kOk) {
     ++stats_.parse_errors;
-    if (metrics_ != nullptr) metrics_->parse_errors.add(1);
     return;
   }
   ++stats_.rx_frames;
-  if (metrics_ != nullptr) metrics_->rx_frames.add(1);
   staged_.push_back(std::move(packet));
   staged_recv_cycle_.push_back(util::CycleClock::now());
   if (staged_.size() >= config_.batch_size) flush_staged(*sink_);
@@ -245,11 +236,20 @@ void IngestServer::flush_staged(IngestExecutor& sink) {
     }
   }
   ++stats_.rx_batches;
-  if (metrics_ != nullptr) metrics_->rx_batches.add(1);
   sink.submit(std::move(staged_));
   staged_.clear();
   staged_.reserve(config_.batch_size);
   staged_recv_cycle_.clear();
+  publish();
+}
+
+void IngestServer::publish() {
+  if (metrics_ == nullptr) return;
+  metrics_->rx_bytes.set(stats_.rx_bytes);
+  metrics_->rx_frames.set(stats_.rx_frames);
+  metrics_->rx_batches.set(stats_.rx_batches);
+  metrics_->parse_errors.set(stats_.parse_errors);
+  metrics_->socket_drops.set(stats_.socket_drops);
 }
 
 void IngestServer::close_conn(int fd) {

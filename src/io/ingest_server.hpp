@@ -126,6 +126,8 @@ class IngestServer {
   /// Decode one frame; stage on success, count on failure.
   void ingest_frame(std::span<const std::uint8_t> bytes);
   void flush_staged(IngestExecutor& sink);
+  /// Copy stats_ into the metric cell: at each flush and serve()'s end.
+  void publish();
   void close_conn(int fd);
 
   IngestConfig config_;

@@ -159,15 +159,12 @@ bool admit_arrival(OverloadController& controller, const net::Packet& packet,
   switch (decision) {
     case OverloadController::Decision::kAdmit:
       ++stats.admitted;
-      if (metrics != nullptr) metrics->admitted.add(1);
       return true;
     case OverloadController::Decision::kShedWatermark:
       ++stats.shed_watermark;
-      if (metrics != nullptr) metrics->shed_watermark.add(1);
       break;
     case OverloadController::Decision::kShedEarlyDrop:
       ++stats.shed_early_drop;
-      if (metrics != nullptr) metrics->shed_early_drop.add(1);
       break;
   }
   return false;

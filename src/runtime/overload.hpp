@@ -241,9 +241,9 @@ struct IngressSource {
 /// The ingress gate of every executor (DESIGN.md §9), run before any chain
 /// work: offers `packet` to `controller`, mirrors the controller's episode
 /// counts into `stats` (assignment — always current), counts the verdict
-/// in `stats` and, when attached, `metrics`, sets the queue-depth gauge and
-/// drains the finished-episode latch. Returns true to admit; the caller
-/// discards a shed packet.
+/// there and, when `metrics` is attached, sets its queue-depth gauge and
+/// records a finished episode. Returns true to admit; the caller discards
+/// a shed packet.
 bool admit_arrival(OverloadController& controller, const net::Packet& packet,
                    const IngressSource& source, OverloadStats& stats,
                    telemetry::ShardMetrics* metrics);

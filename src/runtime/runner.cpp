@@ -12,8 +12,7 @@ namespace speedybox::runtime {
 /// Merge-site guard: merge_from below copies field by field, so a new
 /// RunStats field that is not added there silently vanishes from every
 /// sharded result. If this assert fires, extend merge_from (and, for a
-/// counter that telemetry mirrors, telemetry/metrics.cpp's snapshot name
-/// lists) and then bump the count.
+/// counter telemetry exports, publish_counts) and then bump the count.
 static_assert(util::field_count<RunStats>() == 13,
               "RunStats changed: update RunStats::merge_from and this count");
 
@@ -80,6 +79,28 @@ void RunStats::merge_from(const RunStats& other) {
   }
 
   overload.merge_from(other.overload);
+}
+
+void publish_counts(telemetry::ShardMetrics& metrics, const RunStats& stats,
+                    const core::PacketClassifier& classifier,
+                    const core::FlowTableStats& tables) noexcept {
+  metrics.packets.set(stats.packets);
+  metrics.drops.set(stats.drops);
+  metrics.events_triggered.set(stats.events_triggered);
+  metrics.admitted.set(stats.overload.admitted);
+  metrics.shed_watermark.set(stats.overload.shed_watermark);
+  metrics.shed_early_drop.set(stats.overload.shed_early_drop);
+  metrics.faulted.set(stats.overload.faulted);
+  metrics.degraded_flows.set(stats.overload.degraded_flows);
+  metrics.degraded_packets.set(stats.overload.degraded_packets);
+  metrics.mat_hits.set(classifier.subsequent_count());
+  metrics.mat_misses.set(classifier.initial_count());
+  metrics.active_flows.set(classifier.active_flows());
+  metrics.flow_table_entries.set(tables.entries);
+  metrics.flow_table_capacity.set(tables.capacity);
+  metrics.flow_table_slab_bytes.set(tables.slab_bytes);
+  metrics.flow_table_max_probe.set(tables.max_probe);
+  metrics.flow_table_resize_steps.set(tables.resize_steps);
 }
 
 ChainRunner::ChainRunner(ServiceChain& chain, RunConfig config,
@@ -182,10 +203,6 @@ void ChainRunner::run_recording_path(
   if (metrics_ != nullptr) {
     metrics_->consolidations.add(1);
     metrics_->consolidate_cycles.record(consolidate_cycles);
-    metrics_->active_flows.set(chain_.classifier().active_flows());
-    const core::FlowTableStats ft = chain_.flow_table_stats();
-    metrics_->set_flow_table(ft.entries, ft.capacity, ft.slab_bytes,
-                             ft.max_probe, ft.resize_steps);
   }
   if (trace) {
     spans->event(telemetry::SpanStage::kConsolidate, outcome.work_cycles);
@@ -294,10 +311,6 @@ void ChainRunner::apply_teardown(
     metrics_->teardown_cycles.record(
         util::CycleClock::segment(t0, util::CycleClock::now()));
     metrics_->teardowns.add(1);
-    metrics_->active_flows.set(chain_.classifier().active_flows());
-    const core::FlowTableStats ft = chain_.flow_table_stats();
-    metrics_->set_flow_table(ft.entries, ft.capacity, ft.slab_bytes,
-                             ft.max_probe, ft.resize_steps);
   }
 }
 
@@ -340,6 +353,10 @@ void ChainRunner::process_batch(net::PacketBatch& batch,
     process_speedybox_batch(batch, outcomes);
   } else {
     process_original_batch(batch, outcomes);
+  }
+  if (metrics_ != nullptr) {
+    publish_counts(*metrics_, stats_, chain_.classifier(),
+                   chain_.flow_table_stats());
   }
 }
 
@@ -590,7 +607,6 @@ void ChainRunner::process_speedybox_batch(
         // packet executes it on the fast path.
         chain_.global_mat().install_default_rule(classification.fid);
         ++stats_.overload.degraded_flows;
-        if (metrics_ != nullptr) metrics_->degraded_flows.add(1);
         run_fast_path(batch.packet(i), classification, classify_share,
                       ingress, outcome);
       } else if (outcome.initial) {
@@ -624,24 +640,6 @@ void ChainRunner::account(const PacketOutcome& outcome) {
   stats_.events_triggered += outcome.events_triggered;
 
   if (metrics_ != nullptr) {
-    metrics_->packets.add(1);
-    if (outcome.faulted) {
-      metrics_->faulted.add(1);
-    } else if (outcome.dropped) {
-      metrics_->drops.add(1);
-    }
-    if (outcome.degraded) metrics_->degraded_packets.add(1);
-    if (outcome.events_triggered > 0) {
-      metrics_->events_triggered.add(outcome.events_triggered);
-    }
-    if (config_.speedybox) {
-      metrics_->classifier_lookups.add(1);
-      if (outcome.initial) {
-        metrics_->mat_misses.add(1);
-      } else if (outcome.fast_path) {
-        metrics_->mat_hits.add(1);
-      }
-    }
     if (outcome.fast_path) {
       metrics_->fastpath_cycles.record(outcome.work_cycles);
     } else if (outcome.initial || !config_.speedybox) {

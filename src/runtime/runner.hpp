@@ -151,6 +151,13 @@ struct RunStats {
   void merge_from(const RunStats& other);
 };
 
+/// Copies the counts their owners keep — `stats`, the classifier's
+/// subsequent/initial counts and live flows, `tables` — into `metrics`, on
+/// the thread that owns them, at a batch boundary (DESIGN.md §7).
+void publish_counts(telemetry::ShardMetrics& metrics, const RunStats& stats,
+                    const core::PacketClassifier& classifier,
+                    const core::FlowTableStats& tables) noexcept;
+
 class ChainRunner : public Executor {
  public:
   ChainRunner(ServiceChain& chain, RunConfig config,

@@ -152,7 +152,6 @@ void SpeedyBoxPipeline::dispatch(Descriptor descriptor) {
 
 void SpeedyBoxPipeline::count_drop(net::Packet* packet) {
   ++stats_.drops;
-  if (metrics_ != nullptr) metrics_->drops.add(1);
   delete packet;
 }
 
@@ -175,13 +174,6 @@ void SpeedyBoxPipeline::finish_teardown(std::uint32_t fid) {
     metrics_->teardown_cycles.record(
         util::CycleClock::segment(t0, util::CycleClock::now()));
     metrics_->teardowns.add(1);
-    metrics_->active_flows.set(chain_.classifier().active_flows());
-    // Manager-owned tables only: the NF-internal state tables belong to
-    // the worker threads, so the manager reports classifier + records.
-    core::FlowTableStats ft = chain_.classifier().table_stats();
-    ft.merge_from(chain_.global_mat().record_stats());
-    metrics_->set_flow_table(ft.entries, ft.capacity, ft.slab_bytes,
-                             ft.max_probe, ft.resize_steps);
   }
   // In arrival order these packets follow the teardown: a new flow.
   for (const Held& packet : held) route(packet.packet, packet.keep);
@@ -225,7 +217,6 @@ void SpeedyBoxPipeline::handle_completion(Descriptor& descriptor) {
       // Injected NF faults are disjoint from policy drops so conservation
       // can separate them (packets == delivered + drops + faulted).
       ++stats_.overload.faulted;
-      if (metrics_ != nullptr) metrics_->faulted.add(1);
       delete packet;
     } else {
       count_drop(packet);
@@ -238,15 +229,8 @@ void SpeedyBoxPipeline::fast_path(net::Packet* packet, bool keep,
                                   std::uint32_t fid, bool teardown) {
   const auto header = chain_.global_mat().process_header(*packet);
   stats_.events_triggered += header.events_triggered;
-  if (metrics_ != nullptr) {
-    if (header.rule_hit) metrics_->mat_hits.add(1);
-    if (header.events_triggered > 0) {
-      metrics_->events_triggered.add(header.events_triggered);
-    }
-  }
   if (header.rule_hit && header.degraded_rule) {
     ++stats_.overload.degraded_packets;
-    if (metrics_ != nullptr) metrics_->degraded_packets.add(1);
   }
   if (packet->dropped()) {
     count_drop(packet);
@@ -277,6 +261,16 @@ void SpeedyBoxPipeline::submit(std::span<net::Packet> burst, bool keep) {
     throw std::logic_error("SpeedyBoxPipeline: submit after drain()");
   }
   for (net::Packet& packet : burst) admit(std::move(packet), keep);
+  publish();
+}
+
+void SpeedyBoxPipeline::publish() {
+  if (metrics_ == nullptr) return;
+  // Manager-owned tables only: the NF-internal state tables belong to the
+  // worker threads, so the manager reports classifier + records.
+  core::FlowTableStats tables = chain_.classifier().table_stats();
+  tables.merge_from(chain_.global_mat().record_stats());
+  publish_counts(*metrics_, stats_, chain_.classifier(), tables);
 }
 
 void SpeedyBoxPipeline::admit(net::Packet&& packet, bool keep) {
@@ -295,7 +289,6 @@ void SpeedyBoxPipeline::admit(net::Packet&& packet, bool keep) {
     return;
   }
   ++stats_.packets;
-  if (metrics_ != nullptr) metrics_->packets.add(1);
 
   auto* descriptor_packet = new net::Packet(std::move(packet));
   if (!config_.speedybox) {
@@ -313,7 +306,6 @@ void SpeedyBoxPipeline::admit(net::Packet&& packet, bool keep) {
 
 void SpeedyBoxPipeline::route(net::Packet* packet, bool keep) {
   const auto classification = chain_.classifier().classify(*packet);
-  if (metrics_ != nullptr) metrics_->classifier_lookups.add(1);
   if (!classification) {
     count_drop(packet);
     return;
@@ -322,14 +314,6 @@ void SpeedyBoxPipeline::route(net::Packet* packet, bool keep) {
   const bool teardown = classification->teardown;
 
   if (classification->path == core::PacketClassifier::Path::kInitial) {
-    if (metrics_ != nullptr) {
-      metrics_->mat_misses.add(1);
-      metrics_->active_flows.set(chain_.classifier().active_flows());
-      core::FlowTableStats ft = chain_.classifier().table_stats();
-      ft.merge_from(chain_.global_mat().record_stats());
-      metrics_->set_flow_table(ft.entries, ft.capacity, ft.slab_bytes,
-                               ft.max_probe, ft.resize_steps);
-    }
     FlowState& flow = *flows_.try_emplace(fid).first;
     if (controller_ != nullptr && controller_->degraded()) {
       // Graceful degradation: no recording traversal — the flow gets the
@@ -337,7 +321,6 @@ void SpeedyBoxPipeline::route(net::Packet* packet, bool keep) {
       // keeping the NF cores free for established flows.
       chain_.global_mat().install_default_rule(fid);
       ++stats_.overload.degraded_flows;
-      if (metrics_ != nullptr) metrics_->degraded_flows.add(1);
       flow.phase = teardown ? FlowPhase::kClosing : FlowPhase::kReady;
       fast_path(packet, keep, fid, teardown);
       return;
@@ -391,6 +374,7 @@ void SpeedyBoxPipeline::stop() {
 
 const RunStats& SpeedyBoxPipeline::drain(std::vector<net::Packet>* outputs) {
   stop();
+  publish();
   if (outputs != nullptr) outputs->swap(sink_);
   sink_ = {};
   return stats_;

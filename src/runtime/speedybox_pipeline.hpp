@@ -107,7 +107,8 @@ class SpeedyBoxPipeline : public Executor {
   const RunStats& stats() const noexcept override { return stats_; }
   /// Manager-side telemetry: every hooked cell is written by the manager
   /// thread only — submit(), completions and teardown all run there — so the
-  /// single-writer contract holds with no locking. The NF worker threads
+  /// single-writer contract holds with no locking; counts are published at
+  /// the end of each submit() and in drain(). The NF worker threads
   /// are not instrumented (they carry no timers; the cycle accounting for
   /// this deployment lives in ChainRunner's model).
   void attach_telemetry(telemetry::Registry* registry,
@@ -176,6 +177,7 @@ class SpeedyBoxPipeline : public Executor {
   void deliver(net::Packet* packet, bool keep);
   /// Complete everything in flight and join the NF threads (idempotent).
   void stop();
+  void publish();
 
   ServiceChain& chain_;
   RunConfig config_;

@@ -1,5 +1,7 @@
 #include "telemetry/metrics.hpp"
 
+#include <algorithm>
+
 namespace speedybox::telemetry {
 
 util::LogHistogram CycleHistogram::snapshot() const {
@@ -54,7 +56,6 @@ ShardSnapshot snapshot_shard(const ShardMetrics& shard) {
       {"drops", shard.drops.get()},
       {"mat_hits", shard.mat_hits.get()},
       {"mat_misses", shard.mat_misses.get()},
-      {"classifier_lookups", shard.classifier_lookups.get()},
       {"events_triggered", shard.events_triggered.get()},
       {"consolidations", shard.consolidations.get()},
       {"teardowns", shard.teardowns.get()},
@@ -134,7 +135,9 @@ ShardSnapshot MetricsSnapshot::aggregate() const {
         bool found = false;
         for (auto& [existing, sum] : into) {
           if (existing == name) {
-            sum += value;
+            // As core::FlowTableStats::merge_from: the worst probe is a max.
+            sum = name == "flow_table_max_probe" ? std::max(sum, value)
+                                                 : sum + value;
             found = true;
             break;
           }

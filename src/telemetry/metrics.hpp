@@ -12,9 +12,11 @@
 // background snapshotter running mid-run).
 //
 // Different cells of one ShardMetrics may have different writers (the
-// sharded dispatcher owns ring_occupancy/backpressure_yields/shed_ring
-// while the shard worker owns everything else) — the contract is per cell,
-// not per struct.
+// sharded dispatcher owns ring_occupancy/ring_burst_size/
+// backpressure_yields/shed_ring while the shard worker owns everything
+// else) — the contract is per cell, not per struct. A count another ledger
+// keeps is not counted here: its owner set()s it at each batch boundary
+// (DESIGN.md §7 lists the owners).
 //
 // Data-path cost when telemetry is off: the instrumented executors keep a
 // `ShardMetrics*` that is null when no registry is attached, so every hook
@@ -106,9 +108,8 @@ struct ShardMetrics {
   // -- counters --
   Counter packets;              // packets processed
   Counter drops;
-  Counter mat_hits;             // fast path served from the Global MAT
-  Counter mat_misses;           // initial packets (recording traversal)
-  Counter classifier_lookups;
+  Counter mat_hits;             // classifier: subsequent-path packets
+  Counter mat_misses;           // classifier: initial packets
   Counter events_triggered;
   Counter consolidations;
   Counter teardowns;            // FIN/RST flow teardowns
@@ -142,7 +143,8 @@ struct ShardMetrics {
 
   // -- flow-table engine (DESIGN.md §13). Cumulative incremental-resize
   // -- steps plus occupancy/probe/slab gauges, aggregated over the shard's
-  // -- tables (classifier, Global MAT, per-NF state). --
+  // -- tables (classifier, Global MAT, per-NF state; the pipeline manager
+  // -- reports the first two only). --
   Counter flow_table_resize_steps;
 
   // -- gauges --
@@ -156,19 +158,6 @@ struct ShardMetrics {
   Gauge flow_table_capacity;    // allocated slots across the tables
   Gauge flow_table_slab_bytes;  // slab-arena bytes backing flow records
   Gauge flow_table_max_probe;   // worst probe sequence observed
-
-  /// One-call refresh of the flow-table cells from an aggregated
-  /// core::FlowTableStats (raw values, so telemetry stays independent of
-  /// core). resize_steps is already cumulative in the stats, hence set().
-  void set_flow_table(std::uint64_t entries, std::uint64_t capacity,
-                      std::uint64_t slab_bytes, std::uint64_t max_probe,
-                      std::uint64_t resize_steps) noexcept {
-    flow_table_entries.set(entries);
-    flow_table_capacity.set(capacity);
-    flow_table_slab_bytes.set(slab_bytes);
-    flow_table_max_probe.set(max_probe);
-    flow_table_resize_steps.set(resize_steps);
-  }
 
   // -- cycle histograms --
   CycleHistogram fastpath_cycles;     // classify + event check + HA + SFs
@@ -231,8 +220,9 @@ struct MetricsSnapshot {
   /// Monotonic snapshot index (per Registry).
   std::uint64_t sequence = 0;
   std::vector<ShardSnapshot> shards;
-  /// Cross-shard roll-up: counters/gauges summed, histograms merged,
-  /// spans concatenated, per-NF merged by chain position.
+  /// Cross-shard roll-up: counters/gauges summed (flow_table_max_probe,
+  /// a worst case, takes the max), histograms merged, spans concatenated,
+  /// per-NF merged by chain position.
   ShardSnapshot aggregate() const;
 };
 

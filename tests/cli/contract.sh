@@ -103,6 +103,9 @@ echo "--- chainsim: documented invocations pass validation"
 dry --chain snort,monitor --shards 4 --flows 100 --packets 20 \
   --metrics-out "${TMP}/m.jsonl" --metrics-prom "${TMP}/m.prom" \
   --trace-sample 64
+dry --chain "${CHAIN1}" --datacenter --flows 2000 --mode speedybox \
+  --executor pipeline --overload 2.0 --drop-policy per-flow-fair \
+  --queue-capacity 256 --metrics-out "${TMP}/p.jsonl"
 dry --chain snort,monitor --shards 2 --flows 50 --packets 20 --batch-size 1
 dry --chain snort,monitor --shards 2 --flows 50 --packets 20 --batch-size 32
 dry --chain "${CHAIN1}" --datacenter --flows 200 --fail-backend-at 1000

@@ -110,6 +110,27 @@ TEST(MetricsSnapshot, AggregateSumsAndMerges) {
   EXPECT_EQ(total.per_nf[0].packets, 3u);
 }
 
+TEST(MetricsSnapshot, AggregateTakesTheWorstProbe) {
+  // A worst probe sequence merges as core::FlowTableStats does: the max,
+  // while the other gauges still sum.
+  Registry registry;
+  ShardMetrics& a = registry.create_shard("shard0");
+  ShardMetrics& b = registry.create_shard("shard1");
+  a.flow_table_max_probe.set(7);
+  b.flow_table_max_probe.set(9);
+  a.flow_table_entries.set(3);
+  b.flow_table_entries.set(4);
+
+  const ShardSnapshot total = registry.snapshot().aggregate();
+  for (const auto& [name, value] : total.gauges) {
+    if (name == "flow_table_max_probe") {
+      EXPECT_EQ(value, 9u);
+    } else if (name == "flow_table_entries") {
+      EXPECT_EQ(value, 7u);
+    }
+  }
+}
+
 // The single-writer/any-reader contract: one thread hammers the cells of
 // its shard while another snapshots concurrently. Values must be torn-free
 // and the final snapshot exact. Run under TSan, this is the telemetry

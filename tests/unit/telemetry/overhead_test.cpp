@@ -70,8 +70,8 @@ RunResult run_once(const trace::Workload& workload, Registry* registry,
     // The sink's view must agree with the runner's own accounting.
     EXPECT_EQ(metrics->packets.get(), stats.packets);
     EXPECT_EQ(metrics->drops.get(), stats.drops);
-    EXPECT_EQ(metrics->mat_hits.get() + metrics->mat_misses.get(),
-              metrics->classifier_lookups.get());
+    EXPECT_EQ(metrics->mat_hits.get(), chain.classifier().subsequent_count());
+    EXPECT_EQ(metrics->mat_misses.get(), chain.classifier().initial_count());
   }
   return result;
 }
