@@ -27,7 +27,6 @@
 
 #include "bench_method.hpp"
 #include "bench_util.hpp"
-#include "io/ingest_executor.hpp"
 #include "io/ingest_server.hpp"
 #include "io/loadgen.hpp"
 #include "runtime/plan.hpp"
@@ -108,21 +107,20 @@ TrialResult run_trial(std::size_t rounds, std::size_t flows) {
       config.idle_timeout_ms = 50;
       io::IngestServer server{config};
       server.attach_telemetry(&registry, "bench/ingest");
-      io::IngestExecutor sink{runner};
       io::LoadgenConfig gen;
-      gen.port = server.udp_port();
-      const io::LoadgenReport report = replay_workload(workload, gen);
-      const io::IngestStats stats = server.serve(sink);
-      sink.finish();
+      gen.ports = {server.udp_port()};
+      const io::LoadgenReport report = replay_workload(workload, gen).front();
+      const io::IngestStats stats = server.serve(runner);
+      const std::uint64_t ran = runner.drain(nullptr).packets;
       sent += report.sent;
       result.frames += stats.rx_frames;
       result.socket_drops += stats.socket_drops;
       result.parse_errors += stats.parse_errors;
       busy_s += stats.drive_seconds;
-      // The CI smoke's identity, gate off: sent == submitted + errors +
-      // kernel drops. A violation means the front-end lost frames.
-      if (report.sent !=
-          sink.submitted() + stats.parse_errors + stats.socket_drops) {
+      // The CI smoke's identity, gate off, from the sender's and the
+      // executor's counts: sent == packets run + errors + kernel drops. A
+      // violation means the front-end lost frames.
+      if (report.sent != ran + stats.parse_errors + stats.socket_drops) {
         result.conserved = false;
       }
     }

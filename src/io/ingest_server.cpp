@@ -66,12 +66,13 @@ void IngestServer::attach_telemetry(telemetry::Registry* registry,
   metrics_ = registry != nullptr ? &registry->create_shard(label) : nullptr;
 }
 
-IngestStats IngestServer::serve(IngestExecutor& sink) {
+IngestStats IngestServer::serve(runtime::Executor& executor, Gate gate) {
   if (served_) {
     throw std::logic_error("IngestServer::serve is one-shot");
   }
   served_ = true;
-  sink_ = &sink;
+  executor_ = &executor;
+  gate_ = std::move(gate);
   stats_ = IngestStats{};
   if (udp_.valid()) {
     drop_baseline_ = udp_socket_drops(udp_.get()).value_or(0);
@@ -109,11 +110,11 @@ IngestStats IngestServer::serve(IngestExecutor& sink) {
     } else {
       // Idle wakeup: anything staged has waited kFlushIntervalMs already —
       // push the partial batch rather than holding it against the timeout.
-      flush_staged(sink);
+      flush_staged();
     }
   }
 
-  flush_staged(sink);
+  flush_staged();
   stats_.drive_seconds =
       std::chrono::duration<double>(last_activity - serve_start).count();
 
@@ -138,7 +139,8 @@ IngestStats IngestServer::serve(IngestExecutor& sink) {
     loop_.remove(conn->fd.get());
   }
   conns_.clear();
-  sink_ = nullptr;
+  executor_ = nullptr;
+  gate_ = nullptr;
   return stats_;
 }
 
@@ -223,23 +225,31 @@ void IngestServer::ingest_frame(std::span<const std::uint8_t> bytes) {
   }
   ++stats_.rx_frames;
   staged_.push_back(std::move(packet));
-  staged_recv_cycle_.push_back(util::CycleClock::now());
-  if (staged_.size() >= config_.batch_size) flush_staged(*sink_);
+  if (metrics_ != nullptr) {
+    staged_recv_cycle_.push_back(util::CycleClock::now());
+  }
+  if (staged_.size() >= config_.batch_size) flush_staged();
 }
 
-void IngestServer::flush_staged(IngestExecutor& sink) {
+void IngestServer::flush_staged() {
   if (staged_.empty()) return;
   if (metrics_ != nullptr) {
     const std::uint64_t now = util::CycleClock::now();
     for (const std::uint64_t recv_cycle : staged_recv_cycle_) {
       metrics_->ingest_cycles.record(now >= recv_cycle ? now - recv_cycle : 0);
     }
+    staged_recv_cycle_.clear();
   }
   ++stats_.rx_batches;
-  sink.submit(std::move(staged_));
+  if (gate_) {
+    // Shed packets compact out here, so the executor sees only the packets
+    // the host gate admitted.
+    std::erase_if(staged_,
+                  [this](const net::Packet& packet) { return !gate_(packet); });
+  }
+  // The executor takes the packets; clear() keeps the batch's capacity.
+  executor_->submit(staged_, /*keep=*/false);
   staged_.clear();
-  staged_.reserve(config_.batch_size);
-  staged_recv_cycle_.clear();
   publish();
 }
 

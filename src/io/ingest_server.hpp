@@ -1,6 +1,6 @@
 // Event-driven UDP/TCP ingestion front-end (DESIGN.md §11): real wire
-// bytes in, net::Packet descriptors out, batches staged to an
-// IngestExecutor sink.
+// bytes in, net::Packet descriptors out, batches staged and submitted to a
+// runtime::Executor.
 //
 //   epoll (level-triggered, io::EventLoop)
 //     UDP socket    one datagram = one Ethernet frame; drained with
@@ -10,33 +10,37 @@
 //                   length-prefixed frames (io::StreamFramer reassembles)
 //   decode_frame() validates every frame (malformed → parse_errors, never
 //                   a crash — see frame.hpp), stages survivors into a
-//                   batch of batch_size, submits whole batches to the sink
+//                   batch of batch_size; each batch passes the optional
+//                   host gate and goes to Executor::submit
 //   idle timeout   serve() returns after idle_timeout_ms with no traffic
 //                   (partial batches flush on every idle wakeup first, so
 //                   trickle traffic is never held hostage to the batch)
 //
 // Backpressure contract with the overload controller: the front-end never
-// drops a decoded frame itself. Shedding is the wrapped executor's ingress
-// gate (DESIGN.md §9) — a sharded sink's dispatcher sheds on ring
-// watermarks, a runner sink's virtual queue sheds on its own — so the
+// drops a decoded frame itself. Shedding is the executor's ingress gate
+// (DESIGN.md §9) — a sharded executor's dispatcher sheds on ring
+// watermarks, a runner's virtual queue sheds on its own — so the
 // conservation identity the closed-loop smoke checks is
 //   sent == admitted + shed + parse_errors + socket_drops
 // with socket_drops the kernel's receive-queue overflow count (the only
 // loss the process cannot refuse: the wire outran the event loop).
 //
 // Threads: serve() blocks the calling thread (which thereby becomes the
-// dispatcher of a sharded sink). stop() is safe from any thread.
+// dispatcher of a sharded executor and the pipeline's manager). stop() is
+// safe from any thread.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "io/event_loop.hpp"
 #include "io/frame.hpp"
-#include "io/ingest_executor.hpp"
 #include "io/socket.hpp"
+#include "net/packet.hpp"
+#include "runtime/executor.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace speedybox::io {
@@ -57,7 +61,7 @@ struct IngestConfig {
   std::size_t rx_budget = 64;
   /// serve() returns after this long without receiving anything.
   int idle_timeout_ms = 1000;
-  /// Frames staged per sink submission (the rx burst size).
+  /// Frames staged per Executor::submit (the rx burst size).
   std::size_t batch_size = 32;
   /// Kernel receive buffer for the UDP socket (0 = system default). The
   /// deeper this is, the burstier the wire can be before socket_drops.
@@ -70,7 +74,7 @@ struct IngestStats {
   std::uint64_t rx_bytes = 0;      // wire bytes read (UDP payload + TCP
                                    // stream bytes, prefixes included)
   std::uint64_t rx_frames = 0;     // frames decoded successfully
-  std::uint64_t rx_batches = 0;    // sink submissions
+  std::uint64_t rx_batches = 0;    // staged batches flushed
   std::uint64_t parse_errors = 0;  // frames decode_frame rejected
   std::uint64_t socket_drops = 0;  // kernel receive-queue overflow (UDP)
   std::uint64_t tcp_connections = 0;
@@ -103,11 +107,19 @@ class IngestServer {
   void attach_telemetry(telemetry::Registry* registry,
                         const std::string& label);
 
-  /// Run the event loop, feeding `sink`, until stop() or the idle timeout.
-  /// Returns the run's counters (the final socket_drops read included).
-  /// One-shot. Does NOT call sink.finish() — the caller owns the executor
-  /// lifecycle.
-  IngestStats serve(IngestExecutor& sink);
+  /// A host-boundary admission hook (multi-tenant hosting, DESIGN.md §14),
+  /// called per staged packet, in arrival order, before the hand-off:
+  /// false sheds the packet, which never reaches the executor. It runs at a
+  /// packet boundary of a sharded executor's dispatcher, so it may also
+  /// apply control-plane actions (e.g. a pending reshard).
+  using Gate = std::function<bool(const net::Packet&)>;
+
+  /// Run the event loop until stop() or the idle timeout, submitting each
+  /// staged batch to `executor` (without keep) once `gate`, when set, has
+  /// compacted its shed packets out. Returns the run's counters (the final
+  /// socket_drops read included). One-shot. Does NOT drain the executor —
+  /// the caller owns its lifecycle.
+  IngestStats serve(runtime::Executor& executor, Gate gate = {});
 
   /// End serve() from any thread.
   void stop() noexcept { loop_.stop(); }
@@ -125,7 +137,7 @@ class IngestServer {
   void drain_tcp(TcpConn& conn, std::uint32_t events);
   /// Decode one frame; stage on success, count on failure.
   void ingest_frame(std::span<const std::uint8_t> bytes);
-  void flush_staged(IngestExecutor& sink);
+  void flush_staged();
   /// Copy stats_ into the metric cell: at each flush and serve()'s end.
   void publish();
   void close_conn(int fd);
@@ -137,8 +149,11 @@ class IngestServer {
   std::uint16_t udp_port_ = 0;
   std::uint16_t tcp_port_ = 0;
   std::vector<std::unique_ptr<TcpConn>> conns_;
-  IngestExecutor* sink_ = nullptr;  // valid inside serve()
+  // Valid inside serve().
+  runtime::Executor* executor_ = nullptr;
+  Gate gate_;
   std::vector<net::Packet> staged_;
+  /// Receive stamps of the staged frames, kept only with telemetry attached.
   std::vector<std::uint64_t> staged_recv_cycle_;
   /// TCP read scratch: one stream chunk.
   std::vector<std::uint8_t> recv_buffer_;

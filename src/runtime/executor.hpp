@@ -22,8 +22,9 @@
 // A packet nobody asked to keep is freed as soon as it completes, so a
 // live run holds nothing per packet however long it serves. run(workload)
 // and run(packets, outputs) are written once, below, over that contract;
-// the live front-end (io::IngestExecutor) and multi-tenant hosting feed it
-// the same way, so no caller decides by executor type how packets enter.
+// the live front-end (io::IngestServer::serve) and multi-tenant hosting
+// feed it the same way, so no caller decides by executor type how packets
+// enter.
 #pragma once
 
 #include <cstddef>

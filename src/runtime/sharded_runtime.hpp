@@ -26,8 +26,8 @@
 //
 // What is kept follows from what the caller asked for: push() and
 // finish() keep every packet, and submit() keeps a burst only with `keep`.
-// A live run (io::IngestExecutor without capture) therefore holds nothing
-// per packet, however long it serves.
+// A live run (io::IngestServer::serve submits without keep) therefore
+// holds nothing per packet, however long it serves.
 //
 // Concurrency contract (DESIGN.md "Sharded runtime"): the symmetric hash
 // gives both directions of a connection the same shard, so every flow's

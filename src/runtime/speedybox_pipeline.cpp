@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/api.hpp"
+#include "net/checksum.hpp"
 #include "net/packet_batch.hpp"
 #include "util/cycle_clock.hpp"
 
@@ -167,7 +168,7 @@ void SpeedyBoxPipeline::finish_teardown(std::uint32_t fid) {
   const std::uint64_t t0 = metrics_ != nullptr ? util::CycleClock::now() : 0;
   chain_.global_mat().erase_flow(fid, /*run_hooks=*/false);
   chain_.classifier().release_flow(fid);
-  std::deque<Held> held;
+  std::vector<Held> held;
   if (FlowState* flow = flows_.find(fid)) held.swap(flow->held);
   flows_.erase(fid);
   if (metrics_ != nullptr) {
@@ -199,14 +200,14 @@ void SpeedyBoxPipeline::handle_completion(Descriptor& descriptor) {
     if (metrics_ != nullptr) metrics_->consolidations.add(1);
     FlowState* flow = flows_.find(descriptor.fid);
     if (flow != nullptr) {
-      flow->phase =
-          descriptor.teardown ? FlowPhase::kClosing : FlowPhase::kReady;
-      while (flow->phase == FlowPhase::kReady && !flow->held.empty()) {
-        const Held held = flow->held.front();
-        flow->held.pop_front();
-        if (held.teardown) flow->phase = FlowPhase::kClosing;
+      flow->recording = false;
+      std::size_t released = 0;
+      while (!descriptor.teardown && released < flow->held.size()) {
+        const Held held = flow->held[released++];
         fast_path(held.packet, held.keep, descriptor.fid, held.teardown);
+        if (held.teardown) break;
       }
+      flow->held.erase(flow->held.begin(), flow->held.begin() + released);
     }
   }
 
@@ -305,50 +306,66 @@ void SpeedyBoxPipeline::admit(net::Packet&& packet, bool keep) {
 }
 
 void SpeedyBoxPipeline::route(net::Packet* packet, bool keep) {
-  const auto classification = chain_.classifier().classify(*packet);
+  // Parse and validate once; classify() takes the parse.
+  const auto parsed = net::parse_packet(*packet);
+  if (!parsed || !net::verify_ipv4_checksum(*packet, parsed->l3_offset)) {
+    count_drop(packet);
+    return;
+  }
+  const auto tuple =
+      core::HashedTuple::of(net::extract_five_tuple(*packet, *parsed));
+  core::PacketClassifier& classifier = chain_.classifier();
+  if (const auto known = classifier.peek(tuple.tuple)) {
+    FlowState* flow = flows_.find(*known);
+    if (flow != nullptr && flow->closing) {
+      // Behind the flow's FIN/RST: the packet starts the tuple's next flow
+      // once the teardown completes, and is classified then.
+      flow->held.push_back({packet, keep, /*teardown=*/false});
+      if (metrics_ != nullptr) metrics_->held_packets.add(1);
+      return;
+    }
+  }
+  const auto classification = classifier.classify(*packet, tuple, *parsed);
   if (!classification) {
     count_drop(packet);
     return;
   }
   const std::uint32_t fid = classification->fid;
   const bool teardown = classification->teardown;
+  FlowState& flow = *flows_.try_emplace(fid).first;
+  flow.closing = teardown;
 
-  if (classification->path == core::PacketClassifier::Path::kInitial) {
-    FlowState& flow = *flows_.try_emplace(fid).first;
-    if (controller_ != nullptr && controller_->degraded()) {
-      // Graceful degradation: no recording traversal — the flow gets the
-      // pre-consolidated default rule and goes straight to the fast path,
-      // keeping the NF cores free for established flows.
-      chain_.global_mat().install_default_rule(fid);
-      ++stats_.overload.degraded_flows;
-      flow.phase = teardown ? FlowPhase::kClosing : FlowPhase::kReady;
-      fast_path(packet, keep, fid, teardown);
+  if (classification->path == core::PacketClassifier::Path::kSubsequent) {
+    if (flow.recording) {
+      // Hold until the initial packet's consolidation completes,
+      // preserving per-flow order and single-core access to the NFs'
+      // per-flow state.
+      flow.held.push_back({packet, keep, teardown});
+      if (metrics_ != nullptr) metrics_->held_packets.add(1);
       return;
     }
-    flow.phase = FlowPhase::kRecording;
-    Descriptor descriptor;
-    descriptor.packet = packet;
-    descriptor.keep = keep;
-    descriptor.fid = fid;
-    descriptor.recording = true;
-    descriptor.teardown = teardown;
-    descriptor.record = &chain_.global_mat().open_flow(fid);
-    dispatch(std::move(descriptor));
+    fast_path(packet, keep, fid, teardown);
     return;
   }
 
-  FlowState& flow = *flows_.try_emplace(fid).first;
-  if (flow.phase != FlowPhase::kReady) {
-    // Recording: hold until the initial packet's consolidation completes,
-    // preserving per-flow order and single-core access to the NFs'
-    // per-flow state. Closing: hold until the teardown completes; the
-    // packet then starts the tuple's next flow.
-    flow.held.push_back({packet, keep, teardown});
-    if (metrics_ != nullptr) metrics_->held_packets.add(1);
+  if (controller_ != nullptr && controller_->degraded()) {
+    // Graceful degradation: no recording traversal — the flow gets the
+    // pre-consolidated default rule and goes straight to the fast path,
+    // keeping the NF cores free for established flows.
+    chain_.global_mat().install_default_rule(fid);
+    ++stats_.overload.degraded_flows;
+    fast_path(packet, keep, fid, teardown);
     return;
   }
-  if (teardown) flow.phase = FlowPhase::kClosing;
-  fast_path(packet, keep, fid, teardown);
+  flow.recording = true;
+  Descriptor descriptor;
+  descriptor.packet = packet;
+  descriptor.keep = keep;
+  descriptor.fid = fid;
+  descriptor.recording = true;
+  descriptor.teardown = teardown;
+  descriptor.record = &chain_.global_mat().open_flow(fid);
+  dispatch(std::move(descriptor));
 }
 
 void SpeedyBoxPipeline::drain_completions(bool block_until_idle) {

@@ -45,7 +45,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <thread>
@@ -130,17 +129,21 @@ class SpeedyBoxPipeline : public Executor {
     core::HandlerArrays handlers;
   };
 
-  /// kClosing: the flow's FIN/RST is on its way through the NF cores.
-  enum class FlowPhase : std::uint8_t { kRecording, kReady, kClosing };
   /// A packet the manager holds while its flow records or closes.
   struct Held {
     net::Packet* packet;
     bool keep;
     bool teardown;
   };
+  /// While `recording`, a flow's later packets are classified and held
+  /// until its consolidation completes. Once `closing` (its FIN/RST was
+  /// admitted), later packets on its tuple belong to the tuple's next flow:
+  /// they are held unclassified until the teardown completes. Most flows
+  /// hold nothing, and an empty vector allocates nothing.
   struct FlowState {
-    FlowPhase phase = FlowPhase::kRecording;
-    std::deque<Held> held;
+    bool recording = false;
+    bool closing = false;
+    std::vector<Held> held;
   };
 
   void worker(std::size_t stage);
@@ -148,7 +151,8 @@ class SpeedyBoxPipeline : public Executor {
   /// descriptor (original mode) or route().
   void admit(net::Packet&& packet, bool keep);
   /// SpeedyBox mode, manager side: classify an admitted packet and send it
-  /// down the recording or fast path, or hold it.
+  /// down the recording or fast path, or hold it. A packet held behind its
+  /// flow's FIN/RST is classified only when it is routed again.
   void route(net::Packet* packet, bool keep);
   /// SpeedyBox mode: run one descriptor through the NFs [begin, end) of a
   /// stage — recording, its rule's state-function batches, teardown hooks.

@@ -106,7 +106,6 @@ struct TenantHost::Tenant {
 
   // Live mode.
   std::unique_ptr<io::IngestServer> server;
-  std::unique_ptr<io::IngestExecutor> ingest;
   io::IngestStats serve_stats;
 };
 
@@ -350,18 +349,17 @@ std::vector<TenantServeResult> TenantHost::serve(
   ingest_threads.reserve(tenants_.size());
   for (auto& tenant_ptr : tenants_) {
     Tenant& tenant = *tenant_ptr;
-    tenant.ingest =
-        std::make_unique<io::IngestExecutor>(*tenant.built.executor);
-    tenant.ingest->set_gate([this, &tenant](const net::Packet& packet) {
-      // The ingest thread is this runtime's dispatcher, and the gate runs
-      // at a packet boundary — the only place a live reshard may land.
-      const int pending =
-          tenant.pending_delta.exchange(0, std::memory_order_acq_rel);
-      if (pending != 0) apply_shard_delta(tenant, pending);
-      return tenant.gate.offer(flow_hash_of(packet));
-    });
-    ingest_threads.emplace_back([&tenant, &active] {
-      tenant.serve_stats = tenant.server->serve(*tenant.ingest);
+    ingest_threads.emplace_back([this, &tenant, &active] {
+      tenant.serve_stats = tenant.server->serve(
+          *tenant.built.executor, [this, &tenant](const net::Packet& packet) {
+            // The ingest thread is this runtime's dispatcher, and the gate
+            // runs at a packet boundary — the only place a live reshard
+            // may land.
+            const int pending =
+                tenant.pending_delta.exchange(0, std::memory_order_acq_rel);
+            if (pending != 0) apply_shard_delta(tenant, pending);
+            return tenant.gate.offer(flow_hash_of(packet));
+          });
       active.fetch_sub(1, std::memory_order_release);
     });
   }
@@ -381,10 +379,9 @@ std::vector<TenantServeResult> TenantHost::serve(
     out.udp_port = tenant.server->udp_port();
     out.tcp_port = tenant.server->tcp_port();
     out.ingest = tenant.serve_stats;
-    out.stats = tenant.ingest->finish();
+    out.stats = tenant.built.executor->drain(nullptr);
     out.gate_offered = tenant.gate.offered();
     out.gate_shed = tenant.gate.shed();
-    out.forwarded = tenant.ingest->submitted();
     out.realloc_events = tenant.realloc_events;
     out.final_shards = tenant.sharded != nullptr
                            ? tenant.sharded->active_shard_count()

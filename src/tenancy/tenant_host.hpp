@@ -14,11 +14,12 @@
 //            at packet boundaries and the whole run is deterministic.
 //
 //   serve()  live — one io::IngestServer per tenant (the tenant's listener
-//            port classifies wire traffic), each on its own ingest thread,
-//            plus an enforcement thread polling telemetry. Budget/policy
-//            updates publish through atomics; shard deltas queue per
-//            tenant and the tenant's own ingest thread applies them at a
-//            packet boundary (it is that runtime's dispatcher).
+//            port classifies wire traffic), each on its own ingest thread
+//            and submitting to the tenant's executor through the host
+//            gate, plus an enforcement thread polling telemetry.
+//            Budget/policy updates publish through atomics; shard deltas
+//            queue per tenant and the tenant's own ingest thread applies
+//            them at a packet boundary (it is that runtime's dispatcher).
 //
 // The admission gate sits at the host boundary, before the tenant's own
 // executor (and before its overload gate, when it has one):
@@ -131,7 +132,6 @@ struct TenantServeResult {
   io::IngestStats ingest;
   std::uint64_t gate_offered = 0;
   std::uint64_t gate_shed = 0;
-  std::uint64_t forwarded = 0;
   runtime::RunStats stats;
   std::size_t realloc_events = 0;
   std::size_t final_shards = 0;

@@ -9,7 +9,9 @@
 // teardown hook (MaglevLb). After a warm-up pass has grown every table and
 // record array, a pass of fresh flows — recording, consolidation, the first
 // fast-path packet's patch compile, the fast path, teardown and the reuse of
-// the freed FIDs — must make no allocation at all in SpeedyBox mode.
+// the freed FIDs — must make no allocation at all in SpeedyBox mode. On the
+// threaded pipeline the manager's heap copy of each admitted packet is the
+// one allocation a flow may make.
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -25,6 +27,7 @@
 #include "nf/network_function.hpp"
 #include "runtime/chain.hpp"
 #include "runtime/runner.hpp"
+#include "runtime/speedybox_pipeline.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -217,6 +220,60 @@ TEST(RecordAllocations, AFreshPassOfFlowsAllocatesNothing) {
   EXPECT_EQ(cells.total_packets(), 2u * kFlows * kPacketsPerFlow);
   EXPECT_EQ(chain.global_mat().events_triggered(), 0u);
   EXPECT_GT(chain.global_mat().checks_performed(), 0u);
+}
+
+/// One packet per flow, flows `first_flow` on, with `flags`.
+std::vector<net::Packet> one_packet_flows(std::uint32_t first_flow,
+                                          std::uint32_t count,
+                                          std::uint8_t flags) {
+  std::vector<net::Packet> packets;
+  for (std::uint32_t flow = 0; flow < count; ++flow) {
+    packets.push_back(net::make_tcp_packet(
+        testing::tuple_n(first_flow + flow), "payload", flags));
+  }
+  return packets;
+}
+
+TEST(RecordAllocations, APipelineFlowAllocatesOnlyItsPacket) {
+  // Rings of 64 keep at most ~256 descriptors, and so flows, in flight.
+  // The warm-up holds kWarmFlows flows open at once before closing them,
+  // which grows the manager's tables and the flow records well past what
+  // the measured pass can reach: its single-packet FIN flows on fresh
+  // tuples, none of which ever holds a packet. CellNf stays out: its event
+  // reads cells other flows' state functions write on the NF core, which
+  // the pipeline's concurrency contract requires an NF to lock.
+  constexpr std::uint32_t kWarmFlows = 2048;
+  constexpr std::uint32_t kPipelineFlows = 512;
+  constexpr std::uint8_t kFin = net::kTcpFlagFin | net::kTcpFlagAck;
+  runtime::ServiceChain chain;
+  const RewriteNf& first = chain.emplace_nf<RewriteNf>();
+  const RewriteNf& second = chain.emplace_nf<RewriteNf>();
+  runtime::RunConfig config;
+  config.speedybox = true;
+  config.batch_size = 32;
+  runtime::SpeedyBoxPipeline pipeline{chain, config, /*ring_capacity=*/64};
+
+  std::vector<net::Packet> open =
+      one_packet_flows(0, kWarmFlows, net::kTcpFlagAck);
+  std::vector<net::Packet> close = one_packet_flows(0, kWarmFlows, kFin);
+  std::vector<net::Packet> fresh =
+      one_packet_flows(kWarmFlows, kPipelineFlows, kFin);
+  pipeline.submit(open, /*keep=*/false);
+  pipeline.submit(close, /*keep=*/false);
+
+  const std::uint64_t before = g_allocations.load();
+  pipeline.submit(fresh, /*keep=*/false);
+  const runtime::RunStats& stats = pipeline.drain(nullptr);
+  const std::uint64_t allocations = g_allocations.load() - before;
+
+  EXPECT_LE(allocations, kPipelineFlows);
+  EXPECT_EQ(stats.packets, 2u * kWarmFlows + kPipelineFlows);
+  EXPECT_EQ(chain.classifier().initial_count(), kWarmFlows + kPipelineFlows);
+  EXPECT_EQ(chain.classifier().active_flows(), 0u);
+  EXPECT_EQ(chain.global_mat().open_records(), 0u);
+  // Every flow's teardown hooks ran on both NF cores.
+  EXPECT_EQ(first.released(), kWarmFlows + kPipelineFlows);
+  EXPECT_EQ(second.released(), kWarmFlows + kPipelineFlows);
 }
 
 }  // namespace

@@ -140,6 +140,9 @@ for proto in udp tcp; do
     --idle-timeout 2000
 done
 dry --chain nat,monitor --mode speedybox --listen 0 --idle-timeout 2000
+dry --chain nat,monitor --mode speedybox --listen 0 --proto udp \
+  --idle-timeout 2000 --overload 2.0 --drop-policy per-flow-fair \
+  --queue-capacity 64
 accept "${CHAINSIM}" --chain "${CHAIN2}" --mode speedybox --flows 60 \
   --packets 20 --emit-plan "${TMP}/flags.json"
 accept "${CHAINSIM}" --plan "${TMP}/flags.json" --flows 60 --packets 20 \

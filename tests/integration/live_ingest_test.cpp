@@ -1,5 +1,5 @@
 // Closed-loop live ingestion over real loopback sockets: the loadgen →
-// IngestServer → IngestExecutor → chain path must deliver byte-identical
+// IngestServer → Executor → chain path must deliver byte-identical
 // post-chain packets to the in-process trace:: drive of the SAME workload,
 // on both §VII-C evaluation chains; frame conservation must hold with
 // garbage mixed in; and a SYN flood replayed over the wire must trip
@@ -12,12 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "chain_fixtures.hpp"
-#include "io/ingest_executor.hpp"
 #include "io/ingest_server.hpp"
 #include "io/loadgen.hpp"
 #include "io/socket.hpp"
@@ -77,6 +78,42 @@ std::vector<net::Packet> run_in_process(runtime::ServiceChain& chain,
   return outputs;
 }
 
+/// Forwards every burst to `inner` with keep, so drain() hands back the
+/// post-chain packets the byte comparisons read.
+class KeepingExecutor final : public runtime::Executor {
+ public:
+  explicit KeepingExecutor(runtime::Executor& inner) : inner_(inner) {}
+  std::string_view kind() const noexcept override { return inner_.kind(); }
+  void submit(std::span<net::Packet> burst, bool) override {
+    inner_.submit(burst, /*keep=*/true);
+  }
+  const runtime::RunStats& drain(std::vector<net::Packet>* outputs) override {
+    return inner_.drain(outputs);
+  }
+  std::size_t batch_size() const noexcept override {
+    return inner_.batch_size();
+  }
+  const runtime::RunStats& stats() const noexcept override {
+    return inner_.stats();
+  }
+  void attach_telemetry(telemetry::Registry* registry,
+                        const std::string& label) override {
+    inner_.attach_telemetry(registry, label);
+  }
+
+ private:
+  runtime::Executor& inner_;
+};
+
+/// One destination: the server's port for `proto`.
+LoadgenConfig loadgen_to(std::uint16_t port,
+                         IngestProto proto = IngestProto::kUdp) {
+  LoadgenConfig gen;
+  gen.ports = {port};
+  gen.proto = proto;
+  return gen;
+}
+
 struct LiveResult {
   std::vector<net::Packet> outputs;
   IngestStats ingest;
@@ -92,31 +129,27 @@ LiveResult run_live(runtime::Executor& executor,
   config.proto = proto;
   config.idle_timeout_ms = 300;
   IngestServer server{config};
-  IngestExecutor sink{executor, /*capture_outputs=*/true};
+  KeepingExecutor keeping{executor};
 
-  LoadgenConfig gen;
-  gen.proto = proto;
   LiveResult result;
+  LoadgenReport report;
   if (proto == IngestProto::kUdp) {
     // Load the receive buffer before serving: deterministic, ordered,
     // zero-drop (the workload is far smaller than rcvbuf_bytes).
-    gen.port = server.udp_port();
-    const LoadgenReport report = replay_workload(workload, gen);
-    EXPECT_EQ(report.send_errors, 0u);
-    result.sent = report.sent;
-    result.ingest = server.serve(sink);
+    report = replay_workload(workload, loadgen_to(server.udp_port())).front();
+    result.ingest = server.serve(keeping);
   } else {
-    gen.port = server.tcp_port();
-    LoadgenReport report;
-    std::thread sender(
-        [&] { report = replay_workload(workload, gen); });
-    result.ingest = server.serve(sink);
+    std::thread sender([&] {
+      report = replay_workload(workload, loadgen_to(server.tcp_port(), proto))
+                   .front();
+    });
+    result.ingest = server.serve(keeping);
     sender.join();
-    EXPECT_EQ(report.send_errors, 0u);
-    result.sent = report.sent;
   }
-  result.stats = sink.finish();
-  result.outputs = sink.outputs();
+  EXPECT_EQ(report.send_errors, 0u);
+  EXPECT_EQ(report.error, "");
+  result.sent = report.sent;
+  result.stats = keeping.drain(&result.outputs);
   return result;
 }
 
@@ -213,8 +246,8 @@ TEST(LiveIngest, SynFloodOverWireTripsDosBlacklistExactly) {
 
 TEST(LiveIngest, ConservationHoldsWithGarbageOnTheWire) {
   // sent == admitted + shed + parse_errors + socket_drops, with the gate
-  // off: admitted = submitted, shed = 0, and garbage lands in
-  // parse_errors instead of crashing anything.
+  // off: admitted = the packets the executor ran, shed = 0, and garbage
+  // lands in parse_errors instead of crashing anything.
   const trace::Workload workload = small_datacenter_workload(31337, false);
   const auto chain = chain1_gateway();
   runtime::ChainRunner runner{*chain, speedybox_run_config()};
@@ -222,11 +255,9 @@ TEST(LiveIngest, ConservationHoldsWithGarbageOnTheWire) {
   IngestConfig config;
   config.idle_timeout_ms = 300;
   IngestServer server{config};
-  IngestExecutor sink{runner};
 
-  LoadgenConfig gen;
-  gen.port = server.udp_port();
-  const LoadgenReport report = replay_workload(workload, gen);
+  const LoadgenReport report =
+      replay_workload(workload, loadgen_to(server.udp_port())).front();
   ASSERT_EQ(report.send_errors, 0u);
   // Interleave hostile datagrams: runts, noise, truncated-L4.
   Fd evil = make_udp_sender("127.0.0.1", server.udp_port());
@@ -238,46 +269,46 @@ TEST(LiveIngest, ConservationHoldsWithGarbageOnTheWire) {
   for (const auto& frame : garbage) {
     ASSERT_TRUE(send_all(evil.get(), frame));
   }
-  const IngestStats ingest = server.serve(sink);
-  const runtime::RunStats& stats = sink.finish();
+  const IngestStats ingest = server.serve(runner);
+  const runtime::RunStats& stats = runner.drain(nullptr);
 
   EXPECT_EQ(ingest.parse_errors, garbage.size());
   EXPECT_EQ(ingest.rx_frames, report.sent);
   EXPECT_EQ(ingest.socket_drops, 0u);
-  // The identity the CI smoke enforces end to end.
+  // The identity the CI smoke enforces end to end, from the sender's, the
+  // server's and the executor's counts. RunStats.packets counts every
+  // processed packet (drops are a subset).
   EXPECT_EQ(report.sent + garbage.size(),
-            sink.submitted() + ingest.parse_errors + ingest.socket_drops);
-  // RunStats.packets counts every processed packet (drops are a subset).
-  EXPECT_EQ(stats.packets, sink.submitted());
+            stats.packets + ingest.parse_errors + ingest.socket_drops);
 }
 
-/// Threaded sinks: every wire frame must come out the other end.
-void expect_threaded_sink_conserves(runtime::Executor& executor) {
+/// Threaded executors: every wire frame must come out the other end.
+void expect_threaded_executor_conserves(runtime::Executor& executor) {
   const trace::Workload workload = small_datacenter_workload(4242, false);
   IngestConfig config;
   config.idle_timeout_ms = 300;
   IngestServer server{config};
-  IngestExecutor sink{executor, /*capture_outputs=*/true};
+  KeepingExecutor keeping{executor};
 
-  LoadgenConfig gen;
-  gen.port = server.udp_port();
-  const LoadgenReport report = replay_workload(workload, gen);
+  const LoadgenReport report =
+      replay_workload(workload, loadgen_to(server.udp_port())).front();
   ASSERT_EQ(report.send_errors, 0u);
-  const IngestStats ingest = server.serve(sink);
-  const runtime::RunStats& stats = sink.finish();
+  const IngestStats ingest = server.serve(keeping);
+  std::vector<net::Packet> outputs;
+  const runtime::RunStats& stats = keeping.drain(&outputs);
 
   EXPECT_EQ(ingest.rx_frames, report.sent);
   EXPECT_EQ(ingest.socket_drops, 0u);
   EXPECT_EQ(stats.packets, report.sent);
   EXPECT_EQ(stats.drops, 0u);  // chain1's ACL is empty
-  EXPECT_EQ(sink.outputs().size(), report.sent);
+  EXPECT_EQ(outputs.size(), report.sent);
 }
 
 TEST(LiveIngest, ShardedStreamPushConservesPackets) {
   // The ingest thread doubles as the dispatcher of a 2-shard runtime.
   const auto chain = chain1_gateway();
   runtime::ShardedRuntime sharded{*chain, 2, speedybox_run_config()};
-  expect_threaded_sink_conserves(sharded);
+  expect_threaded_executor_conserves(sharded);
 }
 
 TEST(LiveIngest, PipelineStreamsAndConservesPackets) {
@@ -285,7 +316,7 @@ TEST(LiveIngest, PipelineStreamsAndConservesPackets) {
   // the NF cores while the sockets are still being read.
   const auto chain = chain1_gateway();
   runtime::SpeedyBoxPipeline pipeline{*chain, speedybox_run_config()};
-  expect_threaded_sink_conserves(pipeline);
+  expect_threaded_executor_conserves(pipeline);
 }
 
 TEST(LiveIngest, BatchedUdpWithGarbageIsByteIdenticalAndConserving) {
@@ -301,25 +332,25 @@ TEST(LiveIngest, BatchedUdpWithGarbageIsByteIdenticalAndConserving) {
   IngestConfig config;
   config.idle_timeout_ms = 300;
   IngestServer server{config};
-  IngestExecutor sink{runner, /*capture_outputs=*/true};
+  KeepingExecutor keeping{runner};
 
-  LoadgenConfig gen;
-  gen.port = server.udp_port();
-  const LoadgenReport report = replay_workload(workload, gen);
+  const LoadgenReport report =
+      replay_workload(workload, loadgen_to(server.udp_port())).front();
   ASSERT_EQ(report.send_errors, 0u);
   Fd evil = make_udp_sender("127.0.0.1", server.udp_port());
   const std::vector<std::uint8_t> runt = {0xDE, 0xAD};
   ASSERT_TRUE(send_all(evil.get(), runt));
 
-  const IngestStats ingest = server.serve(sink);
-  sink.finish();
+  const IngestStats ingest = server.serve(keeping);
+  std::vector<net::Packet> outputs;
+  const runtime::RunStats& stats = keeping.drain(&outputs);
 
   EXPECT_EQ(ingest.rx_frames, report.sent);
   EXPECT_EQ(ingest.parse_errors, 1u);
   EXPECT_EQ(ingest.socket_drops, 0u);
   EXPECT_EQ(report.sent + 1,
-            sink.submitted() + ingest.parse_errors + ingest.socket_drops);
-  expect_byte_identical(sink.outputs(), reference);
+            stats.packets + ingest.parse_errors + ingest.socket_drops);
+  expect_byte_identical(outputs, reference);
 }
 
 TEST(LiveIngest, UdpFramesUpToMaxFrameBytesArriveWhole) {
@@ -331,7 +362,7 @@ TEST(LiveIngest, UdpFramesUpToMaxFrameBytesArriveWhole) {
   IngestConfig config;
   config.idle_timeout_ms = 300;
   IngestServer server{config};
-  IngestExecutor sink{runner, /*capture_outputs=*/true};
+  KeepingExecutor keeping{runner};
 
   constexpr std::size_t kHeaders = 14 + 20 + 8;  // Ethernet, IPv4, UDP
   std::vector<net::Packet> sent;
@@ -347,13 +378,14 @@ TEST(LiveIngest, UdpFramesUpToMaxFrameBytesArriveWhole) {
     if (size <= kMaxFrameBytes) sent.push_back(std::move(packet));
   }
 
-  const IngestStats ingest = server.serve(sink);
-  sink.finish();
+  const IngestStats ingest = server.serve(keeping);
+  std::vector<net::Packet> outputs;
+  keeping.drain(&outputs);
 
   EXPECT_EQ(ingest.socket_drops, 0u);
   EXPECT_EQ(ingest.rx_frames, sent.size());
   EXPECT_EQ(ingest.parse_errors, 1u) << "the oversize frame";
-  expect_byte_identical(sink.outputs(), sent);
+  expect_byte_identical(outputs, sent);
 }
 
 TEST(LiveIngest, PoisonedTcpStreamIsKilledNotCrashed) {
@@ -363,7 +395,6 @@ TEST(LiveIngest, PoisonedTcpStreamIsKilledNotCrashed) {
   config.proto = IngestProto::kTcp;
   config.idle_timeout_ms = 300;
   IngestServer server{config};
-  IngestExecutor sink{runner};
 
   std::thread sender([&] {
     Fd conn = make_tcp_sender("127.0.0.1", server.tcp_port());
@@ -371,9 +402,9 @@ TEST(LiveIngest, PoisonedTcpStreamIsKilledNotCrashed) {
     const std::vector<std::uint8_t> evil = {0xFF, 0xFF, 0xFF, 0xFF, 0x00};
     ASSERT_TRUE(send_all(conn.get(), evil));
   });
-  const IngestStats ingest = server.serve(sink);
+  const IngestStats ingest = server.serve(runner);
   sender.join();
-  sink.finish();
+  runner.drain(nullptr);
 
   EXPECT_EQ(ingest.poisoned_streams, 1u);
   EXPECT_EQ(ingest.rx_frames, 0u);

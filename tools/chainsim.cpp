@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "control/controller.hpp"
-#include "io/ingest_executor.hpp"
 #include "io/ingest_server.hpp"
 #include "nf/maglev_lb.hpp"
 #include "runtime/plan.hpp"
@@ -256,7 +255,7 @@ void run_mode(const SimConfig& config, bool speedybox,
 
 /// Live mode: real wire packets off a socket instead of an in-process
 /// trace. Same plan-built chain/executor/overload as run_mode; the packet
-/// source is an IngestServer and the hand-off an IngestExecutor.
+/// source is an IngestServer, which submits each batch to the executor.
 int run_live(const SimConfig& config, telemetry::Registry* registry) {
   const plan::DeploymentPlan& deployment = config.deployment;
   const std::string mode = deployment.speedybox ? "speedybox" : "original";
@@ -272,7 +271,6 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
   ingest_config.batch_size = deployment.batch_size;
   io::IngestServer server{ingest_config};
   server.attach_telemetry(registry, mode + "/ingest");
-  io::IngestExecutor sink{executor};
 
   // The load generator (or the CI smoke) discovers the bound port from
   // this line, so it must hit the pipe before serve() blocks.
@@ -292,8 +290,8 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
               plan::executor_kind_name(deployment.executor));
   std::fflush(stdout);
 
-  const io::IngestStats ingest = server.serve(sink);
-  const runtime::RunStats& stats = sink.finish();
+  const io::IngestStats ingest = server.serve(executor);
+  const runtime::RunStats& stats = executor.drain(nullptr);
 
   std::string report_label = mode + " [live";
   if (deployment.executor != plan::ExecutorKind::kRunner) {
@@ -307,17 +305,19 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
   report(config, report_label.c_str(), stats);
 
   // Machine-readable summary for the closed-loop smoke. `admitted`/`shed`
-  // come from the overload gate when it is on; with the gate off every
-  // submitted frame is admitted by definition. The driver checks
+  // come from the overload gate when it is on; with the gate off, every
+  // packet the executor ran was admitted. Conservation compares the
+  // server's frame count with the executor's,
+  //   rx_frames == admitted + shed,
+  // and the smoke checks
   //   sent == admitted + shed + parse_errors + socket_drops
   // against the load generator's own count.
   const runtime::OverloadStats& overload = stats.overload;
   const std::uint64_t admitted =
-      deployment.overload.enabled ? overload.admitted : sink.submitted();
+      deployment.overload.enabled ? overload.admitted : stats.packets;
   const std::uint64_t shed =
       deployment.overload.enabled ? overload.shed_total() : 0;
-  const bool conserved = sink.submitted() == admitted + shed &&
-                         sink.submitted() == ingest.rx_frames;
+  const bool conserved = ingest.rx_frames == admitted + shed;
   // Peak resident set of the whole run: live mode must stay bounded however
   // many packets it serves (tools/live_smoke.sh compares two run lengths).
   rusage usage{};
@@ -327,7 +327,7 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
       "\"rx_bytes\":%llu,\"rx_frames\":%llu,"
       "\"rx_batches\":%llu,\"parse_errors\":%llu,\"socket_drops\":%llu,"
       "\"tcp_connections\":%llu,\"poisoned_streams\":%llu,"
-      "\"submitted\":%llu,\"admitted\":%llu,\"shed\":%llu,"
+      "\"admitted\":%llu,\"shed\":%llu,"
       "\"chain_packets\":%llu,\"chain_drops\":%llu,\"conserved\":%s,"
       "\"peak_rss_kb\":%ld}}\n",
       io::ingest_proto_name(config.ingest.proto),
@@ -339,7 +339,6 @@ int run_live(const SimConfig& config, telemetry::Registry* registry) {
       static_cast<unsigned long long>(ingest.socket_drops),
       static_cast<unsigned long long>(ingest.tcp_connections),
       static_cast<unsigned long long>(ingest.poisoned_streams),
-      static_cast<unsigned long long>(sink.submitted()),
       static_cast<unsigned long long>(admitted),
       static_cast<unsigned long long>(shed),
       static_cast<unsigned long long>(stats.packets),
@@ -388,18 +387,21 @@ int run_tenancy(const SimConfig& config, telemetry::Registry* registry) {
     std::fflush(stdout);
     const std::vector<tenancy::TenantServeResult> results =
         host.serve(options);
-    for (const tenancy::TenantServeResult& tenant : results) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const tenancy::TenantServeResult& tenant = results[i];
       const runtime::OverloadStats& overload = tenant.stats.overload;
-      const bool gated = overload.offered > 0 || overload.shed_total() > 0;
+      const bool gated = host.spec().tenants[i].plan.overload.enabled;
       const std::uint64_t admitted =
           gated ? overload.admitted : tenant.stats.packets;
       const std::uint64_t shed = overload.shed_total();
-      // Host-gate conservation plus the executor's own arrival identity;
-      // delivered cannot be byte-counted live (no output capture).
+      const std::uint64_t forwarded = tenant.gate_offered - tenant.gate_shed;
+      // Each identity compares two owners' counts: the server's frames
+      // with the host gate's arrivals, and what the gate let through with
+      // the executor's arrivals. Delivered cannot be byte-counted live (no
+      // output capture).
       const bool conserved =
-          tenant.gate_offered == tenant.gate_shed + tenant.forwarded &&
           tenant.gate_offered == tenant.ingest.rx_frames &&
-          tenant.forwarded == admitted + shed;
+          forwarded == (gated ? overload.offered : tenant.stats.packets);
       all_conserved = all_conserved && conserved;
       std::printf(
           "{\"tenant\":{\"id\":\"%s\",\"udp_port\":%u,\"rx_frames\":%llu,"
@@ -414,7 +416,7 @@ int run_tenancy(const SimConfig& config, telemetry::Registry* registry) {
           static_cast<unsigned long long>(tenant.ingest.socket_drops),
           static_cast<unsigned long long>(tenant.gate_offered),
           static_cast<unsigned long long>(tenant.gate_shed),
-          static_cast<unsigned long long>(tenant.forwarded),
+          static_cast<unsigned long long>(forwarded),
           static_cast<unsigned long long>(admitted),
           static_cast<unsigned long long>(shed),
           static_cast<unsigned long long>(tenant.stats.packets),

@@ -8,7 +8,8 @@
 # with `sent` counted by the load generator and the right-hand side by the
 # receiver (chainsim's {"live":...} summary line). Runs both §VII-C
 # evaluation chains plus the DoS chain under a syn-flood, over UDP and
-# TCP, then checks that live mode's memory is bounded on every executor
+# TCP, and a chain behind the overload gate, which must shed; then checks
+# that live mode's memory is bounded on every executor
 # shape (the runner, `--shards 2` and `--executor pipeline`): the peak RSS
 # of a 2M-packet run stays within 1.5x of a 0.2M-packet run. This is the
 # CI `live-ingest-smoke` job; run it locally the same way:
@@ -38,13 +39,17 @@ announced_port() {
   echo "${port}"
 }
 
+# run_case NAME CHAIN PROTO WORKLOAD [CHAINSIM_FLAGS...]: with extra flags
+# (the overload gate's), the case must also shed.
 run_case() {
   local name="$1" chain="$2" proto="$3" workload="$4"
-  echo "--- live smoke: ${name} (--chain ${chain}, ${proto}, ${workload})"
+  shift 4
+  echo "--- live smoke: ${name} (--chain ${chain}, ${proto}," \
+       "${workload}${*:+, $*})"
   local out
   out="$(mktemp)"
   "${CHAINSIM}" --chain "${chain}" --mode speedybox \
-    --listen 0 --proto "${proto}" --idle-timeout 2000 > "${out}" &
+    --listen 0 --proto "${proto}" --idle-timeout 2000 "$@" > "${out}" &
   local pid=$!
   local port
   port="$(announced_port "${pid}" "${out}")"
@@ -71,7 +76,7 @@ run_case() {
     failures=$((failures + 1))
     return
   fi
-  if ! python3 - "${out}" "${gen_json}" <<'PYEOF'
+  if ! python3 - "${out}" "${gen_json}" "$#" <<'PYEOF'
 import json
 import sys
 
@@ -90,6 +95,8 @@ accounted = (live["admitted"] + live["shed"] + live["parse_errors"]
              + live["socket_drops"])
 if sent == 0:
     sys.exit("loadgen sent nothing")
+if int(sys.argv[3]) > 0 and live["shed"] == 0:
+    sys.exit(f"the overload gate shed nothing: {live}")
 if sent != accounted:
     sys.exit(f"conservation violated across the wire: sent={sent} != "
              f"admitted={live['admitted']} + shed={live['shed']} + "
@@ -131,6 +138,8 @@ live_peak_rss_kb() {
 run_case gateway nat,maglev,monitor,ipfilter udp datacenter
 run_case inspection ipfilter,snort,monitor tcp datacenter
 run_case synflood dos,monitor udp syn-flood
+run_case overloaded nat,monitor udp datacenter \
+  --overload 2.0 --drop-policy per-flow-fair --queue-capacity 64
 
 # Live mode keeps no per-packet state on any executor shape: ten times the
 # packets may cost at most 1.5x the memory.

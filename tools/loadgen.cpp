@@ -8,7 +8,10 @@
 //
 // The workload flags fill a trace::WorkloadSpec with chainsim's defaults,
 // and WorkloadSpec::build() makes the trace, so a live run sees
-// byte-identical packets to the in-process drive of the same flags.
+// byte-identical packets to the in-process drive of the same flags. Each
+// destination port (--port, --tenants, --ports) gets the whole sequence,
+// and the tool prints one {"loadgen":{...}} line per port.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -26,14 +29,11 @@ namespace {
 constexpr const char* kTool = "loadgen";
 
 struct GenConfig {
-  std::string host = "127.0.0.1";
+  /// Destinations, pacing and repeat; --port/--tenants fill `gen.ports`
+  /// after parsing.
+  io::LoadgenConfig gen;
   std::uint16_t port = 0;
-  io::IngestProto proto = io::IngestProto::kUdp;
-  /// One entry per tenant (one broadcast entry allowed); empty = unpaced.
-  std::vector<double> rates_pps;
-  std::size_t tenants = 0;            // 0 = single-destination mode
-  std::vector<std::uint16_t> ports;   // explicit per-tenant ports
-  std::size_t repeat = 1;
+  std::size_t tenants = 0;  // 0: one port per --ports entry, or --port
   trace::WorkloadSpec workload = tools::kToolWorkload;
 };
 
@@ -47,7 +47,7 @@ struct GenConfig {
       "  --rate PPS[,PPS...]    target send rate, packets/s (0 = unpaced);\n"
       "                         a comma list paces each tenant separately\n"
       "  --tenants N            fan the workload to N tenants on ports\n"
-      "                         PORT..PORT+N-1 (one sender thread each)\n"
+      "                         PORT..PORT+N-1, concurrently\n"
       "  --ports P1,P2,...      explicit per-tenant ports (replaces\n"
       "                         --port/--tenants)\n"
       "  --repeat N             replay the frame sequence N times\n"
@@ -95,15 +95,15 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     given.insert(arg);
     if (arg == "--host") {
-      config.host = need_value(i);
+      config.gen.host = need_value(i);
     } else if (arg == "--port") {
       config.port = static_cast<std::uint16_t>(uint_value(i, 1, 65535));
     } else if (arg == "--proto") {
       const std::string value = need_value(i);
       if (value == "udp") {
-        config.proto = io::IngestProto::kUdp;
+        config.gen.proto = io::IngestProto::kUdp;
       } else if (value == "tcp") {
-        config.proto = io::IngestProto::kTcp;
+        config.gen.proto = io::IngestProto::kTcp;
       } else {
         usage(argv[0]);
       }
@@ -113,17 +113,17 @@ int main(int argc, char** argv) {
         const double rate =
             tools::parse_double_flag(kTool, "--rate", item.c_str(), false);
         if (rate < 0.0) usage(argv[0]);
-        config.rates_pps.push_back(rate);
+        config.gen.rates_pps.push_back(rate);
       }
     } else if (arg == "--tenants") {
       config.tenants = uint_value(i);
     } else if (arg == "--ports") {
       for (const std::string& item : split_list(need_value(i))) {
-        config.ports.push_back(static_cast<std::uint16_t>(
+        config.gen.ports.push_back(static_cast<std::uint16_t>(
             tools::parse_uint_flag(kTool, "--ports", item.c_str(), 1, 65535)));
       }
     } else if (arg == "--repeat") {
-      config.repeat = uint_value(i);
+      config.gen.repeat = uint_value(i);
     } else if (arg == "--workload") {
       config.workload.kind = need_value(i);
     } else if (arg == "--flows") {
@@ -143,32 +143,33 @@ int main(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  std::vector<std::uint16_t>& ports = config.gen.ports;
   const bool port_given = given.contains("--port");
-  if (!port_given && config.ports.empty()) usage(argv[0]);
-  if (port_given && !config.ports.empty()) {
+  if (!port_given && ports.empty()) usage(argv[0]);
+  if (port_given && !ports.empty()) {
     tools::config_error(kTool, "--ports conflicts with --port: pass one of "
                                "them");
   }
-  if (config.tenants > 0 && !config.ports.empty() &&
-      config.ports.size() != config.tenants) {
+  if (config.tenants > 0 && !ports.empty() &&
+      ports.size() != config.tenants) {
     tools::config_error(kTool, "--tenants " + std::to_string(config.tenants) +
                                    " conflicts with the " +
-                                   std::to_string(config.ports.size()) +
-                                   " --ports");
+                                   std::to_string(ports.size()) + " --ports");
   }
-  // --tenants N with --port P fans to consecutive ports P..P+N-1.
-  if (config.tenants > 0 && config.ports.empty()) {
-    for (std::size_t i = 0; i < config.tenants; ++i) {
+  // --port P with --tenants N fans to consecutive ports P..P+N-1.
+  if (ports.empty()) {
+    for (std::size_t i = 0; i < std::max<std::size_t>(config.tenants, 1);
+         ++i) {
       const std::size_t port = config.port + i;
       if (port > 65535) {
         tools::config_error(kTool, "--tenants: tenant port " +
                                        std::to_string(port) + " out of range");
       }
-      config.ports.push_back(static_cast<std::uint16_t>(port));
+      ports.push_back(static_cast<std::uint16_t>(port));
     }
   }
-  const bool multi_tenant = !config.ports.empty();
-  if (!multi_tenant && config.rates_pps.size() > 1) {
+  const std::size_t rates = config.gen.rates_pps.size();
+  if (rates > 1 && rates != ports.size()) {
     tools::config_error(kTool, "a --rate list needs --tenants or --ports: one "
                                "rate per tenant");
   }
@@ -176,68 +177,31 @@ int main(int argc, char** argv) {
   tools::resolve_workload(kTool, given, config.workload);
   const trace::Workload workload = config.workload.build();
 
-  if (multi_tenant) {
-    io::MultiTenantConfig gen;
-    gen.host = config.host;
-    gen.ports = config.ports;
-    gen.proto = config.proto;
-    gen.rates_pps = config.rates_pps;
-    gen.repeat = config.repeat;
-    std::vector<io::TenantLoadReport> results;
-    try {
-      results = io::replay_multi_tenant(workload, gen);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "loadgen: %s\n", error.what());
-      return 1;
-    }
-    bool clean = true;
-    std::uint64_t total_sent = 0;
-    for (const io::TenantLoadReport& tenant : results) {
-      if (!tenant.error.empty()) {
-        std::fprintf(stderr, "loadgen: port %u: %s\n", tenant.port,
-                     tenant.error.c_str());
-        clean = false;
-        continue;
-      }
-      total_sent += tenant.report.sent;
-      clean = clean && tenant.report.send_errors == 0;
-      std::printf(
-          "{\"loadgen\":{\"proto\":\"%s\",\"port\":%u,\"sent\":%llu,"
-          "\"bytes\":%llu,\"send_errors\":%llu,\"elapsed_s\":%.6f,"
-          "\"achieved_pps\":%.1f}}\n",
-          io::ingest_proto_name(config.proto), tenant.port,
-          static_cast<unsigned long long>(tenant.report.sent),
-          static_cast<unsigned long long>(tenant.report.bytes),
-          static_cast<unsigned long long>(tenant.report.send_errors),
-          tenant.report.elapsed_s, tenant.report.achieved_pps);
-    }
-    std::printf("{\"loadgen_total\":{\"tenants\":%zu,\"sent\":%llu}}\n",
-                results.size(),
-                static_cast<unsigned long long>(total_sent));
-    return clean ? 0 : 1;
-  }
-
-  io::LoadgenConfig gen;
-  gen.host = config.host;
-  gen.port = config.port;
-  gen.proto = config.proto;
-  gen.rate_pps = config.rates_pps.empty() ? 0.0 : config.rates_pps[0];
-  gen.repeat = config.repeat;
-  io::LoadgenReport report;
+  std::vector<io::LoadgenReport> reports;
   try {
-    report = io::replay_workload(workload, gen);
+    reports = io::replay_workload(workload, config.gen);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "loadgen: %s\n", error.what());
     return 1;
   }
-
-  std::printf(
-      "{\"loadgen\":{\"proto\":\"%s\",\"sent\":%llu,\"bytes\":%llu,"
-      "\"send_errors\":%llu,\"elapsed_s\":%.6f,\"achieved_pps\":%.1f}}\n",
-      io::ingest_proto_name(config.proto),
-      static_cast<unsigned long long>(report.sent),
-      static_cast<unsigned long long>(report.bytes),
-      static_cast<unsigned long long>(report.send_errors), report.elapsed_s,
-      report.achieved_pps);
-  return report.send_errors == 0 ? 0 : 1;
+  bool clean = true;
+  for (const io::LoadgenReport& report : reports) {
+    if (!report.error.empty()) {
+      std::fprintf(stderr, "loadgen: port %u: %s\n", report.port,
+                   report.error.c_str());
+      clean = false;
+      continue;
+    }
+    clean = clean && report.send_errors == 0;
+    std::printf(
+        "{\"loadgen\":{\"proto\":\"%s\",\"port\":%u,\"sent\":%llu,"
+        "\"bytes\":%llu,\"send_errors\":%llu,\"elapsed_s\":%.6f,"
+        "\"achieved_pps\":%.1f}}\n",
+        io::ingest_proto_name(config.gen.proto), report.port,
+        static_cast<unsigned long long>(report.sent),
+        static_cast<unsigned long long>(report.bytes),
+        static_cast<unsigned long long>(report.send_errors), report.elapsed_s,
+        report.achieved_pps);
+  }
+  return clean ? 0 : 1;
 }
