@@ -21,6 +21,11 @@ std::uint64_t steady_ns() {
           .count());
 }
 
+// Kept slots: 4096 first, then ×16 (65536, 1M, ...). Each growth step
+// quiesces, so long runs take few, and tests cross them cheaply.
+constexpr std::size_t kFirstKeptSlots = 4096;
+constexpr std::size_t kKeptGrowth = 16;
+
 }  // namespace
 
 ShardedRuntime::ShardedRuntime(const ServiceChain& prototype,
@@ -82,7 +87,18 @@ void ShardedRuntime::dispatch(net::Packet&& packet, bool keep) {
   }
   Job job;
   job.packet = std::move(packet);
-  if (keep) job.slot = kept_count_++;
+  if (keep) {
+    if (kept_packets_.size() == kept_packets_.capacity()) {
+      // Reallocation moves every slot: no job in flight may hold an old
+      // address. reserve() maps pages that only emplace_back() touches.
+      if (!kept_packets_.empty()) quiesce();
+      kept_packets_.reserve(
+          std::max(kFirstKeptSlots, kept_packets_.capacity() * kKeptGrowth));
+      kept_outcomes_.reserve(kept_packets_.capacity());
+    }
+    job.kept_packet = &kept_packets_.emplace_back();
+    job.kept_outcome = &kept_outcomes_.emplace_back();
+  }
   Shard& shard = *shards_[shard_index];
   shard.staging.push_back(std::move(job));
   if (shard.staging.size() >= config_.batch_size) {
@@ -105,13 +121,11 @@ void ShardedRuntime::shed_jobs(Shard& shard, std::span<Job> jobs) {
   dispatcher_shed_ += jobs.size();
   if (shard.metrics != nullptr) shard.metrics->shed_ring.add(jobs.size());
   for (Job& job : jobs) {
-    if (job.slot == kNotKept) continue;
+    if (job.kept_packet == nullptr) continue;
     job.packet.mark_dropped();
-    PacketOutcome outcome;
-    outcome.dropped = true;
-    outcome.shed = true;
-    dispatcher_shed_kept_.push_back(
-        {job.slot, outcome, std::move(job.packet)});
+    *job.kept_packet = std::move(job.packet);
+    job.kept_outcome->dropped = true;
+    job.kept_outcome->shed = true;
   }
 }
 
@@ -197,9 +211,9 @@ void ShardedRuntime::worker(Shard& shard) {
       shard.runner->process_batch(batch, outcomes);
       for (std::size_t k = 0; k < live.size(); ++k) {
         Job& job = jobs[live[k]];
-        if (job.slot == kNotKept) continue;
-        shard.processed.push_back(
-            {job.slot, outcomes[k], std::move(job.packet)});
+        if (job.kept_packet == nullptr) continue;
+        *job.kept_packet = std::move(job.packet);
+        *job.kept_outcome = outcomes[k];
       }
     }
     if (marker_epoch != 0) {
@@ -310,29 +324,20 @@ ShardedRunResult ShardedRuntime::finish() {
   ShardedRunResult result;
   result.wall_seconds =
       static_cast<double>(steady_ns() - start_ns_) / 1e9;
-  result.outcomes.resize(kept_count_);
-  result.packets.resize(kept_count_);
-  const auto place = [&result](std::vector<Processed>& kept) {
-    for (Processed& rec : kept) {
-      result.outcomes[rec.slot] = rec.outcome;
-      result.packets[rec.slot] = std::move(rec.packet);
-    }
-    kept = {};
-  };
   result.shard_packets.reserve(shards_.size());
   for (auto& shard : shards_) {
     const RunStats& stats = shard->runner->stats();
     result.shard_packets.push_back(stats.packets);
     result.stats.merge_from(stats);
     result.aggregate_rate_mpps += stats.rate_mpps(config_.platform);
-    place(shard->processed);
   }
   // Dispatcher-shed packets never reached a shard runner, so no shard's
   // `offered` counted them: add them to both sides of the conservation
   // identity (offered == packets + shed_total) exactly once.
   result.stats.overload.offered += dispatcher_shed_;
   result.stats.overload.shed_watermark += dispatcher_shed_;
-  place(dispatcher_shed_kept_);
+  result.outcomes = std::move(kept_outcomes_);
+  result.packets = std::move(kept_packets_);
   return result;
 }
 

@@ -11,18 +11,18 @@
 //
 //   dispatcher (caller thread)
 //     parse + symmetric five-tuple hash ──► shard = hash mod N
+//     a kept packet's job carries the addresses of its result slot
 //     per-shard staging buffer, flushed to the shard's SPSC ring as a whole
 //     burst (try_push_burst; yield on full: backpressure, never drop —
 //     unless RunConfig::overload is on, when a pressured ring sheds)
 //   shard worker k (one thread per shard)
 //     owns replica k of the ServiceChain (chain.clone()) and a ChainRunner
 //     pops whole bursts (try_pop_burst), runs them through
-//     ChainRunner::process_batch in FIFO order; keeps a packet and its
-//     outcome only when the caller asked for it back, else frees it there
+//     ChainRunner::process_batch in FIFO order; moves a kept packet and
+//     its outcome into the job's slot, else frees the packet there
 //   finish() / drain()
-//     joins workers, places the kept packets and outcomes in input order,
-//     merges per-shard RunStats (exact sum/count merging, see
-//     RunStats::merge_from)
+//     joins workers, merges per-shard RunStats (exact sum/count merging,
+//     see RunStats::merge_from) and moves the filled result vectors out
 //
 // What is kept follows from what the caller asked for: push() and
 // finish() keep every packet, and submit() keeps a burst only with `keep`.
@@ -32,6 +32,9 @@
 // Concurrency contract (DESIGN.md "Sharded runtime"): the symmetric hash
 // gives both directions of a connection the same shard, so every flow's
 // state has exactly one writer — shard k's thread — for its whole life.
+// Each kept slot has one writer too: its job's worker, or the dispatcher
+// when the job is shed. Workers reach slots only through their jobs, and
+// the dispatcher grows the slot vectors only under quiesce().
 // No locks, no atomics beyond the SPSC rings and the shutdown flags.
 // Per-flow FIFO order is preserved end-to-end (dispatch order within a
 // shard is input order); the global output order across flows is not.
@@ -67,7 +70,7 @@
 namespace speedybox::runtime {
 
 /// Merged result of one sharded run: the merged RunStats, plus the kept
-/// packets and their outcomes.
+/// packets and their outcomes, in the very slots the workers wrote.
 struct ShardedRunResult {
   /// Exact merge of the per-shard stats (histogram buckets and sums added).
   RunStats stats;
@@ -134,8 +137,8 @@ class ShardedRuntime : public Executor {
   /// on (see the constructor).
   void push(net::Packet packet) { dispatch(std::move(packet), true); }
 
-  /// Drain everything in flight, join the workers, and merge the per-shard
-  /// results. One-shot: the runtime cannot be pushed to afterwards.
+  /// Drain everything in flight, join the workers, merge the per-shard
+  /// stats and hand over the kept slots. One-shot: no push() afterwards.
   ShardedRunResult finish();
 
   /// Convenience one-shot run: push every packet (copied, metadata reset)
@@ -217,21 +220,14 @@ class ShardedRuntime : public Executor {
   void set_active_shard_count(std::size_t count);
 
  private:
-  /// Job::slot of a packet nobody asked to keep.
-  static constexpr std::uint64_t kNotKept = ~std::uint64_t{0};
   struct Job {
     net::Packet packet;
-    /// Position among the kept packets (input order), or kNotKept.
-    std::uint64_t slot = kNotKept;
+    /// The packet's kept slot, or null when nobody asked for it back.
+    net::Packet* kept_packet = nullptr;
+    PacketOutcome* kept_outcome = nullptr;
     /// Non-zero marks a quiescence drain marker, not a packet: the worker
     /// publishes this epoch once everything ahead of it is processed.
     std::uint64_t drain_epoch = 0;
-  };
-  /// A kept packet and its outcome; placed at its slot by finish().
-  struct Processed {
-    std::uint64_t slot;
-    PacketOutcome outcome;
-    net::Packet packet;
   };
   struct Shard {
     std::unique_ptr<ServiceChain> chain;
@@ -250,12 +246,10 @@ class ShardedRuntime : public Executor {
     /// via one try_push_burst per batch_size packets instead of one
     /// try_push each.
     std::vector<Job> staging;
-    // Worker-local until the thread is joined; read only afterwards (or
-    // while quiesced, ordered by the drain-marker epoch handshake).
-    std::vector<Processed> processed;
   };
 
-  /// Stage one packet for its flow's shard (push() and submit()).
+  /// Stage one packet for its flow's shard (push() and submit()), giving a
+  /// kept one the next slot.
   void dispatch(net::Packet&& packet, bool keep);
   void worker(Shard& shard);
   void start_worker(Shard& shard);
@@ -265,7 +259,7 @@ class ShardedRuntime : public Executor {
   void flush_shard(Shard& shard);
   /// Record `jobs` as shed at `shard`'s ring: counted in its shed_ring
   /// cell now and once in the merged offered/shed_watermark at finish();
-  /// kept ones are marked dropped, with outcomes flagged shed.
+  /// kept ones go to their slots dropped, with outcomes flagged shed.
   void shed_jobs(Shard& shard, std::span<Job> jobs);
   void join_workers();
 
@@ -287,13 +281,14 @@ class ShardedRuntime : public Executor {
   std::atomic<bool> done_{false};
   bool joined_ = false;
   std::uint64_t pushed_ = 0;
-  std::uint64_t kept_count_ = 0;
   std::uint64_t backpressure_waits_ = 0;
   std::uint64_t start_ns_ = 0;
   /// Shed at the dispatcher, so never seen by any shard runner: counted
-  /// into the overload counters at finish(), and the kept ones placed.
+  /// into the overload counters at finish().
   std::uint64_t dispatcher_shed_ = 0;
-  std::vector<Processed> dispatcher_shed_kept_;
+  /// One slot per kept packet, in input order; finish() moves them out.
+  std::vector<net::Packet> kept_packets_;
+  std::vector<PacketOutcome> kept_outcomes_;
   ShardedRunResult last_result_;
 };
 

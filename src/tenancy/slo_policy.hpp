@@ -39,8 +39,6 @@ struct TenantSignals {
   double p99_latency_us = 0.0;
   /// Host-gate arrivals within the window (before any shedding).
   std::uint64_t window_offered = 0;
-  /// Packets the gate forwarded into the tenant's executor.
-  std::uint64_t window_forwarded = 0;
 };
 
 /// Static facts the policy needs about a tenant, paired with its signals.

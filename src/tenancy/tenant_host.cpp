@@ -90,7 +90,6 @@ struct TenantHost::Tenant {
   // Windowed-signal baselines (cumulative counters/buckets at last tick).
   util::LogHistogram prev_latency;
   std::uint64_t offered_base = 0;
-  std::uint64_t forwarded_base = 0;
 
   /// Arbiter-readable mirror of the sharded runtime's active shard count
   /// (the runtime's own field is dispatcher-thread-only).
@@ -211,11 +210,8 @@ void TenantHost::enforcement_tick(bool apply_resharding) {
     input.active_shards =
         tenant.shards_view.load(std::memory_order_relaxed);
     const std::uint64_t offered = tenant.gate.offered();
-    const std::uint64_t forwarded = offered - tenant.gate.shed();
     input.signals.window_offered = offered - tenant.offered_base;
-    input.signals.window_forwarded = forwarded - tenant.forwarded_base;
     tenant.offered_base = offered;
-    tenant.forwarded_base = forwarded;
     input.signals.p99_latency_us = window_p99_us(tenant, snapshot);
     if (input.signals.window_offered > 0) {
       tenant.last_p99_us = input.signals.p99_latency_us;
@@ -253,6 +249,8 @@ HostRunResult TenantHost::run() {
   const std::size_t count = tenants_.size();
   std::vector<std::vector<net::Packet>> packets(count);
   std::vector<std::size_t> sent(count, 0);
+  // Counted at the hand-off, so offered == gate_shed + forwarded checks it.
+  std::vector<std::uint64_t> forwarded(count, 0);
   for (std::size_t i = 0; i < count; ++i) {
     const trace::Workload workload = tenants_[i]->spec->workload.build();
     packets[i].reserve(workload.packet_count());
@@ -288,6 +286,7 @@ HostRunResult TenantHost::run() {
     ++sent[next];
     if (tenant.gate.offer(flow_hash_of(packet))) {
       tenant.built.executor->submit({&packet, 1}, /*keep=*/true);
+      ++forwarded[next];
     }
     if (++arrivals % spec_.enforcement.window_packets == 0) {
       enforcement_tick(/*apply_resharding=*/true);
@@ -306,7 +305,7 @@ HostRunResult TenantHost::run() {
     }
     out.offered = tenant.gate.offered();
     out.gate_shed = tenant.gate.shed();
-    out.forwarded = out.offered - out.gate_shed;
+    out.forwarded = forwarded[i];
     out.realloc_events = tenant.realloc_events;
     out.max_escalation = tenant.max_escalation;
     out.worst_window_p99_us = tenant.worst_p99_us;

@@ -1,8 +1,11 @@
 // ShardedRuntime unit tests: flow→shard affinity (both directions of a
 // connection), drain-on-destruction, full-ring backpressure, shedding at
-// the rings under the overload gate, clone refusal, and exact per-shard
-// stats merging.
+// the rings under the overload gate, kept packets written in place across
+// the kept slots' growth steps, clone refusal, and exact per-shard stats
+// merging.
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,6 +39,26 @@ std::vector<net::Packet> packets_of(const trace::Workload& workload) {
 std::unique_ptr<ServiceChain> monitor_chain() {
   auto chain = std::make_unique<ServiceChain>("mon");
   chain->emplace_nf<nf::Monitor>();
+  return chain;
+}
+
+/// The NAT rewrites headers, so a packet written to the wrong slot, or a
+/// slot left empty, shows in the bytes.
+std::unique_ptr<ServiceChain> nat_monitor_chain() {
+  auto chain = std::make_unique<ServiceChain>("nat-mon");
+  chain->emplace_nf<nf::MazuNat>();
+  chain->emplace_nf<nf::Monitor>();
+  return chain;
+}
+
+/// A Monitor behind a 100k-cycle latency spike on every packet.
+std::unique_ptr<ServiceChain> slow_chain() {
+  auto chain = std::make_unique<ServiceChain>("slow");
+  FaultSpec spec;
+  spec.latency_every = 1;
+  spec.latency_cycles = 100000;
+  chain->adopt_nf(std::make_unique<FaultInjector>(
+      std::make_unique<nf::Monitor>("m"), spec));
   return chain;
 }
 
@@ -147,17 +170,12 @@ TEST(ShardedRuntime, OverloadFromRunConfigShedsAtTheRings) {
   // The gate in RunConfig alone arms the dispatcher: behind small rings a
   // slow NF makes it shed, never wait. Original mode, so every packet
   // reaches the injector's latency spike.
-  ServiceChain chain{"slow"};
-  FaultSpec spec;
-  spec.latency_every = 1;
-  spec.latency_cycles = 100000;
-  chain.adopt_nf(std::make_unique<FaultInjector>(
-      std::make_unique<nf::Monitor>("m"), spec));
+  auto chain = slow_chain();
   RunConfig config{platform::PlatformKind::kBess, false};
   config.batch_size = 8;
   config.overload.enabled = true;
   telemetry::Registry registry;
-  ShardedRuntime runtime{chain, 2, config, /*ring_capacity=*/16, &registry,
+  ShardedRuntime runtime{*chain, 2, config, /*ring_capacity=*/16, &registry,
                          "rt/"};
   const trace::Workload workload = trace::make_uniform_workload(32, 16, 32);
   const RunStats& stats = runtime.run(packets_of(workload), nullptr);
@@ -180,6 +198,99 @@ TEST(ShardedRuntime, OverloadFromRunConfigShedsAtTheRings) {
   EXPECT_EQ(shed_cells, overload.shed_total())
       << "telemetry sees every shed RunStats counts";
 }
+
+TEST(ShardedRuntime, KeptPacketsShedAtARingComeBackDroppedInTheirSlots) {
+  // Every packet is kept and carries its index in its payload; behind a
+  // 16-slot ring the slow NF makes the dispatcher shed some of them.
+  auto chain = slow_chain();
+  RunConfig config{platform::PlatformKind::kBess, false};
+  config.batch_size = 8;
+  config.overload.enabled = true;
+  ShardedRuntime runtime{*chain, 2, config, /*ring_capacity=*/16};
+  std::vector<net::Packet> input;
+  for (std::uint32_t i = 0; i < 512; ++i) {
+    input.push_back(
+        net::make_tcp_packet(tuple_n(i % 32), "kept " + std::to_string(i)));
+  }
+  for (const net::Packet& packet : input) runtime.push(packet);
+  const ShardedRunResult result = runtime.finish();
+
+  ASSERT_EQ(result.outcomes.size(), input.size());
+  ASSERT_EQ(result.packets.size(), input.size());
+  std::uint64_t shed = 0;
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    // The Monitor rewrites nothing: each slot holds its own input's bytes.
+    EXPECT_TRUE(same_bytes(result.packets[i], input[i])) << "slot " << i;
+    if (!result.outcomes[i].shed) continue;
+    ++shed;
+    EXPECT_TRUE(result.outcomes[i].dropped) << "slot " << i;
+    EXPECT_TRUE(result.packets[i].dropped()) << "slot " << i;
+  }
+  EXPECT_GT(shed, 0u) << "a 16-slot ring behind a slow NF must shed";
+  EXPECT_EQ(shed, result.stats.overload.shed_total());
+}
+
+TEST(ShardedRuntime, KeptPacketsLandInInputOrderAcrossSlotGrowth) {
+  // 100k packets of 1000 flows in alternating bursts, 64 kept then 16 not:
+  // 80k kept slots cross the slot vectors' growth steps at 4096 and 65536,
+  // each of which quiesces the workers while earlier bursts are in flight.
+  constexpr std::size_t kShards = 3;
+  const trace::Workload workload = trace::make_uniform_workload(1000, 100, 24);
+  std::vector<net::Packet> input = packets_of(workload);
+  auto prototype = nat_monitor_chain();
+  ShardedRuntime runtime{*prototype, kShards,
+                         {platform::PlatformKind::kBess, true}};
+
+  // Each shard's oracle is an original-mode chain of its own, fed that
+  // shard's packets, kept or not, in input order: NAT ports are probed per
+  // replica, so one global chain is no reference (DESIGN.md §6, "Replica
+  // determinism").
+  std::vector<std::unique_ptr<ServiceChain>> chains;
+  std::vector<std::unique_ptr<ChainRunner>> references;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    chains.push_back(nat_monitor_chain());
+    references.push_back(std::make_unique<ChainRunner>(
+        *chains.back(), RunConfig{platform::PlatformKind::kBess, false}));
+  }
+  std::vector<net::Packet> expected;
+  std::vector<net::Packet> burst;
+  bool keep = true;
+  for (std::size_t begin = 0; begin < input.size(); keep = !keep) {
+    const std::size_t end =
+        std::min(input.size(), begin + (keep ? std::size_t{64} : 16));
+    burst.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      net::Packet reference = input[i];
+      const auto parsed = net::parse_packet(reference);
+      ASSERT_TRUE(parsed.has_value());
+      const std::size_t shard =
+          runtime.shard_of(net::extract_five_tuple(reference, *parsed));
+      references[shard]->process_packet(reference);
+      if (keep) expected.push_back(std::move(reference));
+      burst.push_back(std::move(input[i]));
+    }
+    runtime.submit(burst, keep);
+    if (begin < input.size() / 2 && end >= input.size() / 2) {
+      runtime.quiesce();
+    }
+    begin = end;
+  }
+  const ShardedRunResult result = runtime.finish();
+
+  ASSERT_EQ(result.outcomes.size(), expected.size());
+  ASSERT_EQ(result.packets.size(), expected.size());
+  ASSERT_GT(expected.size(), std::size_t{65536});
+  std::size_t mismatched = 0;
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    const bool same =
+        same_bytes(result.packets[k], expected[k]) &&
+        result.packets[k].dropped() == expected[k].dropped() &&
+        result.outcomes[k].dropped == expected[k].dropped();
+    if (!same && mismatched++ < 5) ADD_FAILURE() << "kept packet " << k;
+  }
+  EXPECT_EQ(mismatched, 0u);
+}
+
 TEST(ShardedRuntime, RingSmallerThanBurstStillDeliversEverything) {
   // Ring capacity 4 < batch_size 8: every staging flush is a partial burst
   // push, so the dispatcher's retry loop and the worker's partial pops are

@@ -32,7 +32,6 @@ TenantInput make_input(double slo_us, double weight, bool sharded,
   input.active_shards = shards;
   input.signals.p99_latency_us = p99_us;
   input.signals.window_offered = offered;
-  input.signals.window_forwarded = offered;
   return input;
 }
 

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Build and run the concurrency-sensitive test suites under ThreadSanitizer
 # and under AddressSanitizer with UndefinedBehaviorSanitizer. TSan is the
-# gate for the sharded runtime's single-writer-per-flow contract
-# (DESIGN.md "Sharded runtime"), the SPSC ring burst hand-off, and the
-# batch-of-one vs burst differential harness (test_equivalence, DESIGN.md
-# §8); ASan backs it up on the packet-buffer side. UBSan runs without
-# recovery, so the first out-of-range pointer arithmetic, signed overflow
-# or misaligned load fails the address run.
+# gate for the sharded runtime's one-writer rules (per flow, and per kept
+# slot, grown only under quiesce(); DESIGN.md "Sharded runtime"), the SPSC
+# ring burst hand-off, and the batch-of-one vs burst differential harness
+# (test_equivalence, DESIGN.md §8); ASan backs it up on the packet-buffer
+# side. UBSan runs without recovery, so the first out-of-range pointer
+# arithmetic, signed overflow or misaligned load fails the address run.
 #
 # Usage: tools/run_sanitizers.sh [thread|address|all]   (default: all)
 set -euo pipefail
